@@ -10,8 +10,9 @@ Layout:
 ``geometry``
     Affine maps, validated systems, band/gap generation, gap genealogy.
 ``kernel``
-    Stable evaluation of the singular density kernel and all
-    Gauss-Chebyshev integrals over gaps and bands, with analytic Jacobian.
+    Stable evaluation of the singular density kernel (one paired product
+    for gap and band frames) and all Gauss-Chebyshev integrals over gaps
+    and bands, with analytic Jacobian.
 ``solver``
     Damped Newton solution of the gap-root equations, hierarchical warm
     starts across generations.
@@ -39,6 +40,7 @@ from .kernel import (
     gap_integral,
     gap_jacobian,
     gap_jacobian_row,
+    kernel_band,
     kernel_grouped,
     kernel_log_magnitude,
 )
@@ -83,6 +85,7 @@ __all__ = [
     "hierarchical_solve",
     "hull",
     "integrated_measure_at",
+    "kernel_band",
     "kernel_grouped",
     "kernel_log_magnitude",
     "mean_potential_on_attractor_points",

@@ -7,15 +7,21 @@ dsigma(s)``, per-generation capacities ``C = exp(-V)`` read off the constant
 potential on the set, and the exponential extrapolation of capacities to
 the attractor.
 
+Every density value here (the node table, the singular band term and the
+integrated measure) comes from the band-frame paired product of
+:func:`~equimeasure.kernel.kernel_band`; no log-space kernel is evaluated.
+
 Potentials of points lying on a band need care: the integrand has a
 logarithmic singularity inside the quadrature interval, and a plain node
 sum is only good to O(1/K) there.  ``potential_at`` therefore splits the
 hosting band's integral at the singularity, subtracts it analytically
 (its moment against the Chebyshev weight is a closed form in the Clausen
-function) and integrates the smooth remainder with Gauss-Legendre panels.
-The plain node sum remains available as ``method="nodes"``; its error is
-the classical coarseness gauge, shrinking from ~2e-4 at generation 1 to
-~3e-6 at generation 7 for the middle-third system at 2048 nodes.
+function) and integrates the smooth remainder with Gauss-Legendre panels;
+at the band ends, where the mirrored log term is singular too, the same
+subtraction covers both.  The plain node sum remains available as
+``method="nodes"``; its error is the classical coarseness gauge, shrinking
+from ~2e-4 at generation 1 to ~3e-6 at generation 7 for the middle-third
+system at 2048 nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import least_squares
 
 from .geometry import BandSystem
-from .kernel import QuadratureRule, _from_frame, _to_frame, kernel_log_magnitude
+from .kernel import QuadratureRule, _from_frame, kernel_band
+# Imported so that ``analytics.kernel_log_magnitude`` stays a patch point:
+# the traced benchmark (bench/tracer.py) counts log-space calls made from
+# here, and that count is meant to read 0.
+from .kernel import kernel_log_magnitude  # noqa: F401
 from .solver import EquilibriumSolution
 
 log = logging.getLogger(__name__)
@@ -39,6 +49,10 @@ log = logging.getLogger(__name__)
 NODE_COLLISION_RTOL = 1e-12
 
 _Z_CHUNK = 32  # potential evaluation points processed per matrix block
+
+# The capacity extrapolation fits three parameters and needs one more
+# generation than that to be a fit.
+MIN_CAPACITY_GENERATIONS = 4
 
 
 class OutOfHull(ValueError):
@@ -91,10 +105,11 @@ _CL_NODES, _CL_WEIGHTS = leggauss(48)
 def _clausen2(theta):
     """Clausen function ``Cl2(theta) = -int_0^theta log|2 sin(t/2)| dt``.
 
-    Valid for ``theta`` in ``[0, 2*pi)``; vectorized.  Uses the analytic
-    split ``Cl2(t) = t - t*log|2 sin(t/2)| + int_0^t (u/2*cot(u/2) - 1) du``
-    whose remaining integrand is analytic, so a fixed Gauss-Legendre rule
-    nails it.
+    Accurate to ~1e-15 for ``theta`` in ``[0, pi]``; callers reduce other
+    angles by symmetry, since the error grows to ~1e-8 near ``2*pi``.
+    Vectorized.  Uses the analytic split ``Cl2(t) = t - t*log|2 sin(t/2)|
+    + int_0^t (u/2*cot(u/2) - 1) du`` whose remaining integrand is
+    analytic, so a fixed Gauss-Legendre rule nails it.
     """
     t = np.atleast_1d(np.asarray(theta, dtype=float))
     # integral_0^t h(u) du = t * integral_0^1 h(t*v) dv
@@ -115,8 +130,7 @@ def _clausen2(theta):
 
 def _band_density(i, bands, solution, nodes):
     """Kernel magnitude ``|Z|/sqrt|Y~|`` of band ``i`` at frame points."""
-    _, log_mag = kernel_log_magnitude(nodes, bands, solution.vars, ("band", i))
-    return np.exp(log_mag)
+    return kernel_band(nodes, i, bands, solution.vars)
 
 
 def _density_table(solution, bands, rule):
@@ -179,10 +193,13 @@ def _singular_band_potential(z, b, solution, bands):
     ``A`` the frame slope, so in the angular variable the band integral is
     ``(1/pi) int_0^pi F(theta) * (log A - log|cos theta - c|) dtheta``.
     The log splits into ``-log 2`` and two ``-log|sin((theta -+
-    theta_z)/2)|`` terms; the singular one is subtracted at ``theta_z``,
-    where its exact moment is ``pi log 2 + Cl2(theta_z) + Cl2(pi -
-    theta_z)``, and panels split at ``theta_z`` integrate the smooth
-    remainders.
+    theta_z)/2)|`` terms.  Both are singular somewhere on ``[0, pi]``: the
+    minus term at ``theta_z``, the plus term at the band ends when
+    ``theta_z`` is 0 or pi.  ``F(theta_z)`` is subtracted under each, and
+    their exact moments are added back: ``pi log 2 + Cl2(theta_z) + Cl2(pi
+    - theta_z)`` for the minus term and, by ``Cl2(pi + t) = -Cl2(pi - t)``,
+    ``pi log 2 - Cl2(theta_z) - Cl2(pi - theta_z)`` for the plus term.
+    Panels split at ``theta_z`` integrate the smooth remainders.
     """
     lo, hi = bands.alphas[b], bands.betas[b]
     theta_z = _theta_of(float(z), lo, hi)
@@ -197,12 +214,16 @@ def _singular_band_potential(z, b, solution, bands):
 
     log2 = math.log(2.0)
     i_const = (math.log(2.0 / (hi - lo)) - log2) * float(wts @ f_nodes)
-    i_plus = float(wts @ (f_nodes * (-np.log(np.abs(np.sin(0.5 * (thetas + theta_z)))))))
+    i_plus = float(
+        wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas + theta_z))))))
+    )
     i_minus = float(
         wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas - theta_z))))))
     )
-    moment = math.pi * log2 + _clausen2(theta_z) + _clausen2(math.pi - theta_z)
-    return (i_const + i_plus + i_minus + f_z * moment) / math.pi
+    clausen = _clausen2(theta_z) + _clausen2(math.pi - theta_z)
+    moment_minus = math.pi * log2 + clausen
+    moment_plus = math.pi * log2 - clausen
+    return (i_const + i_plus + i_minus + f_z * (moment_minus + moment_plus)) / math.pi
 
 
 def _collides(z, positions, bands) -> bool:
@@ -425,8 +446,8 @@ def capacity_estimate(solutions, bands_list, rule: QuadratureRule,
     gauge).  The last ``fit_window`` generations feed the exponential fit;
     the extrapolated capacity is ``exp(-a)``.
     """
-    if len(solutions) < 4:
-        raise ValueError("need at least 4 solved generations")
+    if len(solutions) < MIN_CAPACITY_GENERATIONS:
+        raise ValueError(f"need at least {MIN_CAPACITY_GENERATIONS} solved generations")
     if mode not in ("mean", "point"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "point" and point is None:

@@ -10,9 +10,10 @@ Subcommands::
 The config is a single JSON document (see ``RunConfig``).  Solving writes
 one ``gen_<n>.json`` record per generation into the output directory; a
 record is reused on rerun only when its fingerprint (hash of the map
-parameters, quadrature order and residual tolerance) matches the active
-config exactly.  All files are written atomically (temp file + rename).
-Figure data files are plain CSV with a header row and 17-digit floats.
+parameters, quadrature order, residual tolerance, step clamp, evaluator
+and auto-refine switch) matches the active config exactly.  All files are
+written atomically (temp file + rename).  Figure data files are plain CSV
+with a header row and 17-digit floats.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 I/O error.
 """
@@ -32,13 +33,22 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import (
+    MIN_CAPACITY_GENERATIONS,
     NonMonotoneInput,
     capacity_estimate,
     fit_exponential,
     integrated_measure_at,
     potential_at,
 )
-from .geometry import BandSystem, IfsSystem, InvalidIfs, generate_bands, hull, validate
+from .geometry import (
+    WIDTH_FLOOR,
+    BandSystem,
+    IfsSystem,
+    InvalidIfs,
+    generate_bands,
+    hull,
+    validate,
+)
 from .kernel import GapVariables, QuadratureRule, gap_jacobian_row
 from .solver import (
     EquilibriumSolution,
@@ -137,6 +147,13 @@ class RunConfig:
         else:
             problems.append("'n_max' is required")
             n_max = 1
+        if ifs is not None:
+            # the narrowest band of generation n is min(delta)**n of the hull
+            narrowest = float(ifs.deltas.min()) ** n_max
+            if narrowest < WIDTH_FLOOR:
+                problems.append(
+                    f"'n_max' {n_max} is too deep: its narrowest band, {narrowest:.3g} "
+                    f"of the hull, is below the width floor {WIDTH_FLOOR:g}")
         order = grab("quadrature_order", 2048, int, lambda v: v >= 1, "must be >= 1")
         tol = grab("residual_tol", 1e-12, float, lambda v: v > 0, "must be positive")
         max_it = grab("max_iterations", 200, int, lambda v: v >= 1, "must be >= 1")
@@ -186,6 +203,9 @@ class RunConfig:
             "ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
             "quadrature_order": self.quadrature_order,
             "residual_tol": self.residual_tol,
+            "step_clamp": self.step_clamp,
+            "evaluator": self.evaluator,
+            "auto_refine": self.auto_refine,
         }, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -420,12 +440,20 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
+def _require_capacity_depth(cfg: RunConfig, what: str) -> None:
+    if cfg.n_max < MIN_CAPACITY_GENERATIONS:
+        raise ConfigError([f"{what} needs n_max >= {MIN_CAPACITY_GENERATIONS}, "
+                           f"got {cfg.n_max}"])
+
+
 def cmd_figures(cfg: RunConfig, which: str) -> int:
     names = FIGURE_NAMES if which == "all" else (which,)
     unknown = [n for n in names if n not in FIGURE_NAMES]
     if unknown:
         raise ConfigError([f"unknown figure {n!r}; choose from "
                            f"{', '.join(FIGURE_NAMES)} or 'all'" for n in unknown])
+    if "capacity_table" in names:
+        _require_capacity_depth(cfg, "the capacity_table figure")
     solved = solve_all(cfg)
     for name in names:
         path = write_figure(cfg, name, solved)
@@ -434,6 +462,7 @@ def cmd_figures(cfg: RunConfig, which: str) -> int:
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
+    _require_capacity_depth(cfg, "capacity")
     solved = solve_all(cfg)
     header, rows, est_mean, est_point = _capacity_rows(cfg, solved)
     path = cfg.output_dir / "capacity_table.csv"

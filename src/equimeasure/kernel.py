@@ -14,13 +14,19 @@ become the Chebyshev weight ``1 / (pi * sqrt(1 - x**2))``, which the
 Gauss-Chebyshev rule integrates exactly, and the remaining factors form a
 function that is smooth inside the interval.
 
-Two evaluation paths are provided.  The log-space path sums logarithms of
-all factors and cannot over- or underflow; it is the reference evaluator
-and the one used for band integrals.  The grouped path divides each remote
-root factor by a neighbouring pair of endpoint factors so that every
-partial product stays O(1); remote ratios tend to 1, which mirrors the
-small influence of distant gaps.  Both paths agree to ~1e-12 relative and
-may be swapped freely.
+Gap residuals, Jacobian rows and band measures share one evaluator, the
+paired product: in the frame of gap or band ``i`` every remote root
+factor is divided by the endpoint factors of one neighbouring band, so
+each ratio tends to 1 with distance (mirroring the small influence of
+remote gaps) and blockwise products stay O(1) for any number of bands.
+In gap ``i``'s frame root ``m < i`` pairs with band ``m`` and root
+``m > i`` with band ``m + 1``; the own root and the two endpoint factors
+next to the gap are left over.  In band ``i``'s frame root ``m < i``
+pairs with band ``m`` and root ``m >= i`` with band ``m + 1``, and
+nothing is left over.  The log-space path, which sums logarithms of all
+factors, has no production caller: it is the reference the paired
+product is tested against and the ``evaluator="log"`` choice of the gap
+equations.  Both agree to ~1e-12 relative.
 
 All functions are pure; results depend only on the arguments, and node
 sums always run in the fixed node order, so values are reproducible.
@@ -40,6 +46,7 @@ from .geometry import BandSystem
 COLLISION_RTOL = 1e-15
 
 _PROD_BLOCK = 256  # rows per block when accumulating long factor products
+_CHUNK_ELEMS = 1 << 15  # elements per temporary of a paired-product chunk
 
 
 class ExactNodeCollision(ValueError):
@@ -120,12 +127,21 @@ def _from_frame(x, lo: float, hi: float):
 
 
 def _check_collision(x: np.ndarray, points: np.ndarray) -> None:
+    """Raise when some ``x`` lies within ``COLLISION_RTOL`` of a point.
+
+    The distance is relative to ``max(1, |x|, |point|)``.  Only the nearest
+    node on either side of a point can be that close, so the nodes are
+    sorted once and each point is tested against its two neighbours.
+    """
     if x.size == 0 or points.size == 0:
         return
-    diff = np.abs(x[:, None] - points[None, :])
-    scale = np.maximum(1.0, np.maximum(np.abs(x)[:, None], np.abs(points)[None, :]))
-    if np.any(diff < COLLISION_RTOL * scale):
-        raise ExactNodeCollision("evaluation point coincides with a root or endpoint")
+    xs = np.sort(x, axis=None)
+    k = np.searchsorted(xs, points)
+    for near in (xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)]):
+        diff = np.abs(near - points)
+        scale = np.maximum(1.0, np.maximum(np.abs(near), np.abs(points)))
+        if np.any(diff < COLLISION_RTOL * scale):
+            raise ExactNodeCollision("evaluation point coincides with a root or endpoint")
 
 
 def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[str, int]):
@@ -138,22 +154,9 @@ def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[
     counts the negative numerator factors.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = _frame_interval(bands, frame)
-    p = _to_frame(vars.zetas, lo, hi)
-    kind, i = frame
-    if kind == "gap":
-        a_t = _to_frame(bands.alphas, lo, hi)
-        b_t = _to_frame(bands.betas, lo, hi)
-        endpoints = np.concatenate(
-            [a_t[np.arange(bands.n_bands) != i + 1], b_t[np.arange(bands.n_bands) != i]]
-        )
-    else:
-        mask = np.arange(bands.n_bands) != i
-        endpoints = np.concatenate(
-            [_to_frame(bands.alphas[mask], lo, hi), _to_frame(bands.betas[mask], lo, hi)]
-        )
-    _check_collision(x_arr, p)
-    _check_collision(x_arr, endpoints)
+    p, a_t, b_t = _frame_points(bands, vars.zetas, frame)
+    endpoints = _outer_endpoints(a_t, b_t, frame)
+    _check_collision(x_arr, np.concatenate([p, endpoints]))
 
     log_mag = np.zeros_like(x_arr)
     neg = np.zeros(x_arr.shape, dtype=int)
@@ -169,43 +172,86 @@ def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[
     return sign, log_mag
 
 
-def _gap_frame_points(bands: BandSystem, zetas: np.ndarray, i: int):
-    lo, hi = bands.gap_los[i], bands.gap_his[i]
-    p = _to_frame(zetas, lo, hi)
-    a_t = _to_frame(bands.alphas, lo, hi)
-    b_t = _to_frame(bands.betas, lo, hi)
-    return p, a_t, b_t
+def _frame_points(bands: BandSystem, zetas: np.ndarray, frame: tuple[str, int]):
+    """Roots and band endpoints in the coordinates of ``frame``."""
+    lo, hi = _frame_interval(bands, frame)
+    return (_to_frame(zetas, lo, hi), _to_frame(bands.alphas, lo, hi),
+            _to_frame(bands.betas, lo, hi))
+
+
+def _outer_endpoints(a_t, b_t, frame: tuple[str, int]) -> np.ndarray:
+    """Endpoints not absorbed into ``frame``'s Chebyshev weight."""
+    kind, i = frame
+    index = np.arange(a_t.size)
+    a_absorbed = i + 1 if kind == "gap" else i
+    return np.concatenate([a_t[index != a_absorbed], b_t[index != i]])
+
+
+def _paired_product(x: np.ndarray, frame: tuple[str, int], p, a_t, b_t) -> np.ndarray:
+    """Product of the paired factor ratios ``|x - p_m| / sqrt|Y_band|``.
+
+    ``p``, ``a_t`` and ``b_t`` are in the coordinates of ``frame``; the
+    pairing is the one in the module docstring.  In gap ``i``'s frame
+    ``p[i]``, ``a_t[i]`` and ``b_t[i + 1]`` are left to the caller; in a
+    band frame every factor outside the weight is paired.
+    """
+    kind, i = frame
+    if kind == "gap":
+        p_pair, first_after = np.concatenate([p[:i], p[i + 1 :]]), i + 2
+    else:
+        p_pair, first_after = p, i + 1
+    pair_a = np.concatenate([a_t[:i], a_t[first_after:]])
+    pair_b = np.concatenate([b_t[:i], b_t[first_after:]])
+
+    # Work with squared ratios: the paired endpoint factors have the same
+    # sign on (-1, 1), so each denominator product is positive, and one
+    # square root per block of rows replaces one per factor.  Blockwise
+    # products of O(1) ratios cannot over- or underflow.  Splitting the
+    # nodes into column chunks only keeps the temporaries cache-sized; each
+    # value is computed by the same operations in the same order.
+    prod = np.ones_like(x)
+    for start in range(0, p_pair.size, _PROD_BLOCK):
+        sl = slice(start, start + _PROD_BLOCK)
+        p_b, a_b, b_b = p_pair[sl, None], pair_a[sl, None], pair_b[sl, None]
+        cols = max(1, _CHUNK_ELEMS // p_b.shape[0])
+        for c in range(0, x.size, cols):
+            xc = x[None, c : c + cols]
+            num = xc - p_b
+            den = (xc - a_b) * (xc - b_b)
+            prod[c : c + cols] *= np.sqrt(np.prod(num * num / den, axis=0))
+    return prod
 
 
 def _grouped_reduced(x: np.ndarray, i: int, bands: BandSystem, zetas: np.ndarray):
     """Signed kernel in gap ``i``'s frame with the own-root factor removed.
 
-    Returns ``(g, p)`` where the full kernel is ``(x - p[i]) * g``.  Root
-    ``m < i`` is paired with the endpoints of band ``m`` and root ``m > i``
-    with those of band ``m + 1``; every pairing leaves the two factors
-    nearest the rescaled gap, ``|x - a_t[i]|`` and ``|x - b_t[i+1]|``,
-    which are applied on their own.
+    Returns ``(g, p)`` where the full kernel is ``(x - p[i]) * g``: the
+    paired product divided by the two leftover endpoint factors nearest
+    the rescaled gap, ``|x - a_t[i]|`` and ``|x - b_t[i+1]|``.
     """
-    p, a_t, b_t = _gap_frame_points(bands, zetas, i)
-    n_gaps = p.size
-    p_other = np.concatenate([p[:i], p[i + 1 :]])
-    pair_a = np.concatenate([a_t[:i], a_t[i + 2 :]])
-    pair_b = np.concatenate([b_t[:i], b_t[i + 2 :]])
-
-    # Work with squared ratios: the paired endpoint factors have the same
-    # sign on (-1, 1), so each denominator product is positive, and one
-    # square root per block replaces one per factor.  Blockwise products
-    # of O(1) ratios cannot over- or underflow.
-    prod = np.ones_like(x)
-    for start in range(0, p_other.size, _PROD_BLOCK):
-        sl = slice(start, start + _PROD_BLOCK)
-        num = x[None, :] - p_other[sl, None]
-        den = (x[None, :] - pair_a[sl, None]) * (x[None, :] - pair_b[sl, None])
-        prod *= np.sqrt(np.prod(num * num / den, axis=0))
-
+    frame = ("gap", i)
+    p, a_t, b_t = _frame_points(bands, zetas, frame)
+    prod = _paired_product(x, frame, p, a_t, b_t)
     leftover = np.sqrt((x - a_t[i]) * (b_t[i + 1] - x))
-    sign = -1.0 if (n_gaps - 1 - i) % 2 else 1.0
+    sign = -1.0 if (p.size - 1 - i) % 2 else 1.0
     return sign * prod / leftover, p
+
+
+def kernel_band(x, i: int, bands: BandSystem, vars: GapVariables):
+    """``|Z| / sqrt|Y~|`` in band ``i``'s frame via the paired product.
+
+    Every root and endpoint outside the band's own two ends is paired, so
+    no factor is left over.  Agrees with the log-space evaluator to
+    roundoff.
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    frame = ("band", i)
+    p, a_t, b_t = _frame_points(bands, vars.zetas, frame)
+    _check_collision(x_arr, np.concatenate([p, _outer_endpoints(a_t, b_t, frame)]))
+    values = _paired_product(x_arr, frame, p, a_t, b_t)
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return float(values[0])
+    return values
 
 
 def kernel_grouped(x, i: int, bands: BandSystem, vars: GapVariables):
@@ -225,17 +271,21 @@ def kernel_grouped(x, i: int, bands: BandSystem, vars: GapVariables):
 
 
 def gap_integral(i: int, bands: BandSystem, vars: GapVariables, rule: QuadratureRule,
-                 evaluator: str = "grouped") -> float:
+                 evaluator: str = "grouped", keep: dict | None = None) -> float:
     """Gauss-Chebyshev value of the signed root equation over gap ``i``.
 
     This is ``(1/pi) * integral of Z/sqrt|Y|`` over the gap after rescaling
     it to [-1, 1]; the gap's own endpoints supply the Chebyshev weight.  At
-    the solution all these integrals vanish.
+    the solution all these integrals vanish.  With the grouped evaluator
+    and a ``keep`` dict, ``keep[i]`` receives ``(rule, g)``, the reduced
+    kernel that :func:`gap_jacobian_row` accepts at the same variables.
     """
     x = rule.nodes
     if evaluator == "grouped":
         _check_collision(x, np.array([vars.lambdas[i]]))
         g, p = _grouped_reduced(x, i, bands, vars.zetas)
+        if keep is not None:
+            keep[i] = (rule, g)
         f = (x - p[i]) * g
     elif evaluator == "log":
         sign, log_mag = kernel_log_magnitude(x, bands, vars, ("gap", i))
@@ -249,15 +299,14 @@ def band_integral(i: int, bands: BandSystem, vars: GapVariables, rule: Quadratur
     """Equilibrium measure of band ``i`` (harmonic frequency).
 
     The band is rescaled to [-1, 1] and ``|Z| / sqrt|Y~|`` is integrated
-    against the Chebyshev weight; the log-space evaluator is used since
-    band frames have no natural root/endpoint pairing.
+    against the Chebyshev weight, with the kernel from the band-frame
+    paired product (:func:`kernel_band`).
     """
-    _, log_mag = kernel_log_magnitude(rule.nodes, bands, vars, ("band", i))
-    return float(rule.weights @ np.exp(log_mag))
+    return float(rule.weights @ kernel_band(rule.nodes, i, bands, vars))
 
 
 def gap_jacobian_row(i: int, bands: BandSystem, vars: GapVariables,
-                     rule: QuadratureRule) -> np.ndarray:
+                     rule: QuadratureRule, g: np.ndarray | None = None) -> np.ndarray:
     """All derivatives ``d K_i / d lambda_m`` of one gap equation.
 
     Differentiating the Gaussian sum in its root ``zeta_m`` drops the
@@ -265,11 +314,17 @@ def gap_jacobian_row(i: int, bands: BandSystem, vars: GapVariables,
     the chain rule to the normalized variable contributes ``1 / A_m``.
     The dropped-factor products reuse the grouped kernel: dividing the full
     kernel by ``(x - p_m)`` is stable because only ``p_i`` lies inside the
-    frame, and for ``m = i`` the reduced kernel is used directly.
+    frame, and for ``m = i`` the reduced kernel is used directly.  ``g`` is
+    that reduced kernel at the nodes of ``rule`` when the residual pass at
+    the same variables already built it (see ``keep`` in
+    :func:`gap_integral`); otherwise it is built here.
     """
     x, w = rule.nodes, rule.weights
-    _check_collision(x, np.array([vars.lambdas[i]]))
-    g, p = _grouped_reduced(x, i, bands, vars.zetas)
+    if g is None:
+        _check_collision(x, np.array([vars.lambdas[i]]))
+        g, p = _grouped_reduced(x, i, bands, vars.zetas)
+    else:
+        p = _to_frame(vars.zetas, *_frame_interval(bands, ("gap", i)))
     f = (x - p[i]) * g
 
     n_gaps = bands.n_gaps

@@ -114,13 +114,13 @@ def _gap_rules(bands: BandSystem, cfg: SolverConfig) -> list[QuadratureRule]:
     return rules
 
 
-def _integral_with_bumps(i, bands, vars, rule, evaluator):
+def _integral_with_bumps(i, bands, vars, rule, evaluator, keep):
     for bump in range(_MAX_COLLISION_BUMPS):
         try:
-            return gap_integral(i, bands, vars, rule, evaluator)
+            return gap_integral(i, bands, vars, rule, evaluator, keep)
         except ExactNodeCollision:
             rule = QuadratureRule.chebyshev(rule.order + 1)
-    return gap_integral(i, bands, vars, rule, evaluator)
+    return gap_integral(i, bands, vars, rule, evaluator, keep)
 
 
 def _jacobian_row_with_bumps(i, bands, vars, rule):
@@ -132,19 +132,32 @@ def _jacobian_row_with_bumps(i, bands, vars, rule):
     return gap_jacobian_row(i, bands, vars, rule)
 
 
-def _residual_vector(bands, lambdas, rules, evaluator) -> np.ndarray:
+def _residual_vector(bands, lambdas, rules, evaluator):
+    """Residuals at ``lambdas`` and the reduced kernels built on the way.
+
+    The second value maps gap ``i`` to ``(rule, g)``: the rule left after
+    any collision bumps and the reduced kernel there, which the Jacobian at
+    the same ``lambdas`` reuses.  The log-space evaluator keeps none.
+    """
     vars = GapVariables(bands, lambdas)
-    return np.array(
-        [_integral_with_bumps(i, bands, vars, rules[i], evaluator)
+    kept: dict = {}
+    r = np.array(
+        [_integral_with_bumps(i, bands, vars, rules[i], evaluator, kept)
          for i in range(bands.n_gaps)]
     )
+    return r, kept
 
 
-def _jacobian(bands, lambdas, rules) -> np.ndarray:
+def _jacobian(bands, lambdas, rules, kept) -> np.ndarray:
     vars = GapVariables(bands, lambdas)
-    return np.vstack(
-        [_jacobian_row_with_bumps(i, bands, vars, rules[i]) for i in range(bands.n_gaps)]
-    )
+    rows = []
+    for i in range(bands.n_gaps):
+        if i in kept:
+            rule, g = kept[i]
+            rows.append(gap_jacobian_row(i, bands, vars, rule, g))
+        else:
+            rows.append(_jacobian_row_with_bumps(i, bands, vars, rules[i]))
+    return np.vstack(rows)
 
 
 def solve_generation(bands: BandSystem, initial: GapVariables,
@@ -164,7 +177,7 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
     lam = initial.lambdas.copy()
     hi_bound = 1.0 - cfg.step_clamp
 
-    r = _residual_vector(bands, lam, rules, cfg.evaluator)
+    r, kept = _residual_vector(bands, lam, rules, cfg.evaluator)
     initial_abs = np.abs(r)
     norm = initial_abs.max() if r.size else 0.0
     iterations = 0
@@ -176,7 +189,7 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
                 lambdas=lam, residuals=np.abs(r), iterations=iterations,
                 generation=bands.generation,
             )
-        jac = _jacobian(bands, lam, rules)
+        jac = _jacobian(bands, lam, rules, kept)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -197,7 +210,8 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
         accepted = False
         while t > 2.0 ** -30:
             trial = lam + t * step
-            r_trial = _residual_vector(bands, trial, rules, cfg.evaluator)
+            r_trial, kept_trial = _residual_vector(bands, trial, rules,
+                                                   cfg.evaluator)
             if np.max(np.abs(r_trial)) <= (1.0 - 1e-4 * t) * norm:
                 accepted = True
                 break
@@ -208,7 +222,7 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
                 lambdas=lam, residuals=np.abs(r), iterations=iterations,
                 generation=bands.generation,
             )
-        lam, r = trial, r_trial
+        lam, r, kept = trial, r_trial, kept_trial
         norm = float(np.max(np.abs(r)))
         iterations += 1
 

@@ -110,6 +110,15 @@ class TestPotential:
         assert v_nodes == pytest.approx(TWO_BAND_POTENTIAL, abs=5e-4)
         assert abs(v_nodes - TWO_BAND_POTENTIAL) > 1e-5
 
+    def test_band_endpoints_closed_form(self, ternary_run, rule2048):
+        # at theta_z = 0 or pi the mirrored log term is singular as well
+        bands, sols = ternary_run
+        b, s = bands[0], sols[0]
+        ends = [b.alphas[0], b.betas[0], b.alphas[1], b.betas[1]]
+        for z in [float(e) for e in ends] + [-1.0 + 1e-8]:
+            assert potential_at(z, s, b, rule2048) == pytest.approx(
+                TWO_BAND_POTENTIAL, abs=1e-9), z
+
     def test_complex_conjugate_symmetry(self, ternary_run, rule2048):
         bands, sols = ternary_run
         b, s = bands[1], sols[1]

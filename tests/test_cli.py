@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from equimeasure import cli
 from equimeasure.cli import (
     FIGURE_NAMES,
     ConfigError,
@@ -13,6 +14,7 @@ from equimeasure.cli import (
     main,
     solve_all,
 )
+from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
 
 BASE_CONFIG = {
     "ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
@@ -69,9 +71,31 @@ class TestRunConfig:
         same = RunConfig.from_file(write_config(tmp_path, n_max=5, sample_count=7))
         assert base.fingerprint == same.fingerprint
         for change in ({"quadrature_order": 512}, {"residual_tol": 1e-10},
-                       {"ifs": [[1 / 3, -1.0], [0.3, 1.0]]}):
+                       {"ifs": [[1 / 3, -1.0], [0.3, 1.0]]}, {"auto_refine": False},
+                       {"evaluator": "log"}, {"step_clamp": 1e-8}):
             other = RunConfig.from_file(write_config(tmp_path, **change))
             assert other.fingerprint != base.fingerprint
+
+    def test_depth_limited_by_width_floor(self, tmp_path):
+        # 0.05**9 ~ 2e-12 of the hull is resolvable, 0.05**10 ~ 1e-13 is not
+        pairs = [[0.05, -1.0], [0.05, 1.0]]
+        assert RunConfig.from_file(write_config(tmp_path, ifs=pairs, n_max=9)).n_max == 9
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_file(write_config(tmp_path, ifs=pairs, n_max=10))
+        assert "n_max" in str(err.value)
+        ifs = validate(IfsSystem.from_pairs(pairs))
+        assert generate_bands(ifs, 9).n_bands == 2**9
+        with pytest.raises(GenerationTooLarge):
+            generate_bands(ifs, 10)
+
+    def test_depth_rejected_with_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a rejected depth must never start: solving n=40 would not finish
+        monkeypatch.setattr(cli, "solve_all",
+                            lambda cfg: pytest.fail("solve started for a rejected depth"))
+        path = write_config(tmp_path, n_max=40)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+        assert "n_max" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -206,6 +230,14 @@ class TestCapacityCommand:
         out = capsys.readouterr().out
         assert "extrapolated capacity" in out
         assert (tmp_path / "out" / "capacity_table.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["capacity"], ["figures", "--which", "all"],
+                                      ["figures", "--which", "capacity_table"]])
+    def test_too_few_generations_rejected_before_solving(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, n_max=3)
+        assert main([*argv, "--config", str(path)]) == 2
+        assert "n_max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPotentialCommand:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from equimeasure.geometry import generate_bands
 from equimeasure.kernel import (
+    COLLISION_RTOL,
     ExactNodeCollision,
     GapVariables,
     QuadratureRule,
@@ -13,9 +14,13 @@ from equimeasure.kernel import (
     gap_integral,
     gap_jacobian,
     gap_jacobian_row,
+    kernel_band,
     kernel_grouped,
     kernel_log_magnitude,
     refined_gap_order,
+    _check_collision,
+    _frame_points,
+    _paired_product,
 )
 
 
@@ -140,12 +145,10 @@ class TestGroupedEvaluator:
         # the most distant pairing of the deepest generation: the grouped
         # ratio deviates from 1 by ~|zeta - band centre| / distance, a few
         # parts in 1e4 here
-        from equimeasure.kernel import _gap_frame_points
-
         bands, sols = ternary_run
         b, s = bands[6], sols[6]
         i, m = 0, b.n_gaps - 1
-        p, a_t, b_t = _gap_frame_points(b, s.vars.zetas, i)
+        p, a_t, b_t = _frame_points(b, s.vars.zetas, ("gap", i))
         x = rule2048.nodes
         ratio = np.abs(x - p[m]) / np.sqrt(np.abs((x - a_t[m + 1]) * (x - b_t[m + 1])))
         assert np.max(np.abs(ratio - 1.0)) < 1e-3
@@ -155,6 +158,92 @@ class TestGroupedEvaluator:
         gv = GapVariables(b, np.array([0.25]))
         with pytest.raises(ExactNodeCollision):
             kernel_grouped(0.25, 0, b, gv)
+
+
+class TestBandKernel:
+    @pytest.mark.parametrize("run, n, bound", [("ternary_run", 5, 1e-12),
+                                               ("asym_run", 7, 2e-12)])
+    def test_agrees_with_log_path_on_every_band(self, run, n, bound, rule2048, request):
+        bands, sols = request.getfixturevalue(run)
+        b, s = bands[n - 1], sols[n - 1]
+        x = rule2048.nodes
+        worst = 0.0
+        for i in range(b.n_bands):
+            paired = kernel_band(x, i, b, s.vars)
+            _, logmag = kernel_log_magnitude(x, b, s.vars, ("band", i))
+            reference = np.exp(logmag)
+            worst = max(worst, float(np.max(np.abs(paired - reference) / reference)))
+        assert worst < bound
+
+    def test_scalar_and_collision(self, ternary):
+        b = generate_bands(ternary, 1)
+        gv = GapVariables(b, np.array([0.0]))
+        assert isinstance(kernel_band(0.3, 1, b, gv), float)
+        # the root (at 0) sits at -2 in the frame of band 1 = [1/3, 1]
+        with pytest.raises(ExactNodeCollision):
+            kernel_band(np.array([0.5, -2.0]), 1, b, gv)
+
+
+def unchunked_paired_product(x, frame, p, a_t, b_t, block=256):
+    """The paired product over whole row blocks, without column chunks."""
+    kind, i = frame
+    skip = 2 if kind == "gap" else 1
+    p_pair = np.delete(p, i) if kind == "gap" else p
+    pair_a = np.concatenate([a_t[:i], a_t[i + skip:]])
+    pair_b = np.concatenate([b_t[:i], b_t[i + skip:]])
+    prod = np.ones_like(x)
+    for start in range(0, p_pair.size, block):
+        sl = slice(start, start + block)
+        num = x[None, :] - p_pair[sl, None]
+        den = (x[None, :] - pair_a[sl, None]) * (x[None, :] - pair_b[sl, None])
+        prod *= np.sqrt(np.prod(num * num / den, axis=0))
+    return prod
+
+
+@pytest.mark.parametrize("frame", [("gap", 0), ("gap", 300), ("band", 0), ("band", 511)])
+def test_paired_product_chunks_are_exact(ternary, frame):
+    # 511 roots span two row blocks; column chunks must not change a bit
+    b = generate_bands(ternary, 9)
+    gv = GapVariables(b, np.random.default_rng(3).uniform(-0.5, 0.5, b.n_gaps))
+    x = QuadratureRule.chebyshev(700).nodes
+    p, a_t, b_t = _frame_points(b, gv.zetas, frame)
+    assert np.array_equal(_paired_product(x, frame, p, a_t, b_t),
+                          unchunked_paired_product(x, frame, p, a_t, b_t))
+
+
+def dense_collision(x, points):
+    """The all-pairs collision predicate the sort-based check must match."""
+    diff = np.abs(x[:, None] - points[None, :])
+    scale = np.maximum(1.0, np.maximum(np.abs(x)[:, None], np.abs(points)[None, :]))
+    return bool(np.any(diff < COLLISION_RTOL * scale))
+
+
+def sorted_collision(x, points):
+    try:
+        _check_collision(x, points)
+    except ExactNodeCollision:
+        return True
+    return False
+
+
+class TestCollisionCheck:
+    def test_matches_dense_check(self):
+        rng = np.random.default_rng(11)
+        nodes = QuadratureRule.chebyshev(257).nodes
+        outcomes = set()
+        for trial in range(300):
+            x = nodes if trial % 2 else rng.uniform(-3.0, 3.0, 64)
+            points = rng.uniform(-3.0, 3.0, 12)
+            kind = trial % 5
+            if kind:
+                j = rng.integers(x.size)
+                offset = (0.0, 0.5e-15, 2e-15, -0.5e-15)[kind - 1]
+                points[rng.integers(points.size)] = x[j] * (1.0 + offset) + (
+                    offset if abs(x[j]) < 1.0 else 0.0)
+            expected = dense_collision(x, points)
+            assert sorted_collision(x, points) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 def adaptive_gap_oracle(i, bands, gv, tol=1e-13):
