@@ -10,6 +10,11 @@ the attractor.
 Every density value here (the node table, the singular band term and the
 integrated measure) comes from the band-frame paired product of
 :func:`~equimeasure.kernel.kernel_band`; no log-space kernel is evaluated.
+The node table (positions and weighted densities of every band) is built
+once per solution and quadrature order and memoised, read-only, on the
+solution, so the mean path, the point path and every ``potential_at`` call
+share it.  The mean path streams its dense ``points x nodes`` log sum
+through one reused row-block buffer.
 
 Potentials of points lying on a band need care: the integrand has a
 logarithmic singularity inside the quadrature interval, and a plain node
@@ -18,15 +23,16 @@ hosting band's integral at the singularity, subtracts it analytically
 (its moment against the Chebyshev weight is a closed form in the Clausen
 function) and integrates the smooth remainder with Gauss-Legendre panels;
 at the band ends, where the mirrored log term is singular too, the same
-subtraction covers both.  The plain node sum remains available as
-``method="nodes"``; its error is the classical coarseness gauge, shrinking
-from ~2e-4 at generation 1 to ~3e-6 at generation 7 for the middle-third
-system at 2048 nodes.
+subtraction covers both.  A real point just outside a band has the same
+trouble in a milder form (the singularity sits just outside the interval),
+and that band's end value is subtracted in the same way.  The plain node
+sum remains available as ``method="nodes"``; its error is the classical
+coarseness gauge, shrinking from ~2e-4 at generation 1 to ~3e-6 at
+generation 7 for the middle-third system at 2048 nodes.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -42,13 +48,22 @@ from .kernel import QuadratureRule, _from_frame, kernel_band
 from .kernel import kernel_log_magnitude  # noqa: F401
 from .solver import EquilibriumSolution
 
-log = logging.getLogger(__name__)
-
 # Sample points closer to a quadrature node than this fraction of the band
 # width make the plain node sum meaningless; the rule order is bumped.
 NODE_COLLISION_RTOL = 1e-12
 
-_Z_CHUNK = 32  # potential evaluation points processed per matrix block
+# A real point outside a band by less than this fraction of the band's
+# width gets the near-end treatment for that band.  The node sum's error
+# decays like exp(-2 K sqrt(2 delta)) in the frame distance delta =
+# 2 d / width; at this distance it is 4e-14 for K = 64 on the middle-third
+# system, and roundoff for K >= 256.
+NEAR_BAND_RTOL = 1e-2
+
+# Sample points per block of the mean path's dense log sum; one buffer of
+# this many rows (16 MB at 128 bands of 2048 nodes) is reused for every
+# block.  Keep it a multiple of 4: with OpenBLAS, a row's matrix-vector
+# value is the same in blocks of 4, 8, 16 or 32 rows, but not of 1 to 3.
+_Z_CHUNK = 8
 
 # The capacity extrapolation fits three parameters and needs one more
 # generation than that to be a fit.
@@ -137,16 +152,24 @@ def _density_table(solution, bands, rule):
     """Node positions and weighted densities of every band.
 
     Returns ``(positions, weighted)`` with shape ``(n_bands, K)``; the
-    potential at ``z`` is ``-sum weighted * log|z - positions|``.
+    potential at ``z`` is ``-sum weighted * log|z - positions|``.  The
+    table is built on the first call for a solution and ``rule.order``
+    (one order names one Chebyshev rule) and memoised on the solution; the
+    arrays are read-only, since every later caller shares them.
     """
-    n = bands.n_bands
-    positions = np.empty((n, rule.order))
-    weighted = np.empty((n, rule.order))
-    for i in range(n):
-        lo, hi = bands.alphas[i], bands.betas[i]
-        positions[i] = _from_frame(rule.nodes, lo, hi)
-        weighted[i] = rule.weights * _band_density(i, bands, solution, rule.nodes)
-    return positions, weighted
+    table = solution._density_tables.get(rule.order)
+    if table is None:
+        n = bands.n_bands
+        positions = np.empty((n, rule.order))
+        weighted = np.empty((n, rule.order))
+        for i in range(n):
+            lo, hi = bands.alphas[i], bands.betas[i]
+            positions[i] = _from_frame(rule.nodes, lo, hi)
+            weighted[i] = rule.weights * _band_density(i, bands, solution, rule.nodes)
+        positions.flags.writeable = False
+        weighted.flags.writeable = False
+        table = solution._density_tables[rule.order] = (positions, weighted)
+    return table
 
 
 def _plain_sum(z, positions, weighted):
@@ -186,8 +209,8 @@ def _theta_of(x: float, lo: float, hi: float) -> float:
     return 2.0 * math.atan2(math.sqrt(max(hi - x, 0.0)), math.sqrt(max(x - lo, 0.0)))
 
 
-def _singular_band_potential(z, b, solution, bands):
-    """Band ``b`` contribution to ``V(z)`` for ``z`` on the band itself.
+def _singular_band_potentials(xs, b, solution, bands) -> np.ndarray:
+    """Band ``b`` contributions to ``V(x)`` for points ``xs`` on the band itself.
 
     With ``x = psi(s)`` the frame coordinate, ``|z - s| = |c - x| / A`` for
     ``A`` the frame slope, so in the angular variable the band integral is
@@ -199,31 +222,115 @@ def _singular_band_potential(z, b, solution, bands):
     their exact moments are added back: ``pi log 2 + Cl2(theta_z) + Cl2(pi
     - theta_z)`` for the minus term and, by ``Cl2(pi + t) = -Cl2(pi - t)``,
     ``pi log 2 - Cl2(theta_z) - Cl2(pi - theta_z)`` for the plus term.
-    Panels split at ``theta_z`` integrate the smooth remainders.
+    Panels split at ``theta_z`` integrate the smooth remainders.  One
+    kernel call evaluates ``F`` at the panel nodes and at ``theta_z`` of
+    every point; each value is then finished on its own.
     """
     lo, hi = bands.alphas[b], bands.betas[b]
-    theta_z = _theta_of(float(z), lo, hi)
-    c = math.cos(theta_z)
+    theta_zs = [_theta_of(float(x), lo, hi) for x in xs]
+    panels = []
+    for theta_z in theta_zs:
+        pieces = [(a, bb) for a, bb in ((0.0, theta_z), (theta_z, math.pi))
+                  if bb - a > 1e-300]
+        panels.append((np.concatenate([_panel(a, bb)[0] for a, bb in pieces]),
+                       np.concatenate([_panel(a, bb)[1] for a, bb in pieces])))
 
-    pieces = [(a, bb) for a, bb in ((0.0, theta_z), (theta_z, math.pi)) if bb - a > 1e-300]
-    thetas = np.concatenate([_panel(a, bb)[0] for a, bb in pieces])
-    wts = np.concatenate([_panel(a, bb)[1] for a, bb in pieces])
-
-    f_nodes = _band_density(b, bands, solution, np.cos(thetas))
-    f_z = float(_band_density(b, bands, solution, np.array([c]))[0])
+    frame_pts = [np.cos(thetas) for thetas, _ in panels]
+    frame_pts.append(np.array([math.cos(t) for t in theta_zs]))
+    f_all = _band_density(b, bands, solution, np.concatenate(frame_pts))
+    f_zs = f_all[f_all.size - len(theta_zs):]
 
     log2 = math.log(2.0)
-    i_const = (math.log(2.0 / (hi - lo)) - log2) * float(wts @ f_nodes)
-    i_plus = float(
-        wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas + theta_z))))))
-    )
-    i_minus = float(
-        wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas - theta_z))))))
-    )
-    clausen = _clausen2(theta_z) + _clausen2(math.pi - theta_z)
-    moment_minus = math.pi * log2 + clausen
-    moment_plus = math.pi * log2 - clausen
-    return (i_const + i_plus + i_minus + f_z * (moment_minus + moment_plus)) / math.pi
+    log_a = math.log(2.0 / (hi - lo)) - log2
+    values = np.empty(len(theta_zs))
+    start = 0
+    for j, (theta_z, (thetas, wts)) in enumerate(zip(theta_zs, panels)):
+        f_nodes = f_all[start:start + thetas.size]
+        start += thetas.size
+        f_z = float(f_zs[j])
+        i_const = log_a * float(wts @ f_nodes)
+        i_plus = float(
+            wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas + theta_z))))))
+        )
+        i_minus = float(
+            wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas - theta_z))))))
+        )
+        clausen = _clausen2(theta_z) + _clausen2(math.pi - theta_z)
+        moment_minus = math.pi * log2 + clausen
+        moment_plus = math.pi * log2 - clausen
+        values[j] = (i_const + i_plus + i_minus + f_z * (moment_minus + moment_plus)) / math.pi
+    return values
+
+
+def _acosh1p(t: float) -> float:
+    """``acosh(1 + t)`` for ``t >= 0``, free of cancellation for small ``t``."""
+    return math.log1p(t + math.sqrt(t * (2.0 + t)))
+
+
+_GRADED_NODES, _GRADED_WEIGHTS = leggauss(16)
+
+
+def _graded_panels(scale_0: float, scale_pi: float):
+    """Gauss-Legendre nodes and weights on ``[0, pi]`` graded toward both ends.
+
+    Panels halve from ``pi/2`` toward each end until they are at most half
+    the distance (``scale_0`` at 0, ``scale_pi`` at pi) of the nearest
+    singularity of the integrand there.  Every panel then sees that
+    singularity at least one panel length away, where 16 nodes are exact
+    to roundoff.
+    """
+    def cuts(scale):
+        out = [0.5 * math.pi]
+        while out[-1] > 0.5 * scale:
+            out.append(0.5 * out[-1])
+        return out
+
+    edges = [0.0, *cuts(scale_0)[::-1], *(math.pi - c for c in cuts(scale_pi)[1:]), math.pi]
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    mid, half = 0.5 * (b + a), 0.5 * (b - a)
+    nodes = mid[:, None] + half[:, None] * _GRADED_NODES
+    weights = half[:, None] * _GRADED_WEIGHTS
+    return nodes.ravel(), weights.ravel()
+
+
+def _near_band_potential(x: float, i: int, solution, bands) -> float:
+    """Band ``i`` contribution to ``V(x)`` for a real ``x`` just outside it.
+
+    Let ``phi`` be the angle from the band end nearer ``x`` and ``delta =
+    2 d / (hi - lo)`` the frame distance of ``x`` from that end; then
+    ``|cos theta - c| = 2 sin(phi/2)**2 + delta``, with nothing to cancel.
+    The log of it is nearly singular at ``phi = 0``, so ``F`` at that end
+    is subtracted under it and its exact moment ``pi * (acosh|c| - log 2)``
+    is added back.  The smooth remainder is integrated on panels graded
+    toward each end, down to the nearest singularity there: the log's at
+    ``acosh(1 + delta)``, or the neighbouring band's endpoint, where ``F``
+    has its square-root branch point.
+    """
+    lo, hi = bands.alphas[i], bands.betas[i]
+    width = hi - lo
+    above = x > hi
+    delta = 2.0 * ((x - hi) if above else (lo - x)) / width
+    gaps = bands.gap_widths
+    g_lo = gaps[i - 1] if i > 0 else math.inf
+    g_hi = gaps[i] if i < bands.n_gaps else math.inf
+    g_near, g_far = (g_hi, g_lo) if above else (g_lo, g_hi)
+    scale_near = min(_acosh1p(delta), _acosh1p(2.0 * g_near / width))
+    phis, wts = _graded_panels(scale_near, _acosh1p(2.0 * g_far / width))
+
+    side = 1.0 if above else -1.0
+    f = _band_density(i, bands, solution, np.append(side * np.cos(phis), side))
+    f_nodes, f_end = f[:-1], float(f[-1])
+    i_f = float(wts @ f_nodes)
+    i_rem = float(wts @ ((f_nodes - f_end) * np.log(2.0 * np.sin(0.5 * phis) ** 2 + delta)))
+    moment = math.pi * (_acosh1p(delta) - math.log(2.0))
+    return (math.log(2.0 / width) * i_f - i_rem - f_end * moment) / math.pi
+
+
+def _near_bands(bands: BandSystem, x: float) -> list[int]:
+    """Bands that ``x`` lies outside of by less than ``NEAR_BAND_RTOL`` widths."""
+    outside = np.maximum(bands.alphas - x, x - bands.betas)
+    near = (outside > 0.0) & (outside < NEAR_BAND_RTOL * bands.band_widths)
+    return np.flatnonzero(near).tolist()
 
 
 def _collides(z, positions, bands) -> bool:
@@ -237,28 +344,37 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
 
     ``z`` may be real or complex.  With ``method="auto"`` a real ``z``
     lying on a band gets the singularity-subtracted treatment for that band
-    (accurate to ~1e-9); every other contribution is a plain Chebyshev node
-    sum.  ``method="nodes"`` forces plain node sums everywhere; if ``z``
-    falls within ``1e-12`` of a node (relative to the band width) the order
-    is bumped to ``K+1`` then ``K+3``, and :class:`PersistentCollision` is
-    raised when all attempts collide.
+    (accurate to ~1e-9), and so does every band that a real ``z`` lies
+    outside of by less than ``NEAR_BAND_RTOL`` of its width; every other
+    contribution is a plain Chebyshev node sum.  ``method="nodes"`` forces
+    plain node sums everywhere; if ``z`` falls within ``1e-12`` of a node
+    (relative to the band width) the order is bumped to ``K+1`` then
+    ``K+3``, and :class:`PersistentCollision` is raised when all attempts
+    collide.  The node table of each order is built once per solution
+    (see :func:`_density_table`).
     """
-    z_c = complex(z)
-    on_axis = z_c.imag == 0.0
-    host = _locate_band(bands, z_c.real) if on_axis else None
-
-    if method == "auto" and host is not None:
-        positions, weighted = _density_table(solution, bands, rule)
-        total = 0.0
-        for i in range(bands.n_bands):
-            if i != host:
-                total += -0.5 * float(
-                    np.sum(weighted[i] * np.log((z_c.real - positions[i]) ** 2))
-                )
-        return total + _singular_band_potential(z_c.real, host, solution, bands)
-
     if method not in ("auto", "nodes"):
         raise ValueError(f"unknown method {method!r}")
+    z_c = complex(z)
+    on_axis = z_c.imag == 0.0
+
+    if method == "auto" and on_axis:
+        x = z_c.real
+        host = _locate_band(bands, x)
+        near = _near_bands(bands, x)
+        if host is not None or near:
+            positions, weighted = _density_table(solution, bands, rule)
+            total = 0.0
+            for i in range(bands.n_bands):
+                if i != host and i not in near:
+                    total += -0.5 * float(
+                        np.sum(weighted[i] * np.log((x - positions[i]) ** 2))
+                    )
+            if host is not None:
+                total += float(_singular_band_potentials([x], host, solution, bands)[0])
+            for i in near:
+                total += _near_band_potential(x, i, solution, bands)
+            return total
 
     for bump in (0, 1, 3):
         attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
@@ -301,9 +417,11 @@ def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: Ban
 
     ``sample_bands`` names the (usually deepest solved) generation whose
     bands carry the points; since generations are nested, the same points
-    serve every coarser generation.  Points whose potential cannot be
-    evaluated are excluded and reported, but must stay below 0.1% of the
-    total.
+    serve every coarser generation.  Each point's plain node sum over all
+    bands is taken from the solution's memoised node table in blocks of
+    ``_Z_CHUNK`` points, streamed through one reused buffer; the hosting
+    band's share is then replaced by its singularity-subtracted value,
+    computed for all points of one host band together.
     """
     pts = sample_points(sample_bands or bands, sample_count)
     positions, weighted = _density_table(solution, bands, rule)
@@ -315,32 +433,28 @@ def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: Ban
         raise OutOfHull("sample points must lie on the band system")
     hosts = hosts.astype(int)
 
-    # Plain node sum over all bands at once; the hosting band's share is
-    # replaced by the singularity-subtracted value afterwards.
+    # Plain node sum over all bands at once, -sum w * log|z - s| per point.
     totals = np.empty(pts.size)
     tiny = 1e-300
+    buf = np.empty((min(_Z_CHUNK, pts.size), flat_pos.size))
     for start in range(0, pts.size, _Z_CHUNK):
         sl = slice(start, min(start + _Z_CHUNK, pts.size))
-        d = np.abs(pts[sl, None] - flat_pos[None, :])
-        totals[sl] = -(np.log(np.maximum(d, tiny)) @ flat_w)
+        block = buf[: sl.stop - start]
+        np.subtract(pts[sl, None], flat_pos, out=block)
+        np.abs(block, out=block)
+        np.maximum(block, tiny, out=block)
+        np.log(block, out=block)
+        totals[sl] = -(block @ flat_w)
 
-    values = []
-    excluded = 0
-    for j, z in enumerate(pts):
-        b = hosts[j]
-        own = -float(
-            np.log(np.maximum(np.abs(z - positions[b]), tiny)) @ weighted[b]
-        )
-        try:
-            values.append(totals[j] - own + _singular_band_potential(z, b, solution, bands))
-        except PersistentCollision:
-            excluded += 1
-    if excluded:
-        log.warning("excluded %d of %d potential sample points", excluded, pts.size)
-        if excluded >= 1e-3 * pts.size:
-            raise PersistentCollision(
-                f"{excluded} of {pts.size} sample points failed potential evaluation"
+    values = np.empty(pts.size)
+    for b in np.unique(hosts).tolist():
+        on_b = np.flatnonzero(hosts == b)
+        singular = _singular_band_potentials(pts[on_b], b, solution, bands)
+        for j, v in zip(on_b, singular):
+            own = -float(
+                np.log(np.maximum(np.abs(pts[j] - positions[b]), tiny)) @ weighted[b]
             )
+            values[j] = totals[j] - own + v
     return float(np.mean(values))
 
 
@@ -484,10 +598,10 @@ def energy(solution: EquilibriumSolution, bands: BandSystem, rule: QuadratureRul
     node sum of on-set potential values.
     """
     inner = inner_rule or rule
+    positions, weighted = _density_table(solution, bands, rule)
     total = 0.0
     for i in range(bands.n_bands):
-        s = _from_frame(rule.nodes, bands.alphas[i], bands.betas[i])
-        dens = rule.weights * _band_density(i, bands, solution, rule.nodes)
-        vals = np.array([potential_at(float(z), solution, bands, inner) for z in s])
-        total += float(dens @ vals)
+        vals = np.array([potential_at(float(z), solution, bands, inner)
+                         for z in positions[i]])
+        total += float(weighted[i] @ vals)
     return total

@@ -270,7 +270,7 @@ def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolutio
         generation=record["generation"],
         vars=GapVariables(bands, np.array(record["lambda"])),
         residuals=np.array(record["residuals"]),
-        iterations_used=0,
+        iterations_used=record["iterations_used"],
         omegas=np.array(record["omega"]),
         Omegas=np.array(record["Omega"]),
         initial_residuals=np.array(record["initial_residuals"]),

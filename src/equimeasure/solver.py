@@ -82,7 +82,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """Converged roots and derived measure data for one generation."""
+    """Converged roots and derived measure data for one generation.
+
+    ``_density_tables`` is a memo owned by :mod:`~equimeasure.analytics`:
+    the read-only node positions and weighted densities of every band,
+    keyed by quadrature order, built on first use and shared by every later
+    potential evaluation on this solution.
+    """
 
     generation: int
     vars: GapVariables
@@ -91,6 +97,8 @@ class EquilibriumSolution:
     omegas: np.ndarray
     Omegas: np.ndarray
     initial_residuals: np.ndarray = field(repr=False, default=None)
+    _density_tables: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     @property
     def lambdas(self) -> np.ndarray:

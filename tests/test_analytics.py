@@ -1,15 +1,22 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from equimeasure import analytics
 from equimeasure.analytics import (
     CapacityEstimate,
     NonMonotoneInput,
     OutOfHull,
     PotentialSample,
     _clausen2,
+    _density_table,
+    _panel,
+    _singular_band_potentials,
+    _theta_of,
     capacity_estimate,
     energy,
     fit_exponential,
@@ -19,7 +26,7 @@ from equimeasure.analytics import (
     sample_points,
 )
 from equimeasure.geometry import generate_bands
-from equimeasure.kernel import QuadratureRule
+from equimeasure.kernel import QuadratureRule, _from_frame, kernel_band
 from tests.conftest import X_STAR
 
 TWO_BAND_POTENTIAL = -math.log(math.sqrt(2.0) / 3.0)  # interior potential of
@@ -119,6 +126,21 @@ class TestPotential:
             assert potential_at(z, s, b, rule2048) == pytest.approx(
                 TWO_BAND_POTENTIAL, abs=1e-9), z
 
+    @pytest.mark.parametrize("d", [0.0, 1e-16, 1e-13, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+    def test_just_outside_a_band_matches_green_function(self, ternary_run, rule2048, d):
+        # off the set V = V_c - g, with g the Green's function; g(x) is the
+        # integral of |Z|/sqrt|Y| from the nearest band end e, taken with
+        # s = e +- u**2 so that the end's inverse square root cancels; d = 0
+        # stands for one ulp
+        bands, sols = ternary_run
+        b, s = bands[0], sols[0]
+        ends = [(float(b.betas[0]), 1.0), (float(b.alphas[1]), -1.0),
+                (float(b.betas[1]), 1.0), (float(b.alphas[0]), -1.0)]
+        for end, side in ends:
+            x = end + side * max(d, math.ulp(end))
+            assert potential_at(x, s, b, rule2048) == pytest.approx(
+                TWO_BAND_POTENTIAL - _green(x, end, b, s), abs=1e-12), x
+
     def test_complex_conjugate_symmetry(self, ternary_run, rule2048):
         bands, sols = ternary_run
         b, s = bands[1], sols[1]
@@ -187,6 +209,127 @@ class TestMeanPotential:
         pts = sample_points(bands[-1], 128)
         values = np.array([potential_at(float(z), s, b, rule2048) for z in pts])
         assert values.std() < 1e-8
+
+
+class TestDensityTableMemo:
+    def test_second_call_builds_no_table(self, ternary_run, rule2048, monkeypatch):
+        bands, sols = ternary_run
+        b, s = bands[2], dataclasses.replace(sols[2])  # same roots, empty memo
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return kernel_band(*args)
+
+        monkeypatch.setattr(analytics, "kernel_band", counting)
+        first = potential_at(0.0, s, b, rule2048)  # in a gap: table only
+        assert len(calls) == b.n_bands
+        calls.clear()
+        assert potential_at(0.0, s, b, rule2048) == first
+        assert calls == []
+        on_band = potential_at(X_STAR, s, b, rule2048)
+        assert calls == [0]  # only the host band's singular term
+        calls.clear()
+        assert potential_at(X_STAR, s, b, rule2048) == on_band
+        assert calls == [0]
+
+    def test_read_only_and_one_entry_per_order(self, ternary_run, rule2048):
+        bands, sols = ternary_run
+        b, s = bands[1], dataclasses.replace(sols[1])
+        positions, weighted = _density_table(s, b, rule2048)
+        for arr in (positions, weighted):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+        coarse = _density_table(s, b, QuadratureRule.chebyshev(64))
+        assert coarse[0].shape == coarse[1].shape == (b.n_bands, 64)
+        assert _density_table(s, b, rule2048)[1] is weighted
+        assert sorted(s._density_tables) == [64, 2048]
+
+
+def _green(x, end, bands, solution):
+    """Green's function at ``x`` off the set, integrated from band end ``end``."""
+    ends = np.concatenate([bands.alphas, bands.betas])
+    others = np.delete(ends, np.argmin(np.abs(ends - end)))
+    zetas = solution.vars.zetas
+    side = 1.0 if x > end else -1.0
+
+    def integrand(u):
+        s = end + side * u * u
+        return 2.0 * np.prod(np.abs(s - zetas)) / math.sqrt(np.prod(np.abs(s - others)))
+
+    value, _ = quad(integrand, 0.0, math.sqrt(abs(x - end)), epsabs=1e-15, epsrel=1e-13)
+    return value
+
+
+def _reference_singular(z, b, solution, bands):
+    """The on-band term for one point with its own kernel call (reference)."""
+    lo, hi = bands.alphas[b], bands.betas[b]
+    theta_z = _theta_of(float(z), lo, hi)
+    c = math.cos(theta_z)
+    pieces = [(a, bb) for a, bb in ((0.0, theta_z), (theta_z, math.pi)) if bb - a > 1e-300]
+    thetas = np.concatenate([_panel(a, bb)[0] for a, bb in pieces])
+    wts = np.concatenate([_panel(a, bb)[1] for a, bb in pieces])
+    f_nodes = kernel_band(np.cos(thetas), b, bands, solution.vars)
+    f_z = float(kernel_band(np.array([c]), b, bands, solution.vars)[0])
+    log2 = math.log(2.0)
+    i_const = (math.log(2.0 / (hi - lo)) - log2) * float(wts @ f_nodes)
+    i_plus = float(
+        wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas + theta_z))))))
+    )
+    i_minus = float(
+        wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas - theta_z))))))
+    )
+    clausen = _clausen2(theta_z) + _clausen2(math.pi - theta_z)
+    moment_minus = math.pi * log2 + clausen
+    moment_plus = math.pi * log2 - clausen
+    return (i_const + i_plus + i_minus + f_z * (moment_minus + moment_plus)) / math.pi
+
+
+def _reference_mean(solution, bands, sample_count, rule, sample_bands):
+    """Mean potential with a fresh table, fresh 32-row temporaries and one
+    singular term per point (reference)."""
+    pts = sample_points(sample_bands, sample_count)
+    positions = np.array([_from_frame(rule.nodes, lo, hi)
+                          for lo, hi in zip(bands.alphas, bands.betas)])
+    weighted = np.array([rule.weights * kernel_band(rule.nodes, i, bands, solution.vars)
+                         for i in range(bands.n_bands)])
+    flat_pos, flat_w = positions.ravel(), weighted.ravel()
+    hosts = np.searchsorted(bands.alphas, pts, side="right") - 1
+    totals = np.empty(pts.size)
+    for start in range(0, pts.size, 32):
+        sl = slice(start, min(start + 32, pts.size))
+        d = np.abs(pts[sl, None] - flat_pos[None, :])
+        totals[sl] = -(np.log(np.maximum(d, 1e-300)) @ flat_w)
+    values = []
+    for j, z in enumerate(pts):
+        b = int(hosts[j])
+        own = -float(np.log(np.maximum(np.abs(z - positions[b]), 1e-300)) @ weighted[b])
+        values.append(totals[j] - own + _reference_singular(z, b, solution, bands))
+    return float(np.mean(values))
+
+
+class TestStreamedMeanPath:
+    @pytest.mark.parametrize("run,depth", [("ternary_run", 5), ("asym_run", 4)])
+    def test_matches_per_point_reference(self, request, rule2048, run, depth):
+        # 250 points: the last block of the streamed sum is a partial one
+        bands, sols = request.getfixturevalue(run)
+        for b, s in zip(bands[:depth], sols[:depth]):
+            got = mean_potential_on_attractor_points(s, b, 250, rule2048,
+                                                     sample_bands=bands[depth - 1])
+            want = _reference_mean(s, b, 250, rule2048, bands[depth - 1])
+            assert abs(got - want) <= 2e-15, (b.generation, got - want)
+
+    @pytest.mark.parametrize("run,gen", [("ternary_run", 3), ("asym_run", 3)])
+    def test_batched_singular_terms_are_bitwise(self, request, run, gen):
+        bands, sols = request.getfixturevalue(run)
+        b, s = bands[gen - 1], sols[gen - 1]
+        for i in (0, b.n_bands - 1):
+            lo, hi = float(b.alphas[i]), float(b.betas[i])
+            xs = np.concatenate([[lo, hi], _from_frame(np.linspace(-0.99, 0.99, 37), lo, hi)])
+            batched = _singular_band_potentials(xs, i, s, b)
+            single = np.array([_reference_singular(x, i, s, b) for x in xs])
+            assert np.array_equal(batched, single)
 
 
 class TestFitExponential:

@@ -33,6 +33,10 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def _solver_must_not_run(*args, **kwargs):
+    raise AssertionError("solve_generation called on a warm cache")
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -112,18 +116,30 @@ class TestSolveCommand:
             assert len(record["genealogy"]) == 2**n - 1
         assert not list(out.glob("*.tmp-*"))
 
-    def test_cache_reuse_and_roundtrip(self, tmp_path, capsys):
+    def test_cache_reuse_and_roundtrip(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path)
         assert main(["solve", "--config", str(path)]) == 0
         cfg = RunConfig.from_file(path)
         first = [(b, s) for b, s in solve_all(cfg)]
-        # second run reuses the cache: no iterations anywhere
+        # second run reuses the cache: the solver never runs
+        monkeypatch.setattr(cli, "solve_generation", _solver_must_not_run)
         solved = solve_all(cfg)
-        assert all(s.iterations_used == 0 for _, s in solved)
         for (_, a), (_, b) in zip(first, solved):
             assert np.array_equal(a.lambdas, b.lambdas)  # bit-exact reload
             assert np.array_equal(a.omegas, b.omegas)
             assert np.array_equal(a.Omegas, b.Omegas)
+            assert a.iterations_used == b.iterations_used
+
+    def test_warm_rerun_prints_recorded_iterations(self, tmp_path, capsys, monkeypatch):
+        path = str(write_config(tmp_path))
+        assert main(["solve", "--config", path]) == 0
+        cold = capsys.readouterr().out
+        monkeypatch.setattr(cli, "solve_generation", _solver_must_not_run)
+        assert main(["solve", "--config", path]) == 0
+        warm = capsys.readouterr().out
+        assert warm == cold
+        counts = [int(line.rsplit(",", 1)[1].split()[0]) for line in cold.splitlines()]
+        assert len(counts) == 3 and max(counts) > 0
 
     def test_fingerprint_mismatch_forces_resolve(self, tmp_path):
         path = write_config(tmp_path)
