@@ -38,7 +38,6 @@ from .kernel import (
     QuadratureRule,
     band_integral,
     gap_integral,
-    gap_jacobian,
     gap_jacobian_row,
     kernel_band,
     kernel_grouped,
@@ -79,7 +78,6 @@ __all__ = [
     "energy",
     "fit_exponential",
     "gap_integral",
-    "gap_jacobian",
     "gap_jacobian_row",
     "generate_bands",
     "hierarchical_solve",

@@ -83,15 +83,6 @@ class NonMonotoneInput(ValueError):
 
 
 @dataclass(frozen=True)
-class PotentialSample:
-    """Potential value at one point for one generation."""
-
-    point: complex
-    generation: int
-    value: float
-
-
-@dataclass(frozen=True)
 class CapacityEstimate:
     """Per-generation capacities and their extrapolation to the attractor."""
 

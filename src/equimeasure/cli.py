@@ -10,8 +10,12 @@ Subcommands::
 The config is a single JSON document (see ``RunConfig``).  Solving writes
 one ``gen_<n>.json`` record per generation into the output directory; a
 record is reused on rerun only when its fingerprint (hash of the map
-parameters, quadrature order, residual tolerance, step clamp, evaluator
-and auto-refine switch) matches the active config exactly.  All files are
+parameters, quadrature order, residual tolerance, step clamp, evaluator,
+auto-refine switch and the name of the solver's order rule,
+``kernel.ORDER_RULE``) matches the active config exactly.  The solver
+sizes its quadrature orders from the geometry; ``quadrature_order`` sets
+the rule of the analytics (potentials, capacities, the Jacobian figure)
+and, with ``auto_refine`` off, the solver's uniform rule.  All files are
 written atomically (temp file + rename).  Figure data files are plain CSV
 with a header row and 17-digit floats.
 
@@ -49,7 +53,7 @@ from .geometry import (
     hull,
     validate,
 )
-from .kernel import GapVariables, QuadratureRule, gap_jacobian_row
+from .kernel import ORDER_RULE, GapVariables, QuadratureRule, gap_jacobian_row
 from .solver import (
     EquilibriumSolution,
     SolverConfig,
@@ -89,7 +93,13 @@ _KNOWN_KEYS = {
 
 @dataclass
 class RunConfig:
-    """One experiment: the system, depth, tolerances and output options."""
+    """One experiment: the system, depth, tolerances and output options.
+
+    ``quadrature_order`` is the order of :attr:`rule`, the Gauss-Chebyshev
+    rule of every analytics evaluation, and the solver's uniform order when
+    ``auto_refine`` is off.  With ``auto_refine`` on (the default) the
+    solver gives each gap and band its own order from the geometry.
+    """
 
     ifs: IfsSystem
     n_max: int
@@ -206,6 +216,7 @@ class RunConfig:
             "step_clamp": self.step_clamp,
             "evaluator": self.evaluator,
             "auto_refine": self.auto_refine,
+            "numerics": ORDER_RULE,
         }, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -207,14 +207,6 @@ class BandSystem:
         return self.n_bands - 1
 
     @property
-    def bands(self) -> list[Interval]:
-        return [Interval(a, b) for a, b in zip(self.alphas, self.betas)]
-
-    @property
-    def gaps(self) -> list[Interval]:
-        return [Interval(b, a) for b, a in zip(self.betas[:-1], self.alphas[1:])]
-
-    @property
     def gap_los(self) -> np.ndarray:
         return self.betas[:-1]
 

@@ -28,6 +28,12 @@ factors, has no production caller: it is the reference the paired
 product is tested against and the ``evaluator="log"`` choice of the gap
 equations.  Both agree to ~1e-12 relative.
 
+Every integral takes its Gauss-Chebyshev rule as an argument.  The solver
+sizes one rule per gap and per band from the geometry
+(:func:`refined_order`), a few dozen nodes for most intervals;
+``quadrature_order`` sets the uniform rule of the analytics and of the
+solver when auto-refinement is off.
+
 All functions are pure; results depend only on the arguments, and node
 sums always run in the fixed node order, so values are reproducible.
 """
@@ -44,6 +50,14 @@ from .geometry import BandSystem
 # A point within this relative distance of a kernel root or endpoint is
 # treated as an exact collision (the integrand value is meaningless there).
 COLLISION_RTOL = 1e-15
+
+# Accuracy-driven orders (see ``refined_order``): never fewer than
+# ``MIN_ORDER`` nodes, and enough that exp(-2 * REFINE_SAFETY) ~ 2e-16 bounds
+# the quadrature error.  ``ORDER_RULE`` names this rule in cache fingerprints;
+# change it whenever the rule changes.
+MIN_ORDER = 32
+REFINE_SAFETY = 18.0
+ORDER_RULE = f"refined-even/min{MIN_ORDER}/safety{REFINE_SAFETY:g}"
 
 _PROD_BLOCK = 256  # rows per block when accumulating long factor products
 _CHUNK_ELEMS = 1 << 15  # elements per temporary of a paired-product chunk
@@ -339,24 +353,36 @@ def gap_jacobian_row(i: int, bands: BandSystem, vars: GapVariables,
     return row
 
 
-def gap_jacobian(i: int, m: int, bands: BandSystem, vars: GapVariables,
-                 rule: QuadratureRule) -> float:
-    """Single Jacobian entry ``d K_i / d lambda_m``."""
-    return float(gap_jacobian_row(i, bands, vars, rule)[m])
-
-
-def refined_gap_order(bands: BandSystem, i: int, base_order: int, safety: float = 14.0) -> int:
-    """Quadrature order resolving gap ``i``'s endpoint boundary layers.
+def refined_order(bands: BandSystem, frame: tuple[str, int],
+                  base_order: int = MIN_ORDER) -> int:
+    """Even quadrature order resolving ``frame``'s endpoint boundary layers.
 
     After rescaling, the nearest unabsorbed endpoint sits at distance
-    ``eps = 2 * min(adjacent band widths) / gap width`` outside [-1, 1],
-    which in the angular variable is a layer of width ``sqrt(2 * eps)``.
-    The Gauss-Chebyshev error decays like ``exp(-2 K sqrt(2 eps))``, so
-    ``K >= safety / sqrt(2 eps)`` drives it below ``exp(-2 * safety)``.
-    Old gaps flanked by deep, nearly vanishing bands are the only ones that
-    ever need more than a few hundred nodes.
+    ``eps = 2 * min(neighbouring widths) / own width`` outside [-1, 1]; the
+    neighbours of gap ``i`` are bands ``i`` and ``i + 1``, those of band
+    ``i`` whichever of gaps ``i - 1`` and ``i`` exist.  In the angular
+    variable that is a layer of width ``sqrt(2 * eps)``, and the
+    Gauss-Chebyshev error decays like ``exp(-2 K sqrt(2 eps))`` (Trefethen,
+    *Approximation Theory and Approximation Practice*, ch. 8), so
+    ``K >= REFINE_SAFETY / sqrt(2 eps)`` drives it below
+    ``exp(-2 * REFINE_SAFETY)``.  The order is at least ``base_order`` and
+    rounded up to an even number, so that no node sits at the interval's
+    midpoint, where symmetric systems put their roots.  With
+    auto-refinement on, the solver takes every gap and band order from
+    here; ``quadrature_order`` then only sets the analytics rule and the
+    uniform rule of the ``auto_refine=False`` path.
     """
-    widths = bands.band_widths
-    eps = 2.0 * min(widths[i], widths[i + 1]) / bands.gap_widths[i]
-    needed = int(math.ceil(safety / math.sqrt(2.0 * eps)))
-    return max(base_order, needed)
+    kind, i = frame
+    if kind == "gap":
+        own = bands.gap_widths[i]
+        neighbours = bands.band_widths[i : i + 2]
+    elif kind == "band":
+        own = bands.band_widths[i]
+        neighbours = bands.gap_widths[max(i - 1, 0) : i + 1]
+    else:
+        raise ValueError(f"unknown frame kind {kind!r}")
+    order = base_order
+    if neighbours.size:
+        eps = 2.0 * float(neighbours.min()) / own
+        order = max(order, int(math.ceil(REFINE_SAFETY / math.sqrt(2.0 * eps))))
+    return order + order % 2

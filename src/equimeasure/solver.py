@@ -27,7 +27,7 @@ from .kernel import (
     band_integral,
     gap_integral,
     gap_jacobian_row,
-    refined_gap_order,
+    refined_order,
 )
 
 _MAX_COLLISION_BUMPS = 4
@@ -53,16 +53,26 @@ class SingularJacobian(SolverError):
     """The Newton linear solve failed at some iterate."""
 
 
+class NodeCollision(SolverError):
+    """Quadrature nodes of gap ``gap`` kept hitting a root after every bump."""
+
+    def __init__(self, message, gap, **kwargs):
+        super().__init__(message, **kwargs)
+        self.gap = gap
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and quadrature choices for one solve.
 
     ``step_clamp`` is the margin kept between any iterate and the ends of
     (-1, 1); a root reaching its gap boundary would flip the sign of the
-    density and void the equations.  When ``auto_refine`` is set, gaps
-    whose adjacent bands are orders of magnitude narrower than the gap get
-    their quadrature order raised (see ``refined_gap_order``); this never
-    triggers for mildly contractive systems at the default order.
+    density and void the equations.  With ``auto_refine`` set (the
+    default) every gap equation and every band measure gets its own
+    quadrature order, sized from the geometry by
+    :func:`~equimeasure.kernel.refined_order`, and ``quadrature_order`` is
+    not used.  With ``auto_refine`` off all of them use one rule of
+    ``quadrature_order`` nodes, the paper's uniform choice.
     """
 
     residual_tol: float = 1e-12
@@ -71,7 +81,6 @@ class SolverConfig:
     quadrature_order: int = 2048
     evaluator: str = "grouped"
     auto_refine: bool = True
-    refine_safety: float = 14.0
 
     def __post_init__(self):
         if not self.residual_tol > 0.0:
@@ -109,35 +118,36 @@ class EquilibriumSolution:
         return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
 
-def _gap_rules(bands: BandSystem, cfg: SolverConfig) -> list[QuadratureRule]:
+def _rules(bands: BandSystem, cfg: SolverConfig, kind: str) -> list[QuadratureRule]:
+    """One rule per gap (``kind="gap"``) or per band (``kind="band"``)."""
+    count = bands.n_gaps if kind == "gap" else bands.n_bands
     cache: dict[int, QuadratureRule] = {}
     rules = []
-    for i in range(bands.n_gaps):
-        order = cfg.quadrature_order
-        if cfg.auto_refine:
-            order = refined_gap_order(bands, i, order, cfg.refine_safety)
+    for i in range(count):
+        order = (refined_order(bands, (kind, i)) if cfg.auto_refine
+                 else cfg.quadrature_order)
         if order not in cache:
             cache[order] = QuadratureRule.chebyshev(order)
         rules.append(cache[order])
     return rules
 
 
-def _integral_with_bumps(i, bands, vars, rule, evaluator, keep):
-    for bump in range(_MAX_COLLISION_BUMPS):
+def _with_bumps(evaluate, i, vars, rule):
+    """``evaluate(rule)``, raising the order by one after each collision.
+
+    Raises :class:`NodeCollision` when the nodes still hit a root or an
+    endpoint after ``_MAX_COLLISION_BUMPS`` bumps.
+    """
+    for _ in range(_MAX_COLLISION_BUMPS + 1):
         try:
-            return gap_integral(i, bands, vars, rule, evaluator, keep)
+            return evaluate(rule)
         except ExactNodeCollision:
             rule = QuadratureRule.chebyshev(rule.order + 1)
-    return gap_integral(i, bands, vars, rule, evaluator, keep)
-
-
-def _jacobian_row_with_bumps(i, bands, vars, rule):
-    for bump in range(_MAX_COLLISION_BUMPS):
-        try:
-            return gap_jacobian_row(i, bands, vars, rule)
-        except ExactNodeCollision:
-            rule = QuadratureRule.chebyshev(rule.order + 1)
-    return gap_jacobian_row(i, bands, vars, rule)
+    raise NodeCollision(
+        f"quadrature nodes of gap {i} still hit a root or endpoint after "
+        f"{_MAX_COLLISION_BUMPS} order bumps", gap=i, lambdas=vars.lambdas,
+        generation=vars.bands.generation,
+    )
 
 
 def _residual_vector(bands, lambdas, rules, evaluator):
@@ -150,7 +160,8 @@ def _residual_vector(bands, lambdas, rules, evaluator):
     vars = GapVariables(bands, lambdas)
     kept: dict = {}
     r = np.array(
-        [_integral_with_bumps(i, bands, vars, rules[i], evaluator, kept)
+        [_with_bumps(lambda rule: gap_integral(i, bands, vars, rule, evaluator, kept),
+                     i, vars, rules[i])
          for i in range(bands.n_gaps)]
     )
     return r, kept
@@ -164,7 +175,8 @@ def _jacobian(bands, lambdas, rules, kept) -> np.ndarray:
             rule, g = kept[i]
             rows.append(gap_jacobian_row(i, bands, vars, rule, g))
         else:
-            rows.append(_jacobian_row_with_bumps(i, bands, vars, rules[i]))
+            rows.append(_with_bumps(
+                lambda rule: gap_jacobian_row(i, bands, vars, rule), i, vars, rules[i]))
     return np.vstack(rows)
 
 
@@ -181,7 +193,7 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
     cfg = cfg or SolverConfig()
     if initial.lambdas.shape != (bands.n_gaps,):
         raise ValueError("initial variables do not match the band system")
-    rules = _gap_rules(bands, cfg)
+    rules = _rules(bands, cfg, "gap")
     lam = initial.lambdas.copy()
     hi_bound = 1.0 - cfg.step_clamp
 
@@ -235,9 +247,8 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
         iterations += 1
 
     vars = GapVariables(bands, lam)
-    omega_rule = QuadratureRule.chebyshev(cfg.quadrature_order)
-    omegas = np.array([band_integral(i, bands, vars, omega_rule)
-                       for i in range(bands.n_bands)])
+    omegas = np.array([band_integral(i, bands, vars, rule)
+                       for i, rule in enumerate(_rules(bands, cfg, "band"))])
     return EquilibriumSolution(
         generation=bands.generation,
         vars=vars,

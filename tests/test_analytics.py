@@ -11,7 +11,6 @@ from equimeasure.analytics import (
     CapacityEstimate,
     NonMonotoneInput,
     OutOfHull,
-    PotentialSample,
     _clausen2,
     _density_table,
     _panel,
@@ -384,11 +383,6 @@ class TestCapacityEstimate:
         bands, sols = ternary_run
         with pytest.raises(ValueError):
             capacity_estimate(sols[:4], bands[:4], rule2048, mode="point")
-
-
-def test_potential_sample_record():
-    s = PotentialSample(point=0.5 + 0j, generation=3, value=0.81)
-    assert s.generation == 3 and s.value == 0.81
 
 
 def test_energy_equals_constant_potential(trivial_band, ternary_run):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from equimeasure import cli
+from equimeasure import cli, solver
 from equimeasure.cli import (
     FIGURE_NAMES,
     ConfigError,
@@ -15,6 +15,7 @@ from equimeasure.cli import (
     solve_all,
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
+from equimeasure.kernel import ExactNodeCollision
 
 BASE_CONFIG = {
     "ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
@@ -79,6 +80,12 @@ class TestRunConfig:
                        {"evaluator": "log"}, {"step_clamp": 1e-8}):
             other = RunConfig.from_file(write_config(tmp_path, **change))
             assert other.fingerprint != base.fingerprint
+
+    def test_fingerprint_names_the_order_rule(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path)
+        base = RunConfig.from_file(path).fingerprint
+        monkeypatch.setattr(cli, "ORDER_RULE", "uniform")
+        assert RunConfig.from_file(path).fingerprint != base
 
     def test_depth_limited_by_width_floor(self, tmp_path):
         # 0.05**9 ~ 2e-12 of the hull is resolvable, 0.05**10 ~ 1e-13 is not
@@ -166,6 +173,15 @@ class TestSolveCommand:
         assert "generation" in err
         assert (tmp_path / "out" / "gen_1.json").exists()
         assert not (tmp_path / "out" / "gen_2.json").exists()
+
+    def test_persistent_collision_exit_code(self, tmp_path, capsys, monkeypatch):
+        def always_collides(*args, **kwargs):
+            raise ExactNodeCollision("forced")
+
+        monkeypatch.setattr(solver, "gap_integral", always_collides)
+        path = write_config(tmp_path)
+        assert main(["solve", "--config", str(path)]) == 3
+        assert "generation 1" in capsys.readouterr().err
 
     def test_cache_disabled(self, tmp_path):
         path = write_config(tmp_path, cache=False)

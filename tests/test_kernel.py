@@ -7,17 +7,17 @@ from scipy.integrate import quad
 from equimeasure.geometry import generate_bands
 from equimeasure.kernel import (
     COLLISION_RTOL,
+    MIN_ORDER,
     ExactNodeCollision,
     GapVariables,
     QuadratureRule,
     band_integral,
     gap_integral,
-    gap_jacobian,
     gap_jacobian_row,
     kernel_band,
     kernel_grouped,
     kernel_log_magnitude,
-    refined_gap_order,
+    refined_order,
     _check_collision,
     _frame_points,
     _paired_product,
@@ -341,14 +341,6 @@ class TestJacobian:
             fd = (r_up - r_dn) / (2 * step)
             assert np.max(np.abs(jac[:, m] - fd) / np.abs(fd)) < 1e-6
 
-    def test_single_entry_matches_row(self, ternary):
-        b = generate_bands(ternary, 2)
-        gv = GapVariables(b, np.array([0.1, -0.05, 0.02]))
-        rule = QuadratureRule.chebyshev(128)
-        row = gap_jacobian_row(1, b, gv, rule)
-        for m in range(3):
-            assert gap_jacobian(1, m, b, gv, rule) == row[m]
-
     def test_diagonal_dominance_and_decay(self, ternary_run, rule2048):
         bands, sols = ternary_run
         b, s = bands[4], sols[4]  # generation 5
@@ -374,11 +366,35 @@ class TestJacobian:
         assert octaves[-1] < 1e-2 * octaves[0]
 
 
-def test_refined_gap_order_targets_thin_neighbours(asym, ternary):
+def test_refined_order_targets_thin_neighbours(asym, ternary):
     b = generate_bands(asym, 9)
-    orders = [refined_gap_order(b, i, 2048) for i in range(b.n_gaps)]
-    # only old gaps flanked by deep bands need refinement
-    assert max(orders) > 10000
-    assert sum(1 for o in orders if o > 2048) == 7
+    gaps = [refined_order(b, ("gap", i)) for i in range(b.n_gaps)]
+    bands = [refined_order(b, ("band", i)) for i in range(b.n_bands)]
+    # only old gaps flanked by deep bands need thousands of nodes; a band
+    # needs more than the minimum only next to a gap much narrower than it,
+    # which this system never has
+    assert max(gaps) > 10000
+    assert sum(1 for o in gaps if o > 2048) == 7
+    assert np.median(gaps) == MIN_ORDER
+    assert set(bands) == {MIN_ORDER}
+    # middle thirds: each order grows by sqrt(3) per generation of the
+    # gap's age, and the paper's uniform 2048 nodes are far more than needed
     tern_b = generate_bands(ternary, 7)
-    assert all(refined_gap_order(tern_b, i, 2048) == 2048 for i in range(tern_b.n_gaps))
+    tern_gaps = [refined_order(tern_b, ("gap", i)) for i in range(tern_b.n_gaps)]
+    assert max(tern_gaps) == 244 and sorted(set(tern_gaps)) == [32, 48, 82, 142, 244]
+    assert all(refined_order(tern_b, ("band", i)) == MIN_ORDER
+               for i in range(tern_b.n_bands))
+
+
+def test_refined_order_formula_and_parity(asym, trivial_band):
+    # generation 1 of the 4/5, 1/10 system: bands [-1, 0.6], [0.8, 1] and
+    # the gap (0.6, 0.8); band 0 sees eps = 2 * 0.2 / 1.6 = 0.25
+    b = generate_bands(asym, 1)
+    assert refined_order(b, ("band", 0), base_order=1) == 26  # ceil(18 / sqrt(0.5))
+    assert refined_order(b, ("band", 1), base_order=1) == 10  # eps = 2: 9, made even
+    assert refined_order(b, ("gap", 0)) == MIN_ORDER
+    assert refined_order(b, ("gap", 0), base_order=2047) == 2048
+    b0, _ = trivial_band
+    assert refined_order(b0, ("band", 0)) == MIN_ORDER
+    with pytest.raises(ValueError):
+        refined_order(b, ("hole", 0))

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
+from equimeasure import solver
 from equimeasure.geometry import generate_bands
-from equimeasure.kernel import GapVariables, QuadratureRule
+from equimeasure.kernel import (
+    MIN_ORDER,
+    ExactNodeCollision,
+    GapVariables,
+    QuadratureRule,
+    gap_integral,
+    refined_order,
+)
 from equimeasure.solver import (
     NoConvergence,
+    NodeCollision,
     SolverConfig,
+    SolverError,
     hierarchical_solve,
     solve_generation,
     warm_start,
@@ -83,15 +93,67 @@ def test_warm_start_never_slower_than_cold(ternary, ternary_run):
 
 
 def test_roots_stable_under_quadrature_refinement(ternary, ternary_run):
+    # uniform 1024 nodes per gap against the accuracy-driven orders
     bands, sols = ternary_run
     for n in (3, 6):
         b = bands[n - 1]
         init = warm_start(b, sols[n - 2])
-        lam_k = solve_generation(b, init, SolverConfig(residual_tol=1e-13,
-                                                       quadrature_order=1024)).lambdas
-        lam_2k = solve_generation(b, init, SolverConfig(residual_tol=1e-13,
-                                                        quadrature_order=2048)).lambdas
-        assert np.max(np.abs(lam_k - lam_2k)) < 1e-10
+        uniform = solve_generation(b, init, SolverConfig(
+            residual_tol=1e-13, quadrature_order=1024, auto_refine=False)).lambdas
+        assert np.max(np.abs(uniform - sols[n - 1].lambdas)) < 1e-10
+
+
+@pytest.mark.parametrize("run, system, n_max, tol", [
+    ("ternary_run", "ternary", 6, 1e-13), ("asym_run", "asym", 7, 1e-12)])
+def test_accuracy_driven_orders_match_uniform_2048(run, system, n_max, tol, request):
+    _, sols = request.getfixturevalue(run)
+    uniform = hierarchical_solve(request.getfixturevalue(system), n_max, SolverConfig(
+        residual_tol=tol, quadrature_order=2048, auto_refine=False))
+    for ref, s in zip(uniform, sols):
+        assert np.max(np.abs(s.lambdas - ref.lambdas), initial=0.0) <= 1e-13
+        assert np.max(np.abs(s.omegas - ref.omegas)) <= 1e-14
+
+
+def test_accuracy_driven_roots_solve_finer_rules(asym_run):
+    # every gap re-evaluated with at least 2048 nodes; uniform 2048 alone
+    # under-resolves the old gaps between deep bands from n=8 on (up to
+    # 6e-7), which is why those gaps get their orders from the geometry
+    bands, sols = asym_run
+    for b, s in zip(bands, sols):
+        for i in range(b.n_gaps):
+            rule = QuadratureRule.chebyshev(refined_order(b, ("gap", i), base_order=2048))
+            assert abs(gap_integral(i, b, s.vars, rule)) <= 1e-12
+
+
+def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
+    orders = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            orders.append(args[3].order)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("gap_integral", "gap_jacobian_row", "band_integral"):
+        monkeypatch.setattr(solver, name, recording(getattr(solver, name)))
+    hierarchical_solve(asym, 7, SolverConfig(residual_tol=1e-12))
+    assert all(k % 2 == 0 and k >= MIN_ORDER for k in orders)
+    assert min(orders) == MIN_ORDER and max(orders) > 2048
+
+
+@pytest.mark.parametrize("collides, evaluator", [("gap_integral", "grouped"),
+                                                 ("gap_jacobian_row", "log")])
+def test_persistent_collision_is_a_solver_error(ternary, monkeypatch, collides,
+                                                evaluator):
+    def always_collides(*args, **kwargs):
+        raise ExactNodeCollision("forced")
+
+    monkeypatch.setattr(solver, collides, always_collides)
+    b = generate_bands(ternary, 2)
+    with pytest.raises(SolverError) as err:
+        solve_generation(b, warm_start(b, None), SolverConfig(evaluator=evaluator))
+    assert isinstance(err.value, NodeCollision)
+    assert err.value.generation == 2 and err.value.gap == 0
 
 
 def test_residual_certificate_adaptive_oracle(ternary_run):
