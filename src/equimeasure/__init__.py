@@ -27,8 +27,6 @@ from .geometry import (
     BandSystem,
     IfsSystem,
     Interval,
-    UnitMap,
-    affine_to_unit,
     generate_bands,
     hull,
     validate,
@@ -53,7 +51,6 @@ from .solver import (
 from .analytics import (
     CapacityEstimate,
     capacity_estimate,
-    energy,
     fit_exponential,
     integrated_measure_at,
     mean_potential_on_attractor_points,
@@ -71,11 +68,8 @@ __all__ = [
     "Interval",
     "QuadratureRule",
     "SolverConfig",
-    "UnitMap",
-    "affine_to_unit",
     "band_integral",
     "capacity_estimate",
-    "energy",
     "fit_exponential",
     "gap_integral",
     "gap_jacobian_row",

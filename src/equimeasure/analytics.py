@@ -13,22 +13,26 @@ integrated measure) comes from the band-frame paired product of
 The node table (positions and weighted densities of every band) is built
 once per solution and quadrature order and memoised, read-only, on the
 solution, so the mean path, the point path and every ``potential_at`` call
-share it.  The mean path streams its dense ``points x nodes`` log sum
-through one reused row-block buffer.
+share it.  One routine evaluates every real potential of ``potential_at``
+and of the mean path: it streams the dense ``points x nodes`` log sum
+through one reused row-block buffer and then corrects the shares of the
+bands that a point lies on or next to.
 
 Potentials of points lying on a band need care: the integrand has a
 logarithmic singularity inside the quadrature interval, and a plain node
-sum is only good to O(1/K) there.  ``potential_at`` therefore splits the
-hosting band's integral at the singularity, subtracts it analytically
-(its moment against the Chebyshev weight is a closed form in the Clausen
-function) and integrates the smooth remainder with Gauss-Legendre panels;
-at the band ends, where the mirrored log term is singular too, the same
-subtraction covers both.  A real point just outside a band has the same
-trouble in a milder form (the singularity sits just outside the interval),
-and that band's end value is subtracted in the same way.  The plain node
-sum remains available as ``method="nodes"``; its error is the classical
-coarseness gauge, shrinking from ~2e-4 at generation 1 to ~3e-6 at
-generation 7 for the middle-third system at 2048 nodes.
+sum is only good to O(1/K) there.  The hosting band's integral is
+therefore split at the singularity, the singular part is subtracted
+analytically (its moment against the Chebyshev weight is the constant
+``-pi log 2``, the arcsine measure's potential on ``[-1, 1]``; no Clausen
+function is needed) and the smooth remainder is integrated with
+Gauss-Legendre panels; at the band ends, where the mirrored log term is
+singular too, the same subtraction covers both.  A real point just outside
+a band has the same trouble in a milder form (the singularity sits just
+outside the interval), and that band's end value is subtracted in the same
+way.  The plain node sum remains available as ``method="nodes"``; its
+error is the classical coarseness gauge, shrinking from ~2e-4 at
+generation 1 to ~3e-6 at generation 7 for the middle-third system at 2048
+nodes.
 """
 
 from __future__ import annotations
@@ -92,51 +96,7 @@ class CapacityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Clausen function
-
-
-def _uhalf_cot_uhalf_minus_1(u):
-    """``u/2 * cot(u/2) - 1`` with the removable singularity filled in."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-5
-    safe = np.where(small, 1.0, u)
-    direct = 0.5 * safe / np.tan(0.5 * safe) - 1.0
-    series = -(u * u) / 12.0 - u**4 / 720.0
-    return np.where(small, series, direct)
-
-
-_CL_NODES, _CL_WEIGHTS = leggauss(48)
-
-
-def _clausen2(theta):
-    """Clausen function ``Cl2(theta) = -int_0^theta log|2 sin(t/2)| dt``.
-
-    Accurate to ~1e-15 for ``theta`` in ``[0, pi]``; callers reduce other
-    angles by symmetry, since the error grows to ~1e-8 near ``2*pi``.
-    Vectorized.  Uses the analytic split ``Cl2(t) = t - t*log|2 sin(t/2)|
-    + int_0^t (u/2*cot(u/2) - 1) du`` whose remaining integrand is
-    analytic, so a fixed Gauss-Legendre rule nails it.
-    """
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    # integral_0^t h(u) du = t * integral_0^1 h(t*v) dv
-    v = 0.5 * (_CL_NODES + 1.0)
-    w = 0.5 * _CL_WEIGHTS
-    h = _uhalf_cot_uhalf_minus_1(t[:, None] * v[None, :])
-    tail = t * (h @ w)
-    s = 2.0 * np.sin(0.5 * t)
-    out = np.where(t > 0.0, t - t * np.log(np.where(t > 0.0, s, 1.0)) + tail, 0.0)
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-        return float(out[0])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # densities and plain node sums
-
-
-def _band_density(i, bands, solution, nodes):
-    """Kernel magnitude ``|Z|/sqrt|Y~|`` of band ``i`` at frame points."""
-    return kernel_band(nodes, i, bands, solution.vars)
 
 
 def _density_table(solution, bands, rule):
@@ -156,7 +116,7 @@ def _density_table(solution, bands, rule):
         for i in range(n):
             lo, hi = bands.alphas[i], bands.betas[i]
             positions[i] = _from_frame(rule.nodes, lo, hi)
-            weighted[i] = rule.weights * _band_density(i, bands, solution, rule.nodes)
+            weighted[i] = rule.weights * kernel_band(rule.nodes, i, bands, solution.vars)
         positions.flags.writeable = False
         weighted.flags.writeable = False
         table = solution._density_tables[rule.order] = (positions, weighted)
@@ -170,12 +130,12 @@ def _plain_sum(z, positions, weighted):
     return float(-0.5 * np.sum(weighted * np.log(dist_sq)))
 
 
-def _locate_band(bands: BandSystem, x: float) -> int | None:
-    """Index of the band containing ``x`` (edges included), else None."""
-    i = int(np.searchsorted(bands.alphas, x, side="right")) - 1
-    if i >= 0 and x <= bands.betas[i]:
-        return i
-    return None
+def _hosts(bands: BandSystem, xs) -> np.ndarray:
+    """Index of the band containing each of ``xs`` (edges included), else -1."""
+    xs = np.asarray(xs, dtype=float)
+    i = np.searchsorted(bands.alphas, xs, side="right") - 1
+    inside = (i >= 0) & (xs <= bands.betas[np.maximum(i, 0)])
+    return np.where(inside, i, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +170,13 @@ def _singular_band_potentials(xs, b, solution, bands) -> np.ndarray:
     theta_z)/2)|`` terms.  Both are singular somewhere on ``[0, pi]``: the
     minus term at ``theta_z``, the plus term at the band ends when
     ``theta_z`` is 0 or pi.  ``F(theta_z)`` is subtracted under each, and
-    their exact moments are added back: ``pi log 2 + Cl2(theta_z) + Cl2(pi
-    - theta_z)`` for the minus term and, by ``Cl2(pi + t) = -Cl2(pi - t)``,
-    ``pi log 2 - Cl2(theta_z) - Cl2(pi - theta_z)`` for the plus term.
-    Panels split at ``theta_z`` integrate the smooth remainders.  One
-    kernel call evaluates ``F`` at the panel nodes and at ``theta_z`` of
-    every point; each value is then finished on its own.
+    the two moments are added back together.  Their sum is ``2 pi log 2``
+    whatever ``theta_z``: the arcsine measure of ``[-1, 1]`` has constant
+    potential ``log 2`` there, so ``int_0^pi log|cos theta - c| dtheta =
+    -pi log 2`` for every ``c`` in ``[-1, 1]``.  Panels split at
+    ``theta_z`` integrate the smooth remainders.  One kernel call
+    evaluates ``F`` at the panel nodes and at ``theta_z`` of every point;
+    each value is then finished on its own.
     """
     lo, hi = bands.alphas[b], bands.betas[b]
     theta_zs = [_theta_of(float(x), lo, hi) for x in xs]
@@ -228,10 +189,11 @@ def _singular_band_potentials(xs, b, solution, bands) -> np.ndarray:
 
     frame_pts = [np.cos(thetas) for thetas, _ in panels]
     frame_pts.append(np.array([math.cos(t) for t in theta_zs]))
-    f_all = _band_density(b, bands, solution, np.concatenate(frame_pts))
+    f_all = kernel_band(np.concatenate(frame_pts), b, bands, solution.vars)
     f_zs = f_all[f_all.size - len(theta_zs):]
 
     log2 = math.log(2.0)
+    moment = 2.0 * math.pi * log2
     log_a = math.log(2.0 / (hi - lo)) - log2
     values = np.empty(len(theta_zs))
     start = 0
@@ -246,10 +208,7 @@ def _singular_band_potentials(xs, b, solution, bands) -> np.ndarray:
         i_minus = float(
             wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas - theta_z))))))
         )
-        clausen = _clausen2(theta_z) + _clausen2(math.pi - theta_z)
-        moment_minus = math.pi * log2 + clausen
-        moment_plus = math.pi * log2 - clausen
-        values[j] = (i_const + i_plus + i_minus + f_z * (moment_minus + moment_plus)) / math.pi
+        values[j] = (i_const + i_plus + i_minus + f_z * moment) / math.pi
     return values
 
 
@@ -309,7 +268,7 @@ def _near_band_potential(x: float, i: int, solution, bands) -> float:
     phis, wts = _graded_panels(scale_near, _acosh1p(2.0 * g_far / width))
 
     side = 1.0 if above else -1.0
-    f = _band_density(i, bands, solution, np.append(side * np.cos(phis), side))
+    f = kernel_band(np.append(side * np.cos(phis), side), i, bands, solution.vars)
     f_nodes, f_end = f[:-1], float(f[-1])
     i_f = float(wts @ f_nodes)
     i_rem = float(wts @ ((f_nodes - f_end) * np.log(2.0 * np.sin(0.5 * phis) ** 2 + delta)))
@@ -317,11 +276,52 @@ def _near_band_potential(x: float, i: int, solution, bands) -> float:
     return (math.log(2.0 / width) * i_f - i_rem - f_end * moment) / math.pi
 
 
-def _near_bands(bands: BandSystem, x: float) -> list[int]:
-    """Bands that ``x`` lies outside of by less than ``NEAR_BAND_RTOL`` widths."""
-    outside = np.maximum(bands.alphas - x, x - bands.betas)
+def _real_potentials(xs, solution: EquilibriumSolution, bands: BandSystem,
+                     rule: QuadratureRule) -> np.ndarray:
+    """``V(x)`` at real points ``xs``, accurate on and next to the bands.
+
+    Each point's plain node sum over all bands is taken from the solution's
+    memoised node table in blocks of ``_Z_CHUNK`` points, streamed through
+    one reused buffer.  The share of the band hosting a point is then
+    replaced by its singularity-subtracted value, computed for all points
+    of one host band together, and the share of every band that the point
+    lies outside of by less than ``NEAR_BAND_RTOL`` of its width by that
+    band's near-end value.
+    """
+    xs = np.asarray(xs, dtype=float)
+    positions, weighted = _density_table(solution, bands, rule)
+    flat_pos = positions.ravel()
+    flat_w = weighted.ravel()
+
+    # Plain node sum over all bands at once, -sum w * log|x - s| per point.
+    values = np.empty(xs.size)
+    tiny = 1e-300
+    buf = np.empty((min(_Z_CHUNK, xs.size), flat_pos.size))
+    for start in range(0, xs.size, _Z_CHUNK):
+        sl = slice(start, min(start + _Z_CHUNK, xs.size))
+        block = buf[: sl.stop - start]
+        np.subtract(xs[sl, None], flat_pos, out=block)
+        np.abs(block, out=block)
+        np.maximum(block, tiny, out=block)
+        np.log(block, out=block)
+        values[sl] = -(block @ flat_w)
+
+    def share(j, i):
+        return -float(np.log(np.maximum(np.abs(xs[j] - positions[i]), tiny)) @ weighted[i])
+
+    hosts = _hosts(bands, xs)
+    for b in np.unique(hosts[hosts >= 0]).tolist():
+        on_b = np.flatnonzero(hosts == b)
+        singular = _singular_band_potentials(xs[on_b], b, solution, bands)
+        for j, v in zip(on_b, singular):
+            values[j] = values[j] - share(j, b) + v
+
+    outside = np.maximum(bands.alphas - xs[:, None], xs[:, None] - bands.betas)
     near = (outside > 0.0) & (outside < NEAR_BAND_RTOL * bands.band_widths)
-    return np.flatnonzero(near).tolist()
+    for j, i in zip(*np.nonzero(near)):
+        values[j] = values[j] - share(j, i) + _near_band_potential(
+            float(xs[j]), int(i), solution, bands)
+    return values
 
 
 def _collides(z, positions, bands) -> bool:
@@ -335,9 +335,11 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
 
     ``z`` may be real or complex.  With ``method="auto"`` a real ``z``
     lying on a band gets the singularity-subtracted treatment for that band
-    (accurate to ~1e-9), and so does every band that a real ``z`` lies
-    outside of by less than ``NEAR_BAND_RTOL`` of its width; every other
-    contribution is a plain Chebyshev node sum.  ``method="nodes"`` forces
+    (within 1e-12 of the closed form at generation 1, band ends included),
+    and so does every band that a real ``z`` lies outside of by less than
+    ``NEAR_BAND_RTOL`` of its width; every other contribution is a plain
+    Chebyshev node sum (see :func:`_real_potentials`).  A complex ``z``
+    gets plain node sums throughout.  ``method="nodes"`` forces
     plain node sums everywhere; if ``z`` falls within ``1e-12`` of a node
     (relative to the band width) the order is bumped to ``K+1`` then
     ``K+3``, and :class:`PersistentCollision` is raised when all attempts
@@ -350,22 +352,7 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     on_axis = z_c.imag == 0.0
 
     if method == "auto" and on_axis:
-        x = z_c.real
-        host = _locate_band(bands, x)
-        near = _near_bands(bands, x)
-        if host is not None or near:
-            positions, weighted = _density_table(solution, bands, rule)
-            total = 0.0
-            for i in range(bands.n_bands):
-                if i != host and i not in near:
-                    total += -0.5 * float(
-                        np.sum(weighted[i] * np.log((x - positions[i]) ** 2))
-                    )
-            if host is not None:
-                total += float(_singular_band_potentials([x], host, solution, bands)[0])
-            for i in near:
-                total += _near_band_potential(x, i, solution, bands)
-            return total
+        return float(_real_potentials([z_c.real], solution, bands, rule)[0])
 
     for bump in (0, 1, 3):
         attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
@@ -408,45 +395,14 @@ def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: Ban
 
     ``sample_bands`` names the (usually deepest solved) generation whose
     bands carry the points; since generations are nested, the same points
-    serve every coarser generation.  Each point's plain node sum over all
-    bands is taken from the solution's memoised node table in blocks of
-    ``_Z_CHUNK`` points, streamed through one reused buffer; the hosting
-    band's share is then replaced by its singularity-subtracted value,
-    computed for all points of one host band together.
+    serve every coarser generation.  The points are evaluated together by
+    :func:`_real_potentials`, the routine behind every real
+    ``potential_at`` value.
     """
     pts = sample_points(sample_bands or bands, sample_count)
-    positions, weighted = _density_table(solution, bands, rule)
-    flat_pos = positions.ravel()
-    flat_w = weighted.ravel()
-
-    hosts = np.array([_locate_band(bands, float(z)) for z in pts])
-    if np.any(hosts == None):  # noqa: E711 - object comparison on purpose
+    if np.any(_hosts(bands, pts) < 0):
         raise OutOfHull("sample points must lie on the band system")
-    hosts = hosts.astype(int)
-
-    # Plain node sum over all bands at once, -sum w * log|z - s| per point.
-    totals = np.empty(pts.size)
-    tiny = 1e-300
-    buf = np.empty((min(_Z_CHUNK, pts.size), flat_pos.size))
-    for start in range(0, pts.size, _Z_CHUNK):
-        sl = slice(start, min(start + _Z_CHUNK, pts.size))
-        block = buf[: sl.stop - start]
-        np.subtract(pts[sl, None], flat_pos, out=block)
-        np.abs(block, out=block)
-        np.maximum(block, tiny, out=block)
-        np.log(block, out=block)
-        totals[sl] = -(block @ flat_w)
-
-    values = np.empty(pts.size)
-    for b in np.unique(hosts).tolist():
-        on_b = np.flatnonzero(hosts == b)
-        singular = _singular_band_potentials(pts[on_b], b, solution, bands)
-        for j, v in zip(on_b, singular):
-            own = -float(
-                np.log(np.maximum(np.abs(pts[j] - positions[b]), tiny)) @ weighted[b]
-            )
-            values[j] = totals[j] - own + v
-    return float(np.mean(values))
+    return float(np.mean(_real_potentials(pts, solution, bands, rule)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +425,8 @@ def integrated_measure_at(x: float, solution: EquilibriumSolution, bands: BandSy
     h = bands.hull
     if not h.lo <= x <= h.hi:
         raise OutOfHull(f"{x} outside [{h.lo}, {h.hi}]")
-    i = _locate_band(bands, x)
-    if i is None:
+    i = int(_hosts(bands, x))
+    if i < 0:
         g = int(np.searchsorted(bands.gap_los, x, side="right")) - 1
         return float(solution.Omegas[g])
 
@@ -482,7 +438,7 @@ def integrated_measure_at(x: float, solution: EquilibriumSolution, bands: BandSy
     nodes, weights = _THETA_NODES_CACHE[theta_order]
     mid, half = 0.5 * (math.pi + theta_x), 0.5 * (math.pi - theta_x)
     thetas = mid + half * nodes
-    f = _band_density(i, bands, solution, np.cos(thetas))
+    f = kernel_band(np.cos(thetas), i, bands, solution.vars)
     return below + half * float(weights @ f) / math.pi
 
 
@@ -578,21 +534,3 @@ def capacity_estimate(solutions, bands_list, rule: QuadratureRule,
         fit=(a, b, c),
         extrapolated_capacity=math.exp(-a),
     )
-
-
-def energy(solution: EquilibriumSolution, bands: BandSystem, rule: QuadratureRule,
-           inner_rule: QuadratureRule | None = None) -> float:
-    """Electrostatic energy ``int V dsigma`` of the equilibrium measure.
-
-    Diagnostic only: the potential is constant on the bands, so the energy
-    equals that constant (``-log C``).  Computed as the density-weighted
-    node sum of on-set potential values.
-    """
-    inner = inner_rule or rule
-    positions, weighted = _density_table(solution, bands, rule)
-    total = 0.0
-    for i in range(bands.n_bands):
-        vals = np.array([potential_at(float(z), solution, bands, inner)
-                         for z in positions[i]])
-        total += float(weighted[i] @ vals)
-    return total

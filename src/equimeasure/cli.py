@@ -10,12 +10,14 @@ Subcommands::
 The config is a single JSON document (see ``RunConfig``).  Solving writes
 one ``gen_<n>.json`` record per generation into the output directory; a
 record is reused on rerun only when its fingerprint (hash of the map
-parameters, quadrature order, residual tolerance, step clamp, evaluator,
-auto-refine switch and the name of the solver's order rule,
-``kernel.ORDER_RULE``) matches the active config exactly.  The solver
-sizes its quadrature orders from the geometry; ``quadrature_order`` sets
-the rule of the analytics (potentials, capacities, the Jacobian figure)
-and, with ``auto_refine`` off, the solver's uniform rule.  All files are
+parameters, residual tolerance, step clamp, evaluator, auto-refine switch,
+the name of the solver's order rule, ``kernel.ORDER_RULE``, and, with
+auto-refine off, the quadrature order) matches the active config exactly.
+The solver sizes its quadrature orders from the geometry;
+``quadrature_order`` sets the rule of the analytics (potentials and
+capacities) and, with ``auto_refine`` off, the solver's uniform rule, so
+with auto-refine on a run at another order reuses the stored records.  The
+Jacobian figure takes each gap's rule from the solver.  All files are
 written atomically (temp file + rename).  Figure data files are plain CSV
 with a header row and 17-digit floats.
 
@@ -58,6 +60,8 @@ from .solver import (
     EquilibriumSolution,
     SolverConfig,
     SolverError,
+    _rules,
+    _with_bumps,
     solve_generation,
     warm_start,
 )
@@ -96,9 +100,10 @@ class RunConfig:
     """One experiment: the system, depth, tolerances and output options.
 
     ``quadrature_order`` is the order of :attr:`rule`, the Gauss-Chebyshev
-    rule of every analytics evaluation, and the solver's uniform order when
-    ``auto_refine`` is off.  With ``auto_refine`` on (the default) the
-    solver gives each gap and band its own order from the geometry.
+    rule of every potential and capacity evaluation, and the solver's
+    uniform order when ``auto_refine`` is off.  With ``auto_refine`` on
+    (the default) the solver gives each gap and band its own order from
+    the geometry.
     """
 
     ifs: IfsSystem
@@ -209,16 +214,24 @@ class RunConfig:
 
     @property
     def fingerprint(self) -> str:
-        payload = json.dumps({
+        """Hash of every setting that a stored record depends on.
+
+        ``quadrature_order`` counts only with ``auto_refine`` off: with it
+        on, the solver sizes its own orders and the analytics rule leaves
+        the records untouched.
+        """
+        payload = {
             "ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
-            "quadrature_order": self.quadrature_order,
             "residual_tol": self.residual_tol,
             "step_clamp": self.step_clamp,
             "evaluator": self.evaluator,
             "auto_refine": self.auto_refine,
             "numerics": ORDER_RULE,
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        }
+        if not self.auto_refine:
+            payload["quadrature_order"] = self.quadrature_order
+        text = json.dumps(payload, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
 
     @property
     def rule(self) -> QuadratureRule:
@@ -378,8 +391,9 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
     elif which == "jacobian_decay":
         bands, sol = solved[-1]
         rows = []
-        for i in range(bands.n_gaps):
-            row = gap_jacobian_row(i, bands, sol.vars, rule)
+        for i, gap_rule in enumerate(_rules(bands, cfg.solver_config, "gap")):
+            row = _with_bumps(lambda r: gap_jacobian_row(i, bands, sol.vars, r),
+                              i, sol.vars, gap_rule)
             rows.extend([bands.generation, i, m, i - m, abs(row[m])]
                         for m in range(bands.n_gaps))
         path = out / "jacobian_decay.csv"

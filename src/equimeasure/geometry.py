@@ -43,10 +43,6 @@ class OverlappingImages(InvalidIfs):
     """Images of the hull intersect or touch; bands/gaps are undefined."""
 
 
-class DegenerateInterval(ValueError):
-    """Interval too narrow (or inverted) to be rescaled to [-1, 1]."""
-
-
 class GenerationTooLarge(ValueError):
     """Band widths at the requested generation underflow the width floor."""
 
@@ -111,33 +107,6 @@ class Interval:
 
     def __contains__(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-
-@dataclass(frozen=True)
-class UnitMap:
-    """Affine change of variables ``x = a*y + b`` onto [-1, 1] and back."""
-
-    a: float
-    b: float
-
-    def __call__(self, y):
-        return self.a * y + self.b
-
-    def inverse(self, x):
-        return (x - self.b) / self.a
-
-
-def affine_to_unit(iv: Interval) -> UnitMap:
-    """Map sending ``iv.lo -> -1`` and ``iv.hi -> +1``.
-
-    Returns the forward map; its ``inverse`` method undoes it.  Raises
-    :class:`DegenerateInterval` when the interval is too narrow for the
-    slope ``2 / width`` to be finite.
-    """
-    width = iv.hi - iv.lo
-    if not width > 0.0 or not np.isfinite(2.0 / width):
-        raise DegenerateInterval(f"cannot rescale [{iv.lo}, {iv.hi}] to the unit interval")
-    return UnitMap(2.0 / width, -(iv.hi + iv.lo) / width)
 
 
 def validate(ifs: IfsSystem) -> IfsSystem:

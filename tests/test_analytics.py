@@ -1,7 +1,6 @@
 import dataclasses
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,13 +10,11 @@ from equimeasure.analytics import (
     CapacityEstimate,
     NonMonotoneInput,
     OutOfHull,
-    _clausen2,
     _density_table,
     _panel,
     _singular_band_potentials,
     _theta_of,
     capacity_estimate,
-    energy,
     fit_exponential,
     integrated_measure_at,
     mean_potential_on_attractor_points,
@@ -31,21 +28,6 @@ from tests.conftest import X_STAR
 TWO_BAND_POTENTIAL = -math.log(math.sqrt(2.0) / 3.0)  # interior potential of
 # [-1,-1/3] u [1/3,1]: the capacity of symmetric two-interval sets
 # [-1,-a] u [a,1] is sqrt(1-a^2)/2
-
-
-class TestClausen:
-    @pytest.mark.parametrize("t", [0.0, 1e-8, 0.1, 0.5, math.pi / 2, 1.7, 2.9, math.pi])
-    def test_against_mpmath(self, t):
-        assert _clausen2(t) == pytest.approx(float(mpmath.clsin(2, t)), abs=5e-15)
-
-    def test_catalan_value(self):
-        assert _clausen2(math.pi / 2) == pytest.approx(0.9159655941772190, abs=1e-15)
-
-    def test_vectorized(self):
-        t = np.array([0.0, 0.3, 2.0])
-        got = _clausen2(t)
-        assert got.shape == (3,)
-        assert got[0] == 0.0
 
 
 class TestIntegratedMeasure:
@@ -99,10 +81,12 @@ class TestPotential:
             math.log(2.0), abs=1e-8)
 
     def test_single_band_constant_on_set(self, trivial_band, rule2048):
+        # the singular term's moment is the constant 2 pi log 2 for every
+        # point of the band, its ends included
         b0, s0 = trivial_band
-        for x in (-0.99, -0.5, 0.25, 0.9):
+        for x in (-1.0, -(1.0 - 1e-12), -0.99, -0.5, 0.0, 0.25, 0.9, 1.0 - 1e-12, 1.0):
             assert potential_at(x, s0, b0, rule2048) == pytest.approx(
-                math.log(2.0), abs=1e-8)
+                math.log(2.0), abs=1e-14), x
 
     def test_two_band_closed_form(self, ternary_run, rule2048):
         bands, sols = ternary_run
@@ -279,10 +263,7 @@ def _reference_singular(z, b, solution, bands):
     i_minus = float(
         wts @ ((f_nodes - f_z) * (-np.log(np.abs(np.sin(0.5 * (thetas - theta_z))))))
     )
-    clausen = _clausen2(theta_z) + _clausen2(math.pi - theta_z)
-    moment_minus = math.pi * log2 + clausen
-    moment_plus = math.pi * log2 - clausen
-    return (i_const + i_plus + i_minus + f_z * (moment_minus + moment_plus)) / math.pi
+    return (i_const + i_plus + i_minus + f_z * (2.0 * math.pi * log2)) / math.pi
 
 
 def _reference_mean(solution, bands, sample_count, rule, sample_bands):
@@ -383,12 +364,3 @@ class TestCapacityEstimate:
         bands, sols = ternary_run
         with pytest.raises(ValueError):
             capacity_estimate(sols[:4], bands[:4], rule2048, mode="point")
-
-
-def test_energy_equals_constant_potential(trivial_band, ternary_run):
-    rule = QuadratureRule.chebyshev(96)
-    b0, s0 = trivial_band
-    assert energy(s0, b0, rule) == pytest.approx(math.log(2.0), abs=1e-8)
-    bands, sols = ternary_run
-    assert energy(sols[0], bands[0], rule) == pytest.approx(
-        TWO_BAND_POTENTIAL, abs=1e-6)

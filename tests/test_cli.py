@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equimeasure import cli, solver
+from equimeasure import analytics, cli, solver
 from equimeasure.cli import (
     FIGURE_NAMES,
     ConfigError,
@@ -15,7 +17,7 @@ from equimeasure.cli import (
     solve_all,
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
-from equimeasure.kernel import ExactNodeCollision
+from equimeasure.kernel import ExactNodeCollision, gap_jacobian_row, refined_order
 
 BASE_CONFIG = {
     "ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
@@ -75,11 +77,18 @@ class TestRunConfig:
         base = RunConfig.from_file(write_config(tmp_path))
         same = RunConfig.from_file(write_config(tmp_path, n_max=5, sample_count=7))
         assert base.fingerprint == same.fingerprint
-        for change in ({"quadrature_order": 512}, {"residual_tol": 1e-10},
+        for change in ({"residual_tol": 1e-10},
                        {"ifs": [[1 / 3, -1.0], [0.3, 1.0]]}, {"auto_refine": False},
                        {"evaluator": "log"}, {"step_clamp": 1e-8}):
             other = RunConfig.from_file(write_config(tmp_path, **change))
             assert other.fingerprint != base.fingerprint
+        # the uniform order is part of the numerics only with auto_refine off
+        uniform = RunConfig.from_file(write_config(tmp_path, auto_refine=False))
+        finer = RunConfig.from_file(write_config(tmp_path, auto_refine=False,
+                                                 quadrature_order=512))
+        assert finer.fingerprint != uniform.fingerprint
+        analytics_only = RunConfig.from_file(write_config(tmp_path, quadrature_order=512))
+        assert analytics_only.fingerprint == base.fingerprint
 
     def test_fingerprint_names_the_order_rule(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
@@ -148,13 +157,27 @@ class TestSolveCommand:
         counts = [int(line.rsplit(",", 1)[1].split()[0]) for line in cold.splitlines()]
         assert len(counts) == 3 and max(counts) > 0
 
-    def test_fingerprint_mismatch_forces_resolve(self, tmp_path):
+    def test_fingerprint_mismatch_forces_resolve(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
         assert main(["solve", "--config", str(path)]) == 0
-        other = write_config(tmp_path, quadrature_order=300)
-        cfg = RunConfig.from_file(other)
-        solved = solve_all(cfg)
-        assert any(s.iterations_used > 0 for _, s in solved)
+        other = write_config(tmp_path, residual_tol=1e-13)
+        calls = []
+
+        def counting(bands, *args, **kwargs):
+            calls.append(bands.generation)
+            return solver.solve_generation(bands, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_generation", counting)
+        solve_all(RunConfig.from_file(other))
+        assert calls == [1, 2, 3]
+
+    def test_analytics_order_reuses_records(self, tmp_path, capsys, monkeypatch):
+        # with auto_refine on no record depends on quadrature_order, so a
+        # capacity run at another order must not solve again
+        assert main(["capacity", "--config", str(write_config(tmp_path, n_max=4))]) == 0
+        monkeypatch.setattr(cli, "solve_generation", _solver_must_not_run)
+        path = write_config(tmp_path, n_max=4, quadrature_order=128)
+        assert main(["capacity", "--config", str(path)]) == 0
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, ifs=[[1.2, -1.0], [1 / 3, 1.0]])
@@ -244,6 +267,33 @@ class TestFiguresCommand:
             assert values[-1] == pytest.approx(1.0, abs=1e-9)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("auto_refine", [True, False])
+    def test_jacobian_rows_use_the_solver_rules(self, tmp_path, monkeypatch, auto_refine):
+        orders = []
+
+        def recording(i, bands, vars, rule, *args):
+            orders.append(rule.order)
+            return gap_jacobian_row(i, bands, vars, rule, *args)
+
+        monkeypatch.setattr(cli, "gap_jacobian_row", recording)
+        path = write_config(tmp_path, auto_refine=auto_refine)
+        assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 0
+        bands = generate_bands(validate(IfsSystem.from_pairs(BASE_CONFIG["ifs"])), 3)
+        if auto_refine:
+            want = [refined_order(bands, ("gap", i)) for i in range(bands.n_gaps)]
+        else:
+            want = [BASE_CONFIG["quadrature_order"]] * bands.n_gaps
+        assert orders == want
+
+    def test_jacobian_collision_exit_code(self, tmp_path, capsys, monkeypatch):
+        def always_collides(*args, **kwargs):
+            raise ExactNodeCollision("forced")
+
+        monkeypatch.setattr(cli, "gap_jacobian_row", always_collides)
+        path = write_config(tmp_path)
+        assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 3
+        assert "generation 3" in capsys.readouterr().err
+
     def test_unknown_figure_name(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["figures", "--config", str(path), "--which", "fig42"]) == 2
@@ -310,3 +360,37 @@ class TestSolutionCache:
         cache.store({"generation": 1, "fingerprint": "aaa"})
         assert cache.load(1, "bbb") is None
         assert cache.load(1, "aaa") is not None
+
+
+def _bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPatchPoints:
+    # the traced benchmark wraps package functions by attribute name and
+    # reads counts from their parameters by name; a renamed function or
+    # parameter must fail here, not only in the benchmark's self-test
+    COUNTED = ("kernel.gap_integral", "kernel.gap_jacobian_row", "kernel.band_integral",
+               "solver.solve_generation", "analytics.mean_potential_on_attractor_points",
+               "cli.SolutionCache.store", "cli.SolutionCache.load")
+
+    def test_capacity_run_counts_every_span(self, tmp_path, capsys):
+        tracer = _bench_tracer()
+        trace = tracer.Tracer()
+        path = write_config(tmp_path, n_max=4, quadrature_order=64, sample_count=64)
+        tracer.install(trace, cli, solver, analytics)
+        try:
+            assert main(["capacity", "--config", str(path)]) == 0
+        finally:
+            trace.restore()
+        names = {span.name for span in trace.spans}
+        assert set(self.COUNTED) <= names
+        assert "kernel.kernel_log_magnitude" not in names
+        for span in trace.spans:
+            if span.name in self.COUNTED and span.error is None:
+                assert span.counts, span.name
+        assert cli.solve_generation is solver.solve_generation

@@ -5,7 +5,6 @@ import pytest
 
 from equimeasure.geometry import (
     AffineMap,
-    DegenerateInterval,
     DuplicateFixedPoints,
     GenerationTooLarge,
     IfsSystem,
@@ -13,7 +12,6 @@ from equimeasure.geometry import (
     InvalidIfs,
     NotContractive,
     OverlappingImages,
-    affine_to_unit,
     generate_bands,
     hull,
     validate,
@@ -56,6 +54,8 @@ def test_hull():
     tern = validate(IfsSystem.from_pairs([(1 / 3, -1), (1 / 3, 1)]))
     assert hull(tern) == Interval(-1.0, 1.0)
     assert hull(IfsSystem.from_pairs([(1 / 2, 0), (1 / 4, 10)])) == Interval(0.0, 10.0)
+    with pytest.raises(ValueError):
+        Interval(1.0, 1.0)
 
 
 def test_bands_generation_one_ternary(ternary):
@@ -184,34 +184,6 @@ def test_generation_width_floor():
 def test_generation_negative_rejected(ternary):
     with pytest.raises(ValueError):
         generate_bands(ternary, -1)
-
-
-def test_affine_to_unit_examples():
-    u = affine_to_unit(Interval(-1.0, 1.0))
-    assert (u.a, u.b) == (1.0, 0.0)
-    u = affine_to_unit(Interval(0.0, 2.0))
-    assert (u.a, u.b) == (1.0, -1.0)
-    u = affine_to_unit(Interval(-1 / 3, 1 / 3))
-    assert u.a == pytest.approx(3.0, rel=1e-15)
-    assert u.b == pytest.approx(0.0, abs=1e-15)
-
-
-def test_affine_to_unit_roundtrip_and_endpoints():
-    iv = Interval(0.137, 2.718)
-    u = affine_to_unit(iv)
-    assert u(iv.lo) == pytest.approx(-1.0, abs=5e-16)
-    assert u(iv.hi) == pytest.approx(1.0, abs=5e-16)
-    for x in (-0.9, 0.0, 0.5):
-        assert u(u.inverse(x)) == pytest.approx(x, abs=1e-14)
-
-
-def test_affine_to_unit_degenerate():
-    with pytest.raises(ValueError):
-        Interval(1.0, 1.0)
-    class Fake:
-        lo, hi = 0.0, 5e-324
-    with pytest.raises(DegenerateInterval):
-        affine_to_unit(Fake())
 
 
 def test_band_system_immutable(ternary):
