@@ -13,15 +13,27 @@ record is reused on rerun only when its fingerprint (hash of the map
 parameters, residual tolerance, step clamp, evaluator, auto-refine switch,
 the name of the solver's order rule, ``kernel.ORDER_RULE``, and, with
 auto-refine off, the quadrature order) matches the active config exactly.
-The solver sizes its quadrature orders from the geometry;
-``quadrature_order`` sets the rule of the analytics (potentials and
-capacities) and, with ``auto_refine`` off, the solver's uniform rule, so
-with auto-refine on a run at another order reuses the stored records.  The
-Jacobian figure takes each gap's rule from the solver.  All files are
-written atomically (temp file + rename).  Figure data files are plain CSV
-with a header row and 17-digit floats.
+The record's ``config`` field holds exactly these fingerprinted settings,
+so a reused record cannot disagree with the run that reads it.  The solver
+sizes its quadrature orders from the geometry, and the potentials,
+capacities and integrated measures come from per-band Chebyshev series
+sized the same way; ``quadrature_order`` sets only the node table of the
+point path (``method="nodes"``) and, with ``auto_refine`` off, the
+solver's uniform rule, so with auto-refine on a run at another order reuses
+the stored records.  The Jacobian figure takes each gap's rule from the
+solver.  All files are written atomically (temp file + rename).  Figure
+data files are plain CSV with a header row and 17-digit floats.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 I/O error.
+Exit codes, each failure with a one-line message on stderr:
+
+- 0 success;
+- 2 config error, including a bad ``--points`` spec;
+- 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
+  (no convergence, singular Jacobian, node collisions), or a capacity fit
+  over non-monotone potentials (``NonMonotoneInput``), a point-path node
+  collision that survives every order bump (``PersistentCollision``) or a
+  point off the hull or the bands (``OutOfHull``);
+- 4 I/O error.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +53,8 @@ import numpy as np
 from .analytics import (
     MIN_CAPACITY_GENERATIONS,
     NonMonotoneInput,
+    OutOfHull,
+    PersistentCollision,
     capacity_estimate,
     fit_exponential,
     integrated_measure_at,
@@ -99,11 +113,13 @@ _KNOWN_KEYS = {
 class RunConfig:
     """One experiment: the system, depth, tolerances and output options.
 
-    ``quadrature_order`` is the order of :attr:`rule`, the Gauss-Chebyshev
-    rule of every potential and capacity evaluation, and the solver's
-    uniform order when ``auto_refine`` is off.  With ``auto_refine`` on
-    (the default) the solver gives each gap and band its own order from
-    the geometry.
+    ``quadrature_order`` is the order of :attr:`rule`, the uniform node
+    table of the point path (``potential_at(..., method="nodes")``, the
+    ``V_point`` column of the capacity table), and the solver's uniform
+    order when ``auto_refine`` is off.  Every other potential, capacity and
+    integrated measure comes from per-band Chebyshev series whose orders
+    follow the geometry, as do the solver's orders with ``auto_refine`` on
+    (the default).
     """
 
     ifs: IfsSystem
@@ -120,7 +136,6 @@ class RunConfig:
     fit_window: int = 4
     output_dir: Path = Path("out")
     cache: bool = True
-    raw: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -202,7 +217,7 @@ class RunConfig:
                    residual_tol=tol, max_iterations=max_it, step_clamp=clamp,
                    evaluator=evaluator, auto_refine=refine, sample_count=samples,
                    point_x=point_x, x_grid=x_grid, fit_window=fit_window,
-                   output_dir=outdir, cache=use_cache, raw=raw)
+                   output_dir=outdir, cache=use_cache)
 
     @property
     def solver_config(self) -> SolverConfig:
@@ -213,14 +228,14 @@ class RunConfig:
         )
 
     @property
-    def fingerprint(self) -> str:
-        """Hash of every setting that a stored record depends on.
+    def numerics(self) -> dict:
+        """Every setting that a stored record depends on.
 
         ``quadrature_order`` counts only with ``auto_refine`` off: with it
-        on, the solver sizes its own orders and the analytics rule leaves
+        on, the solver sizes its own orders and the point-path table leaves
         the records untouched.
         """
-        payload = {
+        numerics = {
             "ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
             "residual_tol": self.residual_tol,
             "step_clamp": self.step_clamp,
@@ -229,8 +244,13 @@ class RunConfig:
             "numerics": ORDER_RULE,
         }
         if not self.auto_refine:
-            payload["quadrature_order"] = self.quadrature_order
-        text = json.dumps(payload, sort_keys=True)
+            numerics["quadrature_order"] = self.quadrature_order
+        return numerics
+
+    @property
+    def fingerprint(self) -> str:
+        """Hash of :attr:`numerics`; records are reused only when it matches."""
+        text = json.dumps(self.numerics, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
     @property
@@ -276,7 +296,7 @@ def _record_from_solution(cfg: RunConfig, bands: BandSystem,
     return {
         "generation": sol.generation,
         "fingerprint": cfg.fingerprint,
-        "config": cfg.raw,
+        "config": cfg.numerics,
         "bands": [[a, b] for a, b in zip(bands.alphas, bands.betas)],
         "gaps": [[lo, hi] for lo, hi in zip(bands.gap_los, bands.gap_his)],
         "genealogy": list(bands.genealogy),
@@ -502,14 +522,14 @@ def cmd_capacity(cfg: RunConfig) -> int:
 
 
 def _parse_points(spec: str) -> np.ndarray:
-    if os.path.exists(spec):
-        values = [float(line) for line in Path(spec).read_text().split()]
-        return np.array(values)
-    parts = spec.split(":")
-    if len(parts) == 3:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(lo, hi, count)
-    raise ConfigError([f"--points must be a file or lo:hi:count, got {spec!r}"])
+    try:
+        if os.path.exists(spec):
+            return np.array([float(v) for v in Path(spec).read_text().split()])
+        lo, hi, count = spec.split(":")
+        return np.linspace(float(lo), float(hi), int(count))
+    except ValueError as exc:
+        raise ConfigError([f"--points must be a file of numbers or lo:hi:count, "
+                           f"got {spec!r} ({exc})"]) from exc
 
 
 def cmd_potential(cfg: RunConfig, points_spec: str) -> int:
@@ -559,6 +579,9 @@ def main(argv=None) -> int:
         return 2
     except SolverError as exc:
         print(f"solver failed at generation {exc.generation}: {exc}", file=sys.stderr)
+        return 3
+    except (NonMonotoneInput, PersistentCollision, OutOfHull) as exc:
+        print(f"analytics failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

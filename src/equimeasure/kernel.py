@@ -30,9 +30,10 @@ equations.  Both agree to ~1e-12 relative.
 
 Every integral takes its Gauss-Chebyshev rule as an argument.  The solver
 sizes one rule per gap and per band from the geometry
-(:func:`refined_order`), a few dozen nodes for most intervals;
-``quadrature_order`` sets the uniform rule of the analytics and of the
-solver when auto-refinement is off.
+(:func:`refined_order`), a few dozen nodes for most intervals, and the
+analytics size their per-band Chebyshev series from it too;
+``quadrature_order`` sets the node table of the point path and the uniform
+rule of the solver when auto-refinement is off.
 
 All functions are pure; results depend only on the arguments, and node
 sums always run in the fixed node order, so values are reproducible.
@@ -369,8 +370,9 @@ def refined_order(bands: BandSystem, frame: tuple[str, int],
     rounded up to an even number, so that no node sits at the interval's
     midpoint, where symmetric systems put their roots.  With
     auto-refinement on, the solver takes every gap and band order from
-    here; ``quadrature_order`` then only sets the analytics rule and the
-    uniform rule of the ``auto_refine=False`` path.
+    here, and the analytics sample each band's density at twice the band's
+    order; ``quadrature_order`` then only sets the point path's node table
+    and the uniform rule of the ``auto_refine=False`` path.
     """
     kind, i = frame
     if kind == "gap":

@@ -93,10 +93,13 @@ class SolverConfig:
 class EquilibriumSolution:
     """Converged roots and derived measure data for one generation.
 
-    ``_density_tables`` is a memo owned by :mod:`~equimeasure.analytics`:
-    the read-only node positions and weighted densities of every band,
-    keyed by quadrature order, built on first use and shared by every later
-    potential evaluation on this solution.
+    ``_band_series`` and ``_density_tables`` are memos owned by
+    :mod:`~equimeasure.analytics`, built on first use and read-only:
+    ``_band_series`` holds the per-band Chebyshev coefficients of the
+    density, from which every potential and integrated measure on this
+    solution is evaluated; ``_density_tables`` holds, per quadrature order,
+    the node positions and weighted densities of the plain node sum
+    (``method="nodes"``), filled from those coefficients.
     """
 
     generation: int
@@ -108,6 +111,8 @@ class EquilibriumSolution:
     initial_residuals: np.ndarray = field(repr=False, default=None)
     _density_tables: dict = field(default_factory=dict, init=False, repr=False,
                                   compare=False)
+    _band_series: np.ndarray = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def lambdas(self) -> np.ndarray:

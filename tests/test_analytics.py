@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from equimeasure import analytics
@@ -10,9 +11,10 @@ from equimeasure.analytics import (
     CapacityEstimate,
     NonMonotoneInput,
     OutOfHull,
+    _band_series,
+    _chebyshev_series,
     _density_table,
-    _panel,
-    _singular_band_potentials,
+    _series_potentials,
     _theta_of,
     capacity_estimate,
     fit_exponential,
@@ -68,6 +70,25 @@ class TestIntegratedMeasure:
         values = [integrated_measure_at(float(x), s, b) for x in grid]
         assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("run,gen", [("ternary_run", 3), ("asym_run", 4)])
+    def test_matches_angular_quadrature(self, request, run, gen):
+        # inside band i the partial measure is (1/pi) int_{theta_x}^pi F
+        # dtheta; a 64-node Gauss-Legendre rule on [theta_x, pi] is an
+        # independent route to it
+        bands, sols = request.getfixturevalue(run)
+        b, s = bands[gen - 1], sols[gen - 1]
+        nodes, weights = leggauss(64)
+        for i in (0, b.n_bands // 2, b.n_bands - 1):
+            lo, hi = float(b.alphas[i]), float(b.betas[i])
+            below = float(s.Omegas[i - 1]) if i else 0.0
+            for t in (0.01, 0.3, 0.5, 0.77, 0.99):
+                x = lo + t * (hi - lo)
+                theta = float(_theta_of(x, lo, hi))
+                half = 0.5 * (math.pi - theta)
+                f = kernel_band(np.cos(theta + half * (nodes + 1.0)), i, b, s.vars)
+                want = below + half * float(weights @ f) / math.pi
+                assert integrated_measure_at(x, s, b) == pytest.approx(want, abs=1e-14), (i, t)
+
     def test_out_of_hull(self, ternary_run):
         bands, sols = ternary_run
         with pytest.raises(OutOfHull):
@@ -78,7 +99,16 @@ class TestPotential:
     def test_single_band_log2_at_origin(self, trivial_band, rule2048):
         b0, s0 = trivial_band
         assert potential_at(0.0, s0, b0, rule2048) == pytest.approx(
-            math.log(2.0), abs=1e-8)
+            math.log(2.0), abs=1e-14)
+
+    @pytest.mark.parametrize("z", [0.3 + 0.2j, -0.7 + 1e-12j, 0.5 - 1e-8j, 1.5j,
+                                   1.0 + 1e-10j, -2.0 + 0j, -1.0 - 1e-10, 1.0 + 1e-13,
+                                   3.0, 1e3 + 1e3j])
+    def test_single_band_closed_form_off_the_set(self, trivial_band, rule2048, z):
+        # the arcsine measure of [-1, 1] has V(z) = log 2 - Re arccosh(z)
+        b0, s0 = trivial_band
+        want = math.log(2.0) - float(np.arccosh(complex(z)).real)
+        assert potential_at(z, s0, b0, rule2048) == pytest.approx(want, abs=1e-14)
 
     def test_single_band_constant_on_set(self, trivial_band, rule2048):
         # the singular term's moment is the constant 2 pi log 2 for every
@@ -94,20 +124,37 @@ class TestPotential:
         # accurate on-set path against the closed form
         for z in (X_STAR, -0.7, 0.5, 0.999):
             assert potential_at(z, s, b, rule2048) == pytest.approx(
-                TWO_BAND_POTENTIAL, abs=1e-9)
+                TWO_BAND_POTENTIAL, abs=1e-14)
         # plain node path carries the O(1/K) on-set coarseness
         v_nodes = potential_at(X_STAR, s, b, rule2048, method="nodes")
         assert v_nodes == pytest.approx(TWO_BAND_POTENTIAL, abs=5e-4)
         assert abs(v_nodes - TWO_BAND_POTENTIAL) > 1e-5
 
     def test_band_endpoints_closed_form(self, ternary_run, rule2048):
-        # at theta_z = 0 or pi the mirrored log term is singular as well
         bands, sols = ternary_run
         b, s = bands[0], sols[0]
         ends = [b.alphas[0], b.betas[0], b.alphas[1], b.betas[1]]
-        for z in [float(e) for e in ends] + [-1.0 + 1e-8]:
+        for z in [float(e) for e in ends] + [-1.0 + 1e-8, math.nextafter(ends[2], 1.0)]:
             assert potential_at(z, s, b, rule2048) == pytest.approx(
-                TWO_BAND_POTENTIAL, abs=1e-9), z
+                TWO_BAND_POTENTIAL, abs=1e-14), z
+
+    @pytest.mark.parametrize("y", [1e-12, 1e-8])
+    def test_complex_point_next_to_a_band(self, ternary_run, rule2048, y):
+        # V(x + iy) = V_c - g, and the Green's function g grows like
+        # pi * density(x) * y, below 2y at x = -0.7 on generation 1
+        bands, sols = ternary_run
+        v = potential_at(-0.7 + 1j * y, sols[0], bands[0], rule2048)
+        assert 0.0 < TWO_BAND_POTENTIAL - v <= 2.0 * y
+
+    def test_far_points_match_the_node_sum(self, asym_run, rule2048):
+        # far from every band the plain node sum converges geometrically;
+        # on either side of the hull the series must not lose digits
+        bands, sols = asym_run
+        for b, s in zip(bands[:5], sols[:5]):
+            for z in (-4.0, -1.5, 1.5, 4.0, 0.2 + 2.0j):
+                nodes = potential_at(z, s, b, rule2048, method="nodes")
+                assert potential_at(z, s, b, rule2048) == pytest.approx(
+                    nodes, abs=1e-14), (b.generation, z)
 
     @pytest.mark.parametrize("d", [0.0, 1e-16, 1e-13, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
     def test_just_outside_a_band_matches_green_function(self, ternary_run, rule2048, d):
@@ -194,8 +241,37 @@ class TestMeanPotential:
         assert values.std() < 1e-8
 
 
+class TestSpectralSeries:
+    def test_on_set_spread(self, ternary_run, asym_run):
+        # V is constant on the bands: sampled values and every band end
+        # agree to roundoff (ternary) or to the solve tolerance (asym)
+        for (bands, sols), depth, bound in ((ternary_run, 7, 1e-13), (asym_run, 9, 2e-11)):
+            pts = sample_points(bands[depth - 1], 1024)
+            for b, s in zip(bands[:depth], sols[:depth]):
+                xs = np.concatenate([pts, b.alphas, b.betas])
+                v = _series_potentials(xs, _band_series(s), b)
+                assert v.max() - v.min() <= bound, (b.generation, v.max() - v.min())
+
+    def test_doubling_the_order_moves_no_mean(self, asym_run, monkeypatch):
+        bands, sols = asym_run
+        pts = sample_points(bands[-1], 1024)
+        base = [np.mean(_series_potentials(pts, _band_series(s), b))
+                for b, s in zip(bands, sols)]
+        monkeypatch.setattr(analytics, "SERIES_OVERSAMPLING", 2 * analytics.SERIES_OVERSAMPLING)
+        for b, s, v in zip(bands, sols, base):
+            finer = np.mean(_series_potentials(pts, _chebyshev_series(b, s.vars), b))
+            assert abs(finer - v) <= 1e-14, (b.generation, finer - v)
+
+    def test_leading_coefficient_is_the_band_measure(self, asym_run):
+        bands, sols = asym_run
+        for b, s in zip(bands[:6], sols[:6]):
+            assert np.max(np.abs(_band_series(s)[:, 0] - s.omegas)) <= 1e-15
+
+
 class TestDensityTableMemo:
     def test_second_call_builds_no_table(self, ternary_run, rule2048, monkeypatch):
+        # the coefficients take one kernel call per band; after that no
+        # potential or integrated measure evaluates the kernel again
         bands, sols = ternary_run
         b, s = bands[2], dataclasses.replace(sols[2])  # same roots, empty memo
         calls = []
@@ -205,22 +281,24 @@ class TestDensityTableMemo:
             return kernel_band(*args)
 
         monkeypatch.setattr(analytics, "kernel_band", counting)
-        first = potential_at(0.0, s, b, rule2048)  # in a gap: table only
-        assert len(calls) == b.n_bands
+        first = potential_at(0.0, s, b, rule2048)
+        assert calls == list(range(b.n_bands))
         calls.clear()
         assert potential_at(0.0, s, b, rule2048) == first
+        potential_at(X_STAR, s, b, rule2048)
+        potential_at(0.4 + 0.3j, s, b, rule2048)
+        potential_at(X_STAR, s, b, rule2048, method="nodes")
+        potential_at(X_STAR, s, b, QuadratureRule.chebyshev(64), method="nodes")
+        mean_potential_on_attractor_points(s, b, 64, rule2048)
+        for x in (-1.0, X_STAR, 0.0, 0.5, 1.0):
+            integrated_measure_at(x, s, b)
         assert calls == []
-        on_band = potential_at(X_STAR, s, b, rule2048)
-        assert calls == [0]  # only the host band's singular term
-        calls.clear()
-        assert potential_at(X_STAR, s, b, rule2048) == on_band
-        assert calls == [0]
 
     def test_read_only_and_one_entry_per_order(self, ternary_run, rule2048):
         bands, sols = ternary_run
         b, s = bands[1], dataclasses.replace(sols[1])
         positions, weighted = _density_table(s, b, rule2048)
-        for arr in (positions, weighted):
+        for arr in (positions, weighted, _band_series(s)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
@@ -228,6 +306,18 @@ class TestDensityTableMemo:
         assert coarse[0].shape == coarse[1].shape == (b.n_bands, 64)
         assert _density_table(s, b, rule2048)[1] is weighted
         assert sorted(s._density_tables) == [64, 2048]
+
+    @pytest.mark.parametrize("order", [1, 5, 8, 63, 64, 65, 67, 2048])
+    def test_table_densities_match_the_kernel(self, asym_run, order):
+        # orders below the series length take every m-th node of an odd
+        # multiple m of the order
+        bands, sols = asym_run
+        b, s = bands[3], dataclasses.replace(sols[3])
+        rule = QuadratureRule.chebyshev(order)
+        _, weighted = _density_table(s, b, rule)
+        want = np.array([rule.weights * kernel_band(rule.nodes, i, b, s.vars)
+                         for i in range(b.n_bands)])
+        assert np.max(np.abs(weighted - want) / want) <= 1e-13
 
 
 def _green(x, end, bands, solution):
@@ -245,8 +335,17 @@ def _green(x, end, bands, solution):
     return value
 
 
+_PANEL_NODES, _PANEL_WEIGHTS = leggauss(128)
+
+
+def _panel(a, b):
+    mid, half = 0.5 * (b + a), 0.5 * (b - a)
+    return mid + half * _PANEL_NODES, half * _PANEL_WEIGHTS
+
+
 def _reference_singular(z, b, solution, bands):
-    """The on-band term for one point with its own kernel call (reference)."""
+    """The on-band term of one point by singularity subtraction on Legendre
+    panels split at the point (oracle; good to a few 1e-10)."""
     lo, hi = bands.alphas[b], bands.betas[b]
     theta_z = _theta_of(float(z), lo, hi)
     c = math.cos(theta_z)
@@ -266,50 +365,38 @@ def _reference_singular(z, b, solution, bands):
     return (i_const + i_plus + i_minus + f_z * (2.0 * math.pi * log2)) / math.pi
 
 
-def _reference_mean(solution, bands, sample_count, rule, sample_bands):
-    """Mean potential with a fresh table, fresh 32-row temporaries and one
-    singular term per point (reference)."""
-    pts = sample_points(sample_bands, sample_count)
+def _reference_potentials(pts, solution, bands, rule):
+    """Potentials at on-set points: plain node sums of a fresh table over the
+    other bands, the panel term over the host band (oracle)."""
     positions = np.array([_from_frame(rule.nodes, lo, hi)
                           for lo, hi in zip(bands.alphas, bands.betas)])
     weighted = np.array([rule.weights * kernel_band(rule.nodes, i, bands, solution.vars)
                          for i in range(bands.n_bands)])
-    flat_pos, flat_w = positions.ravel(), weighted.ravel()
     hosts = np.searchsorted(bands.alphas, pts, side="right") - 1
-    totals = np.empty(pts.size)
-    for start in range(0, pts.size, 32):
-        sl = slice(start, min(start + 32, pts.size))
-        d = np.abs(pts[sl, None] - flat_pos[None, :])
-        totals[sl] = -(np.log(np.maximum(d, 1e-300)) @ flat_w)
     values = []
-    for j, z in enumerate(pts):
-        b = int(hosts[j])
-        own = -float(np.log(np.maximum(np.abs(z - positions[b]), 1e-300)) @ weighted[b])
-        values.append(totals[j] - own + _reference_singular(z, b, solution, bands))
-    return float(np.mean(values))
+    for z, b in zip(pts, hosts):
+        shares = -np.sum(weighted * np.log(np.maximum(np.abs(z - positions), 1e-300)), axis=1)
+        shares[b] = _reference_singular(z, int(b), solution, bands)
+        values.append(float(np.sum(shares)))
+    return np.array(values)
 
 
-class TestStreamedMeanPath:
+class TestPanelOracle:
+    # the panels converge only algebraically at the split point: per point
+    # they are off by up to 9.5e-10 (asym n=1), in the mean by up to 1.9e-10
     @pytest.mark.parametrize("run,depth", [("ternary_run", 5), ("asym_run", 4)])
     def test_matches_per_point_reference(self, request, rule2048, run, depth):
-        # 250 points: the last block of the streamed sum is a partial one
         bands, sols = request.getfixturevalue(run)
+        pts = sample_points(bands[depth - 1], 250)
         for b, s in zip(bands[:depth], sols[:depth]):
-            got = mean_potential_on_attractor_points(s, b, 250, rule2048,
-                                                     sample_bands=bands[depth - 1])
-            want = _reference_mean(s, b, 250, rule2048, bands[depth - 1])
-            assert abs(got - want) <= 2e-15, (b.generation, got - want)
-
-    @pytest.mark.parametrize("run,gen", [("ternary_run", 3), ("asym_run", 3)])
-    def test_batched_singular_terms_are_bitwise(self, request, run, gen):
-        bands, sols = request.getfixturevalue(run)
-        b, s = bands[gen - 1], sols[gen - 1]
-        for i in (0, b.n_bands - 1):
-            lo, hi = float(b.alphas[i]), float(b.betas[i])
-            xs = np.concatenate([[lo, hi], _from_frame(np.linspace(-0.99, 0.99, 37), lo, hi)])
-            batched = _singular_band_potentials(xs, i, s, b)
-            single = np.array([_reference_singular(x, i, s, b) for x in xs])
-            assert np.array_equal(batched, single)
+            lo, hi = b.alphas[[0, -1]], b.betas[[0, -1]]
+            xs = np.concatenate([pts, lo, hi])
+            want = _reference_potentials(xs, s, b, rule2048)
+            got = _series_potentials(xs, _band_series(s), b)
+            assert np.max(np.abs(got - want)) <= 2e-9, (b.generation, got - want)
+            mean = mean_potential_on_attractor_points(s, b, 250, rule2048,
+                                                      sample_bands=bands[depth - 1])
+            assert abs(mean - np.mean(want[:pts.size])) <= 5e-10
 
 
 class TestFitExponential:

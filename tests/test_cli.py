@@ -179,6 +179,19 @@ class TestSolveCommand:
         path = write_config(tmp_path, n_max=4, quadrature_order=128)
         assert main(["capacity", "--config", str(path)]) == 0
 
+    def test_record_config_is_the_fingerprinted_numerics(self, tmp_path, capsys):
+        # a record reused at another analytics order names no order that
+        # could disagree with the run reading it
+        assert main(["capacity", "--config",
+                     str(write_config(tmp_path, n_max=4, quadrature_order=256))]) == 0
+        path = write_config(tmp_path, n_max=4, quadrature_order=128)
+        assert main(["capacity", "--config", str(path)]) == 0
+        record = json.loads((tmp_path / "out" / "gen_4.json").read_text())
+        assert "quadrature_order" not in record["config"]
+        assert record["config"] == RunConfig.from_file(path).numerics
+        uniform = RunConfig.from_file(write_config(tmp_path, auto_refine=False))
+        assert uniform.numerics["quadrature_order"] == 256
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, ifs=[[1.2, -1.0], [1 / 3, 1.0]])
         assert main(["solve", "--config", str(path)]) == 2
@@ -344,8 +357,50 @@ class TestPotentialCommand:
 
     def test_bad_points_spec(self, tmp_path, capsys):
         path = write_config(tmp_path, n_max=2)
-        assert main(["potential", "--config", str(path),
-                     "--points", "whatever"]) == 2
+        for spec in ("whatever", "0:1:x", "0:1:2.5", "0:y:3", "0:1:-2", "0:1:3:4"):
+            assert main(["potential", "--config", str(path), "--points", spec]) == 2, spec
+            assert "--points" in capsys.readouterr().err
+
+    def test_bad_points_file(self, tmp_path, capsys):
+        pts = tmp_path / "points.txt"
+        pts.write_text("0.0\nhalf\n")
+        path = write_config(tmp_path, n_max=2)
+        assert main(["potential", "--config", str(path), "--points", str(pts)]) == 2
+        assert "--points" in capsys.readouterr().err
+
+
+class TestAnalyticsErrors:
+    # analytics failures leave main with exit code 3 and one line on stderr
+    def _capacity(self, tmp_path, capsys):
+        path = write_config(tmp_path, n_max=4, sample_count=32)
+        code = main(["capacity", "--config", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_non_monotone_fit(self, tmp_path, capsys, monkeypatch):
+        def non_monotone(points):
+            raise analytics.NonMonotoneInput("successive differences change sign")
+
+        monkeypatch.setattr(analytics, "fit_exponential", non_monotone)
+        code, err = self._capacity(tmp_path, capsys)
+        assert code == 3
+        assert err.strip() == ("analytics failed: NonMonotoneInput: "
+                               "successive differences change sign")
+
+    def test_persistent_collision(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analytics, "_collides", lambda *args: True)
+        code, err = self._capacity(tmp_path, capsys)
+        assert code == 3
+        assert err.startswith("analytics failed: PersistentCollision: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_out_of_hull(self, tmp_path, capsys, monkeypatch):
+        # sample points in the central gap lie on no band
+        monkeypatch.setattr(analytics, "sample_points",
+                            lambda bands, count: np.zeros(count))
+        code, err = self._capacity(tmp_path, capsys)
+        assert code == 3
+        assert err.startswith("analytics failed: OutOfHull: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSolutionCache:

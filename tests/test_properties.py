@@ -1,12 +1,26 @@
-"""Solver properties over random valid affine systems (hypothesis)."""
+"""Solver and analytics properties over random valid affine systems (hypothesis)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equimeasure import IfsSystem, SolverConfig, hierarchical_solve, validate
+from equimeasure import (
+    IfsSystem,
+    QuadratureRule,
+    SolverConfig,
+    hierarchical_solve,
+    integrated_measure_at,
+    potential_at,
+    sample_points,
+    validate,
+)
 
 TOL = 1e-13
+# on-set spread of the potential and the largest decrease allowed between
+# grid values of the integrated measure (over 80 random examples the worst
+# spread was 2.7e-13 and no step decreased)
+SPREAD = 1e-11
+STEP = 1e-15
 
 
 @st.composite
@@ -43,3 +57,19 @@ def test_measure_roots_and_order_paths(case):
         assert np.all(s.vars.zetas > bands.gap_los)
         assert np.all(s.vars.zetas < bands.gap_his)
         assert np.max(np.abs(s.lambdas - u.lambdas)) <= 1e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_potential_constant_on_the_set_and_staircase_monotone(case):
+    ifs, n_max = case
+    rule = QuadratureRule.chebyshev(64)
+    for s in hierarchical_solve(ifs, n_max, SolverConfig(residual_tol=TOL)):
+        bands = s.vars.bands
+        xs = np.concatenate([sample_points(bands, 4 * bands.n_bands), bands.alphas,
+                             bands.betas])
+        v = np.array([potential_at(float(x), s, bands, rule) for x in xs])
+        assert v.max() - v.min() <= SPREAD, (bands.generation, v.max() - v.min())
+        grid = np.linspace(bands.hull.lo, bands.hull.hi, 201)
+        omegas = np.array([integrated_measure_at(float(x), s, bands) for x in grid])
+        assert np.min(np.diff(omegas)) >= -STEP, (bands.generation, np.min(np.diff(omegas)))
