@@ -38,6 +38,10 @@ builds equilibrium measures of interval unions the same way.  The
 integrated measure inside a band is closed-form too (see
 :func:`integrated_measure_at`).
 
+:func:`potential_at` and :func:`integrated_measure_at` evaluate an array of
+points in one blockwise pass; a scalar is a one-point array and gives a
+``float``.  Each value depends on its own point alone.
+
 The plain node sum remains available as ``method="nodes"``, the published
 point path: a uniform Gauss-Chebyshev table of ``rule.order`` nodes per
 band, with ``F`` at its nodes taken from the same series.  Its error is the
@@ -72,6 +76,11 @@ NODE_COLLISION_RTOL = 1e-12
 # n = 1); at twice it the spread is at roundoff, and doubling again moves
 # no mean potential by more than ~1e-16.
 SERIES_OVERSAMPLING = 2
+
+# Elements per (point, band) or (point, coefficient) temporary, however
+# many points a caller passes: the mean path (L = 4096, N = 128) runs within
+# 6% of its fastest, and 200 000 points at n = 7 peak 6% above 101 points.
+_BLOCK_ELEMS = 1 << 14
 
 # The capacity extrapolation fits three parameters and needs one more
 # generation than that to be a fit.
@@ -184,7 +193,7 @@ def _theta_of(x, lo, hi):
 
 
 def _series_potentials(zs, coeffs: np.ndarray, bands: BandSystem) -> np.ndarray:
-    """``V(z)`` at points ``zs`` (all real, or complex) from per-band series.
+    """``V(z)`` at the points of the 1-D array ``zs`` from per-band series.
 
     Every (point, band) pair gets ``rho`` from the larger-modulus root of
     the module docstring and its share by Horner's rule, except a real
@@ -193,29 +202,30 @@ def _series_potentials(zs, coeffs: np.ndarray, bands: BandSystem) -> np.ndarray:
     """
     zs = np.asarray(zs)
     width = bands.band_widths
-    wm1 = 2.0 * (zs[:, None] - bands.betas) / width  # w - 1 in every band's frame
-    wp1 = 2.0 * (zs[:, None] - bands.alphas) / width  # w + 1
-    w = 0.5 * (wm1 + wp1)
-    r = np.sqrt(wm1 + 0j) * np.sqrt(wp1 + 0j)
-    s = np.where(np.abs(w + r) >= np.abs(w - r), w + r, w - r)
-    log_2rho = math.log(2.0) - np.log(np.abs(s))
-    rho = 1.0 / s
+    log_a = np.log(2.0 / width)
     j = np.arange(1, coeffs.shape[1])
     d = coeffs[:, 1:] / j
-
-    on = host = np.zeros(0, dtype=int)
-    if np.isrealobj(zs):
-        rho = rho.real
-        hosts = _hosts(bands, zs)
-        on = np.flatnonzero(hosts >= 0)
-        host = hosts[on]
-        rho[on, host] = 0.0
-        log_2rho[on, host] = math.log(2.0)
-    values = (coeffs[:, 0] * (np.log(2.0 / width) + log_2rho)).sum(axis=1)
-    values += _horner(rho, d).real.sum(axis=1)
-    if on.size:
-        theta = _theta_of(zs[on], bands.alphas[host], bands.betas[host])
-        values[on] += np.sum(np.cos(np.outer(theta, j)) * d[host], axis=1)
+    values = np.empty(zs.shape)
+    step = max(1, _BLOCK_ELEMS // max(d.shape))
+    for block in (slice(k, k + step) for k in range(0, zs.size, step)):
+        z = zs[block]
+        host = np.where(z.imag == 0.0, _hosts(bands, z.real), -1)
+        wm1 = 2.0 * (z[:, None] - bands.betas) / width  # w - 1 in every band's frame
+        wp1 = 2.0 * (z[:, None] - bands.alphas) / width  # w + 1
+        w = 0.5 * (wm1 + wp1)
+        r = np.sqrt(wm1 + 0j) * np.sqrt(wp1 + 0j)
+        s = np.where(np.abs(w + r) >= np.abs(w - r), w + r, w - r)
+        log_2rho = math.log(2.0) - np.log(np.abs(s))
+        rho = (1.0 / s).real if np.isrealobj(zs) else 1.0 / s
+        on = np.flatnonzero(host >= 0)
+        b = host[on]
+        rho[on, b] = 0.0
+        log_2rho[on, b] = math.log(2.0)
+        v = (coeffs[:, 0] * (log_a + log_2rho)).sum(axis=1)
+        v += _horner(rho, d).real.sum(axis=1)
+        theta = _theta_of(z[on].real, bands.alphas[b], bands.betas[b])
+        v[on] += np.sum(np.cos(np.outer(theta, j)) * d[b], axis=1)
+        values[block] = v
     return values
 
 
@@ -239,53 +249,48 @@ def _density_table(solution, bands, rule):
     return table
 
 
-def _plain_sum(z, positions, weighted):
-    """``-sum w * log|z - s|`` for one (possibly complex) point."""
-    x, y = float(np.real(z)), float(np.imag(z))
-    dist_sq = (x - positions) ** 2 + y * y
-    return float(-0.5 * np.sum(weighted * np.log(dist_sq)))
-
-
 def _collides(z, positions, bands) -> bool:
     dist = np.abs(float(np.real(z)) - positions)
     return bool(np.any(dist.min(axis=1) < NODE_COLLISION_RTOL * bands.band_widths))
 
 
-def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
-                 rule: QuadratureRule, method: str = "auto") -> float:
-    """Logarithmic potential of the generation's equilibrium measure at ``z``.
-
-    ``z`` may be real or complex.  With ``method="auto"`` every band's
-    share is the closed-form log transform of its Chebyshev series (see
-    the module docstring), accurate to roundoff on, next to and away from
-    the bands, band ends and complex ``z`` included; ``rule`` is not used.
-    ``method="nodes"`` is the plain node sum over a uniform table of
-    ``rule.order`` nodes per band; if a real ``z`` falls within ``1e-12``
-    of a node (relative to the band width) the order is bumped to ``K+1``
-    then ``K+3``, and :class:`PersistentCollision` is raised when all
-    attempts collide.  The coefficients and the node table of each order
-    are built once per solution (see :func:`_band_series` and
-    :func:`_density_table`).
-    """
-    if method not in ("auto", "nodes"):
-        raise ValueError(f"unknown method {method!r}")
-    z_c = complex(z)
-    on_axis = z_c.imag == 0.0
-
-    if method == "auto":
-        zs = np.array([z_c.real]) if on_axis else np.array([z_c])
-        return float(_series_potentials(zs, _band_series(solution), bands)[0])
-
+def _node_potential(z: complex, solution, bands, rule) -> float:
+    """``-sum w * log|z - s|`` over the node table at one point, bumping the
+    order past collisions."""
     for bump in (0, 1, 3):
         attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
         positions, weighted = _density_table(solution, bands, attempt)
-        if on_axis and _collides(z_c, positions, bands):
+        if z.imag == 0.0 and _collides(z, positions, bands):
             continue
-        return _plain_sum(z_c, positions, weighted)
-    raise PersistentCollision(
-        f"point {z!r} collides with quadrature nodes at orders "
-        f"{rule.order}, {rule.order + 1}, {rule.order + 3}"
-    )
+        dist_sq = (z.real - positions) ** 2 + z.imag * z.imag
+        return float(-0.5 * np.sum(weighted * np.log(dist_sq)))
+    raise PersistentCollision(f"point {z} collides with quadrature nodes at orders "
+                              f"{rule.order}, {rule.order + 1}, {rule.order + 3}")
+
+
+def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
+                 rule: QuadratureRule, method: str = "auto"):
+    """Logarithmic potential of the generation's equilibrium measure at ``z``.
+
+    ``z`` is an array of real or complex points, or one point, which gives
+    a ``float``.  With ``method="auto"`` all points take one blockwise pass
+    of :func:`_series_potentials`, accurate to roundoff on, next to and away
+    from the bands; ``rule`` is not used.  ``method="nodes"`` is the plain
+    node sum over a uniform table of ``rule.order`` nodes per band, point
+    by point; if a real point falls within ``1e-12`` of a node (relative to
+    the band width) the order is bumped to ``K+1`` then ``K+3``, and
+    :class:`PersistentCollision` is raised when all attempts collide.  The
+    coefficients and each order's table are built once per solution.
+    """
+    if method not in ("auto", "nodes"):
+        raise ValueError(f"unknown method {method!r}")
+    zs = np.asarray(z).ravel()
+    if method == "auto":
+        values = _series_potentials(zs, _band_series(solution), bands)
+    else:
+        values = np.array([_node_potential(complex(p), solution, bands, rule)
+                           for p in zs])
+    return float(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
 
 
 def sample_points(bands: BandSystem, count: int) -> np.ndarray:
@@ -295,19 +300,19 @@ def sample_points(bands: BandSystem, count: int) -> np.ndarray:
     first ``count % n_bands`` bands receive one extra) and placed at the
     images of Chebyshev nodes inside each band, so they avoid band edges
     and are reproducible.  Points chosen in a deep generation lie inside
-    every coarser generation's bands as well.
+    every coarser generation's bands as well.  One array pass builds them.
     """
     n = bands.n_bands
     if count < n:
         raise ValueError(f"need at least one point per band ({n}), got {count}")
     base, extra = divmod(count, n)
-    chunks = []
-    for i in range(n):
-        c = base + (1 if i < extra else 0)
-        k = np.arange(1, c + 1)
-        nodes = np.cos((2 * k - 1) * np.pi / (2 * c))
-        chunks.append(_from_frame(nodes, bands.alphas[i], bands.betas[i]))
-    return np.concatenate(chunks)
+    per_band = np.full(n, base)
+    per_band[:extra] += 1
+    band = np.repeat(np.arange(n), per_band)
+    c = per_band[band]
+    k = np.arange(1, count + 1) - (np.cumsum(per_band) - per_band)[band]
+    nodes = np.cos((2 * k - 1) * np.pi / (2 * c))
+    return _from_frame(nodes, bands.alphas[band], bands.betas[band])
 
 
 def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: BandSystem,
@@ -331,29 +336,34 @@ def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: Ban
 # integrated measure
 
 
-def integrated_measure_at(x: float, solution: EquilibriumSolution,
-                          bands: BandSystem) -> float:
+def integrated_measure_at(x, solution: EquilibriumSolution, bands: BandSystem):
     """Measure of ``[hull.lo, x]`` under the equilibrium measure.
 
-    Constant on every gap (the plateau heights are the cumulative band
-    measures).  Inside band ``i`` the partial measure is ``(1/pi)
-    int_{theta_x}^pi F(cos theta) dtheta`` in the angular variable, and
-    the band's series makes it closed-form: ``c_0 (pi - theta_x) / pi -
-    sum_j c_j sin(j theta_x) / (j pi)``.
+    ``x`` is an array of points in the hull (else :class:`OutOfHull`), or
+    one point, which gives a ``float``.  Constant on every gap (the plateau
+    heights are the cumulative band measures).  Inside band ``i`` the
+    partial measure is ``(1/pi) int_{theta_x}^pi F(cos theta) dtheta`` in
+    the angular variable, and the band's series makes it closed-form:
+    ``c_0 (pi - theta_x) / pi - sum_j c_j sin(j theta_x) / (j pi)``.
     """
-    h = bands.hull
-    if not h.lo <= x <= h.hi:
-        raise OutOfHull(f"{x} outside [{h.lo}, {h.hi}]")
-    i = int(_hosts(bands, x))
-    if i < 0:
-        g = int(np.searchsorted(bands.gap_los, x, side="right")) - 1
-        return float(solution.Omegas[g])
-
-    below = float(solution.Omegas[i - 1]) if i > 0 else 0.0
-    theta = float(_theta_of(x, bands.alphas[i], bands.betas[i]))
-    c = _band_series(solution)[i]
-    j = np.arange(1, c.size)
-    return below + (c[0] * (math.pi - theta) - float((c[1:] / j) @ np.sin(j * theta))) / math.pi
+    xs, h = np.asarray(x, dtype=float).ravel(), bands.hull
+    outside = xs[~((h.lo <= xs) & (xs <= h.hi))]
+    if outside.size:
+        raise OutOfHull(f"{outside[0]} outside [{h.lo}, {h.hi}]")
+    hosts = _hosts(bands, xs)
+    values = solution.Omegas[np.searchsorted(bands.gap_los, xs, side="right") - 1]
+    on = np.flatnonzero(hosts >= 0)
+    b = hosts[on]
+    theta = _theta_of(xs[on], bands.alphas[b], bands.betas[b])
+    coeffs = _band_series(solution)
+    j = np.arange(1, coeffs.shape[1])
+    d = coeffs[:, 1:] / j
+    sines, step = np.empty(on.size), max(1, _BLOCK_ELEMS // coeffs.shape[1])
+    for block in (slice(k, k + step) for k in range(0, on.size, step)):
+        sines[block] = np.sum(np.sin(np.outer(theta[block], j)) * d[b[block]], axis=1)
+    below = np.where(b > 0, solution.Omegas[b - 1], 0.0)
+    values[on] = below + (coeffs[b, 0] * (math.pi - theta) - sines) / math.pi
+    return float(values[0]) if np.ndim(x) == 0 else values.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------

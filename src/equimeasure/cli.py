@@ -21,13 +21,16 @@ sized the same way; ``quadrature_order`` sets only the node table of the
 point path (``method="nodes"``) and, with ``auto_refine`` off, the
 solver's uniform rule, so with auto-refine on a run at another order reuses
 the stored records.  The Jacobian figure takes each gap's rule from the
-solver.  All files are written atomically (temp file + rename).  Figure
-data files are plain CSV with a header row and 17-digit floats.
+solver.  Grids are evaluated in one call per generation.  All files are
+written atomically (temp file + rename).  Figure data files are plain CSV
+with a header row and 17-digit floats.
 
 Exit codes, each failure with a one-line message on stderr:
 
 - 0 success;
-- 2 config error, including a bad ``--points`` spec;
+- 2 config error, including a bad ``--points`` spec (a grid that starts
+  with a dash needs ``--points=``) and an ``x_grid`` off the hull for
+  ``Omega_of_x`` (checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
   (no convergence, singular Jacobian, node collisions), or a capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
@@ -435,9 +438,9 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
         _write_csv(path, ["generation", "gap_index", "line_id", "Omega"], rows)
     elif which == "Omega_of_x":
         grid = _x_grid(cfg)
-        rows = [[sol.generation, float(x),
-                 integrated_measure_at(float(x), sol, bands)]
-                for bands, sol in solved for x in grid]
+        rows = [[sol.generation, x, v] for bands, sol in solved
+                for x, v in zip(grid.tolist(),
+                                integrated_measure_at(grid, sol, bands).tolist())]
         path = out / "Omega_of_x.csv"
         _write_csv(path, ["generation", "x", "Omega"], rows)
     elif which == "gapmeasure_fit":
@@ -461,9 +464,9 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
                           "fit_c"], rows)
     elif which == "potential_profile":
         grid = _x_grid(cfg)
-        rows = [[sol.generation, float(x),
-                 potential_at(float(x), sol, bands, rule)]
-                for bands, sol in solved for x in grid]
+        rows = [[sol.generation, x, v] for bands, sol in solved
+                for x, v in zip(grid.tolist(),
+                                potential_at(grid, sol, bands, rule).tolist())]
         path = out / "potential_profile.csv"
         _write_csv(path, ["generation", "x", "V"], rows)
     elif which == "capacity_table":
@@ -499,6 +502,9 @@ def cmd_figures(cfg: RunConfig, which: str) -> int:
                            f"{', '.join(FIGURE_NAMES)} or 'all'" for n in unknown])
     if "capacity_table" in names:
         _require_capacity_depth(cfg, "the capacity_table figure")
+    h, grid = hull(cfg.ifs), cfg.x_grid  # V is defined off the hull, Omega is not
+    if "Omega_of_x" in names and grid and not h.lo <= grid[0] < grid[1] <= h.hi:
+        raise ConfigError([f"Omega_of_x needs 'x_grid' inside the hull [{h.lo}, {h.hi}]"])
     solved = solve_all(cfg)
     for name in names:
         path = write_figure(cfg, name, solved)
@@ -536,9 +542,9 @@ def cmd_potential(cfg: RunConfig, points_spec: str) -> int:
     pts = _parse_points(points_spec)
     solved = solve_all(cfg)
     bands, sol = solved[-1]
-    rows = [[float(x), potential_at(float(x), sol, bands, cfg.rule)] for x in pts]
+    values = potential_at(pts, sol, bands, cfg.rule)
     path = cfg.output_dir / "potential_points.csv"
-    _write_csv(path, ["x", "V"], rows)
+    _write_csv(path, ["x", "V"], zip(pts, values))
     print(f"wrote {path}")
     return 0
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,8 +101,8 @@ class GapVariables:
     """Normalized gap roots: one ``lambda`` in (-1, 1) per gap.
 
     ``zetas`` are the same roots in original coordinates, obtained by the
-    inverse of the per-gap rescaling; ``lambda = 0`` puts the root at the
-    gap midpoint.
+    inverse of the per-gap rescaling and memoised, read-only, on first use;
+    ``lambda = 0`` puts the root at the gap midpoint.
     """
 
     bands: BandSystem
@@ -118,19 +119,12 @@ class GapVariables:
         if lam.size and np.max(np.abs(lam)) >= 1.0:
             raise ValueError("gap variables must lie strictly inside (-1, 1)")
 
-    @property
+    @cached_property
     def zetas(self) -> np.ndarray:
         lo, hi = self.bands.gap_los, self.bands.gap_his
-        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * self.lambdas
-
-
-def _frame_interval(bands: BandSystem, frame: tuple[str, int]) -> tuple[float, float]:
-    kind, i = frame
-    if kind == "gap":
-        return bands.gap_los[i], bands.gap_his[i]
-    if kind == "band":
-        return bands.alphas[i], bands.betas[i]
-    raise ValueError(f"unknown frame kind {kind!r}")
+        zetas = 0.5 * (lo + hi) + 0.5 * (hi - lo) * self.lambdas
+        zetas.flags.writeable = False
+        return zetas
 
 
 def _to_frame(y, lo: float, hi: float):
@@ -144,15 +138,19 @@ def _from_frame(x, lo: float, hi: float):
 def _check_collision(x: np.ndarray, points: np.ndarray) -> None:
     """Raise when some ``x`` lies within ``COLLISION_RTOL`` of a point.
 
-    The distance is relative to ``max(1, |x|, |point|)``.  Only the nearest
-    node on either side of a point can be that close, so the nodes are
-    sorted once and each point is tested against its two neighbours.
+    The distance is relative to ``max(1, |x|, |point|)``.  A single point
+    (a gap's own root) is tested against every node.  Otherwise only the
+    nearest node on either side of a point can be that close, so the nodes
+    are sorted once and each point is tested against its two neighbours.
     """
     if x.size == 0 or points.size == 0:
         return
-    xs = np.sort(x, axis=None)
-    k = np.searchsorted(xs, points)
-    for near in (xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)]):
+    candidates = (x.ravel(),)
+    if points.size > 1:
+        xs = np.sort(x, axis=None)
+        k = np.searchsorted(xs, points)
+        candidates = (xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)])
+    for near in candidates:
         diff = np.abs(near - points)
         scale = np.maximum(1.0, np.maximum(np.abs(near), np.abs(points)))
         if np.any(diff < COLLISION_RTOL * scale):
@@ -169,7 +167,7 @@ def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[
     counts the negative numerator factors.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    p, a_t, b_t = _frame_points(bands, vars.zetas, frame)
+    p, a_t, b_t = _frame_points(bands, vars, frame)
     endpoints = _outer_endpoints(a_t, b_t, frame)
     _check_collision(x_arr, np.concatenate([p, endpoints]))
 
@@ -187,11 +185,25 @@ def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[
     return sign, log_mag
 
 
-def _frame_points(bands: BandSystem, zetas: np.ndarray, frame: tuple[str, int]):
-    """Roots and band endpoints in the coordinates of ``frame``."""
-    lo, hi = _frame_interval(bands, frame)
-    return (_to_frame(zetas, lo, hi), _to_frame(bands.alphas, lo, hi),
-            _to_frame(bands.betas, lo, hi))
+def _frame_points(bands: BandSystem, vars: GapVariables, frame: tuple[str, int]):
+    """Roots and band endpoints in the coordinates of ``frame``.
+
+    In gap ``i``'s frame the own root is ``lambda_i`` itself, not mapped back
+    from ``zeta_i`` (which rounds it by ``eps |zeta_i|`` over the half-width,
+    enough to stall the line search on thin gaps), and the endpoints next
+    to the gap follow from widths.
+    """
+    kind, i = frame
+    if kind not in ("gap", "band"):
+        raise ValueError(f"unknown frame kind {kind!r}")
+    lo, hi = (bands.betas[i], bands.alphas[i + 1]) if kind == "gap" else (
+        bands.alphas[i], bands.betas[i])
+    p, a_t, b_t = (_to_frame(v, lo, hi) for v in (vars.zetas, bands.alphas, bands.betas))
+    if kind == "gap":
+        p[i] = vars.lambdas[i]
+        a_t[i] = -1.0 - 2.0 * (bands.betas[i] - bands.alphas[i]) / (hi - lo)
+        b_t[i + 1] = 1.0 + 2.0 * (bands.betas[i + 1] - bands.alphas[i + 1]) / (hi - lo)
+    return p, a_t, b_t
 
 
 def _outer_endpoints(a_t, b_t, frame: tuple[str, int]) -> np.ndarray:
@@ -237,7 +249,7 @@ def _paired_product(x: np.ndarray, frame: tuple[str, int], p, a_t, b_t) -> np.nd
     return prod
 
 
-def _grouped_reduced(x: np.ndarray, i: int, bands: BandSystem, zetas: np.ndarray):
+def _grouped_reduced(x: np.ndarray, i: int, bands: BandSystem, vars: GapVariables):
     """Signed kernel in gap ``i``'s frame with the own-root factor removed.
 
     Returns ``(g, p)`` where the full kernel is ``(x - p[i]) * g``: the
@@ -245,7 +257,7 @@ def _grouped_reduced(x: np.ndarray, i: int, bands: BandSystem, zetas: np.ndarray
     the rescaled gap, ``|x - a_t[i]|`` and ``|x - b_t[i+1]|``.
     """
     frame = ("gap", i)
-    p, a_t, b_t = _frame_points(bands, zetas, frame)
+    p, a_t, b_t = _frame_points(bands, vars, frame)
     prod = _paired_product(x, frame, p, a_t, b_t)
     leftover = np.sqrt((x - a_t[i]) * (b_t[i + 1] - x))
     sign = -1.0 if (p.size - 1 - i) % 2 else 1.0
@@ -261,7 +273,7 @@ def kernel_band(x, i: int, bands: BandSystem, vars: GapVariables):
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     frame = ("band", i)
-    p, a_t, b_t = _frame_points(bands, vars.zetas, frame)
+    p, a_t, b_t = _frame_points(bands, vars, frame)
     _check_collision(x_arr, np.concatenate([p, _outer_endpoints(a_t, b_t, frame)]))
     values = _paired_product(x_arr, frame, p, a_t, b_t)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
@@ -278,7 +290,7 @@ def kernel_grouped(x, i: int, bands: BandSystem, vars: GapVariables):
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_collision(x_arr, np.array([vars.lambdas[i]]))
-    g, p = _grouped_reduced(x_arr, i, bands, vars.zetas)
+    g, p = _grouped_reduced(x_arr, i, bands, vars)
     values = (x_arr - p[i]) * g
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(values[0])
@@ -298,7 +310,7 @@ def gap_integral(i: int, bands: BandSystem, vars: GapVariables, rule: Quadrature
     x = rule.nodes
     if evaluator == "grouped":
         _check_collision(x, np.array([vars.lambdas[i]]))
-        g, p = _grouped_reduced(x, i, bands, vars.zetas)
+        g, p = _grouped_reduced(x, i, bands, vars)
         if keep is not None:
             keep[i] = (rule, g)
         f = (x - p[i]) * g
@@ -337,9 +349,9 @@ def gap_jacobian_row(i: int, bands: BandSystem, vars: GapVariables,
     x, w = rule.nodes, rule.weights
     if g is None:
         _check_collision(x, np.array([vars.lambdas[i]]))
-        g, p = _grouped_reduced(x, i, bands, vars.zetas)
+        g, p = _grouped_reduced(x, i, bands, vars)
     else:
-        p = _to_frame(vars.zetas, *_frame_interval(bands, ("gap", i)))
+        p = _frame_points(bands, vars, ("gap", i))[0]
     f = (x - p[i]) * g
 
     n_gaps = bands.n_gaps

@@ -320,6 +320,100 @@ class TestDensityTableMemo:
         assert np.max(np.abs(weighted - want) / want) <= 1e-13
 
 
+def _sample_points_per_band(bands, count):
+    """Reference: the per-band loop that ``sample_points`` replaces."""
+    base, extra = divmod(count, bands.n_bands)
+    chunks = []
+    for i in range(bands.n_bands):
+        c = base + (1 if i < extra else 0)
+        k = np.arange(1, c + 1)
+        nodes = np.cos((2 * k - 1) * np.pi / (2 * c))
+        chunks.append(_from_frame(nodes, bands.alphas[i], bands.betas[i]))
+    return np.concatenate(chunks)
+
+
+def _integrated_measure_per_point(x, solution, bands):
+    """Reference: the one-point closed form with its coefficient dot product."""
+    i = int(np.searchsorted(bands.alphas, x, side="right")) - 1
+    if i < 0 or x > bands.betas[i]:
+        g = int(np.searchsorted(bands.gap_los, x, side="right")) - 1
+        return float(solution.Omegas[g])
+    below = float(solution.Omegas[i - 1]) if i > 0 else 0.0
+    theta = float(_theta_of(x, bands.alphas[i], bands.betas[i]))
+    c = _band_series(solution)[i]
+    j = np.arange(1, c.size)
+    return below + (c[0] * (math.pi - theta) - float((c[1:] / j) @ np.sin(j * theta))) / math.pi
+
+
+def _probe_points(bands):
+    """A real grid over and beyond the hull, every band end and the points
+    one ulp to either side of it."""
+    ends = np.concatenate([bands.alphas, bands.betas])
+    return np.concatenate([np.linspace(-1.2, 1.2, 301), ends,
+                           np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+
+
+@pytest.mark.parametrize("run,depth", [("ternary_run", 5), ("asym_run", 4)])
+class TestWholeArrays:
+    # an array call gives what one call per point gives, bit for bit for
+    # the potential; scalars still come back as float
+    def test_potential_matches_per_point_calls(self, request, rule2048, run, depth):
+        bands, sols = request.getfixturevalue(run)
+        for b, s in zip(bands[:depth], sols[:depth]):
+            xs = _probe_points(b)
+            zs = np.concatenate([xs[::7] + 1e-9j, xs[::11] - 0.3j, [0.4 + 0.3j, 2j, -0.5]])
+            for pts in (xs, zs):
+                want = np.array([potential_at(p, s, b, rule2048) for p in pts.tolist()])
+                assert np.array_equal(potential_at(pts, s, b, rule2048), want), b.generation
+
+    def test_node_potential_matches_per_point_calls(self, request, run, depth):
+        bands, sols = request.getfixturevalue(run)
+        b, s = bands[depth - 1], sols[depth - 1]
+        rule = QuadratureRule.chebyshev(64)
+        pts = np.array([-1.5, X_STAR, 0.0, float(b.betas[0]), 0.2 + 2.0j])
+        want = [potential_at(p, s, b, rule, method="nodes") for p in pts.tolist()]
+        assert potential_at(pts, s, b, rule, method="nodes").tolist() == want
+
+    def test_blocks_do_not_move_values(self, request, rule2048, run, depth, monkeypatch):
+        bands, sols = request.getfixturevalue(run)
+        b, s = bands[depth - 1], sols[depth - 1]
+        xs = _probe_points(b)
+        whole = potential_at(xs, s, b, rule2048)
+        monkeypatch.setattr(analytics, "_BLOCK_ELEMS", 3 * b.n_bands)
+        assert np.array_equal(potential_at(xs, s, b, rule2048), whole)
+
+    def test_integrated_measure_matches_per_point_reference(self, request, run, depth):
+        bands, sols = request.getfixturevalue(run)
+        for b, s in zip(bands[:depth], sols[:depth]):
+            xs = np.sort(_probe_points(b))
+            xs = xs[(xs >= b.hull.lo) & (xs <= b.hull.hi)]
+            got = integrated_measure_at(xs, s, b)
+            want = np.array([_integrated_measure_per_point(x, s, b) for x in xs.tolist()])
+            assert np.max(np.abs(got - want)) <= 2.2e-16, b.generation
+            assert np.array_equal(got, [integrated_measure_at(x, s, b) for x in xs.tolist()])
+            # non-decreasing up to one rounding at 1: a band's c_0 and its
+            # measure omega meet at the band end
+            assert np.min(np.diff(got)) >= -2.2e-16, b.generation
+
+    def test_scalars_give_floats(self, request, rule2048, run, depth):
+        bands, sols = request.getfixturevalue(run)
+        b, s = bands[depth - 1], sols[depth - 1]
+        for x in (0.5, np.float64(X_STAR), 0.3 + 0.1j, -2.0 + 0j, 3):
+            assert type(potential_at(x, s, b, rule2048)) is float
+        assert type(potential_at(X_STAR, s, b, rule2048, method="nodes")) is float
+        for x in (-1.0, np.float64(0.0), 1):
+            assert type(integrated_measure_at(x, s, b)) is float
+        with pytest.raises(OutOfHull):
+            integrated_measure_at(np.array([0.0, 1.5]), s, b)
+
+
+@pytest.mark.parametrize("count", [129, 250, 256, 4096])
+def test_sample_points_match_the_per_band_loop(ternary_run, asym_run, count):
+    for bands in (ternary_run[0][6], asym_run[0][6]):
+        assert np.array_equal(sample_points(bands, count),
+                              _sample_points_per_band(bands, count))
+
+
 def _green(x, end, bands, solution):
     """Green's function at ``x`` off the set, integrated from band end ``end``."""
     ends = np.concatenate([bands.alphas, bands.betas])

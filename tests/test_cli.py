@@ -307,6 +307,44 @@ class TestFiguresCommand:
         assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 3
         assert "generation 3" in capsys.readouterr().err
 
+    def test_x_grid_off_the_hull_rejected_before_solving(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
+        path = write_config(tmp_path, n_max=4,
+                            x_grid={"lo": -2.0, "hi": 1.0, "count": 5})
+        for which in ("all", "Omega_of_x"):
+            assert main(["figures", "--config", str(path), "--which", which]) == 2
+            assert "x_grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_x_grid_off_the_hull_serves_the_potential(self, tmp_path):
+        # V is defined off the hull; only the integrated measure is not
+        path = write_config(tmp_path, x_grid={"lo": -2.0, "hi": 1.0, "count": 5})
+        assert main(["figures", "--config", str(path), "--which",
+                     "potential_profile"]) == 0
+        _, rows = read_csv(tmp_path / "out" / "potential_profile.csv")
+        assert float(rows[0][1]) == -2.0 and len(rows) == 3 * 5
+
+    def test_one_analytics_call_per_generation(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(x, *args, **kwargs):
+                calls.append((name, np.shape(x)))
+                return fn(x, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "potential_at", counting("V", cli.potential_at))
+        monkeypatch.setattr(cli, "integrated_measure_at",
+                            counting("Omega", cli.integrated_measure_at))
+        path = write_config(tmp_path, x_grid={"lo": -1.0, "hi": 1.0, "count": 9})
+        for which in ("potential_profile", "Omega_of_x"):
+            assert main(["figures", "--config", str(path), "--which", which]) == 0
+        assert calls == [("V", (9,))] * 3 + [("Omega", (9,))] * 3
+        calls.clear()
+        assert main(["potential", "--config", str(path), "--points=-0.9:0.9:7"]) == 0
+        assert calls == [("V", (7,))]
+
     def test_unknown_figure_name(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["figures", "--config", str(path), "--which", "fig42"]) == 2

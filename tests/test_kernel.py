@@ -67,6 +67,12 @@ class TestGapVariables:
         assert np.allclose(gv.zetas, 0.5 * (lo + hi) + np.array([0, 0.25, -0.25]) * (hi - lo))
         assert np.all(gv.zetas > lo) and np.all(gv.zetas < hi)
 
+    def test_zetas_memoised_read_only(self, ternary):
+        gv = GapVariables(generate_bands(ternary, 2), np.array([0.0, 0.5, -0.5]))
+        assert gv.zetas is gv.zetas
+        with pytest.raises(ValueError):
+            gv.zetas[0] = 0.0
+
     def test_bounds_enforced(self, ternary):
         b = generate_bands(ternary, 1)
         with pytest.raises(ValueError):
@@ -148,7 +154,7 @@ class TestGroupedEvaluator:
         bands, sols = ternary_run
         b, s = bands[6], sols[6]
         i, m = 0, b.n_gaps - 1
-        p, a_t, b_t = _frame_points(b, s.vars.zetas, ("gap", i))
+        p, a_t, b_t = _frame_points(b, s.vars, ("gap", i))
         x = rule2048.nodes
         ratio = np.abs(x - p[m]) / np.sqrt(np.abs((x - a_t[m + 1]) * (x - b_t[m + 1])))
         assert np.max(np.abs(ratio - 1.0)) < 1e-3
@@ -206,7 +212,7 @@ def test_paired_product_chunks_are_exact(ternary, frame):
     b = generate_bands(ternary, 9)
     gv = GapVariables(b, np.random.default_rng(3).uniform(-0.5, 0.5, b.n_gaps))
     x = QuadratureRule.chebyshev(700).nodes
-    p, a_t, b_t = _frame_points(b, gv.zetas, frame)
+    p, a_t, b_t = _frame_points(b, gv, frame)
     assert np.array_equal(_paired_product(x, frame, p, a_t, b_t),
                           unchunked_paired_product(x, frame, p, a_t, b_t))
 
@@ -233,7 +239,8 @@ class TestCollisionCheck:
         outcomes = set()
         for trial in range(300):
             x = nodes if trial % 2 else rng.uniform(-3.0, 3.0, 64)
-            points = rng.uniform(-3.0, 3.0, 12)
+            # a single point (a gap's own root) skips the sort
+            points = rng.uniform(-3.0, 3.0, 12 if trial % 3 else 1)
             kind = trial % 5
             if kind:
                 j = rng.integers(x.size)

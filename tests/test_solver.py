@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equimeasure import solver
-from equimeasure.geometry import generate_bands
+from equimeasure.geometry import IfsSystem, generate_bands, validate
 from equimeasure.kernel import (
     MIN_ORDER,
     ExactNodeCollision,
@@ -225,3 +225,15 @@ def test_asym_lambda_line_converges_to_limit(asym_run):
     assert all(d2 < d1 for d1, d2 in zip(diffs[:4], diffs[1:5]))
     assert max(diffs[4:]) < 0.05 * diffs[0]
     assert max(diffs) == diffs[0]
+
+
+@pytest.mark.parametrize("pairs,n_max", [([[0.9, -1.0], [0.001, 1.0]], 4),
+                                         ([[0.5, -1.0], [0.001, 1.0]], 4),
+                                         ([[0.8, -1.0], [0.01, 1.0]], 5)])
+def test_thin_gaps_next_to_wide_bands_converge(pairs, n_max):
+    # gaps 1e-6 or less of their coordinates: the own root enters its frame
+    # as lambda itself, not via zeta, or the line search stalls on the steps
+    # that round trip puts in the residual
+    sols = hierarchical_solve(validate(IfsSystem.from_pairs(pairs)), n_max)
+    assert [s.generation for s in sols] == list(range(1, n_max + 1))
+    assert max(s.max_residual for s in sols) <= 1e-12
