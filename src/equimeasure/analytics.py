@@ -13,9 +13,10 @@ built once per solution and memoised on it, read-only (see
 is ``F(t) / (pi sqrt(1 - t**2))`` with ``F = |Z| / sqrt|Y~|``; ``F`` is
 sampled with :func:`~equimeasure.kernel.kernel_band` at the first-kind
 Chebyshev nodes of ``SERIES_OVERSAMPLING`` times the band's
-:func:`~equimeasure.kernel.refined_order`, and a DCT-II gives ``F = sum_j
-c_j T_j``; ``c_0`` is the band measure.  Nothing else in this module
-evaluates the kernel, and no log-space kernel is evaluated at all.
+:func:`~equimeasure.kernel.refined_order`, and a DCT-II (one numpy FFT per
+series length) gives ``F = sum_j c_j T_j``; ``c_0`` is the band measure.
+Nothing else in this module evaluates the kernel, and no log-space kernel
+is evaluated at all.  The module needs numpy alone.
 
 The log transform of each Chebyshev mode is closed-form (Mason &
 Handscomb, *Chebyshev Polynomials*, 2003): against the unit Chebyshev
@@ -44,7 +45,8 @@ points in one blockwise pass; a scalar is a one-point array and gives a
 
 The plain node sum remains available as ``method="nodes"``, the published
 point path: a uniform Gauss-Chebyshev table of ``rule.order`` nodes per
-band, with ``F`` at its nodes taken from the same series.  Its error is the
+band, with ``F`` at its nodes summed from the same series (see
+:func:`_values_at_nodes`).  Its error is the
 classical coarseness gauge, shrinking from ~2e-4 at generation 1 to ~3e-6
 at generation 7 for the middle-third system at 2048 nodes.
 """
@@ -53,10 +55,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
-from scipy.optimize import least_squares
 
 from .geometry import BandSystem
 from .kernel import QuadratureRule, _from_frame, kernel_band, refined_order
@@ -81,6 +82,10 @@ SERIES_OVERSAMPLING = 2
 # many points a caller passes: the mean path (L = 4096, N = 128) runs within
 # 6% of its fastest, and 200 000 points at n = 7 peak 6% above 101 points.
 _BLOCK_ELEMS = 1 << 14
+
+# Multiply-adds per product of the node table, which OpenBLAS then keeps on
+# one thread (threaded, 128 x 2048 nodes took 8-16 ms on 2 cores, not 0.8 ms).
+_PRODUCT_MACS = 1 << 18
 
 # The capacity extrapolation fits three parameters and needs one more
 # generation than that to be a fit.
@@ -112,6 +117,14 @@ class CapacityEstimate:
 # per-band Chebyshev series
 
 
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Unnormalised DCT-II along the last axis, ``2 sum_n x_n cos(pi k (2n + 1)
+    / (2M))``, by one FFT (Makhoul, IEEE Trans. ASSP 28, 1980)."""
+    m = x.shape[-1]
+    v = np.concatenate([x[..., ::2], x[..., 1::2][..., ::-1]], axis=-1)
+    return 2.0 * (np.fft.fft(v) * np.exp(-0.5j * np.pi / m * np.arange(m))).real
+
+
 def _chebyshev_series(bands: BandSystem, vars) -> np.ndarray:
     """Chebyshev coefficients of ``F = |Z| / sqrt|Y~|`` on every band.
 
@@ -119,16 +132,16 @@ def _chebyshev_series(bands: BandSystem, vars) -> np.ndarray:
     refined_order(bands, ("band", b))``, zero-padded to the longest row:
     ``sum_j c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes
     of order ``M`` in band ``b``'s frame, and ``c_0`` is the band measure
-    under the Gauss-Chebyshev rule of that order.
+    under that order's Gauss-Chebyshev rule; bands of one ``M`` share a :func:`_dct2`.
     """
     orders = [SERIES_OVERSAMPLING * refined_order(bands, ("band", b))
               for b in range(bands.n_bands)]
     coeffs = np.zeros((bands.n_bands, max(orders)))
-    nodes = {}
-    for b, m in enumerate(orders):
-        if m not in nodes:
-            nodes[m] = QuadratureRule.chebyshev(m).nodes
-        coeffs[b, :m] = dct(kernel_band(nodes[m], b, bands, vars), type=2) / m
+    for m in set(orders):
+        rows = [b for b, order in enumerate(orders) if order == m]
+        nodes = QuadratureRule.chebyshev(m).nodes
+        coeffs[rows, :m] = _dct2(np.array([kernel_band(nodes, b, bands, vars)
+                                           for b in rows])) / m
     coeffs[:, 0] *= 0.5
     return coeffs
 
@@ -143,20 +156,39 @@ def _band_series(solution: EquilibriumSolution) -> np.ndarray:
     return coeffs
 
 
+@lru_cache(maxsize=4)
+def _node_cosines(rows: int, order: int) -> np.ndarray:
+    """Memoised, read-only ``cos(j theta_k)``, ``j < rows``, at the nodes
+    ``theta_k = (2k + 1) pi / (2 order)``: ``j (2k + 1)`` is reduced modulo
+    ``4 order`` in integers (in row blocks) and looked up in one period."""
+    period = np.cos(np.pi / (2 * order) * np.arange(4 * order))
+    odd = 2 * np.arange(order) + 1
+    table = np.empty((rows, order))
+    for r in range(0, rows, 16):
+        table[r : r + 16] = period[np.outer(np.arange(r, min(r + 16, rows)), odd) % (4 * order)]
+    table.flags.writeable = False
+    return table
+
+
 def _values_at_nodes(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Every band's series at the first-kind Chebyshev nodes of ``order``.
 
-    A DCT-III gives a series' values at the nodes of its own length.  For
-    odd ``m`` the nodes of ``order`` are every ``m``-th node of ``m *
-    order``, so the transform runs at the smallest such length that holds
-    every coefficient.
+    There ``T_{2 q order +- j} = (-1)**q T_j`` and ``T_order = 0``, so
+    coefficients ``j >= order`` fold onto ``j < order``; products with the
+    shared :func:`_node_cosines`, in column blocks of ``_PRODUCT_MACS``, sum
+    the terms after ``c_0``, and ``c_0`` is added last (within a few ulps).
     """
-    m = -(-coeffs.shape[1] // order)
-    m += 1 - m % 2
-    padded = np.zeros((coeffs.shape[0], m * order))
-    padded[:, : coeffs.shape[1]] = 0.5 * coeffs
-    padded[:, 0] = coeffs[:, 0]
-    return dct(padded, type=3, axis=1)[:, (m - 1) // 2 :: m]
+    j = np.arange(coeffs.shape[1])
+    r = j % (2 * order)
+    folded = np.zeros((coeffs.shape[0], min(j.size, order)))
+    np.add.at(folded.T, np.minimum(r, 2 * order - r) % order,
+              ((-1.0) ** (j // (2 * order)) * np.sign(order - r) * coeffs).T)
+    table = _node_cosines(folded.shape[1], order)[1:]
+    values = np.empty((folded.shape[0], order))
+    step = max(1, _PRODUCT_MACS // folded.size)
+    for k in range(0, order, step):
+        values[:, k : k + step] = folded[:, 1:] @ table[:, k : k + step] + folded[:, :1]
+    return values
 
 
 def _horner(rho: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -242,7 +274,8 @@ def _density_table(solution, bands, rule):
     table = solution._density_tables.get(rule.order)
     if table is None:
         positions = _from_frame(rule.nodes, bands.alphas[:, None], bands.betas[:, None])
-        weighted = rule.weights * _values_at_nodes(_band_series(solution), rule.order)
+        weighted = _values_at_nodes(_band_series(solution), rule.order)
+        weighted *= rule.weights
         positions.flags.writeable = False
         weighted.flags.writeable = False
         table = solution._density_tables[rule.order] = (positions, weighted)
@@ -344,7 +377,8 @@ def integrated_measure_at(x, solution: EquilibriumSolution, bands: BandSystem):
     heights are the cumulative band measures).  Inside band ``i`` the
     partial measure is ``(1/pi) int_{theta_x}^pi F(cos theta) dtheta`` in
     the angular variable, and the band's series makes it closed-form:
-    ``c_0 (pi - theta_x) / pi - sum_j c_j sin(j theta_x) / (j pi)``.
+    ``c_0 (pi - theta_x) / pi - sum_j c_j sin(j theta_x) / (j pi)``, clamped
+    to ``[Omega_{i-1}, Omega_i]`` (``c_0`` and ``omega_i`` differ at roundoff).
     """
     xs, h = np.asarray(x, dtype=float).ravel(), bands.hull
     outside = xs[~((h.lo <= xs) & (xs <= h.hi))]
@@ -362,7 +396,8 @@ def integrated_measure_at(x, solution: EquilibriumSolution, bands: BandSystem):
     for block in (slice(k, k + step) for k in range(0, on.size, step)):
         sines[block] = np.sum(np.sin(np.outer(theta[block], j)) * d[b[block]], axis=1)
     below = np.where(b > 0, solution.Omegas[b - 1], 0.0)
-    values[on] = below + (coeffs[b, 0] * (math.pi - theta) - sines) / math.pi
+    values[on] = np.clip(below + (coeffs[b, 0] * (math.pi - theta) - sines) / math.pi,
+                         below, below + solution.omegas[b])
     return float(values[0]) if np.ndim(x) == 0 else values.reshape(np.shape(x))
 
 
@@ -375,16 +410,17 @@ def fit_exponential(points) -> tuple[float, float, float]:
 
     Three consecutive equally spaced points admit the closed form
     ``exp(-c dn) = (y3 - y2) / (y2 - y1)``; more points are fitted least
-    squares, seeded by the closed form on the last three.  Differences must
-    keep one sign and contract, otherwise :class:`NonMonotoneInput` is
-    raised.  Returns ``(a, b, c)`` with ``c > 0``.
+    squares by Gauss-Newton from the closed form on the last three, each
+    step halved while it would raise the squared residual by over 1e-6 of
+    it, until the step stops shrinking at roundoff (at most 50 steps).
+    Differences must keep one sign and contract, otherwise
+    :class:`NonMonotoneInput` is raised.  Returns ``(a, b, c)`` with ``c > 0``.
     """
     pts = sorted((float(n), float(y)) for n, y in points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    ns = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if np.unique(ns).size != ns.size:
+    ns, ys = np.array(pts).T
+    if np.any(np.diff(ns) == 0.0):
         raise ValueError("points must have distinct n")
 
     diffs = np.diff(ys)
@@ -406,16 +442,23 @@ def fit_exponential(points) -> tuple[float, float, float]:
     if len(pts) == 3:
         return closed_form(ns, ys)
 
-    a0, b0, c0 = closed_form(ns[-3:], ys[-3:])
+    def rss(p):
+        return np.sum((ys - p[0] - p[1] * np.exp(-p[2] * ns)) ** 2)
 
-    def resid(p):
-        return ys - (p[0] + p[1] * np.exp(-p[2] * ns))
-
-    fit = least_squares(resid, x0=[a0, b0, c0],
-                        bounds=([-np.inf, -np.inf, 1e-12], [np.inf, np.inf, np.inf]),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    a, b, c = (float(v) for v in fit.x)
-    return a, b, c
+    p, last = np.array(closed_form(ns[-3:], ys[-3:])), math.inf
+    for _ in range(50):
+        e = np.exp(-p[2] * ns)
+        jac = np.column_stack([np.ones_like(ns), e, -p[1] * ns * e])
+        step = np.linalg.lstsq(jac, ys - p[0] - p[1] * e, rcond=None)[0]
+        size = np.linalg.norm(step) / np.linalg.norm(p)
+        if last <= size < 1e-8:  # at roundoff
+            break
+        t = 1.0
+        while rss(p + t * step) > (1.0 + 1e-6) * rss(p) and t > 1e-9:
+            t *= 0.5
+        p, last = p + t * step, size
+        p[2] = max(p[2], 1e-12)
+    return float(p[0]), float(p[1]), float(p[2])
 
 
 def capacity_estimate(solutions, bands_list, rule: QuadratureRule,

@@ -28,9 +28,8 @@ with a header row and 17-digit floats.
 Exit codes, each failure with a one-line message on stderr:
 
 - 0 success;
-- 2 config error, including a bad ``--points`` spec (a grid that starts
-  with a dash needs ``--points=``) and an ``x_grid`` off the hull for
-  ``Omega_of_x`` (checked before any solve);
+- 2 config error, including a bad ``--points`` spec and an ``x_grid`` off
+  the hull for ``Omega_of_x`` (checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
   (no convergence, singular Jacobian, node collisions), or a capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
@@ -277,16 +276,11 @@ class SolutionCache:
         return self.directory / f"gen_{n}.json"
 
     def load(self, n: int, fingerprint: str) -> dict | None:
-        path = self.path(n)
-        if not path.exists():
-            return None
         try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            record = json.loads(self.path(n).read_text())
+        except (OSError, json.JSONDecodeError):  # a missing file included
             return None
-        if record.get("fingerprint") != fingerprint:
-            return None
-        return record
+        return record if record.get("fingerprint") == fingerprint else None
 
     def store(self, record: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -376,15 +370,11 @@ def _x_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _default_point(solved) -> float:
-    bands, _ = solved[-1]
-    return float(0.5 * (bands.alphas[0] + bands.betas[0]))
-
-
 def _capacity_rows(cfg: RunConfig, solved):
-    point = cfg.point_x if cfg.point_x is not None else _default_point(solved)
-    bands_list = [b for b, _ in solved]
-    sols = [s for _, s in solved]
+    bands_list, sols = zip(*solved)
+    point = cfg.point_x
+    if point is None:  # the middle of the deepest generation's first band
+        point = float(0.5 * (bands_list[-1].alphas[0] + bands_list[-1].betas[0]))
     est_mean = capacity_estimate(sols, bands_list, cfg.rule, cfg.sample_count,
                                  mode="mean", fit_window=cfg.fit_window)
     est_point = capacity_estimate(sols, bands_list, cfg.rule, mode="point",
@@ -564,15 +554,14 @@ def main(argv=None) -> int:
         if name == "potential":
             p.add_argument("--points", required=True,
                            help="file of x values or grid spec lo:hi:count")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--points" in argv[:-1]:  # else argparse takes a grid such as -1:1:5 for an option
+        k = argv.index("--points")
+        argv[k : k + 2] = [f"--points={argv[k + 1]}"]
     args = parser.parse_args(argv)
 
     try:
         cfg = RunConfig.from_file(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "figures":

@@ -101,13 +101,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def validate(ifs: IfsSystem) -> IfsSystem:
     """Check contractivity and full disconnection; return the sorted system.

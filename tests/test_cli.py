@@ -2,6 +2,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -376,13 +378,28 @@ class TestCapacityCommand:
 class TestPotentialCommand:
     def test_grid_spec(self, tmp_path):
         path = write_config(tmp_path, n_max=2)
-        # leading dash needs the --points=... form to satisfy argparse
         assert main(["potential", "--config", str(path),
                      "--points=-0.9:0.9:7"]) == 0
         header, rows = read_csv(tmp_path / "out" / "potential_points.csv")
         assert header == ["x", "V"]
         assert len(rows) == 7
         assert all(np.isfinite(float(r[1])) for r in rows)
+
+    def test_grid_spec_with_a_leading_minus_after_a_space(self, tmp_path):
+        # argparse alone reads "-0.9:0.9:7" after a space as an option
+        path = write_config(tmp_path, n_max=2)
+        out = tmp_path / "out" / "potential_points.csv"
+        assert main(["potential", "--points", "-0.9:0.9:7", "--config", str(path)]) == 0
+        spaced = out.read_text()
+        assert main(["potential", "--config", str(path), "--points=-0.9:0.9:7"]) == 0
+        assert out.read_text() == spaced
+        assert len(read_csv(out)[1]) == 7
+
+    def test_points_option_without_a_value(self, tmp_path, capsys):
+        path = write_config(tmp_path, n_max=2)
+        with pytest.raises(SystemExit) as exc:
+            main(["potential", "--config", str(path), "--points"])
+        assert exc.value.code == 2
 
     def test_points_file(self, tmp_path):
         pts = tmp_path / "points.txt"
@@ -439,6 +456,29 @@ class TestAnalyticsErrors:
         assert code == 3
         assert err.startswith("analytics failed: OutOfHull: ")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestScipyFree:
+    def test_commands_import_no_scipy(self, tmp_path):
+        # the package runs on numpy alone; scipy stays a test oracle (numpy
+        # 1.24 imports numpy.ma eagerly, so that is not checked)
+        path = write_config(tmp_path, n_max=4, quadrature_order=64, sample_count=64)
+        script = "\n".join([
+            "import sys",
+            "import equimeasure.cli as cli",
+            "for argv in (['solve'], ['figures', '--which', 'all'], ['capacity'],",
+            "             ['potential', '--points', '-0.9:0.9:5']):",
+            f"    assert cli.main([*argv, '--config', {str(path)!r}]) == 0, argv",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "potential_points.csv").exists()
 
 
 class TestSolutionCache:

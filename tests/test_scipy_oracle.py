@@ -1,0 +1,176 @@
+"""The package's numpy transforms and exponential fit against scipy.
+
+The package needs numpy alone.  scipy, a test dependency, checks it here:
+``scipy.fft.dct`` for the batched DCT-II of the band series and for the
+folded node table, and ``scipy.optimize.least_squares`` for the Gauss-Newton
+fit of ``a + b exp(-c n)``.
+"""
+
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.fft import dct
+from scipy.optimize import least_squares
+
+from equimeasure import analytics
+from equimeasure.analytics import (
+    NonMonotoneInput,
+    SERIES_OVERSAMPLING,
+    _band_series,
+    _chebyshev_series,
+    _dct2,
+    _node_cosines,
+    _values_at_nodes,
+    fit_exponential,
+)
+from equimeasure.kernel import QuadratureRule, kernel_band, refined_order
+
+EPS = np.finfo(float).eps
+
+
+def _scipy_series(bands, vars):
+    """One scipy DCT-II per band, as the package computed its series before."""
+    orders = [SERIES_OVERSAMPLING * refined_order(bands, ("band", b))
+              for b in range(bands.n_bands)]
+    coeffs = np.zeros((bands.n_bands, max(orders)))
+    for b, m in enumerate(orders):
+        samples = kernel_band(QuadratureRule.chebyshev(m).nodes, b, bands, vars)
+        coeffs[b, :m] = dct(samples, type=2) / m
+    coeffs[:, 0] *= 0.5
+    return coeffs
+
+
+def _scipy_values_at_nodes(coeffs, order):
+    """The series at the nodes of ``order`` by a scipy DCT-III: for odd ``m``
+    those nodes are every ``m``-th node of ``m * order``."""
+    m = -(-coeffs.shape[1] // order)
+    m += 1 - m % 2
+    padded = np.zeros((coeffs.shape[0], m * order))
+    padded[:, : coeffs.shape[1]] = 0.5 * coeffs
+    padded[:, 0] = coeffs[:, 0]
+    return dct(padded, type=3, axis=1)[:, (m - 1) // 2 :: m]
+
+
+def _relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestChebyshevTransforms:
+    @pytest.mark.parametrize("m", [1, 2, 7, 63, 64, 65, 128, 2475, 4096])
+    def test_dct2_matches_scipy(self, m):
+        rng = np.random.default_rng(m)
+        for x in (rng.standard_normal((5, m)),
+                  np.exp(-0.1 * np.arange(m)) * rng.standard_normal((3, m)) + 1.0):
+            assert _relative_error(_dct2(x), dct(x, type=2)) <= 1e-15, m
+
+    def test_band_series_match_per_band_scipy(self, ternary_run, asym_run):
+        for bands, sols in (ternary_run, asym_run):
+            for b, s in zip(bands, sols):
+                want = _scipy_series(b, s.vars)
+                assert _relative_error(_chebyshev_series(b, s.vars), want) <= 1e-15, \
+                    b.generation
+
+    # M = 64 on every band here.  Orders 31, 33 and 48 fold M > order with
+    # m = 3; the odd M = 63 takes the first 63 coefficients.  (At order 2049,
+    # 3 x 683, scipy's own DCT-III is off by 1.5e-15 of the values, against
+    # 3e-16 for the folded table, so that order is left out.)
+    @pytest.mark.parametrize("order", [2048, 2051, 65, 64, 48, 33, 31, 25])
+    @pytest.mark.parametrize("macs", [analytics._PRODUCT_MACS, 1])
+    def test_node_values_match_scipy(self, ternary_run, asym_run, order, macs,
+                                     monkeypatch):
+        monkeypatch.setattr(analytics, "_PRODUCT_MACS", macs)
+        for bands, sols in (ternary_run, asym_run):
+            for b, s in zip(bands[::3], sols[::3]):
+                coeffs = _band_series(s)
+                for c in (coeffs, coeffs[:, :63]):
+                    got = _values_at_nodes(c, order)
+                    want = _scipy_values_at_nodes(c, order)
+                    assert _relative_error(got, want) <= 1e-15, (b.generation, order)
+
+    def test_longer_series_fold_like_scipy(self):
+        # M = 128 and 191 over orders with m = 3 and m = 5
+        rng = np.random.default_rng(7)
+        for m, order in ((128, 50), (128, 64), (191, 64), (191, 40)):
+            c = np.exp(-0.05 * np.arange(m)) * rng.standard_normal((4, m))
+            got, want = _values_at_nodes(c, order), _scipy_values_at_nodes(c, order)
+            assert _relative_error(got, want) <= 1e-15, (m, order)
+
+    def test_node_table_is_memoised_and_read_only(self):
+        table = _node_cosines(64, 2048)
+        assert _node_cosines(64, 2048) is table
+        assert table.shape == (64, 2048) and not table.flags.writeable
+        # cos of the unreduced angles, up to 198 rad, is itself off by up to 3e-14
+        theta = (2 * np.arange(2048) + 1) * np.pi / 4096
+        assert np.max(np.abs(table - np.cos(np.outer(np.arange(64), theta)))) <= 1e-13
+
+
+def _exact_rss(points, fit):
+    """Residual sum of squares of ``fit`` on ``points`` in 40-digit decimals."""
+    a, b, c = (Decimal(float(v)) for v in fit)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return sum((Decimal(float(y)) - a - b * (-c * Decimal(float(n))).exp()) ** 2
+                   for n, y in points)
+
+
+def _least_squares(points, x0):
+    """The fit the package made with scipy before, given the analytic Jacobian:
+    with the default finite-difference one, least_squares itself stops up to
+    ~1e-10 away from the optimum in ``a``."""
+    ns, ys = np.array(points, dtype=float).T
+
+    def jacobian(p):
+        e = np.exp(-p[2] * ns)
+        return -np.column_stack([np.ones_like(ns), e, -p[1] * ns * e])
+
+    fit = least_squares(lambda p: ys - (p[0] + p[1] * np.exp(-p[2] * ns)), x0=x0,
+                        jac=jacobian,
+                        bounds=([-np.inf, -np.inf, 1e-12], [np.inf, np.inf, np.inf]),
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return fit.x
+
+
+def _check_against_least_squares(points):
+    """The fit's exact residual is no larger than scipy's from the same seed
+    (up to a floor of one rounding of each ``y``), and scipy started at the
+    fit leaves ``a`` where it is; returns ``|a - a_scipy|``."""
+    fit = fit_exponential(points)
+    seeded = _least_squares(points, fit_exponential(points[-3:]))
+    floor = Decimal(len(points) * (4 * EPS * max(abs(y) for _, y in points)) ** 2)
+    assert _exact_rss(points, fit) <= _exact_rss(points, seeded) * Decimal(1 + 1e-12) + floor
+    assert abs(_least_squares(points, fit)[0] - fit[0]) <= 1e-11
+    assert fit[2] >= 1e-12
+    return abs(fit[0] - seeded[0])
+
+
+class TestFitAgainstLeastSquares:
+    def test_ternary_capacity_windows(self, ternary_potentials):
+        points, means = ternary_potentials
+        for values in (points, means):
+            window = [(n, values[n - 1]) for n in range(4, 8)]
+            assert _check_against_least_squares(window) <= 1e-11
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(-1.0, 1.0), b=st.floats(0.1, 1.0), sign=st.sampled_from([-1, 1]),
+           ratio=st.floats(0.1, 0.8), first=st.integers(0, 4),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=8),
+           level=st.floats(-8.0, -3.0))
+    def test_noisy_decaying_sequences(self, a, b, sign, ratio, first, noise, level):
+        # noise of up to 1e-3 of each point's distance from the limit a
+        ns = range(first, first + len(noise))
+        points = [(n, a + sign * b * ratio**n * (1.0 + 10.0**level * e))
+                  for n, e in zip(ns, noise)]
+        try:
+            fit_exponential(points)
+        except NonMonotoneInput:
+            assume(False)
+        _check_against_least_squares(points)
+
+    def test_three_points_stay_closed_form(self):
+        pts = [(4, 0.80789909801392112), (5, 0.81218464158534609), (6, 0.81438838237822331)]
+        r = (pts[2][1] - pts[1][1]) / (pts[1][1] - pts[0][1])
+        assert fit_exponential(pts)[2] == -math.log(r)
