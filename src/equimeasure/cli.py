@@ -15,7 +15,7 @@ the name of the solver's order rule, ``kernel.ORDER_RULE``, and, with
 auto-refine off, the quadrature order) matches the active config exactly.
 The record's ``config`` field holds exactly these fingerprinted settings,
 so a reused record cannot disagree with the run that reads it.  The solver
-sizes its quadrature orders from the geometry, and the potentials,
+sizes its quadrature rules from the geometry, and the potentials,
 capacities and integrated measures come from per-band Chebyshev series
 sized the same way; ``quadrature_order`` sets only the node table of the
 point path (``method="nodes"``) and, with ``auto_refine`` off, the
@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -262,7 +263,7 @@ class RunConfig:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(text)
+    tmp.write_text(text, newline="")
     os.replace(tmp, path)
 
 
@@ -343,14 +344,12 @@ def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
 
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v
-                             for v in row])
-    os.replace(tmp, path)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    _atomic_write_text(path, text.getvalue())
 
 
 def _line_id(n: int, g: int, n_maps: int) -> str:
@@ -412,20 +411,13 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
         path = out / "jacobian_decay.csv"
         _write_csv(path, ["generation", "i", "m", "i_minus_m", "abs_dKi_dlambda_m"],
                    rows)
-    elif which == "lambda_vs_n":
-        n_maps = cfg.ifs.n_maps
-        rows = [[sol.generation, g, _line_id(sol.generation, g, n_maps),
-                 sol.lambdas[g]]
+    elif which in ("lambda_vs_n", "Omega_vs_n"):  # per gap line: lambda, or Omega left of it
+        column = which.removesuffix("_vs_n")
+        rows = [[sol.generation, g, _line_id(sol.generation, g, cfg.ifs.n_maps),
+                 (sol.lambdas if column == "lambda" else sol.Omegas)[g]]
                 for bands, sol in solved for g in range(bands.n_gaps)]
-        path = out / "lambda_vs_n.csv"
-        _write_csv(path, ["generation", "gap_index", "line_id", "lambda"], rows)
-    elif which == "Omega_vs_n":
-        n_maps = cfg.ifs.n_maps
-        rows = [[sol.generation, g, _line_id(sol.generation, g, n_maps),
-                 sol.Omegas[g]]
-                for bands, sol in solved for g in range(bands.n_gaps)]
-        path = out / "Omega_vs_n.csv"
-        _write_csv(path, ["generation", "gap_index", "line_id", "Omega"], rows)
+        path = out / f"{which}.csv"
+        _write_csv(path, ["generation", "gap_index", "line_id", column], rows)
     elif which == "Omega_of_x":
         grid = _x_grid(cfg)
         rows = [[sol.generation, x, v] for bands, sol in solved

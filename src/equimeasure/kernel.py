@@ -28,10 +28,11 @@ factors, has no production caller: it is the reference the paired
 product is tested against and the ``evaluator="log"`` choice of the gap
 equations.  Both agree to ~1e-12 relative.
 
-Every integral takes its Gauss-Chebyshev rule as an argument.  The solver
-sizes one rule per gap and per band from the geometry
-(:func:`refined_order`), a few dozen nodes for most intervals, and the
-analytics size their per-band Chebyshev series from it too;
+Every integral takes its rule for the Chebyshev weight as an argument.
+The solver sizes one rule per gap and per band from the geometry
+(:func:`refined_rule`): Gauss-Chebyshev, a few dozen nodes for most
+intervals, or beside a thin band panels graded toward it.  The analytics
+size their per-band Chebyshev series from :func:`refined_order`;
 ``quadrature_order`` sets the node table of the point path and the uniform
 rule of the solver when auto-refinement is off.
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,7 +60,8 @@ COLLISION_RTOL = 1e-15
 # change it whenever the rule changes.
 MIN_ORDER = 32
 REFINE_SAFETY = 18.0
-ORDER_RULE = f"refined-even/min{MIN_ORDER}/safety{REFINE_SAFETY:g}"
+PANEL_NODES = 16  # Gauss-Legendre nodes per panel of a graded gap rule
+ORDER_RULE = f"refined-or-graded/min{MIN_ORDER}/safety{REFINE_SAFETY:g}/panel{PANEL_NODES}"
 
 _PROD_BLOCK = 256  # rows per block when accumulating long factor products
 _CHUNK_ELEMS = 1 << 15  # elements per temporary of a paired-product chunk
@@ -71,22 +73,25 @@ class ExactNodeCollision(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Chebyshev rule for the normalized weight 1/(pi*sqrt(1-x^2)).
+    """A memoised, read-only rule for the weight 1/(pi*sqrt(1-x^2)).
 
-    ``nodes`` are ``cos((2k - 1) pi / (2K))`` for ``k = 1..K`` and all
-    weights equal ``1/K``; the rule is exact for polynomials of degree up
-    to ``2K - 1`` against the unit-mass Chebyshev measure.
+    ``order`` is the node count.  :meth:`chebyshev` is Gauss-Chebyshev,
+    nodes ``cos((2k - 1) pi / (2K))`` and weights ``1/K``, exact to degree
+    ``2K - 1``; :meth:`graded` is Gauss-Legendre on panels of the angle
+    (``x = cos theta``), and ``panels`` holds its panel counts.
     """
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
+    panels: tuple = ()
 
     def __post_init__(self):
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
     @classmethod
+    @lru_cache(maxsize=128)
     def chebyshev(cls, order: int) -> "QuadratureRule":
         if order < 1:
             raise ValueError(f"quadrature order must be positive, got {order}")
@@ -94,6 +99,44 @@ class QuadratureRule:
         nodes = np.cos((2 * k - 1) * np.pi / (2 * order))
         weights = np.full(order, 1.0 / order)
         return cls(order=order, nodes=nodes, weights=weights)
+
+    @classmethod
+    @lru_cache(maxsize=128)
+    def graded(cls, panels: tuple, per_panel: int = PANEL_NODES) -> "QuadratureRule":
+        """Panels halving from ``pi/2`` toward ``theta = 0`` (``panels[0]``
+        of them) and ``pi`` (``panels[1]``); each end panel equals the next."""
+        cuts = [0.5 * np.pi * 0.5 ** np.arange(n) for n in panels]
+        edges = np.concatenate([[0.0], cuts[0][::-1], np.pi - cuts[1][1:], [np.pi]])
+        t, w = _gauss_legendre(per_panel)
+        half = 0.5 * np.diff(edges)[:, None]
+        theta = (edges[:-1, None] + half * (1.0 + t)).ravel()
+        return cls(order=theta.size, nodes=np.cos(theta),
+                   weights=(half * w / np.pi).ravel(), panels=tuple(panels))
+
+    def bumped(self) -> "QuadratureRule":
+        """The rule of the same kind with one more node (per panel, if graded)."""
+        return (QuadratureRule.graded(self.panels, self.order // sum(self.panels) + 1)
+                if self.panels else QuadratureRule.chebyshev(self.order + 1))
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(m: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only:
+    Newton on the recurrence for ``P_m``, ``w = 2 / ((1 - x^2) P_m'^2)``."""
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, m * (x * p1 - p0) / (x * x - 1.0)
+
+    x = -np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(8):
+        p, dp = legendre(x)
+        x = 0.5 * ((x - p / dp) - (x - p / dp)[::-1])
+    w = 2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -180,9 +223,7 @@ def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[
     if endpoints.size:
         log_mag -= 0.5 * np.sum(np.log(np.abs(x_arr[:, None] - endpoints[None, :])), axis=1)
     sign = np.where(neg % 2 == 0, 1.0, -1.0)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(sign[0]), float(log_mag[0])
-    return sign, log_mag
+    return (float(sign[0]), float(log_mag[0])) if np.ndim(x) == 0 else (sign, log_mag)
 
 
 def _frame_points(bands: BandSystem, vars: GapVariables, frame: tuple[str, int]):
@@ -276,9 +317,7 @@ def kernel_band(x, i: int, bands: BandSystem, vars: GapVariables):
     p, a_t, b_t = _frame_points(bands, vars, frame)
     _check_collision(x_arr, np.concatenate([p, _outer_endpoints(a_t, b_t, frame)]))
     values = _paired_product(x_arr, frame, p, a_t, b_t)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(values[0])
-    return values
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 def kernel_grouped(x, i: int, bands: BandSystem, vars: GapVariables):
@@ -292,9 +331,7 @@ def kernel_grouped(x, i: int, bands: BandSystem, vars: GapVariables):
     _check_collision(x_arr, np.array([vars.lambdas[i]]))
     g, p = _grouped_reduced(x_arr, i, bands, vars)
     values = (x_arr - p[i]) * g
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(values[0])
-    return values
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 def gap_integral(i: int, bands: BandSystem, vars: GapVariables, rule: QuadratureRule,
@@ -304,15 +341,15 @@ def gap_integral(i: int, bands: BandSystem, vars: GapVariables, rule: Quadrature
     This is ``(1/pi) * integral of Z/sqrt|Y|`` over the gap after rescaling
     it to [-1, 1]; the gap's own endpoints supply the Chebyshev weight.  At
     the solution all these integrals vanish.  With the grouped evaluator
-    and a ``keep`` dict, ``keep[i]`` receives ``(rule, g)``, the reduced
-    kernel that :func:`gap_jacobian_row` accepts at the same variables.
+    and a ``keep`` dict, ``keep[i]`` receives ``(rule, (g, p))``, what
+    :func:`gap_jacobian_row` reuses at the same variables.
     """
     x = rule.nodes
     if evaluator == "grouped":
         _check_collision(x, np.array([vars.lambdas[i]]))
         g, p = _grouped_reduced(x, i, bands, vars)
         if keep is not None:
-            keep[i] = (rule, g)
+            keep[i] = (rule, (g, p))
         f = (x - p[i]) * g
     elif evaluator == "log":
         sign, log_mag = kernel_log_magnitude(x, bands, vars, ("gap", i))
@@ -333,7 +370,7 @@ def band_integral(i: int, bands: BandSystem, vars: GapVariables, rule: Quadratur
 
 
 def gap_jacobian_row(i: int, bands: BandSystem, vars: GapVariables,
-                     rule: QuadratureRule, g: np.ndarray | None = None) -> np.ndarray:
+                     rule: QuadratureRule, reduced: tuple | None = None) -> np.ndarray:
     """All derivatives ``d K_i / d lambda_m`` of one gap equation.
 
     Differentiating the Gaussian sum in its root ``zeta_m`` drops the
@@ -341,26 +378,21 @@ def gap_jacobian_row(i: int, bands: BandSystem, vars: GapVariables,
     the chain rule to the normalized variable contributes ``1 / A_m``.
     The dropped-factor products reuse the grouped kernel: dividing the full
     kernel by ``(x - p_m)`` is stable because only ``p_i`` lies inside the
-    frame, and for ``m = i`` the reduced kernel is used directly.  ``g`` is
-    that reduced kernel at the nodes of ``rule`` when the residual pass at
-    the same variables already built it (see ``keep`` in
-    :func:`gap_integral`); otherwise it is built here.
+    frame, and for ``m = i`` the reduced kernel is used directly.
+    ``reduced`` is ``(g, p)``, that kernel at the nodes of ``rule`` and the
+    frame points, when the residual pass at the same variables built them
+    (see ``keep`` in :func:`gap_integral`).  Sums are ``einsum``, not BLAS.
     """
     x, w = rule.nodes, rule.weights
-    if g is None:
+    if reduced is None:
         _check_collision(x, np.array([vars.lambdas[i]]))
-        g, p = _grouped_reduced(x, i, bands, vars)
-    else:
-        p = _frame_points(bands, vars, ("gap", i))[0]
+        reduced = _grouped_reduced(x, i, bands, vars)
+    g, p = reduced
     f = (x - p[i]) * g
 
-    n_gaps = bands.n_gaps
     gap_w = bands.gap_widths
-    row = np.empty(n_gaps)
-    for start in range(0, n_gaps, _PROD_BLOCK):
-        stop = min(start + _PROD_BLOCK, n_gaps)
-        block = f[None, :] / (x[None, :] - p[start:stop, None])
-        row[start:stop] = block @ w
+    row = np.concatenate([np.einsum("mk,k->m", f / (x - p[s : s + _PROD_BLOCK, None]), w)
+                          for s in range(0, bands.n_gaps, _PROD_BLOCK)])
     row *= -(gap_w / gap_w[i])
     row[i] = -float(g @ w)
     return row
@@ -381,8 +413,8 @@ def refined_order(bands: BandSystem, frame: tuple[str, int],
     ``exp(-2 * REFINE_SAFETY)``.  The order is at least ``base_order`` and
     rounded up to an even number, so that no node sits at the interval's
     midpoint, where symmetric systems put their roots.  With
-    auto-refinement on, the solver takes every gap and band order from
-    here, and the analytics sample each band's density at twice the band's
+    auto-refinement on, the solver's rules come from :func:`refined_rule`,
+    and the analytics sample each band's density at twice the band's
     order; ``quadrature_order`` then only sets the point path's node table
     and the uniform rule of the ``auto_refine=False`` path.
     """
@@ -400,3 +432,22 @@ def refined_order(bands: BandSystem, frame: tuple[str, int],
         eps = 2.0 * float(neighbours.min()) / own
         order = max(order, int(math.ceil(REFINE_SAFETY / math.sqrt(2.0 * eps))))
     return order + order % 2
+
+
+def refined_rule(bands: BandSystem, frame: tuple[str, int]) -> QuadratureRule:
+    """Gauss-Chebyshev of :func:`refined_order` nodes or, for a gap, graded
+    panels when they need fewer.  The band beside a gap end has its far end
+    ``acosh(1 + 2 * band width / gap width)`` from it in ``theta``; panels
+    halve toward that end down to half that distance, where
+    ``PANEL_NODES`` nodes are exact to roundoff (Trefethen, *ATAP*, ch. 8).
+    """
+    order = refined_order(bands, frame)
+    kind, i = frame
+    panels = []
+    for b in (i + 1, i) if kind == "gap" else ():
+        t = 2.0 * bands.band_widths[b] / bands.gap_widths[i]
+        distance = math.log1p(t + math.sqrt(t * (2.0 + t)))  # acosh(1 + t)
+        panels.append(max(1, math.ceil(math.log2(2.0 * math.pi / distance))))
+    if panels and PANEL_NODES * sum(panels) < order:
+        return QuadratureRule.graded(tuple(panels))
+    return QuadratureRule.chebyshev(order)

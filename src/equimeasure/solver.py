@@ -2,11 +2,11 @@
 
 At generation ``n`` the ``N - 1`` normalized gap roots solve the coupled
 system ``K_i(lambda_1, ..., lambda_{N-1}) = 0`` where ``K_i`` is the
-Gauss-Chebyshev value of the signed density integral over gap ``i``.  The
+quadrature value of the signed density integral over gap ``i``.  The
 system has a unique solution and is strongly diagonally dominant (remote
 gaps barely influence each other), so a damped Newton iteration with the
-analytic Jacobian converges in a handful of steps.  Steps are scaled, never
-projected, so every iterate keeps each root strictly inside its gap.
+analytic Jacobian and GMRES converges in a handful of steps.  Steps are
+scaled, never projected, so every iterate keeps each root inside its gap.
 
 Across generations the gap genealogy provides warm starts: a gap that
 already existed at generation ``n - 1`` inherits its converged root, while
@@ -15,6 +15,7 @@ newly created gaps start from the gap midpoint (``lambda = 0``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +28,11 @@ from .kernel import (
     band_integral,
     gap_integral,
     gap_jacobian_row,
-    refined_order,
+    refined_rule,
 )
 
 _MAX_COLLISION_BUMPS = 4
+_GMRES_RTOL = 1e-14  # relative residual of the Jacobi-scaled Newton system
 
 
 class SolverError(RuntimeError):
@@ -69,8 +71,8 @@ class SolverConfig:
     (-1, 1); a root reaching its gap boundary would flip the sign of the
     density and void the equations.  With ``auto_refine`` set (the
     default) every gap equation and every band measure gets its own
-    quadrature order, sized from the geometry by
-    :func:`~equimeasure.kernel.refined_order`, and ``quadrature_order`` is
+    quadrature rule, sized from the geometry by
+    :func:`~equimeasure.kernel.refined_rule`, and ``quadrature_order`` is
     not used.  With ``auto_refine`` off all of them use one rule of
     ``quadrature_order`` nodes, the paper's uniform choice.
     """
@@ -126,19 +128,13 @@ class EquilibriumSolution:
 def _rules(bands: BandSystem, cfg: SolverConfig, kind: str) -> list[QuadratureRule]:
     """One rule per gap (``kind="gap"``) or per band (``kind="band"``)."""
     count = bands.n_gaps if kind == "gap" else bands.n_bands
-    cache: dict[int, QuadratureRule] = {}
-    rules = []
-    for i in range(count):
-        order = (refined_order(bands, (kind, i)) if cfg.auto_refine
-                 else cfg.quadrature_order)
-        if order not in cache:
-            cache[order] = QuadratureRule.chebyshev(order)
-        rules.append(cache[order])
-    return rules
+    if not cfg.auto_refine:
+        return [QuadratureRule.chebyshev(cfg.quadrature_order)] * count
+    return [refined_rule(bands, (kind, i)) for i in range(count)]
 
 
 def _with_bumps(evaluate, i, vars, rule):
-    """``evaluate(rule)``, raising the order by one after each collision.
+    """``evaluate(rule)``, taking ``rule.bumped()`` after each collision.
 
     Raises :class:`NodeCollision` when the nodes still hit a root or an
     endpoint after ``_MAX_COLLISION_BUMPS`` bumps.
@@ -147,7 +143,7 @@ def _with_bumps(evaluate, i, vars, rule):
         try:
             return evaluate(rule)
         except ExactNodeCollision:
-            rule = QuadratureRule.chebyshev(rule.order + 1)
+            rule = rule.bumped()
     raise NodeCollision(
         f"quadrature nodes of gap {i} still hit a root or endpoint after "
         f"{_MAX_COLLISION_BUMPS} order bumps", gap=i, lambdas=vars.lambdas,
@@ -158,9 +154,10 @@ def _with_bumps(evaluate, i, vars, rule):
 def _residual_vector(bands, lambdas, rules, evaluator):
     """Residuals at ``lambdas`` and the reduced kernels built on the way.
 
-    The second value maps gap ``i`` to ``(rule, g)``: the rule left after
-    any collision bumps and the reduced kernel there, which the Jacobian at
-    the same ``lambdas`` reuses.  The log-space evaluator keeps none.
+    The second value maps gap ``i`` to ``(rule, (g, p))``: the rule left
+    after any collision bumps, the reduced kernel and frame points there,
+    which the Jacobian at the same ``lambdas`` reuses.  The log-space
+    evaluator keeps none.
     """
     vars = GapVariables(bands, lambdas)
     kept: dict = {}
@@ -174,25 +171,62 @@ def _residual_vector(bands, lambdas, rules, evaluator):
 
 def _jacobian(bands, lambdas, rules, kept) -> np.ndarray:
     vars = GapVariables(bands, lambdas)
-    rows = []
-    for i in range(bands.n_gaps):
-        if i in kept:
-            rule, g = kept[i]
-            rows.append(gap_jacobian_row(i, bands, vars, rule, g))
-        else:
-            rows.append(_with_bumps(
-                lambda rule: gap_jacobian_row(i, bands, vars, rule), i, vars, rules[i]))
-    return np.vstack(rows)
+    return np.vstack([
+        gap_jacobian_row(i, bands, vars, *kept[i]) if i in kept else _with_bumps(
+            lambda rule: gap_jacobian_row(i, bands, vars, rule), i, vars, rules[i])
+        for i in range(bands.n_gaps)])
+
+
+def _gmres(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``jac @ x = rhs`` by unrestarted GMRES on the Jacobi-scaled system
+    (Saad & Schultz, 1986): classical Gram-Schmidt twice, Givens rotations on
+    Python floats, every product an ``einsum``, so no BLAS call wakes
+    OpenBLAS's threads.  The diagonal dominates, so a dozen steps suffice.
+    Raises ``LinAlgError`` for a non-finite Jacobian, a zero diagonal entry
+    or no convergence within ``N`` steps."""
+    n, diag = rhs.size, jac.diagonal()
+    if not (np.isfinite(jac).all() and diag.all()):
+        raise np.linalg.LinAlgError("the Jacobian is not finite or has a zero diagonal entry")
+    a, b = jac / diag[:, None], rhs / diag
+    beta = math.sqrt(np.einsum("i,i->", b, b))
+    basis = np.empty((n + 1, n))  # pages are touched only as rows are filled
+    basis[0] = b / beta
+    g, rotations, cols = [beta], [], []
+    for k in range(n):
+        w, v, col = np.einsum("ij,j->i", a, basis[k]), basis[: k + 1], 0.0
+        for _ in range(2):
+            h = np.einsum("ij,j->i", v, w)
+            w -= np.einsum("i,ij->j", h, v)
+            col = col + h
+        col, h_next = col.tolist(), math.sqrt(np.einsum("i,i->", w, w))
+        for j, (c, s) in enumerate(rotations):
+            col[j], col[j + 1] = c * col[j] + s * col[j + 1], c * col[j + 1] - s * col[j]
+        rho = math.hypot(col[k], h_next)
+        if rho == 0.0:
+            break
+        c, s = col[k] / rho, h_next / rho
+        rotations.append((c, s))
+        col[k] = rho
+        cols.append(col)
+        g[k:] = [c * g[k], -s * g[k]]
+        if abs(g[k + 1]) <= _GMRES_RTOL * beta:
+            y = [0.0] * (k + 1)
+            for j in reversed(range(k + 1)):
+                y[j] = (g[j] - sum(cols[m][j] * y[m] for m in range(j + 1, k + 1))
+                        ) / cols[j][j]
+            return np.einsum("i,ij->j", np.array(y), basis[: k + 1])
+        basis[k + 1] = w / h_next
+    raise np.linalg.LinAlgError(f"GMRES stopped at relative residual {abs(g[-1]) / beta:.1e}")
 
 
 def solve_generation(bands: BandSystem, initial: GapVariables,
                      cfg: SolverConfig | None = None) -> EquilibriumSolution:
     """Drive all gap equations below ``cfg.residual_tol`` in max norm.
 
-    Newton directions come from the analytic Jacobian via dense LU; steps
-    are shortened first to respect the (-1, 1) clamp and then halved until
-    the residual norm decreases.  Raises :class:`NoConvergence` (with the
-    best iterate attached) when the iteration budget runs out and
+    Newton directions come from the analytic Jacobian by :func:`_gmres`;
+    steps are shortened first to respect the (-1, 1) clamp and then halved
+    until the residual norm decreases.  Raises :class:`NoConvergence` (with
+    the best iterate attached) when the iteration budget runs out and
     :class:`SingularJacobian` when the linear solve breaks down.
     """
     cfg = cfg or SolverConfig()
@@ -207,22 +241,20 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
     norm = initial_abs.max() if r.size else 0.0
     iterations = 0
 
+    def failure(kind, message):
+        return kind(message, lambdas=lam, residuals=np.abs(r), iterations=iterations,
+                    generation=bands.generation)
+
     while norm > cfg.residual_tol:
         if iterations >= cfg.max_iterations:
-            raise NoConvergence(
-                f"no convergence after {iterations} iterations (residual {norm:.3e})",
-                lambdas=lam, residuals=np.abs(r), iterations=iterations,
-                generation=bands.generation,
-            )
+            raise failure(NoConvergence, f"no convergence after {iterations} "
+                                         f"iterations (residual {norm:.3e})")
         jac = _jacobian(bands, lam, rules, kept)
         try:
-            step = np.linalg.solve(jac, -r)
+            step = _gmres(jac, -r)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(
-                f"singular Jacobian at iteration {iterations}: {exc}",
-                lambdas=lam, residuals=np.abs(r), iterations=iterations,
-                generation=bands.generation,
-            ) from exc
+            raise failure(SingularJacobian,
+                          f"singular Jacobian at iteration {iterations}: {exc}") from exc
 
         # Largest multiple of the Newton step keeping all components inside
         # [-1 + clamp, 1 - clamp]; shrinking the whole step preserves the
@@ -232,21 +264,16 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
                             np.where(step < 0.0, (-hi_bound - lam) / step, np.inf))
         t = min(1.0, float(np.min(room))) if room.size else 1.0
 
-        accepted = False
         while t > 2.0 ** -30:
             trial = lam + t * step
             r_trial, kept_trial = _residual_vector(bands, trial, rules,
                                                    cfg.evaluator)
             if np.max(np.abs(r_trial)) <= (1.0 - 1e-4 * t) * norm:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            raise NoConvergence(
-                f"line search stalled at iteration {iterations} (residual {norm:.3e})",
-                lambdas=lam, residuals=np.abs(r), iterations=iterations,
-                generation=bands.generation,
-            )
+        else:
+            raise failure(NoConvergence, f"line search stalled at iteration "
+                                         f"{iterations} (residual {norm:.3e})")
         lam, r, kept = trial, r_trial, kept_trial
         norm = float(np.max(np.abs(r)))
         iterations += 1

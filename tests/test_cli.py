@@ -221,6 +221,31 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path)]) == 3
         assert "generation 1" in capsys.readouterr().err
 
+    def test_records_of_the_former_order_rule_are_solved_again(self, tmp_path,
+                                                               monkeypatch):
+        # records written before gaps could take graded rules
+        path = write_config(tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "ORDER_RULE", "refined-even/min32/safety18")
+            assert main(["solve", "--config", str(path)]) == 0
+        calls = []
+
+        def counting(bands, *args, **kwargs):
+            calls.append(bands.generation)
+            return solver.solve_generation(bands, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_generation", counting)
+        solve_all(RunConfig.from_file(path))
+        assert calls == [1, 2, 3]
+
+    def test_singular_jacobian_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "gap_jacobian_row",
+                            lambda i, bands, *args: np.full(bands.n_gaps, np.nan))
+        path = write_config(tmp_path)
+        assert main(["solve", "--config", str(path)]) == 3
+        assert "generation 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "gen_2.json").exists()
+
     def test_cache_disabled(self, tmp_path):
         path = write_config(tmp_path, cache=False)
         cfg = RunConfig.from_file(path)
@@ -479,6 +504,24 @@ class TestScipyFree:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "potential_points.csv").exists()
+
+    def test_graded_rules_import_no_numpy_polynomial(self, tmp_path):
+        # the thin system takes graded gap rules from n = 3 on
+        path = write_config(tmp_path, ifs=[[0.9, -1.0], [0.001, 1.0]], n_max=4)
+        script = "\n".join([
+            "import sys",
+            "import equimeasure.cli as cli",
+            f"assert cli.main(['solve', '--config', {str(path)!r}]) == 0",
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))",
+        ])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert len(list((tmp_path / "out").glob("gen_*.json"))) == 4
 
 
 class TestSolutionCache:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from equimeasure.geometry import generate_bands
+from equimeasure import solver
+from equimeasure.geometry import IfsSystem, generate_bands, validate
 from equimeasure.kernel import (
     COLLISION_RTOL,
     MIN_ORDER,
@@ -18,8 +19,10 @@ from equimeasure.kernel import (
     kernel_grouped,
     kernel_log_magnitude,
     refined_order,
+    refined_rule,
     _check_collision,
     _frame_points,
+    _gauss_legendre,
     _paired_product,
 )
 
@@ -405,3 +408,118 @@ def test_refined_order_formula_and_parity(asym, trivial_band):
     assert refined_order(b0, ("band", 0)) == MIN_ORDER
     with pytest.raises(ValueError):
         refined_order(b, ("hole", 0))
+
+
+THIN_PAIRS = [[0.9, -1.0], [0.001, 1.0]]
+
+
+def graded_gaps(system, n_max):
+    """``(bands, i, rule)`` for every gap that takes a graded rule, n <= n_max."""
+    for n in range(1, n_max + 1):
+        b = generate_bands(system, n)
+        for i in range(b.n_gaps):
+            rule = refined_rule(b, ("gap", i))
+            if rule.panels:
+                yield b, i, rule
+
+
+class TestGradedRule:
+    @pytest.mark.parametrize("m", [16, 17, 18])
+    def test_gauss_legendre_matches_numpy(self, m):
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = _gauss_legendre(m)
+        ref_x, ref_w = leggauss(m)
+        assert np.max(np.abs(x - ref_x)) <= 2e-16
+        assert np.max(np.abs(w - ref_w)) <= 2e-15
+        assert not x.flags.writeable and not w.flags.writeable
+
+    def test_chebyshev_moments(self, asym):
+        # (1/pi) int T_j / sqrt(1 - x^2) = delta_j0.  The pi/4-wide panels
+        # next to pi/2 resolve cos(j theta) to roundoff up to j = 23 (j = 30
+        # is off by 3e-12); the gap integrands, whose singularities all lie
+        # at Re theta = 0 or pi, need far less of them
+        rules = {rule.panels: rule for _, _, rule in graded_gaps(asym, 9)}
+        assert len(rules) >= 3
+        for rule in [*rules.values(), *(r.bumped() for r in rules.values())]:
+            theta = np.arccos(rule.nodes)
+            for j in range(24):
+                assert abs(rule.weights @ np.cos(j * theta) - (j == 0)) <= 1e-15, \
+                    (rule.panels, rule.order, j)
+
+    def test_layout(self):
+        rule = QuadratureRule.graded((3, 2))
+        assert rule.order == 5 * 16 and rule.panels == (3, 2)
+        theta = np.arccos(rule.nodes)
+        # panels [0, pi/8], [pi/8, pi/4], [pi/4, pi/2], [pi/2, 3pi/4], [3pi/4, pi]
+        assert np.all(np.diff(theta) > 0)
+        per_panel = rule.weights.reshape(5, 16).sum(axis=1)
+        assert np.allclose(per_panel, [1 / 8, 1 / 8, 1 / 4, 1 / 4, 1 / 4], rtol=0, atol=1e-16)
+        assert QuadratureRule.graded((3, 2)) is rule
+
+    def test_picks_the_smaller_rule(self, asym, ternary):
+        for system, n in ((asym, 9), (ternary, 9)):
+            b = generate_bands(system, n)
+            for i in range(b.n_gaps):
+                rule, order = refined_rule(b, ("gap", i)), refined_order(b, ("gap", i))
+                assert rule.order <= order
+                assert (rule.order == order) == (not rule.panels)
+            for i in range(b.n_bands):
+                assert refined_rule(b, ("band", i)).order == refined_order(b, ("band", i))
+        # asym n=9: 95 460 Gauss-Chebyshev nodes on the gaps, 23 344 mixed
+        b = generate_bands(asym, 9)
+        assert sum(refined_order(b, ("gap", i)) for i in range(b.n_gaps)) == 95460
+        assert sum(refined_rule(b, ("gap", i)).order for i in range(b.n_gaps)) == 23344
+        # the middle thirds keep Gauss-Chebyshev on every gap up to n = 6
+        b = generate_bands(ternary, 6)
+        assert not any(refined_rule(b, ("gap", i)).panels for i in range(b.n_gaps))
+
+    @pytest.mark.parametrize("pairs, n_max, tol", [([[0.8, -1.0], [0.1, 1.0]], 7, 1e-15),
+                                                   (THIN_PAIRS, 4, 1e-12)])
+    def test_matches_adaptive_oracle(self, pairs, n_max, tol):
+        # away from the solution, so the integrals are O(0.1).  Beside a
+        # band 9e-9 of its gap's width (thin system, n = 4) the node
+        # positions' rounding alone moves any rule's value by ~5e-13
+        system = validate(IfsSystem.from_pairs(pairs))
+        seen = 0
+        for b, i, rule in graded_gaps(system, n_max):
+            gv = GapVariables(b, 0.5 * np.sin(np.arange(b.n_gaps) + 1.0))
+            value = gap_integral(i, b, gv, rule)
+            assert abs(value - adaptive_gap_oracle(i, b, gv)) <= tol, (b.generation, i)
+            seen += 1
+        assert seen >= 4
+
+    def test_collision_bumps_to_another_graded_rule(self, asym):
+        b, i, rule = next(graded_gaps(asym, 7))
+        lam = np.zeros(b.n_gaps)
+        lam[i] = rule.nodes[rule.order // 3]
+        gv = GapVariables(b, lam)
+        with pytest.raises(ExactNodeCollision):
+            gap_integral(i, b, gv, rule)
+        used = []
+
+        def evaluate(r):
+            used.append(r)
+            return gap_integral(i, b, gv, r)
+
+        value = solver._with_bumps(evaluate, i, gv, rule)
+        assert [r.order for r in used] == [rule.order, rule.order + sum(rule.panels)]
+        assert used[-1].panels == rule.panels
+        assert not np.isin(used[-1].nodes, rule.nodes).any()
+        assert abs(value - adaptive_gap_oracle(i, b, gv)) <= 1e-15
+
+
+@pytest.mark.parametrize("pairs, n", [([[1 / 3, -1.0], [1 / 3, 1.0]], 4),
+                                      ([[0.8, -1.0], [0.1, 1.0]], 7)])
+def test_jacobian_rows_reuse_the_residual_pass_bitwise(pairs, n):
+    b = generate_bands(validate(IfsSystem.from_pairs(pairs)), n)
+    gv = GapVariables(b, 0.3 * np.cos(np.arange(b.n_gaps)))
+    keep = {}
+    for i in range(b.n_gaps):
+        rule = refined_rule(b, ("gap", i))
+        gap_integral(i, b, gv, rule, keep=keep)
+        kept_rule, reduced = keep[i]
+        assert kept_rule is rule
+        assert np.array_equal(reduced[1], _frame_points(b, gv, ("gap", i))[0])
+        assert np.array_equal(gap_jacobian_row(i, b, gv, rule, reduced),
+                              gap_jacobian_row(i, b, gv, rule))

@@ -14,6 +14,7 @@ from equimeasure.kernel import (
 from equimeasure.solver import (
     NoConvergence,
     NodeCollision,
+    SingularJacobian,
     SolverConfig,
     SolverError,
     hierarchical_solve,
@@ -126,19 +127,28 @@ def test_accuracy_driven_roots_solve_finer_rules(asym_run):
 
 
 def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
-    orders = []
+    calls = []
 
-    def recording(fn):
+    def recording(fn, kind):
         def wrapped(*args, **kwargs):
-            orders.append(args[3].order)
+            i, bands, _, rule = args[:4]
+            calls.append((kind, i, bands, rule))
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("gap_integral", "gap_jacobian_row", "band_integral"):
-        monkeypatch.setattr(solver, name, recording(getattr(solver, name)))
+    for name, kind in (("gap_integral", "gap"), ("gap_jacobian_row", "gap"),
+                       ("band_integral", "band")):
+        monkeypatch.setattr(solver, name, recording(getattr(solver, name), kind))
     hierarchical_solve(asym, 7, SolverConfig(residual_tol=1e-12))
-    assert all(k % 2 == 0 and k >= MIN_ORDER for k in orders)
-    assert min(orders) == MIN_ORDER and max(orders) > 2048
+    band_orders = [rule.order for kind, _, _, rule in calls if kind == "band"]
+    assert all(k % 2 == 0 and k >= MIN_ORDER for k in band_orders)
+    assert min(band_orders) == MIN_ORDER
+    gaps = [(refined_order(b, ("gap", i)), rule) for kind, i, b, rule in calls
+            if kind == "gap"]
+    assert all(rule.order <= chebyshev for chebyshev, rule in gaps)
+    # the thin neighbours of asym n=7 need over 2048 Gauss-Chebyshev nodes
+    assert any(chebyshev > 2048 and rule.panels and rule.order < 400
+               for chebyshev, rule in gaps)
 
 
 @pytest.mark.parametrize("collides, evaluator", [("gap_integral", "grouped"),
@@ -236,4 +246,54 @@ def test_thin_gaps_next_to_wide_bands_converge(pairs, n_max):
     # that round trip puts in the residual
     sols = hierarchical_solve(validate(IfsSystem.from_pairs(pairs)), n_max)
     assert [s.generation for s in sols] == list(range(1, n_max + 1))
+    assert max(s.max_residual for s in sols) <= 1e-12
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("system, n_max, tol", [("ternary", 7, 1e-13), ("asym", 9, 1e-12)])
+    def test_gmres_matches_lu(self, system, n_max, tol, request, monkeypatch):
+        steps = []
+
+        def recording(jac, rhs):
+            step = gmres(jac, rhs)
+            steps.append((np.linalg.solve(jac, rhs), step))
+            return step
+
+        gmres = solver._gmres
+        monkeypatch.setattr(solver, "_gmres", recording)
+        hierarchical_solve(request.getfixturevalue(system), n_max,
+                           SolverConfig(residual_tol=tol))
+        assert len(steps) >= 3 * (n_max - 1)
+        for lu, step in steps:
+            assert np.max(np.abs(step - lu)) <= 1e-13 * np.max(np.abs(lu))
+
+    @pytest.mark.parametrize("jac", [np.array([[1.0, 0.1], [0.2, 0.0]]),
+                                     np.array([[1.0, np.nan], [0.2, 1.0]]),
+                                     np.array([[1.0, 1.0], [1.0, 1.0]])])
+    def test_singular_systems_raise(self, jac):
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._gmres(jac, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_bad_jacobian_is_a_singular_jacobian(self, ternary, monkeypatch, fill):
+        monkeypatch.setattr(solver, "gap_jacobian_row",
+                            lambda i, bands, *args: np.full(bands.n_gaps, fill))
+        b = generate_bands(ternary, 2)
+        with pytest.raises(SingularJacobian) as err:
+            solve_generation(b, warm_start(b, None))
+        assert err.value.generation == 2 and err.value.iterations == 0
+
+    def test_no_lapack_solve(self, asym, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        sols = hierarchical_solve(asym, 6, SolverConfig(residual_tol=1e-12))
+        assert max(s.max_residual for s in sols) <= 1e-12
+
+
+def test_asym_generation_ten_converges(asym):
+    # 1023 gaps; about 4 s with graded gap rules, 18 s with Gauss-Chebyshev
+    sols = hierarchical_solve(asym, 10, SolverConfig(residual_tol=1e-12))
+    assert [s.generation for s in sols] == list(range(1, 11))
     assert max(s.max_residual for s in sols) <= 1e-12
