@@ -13,7 +13,7 @@ built once per solution and memoised on it, read-only (see
 is ``F(t) / (pi sqrt(1 - t**2))`` with ``F = |Z| / sqrt|Y~|``; ``F`` is
 sampled with :func:`~equimeasure.kernel.kernel_band` at the first-kind
 Chebyshev nodes of ``SERIES_OVERSAMPLING`` times the band's
-:func:`~equimeasure.kernel.refined_order`, and a DCT-II (one numpy FFT per
+:func:`~equimeasure.kernel.refined_orders`, and a DCT-II (one numpy FFT per
 series length) gives ``F = sum_j c_j T_j``; ``c_0`` is the band measure.
 Nothing else in this module evaluates the kernel, and no log-space kernel
 is evaluated at all.  The module needs numpy alone.
@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import BandSystem
-from .kernel import QuadratureRule, _from_frame, kernel_band, refined_order
+from .kernel import QuadratureRule, _from_frame, kernel_band, refined_orders
 # Imported so that ``analytics.kernel_log_magnitude`` stays a patch point:
 # the traced benchmark (bench/tracer.py) counts log-space calls made from
 # here, and that count is meant to read 0.
@@ -129,19 +129,18 @@ def _chebyshev_series(bands: BandSystem, vars) -> np.ndarray:
     """Chebyshev coefficients of ``F = |Z| / sqrt|Y~|`` on every band.
 
     Row ``b`` holds ``c_0 .. c_{M-1}`` for ``M = SERIES_OVERSAMPLING *
-    refined_order(bands, ("band", b))``, zero-padded to the longest row:
+    refined_orders(bands, "band")[b]``, zero-padded to the longest row:
     ``sum_j c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes
     of order ``M`` in band ``b``'s frame, and ``c_0`` is the band measure
-    under that order's Gauss-Chebyshev rule; bands of one ``M`` share a :func:`_dct2`.
+    under that order's Gauss-Chebyshev rule; bands of one ``M`` share one
+    :func:`~equimeasure.kernel.kernel_band` call and one :func:`_dct2`.
     """
-    orders = [SERIES_OVERSAMPLING * refined_order(bands, ("band", b))
-              for b in range(bands.n_bands)]
-    coeffs = np.zeros((bands.n_bands, max(orders)))
-    for m in set(orders):
-        rows = [b for b, order in enumerate(orders) if order == m]
+    orders = SERIES_OVERSAMPLING * refined_orders(bands, "band")
+    coeffs = np.zeros((bands.n_bands, orders.max()))
+    for m in set(orders.tolist()):
+        rows = np.flatnonzero(orders == m)
         nodes = QuadratureRule.chebyshev(m).nodes
-        coeffs[rows, :m] = _dct2(np.array([kernel_band(nodes, b, bands, vars)
-                                           for b in rows])) / m
+        coeffs[rows, :m] = _dct2(kernel_band(nodes, rows, bands, vars)) / m
     coeffs[:, 0] *= 0.5
     return coeffs
 

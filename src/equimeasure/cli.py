@@ -21,9 +21,10 @@ sized the same way; ``quadrature_order`` sets only the node table of the
 point path (``method="nodes"``) and, with ``auto_refine`` off, the
 solver's uniform rule, so with auto-refine on a run at another order reuses
 the stored records.  The Jacobian figure takes each gap's rule from the
-solver.  Grids are evaluated in one call per generation.  All files are
-written atomically (temp file + rename).  Figure data files are plain CSV
-with a header row and 17-digit floats.
+solver, one batched row call per rule group.  Grids are evaluated in one
+call per generation.  All files are written atomically (temp file +
+rename).  Figure data files are plain CSV with a header row and 17-digit
+floats.
 
 Exit codes, each failure with a one-line message on stderr:
 
@@ -402,12 +403,12 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
                           "residual_final"], rows)
     elif which == "jacobian_decay":
         bands, sol = solved[-1]
-        rows = []
-        for i, gap_rule in enumerate(_rules(bands, cfg.solver_config, "gap")):
-            row = _with_bumps(lambda r: gap_jacobian_row(i, bands, sol.vars, r),
-                              i, sol.vars, gap_rule)
-            rows.extend([bands.generation, i, m, i - m, abs(row[m])]
-                        for m in range(bands.n_gaps))
+        jac = np.empty((bands.n_gaps, bands.n_gaps))
+        for gap_rule, idx in _rules(bands, cfg.solver_config, "gap"):
+            _with_bumps(lambda i, r: gap_jacobian_row(i, bands, sol.vars, r),
+                        idx, sol.vars, gap_rule, jac)
+        rows = [[bands.generation, i, m, i - m, abs(jac[i, m])]
+                for i in range(bands.n_gaps) for m in range(bands.n_gaps)]
         path = out / "jacobian_decay.csv"
         _write_csv(path, ["generation", "i", "m", "i_minus_m", "abs_dKi_dlambda_m"],
                    rows)

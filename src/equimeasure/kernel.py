@@ -28,13 +28,26 @@ factors, has no production caller: it is the reference the paired
 product is tested against and the ``evaluator="log"`` choice of the gap
 equations.  Both agree to ~1e-12 relative.
 
+:func:`gap_integral`, :func:`gap_jacobian_row`, :func:`band_integral` and
+:func:`kernel_band` take one frame index ``i`` or a sequence of frame
+indices that share one rule.  A single index gives the single result (a
+``float``, one row, one set of values); a sequence gives one result per
+frame, stacked along a first axis, from one batched paired product.  The
+batch holds at most ``_CHUNK_ELEMS`` elements per temporary, whatever the
+number of frames, so no frame-by-root array of the whole generation is
+formed; each value is computed by the same operations as for its frame
+alone, so a batch and per-frame calls agree bitwise.  A collision raises
+:class:`ExactNodeCollision` naming every frame of the call it hits.  The
+log-space path remains one frame per call.
+
 Every integral takes its rule for the Chebyshev weight as an argument.
-The solver sizes one rule per gap and per band from the geometry
-(:func:`refined_rule`): Gauss-Chebyshev, a few dozen nodes for most
-intervals, or beside a thin band panels graded toward it.  The analytics
-size their per-band Chebyshev series from :func:`refined_order`;
-``quadrature_order`` sets the node table of the point path and the uniform
-rule of the solver when auto-refinement is off.
+The solver sizes one rule per gap and per band from the geometry, all
+frames of a kind in one array pass (:func:`refined_rules`):
+Gauss-Chebyshev, a few dozen nodes for most intervals, or beside a thin
+band panels graded toward it.  The analytics size their per-band
+Chebyshev series from :func:`refined_orders`; ``quadrature_order`` sets
+the node table of the point path and the uniform rule of the solver when
+auto-refinement is off.
 
 All functions are pure; results depend only on the arguments, and node
 sums always run in the fixed node order, so values are reproducible.
@@ -54,7 +67,7 @@ from .geometry import BandSystem
 # treated as an exact collision (the integrand value is meaningless there).
 COLLISION_RTOL = 1e-15
 
-# Accuracy-driven orders (see ``refined_order``): never fewer than
+# Accuracy-driven orders (see ``refined_orders``): never fewer than
 # ``MIN_ORDER`` nodes, and enough that exp(-2 * REFINE_SAFETY) ~ 2e-16 bounds
 # the quadrature error.  ``ORDER_RULE`` names this rule in cache fingerprints;
 # change it whenever the rule changes.
@@ -64,11 +77,20 @@ PANEL_NODES = 16  # Gauss-Legendre nodes per panel of a graded gap rule
 ORDER_RULE = f"refined-or-graded/min{MIN_ORDER}/safety{REFINE_SAFETY:g}/panel{PANEL_NODES}"
 
 _PROD_BLOCK = 256  # rows per block when accumulating long factor products
-_CHUNK_ELEMS = 1 << 15  # elements per temporary of a paired-product chunk
+_CHUNK_ELEMS = 1 << 14  # elements per temporary of a batched chunk
+_COLLISION = "evaluation point coincides with a root or endpoint"
 
 
 class ExactNodeCollision(ValueError):
-    """Evaluation point coincides with a kernel root or band endpoint."""
+    """Evaluation point coincides with a kernel root or band endpoint.
+
+    ``frames`` holds the indices of the frames (gaps or bands) whose points
+    collide; empty when the raiser did not name them.
+    """
+
+    def __init__(self, message: str, frames: tuple = ()):
+        super().__init__(message)
+        self.frames = tuple(frames)
 
 
 @dataclass(frozen=True)
@@ -170,7 +192,7 @@ class GapVariables:
         return zetas
 
 
-def _to_frame(y, lo: float, hi: float):
+def _to_frame(y, lo, hi):
     return (2.0 * y - (hi + lo)) / (hi - lo)
 
 
@@ -178,26 +200,42 @@ def _from_frame(x, lo: float, hi: float):
     return 0.5 * (x * (hi - lo) + (hi + lo))
 
 
-def _check_collision(x: np.ndarray, points: np.ndarray) -> None:
-    """Raise when some ``x`` lies within ``COLLISION_RTOL`` of a point.
+def _frames(i):
+    """``(indices, scalar)``: frame index ``i``, or a sequence of them, as an
+    integer array, and whether ``i`` was a single index."""
+    return np.atleast_1d(np.asarray(i, dtype=np.intp)), np.ndim(i) == 0
 
-    The distance is relative to ``max(1, |x|, |point|)``.  A single point
-    (a gap's own root) is tested against every node.  Otherwise only the
-    nearest node on either side of a point can be that close, so the nodes
-    are sorted once and each point is tested against its two neighbours.
+
+def _frame_bounds(bands: BandSystem, kind: str, idx: np.ndarray):
+    """Original-coordinate ends ``(lo, hi)`` of the frames ``idx``."""
+    if kind == "gap":
+        return bands.betas[idx], bands.alphas[idx + 1]
+    if kind == "band":
+        return bands.alphas[idx], bands.betas[idx]
+    raise ValueError(f"unknown frame kind {kind!r}")
+
+
+def _near(xs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask of the ``points`` within ``COLLISION_RTOL`` of a node of ``xs``.
+
+    ``xs`` is sorted; the distance is relative to ``max(1, |x|, |point|)``.
+    Only the nearest node on either side of a point can be that close, so
+    each point is tested against its two neighbours.
     """
-    if x.size == 0 or points.size == 0:
-        return
-    candidates = (x.ravel(),)
-    if points.size > 1:
-        xs = np.sort(x, axis=None)
-        k = np.searchsorted(xs, points)
-        candidates = (xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)])
-    for near in candidates:
-        diff = np.abs(near - points)
+    hit = np.zeros(points.shape, dtype=bool)
+    if xs.size == 0:
+        return hit
+    k = np.searchsorted(xs, points)
+    for near in (xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)]):
         scale = np.maximum(1.0, np.maximum(np.abs(near), np.abs(points)))
-        if np.any(diff < COLLISION_RTOL * scale):
-            raise ExactNodeCollision("evaluation point coincides with a root or endpoint")
+        hit |= np.abs(near - points) < COLLISION_RTOL * scale
+    return hit
+
+
+def _raise_hits(hit: np.ndarray, idx: np.ndarray) -> None:
+    """Raise naming the frames of ``idx`` where ``hit`` is set, if any."""
+    if hit.any():
+        raise ExactNodeCollision(_COLLISION, tuple(idx[hit].tolist()))
 
 
 def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[str, int]):
@@ -207,12 +245,14 @@ def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[
     ``("band", i)``.  The two endpoint factors of that interval are the
     ones absorbed into the Chebyshev weight and are omitted from ``Y~``.
     Returns ``(sign, log_magnitude)`` with the shapes of ``x``; the sign
-    counts the negative numerator factors.
+    counts the negative numerator factors.  One frame per call: this is
+    the per-frame reference of the batched paired product.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     p, a_t, b_t = _frame_points(bands, vars, frame)
     endpoints = _outer_endpoints(a_t, b_t, frame)
-    _check_collision(x_arr, np.concatenate([p, endpoints]))
+    if _near(np.sort(x_arr), np.concatenate([p, endpoints])).any():
+        raise ExactNodeCollision(_COLLISION, (frame[1],))
 
     log_mag = np.zeros_like(x_arr)
     neg = np.zeros(x_arr.shape, dtype=int)
@@ -227,24 +267,30 @@ def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[
 
 
 def _frame_points(bands: BandSystem, vars: GapVariables, frame: tuple[str, int]):
-    """Roots and band endpoints in the coordinates of ``frame``.
+    """Roots and band endpoints in the coordinates of one ``frame``.
 
     In gap ``i``'s frame the own root is ``lambda_i`` itself, not mapped back
     from ``zeta_i`` (which rounds it by ``eps |zeta_i|`` over the half-width,
     enough to stall the line search on thin gaps), and the endpoints next
-    to the gap follow from widths.
+    to the gap follow from widths.  The batched paths form the same values
+    by the same arithmetic (:func:`_paired_product`, :func:`_leftover`).
     """
     kind, i = frame
-    if kind not in ("gap", "band"):
-        raise ValueError(f"unknown frame kind {kind!r}")
-    lo, hi = (bands.betas[i], bands.alphas[i + 1]) if kind == "gap" else (
-        bands.alphas[i], bands.betas[i])
+    lo, hi = _frame_bounds(bands, kind, i)
     p, a_t, b_t = (_to_frame(v, lo, hi) for v in (vars.zetas, bands.alphas, bands.betas))
     if kind == "gap":
         p[i] = vars.lambdas[i]
-        a_t[i] = -1.0 - 2.0 * (bands.betas[i] - bands.alphas[i]) / (hi - lo)
-        b_t[i + 1] = 1.0 + 2.0 * (bands.betas[i + 1] - bands.alphas[i + 1]) / (hi - lo)
+        a_t[i], b_t[i + 1] = _leftover(bands, i)
     return p, a_t, b_t
+
+
+def _leftover(bands: BandSystem, idx: np.ndarray):
+    """The unpaired endpoints ``a_t[i]`` and ``b_t[i + 1]`` of gap frame
+    ``idx`` (an index or an array of them), from band widths over the gap
+    width."""
+    width = bands.alphas[idx + 1] - bands.betas[idx]
+    return (-1.0 - 2.0 * (bands.betas[idx] - bands.alphas[idx]) / width,
+            1.0 + 2.0 * (bands.betas[idx + 1] - bands.alphas[idx + 1]) / width)
 
 
 def _outer_endpoints(a_t, b_t, frame: tuple[str, int]) -> np.ndarray:
@@ -255,122 +301,169 @@ def _outer_endpoints(a_t, b_t, frame: tuple[str, int]) -> np.ndarray:
     return np.concatenate([a_t[index != a_absorbed], b_t[index != i]])
 
 
-def _paired_product(x: np.ndarray, frame: tuple[str, int], p, a_t, b_t) -> np.ndarray:
-    """Product of the paired factor ratios ``|x - p_m| / sqrt|Y_band|``.
+def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray, bands: BandSystem,
+                    vars: GapVariables) -> np.ndarray:
+    """Products of the paired factor ratios ``|x - p_m| / sqrt|Y_band|``, one
+    row per frame of ``idx`` (of ``kind``), one column per node of ``x``.
 
-    ``p``, ``a_t`` and ``b_t`` are in the coordinates of ``frame``; the
-    pairing is the one in the module docstring.  In gap ``i``'s frame
-    ``p[i]``, ``a_t[i]`` and ``b_t[i + 1]`` are left to the caller; in a
-    band frame every factor outside the weight is paired.
+    The pairing is the one in the module docstring: paired factor ``j`` of
+    frame ``i`` holds root ``j + s`` and band ``j + 2 s`` in a gap frame,
+    root ``j`` and band ``j + s`` in a band frame, where ``s = (j >= i)``.
+    A gap frame forms its own root and its two leftover endpoints from
+    ``lambda_i`` and widths, and none of them is paired, so every paired
+    point is mapped from original coordinates.  In a band frame the paired
+    points are all the points outside the weight, and each is checked
+    against the sorted nodes before its frames are evaluated.
     """
-    kind, i = frame
-    if kind == "gap":
-        p_pair, first_after = np.concatenate([p[:i], p[i + 1 :]]), i + 2
-    else:
-        p_pair, first_after = p, i + 1
-    pair_a = np.concatenate([a_t[:i], a_t[first_after:]])
-    pair_b = np.concatenate([b_t[:i], b_t[first_after:]])
+    lo, hi = _frame_bounds(bands, kind, idx)
+    centre, width = (hi + lo)[:, None], (hi - lo)[:, None]
+    zeta2, alpha2, beta2 = 2.0 * vars.zetas, 2.0 * bands.alphas, 2.0 * bands.betas
+    n_pairs = bands.n_gaps - (kind == "gap")
+    j = np.arange(n_pairs)
+    xs = np.sort(x) if kind == "band" else None
+    hit = np.zeros(idx.size, dtype=bool)
+    prod = np.ones((idx.size, x.size))
 
     # Work with squared ratios: the paired endpoint factors have the same
     # sign on (-1, 1), so each denominator product is positive, and one
-    # square root per block of rows replaces one per factor.  Blockwise
-    # products of O(1) ratios cannot over- or underflow.  Splitting the
-    # nodes into column chunks only keeps the temporaries cache-sized; each
-    # value is computed by the same operations in the same order.
-    prod = np.ones_like(x)
-    for start in range(0, p_pair.size, _PROD_BLOCK):
-        sl = slice(start, start + _PROD_BLOCK)
-        p_b, a_b, b_b = p_pair[sl, None], pair_a[sl, None], pair_b[sl, None]
-        cols = max(1, _CHUNK_ELEMS // p_b.shape[0])
-        for c in range(0, x.size, cols):
-            xc = x[None, c : c + cols]
-            num = xc - p_b
-            den = (xc - a_b) * (xc - b_b)
-            prod[c : c + cols] *= np.sqrt(np.prod(num * num / den, axis=0))
+    # square root per block of _PROD_BLOCK factors replaces one per factor.
+    # Blockwise products of O(1) ratios cannot over- or underflow.  Chunks
+    # of frames and nodes only keep the temporaries cache-sized; every
+    # value is computed by the same operations in the same order, whatever
+    # the chunking, and the product runs over the factors in order.
+    block = max(1, min(n_pairs, _PROD_BLOCK))
+    per = max(1, _CHUNK_ELEMS // (block * x.size))
+    cols = min(x.size, max(1, _CHUNK_ELEMS // (per * block)))
+    for f in range(0, idx.size, per):
+        fs = slice(f, f + per)
+        after = j >= idx[fs, None]
+        band = j + (2 if kind == "gap" else 1) * after
+        root = j + after if kind == "gap" else j
+        p, a, b = ((v[k] - centre[fs]) / width[fs]
+                   for v, k in ((zeta2, root), (alpha2, band), (beta2, band)))
+        if xs is not None:
+            hit[fs] = (_near(xs, p) | _near(xs, a) | _near(xs, b)).any(axis=1)
+            if hit.any():
+                continue
+        for start in range(0, n_pairs, block):
+            sl = slice(start, start + block)
+            p_b, a_b, b_b = p[:, sl, None], a[:, sl, None], b[:, sl, None]
+            for c in range(0, x.size, cols):
+                xc = x[c : c + cols]
+                num = np.subtract(xc, p_b)
+                np.multiply(num, num, out=num)
+                den = np.subtract(xc, a_b)
+                np.multiply(den, np.subtract(xc, b_b), out=den)
+                np.divide(num, den, out=num)
+                prod[fs, c : c + cols] *= np.sqrt(np.multiply.reduce(num, axis=1))
+    _raise_hits(hit, idx)
     return prod
 
 
-def _grouped_reduced(x: np.ndarray, i: int, bands: BandSystem, vars: GapVariables):
-    """Signed kernel in gap ``i``'s frame with the own-root factor removed.
+def _grouped_reduced(x: np.ndarray, idx: np.ndarray, bands: BandSystem, vars: GapVariables):
+    """Signed kernel in the gap frames ``idx`` with the own-root factor removed.
 
-    Returns ``(g, p)`` where the full kernel is ``(x - p[i]) * g``: the
-    paired product divided by the two leftover endpoint factors nearest
-    the rescaled gap, ``|x - a_t[i]|`` and ``|x - b_t[i+1]|``.
+    Row ``f`` is ``g`` of frame ``i = idx[f]``, where the full kernel is
+    ``(x - lambda_i) * g``: the paired product divided by the two leftover
+    endpoint factors nearest the rescaled gap, ``|x - a_t[i]|`` and
+    ``|x - b_t[i+1]|``.  Raises when a node hits the own root of a frame.
     """
-    frame = ("gap", i)
-    p, a_t, b_t = _frame_points(bands, vars, frame)
-    prod = _paired_product(x, frame, p, a_t, b_t)
-    leftover = np.sqrt((x - a_t[i]) * (b_t[i + 1] - x))
-    sign = -1.0 if (p.size - 1 - i) % 2 else 1.0
-    return sign * prod / leftover, p
+    _raise_hits(_near(np.sort(x), vars.lambdas[idx]), idx)
+    prod = _paired_product(x, "gap", idx, bands, vars)
+    a_i, b_next = (v[:, None] for v in _leftover(bands, idx))
+    leftover = np.sqrt((x - a_i) * (b_next - x))
+    sign = np.where((bands.n_gaps - 1 - idx) % 2, -1.0, 1.0)[:, None]
+    return sign * prod / leftover
 
 
-def kernel_band(x, i: int, bands: BandSystem, vars: GapVariables):
+def _weighted_sums(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``f[k] @ w`` for every row: one BLAS dot per row (``matmul`` of 1 x K by
+    K x 1 blocks), so each value is bitwise the one-row product.  OpenBLAS
+    runs a dot on one thread below 10 000 nodes."""
+    return np.matmul(f[:, None, :], w[:, None])[:, 0, 0]
+
+
+def _shaped(values: np.ndarray, x, scalar: bool):
+    """Per-frame rows over ``x``'s points, unwrapped for a scalar index or point."""
+    values = values.reshape(values.shape[:1] + np.shape(x))
+    values = values[0] if scalar else values
+    return float(values) if values.ndim == 0 else values
+
+
+def kernel_band(x, i, bands: BandSystem, vars: GapVariables):
     """``|Z| / sqrt|Y~|`` in band ``i``'s frame via the paired product.
 
-    Every root and endpoint outside the band's own two ends is paired, so
-    no factor is left over.  Agrees with the log-space evaluator to
-    roundoff.
+    ``i`` is one band index or a sequence of them; a sequence gives one row
+    per band, of ``x``'s shape.  Every root and endpoint outside the band's
+    own two ends is paired, so no factor is left over.  Agrees with the
+    log-space evaluator to roundoff.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    frame = ("band", i)
-    p, a_t, b_t = _frame_points(bands, vars, frame)
-    _check_collision(x_arr, np.concatenate([p, _outer_endpoints(a_t, b_t, frame)]))
-    values = _paired_product(x_arr, frame, p, a_t, b_t)
-    return float(values[0]) if np.ndim(x) == 0 else values
+    idx, scalar = _frames(i)
+    x_arr = np.asarray(x, dtype=float).ravel()
+    return _shaped(_paired_product(x_arr, "band", idx, bands, vars), x, scalar)
 
 
-def kernel_grouped(x, i: int, bands: BandSystem, vars: GapVariables):
+def kernel_grouped(x, i, bands: BandSystem, vars: GapVariables):
     """``Z / sqrt|Y~|`` in gap ``i``'s frame via grouped factor ratios.
 
+    ``i`` is one gap index or a sequence of them, as in :func:`kernel_band`.
     ``x`` must lie strictly inside (-1, 1) in the rescaled frame.  Agrees
     with the log-space evaluator to roundoff; partial products stay O(1)
     for any number of bands.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_collision(x_arr, np.array([vars.lambdas[i]]))
-    g, p = _grouped_reduced(x_arr, i, bands, vars)
-    values = (x_arr - p[i]) * g
-    return float(values[0]) if np.ndim(x) == 0 else values
+    idx, scalar = _frames(i)
+    x_arr = np.asarray(x, dtype=float).ravel()
+    g = _grouped_reduced(x_arr, idx, bands, vars)
+    return _shaped((x_arr - vars.lambdas[idx, None]) * g, x, scalar)
 
 
-def gap_integral(i: int, bands: BandSystem, vars: GapVariables, rule: QuadratureRule,
-                 evaluator: str = "grouped", keep: dict | None = None) -> float:
+def gap_integral(i, bands: BandSystem, vars: GapVariables, rule: QuadratureRule,
+                 evaluator: str = "grouped", keep: dict | None = None):
     """Gauss-Chebyshev value of the signed root equation over gap ``i``.
 
     This is ``(1/pi) * integral of Z/sqrt|Y|`` over the gap after rescaling
     it to [-1, 1]; the gap's own endpoints supply the Chebyshev weight.  At
-    the solution all these integrals vanish.  With the grouped evaluator
-    and a ``keep`` dict, ``keep[i]`` receives ``(rule, (g, p))``, what
-    :func:`gap_jacobian_row` reuses at the same variables.
+    the solution all these integrals vanish.  ``i`` is one gap index (a
+    ``float`` result) or a sequence of gaps sharing ``rule`` (an array, one
+    value per gap), evaluated in one batched pass; a collision raises
+    :class:`ExactNodeCollision` naming every gap it hits.  With the grouped
+    evaluator and a ``keep`` dict, ``keep[i]`` (a tuple for a sequence)
+    receives ``(rule, g)``, the reduced kernels :func:`gap_jacobian_row`
+    reuses at the same variables.  ``evaluator="log"`` loops over the gaps
+    with the log-space reference.
     """
+    idx, scalar = _frames(i)
     x = rule.nodes
     if evaluator == "grouped":
-        _check_collision(x, np.array([vars.lambdas[i]]))
-        g, p = _grouped_reduced(x, i, bands, vars)
+        g = _grouped_reduced(x, idx, bands, vars)
         if keep is not None:
-            keep[i] = (rule, (g, p))
-        f = (x - p[i]) * g
+            keep[i if scalar else tuple(idx.tolist())] = (rule, g)
+        f = (x - vars.lambdas[idx, None]) * g
     elif evaluator == "log":
-        sign, log_mag = kernel_log_magnitude(x, bands, vars, ("gap", i))
-        f = sign * np.exp(log_mag)
+        f = np.array([sign * np.exp(log_mag) for sign, log_mag in (
+            kernel_log_magnitude(x, bands, vars, ("gap", k)) for k in idx.tolist())])
     else:
         raise ValueError(f"unknown evaluator {evaluator!r}")
-    return float(rule.weights @ f)
+    values = _weighted_sums(f, rule.weights)
+    return float(values[0]) if scalar else values
 
 
-def band_integral(i: int, bands: BandSystem, vars: GapVariables, rule: QuadratureRule) -> float:
+def band_integral(i, bands: BandSystem, vars: GapVariables, rule: QuadratureRule):
     """Equilibrium measure of band ``i`` (harmonic frequency).
 
     The band is rescaled to [-1, 1] and ``|Z| / sqrt|Y~|`` is integrated
     against the Chebyshev weight, with the kernel from the band-frame
-    paired product (:func:`kernel_band`).
+    paired product (:func:`kernel_band`).  ``i`` is one band index (a
+    ``float``) or a sequence of bands sharing ``rule`` (an array).
     """
-    return float(rule.weights @ kernel_band(rule.nodes, i, bands, vars))
+    idx, scalar = _frames(i)
+    values = _weighted_sums(_paired_product(rule.nodes, "band", idx, bands, vars),
+                            rule.weights)
+    return float(values[0]) if scalar else values
 
 
-def gap_jacobian_row(i: int, bands: BandSystem, vars: GapVariables,
-                     rule: QuadratureRule, reduced: tuple | None = None) -> np.ndarray:
+def gap_jacobian_row(i, bands: BandSystem, vars: GapVariables,
+                     rule: QuadratureRule, reduced: np.ndarray | None = None) -> np.ndarray:
     """All derivatives ``d K_i / d lambda_m`` of one gap equation.
 
     Differentiating the Gaussian sum in its root ``zeta_m`` drops the
@@ -378,76 +471,108 @@ def gap_jacobian_row(i: int, bands: BandSystem, vars: GapVariables,
     the chain rule to the normalized variable contributes ``1 / A_m``.
     The dropped-factor products reuse the grouped kernel: dividing the full
     kernel by ``(x - p_m)`` is stable because only ``p_i`` lies inside the
-    frame, and for ``m = i`` the reduced kernel is used directly.
-    ``reduced`` is ``(g, p)``, that kernel at the nodes of ``rule`` and the
-    frame points, when the residual pass at the same variables built them
-    (see ``keep`` in :func:`gap_integral`).  Sums are ``einsum``, not BLAS.
+    frame, and for ``m = i`` the reduced kernel is used directly.  ``i`` is
+    one gap index (one row) or a sequence of gaps sharing ``rule`` (one row
+    per gap).  ``reduced`` holds the reduced kernels at the nodes of
+    ``rule``, one row per gap, when the residual pass at the same variables
+    built them (see ``keep`` in :func:`gap_integral`).  The off-diagonal
+    sums are ``einsum``, not BLAS, over blocks of at most ``_CHUNK_ELEMS``
+    elements; the diagonal takes the residual's per-row dot.
     """
+    idx, scalar = _frames(i)
     x, w = rule.nodes, rule.weights
-    if reduced is None:
-        _check_collision(x, np.array([vars.lambdas[i]]))
-        reduced = _grouped_reduced(x, i, bands, vars)
-    g, p = reduced
-    f = (x - p[i]) * g
+    g = _grouped_reduced(x, idx, bands, vars) if reduced is None else reduced
+    g = g.reshape(idx.size, x.size)
+    f = (x - vars.lambdas[idx, None]) * g
+    lo, hi = _frame_bounds(bands, "gap", idx)
+    centre, width = (hi + lo)[:, None], (hi - lo)[:, None]
+    zeta2 = 2.0 * vars.zetas
 
+    n = bands.n_gaps
+    rows = np.empty((idx.size, n))
+    per_rows = min(n, max(1, _CHUNK_ELEMS // x.size))
+    per = max(1, _CHUNK_ELEMS // (per_rows * x.size))
+    for s in range(0, idx.size, per):
+        fs = slice(s, s + per)
+        p = (zeta2 - centre[fs]) / width[fs]
+        p[np.arange(p.shape[0]), idx[fs]] = vars.lambdas[idx[fs]]  # as in _frame_points
+        for start in range(0, n, per_rows):
+            sl = slice(start, start + per_rows)
+            t = np.subtract(x, p[:, sl, None])
+            np.divide(f[fs, None, :], t, out=t)
+            rows[fs, sl] = np.einsum("fmk,k->fm", t, w)
     gap_w = bands.gap_widths
-    row = np.concatenate([np.einsum("mk,k->m", f / (x - p[s : s + _PROD_BLOCK, None]), w)
-                          for s in range(0, bands.n_gaps, _PROD_BLOCK)])
-    row *= -(gap_w / gap_w[i])
-    row[i] = -float(g @ w)
-    return row
+    rows *= -(gap_w / gap_w[idx, None])
+    rows[np.arange(idx.size), idx] = -_weighted_sums(g, w)
+    return rows[0] if scalar else rows
 
 
-def refined_order(bands: BandSystem, frame: tuple[str, int],
-                  base_order: int = MIN_ORDER) -> int:
-    """Even quadrature order resolving ``frame``'s endpoint boundary layers.
+def refined_orders(bands: BandSystem, kind: str, base_order: int = MIN_ORDER) -> np.ndarray:
+    """Even quadrature orders resolving every frame's endpoint boundary layers.
 
-    After rescaling, the nearest unabsorbed endpoint sits at distance
-    ``eps = 2 * min(neighbouring widths) / own width`` outside [-1, 1]; the
-    neighbours of gap ``i`` are bands ``i`` and ``i + 1``, those of band
-    ``i`` whichever of gaps ``i - 1`` and ``i`` exist.  In the angular
-    variable that is a layer of width ``sqrt(2 * eps)``, and the
-    Gauss-Chebyshev error decays like ``exp(-2 K sqrt(2 eps))`` (Trefethen,
-    *Approximation Theory and Approximation Practice*, ch. 8), so
-    ``K >= REFINE_SAFETY / sqrt(2 eps)`` drives it below
+    One order per gap (``kind="gap"``) or per band (``"band"``), computed in
+    one array pass over the widths.  After rescaling, the nearest unabsorbed
+    endpoint sits at distance ``eps = 2 * min(neighbouring widths) / own
+    width`` outside [-1, 1]; the neighbours of gap ``i`` are bands ``i`` and
+    ``i + 1``, those of band ``i`` whichever of gaps ``i - 1`` and ``i``
+    exist.  In the angular variable that is a layer of width ``sqrt(2 *
+    eps)``, and the Gauss-Chebyshev error decays like ``exp(-2 K sqrt(2
+    eps))`` (Trefethen, *Approximation Theory and Approximation Practice*,
+    ch. 8), so ``K >= REFINE_SAFETY / sqrt(2 eps)`` drives it below
     ``exp(-2 * REFINE_SAFETY)``.  The order is at least ``base_order`` and
     rounded up to an even number, so that no node sits at the interval's
     midpoint, where symmetric systems put their roots.  With
-    auto-refinement on, the solver's rules come from :func:`refined_rule`,
+    auto-refinement on, the solver's rules come from :func:`refined_rules`,
     and the analytics sample each band's density at twice the band's
     order; ``quadrature_order`` then only sets the point path's node table
     and the uniform rule of the ``auto_refine=False`` path.
     """
-    kind, i = frame
+    band_w, gap_w = bands.band_widths, bands.gap_widths
     if kind == "gap":
-        own = bands.gap_widths[i]
-        neighbours = bands.band_widths[i : i + 2]
+        own, near = gap_w, np.minimum(band_w[:-1], band_w[1:])
     elif kind == "band":
-        own = bands.band_widths[i]
-        neighbours = bands.gap_widths[max(i - 1, 0) : i + 1]
+        padded = np.concatenate([[np.inf], gap_w, [np.inf]])  # a missing neighbour
+        own, near = band_w, np.minimum(padded[:-1], padded[1:])
     else:
         raise ValueError(f"unknown frame kind {kind!r}")
-    order = base_order
-    if neighbours.size:
-        eps = 2.0 * float(neighbours.min()) / own
-        order = max(order, int(math.ceil(REFINE_SAFETY / math.sqrt(2.0 * eps))))
-    return order + order % 2
+    eps = 2.0 * near / own
+    orders = np.maximum(base_order, np.ceil(REFINE_SAFETY / np.sqrt(2.0 * eps))).astype(int)
+    return orders + orders % 2
+
+
+def refined_order(bands: BandSystem, frame: tuple[str, int],
+                  base_order: int = MIN_ORDER) -> int:
+    """:func:`refined_orders` of one ``frame``, ``("gap", i)`` or ``("band", i)``."""
+    kind, i = frame
+    return int(refined_orders(bands, kind, base_order)[i])
+
+
+def refined_rules(bands: BandSystem, kind: str) -> list[QuadratureRule]:
+    """One memoised rule per gap or band: Gauss-Chebyshev of
+    :func:`refined_orders` nodes or, for a gap, graded panels when they need
+    fewer.  The band beside a gap end has its far end ``acosh(1 + 2 * band
+    width / gap width)`` from it in ``theta``; panels halve toward that end
+    down to half that distance, where ``PANEL_NODES`` nodes are exact to
+    roundoff (Trefethen, *ATAP*, ch. 8).  Only gaps whose order exceeds two
+    panels can take them; their counts use ``math``, since numpy's ``log1p``
+    pages in a quarter megabyte of SIMD tables on first use.  Frames of one
+    rule share one object, so callers can group them by identity.
+    """
+    orders = refined_orders(bands, kind).tolist()
+    rules = [QuadratureRule.chebyshev(k) for k in orders]
+    band_w, gap_w = bands.band_widths, bands.gap_widths
+    for i in np.flatnonzero(np.array(orders) > 2 * PANEL_NODES).tolist() if kind == "gap" else ():
+        panels = []
+        for b in (i + 1, i):  # toward theta = 0 the right band, toward pi the left
+            t = 2.0 * band_w[b] / gap_w[i]
+            distance = math.log1p(t + math.sqrt(t * (2.0 + t)))  # acosh(1 + t)
+            panels.append(max(1, math.ceil(math.log2(2.0 * math.pi / distance))))
+        if PANEL_NODES * sum(panels) < orders[i]:
+            rules[i] = QuadratureRule.graded(tuple(panels))
+    return rules
 
 
 def refined_rule(bands: BandSystem, frame: tuple[str, int]) -> QuadratureRule:
-    """Gauss-Chebyshev of :func:`refined_order` nodes or, for a gap, graded
-    panels when they need fewer.  The band beside a gap end has its far end
-    ``acosh(1 + 2 * band width / gap width)`` from it in ``theta``; panels
-    halve toward that end down to half that distance, where
-    ``PANEL_NODES`` nodes are exact to roundoff (Trefethen, *ATAP*, ch. 8).
-    """
-    order = refined_order(bands, frame)
+    """:func:`refined_rules` of one ``frame``, ``("gap", i)`` or ``("band", i)``."""
     kind, i = frame
-    panels = []
-    for b in (i + 1, i) if kind == "gap" else ():
-        t = 2.0 * bands.band_widths[b] / bands.gap_widths[i]
-        distance = math.log1p(t + math.sqrt(t * (2.0 + t)))  # acosh(1 + t)
-        panels.append(max(1, math.ceil(math.log2(2.0 * math.pi / distance))))
-    if panels and PANEL_NODES * sum(panels) < order:
-        return QuadratureRule.graded(tuple(panels))
-    return QuadratureRule.chebyshev(order)
+    return refined_rules(bands, kind)[i]

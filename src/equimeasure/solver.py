@@ -8,6 +8,14 @@ gaps barely influence each other), so a damped Newton iteration with the
 analytic Jacobian and GMRES converges in a handful of steps.  Steps are
 scaled, never projected, so every iterate keeps each root inside its gap.
 
+Gaps (and bands) that share a quadrature rule form a rule group
+(:func:`_rules`), and each group is one batched kernel call: a residual
+pass makes one :func:`~equimeasure.kernel.gap_integral` call per group, the
+Jacobian one :func:`~equimeasure.kernel.gap_jacobian_row` call per group
+from the reduced kernels the residual pass kept, and the band measures one
+:func:`~equimeasure.kernel.band_integral` call per band rule.  A collision
+moves only the gaps it names to a bumped rule (:func:`_with_bumps`).
+
 Across generations the gap genealogy provides warm starts: a gap that
 already existed at generation ``n - 1`` inherits its converged root, while
 newly created gaps start from the gap midpoint (``lambda = 0``).
@@ -28,7 +36,7 @@ from .kernel import (
     band_integral,
     gap_integral,
     gap_jacobian_row,
-    refined_rule,
+    refined_rules,
 )
 
 _MAX_COLLISION_BUMPS = 4
@@ -72,7 +80,7 @@ class SolverConfig:
     density and void the equations.  With ``auto_refine`` set (the
     default) every gap equation and every band measure gets its own
     quadrature rule, sized from the geometry by
-    :func:`~equimeasure.kernel.refined_rule`, and ``quadrature_order`` is
+    :func:`~equimeasure.kernel.refined_rules`, and ``quadrature_order`` is
     not used.  With ``auto_refine`` off all of them use one rule of
     ``quadrature_order`` nodes, the paper's uniform choice.
     """
@@ -125,56 +133,80 @@ class EquilibriumSolution:
         return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
 
-def _rules(bands: BandSystem, cfg: SolverConfig, kind: str) -> list[QuadratureRule]:
-    """One rule per gap (``kind="gap"``) or per band (``kind="band"``)."""
+def _rules(bands: BandSystem, cfg: SolverConfig, kind: str) -> list[tuple]:
+    """Rule groups ``(rule, indices)`` over the gaps (``kind="gap"``) or the
+    bands (``kind="band"``): ``indices`` is an ascending tuple of Python
+    ints, every frame of the generation is in exactly one group, and the
+    frames of a group share one memoised rule."""
     count = bands.n_gaps if kind == "gap" else bands.n_bands
     if not cfg.auto_refine:
-        return [QuadratureRule.chebyshev(cfg.quadrature_order)] * count
-    return [refined_rule(bands, (kind, i)) for i in range(count)]
+        return [(QuadratureRule.chebyshev(cfg.quadrature_order), tuple(range(count)))
+                ] if count else []
+    groups: dict = {}
+    for i, rule in enumerate(refined_rules(bands, kind)):
+        groups.setdefault(id(rule), (rule, []))[1].append(i)
+    return [(rule, tuple(idx)) for rule, idx in groups.values()]
 
 
-def _with_bumps(evaluate, i, vars, rule):
-    """``evaluate(rule)``, taking ``rule.bumped()`` after each collision.
+def _with_bumps(evaluate, indices, vars, rule, out: np.ndarray) -> np.ndarray:
+    """``out[indices] = evaluate(indices, rule)``, one value (or row) per index.
 
-    Raises :class:`NodeCollision` when the nodes still hit a root or an
-    endpoint after ``_MAX_COLLISION_BUMPS`` bumps.
+    The frames an :class:`ExactNodeCollision` names (all of the call's, if
+    it names none) are evaluated again with ``rule.bumped()``; the others
+    keep ``rule``.  Raises :class:`NodeCollision` for the first gap whose
+    nodes still hit a root or an endpoint after ``_MAX_COLLISION_BUMPS``
+    bumps.
     """
+    pending = tuple(indices)
     for _ in range(_MAX_COLLISION_BUMPS + 1):
-        try:
-            return evaluate(rule)
-        except ExactNodeCollision:
-            rule = rule.bumped()
+        bump = ()
+        while pending:
+            try:
+                out[list(pending)] = evaluate(pending, rule)
+                pending = ()
+            except ExactNodeCollision as exc:
+                hit = tuple(i for i in pending if i in exc.frames) or pending
+                bump += hit
+                pending = tuple(i for i in pending if i not in hit)
+        if not bump:
+            return out
+        pending, rule = tuple(sorted(bump)), rule.bumped()
     raise NodeCollision(
-        f"quadrature nodes of gap {i} still hit a root or endpoint after "
-        f"{_MAX_COLLISION_BUMPS} order bumps", gap=i, lambdas=vars.lambdas,
+        f"quadrature nodes of gap {pending[0]} still hit a root or endpoint after "
+        f"{_MAX_COLLISION_BUMPS} order bumps", gap=pending[0], lambdas=vars.lambdas,
         generation=vars.bands.generation,
     )
 
 
-def _residual_vector(bands, lambdas, rules, evaluator):
+def _residual_vector(bands, lambdas, groups, evaluator):
     """Residuals at ``lambdas`` and the reduced kernels built on the way.
 
-    The second value maps gap ``i`` to ``(rule, (g, p))``: the rule left
-    after any collision bumps, the reduced kernel and frame points there,
-    which the Jacobian at the same ``lambdas`` reuses.  The log-space
-    evaluator keeps none.
+    One :func:`gap_integral` call per rule group.  The second value maps
+    each tuple of gaps evaluated together to ``(rule, g)``: the rule left
+    after any collision bumps and the reduced kernels there, which the
+    Jacobian at the same ``lambdas`` reuses.  The log-space evaluator keeps
+    none.
     """
     vars = GapVariables(bands, lambdas)
     kept: dict = {}
-    r = np.array(
-        [_with_bumps(lambda rule: gap_integral(i, bands, vars, rule, evaluator, kept),
-                     i, vars, rules[i])
-         for i in range(bands.n_gaps)]
-    )
+    r = np.empty(bands.n_gaps)
+    for rule, idx in groups:
+        _with_bumps(lambda i, rule: gap_integral(i, bands, vars, rule, evaluator, kept),
+                    idx, vars, rule, r)
     return r, kept
 
 
-def _jacobian(bands, lambdas, rules, kept) -> np.ndarray:
+def _jacobian(bands, lambdas, groups, kept) -> np.ndarray:
+    """The dense Jacobian: one :func:`gap_jacobian_row` call per kept block,
+    or per rule group when the residual pass kept none."""
     vars = GapVariables(bands, lambdas)
-    return np.vstack([
-        gap_jacobian_row(i, bands, vars, *kept[i]) if i in kept else _with_bumps(
-            lambda rule: gap_jacobian_row(i, bands, vars, rule), i, vars, rules[i])
-        for i in range(bands.n_gaps)])
+    jac = np.empty((bands.n_gaps, bands.n_gaps))
+    for idx, (rule, g) in kept.items():
+        jac[list(idx)] = gap_jacobian_row(idx, bands, vars, rule, g)
+    for rule, idx in groups if not kept else ():
+        _with_bumps(lambda i, rule: gap_jacobian_row(i, bands, vars, rule),
+                    idx, vars, rule, jac)
+    return jac
 
 
 def _gmres(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -232,11 +264,11 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
     cfg = cfg or SolverConfig()
     if initial.lambdas.shape != (bands.n_gaps,):
         raise ValueError("initial variables do not match the band system")
-    rules = _rules(bands, cfg, "gap")
+    groups = _rules(bands, cfg, "gap")
     lam = initial.lambdas.copy()
     hi_bound = 1.0 - cfg.step_clamp
 
-    r, kept = _residual_vector(bands, lam, rules, cfg.evaluator)
+    r, kept = _residual_vector(bands, lam, groups, cfg.evaluator)
     initial_abs = np.abs(r)
     norm = initial_abs.max() if r.size else 0.0
     iterations = 0
@@ -249,7 +281,7 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
         if iterations >= cfg.max_iterations:
             raise failure(NoConvergence, f"no convergence after {iterations} "
                                          f"iterations (residual {norm:.3e})")
-        jac = _jacobian(bands, lam, rules, kept)
+        jac = _jacobian(bands, lam, groups, kept)
         try:
             step = _gmres(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -266,7 +298,7 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
 
         while t > 2.0 ** -30:
             trial = lam + t * step
-            r_trial, kept_trial = _residual_vector(bands, trial, rules,
+            r_trial, kept_trial = _residual_vector(bands, trial, groups,
                                                    cfg.evaluator)
             if np.max(np.abs(r_trial)) <= (1.0 - 1e-4 * t) * norm:
                 break
@@ -279,8 +311,9 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
         iterations += 1
 
     vars = GapVariables(bands, lam)
-    omegas = np.array([band_integral(i, bands, vars, rule)
-                       for i, rule in enumerate(_rules(bands, cfg, "band"))])
+    omegas = np.empty(bands.n_bands)
+    for rule, idx in _rules(bands, cfg, "band"):
+        omegas[list(idx)] = band_integral(idx, bands, vars, rule)
     return EquilibriumSolution(
         generation=bands.generation,
         vars=vars,

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from equimeasure import analytics
 from equimeasure.analytics import (
+    SERIES_OVERSAMPLING,
     CapacityEstimate,
     NonMonotoneInput,
     OutOfHull,
@@ -24,7 +25,7 @@ from equimeasure.analytics import (
     sample_points,
 )
 from equimeasure.geometry import generate_bands
-from equimeasure.kernel import QuadratureRule, _from_frame, kernel_band
+from equimeasure.kernel import QuadratureRule, _from_frame, kernel_band, refined_orders
 from tests.conftest import X_STAR
 
 TWO_BAND_POTENTIAL = -math.log(math.sqrt(2.0) / 3.0)  # interior potential of
@@ -289,19 +290,23 @@ class TestSpectralSeries:
 
 class TestDensityTableMemo:
     def test_second_call_builds_no_table(self, ternary_run, rule2048, monkeypatch):
-        # the coefficients take one kernel call per band; after that no
-        # potential or integrated measure evaluates the kernel again
+        # the coefficients take one kernel call per series length, for all
+        # bands of that length; after that no potential or integrated
+        # measure evaluates the kernel again
         bands, sols = ternary_run
         b, s = bands[2], dataclasses.replace(sols[2])  # same roots, empty memo
         calls = []
 
         def counting(*args):
-            calls.append(args[1])
+            calls.append((len(args[0]), list(args[1])))
             return kernel_band(*args)
 
         monkeypatch.setattr(analytics, "kernel_band", counting)
         first = potential_at(0.0, s, b, rule2048)
-        assert calls == list(range(b.n_bands))
+        lengths = SERIES_OVERSAMPLING * refined_orders(b, "band")
+        assert sorted(m for m, _ in calls) == sorted(set(lengths.tolist()))
+        assert sorted(i for _, rows in calls for i in rows) == list(range(b.n_bands))
+        assert all((lengths[rows] == m).all() for m, rows in calls)
         calls.clear()
         assert potential_at(0.0, s, b, rule2048) == first
         potential_at(X_STAR, s, b, rule2048)

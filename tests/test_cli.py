@@ -19,7 +19,7 @@ from equimeasure.cli import (
     solve_all,
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
-from equimeasure.kernel import ExactNodeCollision, gap_jacobian_row, refined_order
+from equimeasure.kernel import ExactNodeCollision, gap_jacobian_row, refined_rule
 
 BASE_CONFIG = {
     "ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
@@ -213,8 +213,8 @@ class TestSolveCommand:
         assert not (tmp_path / "out" / "gen_2.json").exists()
 
     def test_persistent_collision_exit_code(self, tmp_path, capsys, monkeypatch):
-        def always_collides(*args, **kwargs):
-            raise ExactNodeCollision("forced")
+        def always_collides(i, *args, **kwargs):
+            raise ExactNodeCollision("forced", frames=i)  # every gap of the call
 
         monkeypatch.setattr(solver, "gap_integral", always_collides)
         path = write_config(tmp_path)
@@ -240,7 +240,7 @@ class TestSolveCommand:
 
     def test_singular_jacobian_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "gap_jacobian_row",
-                            lambda i, bands, *args: np.full(bands.n_gaps, np.nan))
+                            lambda i, bands, *args: np.full((len(i), bands.n_gaps), np.nan))
         path = write_config(tmp_path)
         assert main(["solve", "--config", str(path)]) == 3
         assert "generation 2" in capsys.readouterr().err
@@ -307,23 +307,28 @@ class TestFiguresCommand:
             assert values[-1] == pytest.approx(1.0, abs=1e-9)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("auto_refine", [True, False])
-    def test_jacobian_rows_use_the_solver_rules(self, tmp_path, monkeypatch, auto_refine):
-        orders = []
+    @pytest.mark.parametrize("auto_refine, pairs, n_max", [
+        pytest.param(True, BASE_CONFIG["ifs"], 3, id="True"),
+        pytest.param(False, BASE_CONFIG["ifs"], 3, id="False"),
+        pytest.param(True, [[0.9, -1.0], [0.001, 1.0]], 4, id="True-graded")])
+    def test_jacobian_rows_use_the_solver_rules(self, tmp_path, monkeypatch, auto_refine,
+                                                pairs, n_max):
+        rules = {}
 
         def recording(i, bands, vars, rule, *args):
-            orders.append(rule.order)
+            rules.update((k, rule) for k in i)
             return gap_jacobian_row(i, bands, vars, rule, *args)
 
         monkeypatch.setattr(cli, "gap_jacobian_row", recording)
-        path = write_config(tmp_path, auto_refine=auto_refine)
+        path = write_config(tmp_path, auto_refine=auto_refine, ifs=pairs, n_max=n_max)
         assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 0
-        bands = generate_bands(validate(IfsSystem.from_pairs(BASE_CONFIG["ifs"])), 3)
+        bands = generate_bands(validate(IfsSystem.from_pairs(pairs)), n_max)
         if auto_refine:
-            want = [refined_order(bands, ("gap", i)) for i in range(bands.n_gaps)]
+            want = [refined_rule(bands, ("gap", i)).order for i in range(bands.n_gaps)]
         else:
             want = [BASE_CONFIG["quadrature_order"]] * bands.n_gaps
-        assert orders == want
+        assert [rules[i].order for i in range(bands.n_gaps)] == want
+        assert any(rule.panels for rule in rules.values()) == (n_max == 4)
 
     def test_jacobian_collision_exit_code(self, tmp_path, capsys, monkeypatch):
         def always_collides(*args, **kwargs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from equimeasure import kernel as kernel_module
 from equimeasure import solver
 from equimeasure.geometry import IfsSystem, generate_bands, validate
 from equimeasure.kernel import (
@@ -18,9 +19,13 @@ from equimeasure.kernel import (
     kernel_band,
     kernel_grouped,
     kernel_log_magnitude,
+    PANEL_NODES,
+    REFINE_SAFETY,
     refined_order,
+    refined_orders,
     refined_rule,
-    _check_collision,
+    refined_rules,
+    _near,
     _frame_points,
     _gauss_legendre,
     _paired_product,
@@ -211,13 +216,16 @@ def unchunked_paired_product(x, frame, p, a_t, b_t, block=256):
 
 @pytest.mark.parametrize("frame", [("gap", 0), ("gap", 300), ("band", 0), ("band", 511)])
 def test_paired_product_chunks_are_exact(ternary, frame):
-    # 511 roots span two row blocks; column chunks must not change a bit
+    # 511 roots span two row blocks; chunks of frames and of nodes must not
+    # change a bit, alone or in a block of frames
     b = generate_bands(ternary, 9)
     gv = GapVariables(b, np.random.default_rng(3).uniform(-0.5, 0.5, b.n_gaps))
     x = QuadratureRule.chebyshev(700).nodes
-    p, a_t, b_t = _frame_points(b, gv, frame)
-    assert np.array_equal(_paired_product(x, frame, p, a_t, b_t),
-                          unchunked_paired_product(x, frame, p, a_t, b_t))
+    kind, i = frame
+    want = unchunked_paired_product(x, frame, *_frame_points(b, gv, frame))
+    for block in ([i], [i, 1, 200, 510, i]):
+        got = _paired_product(x, kind, np.array(block), b, gv)
+        assert np.array_equal(got[0], want) and np.array_equal(got[-1], want)
 
 
 def dense_collision(x, points):
@@ -228,11 +236,7 @@ def dense_collision(x, points):
 
 
 def sorted_collision(x, points):
-    try:
-        _check_collision(x, points)
-    except ExactNodeCollision:
-        return True
-    return False
+    return bool(_near(np.sort(x), points).any())
 
 
 class TestCollisionCheck:
@@ -242,7 +246,7 @@ class TestCollisionCheck:
         outcomes = set()
         for trial in range(300):
             x = nodes if trial % 2 else rng.uniform(-3.0, 3.0, 64)
-            # a single point (a gap's own root) skips the sort
+            # a single point: a gap's own root
             points = rng.uniform(-3.0, 3.0, 12 if trial % 3 else 1)
             kind = trial % 5
             if kind:
@@ -396,6 +400,55 @@ def test_refined_order_targets_thin_neighbours(asym, ternary):
                for i in range(tern_b.n_bands))
 
 
+# the systems of the batching tests: ternary, 4/5 with 1/10, and three with
+# a band 1e-3 or 1e-2 of its neighbour's width
+BATCH_SYSTEMS = [([[1 / 3, -1.0], [1 / 3, 1.0]], 7), ([[0.8, -1.0], [0.1, 1.0]], 9),
+                 ([[0.9, -1.0], [0.001, 1.0]], 4), ([[0.5, -1.0], [0.001, 1.0]], 4),
+                 ([[0.8, -1.0], [0.01, 1.0]], 5)]
+
+
+def per_frame_order(bands, frame):
+    """Reference: one frame's Gauss-Chebyshev order by scalar arithmetic,
+    the per-index loop that the array pass of ``refined_orders`` replaces."""
+    kind, i = frame
+    if kind == "gap":
+        own, neighbours = bands.gap_widths[i], bands.band_widths[i : i + 2]
+    else:
+        own, neighbours = bands.band_widths[i], bands.gap_widths[max(i - 1, 0) : i + 1]
+    order = MIN_ORDER
+    if neighbours.size:
+        eps = 2.0 * float(neighbours.min()) / own
+        order = max(order, int(math.ceil(REFINE_SAFETY / math.sqrt(2.0 * eps))))
+    return order + order % 2
+
+
+def per_frame_rule(bands, frame):
+    """Reference: one frame's rule, graded panels sized by scalar arithmetic."""
+    kind, i = frame
+    order, panels = per_frame_order(bands, frame), []
+    for b in (i + 1, i) if kind == "gap" else ():
+        t = 2.0 * bands.band_widths[b] / bands.gap_widths[i]
+        distance = math.log1p(t + math.sqrt(t * (2.0 + t)))
+        panels.append(max(1, math.ceil(math.log2(2.0 * math.pi / distance))))
+    if panels and PANEL_NODES * sum(panels) < order:
+        return QuadratureRule.graded(tuple(panels))
+    return QuadratureRule.chebyshev(order)
+
+
+@pytest.mark.parametrize("pairs, n_max",
+                         [*BATCH_SYSTEMS, ([[0.3, -1.0], [0.1, 0.0], [0.2, 1.0]], 6)])
+def test_rules_of_all_frames_match_the_per_frame_loop(pairs, n_max):
+    system = validate(IfsSystem.from_pairs(pairs))
+    for n in range(n_max + 1):
+        b = generate_bands(system, n)
+        for kind, count in (("gap", b.n_gaps), ("band", b.n_bands)):
+            assert refined_orders(b, kind).tolist() == [
+                per_frame_order(b, (kind, i)) for i in range(count)], (n, kind)
+            rules = refined_rules(b, kind)
+            assert len(rules) == count
+            assert all(rule is per_frame_rule(b, (kind, i)) for i, rule in enumerate(rules))
+
+
 def test_refined_order_formula_and_parity(asym, trivial_band):
     # generation 1 of the 4/5, 1/10 system: bands [-1, 0.6], [0.8, 1] and
     # the gap (0.6, 0.8); band 0 sees eps = 2 * 0.2 / 1.6 = 0.25
@@ -498,11 +551,11 @@ class TestGradedRule:
             gap_integral(i, b, gv, rule)
         used = []
 
-        def evaluate(r):
+        def evaluate(indices, r):
             used.append(r)
-            return gap_integral(i, b, gv, r)
+            return gap_integral(indices, b, gv, r)
 
-        value = solver._with_bumps(evaluate, i, gv, rule)
+        value = solver._with_bumps(evaluate, (i,), gv, rule, np.empty(b.n_gaps))[i]
         assert [r.order for r in used] == [rule.order, rule.order + sum(rule.panels)]
         assert used[-1].panels == rule.panels
         assert not np.isin(used[-1].nodes, rule.nodes).any()
@@ -512,14 +565,112 @@ class TestGradedRule:
 @pytest.mark.parametrize("pairs, n", [([[1 / 3, -1.0], [1 / 3, 1.0]], 4),
                                       ([[0.8, -1.0], [0.1, 1.0]], 7)])
 def test_jacobian_rows_reuse_the_residual_pass_bitwise(pairs, n):
+    # per gap and per rule group: what the residual pass keeps is the
+    # reduced kernel, and rows from it equal rows built afresh
     b = generate_bands(validate(IfsSystem.from_pairs(pairs)), n)
     gv = GapVariables(b, 0.3 * np.cos(np.arange(b.n_gaps)))
     keep = {}
-    for i in range(b.n_gaps):
-        rule = refined_rule(b, ("gap", i))
+    calls = [(i, refined_rule(b, ("gap", i))) for i in range(b.n_gaps)]
+    calls += [(idx, rule) for rule, idx in solver._rules(b, solver.SolverConfig(), "gap")]
+    for i, rule in calls:
         gap_integral(i, b, gv, rule, keep=keep)
         kept_rule, reduced = keep[i]
         assert kept_rule is rule
-        assert np.array_equal(reduced[1], _frame_points(b, gv, ("gap", i))[0])
+        assert np.array_equal((rule.nodes - gv.lambdas[i, None]) * reduced.reshape(-1, rule.order),
+                              np.reshape(kernel_grouped(rule.nodes, i, b, gv), (-1, rule.order)))
         assert np.array_equal(gap_jacobian_row(i, b, gv, rule, reduced),
                               gap_jacobian_row(i, b, gv, rule))
+
+
+def group_values(b, gv, evaluator="grouped"):
+    """Residuals, Jacobian rows and band measures by one call per rule
+    group, and the series samples by one ``kernel_band`` call per length."""
+    cfg = solver.SolverConfig()
+    out = {"residual": np.empty(b.n_gaps), "row": np.empty((b.n_gaps, b.n_gaps)),
+           "omega": np.empty(b.n_bands)}
+    for rule, idx in solver._rules(b, cfg, "gap"):
+        out["residual"][list(idx)] = gap_integral(idx, b, gv, rule, evaluator)
+        out["row"][list(idx)] = gap_jacobian_row(idx, b, gv, rule)
+    for rule, idx in solver._rules(b, cfg, "band"):
+        out["omega"][list(idx)] = band_integral(idx, b, gv, rule)
+    return out
+
+
+@pytest.mark.parametrize("pairs, n_max", BATCH_SYSTEMS)
+def test_group_calls_equal_per_index_calls(pairs, n_max):
+    system = validate(IfsSystem.from_pairs(pairs))
+    for n in range(1, n_max + 1):
+        b = generate_bands(system, n)
+        gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
+        got = group_values(b, gv)
+        gap_rules, band_rules = refined_rules(b, "gap"), refined_rules(b, "band")
+        want = {
+            "residual": [gap_integral(i, b, gv, r) for i, r in enumerate(gap_rules)],
+            "row": [gap_jacobian_row(i, b, gv, r) for i, r in enumerate(gap_rules)],
+            "omega": [band_integral(i, b, gv, r) for i, r in enumerate(band_rules)],
+        }
+        for key, values in want.items():
+            values = np.array(values)
+            assert np.all(np.abs(got[key] - values) <= 1e-15 * np.abs(values)), (n, key)
+        nodes = QuadratureRule.chebyshev(64).nodes
+        rows = np.arange(b.n_bands)[::3]
+        per_band = np.array([kernel_band(nodes, i, b, gv) for i in rows])
+        batched = kernel_band(nodes, rows, b, gv)
+        assert np.all(np.abs(batched - per_band) <= 1e-15 * per_band), n
+        # one group per rule, the rules those of every frame
+        for kind, rules in (("gap", gap_rules), ("band", band_rules)):
+            groups = solver._rules(b, solver.SolverConfig(), kind)
+            assert sorted(i for _, idx in groups for i in idx) == list(range(len(rules)))
+            assert all(rules[i] is rule for rule, idx in groups for i in idx)
+            assert len({id(rule) for rule, _ in groups}) == len(groups)
+
+
+def test_group_calls_of_the_log_evaluator(asym):
+    b = generate_bands(asym, 4)
+    gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
+    logged = group_values(b, gv, evaluator="log")["residual"]
+    want = [gap_integral(i, b, gv, refined_rule(b, ("gap", i)), evaluator="log")
+            for i in range(b.n_gaps)]
+    assert np.array_equal(logged, want)
+    assert np.max(np.abs(logged - group_values(b, gv)["residual"])) <= 1e-13
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 5000])
+def test_chunk_size_moves_no_value(asym, monkeypatch, chunk):
+    # chunks of frames, factors and nodes only bound the temporaries
+    b = generate_bands(asym, 6)
+    gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
+    want = group_values(b, gv)
+    series = kernel_band(QuadratureRule.chebyshev(64).nodes, np.arange(b.n_bands), b, gv)
+    monkeypatch.setattr(kernel_module, "_CHUNK_ELEMS", chunk)
+    got = group_values(b, gv)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+    assert np.array_equal(
+        kernel_band(QuadratureRule.chebyshev(64).nodes, np.arange(b.n_bands), b, gv), series)
+
+
+def test_band_frame_collision_names_its_band(ternary):
+    # the root (at 0) sits at -2 in the frame of band 1 = [1/3, 1], at 2 in
+    # band 0's; a node at -2 hits band 1 alone
+    b = generate_bands(ternary, 1)
+    gv = GapVariables(b, np.array([0.0]))
+    rule = QuadratureRule(order=2, nodes=np.array([0.5, -2.0]), weights=np.full(2, 0.5))
+    for call in (lambda: kernel_band(rule.nodes, (0, 1), b, gv),
+                 lambda: band_integral((0, 1), b, gv, rule)):
+        with pytest.raises(ExactNodeCollision) as err:
+            call()
+        assert err.value.frames == (1,)
+    assert np.isfinite(band_integral((0,), b, gv, rule)).all()
+
+
+def test_gap_frame_collision_names_its_gaps(ternary):
+    b = generate_bands(ternary, 3)
+    rule = QuadratureRule.chebyshev(32)
+    lam = np.zeros(b.n_gaps)
+    lam[[2, 5]] = rule.nodes[[7, 20]]
+    gv = GapVariables(b, lam)
+    for call in (gap_integral, gap_jacobian_row):
+        with pytest.raises(ExactNodeCollision) as err:
+            call(tuple(range(b.n_gaps)), b, gv, rule)
+        assert err.value.frames == (2, 5)

@@ -9,6 +9,7 @@ from equimeasure.kernel import (
     GapVariables,
     QuadratureRule,
     gap_integral,
+    gap_jacobian_row,
     refined_order,
 )
 from equimeasure.solver import (
@@ -131,8 +132,8 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
 
     def recording(fn, kind):
         def wrapped(*args, **kwargs):
-            i, bands, _, rule = args[:4]
-            calls.append((kind, i, bands, rule))
+            indices, bands, _, rule = args[:4]
+            calls.extend((kind, i, bands, rule) for i in indices)
             return fn(*args, **kwargs)
         return wrapped
 
@@ -155,8 +156,8 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
                                                  ("gap_jacobian_row", "log")])
 def test_persistent_collision_is_a_solver_error(ternary, monkeypatch, collides,
                                                 evaluator):
-    def always_collides(*args, **kwargs):
-        raise ExactNodeCollision("forced")
+    def always_collides(i, *args, **kwargs):
+        raise ExactNodeCollision("forced", frames=i)  # every gap of the call
 
     monkeypatch.setattr(solver, collides, always_collides)
     b = generate_bands(ternary, 2)
@@ -277,7 +278,7 @@ class TestNewtonStep:
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_bad_jacobian_is_a_singular_jacobian(self, ternary, monkeypatch, fill):
         monkeypatch.setattr(solver, "gap_jacobian_row",
-                            lambda i, bands, *args: np.full(bands.n_gaps, fill))
+                            lambda i, bands, *args: np.full((len(i), bands.n_gaps), fill))
         b = generate_bands(ternary, 2)
         with pytest.raises(SingularJacobian) as err:
             solve_generation(b, warm_start(b, None))
@@ -297,3 +298,47 @@ def test_asym_generation_ten_converges(asym):
     sols = hierarchical_solve(asym, 10, SolverConfig(residual_tol=1e-12))
     assert [s.generation for s in sols] == list(range(1, 11))
     assert max(s.max_residual for s in sols) <= 1e-12
+
+
+def test_a_collision_bumps_only_its_gap(ternary):
+    # gap 3's root on a node of its rule: gap 3 alone moves to the bumped
+    # rule, in the residual and in the Jacobian built from what it kept
+    b = generate_bands(ternary, 3)
+    groups = solver._rules(b, SolverConfig(), "gap")
+    rule = next(rule for rule, idx in groups if 3 in idx)
+    lam = 0.3 * np.cos(np.arange(b.n_gaps))
+    lam[3] = rule.nodes[5]
+    gv = GapVariables(b, lam)
+    r, kept = solver._residual_vector(b, lam, groups, "grouped")
+    used = {i: kept_rule for idx, (kept_rule, _) in kept.items() for i in idx}
+    assert sorted(used) == list(range(b.n_gaps))
+    assert used[3].order == rule.order + 1
+    assert (3,) in kept
+    for r_rule, idx in groups:
+        assert all(used[i] is r_rule for i in idx if i != 3)
+    want = [gap_integral(i, b, gv, used[i]) for i in range(b.n_gaps)]
+    assert np.array_equal(r, want)
+    jac = solver._jacobian(b, lam, groups, kept)
+    assert np.array_equal(jac[3], gap_jacobian_row(3, b, gv, rule.bumped()))
+
+
+def test_persistent_collision_on_one_gap_names_it(ternary, monkeypatch):
+    calls = []
+
+    def gap_three_collides(i, bands, vars, rule, *args):
+        calls.append((i, rule))
+        if 3 in i:
+            raise ExactNodeCollision("forced", frames=(3,))
+        return gap_integral(i, bands, vars, rule, *args)
+
+    monkeypatch.setattr(solver, "gap_integral", gap_three_collides)
+    b = generate_bands(ternary, 3)
+    with pytest.raises(NodeCollision) as err:
+        solve_generation(b, warm_start(b, None))
+    assert err.value.gap == 3 and err.value.generation == 3
+    # every other gap kept its rule; gap 3 alone went through every bump
+    first = {i: rule for rule, idx in solver._rules(b, SolverConfig(), "gap") for i in idx}
+    assert all(rule is first[i] for idx, rule in calls for i in idx if i != 3)
+    with_three = [(idx, rule.order) for idx, rule in calls if 3 in idx]
+    assert with_three == [(tuple(range(b.n_gaps)), first[3].order)] + [
+        ((3,), first[3].order + k) for k in range(1, solver._MAX_COLLISION_BUMPS + 1)]
