@@ -73,9 +73,10 @@ NODE_COLLISION_RTOL = 1e-12
 
 # Each band's series interpolates F at the first-kind nodes of this many
 # times the band's refined order.  At the refined order itself the series
-# is truncated (an on-set spread of 2.6e-12 on the 4/5, 1/10 system at
-# n = 1); at twice it the spread is at roundoff, and doubling again moves
-# no mean potential by more than ~1e-16.
+# is truncated (an on-set spread of 2.3e-10 on the 4/5, 1/10 system at
+# n = 1, whose bands take the floor of 16 nodes or 26); at twice it the
+# spread is at roundoff (4.4e-16), and doubling again moves no mean
+# potential by more than 1.1e-16 (ternary n <= 7, 4/5, 1/10 n <= 9).
 SERIES_OVERSAMPLING = 2
 
 # Elements per (point, band) or (point, coefficient) temporary, however
@@ -281,9 +282,16 @@ def _density_table(solution, bands, rule):
     return table
 
 
-def _collides(z, positions, bands) -> bool:
-    dist = np.abs(float(np.real(z)) - positions)
-    return bool(np.any(dist.min(axis=1) < NODE_COLLISION_RTOL * bands.band_widths))
+def _collides(x: float, positions, bands) -> bool:
+    """Whether a node of the table lies within ``NODE_COLLISION_RTOL`` of its
+    band's width from ``x``.  The nodes of a band run monotonically from its
+    first to its last column, so only the bands whose node range comes that
+    close to ``x`` are scanned."""
+    tol = NODE_COLLISION_RTOL * bands.band_widths
+    first, last = positions[:, 0], positions[:, -1]
+    near = np.flatnonzero((np.minimum(first, last) - x < tol)
+                          & (x - np.maximum(first, last) < tol))
+    return bool(np.any(np.abs(x - positions[near]).min(axis=1) < tol[near]))
 
 
 def _node_potential(z: complex, solution, bands, rule) -> float:
@@ -292,7 +300,7 @@ def _node_potential(z: complex, solution, bands, rule) -> float:
     for bump in (0, 1, 3):
         attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
         positions, weighted = _density_table(solution, bands, attempt)
-        if z.imag == 0.0 and _collides(z, positions, bands):
+        if z.imag == 0.0 and _collides(z.real, positions, bands):
             continue
         dist_sq = (z.real - positions) ** 2 + z.imag * z.imag
         return float(-0.5 * np.sum(weighted * np.log(dist_sq)))

@@ -287,7 +287,7 @@ class SolutionCache:
     def store(self, record: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(self.path(record["generation"]),
-                           json.dumps(record, indent=1))
+                           json.dumps(record))
 
 
 def _record_from_solution(cfg: RunConfig, bands: BandSystem,

@@ -188,9 +188,6 @@ class BandSystem:
     def hull(self) -> Interval:
         return Interval(float(self.alphas[0]), float(self.betas[-1]))
 
-    def old_gap_indices(self) -> list[int]:
-        return [g for g, parent in enumerate(self.genealogy) if parent is not None]
-
 
 def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
     """Bands and gaps of generation ``n`` for a validated system.

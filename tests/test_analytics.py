@@ -216,6 +216,24 @@ class TestPotential:
         assert np.isfinite(v)
         assert v == pytest.approx(TWO_BAND_POTENTIAL, abs=5e-3)
 
+    @pytest.mark.parametrize("order", [7, 64])
+    def test_collision_check_matches_the_full_scan(self, asym_run, order):
+        # only bands whose node range comes within the tolerance of x are
+        # scanned; the answer is the one of a scan over every node
+        bands, sols = asym_run
+        b, s = bands[3], sols[3]
+        positions, _ = _density_table(s, b, QuadratureRule.chebyshev(order))
+        tol = analytics.NODE_COLLISION_RTOL * b.band_widths[:, None]
+        points = [b.alphas, b.betas, 0.5 * (b.gap_los + b.gap_his), [-1.5, 1.5, -1e3]]
+        for factor in (0.0, 0.5, 0.999, 1.001, 2.0):
+            points += [(positions + factor * tol).ravel(), (positions - factor * tol).ravel()]
+        outcomes = set()
+        for x in np.concatenate(points).tolist():
+            full = bool(np.any(np.abs(x - positions).min(axis=1) < tol[:, 0]))
+            assert analytics._collides(x, positions, b) == full, x
+            outcomes.add(full)
+        assert outcomes == {True, False}
+
     def test_unknown_method(self, trivial_band, rule2048):
         b0, s0 = trivial_band
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from equimeasure.cli import (
     solve_all,
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
-from equimeasure.kernel import ExactNodeCollision, gap_jacobian_row, refined_rule
+from equimeasure.kernel import ExactNodeCollision, gap_jacobian_row, refined_rules
 
 BASE_CONFIG = {
     "ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
@@ -324,7 +324,7 @@ class TestFiguresCommand:
         assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 0
         bands = generate_bands(validate(IfsSystem.from_pairs(pairs)), n_max)
         if auto_refine:
-            want = [refined_rule(bands, ("gap", i)).order for i in range(bands.n_gaps)]
+            want = [rule.order for rule in refined_rules(bands, "gap")]
         else:
             want = [BASE_CONFIG["quadrature_order"]] * bands.n_gaps
         assert [rules[i].order for i in range(bands.n_gaps)] == want

@@ -103,7 +103,7 @@ def test_bands_generation_two_ternary(ternary):
 def test_band_counts_generation_seven(ternary):
     b = generate_bands(ternary, 7)
     assert b.n_bands == 128 and b.n_gaps == 127
-    assert len(b.old_gap_indices()) == 63
+    assert sum(parent is not None for parent in b.genealogy) == 63
 
 
 def test_hull_endpoints_exact(ternary, asym):
@@ -140,7 +140,7 @@ def test_genealogy_index_rule(ternary, asym):
         prev = generate_bands(system, 1)
         for n in range(2, 7):
             b = generate_bands(system, n)
-            old = b.old_gap_indices()
+            old = [g for g, parent in enumerate(b.genealogy) if parent is not None]
             assert len(old) == m_maps ** (n - 1) - 1
             for g in old:
                 parent = b.genealogy[g]

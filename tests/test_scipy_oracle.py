@@ -27,15 +27,14 @@ from equimeasure.analytics import (
     _values_at_nodes,
     fit_exponential,
 )
-from equimeasure.kernel import QuadratureRule, kernel_band, refined_order
+from equimeasure.kernel import QuadratureRule, kernel_band, refined_orders
 
 EPS = np.finfo(float).eps
 
 
 def _scipy_series(bands, vars):
     """One scipy DCT-II per band, as the package computed its series before."""
-    orders = [SERIES_OVERSAMPLING * refined_order(bands, ("band", b))
-              for b in range(bands.n_bands)]
+    orders = (SERIES_OVERSAMPLING * refined_orders(bands, "band")).tolist()
     coeffs = np.zeros((bands.n_bands, max(orders)))
     for b, m in enumerate(orders):
         samples = kernel_band(QuadratureRule.chebyshev(m).nodes, b, bands, vars)

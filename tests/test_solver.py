@@ -10,7 +10,7 @@ from equimeasure.kernel import (
     QuadratureRule,
     gap_integral,
     gap_jacobian_row,
-    refined_order,
+    refined_orders,
 )
 from equimeasure.solver import (
     NoConvergence,
@@ -122,8 +122,8 @@ def test_accuracy_driven_roots_solve_finer_rules(asym_run):
     # 6e-7), which is why those gaps get their orders from the geometry
     bands, sols = asym_run
     for b, s in zip(bands, sols):
-        for i in range(b.n_gaps):
-            rule = QuadratureRule.chebyshev(refined_order(b, ("gap", i), base_order=2048))
+        for i, order in enumerate(refined_orders(b, "gap", base_order=2048).tolist()):
+            rule = QuadratureRule.chebyshev(order)
             assert abs(gap_integral(i, b, s.vars, rule)) <= 1e-12
 
 
@@ -144,7 +144,7 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
     band_orders = [rule.order for kind, _, _, rule in calls if kind == "band"]
     assert all(k % 2 == 0 and k >= MIN_ORDER for k in band_orders)
     assert min(band_orders) == MIN_ORDER
-    gaps = [(refined_order(b, ("gap", i)), rule) for kind, i, b, rule in calls
+    gaps = [(refined_orders(b, "gap")[i], rule) for kind, i, b, rule in calls
             if kind == "gap"]
     assert all(rule.order <= chebyshev for chebyshev, rule in gaps)
     # the thin neighbours of asym n=7 need over 2048 Gauss-Chebyshev nodes
@@ -323,22 +323,26 @@ def test_a_collision_bumps_only_its_gap(ternary):
 
 
 def test_persistent_collision_on_one_gap_names_it(ternary, monkeypatch):
+    # gap 1 shares its rule group with every gap but the widest, gap 3
     calls = []
 
-    def gap_three_collides(i, bands, vars, rule, *args):
+    def gap_one_collides(i, bands, vars, rule, *args):
         calls.append((i, rule))
-        if 3 in i:
-            raise ExactNodeCollision("forced", frames=(3,))
+        if 1 in i:
+            raise ExactNodeCollision("forced", frames=(1,))
         return gap_integral(i, bands, vars, rule, *args)
 
-    monkeypatch.setattr(solver, "gap_integral", gap_three_collides)
+    monkeypatch.setattr(solver, "gap_integral", gap_one_collides)
     b = generate_bands(ternary, 3)
+    groups = solver._rules(b, SolverConfig(), "gap")
+    shared = next(idx for _, idx in groups if 1 in idx)
+    assert shared == (0, 1, 2, 4, 5, 6)
     with pytest.raises(NodeCollision) as err:
         solve_generation(b, warm_start(b, None))
-    assert err.value.gap == 3 and err.value.generation == 3
-    # every other gap kept its rule; gap 3 alone went through every bump
-    first = {i: rule for rule, idx in solver._rules(b, SolverConfig(), "gap") for i in idx}
-    assert all(rule is first[i] for idx, rule in calls for i in idx if i != 3)
-    with_three = [(idx, rule.order) for idx, rule in calls if 3 in idx]
-    assert with_three == [(tuple(range(b.n_gaps)), first[3].order)] + [
-        ((3,), first[3].order + k) for k in range(1, solver._MAX_COLLISION_BUMPS + 1)]
+    assert err.value.gap == 1 and err.value.generation == 3
+    # every other gap kept its rule; gap 1 alone went through every bump
+    first = {i: rule for rule, idx in groups for i in idx}
+    assert all(rule is first[i] for idx, rule in calls for i in idx if i != 1)
+    with_one = [(idx, rule.order) for idx, rule in calls if 1 in idx]
+    assert with_one == [(shared, first[1].order)] + [
+        ((1,), first[1].order + k) for k in range(1, solver._MAX_COLLISION_BUMPS + 1)]
