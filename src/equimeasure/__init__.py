@@ -14,12 +14,12 @@ Layout:
     for gap and band frames) and all Gauss-Chebyshev integrals over gaps
     and bands, with analytic Jacobian.
 ``solver``
-    Damped Newton solution of the gap-root equations, hierarchical warm
-    starts across generations.
+    Damped Newton solution of the gap-root equations; ``hierarchical_solve``
+    walks the generations with warm starts and load/store hooks.
 ``analytics``
     Integrated measure, potential, capacity extrapolation.
 ``cli``
-    Command-line orchestration, caching and CSV export.
+    Command-line orchestration, the record cache behind those hooks, CSV export.
 """
 
 from .geometry import (

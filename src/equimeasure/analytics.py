@@ -468,7 +468,7 @@ def fit_exponential(points) -> tuple[float, float, float]:
     return float(p[0]), float(p[1]), float(p[2])
 
 
-def capacity_estimate(solutions, bands_list, rule: QuadratureRule,
+def capacity_estimate(solutions, rule: QuadratureRule,
                       sample_count: int = 4096, mode: str = "mean",
                       point: float | None = None,
                       fit_window: int = 4) -> CapacityEstimate:
@@ -478,8 +478,9 @@ def capacity_estimate(solutions, bands_list, rule: QuadratureRule,
     read either as the mean over deterministic sample points in the deepest
     generation (``mode="mean"``) or as the plain node-sum potential of one
     fixed point (``mode="point"``, reproducing the coarser single-point
-    gauge).  The last ``fit_window`` generations feed the exponential fit;
-    the extrapolated capacity is ``exp(-a)``.
+    gauge).  Each solution carries its band system (``vars.bands``).  The
+    last ``fit_window`` generations feed the exponential fit; the
+    extrapolated capacity is ``exp(-a)``.
     """
     if len(solutions) < MIN_CAPACITY_GENERATIONS:
         raise ValueError(f"need at least {MIN_CAPACITY_GENERATIONS} solved generations")
@@ -488,14 +489,14 @@ def capacity_estimate(solutions, bands_list, rule: QuadratureRule,
     if mode == "point" and point is None:
         raise ValueError("mode='point' needs a point")
 
-    deepest = bands_list[-1]
+    deepest = solutions[-1].vars.bands
     per_gen = []
-    for sol, bands in zip(solutions, bands_list):
+    for sol in solutions:
         if mode == "mean":
-            v = mean_potential_on_attractor_points(sol, bands, sample_count, rule,
-                                                   sample_bands=deepest)
+            v = mean_potential_on_attractor_points(sol, sol.vars.bands, sample_count,
+                                                   rule, sample_bands=deepest)
         else:
-            v = potential_at(point, sol, bands, rule, method="nodes")
+            v = potential_at(point, sol, sol.vars.bands, rule, method="nodes")
         per_gen.append((sol.generation, v))
 
     ys = np.array([v for _, v in per_gen])

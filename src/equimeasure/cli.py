@@ -7,20 +7,20 @@ Subcommands::
     equimeasure capacity  --config cfg.json
     equimeasure potential --config cfg.json --points <file|lo:hi:count>
 
-The config is a single JSON document (see ``RunConfig``).  Solving writes
-one ``gen_<n>.json`` record per generation into the output directory; a
+The config is a single JSON document (see ``RunConfig``).
+:func:`~equimeasure.solver.hierarchical_solve` walks the generations, and
+:func:`solve_all` connects its load and store hooks to the record cache:
+one ``gen_<n>.json`` record per generation in the output directory.  A
 record is reused on rerun only when its fingerprint (hash of the map
-parameters, residual tolerance, step clamp, evaluator, auto-refine switch,
-the name of the solver's order rule, ``kernel.ORDER_RULE``, and, with
-auto-refine off, the quadrature order) matches the active config exactly.
+parameters, residual tolerance, step clamp and the name of the solver's
+order rule, ``kernel.ORDER_RULE``) matches the active config exactly.
 The record's ``config`` field holds exactly these fingerprinted settings,
 so a reused record cannot disagree with the run that reads it.  The solver
 sizes its quadrature rules from the geometry, and the potentials,
 capacities and integrated measures come from per-band Chebyshev series
 sized the same way; ``quadrature_order`` sets only the node table of the
-point path (``method="nodes"``) and, with ``auto_refine`` off, the
-solver's uniform rule, so with auto-refine on a run at another order reuses
-the stored records.  The Jacobian figure takes each gap's rule from the
+point path (``method="nodes"``), so a run at another order reuses the
+stored records.  The Jacobian figure takes each gap's rule from the
 solver, one batched row call per rule group.  Grids are evaluated in one
 call per generation.  All files are written atomically (temp file +
 rename).  Figure data files are plain CSV with a header row and 17-digit
@@ -49,7 +49,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,15 +64,7 @@ from .analytics import (
     integrated_measure_at,
     potential_at,
 )
-from .geometry import (
-    WIDTH_FLOOR,
-    BandSystem,
-    IfsSystem,
-    InvalidIfs,
-    generate_bands,
-    hull,
-    validate,
-)
+from .geometry import WIDTH_FLOOR, BandSystem, IfsSystem, InvalidIfs, hull, validate
 from .kernel import ORDER_RULE, GapVariables, QuadratureRule, gap_jacobian_row
 from .solver import (
     EquilibriumSolution,
@@ -80,9 +72,12 @@ from .solver import (
     SolverError,
     _rules,
     _with_bumps,
-    solve_generation,
-    warm_start,
+    hierarchical_solve,
 )
+# Not called here: kept as the patch points bench/tracer.py looks up (their
+# spans read 0 since the generation loop runs in ``solver``).
+from .geometry import generate_bands  # noqa: F401
+from .solver import solve_generation  # noqa: F401
 
 OUTDIR_ENV = "EQUIMEASURE_OUTDIR"
 
@@ -108,32 +103,39 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {
     "ifs", "n_max", "quadrature_order", "residual_tol", "max_iterations",
-    "step_clamp", "evaluator", "auto_refine", "sample_count", "point_x",
-    "x_grid", "fit_window", "output_dir", "cache",
+    "step_clamp", "sample_count", "point_x", "x_grid", "fit_window",
+    "output_dir", "cache",
 }
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number"}
+
+
+def _is_json(value, kind) -> bool:
+    """Whether ``value`` is a JSON value of ``kind``: ``bool`` takes only
+    true and false, ``int`` only integers, ``float`` any number, and
+    neither number kind takes a boolean."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
 class RunConfig:
     """One experiment: the system, depth, tolerances and output options.
 
-    ``quadrature_order`` is the order of :attr:`rule`, the uniform node
-    table of the point path (``potential_at(..., method="nodes")``, the
-    ``V_point`` column of the capacity table), and the solver's uniform
-    order when ``auto_refine`` is off.  Every other potential, capacity and
-    integrated measure comes from per-band Chebyshev series whose orders
-    follow the geometry, as do the solver's orders with ``auto_refine`` on
-    (the default).
+    ``residual_tol``, ``max_iterations`` and ``step_clamp`` make up
+    :attr:`solver`; its ``evaluator`` and ``auto_refine`` are library-only
+    reference switches.  ``quadrature_order`` is the order of :attr:`rule`,
+    the node table of the point path (``potential_at(..., method="nodes")``,
+    the ``V_point`` column of the capacity table).  Every other potential,
+    capacity and integrated measure comes from per-band Chebyshev series
+    sized by the geometry, as are the solver's rules.  Values are typed as
+    in JSON: flags are booleans, counts integers, and no boolean is a number.
     """
 
     ifs: IfsSystem
     n_max: int
+    solver: SolverConfig = field(default_factory=SolverConfig)
     quadrature_order: int = 2048
-    residual_tol: float = 1e-12
-    max_iterations: int = 200
-    step_clamp: float = 1e-9
-    evaluator: str = "grouped"
-    auto_refine: bool = True
     sample_count: int = 4096
     point_x: float | None = None
     x_grid: tuple[float, float, int] | None = None
@@ -166,11 +168,11 @@ class RunConfig:
 
         def grab(key, default, kind, check=None, desc=""):
             value = raw.get(key, default)
-            try:
-                value = kind(value)
-            except (TypeError, ValueError):
-                problems.append(f"{key!r} must be {kind.__name__}")
+            if not _is_json(value, kind):
+                problems.append(f"{key!r} must be a JSON {_JSON_NAMES[kind]}, "
+                                f"got {value!r}")
                 return default
+            value = kind(value)
             if check is not None and not check(value):
                 problems.append(f"{key!r} {desc}, got {value!r}")
                 return default
@@ -192,64 +194,45 @@ class RunConfig:
         tol = grab("residual_tol", 1e-12, float, lambda v: v > 0, "must be positive")
         max_it = grab("max_iterations", 200, int, lambda v: v >= 1, "must be >= 1")
         clamp = grab("step_clamp", 1e-9, float, lambda v: 0 < v < 1, "must be in (0, 1)")
-        evaluator = grab("evaluator", "grouped", str,
-                         lambda v: v in ("grouped", "log"), "must be 'grouped' or 'log'")
-        refine = bool(raw.get("auto_refine", True))
         samples = grab("sample_count", 4096, int, lambda v: v >= 1, "must be >= 1")
         fit_window = grab("fit_window", 4, int, lambda v: v >= 3, "must be >= 3")
         point_x = raw.get("point_x")
-        if point_x is not None and not isinstance(point_x, (int, float)):
-            problems.append("'point_x' must be a number or null")
+        if point_x is not None and not _is_json(point_x, float):
+            problems.append(f"'point_x' must be a number or null, got {point_x!r}")
             point_x = None
 
         x_grid = None
         g = raw.get("x_grid")
         if g is not None:
-            try:
-                x_grid = (float(g["lo"]), float(g["hi"]), int(g["count"]))
-                if not (x_grid[0] < x_grid[1] and x_grid[2] >= 2):
-                    raise ValueError
-            except (KeyError, TypeError, ValueError):
-                problems.append("'x_grid' must be {lo < hi, count >= 2}")
+            lo, hi, count = (g.get(k) if isinstance(g, dict) else None
+                             for k in ("lo", "hi", "count"))
+            if (_is_json(lo, float) and _is_json(hi, float) and _is_json(count, int)
+                    and lo < hi and count >= 2):
+                x_grid = (float(lo), float(hi), count)
+            else:
+                problems.append("'x_grid' must be {lo < hi numbers, integer count >= 2}")
 
-        outdir = Path(os.environ.get(OUTDIR_ENV) or raw.get("output_dir", "out"))
-        use_cache = bool(raw.get("cache", True))
+        outdir = os.environ.get(OUTDIR_ENV) or raw.get("output_dir", "out")
+        if not isinstance(outdir, str):
+            problems.append(f"'output_dir' must be a string, got {outdir!r}")
+        use_cache = grab("cache", True, bool)
 
         if problems:
             raise ConfigError(problems)
-        return cls(ifs=ifs, n_max=int(n_max), quadrature_order=order,
-                   residual_tol=tol, max_iterations=max_it, step_clamp=clamp,
-                   evaluator=evaluator, auto_refine=refine, sample_count=samples,
-                   point_x=point_x, x_grid=x_grid, fit_window=fit_window,
-                   output_dir=outdir, cache=use_cache)
-
-    @property
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            residual_tol=self.residual_tol, max_iterations=self.max_iterations,
-            step_clamp=self.step_clamp, quadrature_order=self.quadrature_order,
-            evaluator=self.evaluator, auto_refine=self.auto_refine,
-        )
+        solver = SolverConfig(residual_tol=tol, max_iterations=max_it, step_clamp=clamp)
+        return cls(ifs=ifs, n_max=n_max, solver=solver, quadrature_order=order,
+                   sample_count=samples, point_x=point_x, x_grid=x_grid,
+                   fit_window=fit_window, output_dir=Path(outdir), cache=use_cache)
 
     @property
     def numerics(self) -> dict:
-        """Every setting that a stored record depends on.
-
-        ``quadrature_order`` counts only with ``auto_refine`` off: with it
-        on, the solver sizes its own orders and the point-path table leaves
-        the records untouched.
-        """
-        numerics = {
+        """Every setting that a stored record depends on."""
+        return {
             "ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
-            "residual_tol": self.residual_tol,
-            "step_clamp": self.step_clamp,
-            "evaluator": self.evaluator,
-            "auto_refine": self.auto_refine,
+            "residual_tol": self.solver.residual_tol,
+            "step_clamp": self.solver.step_clamp,
             "numerics": ORDER_RULE,
         }
-        if not self.auto_refine:
-            numerics["quadrature_order"] = self.quadrature_order
-        return numerics
 
     @property
     def fingerprint(self) -> str:
@@ -290,8 +273,8 @@ class SolutionCache:
                            json.dumps(record))
 
 
-def _record_from_solution(cfg: RunConfig, bands: BandSystem,
-                          sol: EquilibriumSolution) -> dict:
+def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
+    bands = sol.vars.bands
     return {
         "generation": sol.generation,
         "fingerprint": cfg.fingerprint,
@@ -323,24 +306,21 @@ def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolutio
 def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     """Solve (or reload) generations ``1..n_max``, writing records as we go.
 
-    On solver failure the records of the completed generations remain on
-    disk and the error (with its generation) propagates.
+    :func:`~equimeasure.solver.hierarchical_solve` with the record cache as
+    its load (unless ``cache`` is off) and store hooks.  On solver failure
+    the records of the completed generations remain on disk and the error
+    propagates with ``generation`` and ``solutions_so_far``.
     """
     cache = SolutionCache(cfg.output_dir)
-    out: list[tuple[BandSystem, EquilibriumSolution]] = []
-    previous = None
-    for n in range(1, cfg.n_max + 1):
-        bands = generate_bands(cfg.ifs, n)
-        record = cache.load(n, cfg.fingerprint) if cfg.cache else None
-        if record is not None:
-            sol = _solution_from_record(bands, record)
-        else:
-            sol = solve_generation(bands, warm_start(bands, previous),
-                                   cfg.solver_config)
-            cache.store(_record_from_solution(cfg, bands, sol))
-        out.append((bands, sol))
-        previous = sol
-    return out
+
+    def load(bands):
+        record = cache.load(bands.generation, cfg.fingerprint)
+        return None if record is None else _solution_from_record(bands, record)
+
+    solutions = hierarchical_solve(
+        cfg.ifs, cfg.n_max, cfg.solver, load if cfg.cache else None,
+        lambda sol: cache.store(_record_from_solution(cfg, sol)))
+    return [(sol.vars.bands, sol) for sol in solutions]
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -371,13 +351,14 @@ def _x_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def _capacity_rows(cfg: RunConfig, solved):
-    bands_list, sols = zip(*solved)
+    sols = [sol for _, sol in solved]
     point = cfg.point_x
     if point is None:  # the middle of the deepest generation's first band
-        point = float(0.5 * (bands_list[-1].alphas[0] + bands_list[-1].betas[0]))
-    est_mean = capacity_estimate(sols, bands_list, cfg.rule, cfg.sample_count,
+        deepest = sols[-1].vars.bands
+        point = float(0.5 * (deepest.alphas[0] + deepest.betas[0]))
+    est_mean = capacity_estimate(sols, cfg.rule, cfg.sample_count,
                                  mode="mean", fit_window=cfg.fit_window)
-    est_point = capacity_estimate(sols, bands_list, cfg.rule, mode="point",
+    est_point = capacity_estimate(sols, cfg.rule, mode="point",
                                   point=point, fit_window=cfg.fit_window)
     rows = []
     for (n, v_point), (_, v_mean) in zip(est_point.per_generation,
@@ -404,7 +385,7 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
     elif which == "jacobian_decay":
         bands, sol = solved[-1]
         jac = np.empty((bands.n_gaps, bands.n_gaps))
-        for gap_rule, idx in _rules(bands, cfg.solver_config, "gap"):
+        for gap_rule, idx in _rules(bands, cfg.solver, "gap"):
             _with_bumps(lambda i, r: gap_jacobian_row(i, bands, sol.vars, r),
                         idx, sol.vars, gap_rule, jac)
         rows = [[bands.generation, i, m, i - m, abs(jac[i, m])]

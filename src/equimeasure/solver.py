@@ -81,7 +81,9 @@ class SolverConfig:
     default) every gap equation and every band measure gets its own
     quadrature rule, sized from the geometry by
     :func:`~equimeasure.kernel.refined_rules`, and ``quadrature_order`` is
-    not used.  With ``auto_refine`` off all of them use one rule of
+    not used.  ``evaluator`` and ``auto_refine`` are library-only reference
+    switches that no CLI config sets: ``evaluator="log"`` sums in log space,
+    and with ``auto_refine`` off every gap and band uses one rule of
     ``quadrature_order`` nodes, the paper's uniform choice.
     """
 
@@ -340,27 +342,33 @@ def warm_start(bands: BandSystem, previous: EquilibriumSolution | None) -> GapVa
     return GapVariables(bands, lam)
 
 
-def hierarchical_solve(ifs: IfsSystem, n_max: int,
-                       cfg: SolverConfig | None = None) -> list[EquilibriumSolution]:
+def hierarchical_solve(ifs: IfsSystem, n_max: int, cfg: SolverConfig | None = None,
+                       load=None, store=None) -> list[EquilibriumSolution]:
     """Solve generations ``1 .. n_max`` with genealogy warm starts.
 
-    Solver failures are re-raised with the failing generation recorded on
-    the exception (``generation`` attribute) along with the solutions of
-    all earlier generations (``solutions_so_far``).
+    This is the one loop over generations.  ``load(bands)`` may return a
+    stored :class:`EquilibriumSolution` of ``bands``, which is used as is
+    and warm-starts the next generation; ``store(solution)`` receives each
+    newly solved generation.  Solver failures carry the failing generation
+    (``generation``) and are re-raised with the solutions of all earlier
+    generations (``solutions_so_far``) recorded on the exception.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     cfg = cfg or SolverConfig()
     ifs = validate(ifs)
     solutions: list[EquilibriumSolution] = []
-    previous = None
     for n in range(1, n_max + 1):
         bands = generate_bands(ifs, n)
-        try:
-            sol = solve_generation(bands, warm_start(bands, previous), cfg)
-        except SolverError as exc:
-            exc.solutions_so_far = solutions
-            raise
+        sol = load(bands) if load else None
+        if sol is None:
+            try:
+                sol = solve_generation(
+                    bands, warm_start(bands, solutions[-1] if solutions else None), cfg)
+            except SolverError as exc:
+                exc.solutions_so_far = solutions
+                raise
+            if store:
+                store(sol)
         solutions.append(sol)
-        previous = sol
     return solutions

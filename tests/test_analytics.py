@@ -572,18 +572,18 @@ class TestFitExponential:
 
 class TestCapacityEstimate:
     def test_trivial_constant_capacity_is_half(self, trivial_band, rule2048):
-        b0, s0 = trivial_band
-        est = capacity_estimate([s0] * 4, [b0] * 4, rule2048, sample_count=32)
+        _, s0 = trivial_band
+        est = capacity_estimate([s0] * 4, rule2048, sample_count=32)
         assert est.extrapolated_capacity == pytest.approx(0.5, abs=1e-9)
         assert est.fit[2] > 0
         assert isinstance(est, CapacityEstimate)
 
     def test_requires_four_generations(self, ternary_run, rule2048):
-        bands, sols = ternary_run
+        _, sols = ternary_run
         with pytest.raises(ValueError):
-            capacity_estimate(sols[:3], bands[:3], rule2048)
+            capacity_estimate(sols[:3], rule2048)
 
     def test_point_mode_needs_point(self, ternary_run, rule2048):
-        bands, sols = ternary_run
+        _, sols = ternary_run
         with pytest.raises(ValueError):
-            capacity_estimate(sols[:4], bands[:4], rule2048, mode="point")
+            capacity_estimate(sols[:4], rule2048, mode="point")

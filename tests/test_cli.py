@@ -42,6 +42,18 @@ def _solver_must_not_run(*args, **kwargs):
     raise AssertionError("solve_generation called on a warm cache")
 
 
+def _count_solves(monkeypatch) -> list:
+    """The generations that ``solver.solve_generation`` is called for."""
+    calls, original = [], solver.solve_generation
+
+    def counting(bands, *args, **kwargs):
+        calls.append(bands.generation)
+        return original(bands, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_generation", counting)
+    return calls
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -80,15 +92,10 @@ class TestRunConfig:
         same = RunConfig.from_file(write_config(tmp_path, n_max=5, sample_count=7))
         assert base.fingerprint == same.fingerprint
         for change in ({"residual_tol": 1e-10},
-                       {"ifs": [[1 / 3, -1.0], [0.3, 1.0]]}, {"auto_refine": False},
-                       {"evaluator": "log"}, {"step_clamp": 1e-8}):
+                       {"ifs": [[1 / 3, -1.0], [0.3, 1.0]]}, {"step_clamp": 1e-8}):
             other = RunConfig.from_file(write_config(tmp_path, **change))
             assert other.fingerprint != base.fingerprint
-        # the uniform order is part of the numerics only with auto_refine off
-        uniform = RunConfig.from_file(write_config(tmp_path, auto_refine=False))
-        finer = RunConfig.from_file(write_config(tmp_path, auto_refine=False,
-                                                 quadrature_order=512))
-        assert finer.fingerprint != uniform.fingerprint
+        # the point-path order leaves the records untouched
         analytics_only = RunConfig.from_file(write_config(tmp_path, quadrature_order=512))
         assert analytics_only.fingerprint == base.fingerprint
 
@@ -97,6 +104,42 @@ class TestRunConfig:
         base = RunConfig.from_file(path).fingerprint
         monkeypatch.setattr(cli, "ORDER_RULE", "uniform")
         assert RunConfig.from_file(path).fingerprint != base
+
+    def test_numerics_are_the_ifs_tolerances_and_order_rule(self, tmp_path):
+        cfg = RunConfig.from_file(write_config(tmp_path, residual_tol=1e-13,
+                                               step_clamp=1e-8, max_iterations=7))
+        assert cfg.numerics == {"ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
+                                "residual_tol": 1e-13, "step_clamp": 1e-8,
+                                "numerics": cli.ORDER_RULE}
+        assert cfg.solver == solver.SolverConfig(residual_tol=1e-13, step_clamp=1e-8,
+                                                 max_iterations=7)
+
+    @pytest.mark.parametrize("key, value", [
+        ("cache", "false"), ("cache", 0), ("point_x", True), ("point_x", "0.5"),
+        ("n_max", 3.7), ("n_max", "4"), ("n_max", True), ("quadrature_order", 256.0),
+        ("max_iterations", False), ("sample_count", "64"), ("fit_window", 4.0),
+        ("residual_tol", "1e-12"), ("step_clamp", True), ("output_dir", 5),
+        ("x_grid", {"lo": -1.0, "hi": 1.0, "count": 5.0}),
+        ("x_grid", {"lo": "-1", "hi": 1.0, "count": 5}),
+        ("x_grid", {"lo": -1.0, "hi": True, "count": 5})])
+    def test_values_of_the_wrong_json_type_are_rejected(self, tmp_path, capsys, key,
+                                                        value):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_file(path)
+        assert len(err.value.problems) == 1 and repr(key) in err.value.problems[0]
+        assert main(["solve", "--config", str(path)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("evaluator", "log"), ("auto_refine", False)])
+    def test_solver_reference_switches_are_not_config_keys(self, tmp_path, capsys, key,
+                                                           value):
+        # evaluator and auto_refine are library-only oracles of the solver
+        path = write_config(tmp_path, **{key: value})
+        assert main(["solve", "--config", str(path)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_depth_limited_by_width_floor(self, tmp_path):
         # 0.05**9 ~ 2e-12 of the hull is resolvable, 0.05**10 ~ 1e-13 is not
@@ -140,7 +183,7 @@ class TestSolveCommand:
         cfg = RunConfig.from_file(path)
         first = [(b, s) for b, s in solve_all(cfg)]
         # second run reuses the cache: the solver never runs
-        monkeypatch.setattr(cli, "solve_generation", _solver_must_not_run)
+        monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
         solved = solve_all(cfg)
         for (_, a), (_, b) in zip(first, solved):
             assert np.array_equal(a.lambdas, b.lambdas)  # bit-exact reload
@@ -152,7 +195,7 @@ class TestSolveCommand:
         path = str(write_config(tmp_path))
         assert main(["solve", "--config", path]) == 0
         cold = capsys.readouterr().out
-        monkeypatch.setattr(cli, "solve_generation", _solver_must_not_run)
+        monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
         assert main(["solve", "--config", path]) == 0
         warm = capsys.readouterr().out
         assert warm == cold
@@ -163,21 +206,15 @@ class TestSolveCommand:
         path = write_config(tmp_path)
         assert main(["solve", "--config", str(path)]) == 0
         other = write_config(tmp_path, residual_tol=1e-13)
-        calls = []
-
-        def counting(bands, *args, **kwargs):
-            calls.append(bands.generation)
-            return solver.solve_generation(bands, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "solve_generation", counting)
+        calls = _count_solves(monkeypatch)
         solve_all(RunConfig.from_file(other))
         assert calls == [1, 2, 3]
 
     def test_analytics_order_reuses_records(self, tmp_path, capsys, monkeypatch):
-        # with auto_refine on no record depends on quadrature_order, so a
-        # capacity run at another order must not solve again
+        # no record depends on quadrature_order, so a capacity run at another
+        # order must not solve again
         assert main(["capacity", "--config", str(write_config(tmp_path, n_max=4))]) == 0
-        monkeypatch.setattr(cli, "solve_generation", _solver_must_not_run)
+        monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
         path = write_config(tmp_path, n_max=4, quadrature_order=128)
         assert main(["capacity", "--config", str(path)]) == 0
 
@@ -191,8 +228,47 @@ class TestSolveCommand:
         record = json.loads((tmp_path / "out" / "gen_4.json").read_text())
         assert "quadrature_order" not in record["config"]
         assert record["config"] == RunConfig.from_file(path).numerics
-        uniform = RunConfig.from_file(write_config(tmp_path, auto_refine=False))
-        assert uniform.numerics["quadrature_order"] == 256
+
+    def test_stored_generations_are_loaded_and_the_rest_solved(self, tmp_path,
+                                                              monkeypatch):
+        # records for n <= 3 on disk: the one generation loop solves n = 4, 5
+        # only, warm-started from the loaded n = 3, bit for bit as a cold run
+        assert main(["solve", "--config", str(write_config(tmp_path))]) == 0
+        cfg = RunConfig.from_file(write_config(tmp_path, n_max=5))
+        calls = _count_solves(monkeypatch)
+        solved = solve_all(cfg)
+        assert calls == [4, 5]
+        cold = solver.hierarchical_solve(cfg.ifs, 5, cfg.solver)
+        assert [s.generation for _, s in solved] == [1, 2, 3, 4, 5]
+        for (bands, a), b in zip(solved, cold):
+            assert bands is a.vars.bands
+            assert np.array_equal(a.lambdas, b.lambdas)
+            assert np.array_equal(a.omegas, b.omegas)
+            assert a.iterations_used == b.iterations_used
+        assert sorted(p.name for p in (tmp_path / "out").glob("gen_*.json")) == [
+            f"gen_{n}.json" for n in range(1, 6)]
+
+    def test_failure_carries_the_completed_generations(self, tmp_path, monkeypatch):
+        # generation 1 comes from disk, 2 is solved and stored, 3 fails
+        assert main(["solve", "--config", str(write_config(tmp_path, n_max=1))]) == 0
+        original = solver.solve_generation
+
+        def failing_at_three(bands, *args, **kwargs):
+            if bands.generation == 3:
+                raise solver.NoConvergence("forced", generation=3)
+            return original(bands, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_generation", failing_at_three)
+        with pytest.raises(solver.NoConvergence) as err:
+            solve_all(RunConfig.from_file(write_config(tmp_path, n_max=4)))
+        assert err.value.generation == 3
+        done = err.value.solutions_so_far
+        assert [s.generation for s in done] == [1, 2]
+        out = tmp_path / "out"
+        for sol in done:
+            record = json.loads((out / f"gen_{sol.generation}.json").read_text())
+            assert record["lambda"] == sol.lambdas.tolist()
+        assert not (out / "gen_3.json").exists() and not (out / "gen_4.json").exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, ifs=[[1.2, -1.0], [1 / 3, 1.0]])
@@ -228,13 +304,7 @@ class TestSolveCommand:
         with monkeypatch.context() as m:
             m.setattr(cli, "ORDER_RULE", "refined-even/min32/safety18")
             assert main(["solve", "--config", str(path)]) == 0
-        calls = []
-
-        def counting(bands, *args, **kwargs):
-            calls.append(bands.generation)
-            return solver.solve_generation(bands, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "solve_generation", counting)
+        calls = _count_solves(monkeypatch)
         solve_all(RunConfig.from_file(path))
         assert calls == [1, 2, 3]
 
@@ -307,12 +377,12 @@ class TestFiguresCommand:
             assert values[-1] == pytest.approx(1.0, abs=1e-9)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("auto_refine, pairs, n_max", [
-        pytest.param(True, BASE_CONFIG["ifs"], 3, id="True"),
-        pytest.param(False, BASE_CONFIG["ifs"], 3, id="False"),
-        pytest.param(True, [[0.9, -1.0], [0.001, 1.0]], 4, id="True-graded")])
-    def test_jacobian_rows_use_the_solver_rules(self, tmp_path, monkeypatch, auto_refine,
-                                                pairs, n_max):
+    # the ids say that the CLI's solver refines its rules (auto_refine on)
+    @pytest.mark.parametrize("pairs, n_max", [
+        pytest.param(BASE_CONFIG["ifs"], 3, id="True"),
+        pytest.param([[0.9, -1.0], [0.001, 1.0]], 4, id="True-graded")])
+    def test_jacobian_rows_use_the_solver_rules(self, tmp_path, monkeypatch, pairs,
+                                                n_max):
         rules = {}
 
         def recording(i, bands, vars, rule, *args):
@@ -320,13 +390,10 @@ class TestFiguresCommand:
             return gap_jacobian_row(i, bands, vars, rule, *args)
 
         monkeypatch.setattr(cli, "gap_jacobian_row", recording)
-        path = write_config(tmp_path, auto_refine=auto_refine, ifs=pairs, n_max=n_max)
+        path = write_config(tmp_path, ifs=pairs, n_max=n_max)
         assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 0
         bands = generate_bands(validate(IfsSystem.from_pairs(pairs)), n_max)
-        if auto_refine:
-            want = [rule.order for rule in refined_rules(bands, "gap")]
-        else:
-            want = [BASE_CONFIG["quadrature_order"]] * bands.n_gaps
+        want = [rule.order for rule in refined_rules(bands, "gap")]
         assert [rules[i].order for i in range(bands.n_gaps)] == want
         assert any(rule.panels for rule in rules.values()) == (n_max == 4)
 
@@ -564,6 +631,12 @@ class TestBenchPatchPoints:
         trace = tracer.Tracer()
         path = write_config(tmp_path, n_max=4, quadrature_order=64, sample_count=64)
         tracer.install(trace, cli, solver, analytics)
+        # The generation loop runs in ``solver``, so the benchmark's spans at
+        # ``cli.solve_generation`` and ``cli.generate_bands`` stay empty until
+        # it wraps them where ``solver`` looks them up; wrap them there too.
+        trace.patch(solver, "solve_generation", "solver.solve_generation",
+                    tracer._solve_counts)
+        trace.patch(solver, "generate_bands", "geometry.generate_bands")
         try:
             assert main(["capacity", "--config", str(path)]) == 0
         finally:
@@ -571,6 +644,7 @@ class TestBenchPatchPoints:
         names = {span.name for span in trace.spans}
         assert set(self.COUNTED) <= names
         assert "kernel.kernel_log_magnitude" not in names
+        assert "geometry.generate_bands" in names
         for span in trace.spans:
             if span.name in self.COUNTED and span.error is None:
                 assert span.counts, span.name
