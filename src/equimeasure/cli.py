@@ -20,17 +20,19 @@ sizes its quadrature rules from the geometry, and the potentials,
 capacities and integrated measures come from per-band Chebyshev series
 sized the same way; ``quadrature_order`` sets only the node table of the
 point path (``method="nodes"``), so a run at another order reuses the
-stored records.  The Jacobian figure takes each gap's rule from the
-solver, one batched row call per rule group.  Grids are evaluated in one
-call per generation.  All files are written atomically (temp file +
-rename).  Figure data files are plain CSV with a header row and 17-digit
-floats.
+stored records.  The Jacobian figure is the solver's
+:func:`~equimeasure.solver.jacobian` at the deepest solution.  Grids are
+evaluated in one call per generation.  All files are written atomically
+(temp file + rename).  Figure data files are plain CSV with a header row
+and 17-digit floats.
 
 Exit codes, each failure with a one-line message on stderr:
 
 - 0 success;
-- 2 config error, including a bad ``--points`` spec and an ``x_grid`` off
-  the hull for ``Omega_of_x`` (checked before any solve);
+- 2 config error, including a bad ``--points`` spec, an ``x_grid`` off
+  the hull for ``Omega_of_x``, an ``n_max`` that ``generate_bands``
+  rejects and a capacity run with fewer ``sample_count`` points than
+  bands (all checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
   (no convergence, singular Jacobian, node collisions), or a capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
@@ -64,19 +66,19 @@ from .analytics import (
     integrated_measure_at,
     potential_at,
 )
-from .geometry import WIDTH_FLOOR, BandSystem, IfsSystem, InvalidIfs, hull, validate
-from .kernel import ORDER_RULE, GapVariables, QuadratureRule, gap_jacobian_row
+from .geometry import (BandSystem, GenerationTooLarge, IfsSystem, InvalidIfs,
+                       generate_bands, hull, validate)
+from .kernel import ORDER_RULE, GapVariables, QuadratureRule
 from .solver import (
     EquilibriumSolution,
     SolverConfig,
     SolverError,
-    _rules,
-    _with_bumps,
     hierarchical_solve,
+    jacobian,
 )
 # Not called here: kept as the patch points bench/tracer.py looks up (their
-# spans read 0 since the generation loop runs in ``solver``).
-from .geometry import generate_bands  # noqa: F401
+# spans read 0 since the generation loop and the Jacobian run in ``solver``).
+from .kernel import gap_jacobian_row  # noqa: F401
 from .solver import solve_generation  # noqa: F401
 
 OUTDIR_ENV = "EQUIMEASURE_OUTDIR"
@@ -123,8 +125,7 @@ class RunConfig:
     """One experiment: the system, depth, tolerances and output options.
 
     ``residual_tol``, ``max_iterations`` and ``step_clamp`` make up
-    :attr:`solver`; its ``evaluator`` and ``auto_refine`` are library-only
-    reference switches.  ``quadrature_order`` is the order of :attr:`rule`,
+    :attr:`solver`.  ``quadrature_order`` is the order of :attr:`rule`,
     the node table of the point path (``potential_at(..., method="nodes")``,
     the ``V_point`` column of the capacity table).  Every other potential,
     capacity and integrated measure comes from per-band Chebyshev series
@@ -184,12 +185,10 @@ class RunConfig:
             problems.append("'n_max' is required")
             n_max = 1
         if ifs is not None:
-            # the narrowest band of generation n is min(delta)**n of the hull
-            narrowest = float(ifs.deltas.min()) ** n_max
-            if narrowest < WIDTH_FLOOR:
-                problems.append(
-                    f"'n_max' {n_max} is too deep: its narrowest band, {narrowest:.3g} "
-                    f"of the hull, is below the width floor {WIDTH_FLOOR:g}")
+            try:
+                generate_bands(ifs, n_max)
+            except GenerationTooLarge as exc:
+                problems.append(f"'n_max' {n_max} rejected: {exc}")
         order = grab("quadrature_order", 2048, int, lambda v: v >= 1, "must be >= 1")
         tol = grab("residual_tol", 1e-12, float, lambda v: v > 0, "must be positive")
         max_it = grab("max_iterations", 200, int, lambda v: v >= 1, "must be >= 1")
@@ -384,10 +383,7 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
                           "residual_final"], rows)
     elif which == "jacobian_decay":
         bands, sol = solved[-1]
-        jac = np.empty((bands.n_gaps, bands.n_gaps))
-        for gap_rule, idx in _rules(bands, cfg.solver, "gap"):
-            _with_bumps(lambda i, r: gap_jacobian_row(i, bands, sol.vars, r),
-                        idx, sol.vars, gap_rule, jac)
+        jac = jacobian(sol.vars)
         rows = [[bands.generation, i, m, i - m, abs(jac[i, m])]
                 for i in range(bands.n_gaps) for m in range(bands.n_gaps)]
         path = out / "jacobian_decay.csv"
@@ -453,9 +449,17 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _require_capacity_depth(cfg: RunConfig, what: str) -> None:
+    """Reject, before any solve, a capacity run that is too shallow or that
+    has fewer sample points than the deepest generation has bands."""
+    problems, n_bands = [], cfg.ifs.n_maps ** cfg.n_max
     if cfg.n_max < MIN_CAPACITY_GENERATIONS:
-        raise ConfigError([f"{what} needs n_max >= {MIN_CAPACITY_GENERATIONS}, "
-                           f"got {cfg.n_max}"])
+        problems.append(f"{what} needs n_max >= {MIN_CAPACITY_GENERATIONS}, "
+                        f"got {cfg.n_max}")
+    if cfg.sample_count < n_bands:
+        problems.append(f"{what} needs sample_count >= {n_bands}, one point per band "
+                        f"of generation {cfg.n_max}, got {cfg.sample_count}")
+    if problems:
+        raise ConfigError(problems)
 
 
 def cmd_figures(cfg: RunConfig, which: str) -> int:

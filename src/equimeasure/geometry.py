@@ -200,10 +200,20 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
     this ordering the children of band ``q`` are bands ``q*M .. q*M+M-1``
     of the next generation, and gap ``g`` is old exactly when
     ``(g + 1) % M == 0``, with parent gap ``g // M``.
+
+    Raises :class:`GenerationTooLarge` when a band falls below
+    ``WIDTH_FLOOR`` of the hull: before building anything when the nominal
+    narrowest band, ``min(delta)**n`` of the hull, does, and otherwise at
+    the first generation whose computed widths do.
     """
     if n < 0:
         raise ValueError(f"generation must be non-negative, got {n}")
     ifs = validate(ifs)
+    narrowest = float(ifs.deltas.min()) ** n
+    if narrowest < WIDTH_FLOOR:
+        raise GenerationTooLarge(
+            f"generation {n} is too deep: its narrowest band, {narrowest:.3g} of the "
+            f"hull, is below the width floor {WIDTH_FLOOR:g}")
     h = hull(ifs)
     span = h.width
 
@@ -215,7 +225,7 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
     alphas = np.array([h.lo])
     betas = np.array([h.hi])
     m_maps = ifs.n_maps
-    for _ in range(n):
+    for k in range(1, n + 1):
         # Convex combinations keep the first child's lo and the last child's
         # hi bitwise equal to the parent's, so old gaps persist exactly.
         new_alphas = (alphas[:, None] * (1.0 - t_lo) + betas[:, None] * t_lo).ravel()
@@ -223,8 +233,8 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
         alphas, betas = new_alphas, new_betas
         if np.min(betas - alphas) < WIDTH_FLOOR * span:
             raise GenerationTooLarge(
-                f"band width underflows {WIDTH_FLOOR:g} * hull width at generation {n}"
-            )
+                f"generation {k} is too deep: a band of it is below the width floor "
+                f"{WIDTH_FLOOR:g} of the hull")
     if not (np.all(betas > alphas) and np.all(alphas[1:] > betas[:-1])):
         raise RuntimeError("generated bands are not sorted and disjoint")
 

@@ -23,10 +23,10 @@ In gap ``i``'s frame root ``m < i`` pairs with band ``m`` and root
 ``m > i`` with band ``m + 1``; the own root and the two endpoint factors
 next to the gap are left over.  In band ``i``'s frame root ``m < i``
 pairs with band ``m`` and root ``m >= i`` with band ``m + 1``, and
-nothing is left over.  The log-space path, which sums logarithms of all
-factors, has no production caller: it is the reference the paired
-product is tested against and the ``evaluator="log"`` choice of the gap
-equations.  Both agree to ~1e-12 relative.
+nothing is left over.  The log-space path (:func:`kernel_log_magnitude`),
+which sums logarithms of all factors, has no production caller: it is
+the reference the paired product is tested against, and the two agree to
+~1e-12 relative.
 
 :func:`gap_integral`, :func:`gap_jacobian_row`, :func:`band_integral` and
 :func:`kernel_band` take one frame index ``i`` or a sequence of frame
@@ -46,8 +46,7 @@ frames of a kind in one array pass (:func:`refined_rules`):
 Gauss-Chebyshev, a few dozen nodes for most intervals, or beside a thin
 band panels graded toward it.  The analytics size their per-band
 Chebyshev series from :func:`refined_orders`; ``quadrature_order`` sets
-the node table of the point path and the uniform rule of the solver when
-auto-refinement is off.
+only the node table of the point path.
 
 All functions are pure; results depend only on the arguments, and node
 sums always run in the fixed node order, so values are reproducible.
@@ -423,7 +422,7 @@ def kernel_band(x, i, bands: BandSystem, vars: GapVariables):
     ``i`` is one band index or a sequence of them; a sequence gives one row
     per band, of ``x``'s shape.  Every root and endpoint outside the band's
     own two ends is paired, so no factor is left over.  Agrees with the
-    log-space evaluator to roundoff.
+    log-space reference to roundoff.
     """
     idx, scalar = _frames(i)
     x_arr = np.asarray(x, dtype=float).ravel()
@@ -435,7 +434,7 @@ def kernel_grouped(x, i, bands: BandSystem, vars: GapVariables):
 
     ``i`` is one gap index or a sequence of them, as in :func:`kernel_band`.
     ``x`` must lie strictly inside (-1, 1) in the rescaled frame.  Agrees
-    with the log-space evaluator to roundoff; partial products stay O(1)
+    with the log-space reference to roundoff; partial products stay O(1)
     for any number of bands.
     """
     idx, scalar = _frames(i)
@@ -445,7 +444,7 @@ def kernel_grouped(x, i, bands: BandSystem, vars: GapVariables):
 
 
 def gap_integral(i, bands: BandSystem, vars: GapVariables, rule: QuadratureRule,
-                 evaluator: str = "grouped", keep: dict | None = None):
+                 keep: dict | None = None):
     """Gauss-Chebyshev value of the signed root equation over gap ``i``.
 
     This is ``(1/pi) * integral of Z/sqrt|Y|`` over the gap after rescaling
@@ -453,25 +452,16 @@ def gap_integral(i, bands: BandSystem, vars: GapVariables, rule: QuadratureRule,
     the solution all these integrals vanish.  ``i`` is one gap index (a
     ``float`` result) or a sequence of gaps sharing ``rule`` (an array, one
     value per gap), evaluated in one batched pass; a collision raises
-    :class:`ExactNodeCollision` naming every gap it hits.  With the grouped
-    evaluator and a ``keep`` dict, ``keep[i]`` (a tuple for a sequence)
-    receives ``(rule, g)``, the reduced kernels :func:`gap_jacobian_row`
-    reuses at the same variables.  ``evaluator="log"`` loops over the gaps
-    with the log-space reference.
+    :class:`ExactNodeCollision` naming every gap it hits.  With a ``keep``
+    dict, ``keep[i]`` (a tuple for a sequence) receives ``(rule, g)``, the
+    reduced kernels :func:`gap_jacobian_row` reuses at the same variables.
     """
     idx, scalar = _frames(i)
     x = rule.nodes
-    if evaluator == "grouped":
-        g = _grouped_reduced(x, idx, bands, vars)
-        if keep is not None:
-            keep[i if scalar else tuple(idx.tolist())] = (rule, g)
-        f = (x - vars.lambdas[idx, None]) * g
-    elif evaluator == "log":
-        f = np.array([sign * np.exp(log_mag) for sign, log_mag in (
-            kernel_log_magnitude(x, bands, vars, ("gap", k)) for k in idx.tolist())])
-    else:
-        raise ValueError(f"unknown evaluator {evaluator!r}")
-    values = _weighted_sums(f, rule.weights)
+    g = _grouped_reduced(x, idx, bands, vars)
+    if keep is not None:
+        keep[i if scalar else tuple(idx.tolist())] = (rule, g)
+    values = _weighted_sums((x - vars.lambdas[idx, None]) * g, rule.weights)
     return float(values[0]) if scalar else values
 
 
@@ -553,11 +543,9 @@ def refined_orders(bands: BandSystem, kind: str, base_order: int = MIN_ORDER) ->
     of the integral of the integrand's modulus, where 8 loses digits
     (3.2e-15 on the bands of the 0.3, 0.1, 0.2 three-map system).  It is
     rounded up to an even number, so that no node sits at the interval's
-    midpoint, where symmetric systems put their roots.  With
-    auto-refinement on, the solver's rules come from :func:`refined_rules`,
-    and the analytics sample each band's density at twice the band's
-    order; ``quadrature_order`` then only sets the point path's node table
-    and the uniform rule of the ``auto_refine=False`` path.
+    midpoint, where symmetric systems put their roots.  The solver's rules
+    come from :func:`refined_rules`, and the analytics sample each band's
+    density at twice the band's order.
     """
     band_w, gap_w = bands.band_widths, bands.gap_widths
     if kind == "gap":

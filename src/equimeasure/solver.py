@@ -15,6 +15,7 @@ Jacobian one :func:`~equimeasure.kernel.gap_jacobian_row` call per group
 from the reduced kernels the residual pass kept, and the band measures one
 :func:`~equimeasure.kernel.band_integral` call per band rule.  A collision
 moves only the gaps it names to a bumped rule (:func:`_with_bumps`).
+:func:`jacobian` builds the Jacobian at any variables from the same rules.
 
 Across generations the gap genealogy provides warm starts: a gap that
 already existed at generation ``n - 1`` inherits its converged root, while
@@ -32,7 +33,6 @@ from .geometry import BandSystem, IfsSystem, generate_bands, validate
 from .kernel import (
     ExactNodeCollision,
     GapVariables,
-    QuadratureRule,
     band_integral,
     gap_integral,
     gap_jacobian_row,
@@ -73,26 +73,18 @@ class NodeCollision(SolverError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and quadrature choices for one solve.
+    """Tolerances for one solve.
 
     ``step_clamp`` is the margin kept between any iterate and the ends of
     (-1, 1); a root reaching its gap boundary would flip the sign of the
-    density and void the equations.  With ``auto_refine`` set (the
-    default) every gap equation and every band measure gets its own
-    quadrature rule, sized from the geometry by
-    :func:`~equimeasure.kernel.refined_rules`, and ``quadrature_order`` is
-    not used.  ``evaluator`` and ``auto_refine`` are library-only reference
-    switches that no CLI config sets: ``evaluator="log"`` sums in log space,
-    and with ``auto_refine`` off every gap and band uses one rule of
-    ``quadrature_order`` nodes, the paper's uniform choice.
+    density and void the equations.  The quadrature rules are not set
+    here: every gap equation and every band measure gets its own rule,
+    sized from the geometry by :func:`~equimeasure.kernel.refined_rules`.
     """
 
     residual_tol: float = 1e-12
     max_iterations: int = 200
     step_clamp: float = 1e-9
-    quadrature_order: int = 2048
-    evaluator: str = "grouped"
-    auto_refine: bool = True
 
     def __post_init__(self):
         if not self.residual_tol > 0.0:
@@ -135,15 +127,11 @@ class EquilibriumSolution:
         return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
 
-def _rules(bands: BandSystem, cfg: SolverConfig, kind: str) -> list[tuple]:
+def _rules(bands: BandSystem, kind: str) -> list[tuple]:
     """Rule groups ``(rule, indices)`` over the gaps (``kind="gap"``) or the
     bands (``kind="band"``): ``indices`` is an ascending tuple of Python
     ints, every frame of the generation is in exactly one group, and the
     frames of a group share one memoised rule."""
-    count = bands.n_gaps if kind == "gap" else bands.n_bands
-    if not cfg.auto_refine:
-        return [(QuadratureRule.chebyshev(cfg.quadrature_order), tuple(range(count)))
-                ] if count else []
     groups: dict = {}
     for i, rule in enumerate(refined_rules(bands, kind)):
         groups.setdefault(id(rule), (rule, []))[1].append(i)
@@ -180,34 +168,43 @@ def _with_bumps(evaluate, indices, vars, rule, out: np.ndarray) -> np.ndarray:
     )
 
 
-def _residual_vector(bands, lambdas, groups, evaluator):
-    """Residuals at ``lambdas`` and the reduced kernels built on the way.
+def _residual_vector(vars: GapVariables, groups):
+    """Residuals at ``vars`` and the reduced kernels built on the way.
 
     One :func:`gap_integral` call per rule group.  The second value maps
     each tuple of gaps evaluated together to ``(rule, g)``: the rule left
     after any collision bumps and the reduced kernels there, which the
-    Jacobian at the same ``lambdas`` reuses.  The log-space evaluator keeps
-    none.
+    Jacobian at the same ``vars`` reuses.
     """
-    vars = GapVariables(bands, lambdas)
-    kept: dict = {}
+    bands, kept = vars.bands, {}
     r = np.empty(bands.n_gaps)
     for rule, idx in groups:
-        _with_bumps(lambda i, rule: gap_integral(i, bands, vars, rule, evaluator, kept),
+        _with_bumps(lambda i, rule: gap_integral(i, bands, vars, rule, kept),
                     idx, vars, rule, r)
     return r, kept
 
 
-def _jacobian(bands, lambdas, groups, kept) -> np.ndarray:
-    """The dense Jacobian: one :func:`gap_jacobian_row` call per kept block,
-    or per rule group when the residual pass kept none."""
-    vars = GapVariables(bands, lambdas)
+def jacobian(vars: GapVariables) -> np.ndarray:
+    """The dense Jacobian ``d K_i / d lambda_m`` at ``vars``: one
+    :func:`gap_jacobian_row` call per rule group of the solver's rules,
+    with the same collision bumps as a residual pass."""
+    bands = vars.bands
     jac = np.empty((bands.n_gaps, bands.n_gaps))
-    for idx, (rule, g) in kept.items():
-        jac[list(idx)] = gap_jacobian_row(idx, bands, vars, rule, g)
-    for rule, idx in groups if not kept else ():
+    for rule, idx in _rules(bands, "gap"):
         _with_bumps(lambda i, rule: gap_jacobian_row(i, bands, vars, rule),
                     idx, vars, rule, jac)
+    return jac
+
+
+def _jacobian(vars: GapVariables, kept) -> np.ndarray:
+    """The Jacobian from the reduced kernels a residual pass at ``vars``
+    kept, one :func:`gap_jacobian_row` call per kept block; built afresh
+    by :func:`jacobian` when the pass kept none."""
+    if not kept:
+        return jacobian(vars)
+    jac = np.empty((vars.bands.n_gaps, vars.bands.n_gaps))
+    for idx, (rule, g) in kept.items():
+        jac[list(idx)] = gap_jacobian_row(idx, vars.bands, vars, rule, g)
     return jac
 
 
@@ -266,24 +263,24 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
     cfg = cfg or SolverConfig()
     if initial.lambdas.shape != (bands.n_gaps,):
         raise ValueError("initial variables do not match the band system")
-    groups = _rules(bands, cfg, "gap")
-    lam = initial.lambdas.copy()
+    groups = _rules(bands, "gap")
+    vars = GapVariables(bands, initial.lambdas)
     hi_bound = 1.0 - cfg.step_clamp
 
-    r, kept = _residual_vector(bands, lam, groups, cfg.evaluator)
+    r, kept = _residual_vector(vars, groups)
     initial_abs = np.abs(r)
     norm = initial_abs.max() if r.size else 0.0
     iterations = 0
 
     def failure(kind, message):
-        return kind(message, lambdas=lam, residuals=np.abs(r), iterations=iterations,
-                    generation=bands.generation)
+        return kind(message, lambdas=vars.lambdas, residuals=np.abs(r),
+                    iterations=iterations, generation=bands.generation)
 
     while norm > cfg.residual_tol:
         if iterations >= cfg.max_iterations:
             raise failure(NoConvergence, f"no convergence after {iterations} "
                                          f"iterations (residual {norm:.3e})")
-        jac = _jacobian(bands, lam, groups, kept)
+        jac = _jacobian(vars, kept)
         try:
             step = _gmres(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -293,28 +290,27 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
         # Largest multiple of the Newton step keeping all components inside
         # [-1 + clamp, 1 - clamp]; shrinking the whole step preserves the
         # direction.
+        lam = vars.lambdas
         with np.errstate(divide="ignore"):
             room = np.where(step > 0.0, (hi_bound - lam) / step,
                             np.where(step < 0.0, (-hi_bound - lam) / step, np.inf))
         t = min(1.0, float(np.min(room))) if room.size else 1.0
 
         while t > 2.0 ** -30:
-            trial = lam + t * step
-            r_trial, kept_trial = _residual_vector(bands, trial, groups,
-                                                   cfg.evaluator)
+            trial = GapVariables(bands, lam + t * step)
+            r_trial, kept_trial = _residual_vector(trial, groups)
             if np.max(np.abs(r_trial)) <= (1.0 - 1e-4 * t) * norm:
                 break
             t *= 0.5
         else:
             raise failure(NoConvergence, f"line search stalled at iteration "
                                          f"{iterations} (residual {norm:.3e})")
-        lam, r, kept = trial, r_trial, kept_trial
+        vars, r, kept = trial, r_trial, kept_trial
         norm = float(np.max(np.abs(r)))
         iterations += 1
 
-    vars = GapVariables(bands, lam)
     omegas = np.empty(bands.n_bands)
-    for rule, idx in _rules(bands, cfg, "band"):
+    for rule, idx in _rules(bands, "band"):
         omegas[list(idx)] = band_integral(idx, bands, vars, rule)
     return EquilibriumSolution(
         generation=bands.generation,

@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from equimeasure import kernel, solver
 from equimeasure import (
     GapVariables,
     IfsSystem,
@@ -16,6 +19,40 @@ from equimeasure import (
 
 TERNARY_PAIRS = [(1.0 / 3.0, -1.0), (1.0 / 3.0, 1.0)]
 ASYM_PAIRS = [(4.0 / 5.0, -1.0), (1.0 / 10.0, 1.0)]
+
+
+def log_space_gap_integral(i, bands, vars, rule, keep=None):
+    """:func:`~equimeasure.kernel.gap_integral` from the log-space reference
+    kernel, one frame at a time and summed as the paired product is, so the
+    two differ only by the kernel values.  It keeps no reduced kernels, so a
+    solver using it builds each Jacobian afresh (``solver.jacobian``)."""
+    idx, scalar = kernel._frames(i)
+    f = np.array([sign * np.exp(log_mag) for sign, log_mag in (
+        kernel.kernel_log_magnitude(rule.nodes, bands, vars, ("gap", k))
+        for k in idx.tolist())])
+    values = kernel._weighted_sums(f, rule.weights)
+    return float(values[0]) if scalar else values
+
+
+@contextmanager
+def log_space_residuals():
+    """Within the block the solver sums its gap residuals in log space, the
+    paper's guard against over- and underflow."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "gap_integral", log_space_gap_integral)
+        yield
+
+
+@contextmanager
+def uniform_rules(order):
+    """Within the block every gap and band of the solver takes one shared
+    Gauss-Chebyshev rule of ``order`` nodes, the paper's uniform choice."""
+    rule = QuadratureRule.chebyshev(order)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "refined_rules", lambda bands, kind: [rule] * (
+            bands.n_gaps if kind == "gap" else bands.n_bands))
+        yield
+
 
 # Fixed on-set evaluation point close to the left hull endpoint, inside the
 # leftmost band of every generation up to ~12.
@@ -40,7 +77,7 @@ def rule2048():
 @pytest.fixture(scope="session")
 def ternary_run(ternary):
     """Bands and converged solutions for the middle-third system, n=1..7."""
-    cfg = SolverConfig(residual_tol=1e-13, quadrature_order=2048)
+    cfg = SolverConfig(residual_tol=1e-13)
     solutions = hierarchical_solve(ternary, 7, cfg)
     bands = [generate_bands(ternary, n) for n in range(1, 8)]
     return bands, solutions
@@ -49,7 +86,7 @@ def ternary_run(ternary):
 @pytest.fixture(scope="session")
 def asym_run(asym):
     """Bands and converged solutions for the 4/5, 1/10 system, n=1..9."""
-    cfg = SolverConfig(residual_tol=1e-12, quadrature_order=2048)
+    cfg = SolverConfig(residual_tol=1e-12)
     solutions = hierarchical_solve(asym, 9, cfg)
     bands = [generate_bands(asym, n) for n in range(1, 10)]
     return bands, solutions
@@ -59,8 +96,7 @@ def asym_run(asym):
 def trivial_band(ternary):
     """Generation 0: the single band [-1, 1] with the Chebyshev measure."""
     b0 = generate_bands(ternary, 0)
-    s0 = solve_generation(b0, GapVariables(b0, np.zeros(0)),
-                          SolverConfig(quadrature_order=2048))
+    s0 = solve_generation(b0, GapVariables(b0, np.zeros(0)), SolverConfig())
     return b0, s0
 
 

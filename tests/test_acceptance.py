@@ -27,7 +27,7 @@ from equimeasure.kernel import (
     kernel_log_magnitude,
 )
 from equimeasure.solver import GapVariables, SolverConfig, solve_generation, warm_start
-from tests.conftest import X_STAR
+from tests.conftest import X_STAR, log_space_residuals
 
 # -- published reference data (middle-third Cantor system) ------------------
 # mean potential over 4096 on-set points, K = 2048 nodes
@@ -172,10 +172,9 @@ def test_criterion_8_evaluator_equivalence(ternary_run, rule2048):
     assert worst < 1e-12
 
     init = warm_start(b, sols[3])
-    sol_grouped = solve_generation(b, init, SolverConfig(
-        residual_tol=1e-13, quadrature_order=2048, evaluator="grouped"))
-    sol_log = solve_generation(b, init, SolverConfig(
-        residual_tol=1e-13, quadrature_order=2048, evaluator="log"))
+    sol_grouped = solve_generation(b, init, SolverConfig(residual_tol=1e-13))
+    with log_space_residuals():
+        sol_log = solve_generation(b, init, SolverConfig(residual_tol=1e-13))
     root_gap = float(np.max(np.abs(sol_grouped.lambdas - sol_log.lambdas)))
     assert root_gap < 1e-10
     report(8, f"grouped and log-space kernels agree to {worst:.2e} on all "
@@ -184,7 +183,7 @@ def test_criterion_8_evaluator_equivalence(ternary_run, rule2048):
 
 def test_criterion_9_warm_start_economy(ternary_run):
     bands, sols = ternary_run
-    cfg = SolverConfig(residual_tol=1e-13, quadrature_order=2048)
+    cfg = SolverConfig(residual_tol=1e-13)
     pairs = []
     for n in range(2, 7):
         b = bands[n - 1]

@@ -135,7 +135,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("key, value", [("evaluator", "log"), ("auto_refine", False)])
     def test_solver_reference_switches_are_not_config_keys(self, tmp_path, capsys, key,
                                                            value):
-        # evaluator and auto_refine are library-only oracles of the solver
+        # the former solver switches; tests swap the oracles in (tests/conftest.py)
         path = write_config(tmp_path, **{key: value})
         assert main(["solve", "--config", str(path)]) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
@@ -152,6 +152,23 @@ class TestRunConfig:
         assert generate_bands(ifs, 9).n_bands == 2**9
         with pytest.raises(GenerationTooLarge):
             generate_bands(ifs, 10)
+
+    def test_floor_depth_of_the_asym_system_rejected_before_solving(self, tmp_path,
+                                                                     capsys, monkeypatch):
+        # 0.1**13 rounds to just above the floor, but a band of generation 13
+        # is computed below it: rejected as generate_bands rejects it
+        monkeypatch.setattr(cli, "solve_all",
+                            lambda cfg: pytest.fail("solve started for a rejected depth"))
+        pairs = [[0.8, -1.0], [0.1, 1.0]]
+        assert 0.1**13 >= 1e-13
+        with pytest.raises(GenerationTooLarge):
+            generate_bands(validate(IfsSystem.from_pairs(pairs)), 13)
+        assert RunConfig.from_file(write_config(tmp_path, ifs=pairs, n_max=12)).n_max == 12
+        path = write_config(tmp_path, ifs=pairs, n_max=13)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'n_max' 13" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_depth_rejected_with_exit_code(self, tmp_path, capsys, monkeypatch):
         # a rejected depth must never start: solving n=40 would not finish
@@ -377,7 +394,7 @@ class TestFiguresCommand:
             assert values[-1] == pytest.approx(1.0, abs=1e-9)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    # the ids say that the CLI's solver refines its rules (auto_refine on)
+    # the ids say that the CLI's solver refines its rules
     @pytest.mark.parametrize("pairs, n_max", [
         pytest.param(BASE_CONFIG["ifs"], 3, id="True"),
         pytest.param([[0.9, -1.0], [0.001, 1.0]], 4, id="True-graded")])
@@ -385,11 +402,12 @@ class TestFiguresCommand:
                                                 n_max):
         rules = {}
 
-        def recording(i, bands, vars, rule, *args):
-            rules.update((k, rule) for k in i)
-            return gap_jacobian_row(i, bands, vars, rule, *args)
+        def recording(i, bands, vars, rule, reduced=None):
+            if reduced is None:  # the figure's rows; Newton steps pass what they kept
+                rules.update((k, rule) for k in i)
+            return gap_jacobian_row(i, bands, vars, rule, reduced)
 
-        monkeypatch.setattr(cli, "gap_jacobian_row", recording)
+        monkeypatch.setattr(solver, "gap_jacobian_row", recording)
         path = write_config(tmp_path, ifs=pairs, n_max=n_max)
         assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 0
         bands = generate_bands(validate(IfsSystem.from_pairs(pairs)), n_max)
@@ -398,10 +416,12 @@ class TestFiguresCommand:
         assert any(rule.panels for rule in rules.values()) == (n_max == 4)
 
     def test_jacobian_collision_exit_code(self, tmp_path, capsys, monkeypatch):
-        def always_collides(*args, **kwargs):
-            raise ExactNodeCollision("forced")
+        def figure_rows_collide(i, bands, vars, rule, reduced=None):
+            if reduced is None:  # the figure's rows; Newton steps pass what they kept
+                raise ExactNodeCollision("forced")
+            return gap_jacobian_row(i, bands, vars, rule, reduced)
 
-        monkeypatch.setattr(cli, "gap_jacobian_row", always_collides)
+        monkeypatch.setattr(solver, "gap_jacobian_row", figure_rows_collide)
         path = write_config(tmp_path)
         assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 3
         assert "generation 3" in capsys.readouterr().err
@@ -469,6 +489,18 @@ class TestCapacityCommand:
         path = write_config(tmp_path, n_max=3)
         assert main([*argv, "--config", str(path)]) == 2
         assert "n_max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["capacity"], ["figures", "--which", "all"],
+                                      ["figures", "--which", "capacity_table"]])
+    def test_fewer_samples_than_bands_rejected_before_solving(self, tmp_path, capsys,
+                                                              monkeypatch, argv):
+        # the mean path needs a point on every band of generation n_max = 4
+        monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
+        path = write_config(tmp_path, n_max=4, sample_count=8)
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "sample_count >= 16" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
 

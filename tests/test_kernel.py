@@ -28,6 +28,7 @@ from equimeasure.kernel import (
     _gauss_legendre,
     _paired_product,
 )
+from tests.conftest import log_space_gap_integral
 
 
 def double_factorial_moment(p):
@@ -302,15 +303,9 @@ class TestGapIntegral:
         gv = GapVariables(b, np.array([0.05, -0.1, 0.2]))
         rule = QuadratureRule.chebyshev(256)
         for i in range(3):
-            a = gap_integral(i, b, gv, rule, evaluator="grouped")
-            c = gap_integral(i, b, gv, rule, evaluator="log")
+            a = gap_integral(i, b, gv, rule)
+            c = log_space_gap_integral(i, b, gv, rule)
             assert a == pytest.approx(c, rel=1e-12, abs=1e-15)
-
-    def test_unknown_evaluator(self, ternary):
-        b = generate_bands(ternary, 1)
-        gv = GapVariables(b, np.array([0.0]))
-        with pytest.raises(ValueError):
-            gap_integral(0, b, gv, QuadratureRule.chebyshev(8), evaluator="fast")
 
 
 class TestBandIntegral:
@@ -572,7 +567,7 @@ def test_jacobian_rows_reuse_the_residual_pass_bitwise(pairs, n):
     gv = GapVariables(b, 0.3 * np.cos(np.arange(b.n_gaps)))
     keep = {}
     calls = list(enumerate(refined_rules(b, "gap")))
-    calls += [(idx, rule) for rule, idx in solver._rules(b, solver.SolverConfig(), "gap")]
+    calls += [(idx, rule) for rule, idx in solver._rules(b, "gap")]
     for i, rule in calls:
         gap_integral(i, b, gv, rule, keep=keep)
         kept_rule, reduced = keep[i]
@@ -583,16 +578,15 @@ def test_jacobian_rows_reuse_the_residual_pass_bitwise(pairs, n):
                               gap_jacobian_row(i, b, gv, rule))
 
 
-def group_values(b, gv, evaluator="grouped"):
-    """Residuals, Jacobian rows and band measures by one call per rule
-    group, and the series samples by one ``kernel_band`` call per length."""
-    cfg = solver.SolverConfig()
+def group_values(b, gv, residual=gap_integral):
+    """Residuals (by ``residual``), Jacobian rows and band measures by one
+    call per rule group."""
     out = {"residual": np.empty(b.n_gaps), "row": np.empty((b.n_gaps, b.n_gaps)),
            "omega": np.empty(b.n_bands)}
-    for rule, idx in solver._rules(b, cfg, "gap"):
-        out["residual"][list(idx)] = gap_integral(idx, b, gv, rule, evaluator)
+    for rule, idx in solver._rules(b, "gap"):
+        out["residual"][list(idx)] = residual(idx, b, gv, rule)
         out["row"][list(idx)] = gap_jacobian_row(idx, b, gv, rule)
-    for rule, idx in solver._rules(b, cfg, "band"):
+    for rule, idx in solver._rules(b, "band"):
         out["omega"][list(idx)] = band_integral(idx, b, gv, rule)
     return out
 
@@ -620,7 +614,7 @@ def test_group_calls_equal_per_index_calls(pairs, n_max):
         assert np.all(np.abs(batched - per_band) <= 1e-15 * per_band), n
         # one group per rule, the rules those of every frame
         for kind, rules in (("gap", gap_rules), ("band", band_rules)):
-            groups = solver._rules(b, solver.SolverConfig(), kind)
+            groups = solver._rules(b, kind)
             assert sorted(i for _, idx in groups for i in idx) == list(range(len(rules)))
             assert all(rules[i] is rule for rule, idx in groups for i in idx)
             assert len({id(rule) for rule, _ in groups}) == len(groups)
@@ -629,8 +623,8 @@ def test_group_calls_equal_per_index_calls(pairs, n_max):
 def test_group_calls_of_the_log_evaluator(asym):
     b = generate_bands(asym, 4)
     gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
-    logged = group_values(b, gv, evaluator="log")["residual"]
-    want = [gap_integral(i, b, gv, rule, evaluator="log")
+    logged = group_values(b, gv, log_space_gap_integral)["residual"]
+    want = [log_space_gap_integral(i, b, gv, rule)
             for i, rule in enumerate(refined_rules(b, "gap"))]
     assert np.array_equal(logged, want)
     assert np.max(np.abs(logged - group_values(b, gv)["residual"])) <= 1e-13

@@ -14,6 +14,7 @@ from equimeasure import (
     sample_points,
     validate,
 )
+from tests.conftest import uniform_rules
 
 TOL = 1e-13
 # on-set spread of the potential (over 80 random examples the worst was
@@ -49,8 +50,8 @@ def systems(draw):
 def test_measure_roots_and_order_paths(case):
     ifs, n_max = case
     refined = hierarchical_solve(ifs, n_max, SolverConfig(residual_tol=TOL))
-    uniform = hierarchical_solve(ifs, n_max, SolverConfig(
-        residual_tol=TOL, quadrature_order=2048, auto_refine=False))
+    with uniform_rules(2048):
+        uniform = hierarchical_solve(ifs, n_max, SolverConfig(residual_tol=TOL))
     for s, u in zip(refined, uniform):
         bands = s.vars.bands
         assert abs(float(np.sum(s.omegas)) - 1.0) <= 1e-12

@@ -1,3 +1,6 @@
+import dataclasses
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -22,9 +25,29 @@ from equimeasure.solver import (
     solve_generation,
     warm_start,
 )
+from tests.conftest import log_space_residuals, uniform_rules
 from tests.test_kernel import adaptive_gap_oracle
 
-FAST = SolverConfig(residual_tol=1e-13, quadrature_order=512)
+FAST = SolverConfig(residual_tol=1e-13)
+
+
+def test_solver_config_holds_only_the_tolerances():
+    # the quadrature rules and the kernel sum are not configurable; tests
+    # swap them with tests.conftest.uniform_rules and log_space_residuals
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "residual_tol", "max_iterations", "step_clamp"]
+
+
+def test_jacobian_equals_the_newton_loops_bitwise(asym_run):
+    # converged asym n = 5, where one gap takes a graded rule: rows built
+    # afresh equal those from the reduced kernels a residual pass keeps
+    bands, sols = asym_run
+    b, s = bands[4], sols[4]
+    groups = solver._rules(b, "gap")
+    assert any(rule.panels for rule, _ in groups)
+    _, kept = solver._residual_vector(s.vars, groups)
+    assert kept
+    assert np.array_equal(solver.jacobian(s.vars), solver._jacobian(s.vars, kept))
 
 
 def test_symmetric_start_converges_immediately(ternary):
@@ -86,7 +109,7 @@ def test_warm_start_mapping(ternary_run):
 
 def test_warm_start_never_slower_than_cold(ternary, ternary_run):
     bands, sols = ternary_run
-    cfg = SolverConfig(residual_tol=1e-13, quadrature_order=2048)
+    cfg = SolverConfig(residual_tol=1e-13)
     for n in range(2, 7):
         b = bands[n - 1]
         warm = solve_generation(b, warm_start(b, sols[n - 2]), cfg)
@@ -100,8 +123,8 @@ def test_roots_stable_under_quadrature_refinement(ternary, ternary_run):
     for n in (3, 6):
         b = bands[n - 1]
         init = warm_start(b, sols[n - 2])
-        uniform = solve_generation(b, init, SolverConfig(
-            residual_tol=1e-13, quadrature_order=1024, auto_refine=False)).lambdas
+        with uniform_rules(1024):
+            uniform = solve_generation(b, init, SolverConfig(residual_tol=1e-13)).lambdas
         assert np.max(np.abs(uniform - sols[n - 1].lambdas)) < 1e-10
 
 
@@ -109,8 +132,9 @@ def test_roots_stable_under_quadrature_refinement(ternary, ternary_run):
     ("ternary_run", "ternary", 6, 1e-13), ("asym_run", "asym", 7, 1e-12)])
 def test_accuracy_driven_orders_match_uniform_2048(run, system, n_max, tol, request):
     _, sols = request.getfixturevalue(run)
-    uniform = hierarchical_solve(request.getfixturevalue(system), n_max, SolverConfig(
-        residual_tol=tol, quadrature_order=2048, auto_refine=False))
+    with uniform_rules(2048):
+        uniform = hierarchical_solve(request.getfixturevalue(system), n_max,
+                                     SolverConfig(residual_tol=tol))
     for ref, s in zip(uniform, sols):
         assert np.max(np.abs(s.lambdas - ref.lambdas), initial=0.0) <= 1e-13
         assert np.max(np.abs(s.omegas - ref.omegas)) <= 1e-14
@@ -152,6 +176,8 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
                for chebyshev, rule in gaps)
 
 
+# log-space residuals keep no reduced kernels, so the Newton loop builds its
+# Jacobian rows afresh, with collision bumps
 @pytest.mark.parametrize("collides, evaluator", [("gap_integral", "grouped"),
                                                  ("gap_jacobian_row", "log")])
 def test_persistent_collision_is_a_solver_error(ternary, monkeypatch, collides,
@@ -162,7 +188,8 @@ def test_persistent_collision_is_a_solver_error(ternary, monkeypatch, collides,
     monkeypatch.setattr(solver, collides, always_collides)
     b = generate_bands(ternary, 2)
     with pytest.raises(SolverError) as err:
-        solve_generation(b, warm_start(b, None), SolverConfig(evaluator=evaluator))
+        with log_space_residuals() if evaluator == "log" else nullcontext():
+            solve_generation(b, warm_start(b, None))
     assert isinstance(err.value, NodeCollision)
     assert err.value.generation == 2 and err.value.gap == 0
 
@@ -178,18 +205,16 @@ def test_residual_certificate_adaptive_oracle(ternary_run):
 def test_evaluator_swap_gives_same_roots(ternary_run):
     bands, sols = ternary_run
     b, init = bands[4], warm_start(bands[4], sols[3])
-    grouped = solve_generation(b, init, SolverConfig(residual_tol=1e-13,
-                                                     quadrature_order=2048))
-    logged = solve_generation(b, init, SolverConfig(residual_tol=1e-13,
-                                                    quadrature_order=2048,
-                                                    evaluator="log"))
+    grouped = solve_generation(b, init, SolverConfig(residual_tol=1e-13))
+    with log_space_residuals():
+        logged = solve_generation(b, init, SolverConfig(residual_tol=1e-13))
     assert np.max(np.abs(grouped.lambdas - logged.lambdas)) < 1e-10
 
 
 def test_no_convergence_carries_diagnostics(ternary):
     b = generate_bands(ternary, 3)
     bad = GapVariables(b, np.full(b.n_gaps, 0.9))
-    cfg = SolverConfig(residual_tol=1e-13, quadrature_order=256, max_iterations=1)
+    cfg = SolverConfig(residual_tol=1e-13, max_iterations=1)
     with pytest.raises(NoConvergence) as err:
         solve_generation(b, bad, cfg)
     assert err.value.generation == 3
@@ -202,7 +227,7 @@ def test_iterates_respect_clamp(ternary):
     # start close to the boundary; no iterate may leave (-1, 1)
     b = generate_bands(ternary, 2)
     init = GapVariables(b, np.array([0.999, -0.999, 0.999]))
-    cfg = SolverConfig(residual_tol=1e-13, quadrature_order=512, step_clamp=1e-9)
+    cfg = SolverConfig(residual_tol=1e-13, step_clamp=1e-9)
     sol = solve_generation(b, init, cfg)
     assert np.max(np.abs(sol.lambdas)) <= 1.0 - 1e-9
 
@@ -213,7 +238,7 @@ def test_hierarchical_requires_positive_depth(ternary):
 
 
 def test_hierarchical_error_annotation(ternary):
-    cfg = SolverConfig(residual_tol=1e-18, quadrature_order=128, max_iterations=2)
+    cfg = SolverConfig(residual_tol=1e-18, max_iterations=2)
     with pytest.raises(NoConvergence) as err:
         hierarchical_solve(ternary, 4, cfg)
     assert err.value.generation is not None
@@ -304,12 +329,12 @@ def test_a_collision_bumps_only_its_gap(ternary):
     # gap 3's root on a node of its rule: gap 3 alone moves to the bumped
     # rule, in the residual and in the Jacobian built from what it kept
     b = generate_bands(ternary, 3)
-    groups = solver._rules(b, SolverConfig(), "gap")
+    groups = solver._rules(b, "gap")
     rule = next(rule for rule, idx in groups if 3 in idx)
     lam = 0.3 * np.cos(np.arange(b.n_gaps))
     lam[3] = rule.nodes[5]
     gv = GapVariables(b, lam)
-    r, kept = solver._residual_vector(b, lam, groups, "grouped")
+    r, kept = solver._residual_vector(gv, groups)
     used = {i: kept_rule for idx, (kept_rule, _) in kept.items() for i in idx}
     assert sorted(used) == list(range(b.n_gaps))
     assert used[3].order == rule.order + 1
@@ -318,8 +343,10 @@ def test_a_collision_bumps_only_its_gap(ternary):
         assert all(used[i] is r_rule for i in idx if i != 3)
     want = [gap_integral(i, b, gv, used[i]) for i in range(b.n_gaps)]
     assert np.array_equal(r, want)
-    jac = solver._jacobian(b, lam, groups, kept)
+    jac = solver._jacobian(gv, kept)
     assert np.array_equal(jac[3], gap_jacobian_row(3, b, gv, rule.bumped()))
+    # built afresh, the Jacobian takes the same bump
+    assert np.array_equal(solver.jacobian(gv), jac)
 
 
 def test_persistent_collision_on_one_gap_names_it(ternary, monkeypatch):
@@ -334,7 +361,7 @@ def test_persistent_collision_on_one_gap_names_it(ternary, monkeypatch):
 
     monkeypatch.setattr(solver, "gap_integral", gap_one_collides)
     b = generate_bands(ternary, 3)
-    groups = solver._rules(b, SolverConfig(), "gap")
+    groups = solver._rules(b, "gap")
     shared = next(idx for _, idx in groups if 1 in idx)
     assert shared == (0, 1, 2, 4, 5, 6)
     with pytest.raises(NodeCollision) as err:
