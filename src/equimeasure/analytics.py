@@ -126,22 +126,22 @@ def _dct2(x: np.ndarray) -> np.ndarray:
     return 2.0 * (np.fft.fft(v) * np.exp(-0.5j * np.pi / m * np.arange(m))).real
 
 
-def _chebyshev_series(bands: BandSystem, vars) -> np.ndarray:
-    """Chebyshev coefficients of ``F = |Z| / sqrt|Y~|`` on every band.
+def _chebyshev_series(vars) -> np.ndarray:
+    """Chebyshev coefficients of ``F = |Z| / sqrt|Y~|`` on each band of ``vars``.
 
     Row ``b`` holds ``c_0 .. c_{M-1}`` for ``M = SERIES_OVERSAMPLING *
-    refined_orders(bands, "band")[b]``, zero-padded to the longest row:
+    refined_orders(vars.bands, "band")[b]``, zero-padded to the longest row:
     ``sum_j c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes
     of order ``M`` in band ``b``'s frame, and ``c_0`` is the band measure
     under that order's Gauss-Chebyshev rule; bands of one ``M`` share one
     :func:`~equimeasure.kernel.kernel_band` call and one :func:`_dct2`.
     """
-    orders = SERIES_OVERSAMPLING * refined_orders(bands, "band")
-    coeffs = np.zeros((bands.n_bands, orders.max()))
+    orders = SERIES_OVERSAMPLING * refined_orders(vars.bands, "band")
+    coeffs = np.zeros((vars.bands.n_bands, orders.max()))
     for m in set(orders.tolist()):
         rows = np.flatnonzero(orders == m)
         nodes = QuadratureRule.chebyshev(m).nodes
-        coeffs[rows, :m] = _dct2(kernel_band(nodes, rows, bands, vars)) / m
+        coeffs[rows, :m] = _dct2(kernel_band(nodes, rows, vars)) / m
     coeffs[:, 0] *= 0.5
     return coeffs
 
@@ -150,7 +150,7 @@ def _band_series(solution: EquilibriumSolution) -> np.ndarray:
     """The solution's per-band coefficients, built on first use and memoised."""
     coeffs = solution._band_series
     if coeffs is None:
-        coeffs = _chebyshev_series(solution.vars.bands, solution.vars)
+        coeffs = _chebyshev_series(solution.vars)
         coeffs.flags.writeable = False
         object.__setattr__(solution, "_band_series", coeffs)
     return coeffs
@@ -261,8 +261,8 @@ def _series_potentials(zs, coeffs: np.ndarray, bands: BandSystem) -> np.ndarray:
     return values
 
 
-def _density_table(solution, bands, rule):
-    """Node positions and weighted densities of every band.
+def _density_table(solution, rule):
+    """Node positions and weighted densities of every band of the solution.
 
     Returns ``(positions, weighted)`` with shape ``(n_bands, K)``; the
     plain node sum at ``z`` is ``-sum weighted * log|z - positions|``.  The
@@ -273,6 +273,7 @@ def _density_table(solution, bands, rule):
     """
     table = solution._density_tables.get(rule.order)
     if table is None:
+        bands = solution.vars.bands
         positions = _from_frame(rule.nodes, bands.alphas[:, None], bands.betas[:, None])
         weighted = _values_at_nodes(_band_series(solution), rule.order)
         weighted *= rule.weights
@@ -294,13 +295,13 @@ def _collides(x: float, positions, bands) -> bool:
     return bool(np.any(np.abs(x - positions[near]).min(axis=1) < tol[near]))
 
 
-def _node_potential(z: complex, solution, bands, rule) -> float:
-    """``-sum w * log|z - s|`` over the node table at one point, bumping the
-    order past collisions."""
+def _node_potential(z: complex, solution, rule) -> float:
+    """``-sum w * log|z - s|`` over the solution's node table at one point,
+    bumping the order past collisions."""
     for bump in (0, 1, 3):
         attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
-        positions, weighted = _density_table(solution, bands, attempt)
-        if z.imag == 0.0 and _collides(z.real, positions, bands):
+        positions, weighted = _density_table(solution, attempt)
+        if z.imag == 0.0 and _collides(z.real, positions, solution.vars.bands):
             continue
         dist_sq = (z.real - positions) ** 2 + z.imag * z.imag
         return float(-0.5 * np.sum(weighted * np.log(dist_sq)))
@@ -320,7 +321,8 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     by point; if a real point falls within ``1e-12`` of a node (relative to
     the band width) the order is bumped to ``K+1`` then ``K+3``, and
     :class:`PersistentCollision` is raised when all attempts collide.  The
-    coefficients and each order's table are built once per solution.
+    coefficients and each order's table are built once per solution, on
+    its own bands (``solution.vars.bands``), which ``bands`` must be.
     """
     if method not in ("auto", "nodes"):
         raise ValueError(f"unknown method {method!r}")
@@ -328,8 +330,7 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     if method == "auto":
         values = _series_potentials(zs, _band_series(solution), bands)
     else:
-        values = np.array([_node_potential(complex(p), solution, bands, rule)
-                           for p in zs])
+        values = np.array([_node_potential(complex(p), solution, rule) for p in zs])
     return float(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
 
 

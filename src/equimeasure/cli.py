@@ -21,8 +21,9 @@ capacities and integrated measures come from per-band Chebyshev series
 sized the same way; ``quadrature_order`` sets only the node table of the
 point path (``method="nodes"``), so a run at another order reuses the
 stored records.  The Jacobian figure is the solver's
-:func:`~equimeasure.solver.jacobian` at the deepest solution.  Grids are
-evaluated in one call per generation.  All files are written atomically
+:func:`~equimeasure.solver.jacobian` at the deepest solution, built from
+one residual pass as in the Newton loop.  Grids are evaluated in one call
+per generation.  All files are written atomically
 (temp file + rename).  Figure data files are plain CSV with a header row
 and 17-digit floats.
 
@@ -100,7 +101,7 @@ class ConfigError(ValueError):
 
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.problems))
+        super().__init__("invalid configuration: " + "; ".join(self.problems))
 
 
 _KNOWN_KEYS = {
@@ -292,7 +293,6 @@ def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
 
 def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolution:
     return EquilibriumSolution(
-        generation=record["generation"],
         vars=GapVariables(bands, np.array(record["lambda"])),
         residuals=np.array(record["residuals"]),
         iterations_used=record["iterations_used"],

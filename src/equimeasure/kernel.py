@@ -29,14 +29,15 @@ the reference the paired product is tested against, and the two agree to
 ~1e-12 relative.
 
 :func:`gap_integral`, :func:`gap_jacobian_row`, :func:`band_integral` and
-:func:`kernel_band` take one frame index ``i`` or a sequence of frame
-indices that share one rule.  A single index gives the single result (a
-``float``, one row, one set of values); a sequence gives one result per
-frame, stacked along a first axis, from one batched paired product.  The
-batch holds at most ``_CHUNK_ELEMS`` elements per temporary, whatever the
-number of frames, so no frame-by-root array of the whole generation is
-formed; each value is computed by the same operations as for its frame
-alone, so a batch and per-frame calls agree bitwise.  A collision raises
+:func:`kernel_band` take the band system from their roots (``vars.bands``)
+alone, and one frame index ``i`` or a sequence of frame indices that share
+one rule.  A single index gives the single result (a ``float``, one row,
+one set of values); a sequence gives one result per frame, stacked along a
+first axis, from one batched paired product.  The batch holds at most
+``_CHUNK_ELEMS`` elements per temporary, whatever the number of frames, so
+no frame-by-root array of the whole generation is formed; each value is
+computed by the same operations as for its frame alone, so a batch and
+per-frame calls agree bitwise.  A collision raises
 :class:`ExactNodeCollision` naming every frame of the call it hits.  The
 log-space path remains one frame per call.
 
@@ -239,18 +240,18 @@ def _raise_hits(hit: np.ndarray, idx: np.ndarray) -> None:
         raise ExactNodeCollision(_COLLISION, tuple(idx[hit].tolist()))
 
 
-def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[str, int]):
+def kernel_log_magnitude(x, vars: GapVariables, frame: tuple[str, int]):
     """Sign and log-magnitude of ``Z / sqrt|Y~|`` in a rescaled frame.
 
-    ``frame`` names the interval mapped onto [-1, 1]: ``("gap", i)`` or
-    ``("band", i)``.  The two endpoint factors of that interval are the
-    ones absorbed into the Chebyshev weight and are omitted from ``Y~``.
-    Returns ``(sign, log_magnitude)`` with the shapes of ``x``; the sign
-    counts the negative numerator factors.  One frame per call: this is
-    the per-frame reference of the batched paired product.
+    ``frame`` names the interval of ``vars.bands`` mapped onto [-1, 1]:
+    ``("gap", i)`` or ``("band", i)``.  Its two endpoint factors are the ones
+    absorbed into the Chebyshev weight and are omitted from ``Y~``.  Returns
+    ``(sign, log_magnitude)`` with the shapes of ``x``; the sign counts the
+    negative numerator factors.  One frame per call: this is the per-frame
+    reference of the batched paired product.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    p, a_t, b_t = _frame_points(bands, vars, frame)
+    p, a_t, b_t = _frame_points(vars, frame)
     endpoints = _outer_endpoints(a_t, b_t, frame)
     if _near(np.sort(x_arr), np.concatenate([p, endpoints])).any():
         raise ExactNodeCollision(_COLLISION, (frame[1],))
@@ -267,8 +268,8 @@ def kernel_log_magnitude(x, bands: BandSystem, vars: GapVariables, frame: tuple[
     return (float(sign[0]), float(log_mag[0])) if np.ndim(x) == 0 else (sign, log_mag)
 
 
-def _frame_points(bands: BandSystem, vars: GapVariables, frame: tuple[str, int]):
-    """Roots and band endpoints in the coordinates of one ``frame``.
+def _frame_points(vars: GapVariables, frame: tuple[str, int]):
+    """Roots and band endpoints of ``vars`` in the coordinates of one ``frame``.
 
     In gap ``i``'s frame the own root is ``lambda_i`` itself, not mapped back
     from ``zeta_i`` (which rounds it by ``eps |zeta_i|`` over the half-width,
@@ -277,6 +278,7 @@ def _frame_points(bands: BandSystem, vars: GapVariables, frame: tuple[str, int])
     by the same arithmetic (:func:`_paired_product`, :func:`_leftover`).
     """
     kind, i = frame
+    bands = vars.bands
     lo, hi = _frame_bounds(bands, kind, i)
     p, a_t, b_t = (_to_frame(v, lo, hi) for v in (vars.zetas, bands.alphas, bands.betas))
     if kind == "gap":
@@ -322,10 +324,11 @@ def _band_screen(xs: np.ndarray, idx: np.ndarray, centre: np.ndarray, width: np.
     return hit, scan
 
 
-def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray, bands: BandSystem,
+def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray,
                     vars: GapVariables) -> np.ndarray:
     """Products of the paired factor ratios ``|x - p_m| / sqrt|Y_band|``, one
-    row per frame of ``idx`` (of ``kind``), one column per node of ``x``.
+    row per frame of ``idx`` (``kind`` frames of ``vars.bands``), one
+    column per node of ``x``.
 
     The pairing is the one in the module docstring: paired factor ``j`` of
     frame ``i`` holds root ``j + s`` and band ``j + 2 s`` in a gap frame,
@@ -337,6 +340,7 @@ def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray, bands: BandSystem
     checks two roots per frame, in ``O(frames)``, and the scan of every
     paired point is left to frames whose nodes lie outside those roots.
     """
+    bands = vars.bands
     lo, hi = _frame_bounds(bands, kind, idx)
     centre, width = (hi + lo)[:, None], (hi - lo)[:, None]
     zeta2, alpha2, beta2 = 2.0 * vars.zetas, 2.0 * bands.alphas, 2.0 * bands.betas
@@ -386,7 +390,7 @@ def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray, bands: BandSystem
     return prod
 
 
-def _grouped_reduced(x: np.ndarray, idx: np.ndarray, bands: BandSystem, vars: GapVariables):
+def _grouped_reduced(x: np.ndarray, idx: np.ndarray, vars: GapVariables):
     """Signed kernel in the gap frames ``idx`` with the own-root factor removed.
 
     Row ``f`` is ``g`` of frame ``i = idx[f]``, where the full kernel is
@@ -395,10 +399,10 @@ def _grouped_reduced(x: np.ndarray, idx: np.ndarray, bands: BandSystem, vars: Ga
     ``|x - b_t[i+1]|``.  Raises when a node hits the own root of a frame.
     """
     _raise_hits(_near(np.sort(x), vars.lambdas[idx]), idx)
-    prod = _paired_product(x, "gap", idx, bands, vars)
-    a_i, b_next = (v[:, None] for v in _leftover(bands, idx))
+    prod = _paired_product(x, "gap", idx, vars)
+    a_i, b_next = (v[:, None] for v in _leftover(vars.bands, idx))
     leftover = np.sqrt((x - a_i) * (b_next - x))
-    sign = np.where((bands.n_gaps - 1 - idx) % 2, -1.0, 1.0)[:, None]
+    sign = np.where((vars.bands.n_gaps - 1 - idx) % 2, -1.0, 1.0)[:, None]
     return sign * prod / leftover
 
 
@@ -416,57 +420,58 @@ def _shaped(values: np.ndarray, x, scalar: bool):
     return float(values) if values.ndim == 0 else values
 
 
-def kernel_band(x, i, bands: BandSystem, vars: GapVariables):
+def kernel_band(x, i, vars: GapVariables):
     """``|Z| / sqrt|Y~|`` in band ``i``'s frame via the paired product.
 
-    ``i`` is one band index or a sequence of them; a sequence gives one row
-    per band, of ``x``'s shape.  Every root and endpoint outside the band's
-    own two ends is paired, so no factor is left over.  Agrees with the
-    log-space reference to roundoff.
+    ``i`` is one band of ``vars.bands`` or a sequence of them; a sequence
+    gives one row per band, of ``x``'s shape.  Every root and endpoint
+    outside the band's own two ends is paired, so no factor is left over.
+    Agrees with the log-space reference to roundoff.
     """
     idx, scalar = _frames(i)
     x_arr = np.asarray(x, dtype=float).ravel()
-    return _shaped(_paired_product(x_arr, "band", idx, bands, vars), x, scalar)
+    return _shaped(_paired_product(x_arr, "band", idx, vars), x, scalar)
 
 
-def kernel_grouped(x, i, bands: BandSystem, vars: GapVariables):
+def kernel_grouped(x, i, vars: GapVariables):
     """``Z / sqrt|Y~|`` in gap ``i``'s frame via grouped factor ratios.
 
-    ``i`` is one gap index or a sequence of them, as in :func:`kernel_band`.
+    ``i`` is one gap of ``vars.bands`` or a sequence of them, as in
+    :func:`kernel_band`.
     ``x`` must lie strictly inside (-1, 1) in the rescaled frame.  Agrees
     with the log-space reference to roundoff; partial products stay O(1)
     for any number of bands.
     """
     idx, scalar = _frames(i)
     x_arr = np.asarray(x, dtype=float).ravel()
-    g = _grouped_reduced(x_arr, idx, bands, vars)
+    g = _grouped_reduced(x_arr, idx, vars)
     return _shaped((x_arr - vars.lambdas[idx, None]) * g, x, scalar)
 
 
-def gap_integral(i, bands: BandSystem, vars: GapVariables, rule: QuadratureRule,
-                 keep: dict | None = None):
+def gap_integral(i, vars: GapVariables, rule: QuadratureRule, keep: dict | None = None):
     """Gauss-Chebyshev value of the signed root equation over gap ``i``.
 
-    This is ``(1/pi) * integral of Z/sqrt|Y|`` over the gap after rescaling
-    it to [-1, 1]; the gap's own endpoints supply the Chebyshev weight.  At
-    the solution all these integrals vanish.  ``i`` is one gap index (a
-    ``float`` result) or a sequence of gaps sharing ``rule`` (an array, one
-    value per gap), evaluated in one batched pass; a collision raises
-    :class:`ExactNodeCollision` naming every gap it hits.  With a ``keep``
-    dict, ``keep[i]`` (a tuple for a sequence) receives ``(rule, g)``, the
-    reduced kernels :func:`gap_jacobian_row` reuses at the same variables.
+    This is ``(1/pi) * integral of Z/sqrt|Y|`` over gap ``i`` of ``vars.bands``
+    after rescaling it to [-1, 1]; the gap's own endpoints supply the
+    Chebyshev weight.  At the solution all these integrals vanish.  ``i``
+    is one gap index (a ``float`` result) or a sequence of gaps sharing
+    ``rule`` (an array, one value per gap), evaluated in one batched pass; a
+    collision raises :class:`ExactNodeCollision` naming every gap it hits.
+    With a ``keep`` dict, ``keep[i]`` (a tuple for a sequence) receives
+    ``(rule, g)``, the reduced kernels :func:`gap_jacobian_row` reuses at
+    the same variables.
     """
     idx, scalar = _frames(i)
     x = rule.nodes
-    g = _grouped_reduced(x, idx, bands, vars)
+    g = _grouped_reduced(x, idx, vars)
     if keep is not None:
         keep[i if scalar else tuple(idx.tolist())] = (rule, g)
     values = _weighted_sums((x - vars.lambdas[idx, None]) * g, rule.weights)
     return float(values[0]) if scalar else values
 
 
-def band_integral(i, bands: BandSystem, vars: GapVariables, rule: QuadratureRule):
-    """Equilibrium measure of band ``i`` (harmonic frequency).
+def band_integral(i, vars: GapVariables, rule: QuadratureRule):
+    """Equilibrium measure of band ``i`` of ``vars.bands`` (harmonic frequency).
 
     The band is rescaled to [-1, 1] and ``|Z| / sqrt|Y~|`` is integrated
     against the Chebyshev weight, with the kernel from the band-frame
@@ -474,14 +479,13 @@ def band_integral(i, bands: BandSystem, vars: GapVariables, rule: QuadratureRule
     ``float``) or a sequence of bands sharing ``rule`` (an array).
     """
     idx, scalar = _frames(i)
-    values = _weighted_sums(_paired_product(rule.nodes, "band", idx, bands, vars),
-                            rule.weights)
+    values = _weighted_sums(_paired_product(rule.nodes, "band", idx, vars), rule.weights)
     return float(values[0]) if scalar else values
 
 
-def gap_jacobian_row(i, bands: BandSystem, vars: GapVariables,
-                     rule: QuadratureRule, reduced: np.ndarray | None = None) -> np.ndarray:
-    """All derivatives ``d K_i / d lambda_m`` of one gap equation.
+def gap_jacobian_row(i, vars: GapVariables, rule: QuadratureRule,
+                     reduced: np.ndarray | None = None) -> np.ndarray:
+    """All derivatives ``d K_i / d lambda_m`` of one gap equation of ``vars``.
 
     Differentiating the Gaussian sum in its root ``zeta_m`` drops the
     ``m``-th numerator factor and multiplies by ``-A_i`` (the frame slope);
@@ -498,14 +502,14 @@ def gap_jacobian_row(i, bands: BandSystem, vars: GapVariables,
     """
     idx, scalar = _frames(i)
     x, w = rule.nodes, rule.weights
-    g = _grouped_reduced(x, idx, bands, vars) if reduced is None else reduced
+    g = _grouped_reduced(x, idx, vars) if reduced is None else reduced
     g = g.reshape(idx.size, x.size)
     f = (x - vars.lambdas[idx, None]) * g
-    lo, hi = _frame_bounds(bands, "gap", idx)
+    lo, hi = _frame_bounds(vars.bands, "gap", idx)
     centre, width = (hi + lo)[:, None], (hi - lo)[:, None]
     zeta2 = 2.0 * vars.zetas
 
-    n = bands.n_gaps
+    n = vars.bands.n_gaps
     rows = np.empty((idx.size, n))
     per_rows = min(n, max(1, _CHUNK_ELEMS // x.size))
     per = max(1, _CHUNK_ELEMS // (per_rows * x.size))
@@ -518,7 +522,7 @@ def gap_jacobian_row(i, bands: BandSystem, vars: GapVariables,
             t = np.subtract(x, p[:, sl, None])
             np.divide(f[fs, None, :], t, out=t)
             rows[fs, sl] = np.einsum("fmk,k->fm", t, w)
-    gap_w = bands.gap_widths
+    gap_w = vars.bands.gap_widths
     rows *= -(gap_w / gap_w[idx, None])
     rows[np.arange(idx.size), idx] = -_weighted_sums(g, w)
     return rows[0] if scalar else rows

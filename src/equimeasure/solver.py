@@ -14,8 +14,9 @@ pass makes one :func:`~equimeasure.kernel.gap_integral` call per group, the
 Jacobian one :func:`~equimeasure.kernel.gap_jacobian_row` call per group
 from the reduced kernels the residual pass kept, and the band measures one
 :func:`~equimeasure.kernel.band_integral` call per band rule.  A collision
-moves only the gaps it names to a bumped rule (:func:`_with_bumps`).
-:func:`jacobian` builds the Jacobian at any variables from the same rules.
+moves only the gaps it names to a bumped rule (:func:`_with_bumps`); only
+residual passes meet collisions, and :func:`jacobian` is one such pass and
+its rows.  Kernel calls read the band system from the roots (``vars.bands``).
 
 Across generations the gap genealogy provides warm starts: a gap that
 already existed at generation ``n - 1`` inherits its converged root, while
@@ -97,8 +98,9 @@ class SolverConfig:
 class EquilibriumSolution:
     """Converged roots and derived measure data for one generation.
 
-    ``_band_series`` and ``_density_tables`` are memos owned by
-    :mod:`~equimeasure.analytics`, built on first use and read-only:
+    ``vars`` holds the roots and their band system, whose generation is
+    :attr:`generation`.  ``_band_series`` and ``_density_tables`` are memos
+    owned by :mod:`~equimeasure.analytics`, built on first use and read-only:
     ``_band_series`` holds the per-band Chebyshev coefficients of the
     density, from which every potential and integrated measure on this
     solution is evaluated; ``_density_tables`` holds, per quadrature order,
@@ -106,7 +108,6 @@ class EquilibriumSolution:
     (``method="nodes"``), filled from those coefficients.
     """
 
-    generation: int
     vars: GapVariables
     residuals: np.ndarray
     iterations_used: int
@@ -117,6 +118,10 @@ class EquilibriumSolution:
                                   compare=False)
     _band_series: np.ndarray = field(default=None, init=False, repr=False,
                                      compare=False)
+
+    @property
+    def generation(self) -> int:
+        return self.vars.bands.generation
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -176,36 +181,27 @@ def _residual_vector(vars: GapVariables, groups):
     after any collision bumps and the reduced kernels there, which the
     Jacobian at the same ``vars`` reuses.
     """
-    bands, kept = vars.bands, {}
-    r = np.empty(bands.n_gaps)
+    kept = {}
+    r = np.empty(vars.bands.n_gaps)
     for rule, idx in groups:
-        _with_bumps(lambda i, rule: gap_integral(i, bands, vars, rule, kept),
-                    idx, vars, rule, r)
+        _with_bumps(lambda i, rule: gap_integral(i, vars, rule, kept), idx, vars, rule, r)
     return r, kept
-
-
-def jacobian(vars: GapVariables) -> np.ndarray:
-    """The dense Jacobian ``d K_i / d lambda_m`` at ``vars``: one
-    :func:`gap_jacobian_row` call per rule group of the solver's rules,
-    with the same collision bumps as a residual pass."""
-    bands = vars.bands
-    jac = np.empty((bands.n_gaps, bands.n_gaps))
-    for rule, idx in _rules(bands, "gap"):
-        _with_bumps(lambda i, rule: gap_jacobian_row(i, bands, vars, rule),
-                    idx, vars, rule, jac)
-    return jac
 
 
 def _jacobian(vars: GapVariables, kept) -> np.ndarray:
     """The Jacobian from the reduced kernels a residual pass at ``vars``
-    kept, one :func:`gap_jacobian_row` call per kept block; built afresh
-    by :func:`jacobian` when the pass kept none."""
-    if not kept:
-        return jacobian(vars)
+    kept, one :func:`gap_jacobian_row` call per kept block."""
     jac = np.empty((vars.bands.n_gaps, vars.bands.n_gaps))
     for idx, (rule, g) in kept.items():
-        jac[list(idx)] = gap_jacobian_row(idx, vars.bands, vars, rule, g)
+        jac[list(idx)] = gap_jacobian_row(idx, vars, rule, g)
     return jac
+
+
+def jacobian(vars: GapVariables) -> np.ndarray:
+    """The dense Jacobian ``d K_i / d lambda_m`` at ``vars``, as the Newton
+    loop builds it: the rows from the reduced kernels of one residual pass
+    over the solver's rule groups, collision bumps included."""
+    return _jacobian(vars, _residual_vector(vars, _rules(vars.bands, "gap"))[1])
 
 
 def _gmres(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -261,8 +257,6 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
     :class:`SingularJacobian` when the linear solve breaks down.
     """
     cfg = cfg or SolverConfig()
-    if initial.lambdas.shape != (bands.n_gaps,):
-        raise ValueError("initial variables do not match the band system")
     groups = _rules(bands, "gap")
     vars = GapVariables(bands, initial.lambdas)
     hi_bound = 1.0 - cfg.step_clamp
@@ -311,9 +305,8 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
 
     omegas = np.empty(bands.n_bands)
     for rule, idx in _rules(bands, "band"):
-        omegas[list(idx)] = band_integral(idx, bands, vars, rule)
+        omegas[list(idx)] = band_integral(idx, vars, rule)
     return EquilibriumSolution(
-        generation=bands.generation,
         vars=vars,
         residuals=np.abs(r),
         iterations_used=iterations,

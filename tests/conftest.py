@@ -21,15 +21,19 @@ TERNARY_PAIRS = [(1.0 / 3.0, -1.0), (1.0 / 3.0, 1.0)]
 ASYM_PAIRS = [(4.0 / 5.0, -1.0), (1.0 / 10.0, 1.0)]
 
 
-def log_space_gap_integral(i, bands, vars, rule, keep=None):
+def log_space_gap_integral(i, vars, rule, keep=None):
     """:func:`~equimeasure.kernel.gap_integral` from the log-space reference
     kernel, one frame at a time and summed as the paired product is, so the
-    two differ only by the kernel values.  It keeps no reduced kernels, so a
-    solver using it builds each Jacobian afresh (``solver.jacobian``)."""
+    two differ only by the kernel values.  ``keep`` receives the reduced
+    kernels of the paired product, so a solver using it builds the same
+    Jacobian rows as with :func:`~equimeasure.kernel.gap_integral`."""
     idx, scalar = kernel._frames(i)
     f = np.array([sign * np.exp(log_mag) for sign, log_mag in (
-        kernel.kernel_log_magnitude(rule.nodes, bands, vars, ("gap", k))
+        kernel.kernel_log_magnitude(rule.nodes, vars, ("gap", k))
         for k in idx.tolist())])
+    if keep is not None:
+        keep[i if scalar else tuple(idx.tolist())] = (
+            rule, kernel._grouped_reduced(rule.nodes, idx, vars))
     values = kernel._weighted_sums(f, rule.weights)
     return float(values[0]) if scalar else values
 
@@ -79,7 +83,7 @@ def ternary_run(ternary):
     """Bands and converged solutions for the middle-third system, n=1..7."""
     cfg = SolverConfig(residual_tol=1e-13)
     solutions = hierarchical_solve(ternary, 7, cfg)
-    bands = [generate_bands(ternary, n) for n in range(1, 8)]
+    bands = [s.vars.bands for s in solutions]
     return bands, solutions
 
 
@@ -88,7 +92,7 @@ def asym_run(asym):
     """Bands and converged solutions for the 4/5, 1/10 system, n=1..9."""
     cfg = SolverConfig(residual_tol=1e-12)
     solutions = hierarchical_solve(asym, 9, cfg)
-    bands = [generate_bands(asym, n) for n in range(1, 10)]
+    bands = [s.vars.bands for s in solutions]
     return bands, solutions
 
 

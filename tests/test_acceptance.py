@@ -111,10 +111,10 @@ def test_criterion_4_trivial_interval(trivial_band, rule2048):
 def test_criterion_5_residuals_and_dominance(ternary_run, rule2048):
     bands, sols = ternary_run
     b, s = bands[6], sols[6]
-    residuals = np.array([abs(gap_integral(i, b, s.vars, rule2048))
+    residuals = np.array([abs(gap_integral(i, s.vars, rule2048))
                           for i in range(b.n_gaps)])
     assert residuals.max() < 1e-12
-    jac = np.vstack([gap_jacobian_row(i, b, s.vars, rule2048)
+    jac = np.vstack([gap_jacobian_row(i, s.vars, rule2048)
                      for i in range(b.n_gaps)])
     for i in range(b.n_gaps):
         off = np.abs(jac[i]).copy()
@@ -130,16 +130,16 @@ def test_criterion_6_jacobian_vs_finite_differences(ternary):
     lam = rng.uniform(-0.2, 0.2, b.n_gaps)
     rule = QuadratureRule.chebyshev(512)
     gv = GapVariables(b, lam)
-    jac = np.vstack([gap_jacobian_row(i, b, gv, rule) for i in range(b.n_gaps)])
+    jac = np.vstack([gap_jacobian_row(i, gv, rule) for i in range(b.n_gaps)])
     step = 1e-6
     worst = 0.0
     for m in range(b.n_gaps):
         up, dn = lam.copy(), lam.copy()
         up[m] += step
         dn[m] -= step
-        r_up = np.array([gap_integral(i, b, GapVariables(b, up), rule)
+        r_up = np.array([gap_integral(i, GapVariables(b, up), rule)
                          for i in range(b.n_gaps)])
-        r_dn = np.array([gap_integral(i, b, GapVariables(b, dn), rule)
+        r_dn = np.array([gap_integral(i, GapVariables(b, dn), rule)
                          for i in range(b.n_gaps)])
         fd = (r_up - r_dn) / (2.0 * step)
         worst = max(worst, float(np.max(np.abs(jac[:, m] - fd) / np.abs(fd))))
@@ -164,8 +164,8 @@ def test_criterion_8_evaluator_equivalence(ternary_run, rule2048):
     b, s = bands[4], sols[4]
     worst = 0.0
     for i in range(b.n_gaps):
-        grouped = kernel_grouped(rule2048.nodes, i, b, s.vars)
-        sign, logmag = kernel_log_magnitude(rule2048.nodes, b, s.vars, ("gap", i))
+        grouped = kernel_grouped(rule2048.nodes, i, s.vars)
+        sign, logmag = kernel_log_magnitude(rule2048.nodes, s.vars, ("gap", i))
         reference = sign * np.exp(logmag)
         worst = max(worst, float(np.max(np.abs(grouped - reference)
                                         / np.abs(reference))))

@@ -86,7 +86,7 @@ class TestIntegratedMeasure:
                 x = lo + t * (hi - lo)
                 theta = float(_theta_of(x, lo, hi))
                 half = 0.5 * (math.pi - theta)
-                f = kernel_band(np.cos(theta + half * (nodes + 1.0)), i, b, s.vars)
+                f = kernel_band(np.cos(theta + half * (nodes + 1.0)), i, s.vars)
                 want = below + half * float(weights @ f) / math.pi
                 assert integrated_measure_at(x, s, b) == pytest.approx(want, abs=1e-14), (i, t)
 
@@ -222,7 +222,7 @@ class TestPotential:
         # scanned; the answer is the one of a scan over every node
         bands, sols = asym_run
         b, s = bands[3], sols[3]
-        positions, _ = _density_table(s, b, QuadratureRule.chebyshev(order))
+        positions, _ = _density_table(s, QuadratureRule.chebyshev(order))
         tol = analytics.NODE_COLLISION_RTOL * b.band_widths[:, None]
         points = [b.alphas, b.betas, 0.5 * (b.gap_los + b.gap_his), [-1.5, 1.5, -1e3]]
         for factor in (0.0, 0.5, 0.999, 1.001, 2.0):
@@ -297,7 +297,7 @@ class TestSpectralSeries:
                 for b, s in zip(bands, sols)]
         monkeypatch.setattr(analytics, "SERIES_OVERSAMPLING", 2 * analytics.SERIES_OVERSAMPLING)
         for b, s, v in zip(bands, sols, base):
-            finer = np.mean(_series_potentials(pts, _chebyshev_series(b, s.vars), b))
+            finer = np.mean(_series_potentials(pts, _chebyshev_series(s.vars), b))
             assert abs(finer - v) <= 1e-14, (b.generation, finer - v)
 
     def test_leading_coefficient_is_the_band_measure(self, asym_run):
@@ -339,15 +339,28 @@ class TestDensityTableMemo:
     def test_read_only_and_one_entry_per_order(self, ternary_run, rule2048):
         bands, sols = ternary_run
         b, s = bands[1], dataclasses.replace(sols[1])
-        positions, weighted = _density_table(s, b, rule2048)
+        positions, weighted = _density_table(s, rule2048)
         for arr in (positions, weighted, _band_series(s)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
-        coarse = _density_table(s, b, QuadratureRule.chebyshev(64))
+        coarse = _density_table(s, QuadratureRule.chebyshev(64))
         assert coarse[0].shape == coarse[1].shape == (b.n_bands, 64)
-        assert _density_table(s, b, rule2048)[1] is weighted
+        assert _density_table(s, rule2048)[1] is weighted
         assert sorted(s._density_tables) == [64, 2048]
+
+    def test_table_sits_on_the_solutions_own_bands(self, ternary_run, asym_run):
+        # a call passing another system's bands of the same count must not
+        # leave a node table on those bands for later calls to read
+        rule = QuadratureRule.chebyshev(64)
+        s, other = ternary_run[1][2], asym_run[0][2]
+        assert other.n_bands == s.vars.bands.n_bands
+        fresh = dataclasses.replace(s)
+        want = potential_at(-0.999, fresh, s.vars.bands, rule, method="nodes")
+        assert want == pytest.approx(0.79846, abs=1e-5)
+        s = dataclasses.replace(s)
+        potential_at(-0.999, s, other, rule, method="nodes")
+        assert potential_at(-0.999, s, s.vars.bands, rule, method="nodes") == want
 
     @pytest.mark.parametrize("order", [1, 5, 8, 63, 64, 65, 67, 2048])
     def test_table_densities_match_the_kernel(self, asym_run, order):
@@ -356,8 +369,8 @@ class TestDensityTableMemo:
         bands, sols = asym_run
         b, s = bands[3], dataclasses.replace(sols[3])
         rule = QuadratureRule.chebyshev(order)
-        _, weighted = _density_table(s, b, rule)
-        want = np.array([rule.weights * kernel_band(rule.nodes, i, b, s.vars)
+        _, weighted = _density_table(s, rule)
+        want = np.array([rule.weights * kernel_band(rule.nodes, i, s.vars)
                          for i in range(b.n_bands)])
         assert np.max(np.abs(weighted - want) / want) <= 1e-13
 
@@ -488,8 +501,8 @@ def _reference_singular(z, b, solution, bands):
     pieces = [(a, bb) for a, bb in ((0.0, theta_z), (theta_z, math.pi)) if bb - a > 1e-300]
     thetas = np.concatenate([_panel(a, bb)[0] for a, bb in pieces])
     wts = np.concatenate([_panel(a, bb)[1] for a, bb in pieces])
-    f_nodes = kernel_band(np.cos(thetas), b, bands, solution.vars)
-    f_z = float(kernel_band(np.array([c]), b, bands, solution.vars)[0])
+    f_nodes = kernel_band(np.cos(thetas), b, solution.vars)
+    f_z = float(kernel_band(np.array([c]), b, solution.vars)[0])
     log2 = math.log(2.0)
     i_const = (math.log(2.0 / (hi - lo)) - log2) * float(wts @ f_nodes)
     i_plus = float(
@@ -506,7 +519,7 @@ def _reference_potentials(pts, solution, bands, rule):
     other bands, the panel term over the host band (oracle)."""
     positions = np.array([_from_frame(rule.nodes, lo, hi)
                           for lo, hi in zip(bands.alphas, bands.betas)])
-    weighted = np.array([rule.weights * kernel_band(rule.nodes, i, bands, solution.vars)
+    weighted = np.array([rule.weights * kernel_band(rule.nodes, i, solution.vars)
                          for i in range(bands.n_bands)])
     hosts = np.searchsorted(bands.alphas, pts, side="right") - 1
     values = []

@@ -82,6 +82,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_file(tmp_path / "nope.json")
 
+    def test_problems_are_reported_on_one_line(self, tmp_path, capsys):
+        assert str(ConfigError(["a", "b"])) == "invalid configuration: a; b"
+        path = write_config(tmp_path, n_max=0, residual_tol=-1.0)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "'n_max'" in err and "'residual_tol'" in err
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EQUIMEASURE_OUTDIR", str(tmp_path / "elsewhere"))
         cfg = RunConfig.from_file(write_config(tmp_path))
@@ -327,7 +335,7 @@ class TestSolveCommand:
 
     def test_singular_jacobian_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "gap_jacobian_row",
-                            lambda i, bands, *args: np.full((len(i), bands.n_gaps), np.nan))
+                            lambda i, vars, *args: np.full((len(i), vars.bands.n_gaps), np.nan))
         path = write_config(tmp_path)
         assert main(["solve", "--config", str(path)]) == 3
         assert "generation 2" in capsys.readouterr().err
@@ -402,10 +410,9 @@ class TestFiguresCommand:
                                                 n_max):
         rules = {}
 
-        def recording(i, bands, vars, rule, reduced=None):
-            if reduced is None:  # the figure's rows; Newton steps pass what they kept
-                rules.update((k, rule) for k in i)
-            return gap_jacobian_row(i, bands, vars, rule, reduced)
+        def recording(i, vars, rule, reduced=None):
+            rules.update((k, rule) for k in i)  # the figure's rows come last
+            return gap_jacobian_row(i, vars, rule, reduced)
 
         monkeypatch.setattr(solver, "gap_jacobian_row", recording)
         path = write_config(tmp_path, ifs=pairs, n_max=n_max)
@@ -416,12 +423,15 @@ class TestFiguresCommand:
         assert any(rule.panels for rule in rules.values()) == (n_max == 4)
 
     def test_jacobian_collision_exit_code(self, tmp_path, capsys, monkeypatch):
-        def figure_rows_collide(i, bands, vars, rule, reduced=None):
-            if reduced is None:  # the figure's rows; Newton steps pass what they kept
-                raise ExactNodeCollision("forced")
-            return gap_jacobian_row(i, bands, vars, rule, reduced)
+        def always_collides(i, *args, **kwargs):
+            raise ExactNodeCollision("forced")
 
-        monkeypatch.setattr(solver, "gap_jacobian_row", figure_rows_collide)
+        def figure_rows_collide(vars):  # the figure's residual pass, not the solves'
+            with monkeypatch.context() as m:
+                m.setattr(solver, "gap_integral", always_collides)
+                return solver.jacobian(vars)
+
+        monkeypatch.setattr(cli, "jacobian", figure_rows_collide)
         path = write_config(tmp_path)
         assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 3
         assert "generation 3" in capsys.readouterr().err
@@ -642,12 +652,35 @@ class TestSolutionCache:
         assert cache.load(1, "aaa") is not None
 
 
-def _bench_tracer():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+def _bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+BENCH_WORKLOADS = _bench_module("workloads")
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS.NAMES)
+def test_bench_output_checks_pass_on_the_tiny_configs(tmp_path, capsys, name):
+    # the benchmark checks each command's outputs, partly through the
+    # package API (figures-small re-reads the solutions and evaluates them);
+    # an API change that breaks those checks must fail here
+    workloads = BENCH_WORKLOADS
+    workload = workloads.make(name, seed=0, tiny=True)
+    outdir = tmp_path / name
+    path = workloads.write_config(workload, outdir)
+    if workload.warm:
+        assert main(["solve", "--config", str(path)]) == 0
+    stamps = workloads.record_stamps(outdir)
+    assert main([*workload.argv, "--config", str(path)]) == 0
+    checks = workloads.Checks()
+    workloads.check(checks, workload, outdir, stamps, tiny=True)
+    assert checks.results
+    assert [r for r in checks.results if not r["ok"]] == []
 
 
 class TestBenchPatchPoints:
@@ -659,7 +692,7 @@ class TestBenchPatchPoints:
                "cli.SolutionCache.store", "cli.SolutionCache.load")
 
     def test_capacity_run_counts_every_span(self, tmp_path, capsys):
-        tracer = _bench_tracer()
+        tracer = _bench_module("tracer")
         trace = tracer.Tracer()
         path = write_config(tmp_path, n_max=4, quadrature_order=64, sample_count=64)
         tracer.install(trace, cli, solver, analytics)

@@ -93,7 +93,7 @@ class TestLogMagnitude:
         b0, _ = trivial_band
         gv = GapVariables(b0, np.zeros(0))
         for x in (-0.9, 0.0, 0.77):
-            sign, logmag = kernel_log_magnitude(x, b0, gv, ("band", 0))
+            sign, logmag = kernel_log_magnitude(x, gv, ("band", 0))
             assert sign == 1.0 and logmag == 0.0
 
     def test_matches_direct_product_small_system(self, ternary):
@@ -107,12 +107,12 @@ class TestLogMagnitude:
 
         naive = abs(x - to_frame(gv.zetas[0]))
         naive /= math.sqrt(abs(x - to_frame(b.alphas[0])) * abs(x - to_frame(b.betas[0])))
-        sign, logmag = kernel_log_magnitude(x, b, gv, ("band", 1))
+        sign, logmag = kernel_log_magnitude(x, gv, ("band", 1))
         assert sign == 1.0
         assert math.exp(logmag) == pytest.approx(naive, rel=1e-13)
 
         # gap frame: same construction, excluding the gap's own endpoints
-        gsign, glogmag = kernel_log_magnitude(0.25, b, gv, ("gap", 0))
+        gsign, glogmag = kernel_log_magnitude(0.25, gv, ("gap", 0))
         glo, ghi = b.gap_los[0], b.gap_his[0]
         gscale = 2.0 / (ghi - glo)
         gframe = lambda y: gscale * (y - 0.5 * (glo + ghi))
@@ -125,7 +125,7 @@ class TestLogMagnitude:
         b = generate_bands(ternary, 1)
         gv = GapVariables(b, np.array([0.25]))
         with pytest.raises(ExactNodeCollision):
-            kernel_log_magnitude(0.25, b, gv, ("gap", 0))
+            kernel_log_magnitude(0.25, gv, ("gap", 0))
 
 
 class TestGroupedEvaluator:
@@ -141,15 +141,15 @@ class TestGroupedEvaluator:
             expected = (x - frame(gv.zetas[0])) / math.sqrt(
                 abs(x - frame(b.alphas[0])) * abs(x - frame(b.betas[1]))
             )
-            assert kernel_grouped(x, 0, b, gv) == pytest.approx(expected, rel=1e-13)
+            assert kernel_grouped(x, 0, gv) == pytest.approx(expected, rel=1e-13)
 
     def test_agreement_with_log_evaluator(self, ternary_run, rule2048):
         bands, sols = ternary_run
         b, s = bands[2], sols[2]  # generation 3
         x = rule2048.nodes
         for i in range(b.n_gaps):
-            grouped = kernel_grouped(x, i, b, s.vars)
-            sign, logmag = kernel_log_magnitude(x, b, s.vars, ("gap", i))
+            grouped = kernel_grouped(x, i, s.vars)
+            sign, logmag = kernel_log_magnitude(x, s.vars, ("gap", i))
             reference = sign * np.exp(logmag)
             rel = np.abs(grouped - reference) / np.abs(reference)
             assert np.max(rel) < 1e-12
@@ -161,7 +161,7 @@ class TestGroupedEvaluator:
         bands, sols = ternary_run
         b, s = bands[6], sols[6]
         i, m = 0, b.n_gaps - 1
-        p, a_t, b_t = _frame_points(b, s.vars, ("gap", i))
+        p, a_t, b_t = _frame_points(s.vars, ("gap", i))
         x = rule2048.nodes
         ratio = np.abs(x - p[m]) / np.sqrt(np.abs((x - a_t[m + 1]) * (x - b_t[m + 1])))
         assert np.max(np.abs(ratio - 1.0)) < 1e-3
@@ -170,7 +170,7 @@ class TestGroupedEvaluator:
         b = generate_bands(ternary, 1)
         gv = GapVariables(b, np.array([0.25]))
         with pytest.raises(ExactNodeCollision):
-            kernel_grouped(0.25, 0, b, gv)
+            kernel_grouped(0.25, 0, gv)
 
 
 class TestBandKernel:
@@ -182,8 +182,8 @@ class TestBandKernel:
         x = rule2048.nodes
         worst = 0.0
         for i in range(b.n_bands):
-            paired = kernel_band(x, i, b, s.vars)
-            _, logmag = kernel_log_magnitude(x, b, s.vars, ("band", i))
+            paired = kernel_band(x, i, s.vars)
+            _, logmag = kernel_log_magnitude(x, s.vars, ("band", i))
             reference = np.exp(logmag)
             worst = max(worst, float(np.max(np.abs(paired - reference) / reference)))
         assert worst < bound
@@ -191,10 +191,10 @@ class TestBandKernel:
     def test_scalar_and_collision(self, ternary):
         b = generate_bands(ternary, 1)
         gv = GapVariables(b, np.array([0.0]))
-        assert isinstance(kernel_band(0.3, 1, b, gv), float)
+        assert isinstance(kernel_band(0.3, 1, gv), float)
         # the root (at 0) sits at -2 in the frame of band 1 = [1/3, 1]
         with pytest.raises(ExactNodeCollision):
-            kernel_band(np.array([0.5, -2.0]), 1, b, gv)
+            kernel_band(np.array([0.5, -2.0]), 1, gv)
 
 
 def unchunked_paired_product(x, frame, p, a_t, b_t, block=256):
@@ -221,9 +221,9 @@ def test_paired_product_chunks_are_exact(ternary, frame):
     gv = GapVariables(b, np.random.default_rng(3).uniform(-0.5, 0.5, b.n_gaps))
     x = QuadratureRule.chebyshev(700).nodes
     kind, i = frame
-    want = unchunked_paired_product(x, frame, *_frame_points(b, gv, frame))
+    want = unchunked_paired_product(x, frame, *_frame_points(gv, frame))
     for block in ([i], [i, 1, 200, 510, i]):
-        got = _paired_product(x, kind, np.array(block), b, gv)
+        got = _paired_product(x, kind, np.array(block), gv)
         assert np.array_equal(got[0], want) and np.array_equal(got[-1], want)
 
 
@@ -265,7 +265,7 @@ def adaptive_gap_oracle(i, bands, gv, tol=1e-13):
 
     def integrand(theta):
         try:
-            sign, logmag = kernel_log_magnitude(math.cos(theta), bands, gv, ("gap", i))
+            sign, logmag = kernel_log_magnitude(math.cos(theta), gv, ("gap", i))
         except ExactNodeCollision:
             return 0.0
         return sign * math.exp(logmag)
@@ -279,13 +279,13 @@ class TestGapIntegral:
         b = generate_bands(ternary, 1)
         gv = GapVariables(b, np.array([0.0]))
         rule = QuadratureRule.chebyshev(512)
-        assert abs(gap_integral(0, b, gv, rule)) < 1e-15
+        assert abs(gap_integral(0, gv, rule)) < 1e-15
 
     def test_against_adaptive_oracle(self, ternary):
         b = generate_bands(ternary, 1)
         gv = GapVariables(b, np.array([0.3]))
         rule = QuadratureRule.chebyshev(2048)
-        value = gap_integral(0, b, gv, rule)
+        value = gap_integral(0, gv, rule)
         oracle = adaptive_gap_oracle(0, b, gv)
         assert value != 0.0
         assert value == pytest.approx(oracle, abs=1e-10)
@@ -295,7 +295,7 @@ class TestGapIntegral:
         b, s = bands[6], sols[6]
         r1, r2 = QuadratureRule.chebyshev(1024), QuadratureRule.chebyshev(2048)
         for i in range(b.n_gaps):
-            d = abs(gap_integral(i, b, s.vars, r1) - gap_integral(i, b, s.vars, r2))
+            d = abs(gap_integral(i, s.vars, r1) - gap_integral(i, s.vars, r2))
             assert d < 1e-12
 
     def test_evaluator_choice_is_cosmetic(self, ternary):
@@ -303,8 +303,8 @@ class TestGapIntegral:
         gv = GapVariables(b, np.array([0.05, -0.1, 0.2]))
         rule = QuadratureRule.chebyshev(256)
         for i in range(3):
-            a = gap_integral(i, b, gv, rule)
-            c = log_space_gap_integral(i, b, gv, rule)
+            a = gap_integral(i, gv, rule)
+            c = log_space_gap_integral(i, gv, rule)
             assert a == pytest.approx(c, rel=1e-12, abs=1e-15)
 
 
@@ -312,14 +312,14 @@ class TestBandIntegral:
     def test_single_band_is_unit_mass(self, trivial_band):
         b0, _ = trivial_band
         gv = GapVariables(b0, np.zeros(0))
-        assert band_integral(0, b0, gv, QuadratureRule.chebyshev(16)) == 1.0
+        assert band_integral(0, gv, QuadratureRule.chebyshev(16)) == 1.0
 
     def test_symmetric_halves(self, ternary):
         b = generate_bands(ternary, 1)
         gv = GapVariables(b, np.array([0.0]))
         rule = QuadratureRule.chebyshev(2048)
-        assert band_integral(0, b, gv, rule) == pytest.approx(0.5, abs=1e-12)
-        assert band_integral(1, b, gv, rule) == pytest.approx(0.5, abs=1e-12)
+        assert band_integral(0, gv, rule) == pytest.approx(0.5, abs=1e-12)
+        assert band_integral(1, gv, rule) == pytest.approx(0.5, abs=1e-12)
 
     def test_total_mass_at_solution(self, ternary_run):
         bands, sols = ternary_run
@@ -334,16 +334,16 @@ class TestJacobian:
         lam = rng.uniform(-0.2, 0.2, b.n_gaps)
         rule = QuadratureRule.chebyshev(512)
         gv = GapVariables(b, lam)
-        jac = np.vstack([gap_jacobian_row(i, b, gv, rule) for i in range(b.n_gaps)])
+        jac = np.vstack([gap_jacobian_row(i, gv, rule) for i in range(b.n_gaps)])
 
         step = 1e-6
         for m in range(b.n_gaps):
             up, dn = lam.copy(), lam.copy()
             up[m] += step
             dn[m] -= step
-            r_up = np.array([gap_integral(i, b, GapVariables(b, up), rule)
+            r_up = np.array([gap_integral(i, GapVariables(b, up), rule)
                              for i in range(b.n_gaps)])
-            r_dn = np.array([gap_integral(i, b, GapVariables(b, dn), rule)
+            r_dn = np.array([gap_integral(i, GapVariables(b, dn), rule)
                              for i in range(b.n_gaps)])
             fd = (r_up - r_dn) / (2 * step)
             assert np.max(np.abs(jac[:, m] - fd) / np.abs(fd)) < 1e-6
@@ -351,7 +351,7 @@ class TestJacobian:
     def test_diagonal_dominance_and_decay(self, ternary_run, rule2048):
         bands, sols = ternary_run
         b, s = bands[4], sols[4]  # generation 5
-        jac = np.vstack([gap_jacobian_row(i, b, s.vars, rule2048)
+        jac = np.vstack([gap_jacobian_row(i, s.vars, rule2048)
                          for i in range(b.n_gaps)])
         n = b.n_gaps
         for i in range(n):
@@ -533,7 +533,7 @@ class TestGradedRule:
         seen = 0
         for b, i, rule in graded_gaps(system, n_max):
             gv = GapVariables(b, 0.5 * np.sin(np.arange(b.n_gaps) + 1.0))
-            value = gap_integral(i, b, gv, rule)
+            value = gap_integral(i, gv, rule)
             assert abs(value - adaptive_gap_oracle(i, b, gv)) <= tol, (b.generation, i)
             seen += 1
         assert seen >= 4
@@ -544,12 +544,12 @@ class TestGradedRule:
         lam[i] = rule.nodes[rule.order // 3]
         gv = GapVariables(b, lam)
         with pytest.raises(ExactNodeCollision):
-            gap_integral(i, b, gv, rule)
+            gap_integral(i, gv, rule)
         used = []
 
         def evaluate(indices, r):
             used.append(r)
-            return gap_integral(indices, b, gv, r)
+            return gap_integral(indices, gv, r)
 
         value = solver._with_bumps(evaluate, (i,), gv, rule, np.empty(b.n_gaps))[i]
         assert [r.order for r in used] == [rule.order, rule.order + sum(rule.panels)]
@@ -569,13 +569,13 @@ def test_jacobian_rows_reuse_the_residual_pass_bitwise(pairs, n):
     calls = list(enumerate(refined_rules(b, "gap")))
     calls += [(idx, rule) for rule, idx in solver._rules(b, "gap")]
     for i, rule in calls:
-        gap_integral(i, b, gv, rule, keep=keep)
+        gap_integral(i, gv, rule, keep=keep)
         kept_rule, reduced = keep[i]
         assert kept_rule is rule
         assert np.array_equal((rule.nodes - gv.lambdas[i, None]) * reduced.reshape(-1, rule.order),
-                              np.reshape(kernel_grouped(rule.nodes, i, b, gv), (-1, rule.order)))
-        assert np.array_equal(gap_jacobian_row(i, b, gv, rule, reduced),
-                              gap_jacobian_row(i, b, gv, rule))
+                              np.reshape(kernel_grouped(rule.nodes, i, gv), (-1, rule.order)))
+        assert np.array_equal(gap_jacobian_row(i, gv, rule, reduced),
+                              gap_jacobian_row(i, gv, rule))
 
 
 def group_values(b, gv, residual=gap_integral):
@@ -584,10 +584,10 @@ def group_values(b, gv, residual=gap_integral):
     out = {"residual": np.empty(b.n_gaps), "row": np.empty((b.n_gaps, b.n_gaps)),
            "omega": np.empty(b.n_bands)}
     for rule, idx in solver._rules(b, "gap"):
-        out["residual"][list(idx)] = residual(idx, b, gv, rule)
-        out["row"][list(idx)] = gap_jacobian_row(idx, b, gv, rule)
+        out["residual"][list(idx)] = residual(idx, gv, rule)
+        out["row"][list(idx)] = gap_jacobian_row(idx, gv, rule)
     for rule, idx in solver._rules(b, "band"):
-        out["omega"][list(idx)] = band_integral(idx, b, gv, rule)
+        out["omega"][list(idx)] = band_integral(idx, gv, rule)
     return out
 
 
@@ -600,17 +600,17 @@ def test_group_calls_equal_per_index_calls(pairs, n_max):
         got = group_values(b, gv)
         gap_rules, band_rules = refined_rules(b, "gap"), refined_rules(b, "band")
         want = {
-            "residual": [gap_integral(i, b, gv, r) for i, r in enumerate(gap_rules)],
-            "row": [gap_jacobian_row(i, b, gv, r) for i, r in enumerate(gap_rules)],
-            "omega": [band_integral(i, b, gv, r) for i, r in enumerate(band_rules)],
+            "residual": [gap_integral(i, gv, r) for i, r in enumerate(gap_rules)],
+            "row": [gap_jacobian_row(i, gv, r) for i, r in enumerate(gap_rules)],
+            "omega": [band_integral(i, gv, r) for i, r in enumerate(band_rules)],
         }
         for key, values in want.items():
             values = np.array(values)
             assert np.all(np.abs(got[key] - values) <= 1e-15 * np.abs(values)), (n, key)
         nodes = QuadratureRule.chebyshev(64).nodes
         rows = np.arange(b.n_bands)[::3]
-        per_band = np.array([kernel_band(nodes, i, b, gv) for i in rows])
-        batched = kernel_band(nodes, rows, b, gv)
+        per_band = np.array([kernel_band(nodes, i, gv) for i in rows])
+        batched = kernel_band(nodes, rows, gv)
         assert np.all(np.abs(batched - per_band) <= 1e-15 * per_band), n
         # one group per rule, the rules those of every frame
         for kind, rules in (("gap", gap_rules), ("band", band_rules)):
@@ -624,7 +624,7 @@ def test_group_calls_of_the_log_evaluator(asym):
     b = generate_bands(asym, 4)
     gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
     logged = group_values(b, gv, log_space_gap_integral)["residual"]
-    want = [log_space_gap_integral(i, b, gv, rule)
+    want = [log_space_gap_integral(i, gv, rule)
             for i, rule in enumerate(refined_rules(b, "gap"))]
     assert np.array_equal(logged, want)
     assert np.max(np.abs(logged - group_values(b, gv)["residual"])) <= 1e-13
@@ -636,13 +636,13 @@ def test_chunk_size_moves_no_value(asym, monkeypatch, chunk):
     b = generate_bands(asym, 6)
     gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
     want = group_values(b, gv)
-    series = kernel_band(QuadratureRule.chebyshev(64).nodes, np.arange(b.n_bands), b, gv)
+    series = kernel_band(QuadratureRule.chebyshev(64).nodes, np.arange(b.n_bands), gv)
     monkeypatch.setattr(kernel_module, "_CHUNK_ELEMS", chunk)
     got = group_values(b, gv)
     for key in want:
         assert np.array_equal(got[key], want[key]), key
     assert np.array_equal(
-        kernel_band(QuadratureRule.chebyshev(64).nodes, np.arange(b.n_bands), b, gv), series)
+        kernel_band(QuadratureRule.chebyshev(64).nodes, np.arange(b.n_bands), gv), series)
 
 
 def test_band_frame_collision_names_its_band(ternary):
@@ -651,12 +651,12 @@ def test_band_frame_collision_names_its_band(ternary):
     b = generate_bands(ternary, 1)
     gv = GapVariables(b, np.array([0.0]))
     rule = QuadratureRule(order=2, nodes=np.array([0.5, -2.0]), weights=np.full(2, 0.5))
-    for call in (lambda: kernel_band(rule.nodes, (0, 1), b, gv),
-                 lambda: band_integral((0, 1), b, gv, rule)):
+    for call in (lambda: kernel_band(rule.nodes, (0, 1), gv),
+                 lambda: band_integral((0, 1), gv, rule)):
         with pytest.raises(ExactNodeCollision) as err:
             call()
         assert err.value.frames == (1,)
-    assert np.isfinite(band_integral((0,), b, gv, rule)).all()
+    assert np.isfinite(band_integral((0,), gv, rule)).all()
 
 
 def test_gap_frame_collision_names_its_gaps(ternary):
@@ -667,7 +667,7 @@ def test_gap_frame_collision_names_its_gaps(ternary):
     gv = GapVariables(b, lam)
     for call in (gap_integral, gap_jacobian_row):
         with pytest.raises(ExactNodeCollision) as err:
-            call(tuple(range(b.n_gaps)), b, gv, rule)
+            call(tuple(range(b.n_gaps)), gv, rule)
         assert err.value.frames == (2, 5)
 
 
@@ -677,7 +677,7 @@ def scanned_band_hits(x, idx, b, gv):
     band's own two)."""
     hits = []
     for i in idx:
-        p, a_t, b_t = _frame_points(b, gv, ("band", i))
+        p, a_t, b_t = _frame_points(gv, ("band", i))
         paired = np.concatenate([p, np.delete(a_t, i), np.delete(b_t, i)])
         if _near(np.sort(x), paired).any():
             hits.append(i)
@@ -687,7 +687,7 @@ def scanned_band_hits(x, idx, b, gv):
 def screened_band_hits(x, idx, b, gv):
     try:
         with np.errstate(invalid="ignore"):  # nodes beyond the next band's ends
-            _paired_product(x, "band", np.array(idx), b, gv)
+            _paired_product(x, "band", np.array(idx), gv)
     except ExactNodeCollision as exc:
         return exc.frames
     return ()
@@ -711,7 +711,7 @@ def test_band_screen_names_the_frames_a_full_scan_names(pairs, n):
         if trial % 3 == 1:  # nodes outside (-1, 1), such as -2
             x = np.concatenate([x, rng.uniform(-4.0, 4.0, 3), [-2.0]])
         i = int(rng.integers(b.n_bands))
-        p, a_t, b_t = _frame_points(b, gv, ("band", i))
+        p, a_t, b_t = _frame_points(gv, ("band", i))
         paired = np.concatenate([p, np.delete(a_t, i), np.delete(b_t, i)])
         if trial % 4 == 1:  # a node exactly on a paired point of frame i
             x = np.append(x, paired[rng.integers(paired.size)])
@@ -744,7 +744,7 @@ def worst_rule_error(sol, base_order=MIN_ORDER):
             idx = np.flatnonzero(plain & (orders == k))
             sums = []
             for rule in (QuadratureRule.chebyshev(k), QuadratureRule.chebyshev(4 * k)):
-                f = np.reshape(kernel(rule.nodes, idx, b, gv), (idx.size, rule.order))
+                f = np.reshape(kernel(rule.nodes, idx, gv), (idx.size, rule.order))
                 sums.append((f @ rule.weights, np.abs(f) @ rule.weights))
             (value, scale), (finer, _) = sums
             worst[kind] = max(worst[kind], float(np.max(np.abs(value - finer) / scale)))

@@ -4,7 +4,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from equimeasure import solver
+from equimeasure import kernel, solver
 from equimeasure.geometry import IfsSystem, generate_bands, validate
 from equimeasure.kernel import (
     MIN_ORDER,
@@ -39,8 +39,8 @@ def test_solver_config_holds_only_the_tolerances():
 
 
 def test_jacobian_equals_the_newton_loops_bitwise(asym_run):
-    # converged asym n = 5, where one gap takes a graded rule: rows built
-    # afresh equal those from the reduced kernels a residual pass keeps
+    # converged asym n = 5, where one gap takes a graded rule: the figure's
+    # Jacobian equals the rows from the reduced kernels a residual pass keeps
     bands, sols = asym_run
     b, s = bands[4], sols[4]
     groups = solver._rules(b, "gap")
@@ -148,7 +148,7 @@ def test_accuracy_driven_roots_solve_finer_rules(asym_run):
     for b, s in zip(bands, sols):
         for i, order in enumerate(refined_orders(b, "gap", base_order=2048).tolist()):
             rule = QuadratureRule.chebyshev(order)
-            assert abs(gap_integral(i, b, s.vars, rule)) <= 1e-12
+            assert abs(gap_integral(i, s.vars, rule)) <= 1e-12
 
 
 def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
@@ -156,8 +156,8 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
 
     def recording(fn, kind):
         def wrapped(*args, **kwargs):
-            indices, bands, _, rule = args[:4]
-            calls.extend((kind, i, bands, rule) for i in indices)
+            indices, vars, rule = args[:3]
+            calls.extend((kind, i, vars.bands, rule) for i in indices)
             return fn(*args, **kwargs)
         return wrapped
 
@@ -176,16 +176,19 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
                for chebyshev, rule in gaps)
 
 
-# log-space residuals keep no reduced kernels, so the Newton loop builds its
-# Jacobian rows afresh, with collision bumps
+# the Jacobian rows come from the reduced kernels of the residual pass, which
+# the log-space residuals build with the paired product: a collision there is
+# bumped by the residual pass, as a collision of the residual itself is
 @pytest.mark.parametrize("collides, evaluator", [("gap_integral", "grouped"),
-                                                 ("gap_jacobian_row", "log")])
+                                                 ("_grouped_reduced", "log")])
 def test_persistent_collision_is_a_solver_error(ternary, monkeypatch, collides,
                                                 evaluator):
-    def always_collides(i, *args, **kwargs):
-        raise ExactNodeCollision("forced", frames=i)  # every gap of the call
+    reduced = collides == "_grouped_reduced"  # its gaps are its second argument
 
-    monkeypatch.setattr(solver, collides, always_collides)
+    def always_collides(*args, **kwargs):
+        raise ExactNodeCollision("forced", frames=args[reduced])  # every gap of the call
+
+    monkeypatch.setattr(kernel if reduced else solver, collides, always_collides)
     b = generate_bands(ternary, 2)
     with pytest.raises(SolverError) as err:
         with log_space_residuals() if evaluator == "log" else nullcontext():
@@ -303,7 +306,7 @@ class TestNewtonStep:
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_bad_jacobian_is_a_singular_jacobian(self, ternary, monkeypatch, fill):
         monkeypatch.setattr(solver, "gap_jacobian_row",
-                            lambda i, bands, *args: np.full((len(i), bands.n_gaps), fill))
+                            lambda i, vars, *args: np.full((len(i), vars.bands.n_gaps), fill))
         b = generate_bands(ternary, 2)
         with pytest.raises(SingularJacobian) as err:
             solve_generation(b, warm_start(b, None))
@@ -341,11 +344,11 @@ def test_a_collision_bumps_only_its_gap(ternary):
     assert (3,) in kept
     for r_rule, idx in groups:
         assert all(used[i] is r_rule for i in idx if i != 3)
-    want = [gap_integral(i, b, gv, used[i]) for i in range(b.n_gaps)]
+    want = [gap_integral(i, gv, used[i]) for i in range(b.n_gaps)]
     assert np.array_equal(r, want)
     jac = solver._jacobian(gv, kept)
-    assert np.array_equal(jac[3], gap_jacobian_row(3, b, gv, rule.bumped()))
-    # built afresh, the Jacobian takes the same bump
+    assert np.array_equal(jac[3], gap_jacobian_row(3, gv, rule.bumped()))
+    # solver.jacobian takes the same bump
     assert np.array_equal(solver.jacobian(gv), jac)
 
 
@@ -353,11 +356,11 @@ def test_persistent_collision_on_one_gap_names_it(ternary, monkeypatch):
     # gap 1 shares its rule group with every gap but the widest, gap 3
     calls = []
 
-    def gap_one_collides(i, bands, vars, rule, *args):
+    def gap_one_collides(i, vars, rule, *args):
         calls.append((i, rule))
         if 1 in i:
             raise ExactNodeCollision("forced", frames=(1,))
-        return gap_integral(i, bands, vars, rule, *args)
+        return gap_integral(i, vars, rule, *args)
 
     monkeypatch.setattr(solver, "gap_integral", gap_one_collides)
     b = generate_bands(ternary, 3)
