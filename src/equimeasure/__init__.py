@@ -14,8 +14,9 @@ Layout:
     for gap and band frames) and all Gauss-Chebyshev integrals over gaps
     and bands, with analytic Jacobian.
 ``solver``
-    Damped Newton solution of the gap-root equations; ``hierarchical_solve``
-    walks the generations with warm starts and load/store hooks.
+    Damped Newton solution of the gap-root equations to one residual
+    tolerance, from start roots that carry their band system;
+    ``hierarchical_solve`` walks the generations with warm starts and hooks.
 ``analytics``
     Integrated measure, potential, capacity extrapolation.
 ``cli``
@@ -43,7 +44,6 @@ from .kernel import (
 )
 from .solver import (
     EquilibriumSolution,
-    SolverConfig,
     hierarchical_solve,
     solve_generation,
     warm_start,
@@ -67,7 +67,6 @@ __all__ = [
     "IfsSystem",
     "Interval",
     "QuadratureRule",
-    "SolverConfig",
     "band_integral",
     "capacity_estimate",
     "fit_exponential",

@@ -1,11 +1,12 @@
 """Derived quantities of a converged equilibrium measure.
 
 Everything here consumes an :class:`~equimeasure.solver.EquilibriumSolution`
-together with its band system: the integrated measure (a devil's staircase
-in the Cantor limit), the logarithmic potential ``V(z) = -int log|z - s|
+on its own band system: the integrated measure (a devil's staircase in the
+Cantor limit), the logarithmic potential ``V(z) = -int log|z - s|
 dsigma(s)``, per-generation capacities ``C = exp(-V)`` read off the constant
 potential on the set, and the exponential extrapolation of capacities to
-the attractor.
+the attractor.  A function that also takes ``bands`` raises ``ValueError``
+unless they have the endpoints of ``solution.vars.bands``.
 
 Every value here comes from one set of per-band Chebyshev coefficients,
 built once per solution and memoised on it, read-only (see
@@ -112,6 +113,16 @@ class CapacityEstimate:
     per_generation: tuple
     fit: tuple
     extrapolated_capacity: float
+
+
+def _own_bands(solution: EquilibriumSolution, bands: BandSystem) -> BandSystem:
+    """``solution.vars.bands``, once ``bands`` is seen to have its endpoints
+    (by value: bands generated again are another object)."""
+    own = solution.vars.bands
+    if bands is own or (np.array_equal(bands.alphas, own.alphas)
+                        and np.array_equal(bands.betas, own.betas)):
+        return own
+    raise ValueError("bands differ from the solution's own band system")
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +333,11 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     the band width) the order is bumped to ``K+1`` then ``K+3``, and
     :class:`PersistentCollision` is raised when all attempts collide.  The
     coefficients and each order's table are built once per solution, on
-    its own bands (``solution.vars.bands``), which ``bands`` must be.
+    its own bands (``solution.vars.bands``), whose endpoints ``bands`` must have.
     """
     if method not in ("auto", "nodes"):
         raise ValueError(f"unknown method {method!r}")
+    bands = _own_bands(solution, bands)
     zs = np.asarray(z).ravel()
     if method == "auto":
         values = _series_potentials(zs, _band_series(solution), bands)
@@ -367,6 +379,7 @@ def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: Ban
     the solution's per-band series, as ``potential_at`` does.  ``rule`` is
     not used; it stays in the signature for callers that name it.
     """
+    bands = _own_bands(solution, bands)
     pts = sample_points(sample_bands or bands, sample_count)
     if np.any(_hosts(bands, pts) < 0):
         raise OutOfHull("sample points must lie on the band system")
@@ -388,6 +401,7 @@ def integrated_measure_at(x, solution: EquilibriumSolution, bands: BandSystem):
     ``c_0 (pi - theta_x) / pi - sum_j c_j sin(j theta_x) / (j pi)``, clamped
     to ``[Omega_{i-1}, Omega_i]`` (``c_0`` and ``omega_i`` differ at roundoff).
     """
+    bands = _own_bands(solution, bands)
     xs, h = np.asarray(x, dtype=float).ravel(), bands.hull
     outside = xs[~((h.lo <= xs) & (xs <= h.hi))]
     if outside.size:
@@ -471,8 +485,7 @@ def fit_exponential(points) -> tuple[float, float, float]:
 
 def capacity_estimate(solutions, rule: QuadratureRule,
                       sample_count: int = 4096, mode: str = "mean",
-                      point: float | None = None,
-                      fit_window: int = 4) -> CapacityEstimate:
+                      point: float | None = None) -> CapacityEstimate:
     """Capacities per generation and their extrapolation to the attractor.
 
     ``-log C`` of each generation is the constant potential on its bands,
@@ -480,8 +493,8 @@ def capacity_estimate(solutions, rule: QuadratureRule,
     generation (``mode="mean"``) or as the plain node-sum potential of one
     fixed point (``mode="point"``, reproducing the coarser single-point
     gauge).  Each solution carries its band system (``vars.bands``).  The
-    last ``fit_window`` generations feed the exponential fit; the
-    extrapolated capacity is ``exp(-a)``.
+    last ``MIN_CAPACITY_GENERATIONS`` generations feed the exponential fit;
+    the extrapolated capacity is ``exp(-a)``.
     """
     if len(solutions) < MIN_CAPACITY_GENERATIONS:
         raise ValueError(f"need at least {MIN_CAPACITY_GENERATIONS} solved generations")
@@ -504,7 +517,7 @@ def capacity_estimate(solutions, rule: QuadratureRule,
     if np.all(np.abs(np.diff(ys)) < 1e-12):
         a, b, c = float(ys[-1]), 0.0, math.inf
     else:
-        a, b, c = fit_exponential(per_gen[-fit_window:])
+        a, b, c = fit_exponential(per_gen[-MIN_CAPACITY_GENERATIONS:])
     return CapacityEstimate(
         per_generation=tuple(per_gen),
         fit=(a, b, c),

@@ -12,8 +12,8 @@ The config is a single JSON document (see ``RunConfig``).
 :func:`solve_all` connects its load and store hooks to the record cache:
 one ``gen_<n>.json`` record per generation in the output directory.  A
 record is reused on rerun only when its fingerprint (hash of the map
-parameters, residual tolerance, step clamp and the name of the solver's
-order rule, ``kernel.ORDER_RULE``) matches the active config exactly.
+parameters, residual tolerance, ``solver.STEP_CLAMP`` and the name of the
+solver's order rule, ``kernel.ORDER_RULE``) matches the active config exactly.
 The record's ``config`` field holds exactly these fingerprinted settings,
 so a reused record cannot disagree with the run that reads it.  The solver
 sizes its quadrature rules from the geometry, and the potentials,
@@ -30,10 +30,11 @@ and 17-digit floats.
 Exit codes, each failure with a one-line message on stderr:
 
 - 0 success;
-- 2 config error, including a bad ``--points`` spec, an ``x_grid`` off
-  the hull for ``Omega_of_x``, an ``n_max`` that ``generate_bands``
-  rejects and a capacity run with fewer ``sample_count`` points than
-  bands (all checked before any solve);
+- 2 config error, including an unknown key (``max_iterations``,
+  ``step_clamp``, ``fit_window`` and ``cache`` among them), a bad
+  ``--points`` spec, an ``x_grid`` off the hull for ``Omega_of_x``, an
+  ``n_max`` that ``generate_bands`` rejects and a capacity run with fewer
+  ``sample_count`` points than bands (all checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
   (no convergence, singular Jacobian, node collisions), or a capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
@@ -52,11 +53,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import solver
 from .analytics import (
     MIN_CAPACITY_GENERATIONS,
     NonMonotoneInput,
@@ -72,7 +74,6 @@ from .geometry import (BandSystem, GenerationTooLarge, IfsSystem, InvalidIfs,
 from .kernel import ORDER_RULE, GapVariables, QuadratureRule
 from .solver import (
     EquilibriumSolution,
-    SolverConfig,
     SolverError,
     hierarchical_solve,
     jacobian,
@@ -104,46 +105,41 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration: " + "; ".join(self.problems))
 
 
-_KNOWN_KEYS = {
-    "ifs", "n_max", "quadrature_order", "residual_tol", "max_iterations",
-    "step_clamp", "sample_count", "point_x", "x_grid", "fit_window",
-    "output_dir", "cache",
-}
-_JSON_NAMES = {bool: "boolean", int: "integer", float: "number"}
+_KNOWN_KEYS = {"ifs", "n_max", "quadrature_order", "residual_tol", "sample_count",
+               "point_x", "x_grid", "output_dir"}
+_JSON_NAMES = {int: "integer", float: "number"}
 
 
 def _is_json(value, kind) -> bool:
-    """Whether ``value`` is a JSON value of ``kind``: ``bool`` takes only
-    true and false, ``int`` only integers, ``float`` any number, and
-    neither number kind takes a boolean."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    """Whether ``value`` is a JSON number of ``kind``: ``int`` takes only
+    integers, ``float`` any number, and neither takes a boolean."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
 
 
 @dataclass
 class RunConfig:
-    """One experiment: the system, depth, tolerances and output options.
+    """One experiment: the system, depth, tolerance and output options.
 
-    ``residual_tol``, ``max_iterations`` and ``step_clamp`` make up
-    :attr:`solver`.  ``quadrature_order`` is the order of :attr:`rule`,
-    the node table of the point path (``potential_at(..., method="nodes")``,
+    ``residual_tol`` is the solver's one setting.  Records in
+    ``output_dir`` are always reused when their fingerprint matches, and
+    every capacity fit takes the last ``MIN_CAPACITY_GENERATIONS``
+    generations.  ``quadrature_order`` is the order of :attr:`rule`, the
+    node table of the point path (``potential_at(..., method="nodes")``,
     the ``V_point`` column of the capacity table).  Every other potential,
     capacity and integrated measure comes from per-band Chebyshev series
     sized by the geometry, as are the solver's rules.  Values are typed as
-    in JSON: flags are booleans, counts integers, and no boolean is a number.
+    in JSON: counts are integers, and no boolean is a number.
     """
 
     ifs: IfsSystem
     n_max: int
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    residual_tol: float = 1e-12
     quadrature_order: int = 2048
     sample_count: int = 4096
     point_x: float | None = None
     x_grid: tuple[float, float, int] | None = None
-    fit_window: int = 4
     output_dir: Path = Path("out")
-    cache: bool = True
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -192,10 +188,7 @@ class RunConfig:
                 problems.append(f"'n_max' {n_max} rejected: {exc}")
         order = grab("quadrature_order", 2048, int, lambda v: v >= 1, "must be >= 1")
         tol = grab("residual_tol", 1e-12, float, lambda v: v > 0, "must be positive")
-        max_it = grab("max_iterations", 200, int, lambda v: v >= 1, "must be >= 1")
-        clamp = grab("step_clamp", 1e-9, float, lambda v: 0 < v < 1, "must be in (0, 1)")
         samples = grab("sample_count", 4096, int, lambda v: v >= 1, "must be >= 1")
-        fit_window = grab("fit_window", 4, int, lambda v: v >= 3, "must be >= 3")
         point_x = raw.get("point_x")
         if point_x is not None and not _is_json(point_x, float):
             problems.append(f"'point_x' must be a number or null, got {point_x!r}")
@@ -215,22 +208,20 @@ class RunConfig:
         outdir = os.environ.get(OUTDIR_ENV) or raw.get("output_dir", "out")
         if not isinstance(outdir, str):
             problems.append(f"'output_dir' must be a string, got {outdir!r}")
-        use_cache = grab("cache", True, bool)
 
         if problems:
             raise ConfigError(problems)
-        solver = SolverConfig(residual_tol=tol, max_iterations=max_it, step_clamp=clamp)
-        return cls(ifs=ifs, n_max=n_max, solver=solver, quadrature_order=order,
+        return cls(ifs=ifs, n_max=n_max, residual_tol=tol, quadrature_order=order,
                    sample_count=samples, point_x=point_x, x_grid=x_grid,
-                   fit_window=fit_window, output_dir=Path(outdir), cache=use_cache)
+                   output_dir=Path(outdir))
 
     @property
     def numerics(self) -> dict:
         """Every setting that a stored record depends on."""
         return {
             "ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
-            "residual_tol": self.solver.residual_tol,
-            "step_clamp": self.solver.step_clamp,
+            "residual_tol": self.residual_tol,
+            "step_clamp": solver.STEP_CLAMP,
             "numerics": ORDER_RULE,
         }
 
@@ -306,9 +297,9 @@ def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     """Solve (or reload) generations ``1..n_max``, writing records as we go.
 
     :func:`~equimeasure.solver.hierarchical_solve` with the record cache as
-    its load (unless ``cache`` is off) and store hooks.  On solver failure
-    the records of the completed generations remain on disk and the error
-    propagates with ``generation`` and ``solutions_so_far``.
+    its load and store hooks.  On solver failure the records of the
+    completed generations remain on disk and the error propagates with
+    ``generation`` and ``solutions_so_far``.
     """
     cache = SolutionCache(cfg.output_dir)
 
@@ -317,7 +308,7 @@ def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
         return None if record is None else _solution_from_record(bands, record)
 
     solutions = hierarchical_solve(
-        cfg.ifs, cfg.n_max, cfg.solver, load if cfg.cache else None,
+        cfg.ifs, cfg.n_max, cfg.residual_tol, load,
         lambda sol: cache.store(_record_from_solution(cfg, sol)))
     return [(sol.vars.bands, sol) for sol in solutions]
 
@@ -355,10 +346,8 @@ def _capacity_rows(cfg: RunConfig, solved):
     if point is None:  # the middle of the deepest generation's first band
         deepest = sols[-1].vars.bands
         point = float(0.5 * (deepest.alphas[0] + deepest.betas[0]))
-    est_mean = capacity_estimate(sols, cfg.rule, cfg.sample_count,
-                                 mode="mean", fit_window=cfg.fit_window)
-    est_point = capacity_estimate(sols, cfg.rule, mode="point",
-                                  point=point, fit_window=cfg.fit_window)
+    est_mean = capacity_estimate(sols, cfg.rule, cfg.sample_count, mode="mean")
+    est_point = capacity_estimate(sols, cfg.rule, mode="point", point=point)
     rows = []
     for (n, v_point), (_, v_mean) in zip(est_point.per_generation,
                                          est_mean.per_generation):
@@ -411,9 +400,8 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
             if g < bands.n_gaps:
                 points.append((sol.generation, float(sol.Omegas[g])))
         if len(points) >= 3:
-            window = points[-min(cfg.fit_window, len(points)):]
             try:
-                a, b, c = fit_exponential(window)
+                a, b, c = fit_exponential(points[-MIN_CAPACITY_GENERATIONS:])
             except (NonMonotoneInput, ValueError):
                 a = b = c = math.nan
         else:
@@ -488,7 +476,7 @@ def cmd_capacity(cfg: RunConfig) -> int:
     _write_csv(path, header, rows)
     print(f"wrote {path}")
     a, b, c = est_mean.fit
-    print(f"fit over last {cfg.fit_window} generations (mean path): "
+    print(f"fit over last {MIN_CAPACITY_GENERATIONS} generations (mean path): "
           f"a={a:.9f} b={b:.7f} c={c:.8f}")
     print(f"extrapolated capacity (mean path):  {est_mean.extrapolated_capacity:.9f}")
     print(f"extrapolated capacity (point path): {est_point.extrapolated_capacity:.9f}")

@@ -528,7 +528,7 @@ def gap_jacobian_row(i, vars: GapVariables, rule: QuadratureRule,
     return rows[0] if scalar else rows
 
 
-def refined_orders(bands: BandSystem, kind: str, base_order: int = MIN_ORDER) -> np.ndarray:
+def refined_orders(bands: BandSystem, kind: str) -> np.ndarray:
     """Even quadrature orders resolving every frame's endpoint boundary layers.
 
     One order per gap (``kind="gap"``) or per band (``"band"``), computed in
@@ -542,7 +542,7 @@ def refined_orders(bands: BandSystem, kind: str, base_order: int = MIN_ORDER) ->
     ch. 8), so ``K >= REFINE_SAFETY / sqrt(2 eps)`` drives it below
     ``exp(-2 * REFINE_SAFETY)``.  That bound is optimistic when the nearest
     endpoint is far, as beside wide neighbours, so the order is at least
-    ``base_order``: at the default 16 every Gauss-Chebyshev gap and band
+    ``MIN_ORDER``, read at each call: at 16 every Gauss-Chebyshev gap and band
     rule of the tested systems agrees with four times its order to 2e-15
     of the integral of the integrand's modulus, where 8 loses digits
     (3.2e-15 on the bands of the 0.3, 0.1, 0.2 three-map system).  It is
@@ -560,7 +560,7 @@ def refined_orders(bands: BandSystem, kind: str, base_order: int = MIN_ORDER) ->
     else:
         raise ValueError(f"unknown frame kind {kind!r}")
     eps = 2.0 * near / own
-    orders = np.maximum(base_order, np.ceil(REFINE_SAFETY / np.sqrt(2.0 * eps))).astype(int)
+    orders = np.maximum(MIN_ORDER, np.ceil(REFINE_SAFETY / np.sqrt(2.0 * eps))).astype(int)
     return orders + orders % 2
 
 

@@ -16,7 +16,8 @@ from the reduced kernels the residual pass kept, and the band measures one
 :func:`~equimeasure.kernel.band_integral` call per band rule.  A collision
 moves only the gaps it names to a bumped rule (:func:`_with_bumps`); only
 residual passes meet collisions, and :func:`jacobian` is one such pass and
-its rows.  Kernel calls read the band system from the roots (``vars.bands``).
+its rows.  Kernel calls and :func:`solve_generation` read the band system
+from the roots (``vars.bands``).
 
 Across generations the gap genealogy provides warm starts: a gap that
 already existed at generation ``n - 1`` inherits its converged root, while
@@ -42,6 +43,11 @@ from .kernel import (
 
 _MAX_COLLISION_BUMPS = 4
 _GMRES_RTOL = 1e-14  # relative residual of the Jacobi-scaled Newton system
+
+MAX_ITERATIONS = 200  # Newton iterations per generation before NoConvergence
+# Margin kept between any iterate and the ends of (-1, 1): a root reaching
+# its gap boundary would flip the sign of the density and void the equations.
+STEP_CLAMP = 1e-9  # hashed into cache fingerprints (cli.RunConfig.numerics)
 
 
 class SolverError(RuntimeError):
@@ -70,28 +76,6 @@ class NodeCollision(SolverError):
     def __init__(self, message, gap, **kwargs):
         super().__init__(message, **kwargs)
         self.gap = gap
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for one solve.
-
-    ``step_clamp`` is the margin kept between any iterate and the ends of
-    (-1, 1); a root reaching its gap boundary would flip the sign of the
-    density and void the equations.  The quadrature rules are not set
-    here: every gap equation and every band measure gets its own rule,
-    sized from the geometry by :func:`~equimeasure.kernel.refined_rules`.
-    """
-
-    residual_tol: float = 1e-12
-    max_iterations: int = 200
-    step_clamp: float = 1e-9
-
-    def __post_init__(self):
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
-        if not 0.0 < self.step_clamp < 1.0:
-            raise ValueError("step_clamp must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -246,20 +230,23 @@ def _gmres(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError(f"GMRES stopped at relative residual {abs(g[-1]) / beta:.1e}")
 
 
-def solve_generation(bands: BandSystem, initial: GapVariables,
-                     cfg: SolverConfig | None = None) -> EquilibriumSolution:
-    """Drive all gap equations below ``cfg.residual_tol`` in max norm.
+def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
+                     ) -> EquilibriumSolution:
+    """Drive all gap equations of ``initial.bands`` below ``residual_tol`` in
+    max norm, starting from the roots ``initial``.
 
     Newton directions come from the analytic Jacobian by :func:`_gmres`;
-    steps are shortened first to respect the (-1, 1) clamp and then halved
-    until the residual norm decreases.  Raises :class:`NoConvergence` (with
-    the best iterate attached) when the iteration budget runs out and
-    :class:`SingularJacobian` when the linear solve breaks down.
+    steps are shortened first to keep every root ``STEP_CLAMP`` inside
+    (-1, 1) and then halved until the residual norm decreases.  Raises
+    :class:`NoConvergence` (with the best iterate attached) after
+    ``MAX_ITERATIONS`` iterations and :class:`SingularJacobian` when the
+    linear solve breaks down.
     """
-    cfg = cfg or SolverConfig()
+    if not residual_tol > 0.0:
+        raise ValueError("residual_tol must be positive")
+    vars, bands = initial, initial.bands
     groups = _rules(bands, "gap")
-    vars = GapVariables(bands, initial.lambdas)
-    hi_bound = 1.0 - cfg.step_clamp
+    hi_bound = 1.0 - STEP_CLAMP
 
     r, kept = _residual_vector(vars, groups)
     initial_abs = np.abs(r)
@@ -270,8 +257,8 @@ def solve_generation(bands: BandSystem, initial: GapVariables,
         return kind(message, lambdas=vars.lambdas, residuals=np.abs(r),
                     iterations=iterations, generation=bands.generation)
 
-    while norm > cfg.residual_tol:
-        if iterations >= cfg.max_iterations:
+    while norm > residual_tol:
+        if iterations >= MAX_ITERATIONS:
             raise failure(NoConvergence, f"no convergence after {iterations} "
                                          f"iterations (residual {norm:.3e})")
         jac = _jacobian(vars, kept)
@@ -331,9 +318,9 @@ def warm_start(bands: BandSystem, previous: EquilibriumSolution | None) -> GapVa
     return GapVariables(bands, lam)
 
 
-def hierarchical_solve(ifs: IfsSystem, n_max: int, cfg: SolverConfig | None = None,
+def hierarchical_solve(ifs: IfsSystem, n_max: int, residual_tol: float = 1e-12,
                        load=None, store=None) -> list[EquilibriumSolution]:
-    """Solve generations ``1 .. n_max`` with genealogy warm starts.
+    """Solve generations ``1 .. n_max`` to ``residual_tol``, with warm starts.
 
     This is the one loop over generations.  ``load(bands)`` may return a
     stored :class:`EquilibriumSolution` of ``bands``, which is used as is
@@ -344,7 +331,6 @@ def hierarchical_solve(ifs: IfsSystem, n_max: int, cfg: SolverConfig | None = No
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    cfg = cfg or SolverConfig()
     ifs = validate(ifs)
     solutions: list[EquilibriumSolution] = []
     for n in range(1, n_max + 1):
@@ -353,7 +339,7 @@ def hierarchical_solve(ifs: IfsSystem, n_max: int, cfg: SolverConfig | None = No
         if sol is None:
             try:
                 sol = solve_generation(
-                    bands, warm_start(bands, solutions[-1] if solutions else None), cfg)
+                    warm_start(bands, solutions[-1] if solutions else None), residual_tol)
             except SolverError as exc:
                 exc.solutions_so_far = solutions
                 raise

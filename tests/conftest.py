@@ -8,7 +8,6 @@ from equimeasure import (
     GapVariables,
     IfsSystem,
     QuadratureRule,
-    SolverConfig,
     generate_bands,
     hierarchical_solve,
     mean_potential_on_attractor_points,
@@ -81,8 +80,7 @@ def rule2048():
 @pytest.fixture(scope="session")
 def ternary_run(ternary):
     """Bands and converged solutions for the middle-third system, n=1..7."""
-    cfg = SolverConfig(residual_tol=1e-13)
-    solutions = hierarchical_solve(ternary, 7, cfg)
+    solutions = hierarchical_solve(ternary, 7, 1e-13)
     bands = [s.vars.bands for s in solutions]
     return bands, solutions
 
@@ -90,8 +88,7 @@ def ternary_run(ternary):
 @pytest.fixture(scope="session")
 def asym_run(asym):
     """Bands and converged solutions for the 4/5, 1/10 system, n=1..9."""
-    cfg = SolverConfig(residual_tol=1e-12)
-    solutions = hierarchical_solve(asym, 9, cfg)
+    solutions = hierarchical_solve(asym, 9, 1e-12)
     bands = [s.vars.bands for s in solutions]
     return bands, solutions
 
@@ -100,7 +97,7 @@ def asym_run(asym):
 def trivial_band(ternary):
     """Generation 0: the single band [-1, 1] with the Chebyshev measure."""
     b0 = generate_bands(ternary, 0)
-    s0 = solve_generation(b0, GapVariables(b0, np.zeros(0)), SolverConfig())
+    s0 = solve_generation(GapVariables(b0, np.zeros(0)))
     return b0, s0
 
 

@@ -26,7 +26,7 @@ from equimeasure.kernel import (
     kernel_grouped,
     kernel_log_magnitude,
 )
-from equimeasure.solver import GapVariables, SolverConfig, solve_generation, warm_start
+from equimeasure.solver import GapVariables, solve_generation, warm_start
 from tests.conftest import X_STAR, log_space_residuals
 
 # -- published reference data (middle-third Cantor system) ------------------
@@ -172,9 +172,9 @@ def test_criterion_8_evaluator_equivalence(ternary_run, rule2048):
     assert worst < 1e-12
 
     init = warm_start(b, sols[3])
-    sol_grouped = solve_generation(b, init, SolverConfig(residual_tol=1e-13))
+    sol_grouped = solve_generation(init, 1e-13)
     with log_space_residuals():
-        sol_log = solve_generation(b, init, SolverConfig(residual_tol=1e-13))
+        sol_log = solve_generation(init, 1e-13)
     root_gap = float(np.max(np.abs(sol_grouped.lambdas - sol_log.lambdas)))
     assert root_gap < 1e-10
     report(8, f"grouped and log-space kernels agree to {worst:.2e} on all "
@@ -183,12 +183,11 @@ def test_criterion_8_evaluator_equivalence(ternary_run, rule2048):
 
 def test_criterion_9_warm_start_economy(ternary_run):
     bands, sols = ternary_run
-    cfg = SolverConfig(residual_tol=1e-13)
     pairs = []
     for n in range(2, 7):
         b = bands[n - 1]
-        warm = solve_generation(b, warm_start(b, sols[n - 2]), cfg)
-        cold = solve_generation(b, GapVariables(b, np.zeros(b.n_gaps)), cfg)
+        warm = solve_generation(warm_start(b, sols[n - 2]), 1e-13)
+        cold = solve_generation(GapVariables(b, np.zeros(b.n_gaps)), 1e-13)
         assert warm.iterations_used <= cold.iterations_used, f"n={n}"
         pairs.append((warm.iterations_used, cold.iterations_used))
     report(9, "hierarchical warm starts never need more iterations than "

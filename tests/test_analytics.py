@@ -306,6 +306,37 @@ class TestSpectralSeries:
             assert np.max(np.abs(_band_series(s)[:, 0] - s.omegas)) <= 1e-15
 
 
+class TestOwnBands:
+    # the analytics read the band system from the solution; a caller's
+    # ``bands`` with other endpoints would pair the solution's series with
+    # the wrong bands and give a wrong number, so it is refused
+    def test_another_systems_bands_are_refused(self, ternary_run, asym_run, rule2048):
+        s, other = ternary_run[1][2], asym_run[0][2]
+        assert other.n_bands == s.vars.bands.n_bands
+        assert potential_at(-0.999, s, s.vars.bands, rule2048) == pytest.approx(
+            0.79961, abs=1e-5)
+        assert integrated_measure_at(-0.5, s, s.vars.bands) == pytest.approx(
+            0.35936, abs=1e-5)
+        with pytest.raises(ValueError, match="own band system"):
+            potential_at(-0.999, s, other, rule2048)
+        with pytest.raises(ValueError, match="own band system"):
+            integrated_measure_at(-0.5, s, other)
+        with pytest.raises(ValueError, match="own band system"):
+            mean_potential_on_attractor_points(s, other, 64, rule2048)
+
+    def test_equal_bands_generated_again_are_accepted(self, ternary, ternary_run,
+                                                      rule2048):
+        s = ternary_run[1][2]
+        again = generate_bands(ternary, 3)
+        assert again is not s.vars.bands
+        assert potential_at(-0.999, s, again, rule2048) == potential_at(
+            -0.999, s, s.vars.bands, rule2048)
+        assert integrated_measure_at(-0.5, s, again) == integrated_measure_at(
+            -0.5, s, s.vars.bands)
+        assert mean_potential_on_attractor_points(s, again, 64, rule2048) == (
+            mean_potential_on_attractor_points(s, s.vars.bands, 64, rule2048))
+
+
 class TestDensityTableMemo:
     def test_second_call_builds_no_table(self, ternary_run, rule2048, monkeypatch):
         # the coefficients take one kernel call per series length, for all
@@ -350,8 +381,8 @@ class TestDensityTableMemo:
         assert sorted(s._density_tables) == [64, 2048]
 
     def test_table_sits_on_the_solutions_own_bands(self, ternary_run, asym_run):
-        # a call passing another system's bands of the same count must not
-        # leave a node table on those bands for later calls to read
+        # a call passing another system's bands of the same count is refused
+        # and leaves no node table on those bands for later calls to read
         rule = QuadratureRule.chebyshev(64)
         s, other = ternary_run[1][2], asym_run[0][2]
         assert other.n_bands == s.vars.bands.n_bands
@@ -359,7 +390,8 @@ class TestDensityTableMemo:
         want = potential_at(-0.999, fresh, s.vars.bands, rule, method="nodes")
         assert want == pytest.approx(0.79846, abs=1e-5)
         s = dataclasses.replace(s)
-        potential_at(-0.999, s, other, rule, method="nodes")
+        with pytest.raises(ValueError):
+            potential_at(-0.999, s, other, rule, method="nodes")
         assert potential_at(-0.999, s, s.vars.bands, rule, method="nodes") == want
 
     @pytest.mark.parametrize("order", [1, 5, 8, 63, 64, 65, 67, 2048])

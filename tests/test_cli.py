@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -27,7 +28,6 @@ BASE_CONFIG = {
     "quadrature_order": 256,
     "residual_tol": 1e-12,
     "sample_count": 64,
-    "cache": True,
 }
 
 
@@ -46,9 +46,9 @@ def _count_solves(monkeypatch) -> list:
     """The generations that ``solver.solve_generation`` is called for."""
     calls, original = [], solver.solve_generation
 
-    def counting(bands, *args, **kwargs):
-        calls.append(bands.generation)
-        return original(bands, *args, **kwargs)
+    def counting(initial, *args, **kwargs):
+        calls.append(initial.bands.generation)
+        return original(initial, *args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_generation", counting)
     return calls
@@ -99,8 +99,7 @@ class TestRunConfig:
         base = RunConfig.from_file(write_config(tmp_path))
         same = RunConfig.from_file(write_config(tmp_path, n_max=5, sample_count=7))
         assert base.fingerprint == same.fingerprint
-        for change in ({"residual_tol": 1e-10},
-                       {"ifs": [[1 / 3, -1.0], [0.3, 1.0]]}, {"step_clamp": 1e-8}):
+        for change in ({"residual_tol": 1e-10}, {"ifs": [[1 / 3, -1.0], [0.3, 1.0]]}):
             other = RunConfig.from_file(write_config(tmp_path, **change))
             assert other.fingerprint != base.fingerprint
         # the point-path order leaves the records untouched
@@ -114,22 +113,32 @@ class TestRunConfig:
         assert RunConfig.from_file(path).fingerprint != base
 
     def test_numerics_are_the_ifs_tolerances_and_order_rule(self, tmp_path):
-        cfg = RunConfig.from_file(write_config(tmp_path, residual_tol=1e-13,
-                                               step_clamp=1e-8, max_iterations=7))
+        cfg = RunConfig.from_file(write_config(tmp_path, residual_tol=1e-13))
         assert cfg.numerics == {"ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
-                                "residual_tol": 1e-13, "step_clamp": 1e-8,
+                                "residual_tol": 1e-13, "step_clamp": solver.STEP_CLAMP,
                                 "numerics": cli.ORDER_RULE}
-        assert cfg.solver == solver.SolverConfig(residual_tol=1e-13, step_clamp=1e-8,
-                                                 max_iterations=7)
+        assert cfg.residual_tol == 1e-13
+
+    def test_fingerprint_keeps_the_stored_records_valid(self, tmp_path, monkeypatch):
+        # records written when the step clamp was a config key (default 1e-9)
+        # hash this same numerics text, so they are reused as they are
+        path = write_config(tmp_path)
+        text = ('{"ifs": [[0.3333333333333333, -1.0], [0.3333333333333333, 1.0]], '
+                f'"numerics": "{cli.ORDER_RULE}", "residual_tol": 1e-12, '
+                '"step_clamp": 1e-09}')
+        stored = hashlib.sha256(text.encode()).hexdigest()
+        assert RunConfig.from_file(path).fingerprint == stored
+        monkeypatch.setattr(solver, "STEP_CLAMP", 1e-8)
+        assert RunConfig.from_file(path).fingerprint != stored
 
     @pytest.mark.parametrize("key, value", [
-        ("cache", "false"), ("cache", 0), ("point_x", True), ("point_x", "0.5"),
+        ("point_x", True), ("point_x", "0.5"),
         ("n_max", 3.7), ("n_max", "4"), ("n_max", True), ("quadrature_order", 256.0),
-        ("max_iterations", False), ("sample_count", "64"), ("fit_window", 4.0),
-        ("residual_tol", "1e-12"), ("step_clamp", True), ("output_dir", 5),
-        ("x_grid", {"lo": -1.0, "hi": 1.0, "count": 5.0}),
-        ("x_grid", {"lo": "-1", "hi": 1.0, "count": 5}),
-        ("x_grid", {"lo": -1.0, "hi": True, "count": 5})])
+        ("sample_count", "64"), ("residual_tol", "1e-12"), ("output_dir", 5),
+        # ids fixed by hand, so that the reports of earlier runs still name these
+        pytest.param("x_grid", {"lo": -1.0, "hi": 1.0, "count": 5.0}, id="x_grid-value14"),
+        pytest.param("x_grid", {"lo": "-1", "hi": 1.0, "count": 5}, id="x_grid-value15"),
+        pytest.param("x_grid", {"lo": -1.0, "hi": True, "count": 5}, id="x_grid-value16")])
     def test_values_of_the_wrong_json_type_are_rejected(self, tmp_path, capsys, key,
                                                         value):
         path = write_config(tmp_path, **{key: value})
@@ -138,6 +147,21 @@ class TestRunConfig:
         assert len(err.value.problems) == 1 and repr(key) in err.value.problems[0]
         assert main(["solve", "--config", str(path)]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("max_iterations", 200), ("step_clamp", 1e-9),
+                                            ("fit_window", 4), ("cache", True)])
+    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, monkeypatch, key,
+                                               value):
+        # the iteration budget and the step clamp are solver constants, every
+        # capacity fit takes MIN_CAPACITY_GENERATIONS, and records are always
+        # reused: a config naming one of them, even at its former default, is
+        # rejected before any solve
+        monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
+        path = write_config(tmp_path, **{key: value})
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"unknown key {key!r}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("evaluator", "log"), ("auto_refine", False)])
@@ -263,7 +287,7 @@ class TestSolveCommand:
         calls = _count_solves(monkeypatch)
         solved = solve_all(cfg)
         assert calls == [4, 5]
-        cold = solver.hierarchical_solve(cfg.ifs, 5, cfg.solver)
+        cold = solver.hierarchical_solve(cfg.ifs, 5, cfg.residual_tol)
         assert [s.generation for _, s in solved] == [1, 2, 3, 4, 5]
         for (bands, a), b in zip(solved, cold):
             assert bands is a.vars.bands
@@ -278,10 +302,10 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(write_config(tmp_path, n_max=1))]) == 0
         original = solver.solve_generation
 
-        def failing_at_three(bands, *args, **kwargs):
-            if bands.generation == 3:
+        def failing_at_three(initial, *args, **kwargs):
+            if initial.bands.generation == 3:
                 raise solver.NoConvergence("forced", generation=3)
-            return original(bands, *args, **kwargs)
+            return original(initial, *args, **kwargs)
 
         monkeypatch.setattr(solver, "solve_generation", failing_at_three)
         with pytest.raises(solver.NoConvergence) as err:
@@ -301,11 +325,12 @@ class TestSolveCommand:
         assert not (tmp_path / "out").exists()
         assert "ifs" in capsys.readouterr().err
 
-    def test_solver_failure_exit_code_and_partial_results(self, tmp_path, capsys):
+    def test_solver_failure_exit_code_and_partial_results(self, tmp_path, capsys,
+                                                          monkeypatch):
         # generation 1 converges without iterations; generation 2 cannot
         # finish in a single Newton step, so its record is never written
-        path = write_config(tmp_path, residual_tol=1e-13, max_iterations=1,
-                            quadrature_order=64, n_max=3)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        path = write_config(tmp_path, residual_tol=1e-13, quadrature_order=64, n_max=3)
         code = main(["solve", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 3
@@ -340,13 +365,6 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path)]) == 3
         assert "generation 2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "gen_2.json").exists()
-
-    def test_cache_disabled(self, tmp_path):
-        path = write_config(tmp_path, cache=False)
-        cfg = RunConfig.from_file(path)
-        solve_all(cfg)
-        solved = solve_all(cfg)
-        assert any(s.iterations_used > 0 for _, s in solved)
 
 
 @pytest.fixture(scope="module")
@@ -699,8 +717,12 @@ class TestBenchPatchPoints:
         # The generation loop runs in ``solver``, so the benchmark's spans at
         # ``cli.solve_generation`` and ``cli.generate_bands`` stay empty until
         # it wraps them where ``solver`` looks them up; wrap them there too.
+        # ``solve_generation`` takes its band system from its start roots, so
+        # the generation is read from ``initial`` (the benchmark's
+        # ``_solve_counts`` still reads a ``bands`` argument).
         trace.patch(solver, "solve_generation", "solver.solve_generation",
-                    tracer._solve_counts)
+                    lambda args, result: {"generation": args["initial"].bands.generation,
+                                          "iterations": result.iterations_used})
         trace.patch(solver, "generate_bands", "geometry.generate_bands")
         try:
             assert main(["capacity", "--config", str(path)]) == 0

@@ -447,14 +447,17 @@ def test_rules_of_all_frames_match_the_per_frame_loop(pairs, n_max):
             assert all(rule is per_frame_rule(b, (kind, i)) for i, rule in enumerate(rules))
 
 
-def test_refined_order_formula_and_parity(asym, trivial_band):
+def test_refined_order_formula_and_parity(asym, trivial_band, monkeypatch):
     # generation 1 of the 4/5, 1/10 system: bands [-1, 0.6], [0.8, 1] and
     # the gap (0.6, 0.8); band 0 sees eps = 2 * 0.2 / 1.6 = 0.25
     b = generate_bands(asym, 1)
-    assert refined_orders(b, "band", base_order=1)[0] == 26  # ceil(18 / sqrt(0.5))
-    assert refined_orders(b, "band", base_order=1)[1] == 10  # eps = 2: 9, made even
     assert refined_orders(b, "gap")[0] == MIN_ORDER
-    assert refined_orders(b, "gap", base_order=2047)[0] == 2048
+    with monkeypatch.context() as m:
+        m.setattr(kernel_module, "MIN_ORDER", 1)
+        assert refined_orders(b, "band")[0] == 26  # ceil(18 / sqrt(0.5))
+        assert refined_orders(b, "band")[1] == 10  # eps = 2: 9, made even
+        m.setattr(kernel_module, "MIN_ORDER", 2047)
+        assert refined_orders(b, "gap")[0] == 2048
     b0, _ = trivial_band
     assert refined_orders(b0, "band")[0] == MIN_ORDER
     with pytest.raises(ValueError):
@@ -728,16 +731,16 @@ def test_band_screen_names_the_frames_a_full_scan_names(pairs, n):
     assert outcomes == {True, False}
 
 
-def worst_rule_error(sol, base_order=MIN_ORDER):
+def worst_rule_error(sol):
     """Worst ``|Q_K f - Q_4K f| / Q_K |f|`` per kind over the Gauss-Chebyshev
-    rules of a converged solution, ``K`` from ``refined_orders`` at
-    ``base_order``: the gap integrands ``Z / sqrt|Y~|`` and the band
-    densities, one batched kernel call per order.  Graded gap rules, which
-    no floor sizes, are checked against the adaptive oracle instead."""
+    rules of a converged solution, ``K`` from ``refined_orders`` at the
+    floor ``kernel.MIN_ORDER``: the gap integrands ``Z / sqrt|Y~|`` and the
+    band densities, one batched kernel call per order.  Graded gap rules,
+    which no floor sizes, are checked against the adaptive oracle instead."""
     b, gv = sol.vars.bands, sol.vars
     worst = {}
     for kind, kernel in (("gap", kernel_grouped), ("band", kernel_band)):
-        orders = refined_orders(b, kind, base_order)
+        orders = refined_orders(b, kind)
         plain = np.array([not rule.panels for rule in refined_rules(b, kind)], dtype=bool)
         worst[kind] = 0.0
         for k in set(orders[plain].tolist()):
@@ -756,8 +759,7 @@ THREE_MAPS = [[0.3, -1.0], [0.1, 0.0], [0.2, 1.0]]
 
 @pytest.fixture(scope="module")
 def three_map_run():
-    return solver.hierarchical_solve(validate(IfsSystem.from_pairs(THREE_MAPS)), 6,
-                                     solver.SolverConfig(residual_tol=1e-12))
+    return solver.hierarchical_solve(validate(IfsSystem.from_pairs(THREE_MAPS)), 6, 1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -767,10 +769,10 @@ def converged_runs(ternary_run, asym_run, ternary, three_map_run):
     runs = {"ternary": list(ternary_run[1]), "asym": asym_run[1], "three maps": three_map_run}
     b8 = generate_bands(ternary, 8)
     runs["ternary"].append(solver.solve_generation(
-        b8, solver.warm_start(b8, runs["ternary"][-1]), solver.SolverConfig(residual_tol=1e-13)))
+        solver.warm_start(b8, runs["ternary"][-1]), 1e-13))
     for pairs, n_max in BATCH_SYSTEMS[2:]:
         runs[str(pairs)] = solver.hierarchical_solve(
-            validate(IfsSystem.from_pairs(pairs)), n_max, solver.SolverConfig(residual_tol=1e-12))
+            validate(IfsSystem.from_pairs(pairs)), n_max, 1e-12)
     return runs
 
 
@@ -784,8 +786,9 @@ def test_rules_at_the_floor_agree_with_four_times_the_order(converged_runs):
             assert max(worst.values()) <= 2e-15, (name, s.generation, worst)
 
 
-def test_a_floor_of_eight_loses_digits_on_three_map_bands(three_map_run):
+def test_a_floor_of_eight_loses_digits_on_three_map_bands(three_map_run, monkeypatch):
     # the guard of MIN_ORDER: at 8 the narrowest-neighbour bound alone
     # under-resolves the bands of the three-map system (3.2e-15 at n = 6)
-    worst = max(worst_rule_error(s, base_order=8)["band"] for s in three_map_run)
+    monkeypatch.setattr(kernel_module, "MIN_ORDER", 8)
+    worst = max(worst_rule_error(s)["band"] for s in three_map_run)
     assert worst > 2e-15

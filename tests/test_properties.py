@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from equimeasure import (
     IfsSystem,
     QuadratureRule,
-    SolverConfig,
     hierarchical_solve,
     integrated_measure_at,
     potential_at,
@@ -49,9 +48,9 @@ def systems(draw):
 @given(systems())
 def test_measure_roots_and_order_paths(case):
     ifs, n_max = case
-    refined = hierarchical_solve(ifs, n_max, SolverConfig(residual_tol=TOL))
+    refined = hierarchical_solve(ifs, n_max, TOL)
     with uniform_rules(2048):
-        uniform = hierarchical_solve(ifs, n_max, SolverConfig(residual_tol=TOL))
+        uniform = hierarchical_solve(ifs, n_max, TOL)
     for s, u in zip(refined, uniform):
         bands = s.vars.bands
         assert abs(float(np.sum(s.omegas)) - 1.0) <= 1e-12
@@ -65,7 +64,7 @@ def test_measure_roots_and_order_paths(case):
 def test_potential_constant_on_the_set_and_staircase_monotone(case):
     ifs, n_max = case
     rule = QuadratureRule.chebyshev(64)
-    for s in hierarchical_solve(ifs, n_max, SolverConfig(residual_tol=TOL)):
+    for s in hierarchical_solve(ifs, n_max, TOL):
         bands = s.vars.bands
         xs = np.concatenate([sample_points(bands, 4 * bands.n_bands), bands.alphas,
                              bands.betas])
@@ -95,6 +94,6 @@ def mirror_systems(draw):
 @given(mirror_systems())
 def test_mirror_symmetric_systems_give_antisymmetric_roots(case):
     ifs, n_max = case
-    for s in hierarchical_solve(ifs, n_max, SolverConfig(residual_tol=TOL)):
+    for s in hierarchical_solve(ifs, n_max, TOL):
         # gap i mirrors gap N - 2 - i, so lambda_i = -lambda_{N-2-i}
         assert np.max(np.abs(s.lambdas + s.lambdas[::-1])) <= 1e-13, s.generation

@@ -1,4 +1,3 @@
-import dataclasses
 from contextlib import nullcontext
 
 import numpy as np
@@ -19,7 +18,6 @@ from equimeasure.solver import (
     NoConvergence,
     NodeCollision,
     SingularJacobian,
-    SolverConfig,
     SolverError,
     hierarchical_solve,
     solve_generation,
@@ -27,15 +25,6 @@ from equimeasure.solver import (
 )
 from tests.conftest import log_space_residuals, uniform_rules
 from tests.test_kernel import adaptive_gap_oracle
-
-FAST = SolverConfig(residual_tol=1e-13)
-
-
-def test_solver_config_holds_only_the_tolerances():
-    # the quadrature rules and the kernel sum are not configurable; tests
-    # swap them with tests.conftest.uniform_rules and log_space_residuals
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "residual_tol", "max_iterations", "step_clamp"]
 
 
 def test_jacobian_equals_the_newton_loops_bitwise(asym_run):
@@ -52,7 +41,7 @@ def test_jacobian_equals_the_newton_loops_bitwise(asym_run):
 
 def test_symmetric_start_converges_immediately(ternary):
     b = generate_bands(ternary, 1)
-    sol = solve_generation(b, GapVariables(b, np.zeros(1)), FAST)
+    sol = solve_generation(GapVariables(b, np.zeros(1)), 1e-13)
     assert sol.iterations_used <= 1
     assert abs(sol.lambdas[0]) < 1e-14
     assert sol.max_residual <= 1e-13
@@ -88,7 +77,7 @@ def test_unique_root_from_random_starts(ternary):
     reference = None
     for _ in range(10):
         init = GapVariables(b, rng.uniform(-0.9, 0.9, b.n_gaps))
-        sol = solve_generation(b, init, FAST)
+        sol = solve_generation(init, 1e-13)
         if reference is None:
             reference = sol.lambdas
         assert np.max(np.abs(sol.lambdas - reference)) < 1e-10
@@ -109,11 +98,10 @@ def test_warm_start_mapping(ternary_run):
 
 def test_warm_start_never_slower_than_cold(ternary, ternary_run):
     bands, sols = ternary_run
-    cfg = SolverConfig(residual_tol=1e-13)
     for n in range(2, 7):
         b = bands[n - 1]
-        warm = solve_generation(b, warm_start(b, sols[n - 2]), cfg)
-        cold = solve_generation(b, GapVariables(b, np.zeros(b.n_gaps)), cfg)
+        warm = solve_generation(warm_start(b, sols[n - 2]), 1e-13)
+        cold = solve_generation(GapVariables(b, np.zeros(b.n_gaps)), 1e-13)
         assert warm.iterations_used <= cold.iterations_used
 
 
@@ -124,7 +112,7 @@ def test_roots_stable_under_quadrature_refinement(ternary, ternary_run):
         b = bands[n - 1]
         init = warm_start(b, sols[n - 2])
         with uniform_rules(1024):
-            uniform = solve_generation(b, init, SolverConfig(residual_tol=1e-13)).lambdas
+            uniform = solve_generation(init, 1e-13).lambdas
         assert np.max(np.abs(uniform - sols[n - 1].lambdas)) < 1e-10
 
 
@@ -133,20 +121,22 @@ def test_roots_stable_under_quadrature_refinement(ternary, ternary_run):
 def test_accuracy_driven_orders_match_uniform_2048(run, system, n_max, tol, request):
     _, sols = request.getfixturevalue(run)
     with uniform_rules(2048):
-        uniform = hierarchical_solve(request.getfixturevalue(system), n_max,
-                                     SolverConfig(residual_tol=tol))
+        uniform = hierarchical_solve(request.getfixturevalue(system), n_max, tol)
     for ref, s in zip(uniform, sols):
         assert np.max(np.abs(s.lambdas - ref.lambdas), initial=0.0) <= 1e-13
         assert np.max(np.abs(s.omegas - ref.omegas)) <= 1e-14
 
 
-def test_accuracy_driven_roots_solve_finer_rules(asym_run):
+def test_accuracy_driven_roots_solve_finer_rules(asym_run, monkeypatch):
     # every gap re-evaluated with at least 2048 nodes; uniform 2048 alone
     # under-resolves the old gaps between deep bands from n=8 on (up to
     # 6e-7), which is why those gaps get their orders from the geometry
     bands, sols = asym_run
-    for b, s in zip(bands, sols):
-        for i, order in enumerate(refined_orders(b, "gap", base_order=2048).tolist()):
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "MIN_ORDER", 2048)
+        finer = [refined_orders(b, "gap").tolist() for b in bands]
+    for b, s, orders in zip(bands, sols, finer):
+        for i, order in enumerate(orders):
             rule = QuadratureRule.chebyshev(order)
             assert abs(gap_integral(i, s.vars, rule)) <= 1e-12
 
@@ -164,7 +154,7 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
     for name, kind in (("gap_integral", "gap"), ("gap_jacobian_row", "gap"),
                        ("band_integral", "band")):
         monkeypatch.setattr(solver, name, recording(getattr(solver, name), kind))
-    hierarchical_solve(asym, 7, SolverConfig(residual_tol=1e-12))
+    hierarchical_solve(asym, 7, 1e-12)
     band_orders = [rule.order for kind, _, _, rule in calls if kind == "band"]
     assert all(k % 2 == 0 and k >= MIN_ORDER for k in band_orders)
     assert min(band_orders) == MIN_ORDER
@@ -192,7 +182,7 @@ def test_persistent_collision_is_a_solver_error(ternary, monkeypatch, collides,
     b = generate_bands(ternary, 2)
     with pytest.raises(SolverError) as err:
         with log_space_residuals() if evaluator == "log" else nullcontext():
-            solve_generation(b, warm_start(b, None))
+            solve_generation(warm_start(b, None))
     assert isinstance(err.value, NodeCollision)
     assert err.value.generation == 2 and err.value.gap == 0
 
@@ -208,18 +198,18 @@ def test_residual_certificate_adaptive_oracle(ternary_run):
 def test_evaluator_swap_gives_same_roots(ternary_run):
     bands, sols = ternary_run
     b, init = bands[4], warm_start(bands[4], sols[3])
-    grouped = solve_generation(b, init, SolverConfig(residual_tol=1e-13))
+    grouped = solve_generation(init, 1e-13)
     with log_space_residuals():
-        logged = solve_generation(b, init, SolverConfig(residual_tol=1e-13))
+        logged = solve_generation(init, 1e-13)
     assert np.max(np.abs(grouped.lambdas - logged.lambdas)) < 1e-10
 
 
-def test_no_convergence_carries_diagnostics(ternary):
+def test_no_convergence_carries_diagnostics(ternary, monkeypatch):
     b = generate_bands(ternary, 3)
     bad = GapVariables(b, np.full(b.n_gaps, 0.9))
-    cfg = SolverConfig(residual_tol=1e-13, max_iterations=1)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
     with pytest.raises(NoConvergence) as err:
-        solve_generation(b, bad, cfg)
+        solve_generation(bad, 1e-13)
     assert err.value.generation == 3
     assert err.value.lambdas.shape == (b.n_gaps,)
     assert err.value.residuals.shape == (b.n_gaps,)
@@ -230,9 +220,8 @@ def test_iterates_respect_clamp(ternary):
     # start close to the boundary; no iterate may leave (-1, 1)
     b = generate_bands(ternary, 2)
     init = GapVariables(b, np.array([0.999, -0.999, 0.999]))
-    cfg = SolverConfig(residual_tol=1e-13, step_clamp=1e-9)
-    sol = solve_generation(b, init, cfg)
-    assert np.max(np.abs(sol.lambdas)) <= 1.0 - 1e-9
+    sol = solve_generation(init, 1e-13)
+    assert np.max(np.abs(sol.lambdas)) <= 1.0 - solver.STEP_CLAMP
 
 
 def test_hierarchical_requires_positive_depth(ternary):
@@ -240,10 +229,17 @@ def test_hierarchical_requires_positive_depth(ternary):
         hierarchical_solve(ternary, 0)
 
 
-def test_hierarchical_error_annotation(ternary):
-    cfg = SolverConfig(residual_tol=1e-18, max_iterations=2)
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+def test_residual_tolerance_must_be_positive(ternary, tol):
+    b = generate_bands(ternary, 1)
+    with pytest.raises(ValueError, match="residual_tol"):
+        solve_generation(warm_start(b, None), tol)
+
+
+def test_hierarchical_error_annotation(ternary, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
     with pytest.raises(NoConvergence) as err:
-        hierarchical_solve(ternary, 4, cfg)
+        hierarchical_solve(ternary, 4, 1e-18)
     assert err.value.generation is not None
     assert hasattr(err.value, "solutions_so_far")
 
@@ -290,8 +286,7 @@ class TestNewtonStep:
 
         gmres = solver._gmres
         monkeypatch.setattr(solver, "_gmres", recording)
-        hierarchical_solve(request.getfixturevalue(system), n_max,
-                           SolverConfig(residual_tol=tol))
+        hierarchical_solve(request.getfixturevalue(system), n_max, tol)
         assert len(steps) >= 3 * (n_max - 1)
         for lu, step in steps:
             assert np.max(np.abs(step - lu)) <= 1e-13 * np.max(np.abs(lu))
@@ -309,7 +304,7 @@ class TestNewtonStep:
                             lambda i, vars, *args: np.full((len(i), vars.bands.n_gaps), fill))
         b = generate_bands(ternary, 2)
         with pytest.raises(SingularJacobian) as err:
-            solve_generation(b, warm_start(b, None))
+            solve_generation(warm_start(b, None))
         assert err.value.generation == 2 and err.value.iterations == 0
 
     def test_no_lapack_solve(self, asym, monkeypatch):
@@ -317,13 +312,13 @@ class TestNewtonStep:
             raise AssertionError("np.linalg.solve called")
 
         monkeypatch.setattr(np.linalg, "solve", refuse)
-        sols = hierarchical_solve(asym, 6, SolverConfig(residual_tol=1e-12))
+        sols = hierarchical_solve(asym, 6, 1e-12)
         assert max(s.max_residual for s in sols) <= 1e-12
 
 
 def test_asym_generation_ten_converges(asym):
     # 1023 gaps; about 4 s with graded gap rules, 18 s with Gauss-Chebyshev
-    sols = hierarchical_solve(asym, 10, SolverConfig(residual_tol=1e-12))
+    sols = hierarchical_solve(asym, 10, 1e-12)
     assert [s.generation for s in sols] == list(range(1, 11))
     assert max(s.max_residual for s in sols) <= 1e-12
 
@@ -368,7 +363,7 @@ def test_persistent_collision_on_one_gap_names_it(ternary, monkeypatch):
     shared = next(idx for _, idx in groups if 1 in idx)
     assert shared == (0, 1, 2, 4, 5, 6)
     with pytest.raises(NodeCollision) as err:
-        solve_generation(b, warm_start(b, None))
+        solve_generation(warm_start(b, None))
     assert err.value.gap == 1 and err.value.generation == 3
     # every other gap kept its rule; gap 1 alone went through every bump
     first = {i: rule for rule, idx in groups for i in idx}
