@@ -31,12 +31,13 @@ Exit codes, each failure with a one-line message on stderr:
 
 - 0 success;
 - 2 config error, including an unknown key (``max_iterations``,
-  ``step_clamp``, ``fit_window`` and ``cache`` among them), a bad
+  ``step_clamp``, ``fit_window`` and ``cache`` among them), a number beyond
+  the float range (``NaN`` and ``Infinity`` included), a bad
   ``--points`` spec, an ``x_grid`` off the hull for ``Omega_of_x``, an
   ``n_max`` that ``generate_bands`` rejects and a capacity run with fewer
   ``sample_count`` points than bands (all checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
-  (no convergence, singular Jacobian, node collisions), or a capacity fit
+  (no convergence or a singular Jacobian), or a capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
   collision that survives every order bump (``PersistentCollision``) or a
   point off the hull or the bands (``OutOfHull``);
@@ -107,14 +108,17 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {"ifs", "n_max", "quadrature_order", "residual_tol", "sample_count",
                "point_x", "x_grid", "output_dir"}
-_JSON_NAMES = {int: "integer", float: "number"}
+_JSON_NAMES = {int: "integer", float: "finite number"}
 
 
 def _is_json(value, kind) -> bool:
     """Whether ``value`` is a JSON number of ``kind``: ``int`` takes only
-    integers, ``float`` any number, and neither takes a boolean."""
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if kind is float else kind)
+    integers, ``float`` any number within the float range (``json`` also
+    reads ``NaN``, ``Infinity`` and longer integers), and neither takes a
+    boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return False
+    return kind is int or abs(value) <= sys.float_info.max
 
 
 @dataclass
@@ -161,7 +165,7 @@ class RunConfig:
         else:
             try:
                 ifs = validate(IfsSystem.from_pairs(pairs))
-            except (InvalidIfs, TypeError, ValueError) as exc:
+            except (InvalidIfs, TypeError, ValueError, OverflowError) as exc:
                 problems.append(f"'ifs' rejected: {exc}")
 
         def grab(key, default, kind, check=None, desc=""):
@@ -191,7 +195,7 @@ class RunConfig:
         samples = grab("sample_count", 4096, int, lambda v: v >= 1, "must be >= 1")
         point_x = raw.get("point_x")
         if point_x is not None and not _is_json(point_x, float):
-            problems.append(f"'point_x' must be a number or null, got {point_x!r}")
+            problems.append(f"'point_x' must be a finite number or null, got {point_x!r}")
             point_x = None
 
         x_grid = None

@@ -103,7 +103,8 @@ class Interval:
 
 
 def validate(ifs: IfsSystem) -> IfsSystem:
-    """Check contractivity and full disconnection; return the sorted system.
+    """Check contractivity, finite fixed points and full disconnection; return
+    the sorted system.
 
     Maps are reordered by increasing fixed point.  The images of the hull
     under the sorted maps must be pairwise disjoint with open space between
@@ -116,6 +117,8 @@ def validate(ifs: IfsSystem) -> IfsSystem:
     bad = [m for m in ifs.maps if not 0.0 < m.delta < 1.0]
     if bad:
         raise NotContractive(f"contraction ratios outside (0, 1): {[m.delta for m in bad]}")
+    if not np.isfinite(ifs.gammas).all():
+        raise InvalidIfs(f"fixed points must be finite, got {[m.gamma for m in ifs.maps]}")
 
     maps = tuple(sorted(ifs.maps, key=lambda m: m.gamma))
     gammas = [m.gamma for m in maps]

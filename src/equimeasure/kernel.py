@@ -37,9 +37,15 @@ first axis, from one batched paired product.  The batch holds at most
 ``_CHUNK_ELEMS`` elements per temporary, whatever the number of frames, so
 no frame-by-root array of the whole generation is formed; each value is
 computed by the same operations as for its frame alone, so a batch and
-per-frame calls agree bitwise.  A collision raises
-:class:`ExactNodeCollision` naming every frame of the call it hits.  The
-log-space path remains one frame per call.
+per-frame calls agree bitwise.  The log-space path remains one frame per
+call.
+
+Every point the paired product pairs lies outside the frame's interval,
+so no factor vanishes at a node of a rule, whose nodes lie in [-1, 1].
+The one point inside a gap frame is its own root ``lambda_i``, in the
+numerator factor ``(x - lambda_i)``: a node on it gives the integrand's
+true value there, 0.  Only the log-space reference, where ``log 0`` is a
+real singularity, checks for collisions.
 
 Every integral takes its rule for the Chebyshev weight as an argument.
 The solver sizes one rule per gap and per band from the geometry, all
@@ -63,8 +69,9 @@ import numpy as np
 
 from .geometry import BandSystem
 
-# A point within this relative distance of a kernel root or endpoint is
-# treated as an exact collision (the integrand value is meaningless there).
+# In the log-space reference, a point within this relative distance of a
+# kernel root or endpoint is treated as an exact collision (its logarithm
+# is meaningless there).
 COLLISION_RTOL = 1e-15
 
 # Accuracy-driven orders (see ``refined_orders``): never fewer than
@@ -80,19 +87,11 @@ ORDER_RULE = f"refined-or-graded/min{MIN_ORDER}/safety{REFINE_SAFETY:g}/panel{PA
 
 _PROD_BLOCK = 256  # rows per block when accumulating long factor products
 _CHUNK_ELEMS = 1 << 14  # elements per temporary of a batched chunk
-_COLLISION = "evaluation point coincides with a root or endpoint"
 
 
 class ExactNodeCollision(ValueError):
-    """Evaluation point coincides with a kernel root or band endpoint.
-
-    ``frames`` holds the indices of the frames (gaps or bands) whose points
-    collide; empty when the raiser did not name them.
-    """
-
-    def __init__(self, message: str, frames: tuple = ()):
-        super().__init__(message)
-        self.frames = tuple(frames)
+    """An evaluation point of :func:`kernel_log_magnitude` coincides with a
+    kernel root or band endpoint, where the logarithm is singular."""
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,6 @@ class QuadratureRule:
         theta = (edges[:-1, None] + half * (1.0 + t)).ravel()
         return cls(order=theta.size, nodes=np.cos(theta),
                    weights=(half * w / np.pi).ravel(), panels=tuple(panels))
-
-    def bumped(self) -> "QuadratureRule":
-        """The rule of the same kind with one more node (per panel, if graded)."""
-        return (QuadratureRule.graded(self.panels, self.order // sum(self.panels) + 1)
-                if self.panels else QuadratureRule.chebyshev(self.order + 1))
 
 
 @lru_cache(maxsize=None)
@@ -234,12 +228,6 @@ def _near(xs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _raise_hits(hit: np.ndarray, idx: np.ndarray) -> None:
-    """Raise naming the frames of ``idx`` where ``hit`` is set, if any."""
-    if hit.any():
-        raise ExactNodeCollision(_COLLISION, tuple(idx[hit].tolist()))
-
-
 def kernel_log_magnitude(x, vars: GapVariables, frame: tuple[str, int]):
     """Sign and log-magnitude of ``Z / sqrt|Y~|`` in a rescaled frame.
 
@@ -254,7 +242,7 @@ def kernel_log_magnitude(x, vars: GapVariables, frame: tuple[str, int]):
     p, a_t, b_t = _frame_points(vars, frame)
     endpoints = _outer_endpoints(a_t, b_t, frame)
     if _near(np.sort(x_arr), np.concatenate([p, endpoints])).any():
-        raise ExactNodeCollision(_COLLISION, (frame[1],))
+        raise ExactNodeCollision("evaluation point coincides with a root or endpoint")
 
     log_mag = np.zeros_like(x_arr)
     neg = np.zeros(x_arr.shape, dtype=int)
@@ -304,26 +292,6 @@ def _outer_endpoints(a_t, b_t, frame: tuple[str, int]) -> np.ndarray:
     return np.concatenate([a_t[index != a_absorbed], b_t[index != i]])
 
 
-def _band_screen(xs: np.ndarray, idx: np.ndarray, centre: np.ndarray, width: np.ndarray,
-                 zeta2: np.ndarray):
-    """``(hit, scan)`` for the band frames ``idx`` and the sorted nodes ``xs``.
-
-    The frame map is monotone, so every paired point of band ``i`` but the
-    roots of gaps ``i - 1`` and ``i`` lies beyond one of them, and nodes
-    strictly between the two can only collide with them.  ``hit`` tests
-    those roots (one for an end band), ``scan`` marks the frames whose
-    nodes leave that interval and need a scan of every paired point.
-    """
-    hit, scan = np.zeros((2, idx.size), dtype=bool)
-    if zeta2.size:
-        left, right = idx > 0, idx < zeta2.size
-        p_left = (zeta2[np.maximum(idx - 1, 0)] - centre) / width
-        p_right = (zeta2[np.minimum(idx, zeta2.size - 1)] - centre) / width
-        scan = (left & (xs[0] <= p_left)) | (right & (xs[-1] >= p_right))
-        hit = (left & _near(xs, p_left)) | (right & _near(xs, p_right))
-    return hit, scan
-
-
 def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray,
                     vars: GapVariables) -> np.ndarray:
     """Products of the paired factor ratios ``|x - p_m| / sqrt|Y_band|``, one
@@ -336,9 +304,8 @@ def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray,
     A gap frame forms its own root and its two leftover endpoints from
     ``lambda_i`` and widths, and none of them is paired, so every paired
     point is mapped from original coordinates.  In a band frame the paired
-    points are all the points outside the weight; :func:`_band_screen`
-    checks two roots per frame, in ``O(frames)``, and the scan of every
-    paired point is left to frames whose nodes lie outside those roots.
+    points are all the points outside the weight.  Every paired point lies
+    outside [-1, 1], so for ``x`` in [-1, 1] every factor is positive.
     """
     bands = vars.bands
     lo, hi = _frame_bounds(bands, kind, idx)
@@ -346,10 +313,6 @@ def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray,
     zeta2, alpha2, beta2 = 2.0 * vars.zetas, 2.0 * bands.alphas, 2.0 * bands.betas
     n_pairs = bands.n_gaps - (kind == "gap")
     j = np.arange(n_pairs)
-    hit, scan = np.zeros((2, idx.size), dtype=bool)  # a gap frame pairs no node
-    if kind == "band":
-        xs = np.sort(x)
-        hit, scan = _band_screen(xs, idx, centre[:, 0], width[:, 0], zeta2)
     prod = np.ones((idx.size, x.size))
 
     # Work with squared ratios: the paired endpoint factors have the same
@@ -369,12 +332,6 @@ def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray,
         root = j + after if kind == "gap" else j
         p, a, b = ((v[k] - centre[fs]) / width[fs]
                    for v, k in ((zeta2, root), (alpha2, band), (beta2, band)))
-        rows = scan[fs]
-        if rows.any():
-            hit[fs][rows] = (_near(xs, p[rows]) | _near(xs, a[rows])
-                             | _near(xs, b[rows])).any(axis=1)
-        if hit.any():
-            continue
         for start in range(0, n_pairs, block):
             sl = slice(start, start + block)
             p_b, a_b, b_b = p[:, sl, None], a[:, sl, None], b[:, sl, None]
@@ -386,7 +343,6 @@ def _paired_product(x: np.ndarray, kind: str, idx: np.ndarray,
                 np.multiply(den, np.subtract(xc, b_b), out=den)
                 np.divide(num, den, out=num)
                 prod[fs, c : c + cols] *= np.sqrt(np.multiply.reduce(num, axis=1))
-    _raise_hits(hit, idx)
     return prod
 
 
@@ -396,9 +352,8 @@ def _grouped_reduced(x: np.ndarray, idx: np.ndarray, vars: GapVariables):
     Row ``f`` is ``g`` of frame ``i = idx[f]``, where the full kernel is
     ``(x - lambda_i) * g``: the paired product divided by the two leftover
     endpoint factors nearest the rescaled gap, ``|x - a_t[i]|`` and
-    ``|x - b_t[i+1]|``.  Raises when a node hits the own root of a frame.
+    ``|x - b_t[i+1]|``.  Neither contains ``lambda_i``.
     """
-    _raise_hits(_near(np.sort(x), vars.lambdas[idx]), idx)
     prod = _paired_product(x, "gap", idx, vars)
     a_i, b_next = (v[:, None] for v in _leftover(vars.bands, idx))
     leftover = np.sqrt((x - a_i) * (b_next - x))
@@ -426,7 +381,8 @@ def kernel_band(x, i, vars: GapVariables):
     ``i`` is one band of ``vars.bands`` or a sequence of them; a sequence
     gives one row per band, of ``x``'s shape.  Every root and endpoint
     outside the band's own two ends is paired, so no factor is left over.
-    Agrees with the log-space reference to roundoff.
+    ``x`` lies in [-1, 1], where no root or endpoint lies, so the value is
+    positive and finite.  Agrees with the log-space reference to roundoff.
     """
     idx, scalar = _frames(i)
     x_arr = np.asarray(x, dtype=float).ravel()
@@ -438,9 +394,9 @@ def kernel_grouped(x, i, vars: GapVariables):
 
     ``i`` is one gap of ``vars.bands`` or a sequence of them, as in
     :func:`kernel_band`.
-    ``x`` must lie strictly inside (-1, 1) in the rescaled frame.  Agrees
-    with the log-space reference to roundoff; partial products stay O(1)
-    for any number of bands.
+    ``x`` lies in [-1, 1] in the rescaled frame, and the value at the own
+    root ``lambda_i`` is 0.  Agrees with the log-space reference to
+    roundoff; partial products stay O(1) for any number of bands.
     """
     idx, scalar = _frames(i)
     x_arr = np.asarray(x, dtype=float).ravel()
@@ -455,8 +411,7 @@ def gap_integral(i, vars: GapVariables, rule: QuadratureRule, keep: dict | None 
     after rescaling it to [-1, 1]; the gap's own endpoints supply the
     Chebyshev weight.  At the solution all these integrals vanish.  ``i``
     is one gap index (a ``float`` result) or a sequence of gaps sharing
-    ``rule`` (an array, one value per gap), evaluated in one batched pass; a
-    collision raises :class:`ExactNodeCollision` naming every gap it hits.
+    ``rule`` (an array, one value per gap), evaluated in one batched pass.
     With a ``keep`` dict, ``keep[i]`` (a tuple for a sequence) receives
     ``(rule, g)``, the reduced kernels :func:`gap_jacobian_row` reuses at
     the same variables.
@@ -516,7 +471,7 @@ def gap_jacobian_row(i, vars: GapVariables, rule: QuadratureRule,
     for s in range(0, idx.size, per):
         fs = slice(s, s + per)
         p = (zeta2 - centre[fs]) / width[fs]
-        p[np.arange(p.shape[0]), idx[fs]] = vars.lambdas[idx[fs]]  # as in _frame_points
+        p[np.arange(p.shape[0]), idx[fs]] = np.inf  # the diagonal, set below: no 0/0
         for start in range(0, n, per_rows):
             sl = slice(start, start + per_rows)
             t = np.subtract(x, p[:, sl, None])

@@ -13,11 +13,9 @@ Gaps (and bands) that share a quadrature rule form a rule group
 pass makes one :func:`~equimeasure.kernel.gap_integral` call per group, the
 Jacobian one :func:`~equimeasure.kernel.gap_jacobian_row` call per group
 from the reduced kernels the residual pass kept, and the band measures one
-:func:`~equimeasure.kernel.band_integral` call per band rule.  A collision
-moves only the gaps it names to a bumped rule (:func:`_with_bumps`); only
-residual passes meet collisions, and :func:`jacobian` is one such pass and
-its rows.  Kernel calls and :func:`solve_generation` read the band system
-from the roots (``vars.bands``).
+:func:`~equimeasure.kernel.band_integral` call per band rule.  Kernel
+calls and :func:`solve_generation` read the band system from the roots
+(``vars.bands``).
 
 Across generations the gap genealogy provides warm starts: a gap that
 already existed at generation ``n - 1`` inherits its converged root, while
@@ -33,7 +31,6 @@ import numpy as np
 
 from .geometry import BandSystem, IfsSystem, generate_bands, validate
 from .kernel import (
-    ExactNodeCollision,
     GapVariables,
     band_integral,
     gap_integral,
@@ -41,7 +38,6 @@ from .kernel import (
     refined_rules,
 )
 
-_MAX_COLLISION_BUMPS = 4
 _GMRES_RTOL = 1e-14  # relative residual of the Jacobi-scaled Newton system
 
 MAX_ITERATIONS = 200  # Newton iterations per generation before NoConvergence
@@ -68,14 +64,6 @@ class NoConvergence(SolverError):
 
 class SingularJacobian(SolverError):
     """The Newton linear solve failed at some iterate."""
-
-
-class NodeCollision(SolverError):
-    """Quadrature nodes of gap ``gap`` kept hitting a root after every bump."""
-
-    def __init__(self, message, gap, **kwargs):
-        super().__init__(message, **kwargs)
-        self.gap = gap
 
 
 @dataclass(frozen=True)
@@ -127,48 +115,17 @@ def _rules(bands: BandSystem, kind: str) -> list[tuple]:
     return [(rule, tuple(idx)) for rule, idx in groups.values()]
 
 
-def _with_bumps(evaluate, indices, vars, rule, out: np.ndarray) -> np.ndarray:
-    """``out[indices] = evaluate(indices, rule)``, one value (or row) per index.
-
-    The frames an :class:`ExactNodeCollision` names (all of the call's, if
-    it names none) are evaluated again with ``rule.bumped()``; the others
-    keep ``rule``.  Raises :class:`NodeCollision` for the first gap whose
-    nodes still hit a root or an endpoint after ``_MAX_COLLISION_BUMPS``
-    bumps.
-    """
-    pending = tuple(indices)
-    for _ in range(_MAX_COLLISION_BUMPS + 1):
-        bump = ()
-        while pending:
-            try:
-                out[list(pending)] = evaluate(pending, rule)
-                pending = ()
-            except ExactNodeCollision as exc:
-                hit = tuple(i for i in pending if i in exc.frames) or pending
-                bump += hit
-                pending = tuple(i for i in pending if i not in hit)
-        if not bump:
-            return out
-        pending, rule = tuple(sorted(bump)), rule.bumped()
-    raise NodeCollision(
-        f"quadrature nodes of gap {pending[0]} still hit a root or endpoint after "
-        f"{_MAX_COLLISION_BUMPS} order bumps", gap=pending[0], lambdas=vars.lambdas,
-        generation=vars.bands.generation,
-    )
-
-
 def _residual_vector(vars: GapVariables, groups):
     """Residuals at ``vars`` and the reduced kernels built on the way.
 
     One :func:`gap_integral` call per rule group.  The second value maps
-    each tuple of gaps evaluated together to ``(rule, g)``: the rule left
-    after any collision bumps and the reduced kernels there, which the
-    Jacobian at the same ``vars`` reuses.
+    each group's tuple of gaps to ``(rule, g)``: its rule and the reduced
+    kernels there, which the Jacobian at the same ``vars`` reuses.
     """
     kept = {}
     r = np.empty(vars.bands.n_gaps)
     for rule, idx in groups:
-        _with_bumps(lambda i, rule: gap_integral(i, vars, rule, kept), idx, vars, rule, r)
+        r[list(idx)] = gap_integral(idx, vars, rule, kept)
     return r, kept
 
 
@@ -184,7 +141,7 @@ def _jacobian(vars: GapVariables, kept) -> np.ndarray:
 def jacobian(vars: GapVariables) -> np.ndarray:
     """The dense Jacobian ``d K_i / d lambda_m`` at ``vars``, as the Newton
     loop builds it: the rows from the reduced kernels of one residual pass
-    over the solver's rule groups, collision bumps included."""
+    over the solver's rule groups."""
     return _jacobian(vars, _residual_vector(vars, _rules(vars.bands, "gap"))[1])
 
 
@@ -242,8 +199,8 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
     ``MAX_ITERATIONS`` iterations and :class:`SingularJacobian` when the
     linear solve breaks down.
     """
-    if not residual_tol > 0.0:
-        raise ValueError("residual_tol must be positive")
+    if not 0.0 < residual_tol < math.inf:
+        raise ValueError("residual_tol must be positive and finite")
     vars, bands = initial, initial.bands
     groups = _rules(bands, "gap")
     hi_bound = 1.0 - STEP_CLAMP

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,12 @@ def test_validate_rejects_overlap_touching_and_bad_deltas():
         validate(IfsSystem.from_pairs([(1 / 4, 1), (1 / 3, 1)]))
     with pytest.raises(InvalidIfs):
         validate(IfsSystem.from_pairs([(1 / 3, 0)]))
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_fixed_points(gamma):
+    with pytest.raises(InvalidIfs, match="finite"):
+        validate(IfsSystem.from_pairs([[1 / 3, gamma], [1 / 3, 1.0]]))
 
 
 def test_hull():

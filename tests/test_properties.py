@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equimeasure import (
+    GapVariables,
     IfsSystem,
     QuadratureRule,
+    generate_bands,
     hierarchical_solve,
     integrated_measure_at,
     potential_at,
     sample_points,
     validate,
 )
+from equimeasure.kernel import gap_integral, gap_jacobian_row, kernel_grouped, refined_rules
 from tests.conftest import uniform_rules
 
 TOL = 1e-13
@@ -73,6 +76,33 @@ def test_potential_constant_on_the_set_and_staircase_monotone(case):
         grid = np.linspace(bands.hull.lo, bands.hull.hi, 201)
         omegas = np.array([integrated_measure_at(float(x), s, bands) for x in grid])
         assert np.min(np.diff(omegas)) >= -STEP, (bands.generation, np.min(np.diff(omegas)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(systems(), st.data())
+def test_a_root_on_a_node_gives_the_mean_of_its_neighbours(case, data):
+    # a gap's root on a node of its own rule is no singularity of the paired
+    # product: its residual and Jacobian row are the mean of those at the
+    # two neighbouring floats of the root.  Only lambda_i moves: moving every
+    # root by one ulp re-rounds the other roots in original coordinates
+    ifs, n = case
+    b = generate_bands(ifs, n)
+    lam = np.array(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=b.n_gaps,
+                                      max_size=b.n_gaps)))
+    i = data.draw(st.integers(0, b.n_gaps - 1))
+    rule = refined_rules(b, "gap")[i]
+    node = rule.nodes[data.draw(st.integers(0, rule.order - 1))]
+
+    def at(root):
+        gv = GapVariables(b, np.where(np.arange(b.n_gaps) == i, root, lam))
+        return gv, gap_integral(i, gv, rule), gap_jacobian_row(i, gv, rule)
+
+    gv, residual, row = at(node)
+    (_, r_lo, row_lo), (_, r_hi, row_hi) = (at(np.nextafter(node, end))
+                                            for end in (-1.0, 1.0))
+    scale = rule.weights @ np.abs(kernel_grouped(rule.nodes, i, gv))
+    assert abs(residual - 0.5 * (r_lo + r_hi)) <= 1e-15 * scale
+    assert np.max(np.abs(row - 0.5 * (row_lo + row_hi))) <= 1e-15 * np.max(np.abs(row))
 
 
 @st.composite

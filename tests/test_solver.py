@@ -1,5 +1,3 @@
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 
@@ -7,18 +5,14 @@ from equimeasure import kernel, solver
 from equimeasure.geometry import IfsSystem, generate_bands, validate
 from equimeasure.kernel import (
     MIN_ORDER,
-    ExactNodeCollision,
     GapVariables,
     QuadratureRule,
     gap_integral,
-    gap_jacobian_row,
     refined_orders,
 )
 from equimeasure.solver import (
     NoConvergence,
-    NodeCollision,
     SingularJacobian,
-    SolverError,
     hierarchical_solve,
     solve_generation,
     warm_start,
@@ -166,27 +160,6 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
                for chebyshev, rule in gaps)
 
 
-# the Jacobian rows come from the reduced kernels of the residual pass, which
-# the log-space residuals build with the paired product: a collision there is
-# bumped by the residual pass, as a collision of the residual itself is
-@pytest.mark.parametrize("collides, evaluator", [("gap_integral", "grouped"),
-                                                 ("_grouped_reduced", "log")])
-def test_persistent_collision_is_a_solver_error(ternary, monkeypatch, collides,
-                                                evaluator):
-    reduced = collides == "_grouped_reduced"  # its gaps are its second argument
-
-    def always_collides(*args, **kwargs):
-        raise ExactNodeCollision("forced", frames=args[reduced])  # every gap of the call
-
-    monkeypatch.setattr(kernel if reduced else solver, collides, always_collides)
-    b = generate_bands(ternary, 2)
-    with pytest.raises(SolverError) as err:
-        with log_space_residuals() if evaluator == "log" else nullcontext():
-            solve_generation(warm_start(b, None))
-    assert isinstance(err.value, NodeCollision)
-    assert err.value.generation == 2 and err.value.gap == 0
-
-
 def test_residual_certificate_adaptive_oracle(ternary_run):
     bands, sols = ternary_run
     for n in (2, 4):
@@ -229,7 +202,7 @@ def test_hierarchical_requires_positive_depth(ternary):
         hierarchical_solve(ternary, 0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
 def test_residual_tolerance_must_be_positive(ternary, tol):
     b = generate_bands(ternary, 1)
     with pytest.raises(ValueError, match="residual_tol"):
@@ -323,9 +296,9 @@ def test_asym_generation_ten_converges(asym):
     assert max(s.max_residual for s in sols) <= 1e-12
 
 
-def test_a_collision_bumps_only_its_gap(ternary):
-    # gap 3's root on a node of its rule: gap 3 alone moves to the bumped
-    # rule, in the residual and in the Jacobian built from what it kept
+def test_a_root_on_a_node_keeps_its_rule(ternary):
+    # gap 3's root on a node of its rule: every gap keeps its group's rule,
+    # in the residual and in the Jacobian built from what it kept
     b = generate_bands(ternary, 3)
     groups = solver._rules(b, "gap")
     rule = next(rule for rule, idx in groups if 3 in idx)
@@ -333,41 +306,9 @@ def test_a_collision_bumps_only_its_gap(ternary):
     lam[3] = rule.nodes[5]
     gv = GapVariables(b, lam)
     r, kept = solver._residual_vector(gv, groups)
-    used = {i: kept_rule for idx, (kept_rule, _) in kept.items() for i in idx}
-    assert sorted(used) == list(range(b.n_gaps))
-    assert used[3].order == rule.order + 1
-    assert (3,) in kept
-    for r_rule, idx in groups:
-        assert all(used[i] is r_rule for i in idx if i != 3)
+    assert list(kept) == [idx for _, idx in groups]
+    assert all(kept[idx][0] is group_rule for group_rule, idx in groups)
+    used = {i: group_rule for group_rule, idx in groups for i in idx}
     want = [gap_integral(i, gv, used[i]) for i in range(b.n_gaps)]
     assert np.array_equal(r, want)
-    jac = solver._jacobian(gv, kept)
-    assert np.array_equal(jac[3], gap_jacobian_row(3, gv, rule.bumped()))
-    # solver.jacobian takes the same bump
-    assert np.array_equal(solver.jacobian(gv), jac)
-
-
-def test_persistent_collision_on_one_gap_names_it(ternary, monkeypatch):
-    # gap 1 shares its rule group with every gap but the widest, gap 3
-    calls = []
-
-    def gap_one_collides(i, vars, rule, *args):
-        calls.append((i, rule))
-        if 1 in i:
-            raise ExactNodeCollision("forced", frames=(1,))
-        return gap_integral(i, vars, rule, *args)
-
-    monkeypatch.setattr(solver, "gap_integral", gap_one_collides)
-    b = generate_bands(ternary, 3)
-    groups = solver._rules(b, "gap")
-    shared = next(idx for _, idx in groups if 1 in idx)
-    assert shared == (0, 1, 2, 4, 5, 6)
-    with pytest.raises(NodeCollision) as err:
-        solve_generation(warm_start(b, None))
-    assert err.value.gap == 1 and err.value.generation == 3
-    # every other gap kept its rule; gap 1 alone went through every bump
-    first = {i: rule for rule, idx in groups for i in idx}
-    assert all(rule is first[i] for idx, rule in calls for i in idx if i != 1)
-    with_one = [(idx, rule.order) for idx, rule in calls if 1 in idx]
-    assert with_one == [(shared, first[1].order)] + [
-        ((1,), first[1].order + k) for k in range(1, solver._MAX_COLLISION_BUMPS + 1)]
+    assert np.array_equal(solver._jacobian(gv, kept), solver.jacobian(gv))
