@@ -12,8 +12,11 @@ The config is a single JSON document (see ``RunConfig``).
 :func:`solve_all` connects its load and store hooks to the record cache:
 one ``gen_<n>.json`` record per generation in the output directory.  A
 record is reused on rerun only when its fingerprint (hash of the map
-parameters, residual tolerance, ``solver.STEP_CLAMP`` and the name of the
-solver's order rule, ``kernel.ORDER_RULE``) matches the active config exactly.
+parameters, residual tolerance, ``solver.STEP_CLAMP``, the name of the
+solver's order rule, ``kernel.ORDER_RULE``, and the name of its start rule,
+``solver.START_RULE``: each new gap starts from its preimage one generation
+down, each old gap from its parent moved as that preimage last moved)
+matches the active config exactly.
 The record's ``config`` field holds exactly these fingerprinted settings,
 so a reused record cannot disagree with the run that reads it.  The solver
 sizes its quadrature rules from the geometry, and the potentials,
@@ -226,6 +229,7 @@ class RunConfig:
             "ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
             "residual_tol": self.residual_tol,
             "step_clamp": solver.STEP_CLAMP,
+            "start_rule": solver.START_RULE,
             "numerics": ORDER_RULE,
         }
 

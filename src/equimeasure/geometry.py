@@ -22,6 +22,10 @@ import numpy as np
 # width: double precision cannot resolve the gap/band structure past it.
 WIDTH_FLOOR = 1e-13
 
+# Reject generations with more bands than this.  The solver's dense Jacobian
+# and its scaled copy take 2 * 8 * N**2 bytes, about 1 GB at this cap.
+MAX_BANDS = 8192
+
 # Images of the hull must be separated by at least this fraction of the hull
 # width.  Touching intervals are rejected: the root equations need open gaps.
 SEPARATION_TOL = 1e-12
@@ -44,7 +48,8 @@ class OverlappingImages(InvalidIfs):
 
 
 class GenerationTooLarge(ValueError):
-    """Band widths at the requested generation underflow the width floor."""
+    """The requested generation has more than ``MAX_BANDS`` bands, or bands
+    below the width floor."""
 
 
 @dataclass(frozen=True)
@@ -204,14 +209,19 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
     of the next generation, and gap ``g`` is old exactly when
     ``(g + 1) % M == 0``, with parent gap ``g // M``.
 
-    Raises :class:`GenerationTooLarge` when a band falls below
-    ``WIDTH_FLOOR`` of the hull: before building anything when the nominal
-    narrowest band, ``min(delta)**n`` of the hull, does, and otherwise at
-    the first generation whose computed widths do.
+    Raises :class:`GenerationTooLarge` before building anything when the
+    band count ``M**n`` exceeds ``MAX_BANDS`` or the nominal narrowest band,
+    ``min(delta)**n`` of the hull, falls below ``WIDTH_FLOOR`` of the hull,
+    and otherwise at the first generation whose computed widths do.
     """
     if n < 0:
         raise ValueError(f"generation must be non-negative, got {n}")
     ifs = validate(ifs)
+    # M**n exceeds the cap exactly when M**min(n, 14) does, and stays small
+    if ifs.n_maps ** min(n, MAX_BANDS.bit_length()) > MAX_BANDS:
+        raise GenerationTooLarge(
+            f"generation {n} is too deep: its {ifs.n_maps}**{n} bands exceed the cap "
+            f"MAX_BANDS = {MAX_BANDS}")
     narrowest = float(ifs.deltas.min()) ** n
     if narrowest < WIDTH_FLOOR:
         raise GenerationTooLarge(

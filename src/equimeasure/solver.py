@@ -17,9 +17,11 @@ from the reduced kernels the residual pass kept, and the band measures one
 calls and :func:`solve_generation` read the band system from the roots
 (``vars.bands``).
 
-Across generations the gap genealogy provides warm starts: a gap that
-already existed at generation ``n - 1`` inherits its converged root, while
-newly created gaps start from the gap midpoint (``lambda = 0``).
+Across generations the IFS addresses provide warm starts (Hutchinson,
+1981): every gap of generation ``n`` is the image, under its outermost map,
+of a gap of generation ``n - 1``, its preimage.  A new gap starts from its
+preimage's converged root, and an old gap from its parent's root moved as
+its preimage last moved (:func:`warm_start`).
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ MAX_ITERATIONS = 200  # Newton iterations per generation before NoConvergence
 # Margin kept between any iterate and the ends of (-1, 1): a root reaching
 # its gap boundary would flip the sign of the density and void the equations.
 STEP_CLAMP = 1e-9  # hashed into cache fingerprints (cli.RunConfig.numerics)
+# The name of warm_start's rule, hashed into cache fingerprints as well: a
+# record's initial residuals depend on the start.
+START_RULE = "self-similar"
 
 
 class SolverError(RuntimeError):
@@ -260,29 +265,63 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
     )
 
 
-def warm_start(bands: BandSystem, previous: EquilibriumSolution | None) -> GapVariables:
-    """Initial roots for one generation from the previous solution.
+def _parents(bands: BandSystem) -> np.ndarray:
+    """The genealogy as an integer array, -1 for a new gap."""
+    return np.array([-1 if p is None else p for p in bands.genealogy], dtype=np.intp)
 
-    Old gaps (per the genealogy) inherit the parent's converged root; new
-    gaps start at the midpoint.  With no previous solution all roots start
-    at zero.
+
+def _check_start(bands: BandSystem, sol: EquilibriumSolution, name: str):
+    """Raise ``ValueError`` unless ``sol`` is the generation before ``bands``
+    of a band system whose band count divides that of ``bands``."""
+    n, prior = bands.generation, sol.vars.bands
+    if prior.generation != n - 1 or bands.n_bands % prior.n_bands:
+        raise ValueError(
+            f"{name} must be generation {n - 1} of this system, got generation "
+            f"{prior.generation} with {prior.n_bands} bands for {bands.n_bands}")
+
+
+def warm_start(bands: BandSystem, previous: EquilibriumSolution | None = None,
+               before: EquilibriumSolution | None = None) -> GapVariables:
+    """Initial roots for generation ``n`` from the solutions of generations
+    ``n - 1`` (``previous``) and ``n - 2`` (``before``).
+
+    Gap ``g``'s preimage at ``n - 1`` is ``pre = (g + 1) % N - 1``, with
+    ``N`` the band count of ``previous``: the same gap with its outermost
+    map dropped, defined when ``pre >= 0``.  A new gap starts at its
+    preimage's root (at the midpoint if it has none).  An old gap starts
+    at its parent's root plus, given ``before``, its preimage's last move
+    (the preimage's root at ``n - 1`` minus its parent's root at
+    ``n - 2``).  Starts are kept ``STEP_CLAMP`` inside (-1, 1).  With no
+    previous solution all roots start at zero.  Raises ``ValueError`` for
+    a ``previous`` or ``before`` of another generation or band count.
     """
     lam = np.zeros(bands.n_gaps)
-    if previous is not None:
-        for g, parent in enumerate(bands.genealogy):
-            if parent is not None:
-                lam[g] = previous.lambdas[parent]
-    return GapVariables(bands, lam)
+    if previous is None:
+        return GapVariables(bands, lam)
+    _check_start(bands, previous, "previous")
+    parent = _parents(bands)
+    pre = np.arange(1, bands.n_gaps + 1) % previous.vars.bands.n_bands - 1
+    new, old = (parent < 0) & (pre >= 0), parent >= 0
+    lam[new] = previous.lambdas[pre[new]]
+    lam[old] = previous.lambdas[parent[old]]
+    if before is not None:
+        _check_start(previous.vars.bands, before, "before")
+        moved = old & (pre >= 0)
+        lam[moved] += (previous.lambdas[pre[moved]]
+                       - before.lambdas[_parents(previous.vars.bands)[pre[moved]]])
+    hi = 1.0 - STEP_CLAMP
+    return GapVariables(bands, np.clip(lam, -hi, hi))
 
 
 def hierarchical_solve(ifs: IfsSystem, n_max: int, residual_tol: float = 1e-12,
                        load=None, store=None) -> list[EquilibriumSolution]:
-    """Solve generations ``1 .. n_max`` to ``residual_tol``, with warm starts.
+    """Solve generations ``1 .. n_max`` to ``residual_tol``, each started by
+    :func:`warm_start` from the two generations before it.
 
     This is the one loop over generations.  ``load(bands)`` may return a
     stored :class:`EquilibriumSolution` of ``bands``, which is used as is
-    and warm-starts the next generation; ``store(solution)`` receives each
-    newly solved generation.  Solver failures carry the failing generation
+    and warm-starts the next two generations; ``store(solution)`` receives
+    each newly solved generation.  Solver failures carry the failing generation
     (``generation``) and are re-raised with the solutions of all earlier
     generations (``solutions_so_far``) recorded on the exception.
     """
@@ -296,7 +335,7 @@ def hierarchical_solve(ifs: IfsSystem, n_max: int, residual_tol: float = 1e-12,
         if sol is None:
             try:
                 sol = solve_generation(
-                    warm_start(bands, solutions[-1] if solutions else None), residual_tol)
+                    warm_start(bands, *reversed(solutions[-2:])), residual_tol)
             except SolverError as exc:
                 exc.solutions_so_far = solutions
                 raise

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,19 +117,27 @@ class TestRunConfig:
         cfg = RunConfig.from_file(write_config(tmp_path, residual_tol=1e-13))
         assert cfg.numerics == {"ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
                                 "residual_tol": 1e-13, "step_clamp": solver.STEP_CLAMP,
+                                "start_rule": solver.START_RULE,
                                 "numerics": cli.ORDER_RULE}
         assert cfg.residual_tol == 1e-13
 
     def test_fingerprint_keeps_the_stored_records_valid(self, tmp_path, monkeypatch):
-        # records written when the step clamp was a config key (default 1e-9)
-        # hash this same numerics text, so they are reused as they are
+        # records hash exactly this numerics text, so they are reused as they
+        # are; records of midpoint starts, whose text named no start rule,
+        # hold other initial residuals and are solved again once
         path = write_config(tmp_path)
         text = ('{"ifs": [[0.3333333333333333, -1.0], [0.3333333333333333, 1.0]], '
                 f'"numerics": "{cli.ORDER_RULE}", "residual_tol": 1e-12, '
-                '"step_clamp": 1e-09}')
+                f'"start_rule": "{solver.START_RULE}", "step_clamp": 1e-09}}')
         stored = hashlib.sha256(text.encode()).hexdigest()
         assert RunConfig.from_file(path).fingerprint == stored
+        old = text.replace(f'"start_rule": "{solver.START_RULE}", ', "")
+        midpoint = hashlib.sha256(old.encode()).hexdigest()
+        assert RunConfig.from_file(path).fingerprint != midpoint
         monkeypatch.setattr(solver, "STEP_CLAMP", 1e-8)
+        assert RunConfig.from_file(path).fingerprint != stored
+        monkeypatch.setattr(solver, "STEP_CLAMP", 1e-9)
+        monkeypatch.setattr(solver, "START_RULE", "midpoint")
         assert RunConfig.from_file(path).fingerprint != stored
 
     @pytest.mark.parametrize("key, value", [
@@ -208,6 +217,19 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "'n_max' 13" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_band_cap_rejects_without_building_the_generation(self, tmp_path):
+        # ternary n = 20 has 2**20 bands, above MAX_BANDS: the count alone
+        # rejects it, with no band array allocated (parent: 42 MB traced)
+        path = write_config(tmp_path, n_max=20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="'n_max' 20 rejected.*MAX_BANDS"):
+                RunConfig.from_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_depth_rejected_with_exit_code(self, tmp_path, capsys, monkeypatch):
         # a rejected depth must never start: solving n=40 would not finish

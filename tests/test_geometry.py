@@ -11,6 +11,7 @@ from equimeasure.geometry import (
     IfsSystem,
     Interval,
     InvalidIfs,
+    MAX_BANDS,
     NotContractive,
     OverlappingImages,
     generate_bands,
@@ -186,6 +187,15 @@ def test_generation_width_floor():
     thin = IfsSystem.from_pairs([(1e-14, -1), (1e-14, 1)])
     with pytest.raises(GenerationTooLarge):
         generate_bands(thin, 1)
+
+
+def test_band_cap(ternary):
+    # ternary n = 13 has MAX_BANDS = 8192 bands; n = 14 is refused by its count
+    assert generate_bands(ternary, 13).n_bands == MAX_BANDS == 2**13
+    with pytest.raises(GenerationTooLarge, match="2\\*\\*14 bands"):
+        generate_bands(ternary, 14)
+    with pytest.raises(GenerationTooLarge, match="MAX_BANDS"):
+        generate_bands(ternary, 10**30)
 
 
 def test_generation_negative_rejected(ternary):

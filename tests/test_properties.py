@@ -13,6 +13,7 @@ from equimeasure import (
     integrated_measure_at,
     potential_at,
     sample_points,
+    solve_generation,
     validate,
 )
 from equimeasure.kernel import gap_integral, gap_jacobian_row, kernel_grouped, refined_rules
@@ -103,6 +104,25 @@ def test_a_root_on_a_node_gives_the_mean_of_its_neighbours(case, data):
     scale = rule.weights @ np.abs(kernel_grouped(rule.nodes, i, gv))
     assert abs(residual - 0.5 * (r_lo + r_hi)) <= 1e-15 * scale
     assert np.max(np.abs(row - 0.5 * (row_lo + row_hi))) <= 1e-15 * np.max(np.abs(row))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_self_similar_and_parent_only_starts_agree(case):
+    # against the parent-only start (a new gap at its midpoint, an old gap at
+    # its parent's root): the same roots, and at most one more iteration.
+    # Over 880 drawn (system, generation) cases 6 took one fewer and 3 one
+    # more: two-map systems near touching (ratios 0.42-0.48) at n = 3, from
+    # initial residuals half the parent-only ones.  The gain is at depth
+    # (tests/test_solver.py)
+    ifs, n_max = case
+    sols = hierarchical_solve(ifs, n_max, TOL)
+    for prev, s in zip(sols, sols[1:]):
+        b = s.vars.bands
+        lam = np.array([0.0 if p is None else prev.lambdas[p] for p in b.genealogy])
+        parent_only = solve_generation(GapVariables(b, lam), TOL)
+        assert s.iterations_used <= parent_only.iterations_used + 1, b.generation
+        assert np.max(np.abs(s.lambdas - parent_only.lambdas)) <= 1e-9, b.generation
 
 
 @st.composite

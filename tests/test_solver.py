@@ -17,7 +17,7 @@ from equimeasure.solver import (
     solve_generation,
     warm_start,
 )
-from tests.conftest import log_space_residuals, uniform_rules
+from tests.conftest import ASYM_PAIRS, TERNARY_PAIRS, log_space_residuals, uniform_rules
 from tests.test_kernel import adaptive_gap_oracle
 
 
@@ -77,17 +77,82 @@ def test_unique_root_from_random_starts(ternary):
         assert np.max(np.abs(sol.lambdas - reference)) < 1e-10
 
 
-def test_warm_start_mapping(ternary_run):
-    bands, sols = ternary_run
-    b3, s2 = bands[2], sols[1]
-    init = warm_start(b3, s2)
-    for g, parent in enumerate(b3.genealogy):
+def test_warm_start_mapping(asym_run):
+    # asym n = 5 from n = 4 and n = 3: a new gap starts at its preimage's
+    # root, an old gap at its parent's root moved as its preimage last moved
+    bands, sols = asym_run
+    b5, s4, s3 = bands[4], sols[3], sols[2]
+    init = warm_start(b5, s4, s3)
+    moved = 0
+    for g, parent in enumerate(b5.genealogy):
+        pre = (g + 1) % s4.vars.bands.n_bands - 1
         if parent is None:
-            assert init.lambdas[g] == 0.0
+            assert init.lambdas[g] == s4.lambdas[pre]
+        elif pre < 0:
+            assert init.lambdas[g] == s4.lambdas[parent]
         else:
-            assert init.lambdas[g] == s2.lambdas[parent]
-    cold = warm_start(b3, None)
+            grand = s4.vars.bands.genealogy[pre]
+            assert init.lambdas[g] == s4.lambdas[parent] + (s4.lambdas[pre]
+                                                            - s3.lambdas[grand])
+            moved += 1
+    assert moved == 2 + 4 + 8  # the old gaps born at generations 2 .. 4
+    # with one solution old gaps keep their parent's root
+    one = warm_start(b5, s4)
+    for g, parent in enumerate(b5.genealogy):
+        if parent is not None:
+            assert one.lambdas[g] == s4.lambdas[parent]
+    cold = warm_start(b5, None)
     assert np.all(cold.lambdas == 0.0)
+
+
+@pytest.mark.parametrize("pairs", [TERNARY_PAIRS, ASYM_PAIRS,
+                                   [[0.3, -1.0], [0.1, 0.0], [0.2, 1.0]]])
+def test_the_outermost_map_sends_the_preimage_onto_its_gap(pairs):
+    # with N bands at generation n - 1, the map with index (g + 1) // N sends
+    # gap pre = (g + 1) % N - 1 of generation n - 1 onto gap g of generation
+    # n; only the M - 1 gaps of generation 1 have no preimage (pre = -1)
+    ifs = validate(IfsSystem.from_pairs(pairs))
+    for n in range(2, 8):
+        prev, b = generate_bands(ifs, n - 1), generate_bands(ifs, n)
+        g = np.arange(b.n_gaps)
+        pre, d = (g + 1) % prev.n_bands - 1, (g + 1) // prev.n_bands
+        assert np.count_nonzero(pre < 0) == ifs.n_maps - 1
+        g, pre, d = g[pre >= 0], pre[pre >= 0], d[pre >= 0]
+        delta, gamma = ifs.deltas[d], ifs.gammas[d]
+        for ends, pre_ends in ((b.gap_los, prev.gap_los), (b.gap_his, prev.gap_his)):
+            image = delta * (pre_ends[pre] - gamma) + gamma
+            assert np.max(np.abs(image - ends[g])) <= 1e-15
+
+
+def test_self_similar_starts_take_two_iterations_at_depth(ternary, asym_run):
+    _, sols = asym_run
+    assert [s.iterations_used for s in sols] == [1, 3, 3, 2, 2, 2, 2, 2, 2]
+    sols = hierarchical_solve(ternary, 9, 1e-13)
+    assert [s.iterations_used for s in sols] == [0, 3, 3, 3, 3, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("run", ["ternary_run", "asym_run"])
+def test_one_more_newton_step_moves_no_root_by_1e_10(run, request):
+    # what the absolute stopping rule leaves: at most 6.5e-11 (asym n = 9)
+    _, sols = request.getfixturevalue(run)
+    for s in sols[1:]:
+        r, kept = solver._residual_vector(s.vars, solver._rules(s.vars.bands, "gap"))
+        step = np.linalg.solve(solver._jacobian(s.vars, kept), -r)
+        assert np.max(np.abs(step)) <= 1e-10, s.generation
+
+
+def test_warm_start_rejects_other_generations(ternary, asym_run):
+    bands, sols = asym_run
+    three = validate(IfsSystem.from_pairs([[0.3, -1.0], [0.1, 0.0], [0.2, 1.0]]))
+    with pytest.raises(ValueError, match="previous must be generation 4"):
+        warm_start(bands[4], sols[2])
+    with pytest.raises(ValueError, match="previous must be generation 1"):
+        warm_start(generate_bands(three, 2), sols[0])  # 2 bands do not divide 9
+    with pytest.raises(ValueError, match="before must be generation 3"):
+        warm_start(bands[4], sols[3], sols[1])
+    with pytest.raises(ValueError, match="before must be generation 1"):
+        warm_start(generate_bands(three, 3), hierarchical_solve(three, 2)[-1],
+                   hierarchical_solve(ternary, 1)[-1])  # 2 bands do not divide 9
 
 
 def test_warm_start_never_slower_than_cold(ternary, ternary_run):
@@ -259,8 +324,8 @@ class TestNewtonStep:
 
         gmres = solver._gmres
         monkeypatch.setattr(solver, "_gmres", recording)
-        hierarchical_solve(request.getfixturevalue(system), n_max, tol)
-        assert len(steps) >= 3 * (n_max - 1)
+        sols = hierarchical_solve(request.getfixturevalue(system), n_max, tol)
+        assert len(steps) == sum(s.iterations_used for s in sols)
         for lu, step in steps:
             assert np.max(np.abs(step - lu)) <= 1e-13 * np.max(np.abs(lu))
 
