@@ -47,9 +47,10 @@ points in one blockwise pass; a scalar is a one-point array and gives a
 The plain node sum remains available as ``method="nodes"``, the published
 point path: a uniform Gauss-Chebyshev table of ``rule.order`` nodes per
 band, with ``F`` at its nodes summed from the same series (see
-:func:`_values_at_nodes`).  Its error is the
-classical coarseness gauge, shrinking from ~2e-4 at generation 1 to ~3e-6
-at generation 7 for the middle-third system at 2048 nodes.
+:func:`_values_at_nodes`); it takes Gauss-Chebyshev rules only.  Its
+error is the classical coarseness gauge, shrinking from ~2e-4 at
+generation 1 to ~3e-6 at generation 7 for the middle-third system at 2048
+nodes.
 """
 
 from __future__ import annotations
@@ -334,9 +335,12 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     :class:`PersistentCollision` is raised when all attempts collide.  The
     coefficients and each order's table are built once per solution, on
     its own bands (``solution.vars.bands``), whose endpoints ``bands`` must have.
+    ``method="nodes"`` takes no graded rule: its densities sit at Chebyshev nodes.
     """
     if method not in ("auto", "nodes"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "nodes" and rule.panels:
+        raise ValueError(f"the point path takes Gauss-Chebyshev rules, not panels {rule.panels}")
     bands = _own_bands(solution, bands)
     zs = np.asarray(z).ravel()
     if method == "auto":
@@ -491,10 +495,11 @@ def capacity_estimate(solutions, rule: QuadratureRule,
     ``-log C`` of each generation is the constant potential on its bands,
     read either as the mean over deterministic sample points in the deepest
     generation (``mode="mean"``) or as the plain node-sum potential of one
-    fixed point (``mode="point"``, reproducing the coarser single-point
-    gauge).  Each solution carries its band system (``vars.bands``).  The
-    last ``MIN_CAPACITY_GENERATIONS`` generations feed the exponential fit;
-    the extrapolated capacity is ``exp(-a)``.
+    fixed point (``mode="point"``, a Gauss-Chebyshev ``rule`` only,
+    reproducing the coarser single-point gauge).  Each solution carries its
+    band system (``vars.bands``).  The last ``MIN_CAPACITY_GENERATIONS``
+    generations feed the exponential fit; the extrapolated capacity is
+    ``exp(-a)``.
     """
     if len(solutions) < MIN_CAPACITY_GENERATIONS:
         raise ValueError(f"need at least {MIN_CAPACITY_GENERATIONS} solved generations")

@@ -25,7 +25,8 @@ sized the same way; ``quadrature_order`` sets only the node table of the
 point path (``method="nodes"``), so a run at another order reuses the
 stored records.  The Jacobian figure is the solver's
 :func:`~equimeasure.solver.jacobian` at the deepest solution, built from
-one residual pass as in the Newton loop.  Grids are evaluated in one call
+one residual pass as in the Newton loop.  Line ids (``"<birth generation>:<gap>"``)
+follow the band systems' ``parents``.  Grids are evaluated in one call
 per generation.  All files are written atomically
 (temp file + rename).  Figure data files are plain CSV with a header row
 and 17-digit floats.
@@ -264,7 +265,8 @@ class SolutionCache:
             record = json.loads(self.path(n).read_text())
         except (OSError, json.JSONDecodeError):  # a missing file included
             return None
-        return record if record.get("fingerprint") == fingerprint else None
+        ok = isinstance(record, dict) and record.get("fingerprint") == fingerprint
+        return record if ok and record.get("generation") == n else None
 
     def store(self, record: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -280,7 +282,7 @@ def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
         "config": cfg.numerics,
         "bands": [[a, b] for a, b in zip(bands.alphas, bands.betas)],
         "gaps": [[lo, hi] for lo, hi in zip(bands.gap_los, bands.gap_his)],
-        "genealogy": list(bands.genealogy),
+        "genealogy": [None if p < 0 else p for p in bands.parents.tolist()],
         "lambda": sol.lambdas.tolist(),
         "residuals": sol.residuals.tolist(),
         "initial_residuals": sol.initial_residuals.tolist(),
@@ -290,22 +292,31 @@ def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
     }
 
 
-def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolution:
-    return EquilibriumSolution(
-        vars=GapVariables(bands, np.array(record["lambda"])),
-        residuals=np.array(record["residuals"]),
-        iterations_used=record["iterations_used"],
-        omegas=np.array(record["omega"]),
-        Omegas=np.array(record["Omega"]),
-        initial_residuals=np.array(record["initial_residuals"]),
-    )
+def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolution | None:
+    """The solution a record holds, or ``None`` if it lacks a key or an
+    array of it does not fit ``bands`` or holds a non-finite value."""
+    gaps, n_bands = bands.n_gaps, bands.n_bands
+    sizes = {"lambda": gaps, "residuals": gaps, "initial_residuals": gaps,
+             "omega": n_bands, "Omega": n_bands}
+    try:
+        a = {key: np.array(record[key], dtype=float) for key in sizes}
+        if any(a[key].shape != (size,) or not np.isfinite(a[key]).all()
+               for key, size in sizes.items()):
+            return None
+        return EquilibriumSolution(
+            vars=GapVariables(bands, a["lambda"]), residuals=a["residuals"],
+            iterations_used=int(record["iterations_used"]), omegas=a["omega"],
+            Omegas=a["Omega"], initial_residuals=a["initial_residuals"])
+    except (KeyError, TypeError, ValueError):  # a missing key or a non-number
+        return None
 
 
 def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     """Solve (or reload) generations ``1..n_max``, writing records as we go.
 
     :func:`~equimeasure.solver.hierarchical_solve` with the record cache as
-    its load and store hooks.  On solver failure the records of the
+    its load and store hooks.  A record that does not fit its generation is
+    solved again and overwritten.  On solver failure the records of the
     completed generations remain on disk and the error propagates with
     ``generation`` and ``solutions_so_far``.
     """
@@ -331,12 +342,14 @@ def _write_csv(path: Path, header, rows) -> None:
     _atomic_write_text(path, text.getvalue())
 
 
-def _line_id(n: int, g: int, n_maps: int) -> str:
-    """Stable id of a gap's genealogy line: birth generation and index."""
-    while n > 1 and (g + 1) % n_maps == 0:
-        g = (g + 1) // n_maps - 1
-        n -= 1
-    return f"{n}:{g}"
+def _line_ids(solved) -> list[list[str]]:
+    """Line ids of the gaps of generations 1, 2, ...: an old gap's parent's
+    id, or ``"<n>:<g>"`` for gap ``g`` new at generation ``n``."""
+    ids: list[list[str]] = []
+    for bands, _ in solved:
+        ids.append([ids[-1][p] if p >= 0 else f"{bands.generation}:{g}"
+                    for g, p in enumerate(bands.parents.tolist())])
+    return ids
 
 
 def _x_grid(cfg: RunConfig) -> np.ndarray:
@@ -388,9 +401,10 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
                    rows)
     elif which in ("lambda_vs_n", "Omega_vs_n"):  # per gap line: lambda, or Omega left of it
         column = which.removesuffix("_vs_n")
-        rows = [[sol.generation, g, _line_id(sol.generation, g, cfg.ifs.n_maps),
+        rows = [[sol.generation, g, line,
                  (sol.lambdas if column == "lambda" else sol.Omegas)[g]]
-                for bands, sol in solved for g in range(bands.n_gaps)]
+                for (_, sol), lines in zip(solved, _line_ids(solved))
+                for g, line in enumerate(lines)]
         path = out / f"{which}.csv"
         _write_csv(path, ["generation", "gap_index", "line_id", column], rows)
     elif which == "Omega_of_x":
@@ -401,12 +415,8 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
         path = out / "Omega_of_x.csv"
         _write_csv(path, ["generation", "x", "Omega"], rows)
     elif which == "gapmeasure_fit":
-        n_maps = cfg.ifs.n_maps
-        points = []
-        for bands, sol in solved:
-            g = n_maps ** (sol.generation - 1) - 1  # first gap's line
-            if g < bands.n_gaps:
-                points.append((sol.generation, float(sol.Omegas[g])))
+        gaps = [lines.index("1:0") for lines in _line_ids(solved)]  # gap 0 of generation 1
+        points = [(sol.generation, float(sol.Omegas[g])) for (_, sol), g in zip(solved, gaps)]
         if len(points) >= 3:
             try:
                 a, b, c = fit_exponential(points[-MIN_CAPACITY_GENERATIONS:])
@@ -414,7 +424,7 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
                 a = b = c = math.nan
         else:
             a = b = c = math.nan
-        rows = [[n, n_maps ** (n - 1) - 1, v, a, b, c] for n, v in points]
+        rows = [[n, g, v, a, b, c] for (n, v), g in zip(points, gaps)]
         path = out / "gapmeasure_fit.csv"
         _write_csv(path, ["generation", "gap_index", "Omega", "fit_a", "fit_b",
                           "fit_c"], rows)

@@ -5,8 +5,9 @@ An iterated function system is a family of contractions
 Applying all length-``n`` compositions to the convex hull of the attractor
 produces the generation-``n`` approximation: a union of ``M**n`` disjoint
 closed intervals ("bands") separated by open "gaps".  Gaps, once created,
-persist verbatim at every later generation; the genealogy records which
-generation-``n`` gaps already existed at generation ``n - 1``.
+persist verbatim at every later generation.  A band system carries its
+genealogy (parents and preimages) as arrays; only this module knows their
+``M``-ary layout.
 
 All constructors here produce immutable values (arrays are frozen), so band
 systems can be shared across threads without synchronization.
@@ -153,20 +154,21 @@ class BandSystem:
 
     ``alphas``/``betas`` hold the left/right endpoints of the ``M**n``
     sorted bands.  Gap ``g`` (0-based) is the open interval
-    ``(betas[g], alphas[g + 1])``.  ``genealogy[g]`` is the parent gap
-    index at generation ``n - 1`` for gaps that already existed there, and
-    ``None`` for gaps newly created at this generation.  Old gaps have
-    endpoints identical (bitwise) to their parent's.
+    ``(betas[g], alphas[g + 1])``.  ``parents[g]`` is the gap of generation
+    ``n - 1`` that gap ``g`` continues, with identical (bitwise) endpoints,
+    and ``preimages[g]`` the gap there that the outermost map of gap ``g``'s
+    address sends onto it; both are ``intp``, -1 for none.  All read-only.
     """
 
     generation: int
     alphas: np.ndarray
     betas: np.ndarray
-    genealogy: tuple = field(repr=False)
+    parents: np.ndarray = field(repr=False)
+    preimages: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.alphas.flags.writeable = False
-        self.betas.flags.writeable = False
+        for array in (self.alphas, self.betas, self.parents, self.preimages):
+            array.flags.writeable = False
 
     @property
     def n_bands(self) -> int:
@@ -206,8 +208,9 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
     which keeps the list sorted for a fully disconnected system (sortedness
     is checked, not re-imposed, so violations surface as errors).  With
     this ordering the children of band ``q`` are bands ``q*M .. q*M+M-1``
-    of the next generation, and gap ``g`` is old exactly when
-    ``(g + 1) % M == 0``, with parent gap ``g // M``.
+    of the next generation: gap ``g`` is old exactly when ``(g + 1) % M ==
+    0``, with parent gap ``(g + 1) // M - 1``, and its preimage is gap
+    ``(g + 1) % M**(n - 1) - 1``.
 
     Raises :class:`GenerationTooLarge` before building anything when the
     band count ``M**n`` exceeds ``MAX_BANDS`` or the nominal narrowest band,
@@ -251,10 +254,8 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
     if not (np.all(betas > alphas) and np.all(alphas[1:] > betas[:-1])):
         raise RuntimeError("generated bands are not sorted and disjoint")
 
-    if n == 0:
-        genealogy: tuple = ()
-    else:
-        genealogy = tuple(
-            g // m_maps if (g + 1) % m_maps == 0 else None for g in range(alphas.size - 1)
-        )
-    return BandSystem(generation=n, alphas=alphas, betas=betas, genealogy=genealogy)
+    step = np.arange(1, alphas.size, dtype=np.intp)  # g + 1 for every gap g
+    parents = np.where(step % m_maps == 0, step // m_maps - 1, -1)
+    preimages = step % max(alphas.size // m_maps, 1) - 1
+    return BandSystem(generation=n, alphas=alphas, betas=betas, parents=parents,
+                      preimages=preimages)

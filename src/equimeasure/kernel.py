@@ -125,12 +125,13 @@ class QuadratureRule:
 
     @classmethod
     @lru_cache(maxsize=128)
-    def graded(cls, panels: tuple, per_panel: int = PANEL_NODES) -> "QuadratureRule":
+    def graded(cls, panels: tuple) -> "QuadratureRule":
         """Panels halving from ``pi/2`` toward ``theta = 0`` (``panels[0]``
-        of them) and ``pi`` (``panels[1]``); each end panel equals the next."""
+        of them) and ``pi`` (``panels[1]``), ``PANEL_NODES`` nodes each;
+        each end panel equals the next."""
         cuts = [0.5 * np.pi * 0.5 ** np.arange(n) for n in panels]
         edges = np.concatenate([[0.0], cuts[0][::-1], np.pi - cuts[1][1:], [np.pi]])
-        t, w = _gauss_legendre(per_panel)
+        t, w = _gauss_legendre(PANEL_NODES)
         half = 0.5 * np.diff(edges)[:, None]
         theta = (edges[:-1, None] + half * (1.0 + t)).ravel()
         return cls(order=theta.size, nodes=np.cos(theta),
@@ -177,7 +178,7 @@ class GapVariables:
             raise ValueError(
                 f"expected {self.bands.n_gaps} gap variables, got shape {lam.shape}"
             )
-        if lam.size and np.max(np.abs(lam)) >= 1.0:
+        if not np.all(np.abs(lam) < 1.0):  # NaN included
             raise ValueError("gap variables must lie strictly inside (-1, 1)")
 
     @cached_property
@@ -211,23 +212,6 @@ def _frame_bounds(bands: BandSystem, kind: str, idx: np.ndarray):
     raise ValueError(f"unknown frame kind {kind!r}")
 
 
-def _near(xs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Mask of the ``points`` within ``COLLISION_RTOL`` of a node of ``xs``.
-
-    ``xs`` is sorted; the distance is relative to ``max(1, |x|, |point|)``.
-    Only the nearest node on either side of a point can be that close, so
-    each point is tested against its two neighbours.
-    """
-    hit = np.zeros(points.shape, dtype=bool)
-    if xs.size == 0:
-        return hit
-    k = np.searchsorted(xs, points)
-    for near in (xs[np.maximum(k - 1, 0)], xs[np.minimum(k, xs.size - 1)]):
-        scale = np.maximum(1.0, np.maximum(np.abs(near), np.abs(points)))
-        hit |= np.abs(near - points) < COLLISION_RTOL * scale
-    return hit
-
-
 def kernel_log_magnitude(x, vars: GapVariables, frame: tuple[str, int]):
     """Sign and log-magnitude of ``Z / sqrt|Y~|`` in a rescaled frame.
 
@@ -240,19 +224,16 @@ def kernel_log_magnitude(x, vars: GapVariables, frame: tuple[str, int]):
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     p, a_t, b_t = _frame_points(vars, frame)
-    endpoints = _outer_endpoints(a_t, b_t, frame)
-    if _near(np.sort(x_arr), np.concatenate([p, endpoints])).any():
+    points = np.concatenate([p, _outer_endpoints(a_t, b_t, frame)])
+    diff = x_arr[:, None] - points[None, :]
+    # a collision is within COLLISION_RTOL of max(1, |x|, |point|)
+    scale = np.maximum(1.0, np.maximum(np.abs(x_arr)[:, None], np.abs(points)[None, :]))
+    if np.any(np.abs(diff) < COLLISION_RTOL * scale):
         raise ExactNodeCollision("evaluation point coincides with a root or endpoint")
 
-    log_mag = np.zeros_like(x_arr)
-    neg = np.zeros(x_arr.shape, dtype=int)
-    if p.size:
-        diff = x_arr[:, None] - p[None, :]
-        log_mag += np.sum(np.log(np.abs(diff)), axis=1)
-        neg += np.sum(diff < 0.0, axis=1)
-    if endpoints.size:
-        log_mag -= 0.5 * np.sum(np.log(np.abs(x_arr[:, None] - endpoints[None, :])), axis=1)
-    sign = np.where(neg % 2 == 0, 1.0, -1.0)
+    log_abs = np.log(np.abs(diff))
+    log_mag = np.sum(log_abs[:, :p.size], axis=1) - 0.5 * np.sum(log_abs[:, p.size:], axis=1)
+    sign = np.where(np.sum(diff[:, :p.size] < 0.0, axis=1) % 2 == 0, 1.0, -1.0)
     return (float(sign[0]), float(log_mag[0])) if np.ndim(x) == 0 else (sign, log_mag)
 
 

@@ -18,10 +18,11 @@ calls and :func:`solve_generation` read the band system from the roots
 (``vars.bands``).
 
 Across generations the IFS addresses provide warm starts (Hutchinson,
-1981): every gap of generation ``n`` is the image, under its outermost map,
-of a gap of generation ``n - 1``, its preimage.  A new gap starts from its
-preimage's converged root, and an old gap from its parent's root moved as
-its preimage last moved (:func:`warm_start`).
+1981): every gap of generation ``n`` but those of generation 1 is the
+image, under its outermost map, of a gap of generation ``n - 1``, its
+preimage.  A new gap starts from its preimage's converged root, and an old
+gap from its parent's root moved as its preimage last moved
+(:func:`warm_start`); both come from ``BandSystem.parents`` and ``.preimages``.
 """
 
 from __future__ import annotations
@@ -265,19 +266,21 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
     )
 
 
-def _parents(bands: BandSystem) -> np.ndarray:
-    """The genealogy as an integer array, -1 for a new gap."""
-    return np.array([-1 if p is None else p for p in bands.genealogy], dtype=np.intp)
-
-
 def _check_start(bands: BandSystem, sol: EquilibriumSolution, name: str):
     """Raise ``ValueError`` unless ``sol`` is the generation before ``bands``
-    of a band system whose band count divides that of ``bands``."""
+    of the same system: the genealogy of ``bands`` indexes gaps of ``sol``,
+    and every old gap has its parent's endpoints bitwise."""
     n, prior = bands.generation, sol.vars.bands
-    if prior.generation != n - 1 or bands.n_bands % prior.n_bands:
+    old = bands.parents >= 0
+    parents = bands.parents[old]
+    if (prior.generation != n - 1
+            or np.any(np.maximum(bands.parents, bands.preimages) >= prior.n_gaps)
+            or not np.array_equal(bands.gap_los[old], prior.gap_los[parents])
+            or not np.array_equal(bands.gap_his[old], prior.gap_his[parents])):
         raise ValueError(
             f"{name} must be generation {n - 1} of this system, got generation "
-            f"{prior.generation} with {prior.n_bands} bands for {bands.n_bands}")
+            f"{prior.generation} with {prior.n_bands} bands whose gaps the "
+            f"{bands.n_bands} bands of generation {n} do not continue")
 
 
 def warm_start(bands: BandSystem, previous: EquilibriumSolution | None = None,
@@ -285,22 +288,21 @@ def warm_start(bands: BandSystem, previous: EquilibriumSolution | None = None,
     """Initial roots for generation ``n`` from the solutions of generations
     ``n - 1`` (``previous``) and ``n - 2`` (``before``).
 
-    Gap ``g``'s preimage at ``n - 1`` is ``pre = (g + 1) % N - 1``, with
-    ``N`` the band count of ``previous``: the same gap with its outermost
-    map dropped, defined when ``pre >= 0``.  A new gap starts at its
-    preimage's root (at the midpoint if it has none).  An old gap starts
-    at its parent's root plus, given ``before``, its preimage's last move
-    (the preimage's root at ``n - 1`` minus its parent's root at
-    ``n - 2``).  Starts are kept ``STEP_CLAMP`` inside (-1, 1).  With no
-    previous solution all roots start at zero.  Raises ``ValueError`` for
-    a ``previous`` or ``before`` of another generation or band count.
+    Gap ``g``'s parent and preimage (the same gap with its outermost map
+    dropped) are gaps ``bands.parents[g]`` and ``bands.preimages[g]`` of
+    ``previous``, -1 for none.  A new gap starts at its preimage's root (at
+    the midpoint if it has none).  An old gap starts at its parent's root
+    plus, given ``before``, its preimage's last move (the preimage's root at
+    ``n - 1`` minus its parent's root at ``n - 2``).  Starts are kept
+    ``STEP_CLAMP`` inside (-1, 1).  With no previous solution all roots
+    start at zero.  Raises ``ValueError`` for a ``previous`` or ``before``
+    that is not the generation before of the same system.
     """
     lam = np.zeros(bands.n_gaps)
     if previous is None:
         return GapVariables(bands, lam)
     _check_start(bands, previous, "previous")
-    parent = _parents(bands)
-    pre = np.arange(1, bands.n_gaps + 1) % previous.vars.bands.n_bands - 1
+    parent, pre = bands.parents, bands.preimages
     new, old = (parent < 0) & (pre >= 0), parent >= 0
     lam[new] = previous.lambdas[pre[new]]
     lam[old] = previous.lambdas[parent[old]]
@@ -308,7 +310,7 @@ def warm_start(bands: BandSystem, previous: EquilibriumSolution | None = None,
         _check_start(previous.vars.bands, before, "before")
         moved = old & (pre >= 0)
         lam[moved] += (previous.lambdas[pre[moved]]
-                       - before.lambdas[_parents(previous.vars.bands)[pre[moved]]])
+                       - before.lambdas[previous.vars.bands.parents[pre[moved]]])
     hi = 1.0 - STEP_CLAMP
     return GapVariables(bands, np.clip(lam, -hi, hi))
 

@@ -394,6 +394,23 @@ class TestDensityTableMemo:
             potential_at(-0.999, s, other, rule, method="nodes")
         assert potential_at(-0.999, s, s.vars.bands, rule, method="nodes") == want
 
+    def test_point_path_refuses_graded_rules(self, ternary_run):
+        # the table holds densities at Chebyshev nodes: with a graded rule's
+        # positions and weights, ternary n = 3 at z = 0 gave 0.41539790,
+        # where Chebyshev-64 and the series give 0.41539755
+        bands, sols = ternary_run
+        b, s = bands[2], dataclasses.replace(sols[2])
+        graded = QuadratureRule.graded((2, 2))
+        assert graded.order == 64
+        with pytest.raises(ValueError, match="Gauss-Chebyshev"):
+            potential_at(0.0, s, b, graded, method="nodes")
+        with pytest.raises(ValueError, match="Gauss-Chebyshev"):
+            capacity_estimate([s, *sols[3:6]], graded, mode="point", point=0.0)
+        assert s._density_tables == {}
+        cheb = potential_at(0.0, s, b, QuadratureRule.chebyshev(64), method="nodes")
+        assert cheb == pytest.approx(0.41539755, abs=1e-8)
+        assert potential_at(0.0, s, b, graded) == pytest.approx(cheb, abs=1e-8)
+
     @pytest.mark.parametrize("order", [1, 5, 8, 63, 64, 65, 67, 2048])
     def test_table_densities_match_the_kernel(self, asym_run, order):
         # orders below the series length take every m-th node of an odd

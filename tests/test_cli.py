@@ -55,6 +55,15 @@ def _count_solves(monkeypatch) -> list:
     return calls
 
 
+def m_ary_line_id(n: int, g: int, n_maps: int) -> str:
+    """Line id of gap ``g`` of generation ``n`` by the M-ary layout: climb
+    from an old gap to its parent ``(g + 1) // M - 1`` until the gap is new."""
+    while n > 1 and (g + 1) % n_maps == 0:
+        g = (g + 1) // n_maps - 1
+        n -= 1
+    return f"{n}:{g}"
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -431,6 +440,22 @@ class TestFiguresCommand:
         ids = {(int(r[0]), int(r[1])): r[2] for r in rows}
         assert ids[(1, 0)] == ids[(2, 1)] == ids[(3, 3)]
         assert ids[(2, 0)] == ids[(3, 1)]  # a gap born at generation 2
+        assert all(line == m_ary_line_id(n, g, 2) for (n, g), line in ids.items())
+        _, rows = read_csv(run_dir / "gapmeasure_fit.csv")
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(n, 2 ** (n - 1) - 1)
+                                                          for n in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("pairs", [BASE_CONFIG["ifs"], [[0.8, -1.0], [0.1, 1.0]],
+                                       [[0.3, -1.0], [0.1, 0.0], [0.2, 1.0]]])
+    def test_line_ids_follow_the_m_ary_layout(self, pairs):
+        # the walk over the band systems' parents against the M-ary oracle;
+        # the first gap of generation 1 is gap M**(n - 1) - 1 of generation n
+        ifs = validate(IfsSystem.from_pairs(pairs))
+        bands = [generate_bands(ifs, n) for n in range(1, 7)]
+        for b, lines in zip(bands, cli._line_ids([(b, None) for b in bands])):
+            n = b.generation
+            assert lines == [m_ary_line_id(n, g, ifs.n_maps) for g in range(b.n_gaps)]
+            assert lines.index("1:0") == ifs.n_maps ** (n - 1) - 1
 
     def test_omega_of_x_is_a_staircase(self, run_dir):
         _, rows = read_csv(run_dir / "Omega_of_x.csv")
@@ -674,6 +699,51 @@ class TestSolutionCache:
         cache.store({"generation": 1, "fingerprint": "aaa"})
         assert cache.load(1, "bbb") is None
         assert cache.load(1, "aaa") is not None
+
+    def test_records_of_another_generation_or_type_ignored(self, tmp_path):
+        cache = SolutionCache(tmp_path)
+        cache.store({"generation": 1, "fingerprint": "aaa"})
+        (tmp_path / "gen_2.json").write_text((tmp_path / "gen_1.json").read_text())
+        (tmp_path / "gen_3.json").write_text("[1]")
+        assert cache.load(2, "aaa") is None and cache.load(3, "aaa") is None
+
+
+def _damage(out: Path, kind: str) -> str:
+    """Damage one record of a solved ``out`` in a way that keeps it valid JSON
+    and, where a dict, its fingerprint; returns the damaged record's name."""
+    if kind == "another generation":  # a copied record
+        (out / "gen_3.json").write_text((out / "gen_2.json").read_text())
+        return "gen_3.json"
+    record = json.loads((out / "gen_2.json").read_text())
+    if kind == "not an object":
+        record = [1]
+    elif kind == "a missing key":
+        del record["lambda"]
+    elif kind == "a null in an array":  # json reads it, numpy makes it NaN
+        record["residuals"][0] = None
+    else:  # arrays of the wrong length
+        record["residuals"] = record["residuals"][:-1]
+        record["Omega"] = record["Omega"] + [1.0]
+    (out / "gen_2.json").write_text(json.dumps(record))
+    return "gen_2.json"
+
+
+@pytest.mark.parametrize("kind", ["another generation", "not an object", "a missing key",
+                                  "a null in an array", "arrays of the wrong length"])
+def test_a_damaged_record_is_solved_again(tmp_path, capsys, monkeypatch, kind):
+    # a record that does not fit its generation is a cache miss: the run
+    # exits 0, rewrites that record and prints what a cold run prints
+    path = str(write_config(tmp_path))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path]) == 0
+    cold_out = capsys.readouterr().out
+    cold = {p.name: p.read_bytes() for p in out.glob("gen_*.json")}
+    name = _damage(out, kind)
+    calls = _count_solves(monkeypatch)
+    assert main(["solve", "--config", path]) == 0
+    assert capsys.readouterr() == (cold_out, "")
+    assert calls == [int(name[4])]
+    assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == cold
 
 
 def _bench_module(name):

@@ -71,7 +71,7 @@ def test_bands_generation_one_ternary(ternary):
     assert b.n_bands == 2 and b.n_gaps == 1
     assert np.allclose(b.alphas, [-1, 1 / 3], atol=1e-15)
     assert np.allclose(b.betas, [-1 / 3, 1], atol=1e-15)
-    assert b.genealogy == (None,)
+    assert b.parents.tolist() == [-1] and b.preimages.tolist() == [-1]
 
 
 def _brute_force_bands(pairs, n):
@@ -102,8 +102,10 @@ def test_bands_match_brute_force_composition(pairs, n):
 def test_bands_generation_two_ternary(ternary):
     b = generate_bands(ternary, 2)
     assert b.n_bands == 4 and b.n_gaps == 3
-    # middle gap is the generation-1 gap, seen at index 1 with parent 0
-    assert b.genealogy == (None, 0, None)
+    # middle gap is the generation-1 gap, seen at index 1 with parent 0;
+    # the outer gaps are its images
+    assert b.parents.tolist() == [-1, 0, -1]
+    assert b.preimages.tolist() == [0, -1, 0]
     assert b.gap_los[1] == pytest.approx(-1 / 3, abs=1e-15)
     assert b.gap_his[1] == pytest.approx(1 / 3, abs=1e-15)
 
@@ -111,7 +113,7 @@ def test_bands_generation_two_ternary(ternary):
 def test_band_counts_generation_seven(ternary):
     b = generate_bands(ternary, 7)
     assert b.n_bands == 128 and b.n_gaps == 127
-    assert sum(parent is not None for parent in b.genealogy) == 63
+    assert np.count_nonzero(b.parents >= 0) == 63
 
 
 def test_hull_endpoints_exact(ternary, asym):
@@ -141,20 +143,33 @@ def test_gap_persistence_is_exact(ternary, asym):
             prev = b
 
 
+def m_ary_genealogy(n_maps, n):
+    """Parents and preimages of generation ``n``'s gaps by the M-ary layout
+    of the depth-first subdivision, -1 for none: gap ``g`` is old exactly
+    when ``(g + 1) % M == 0``, with parent ``(g + 1) // M - 1``, and its
+    preimage is ``(g + 1) % M**(n - 1) - 1``."""
+    parents, preimages = [], []
+    for g in range(n_maps ** n - 1):
+        parents.append((g + 1) // n_maps - 1 if (g + 1) % n_maps == 0 else -1)
+        preimages.append((g + 1) % n_maps ** (n - 1) - 1)
+    return parents, preimages
+
+
 def test_genealogy_index_rule(ternary, asym):
     m3 = validate(IfsSystem.from_pairs([(1 / 5, -1), (1 / 5, 0), (1 / 5, 1)]))
     for system in (ternary, asym, m3):
         m_maps = system.n_maps
-        prev = generate_bands(system, 1)
-        for n in range(2, 7):
+        prev = None
+        for n in range(0, 7):
             b = generate_bands(system, n)
-            old = [g for g, parent in enumerate(b.genealogy) if parent is not None]
-            assert len(old) == m_maps ** (n - 1) - 1
-            for g in old:
-                parent = b.genealogy[g]
-                assert g == (parent + 1) * m_maps - 1
-                assert b.gap_los[g] == prev.gap_los[parent]
-                assert b.gap_his[g] == prev.gap_his[parent]
+            assert (b.parents.tolist(), b.preimages.tolist()) == m_ary_genealogy(m_maps, n)
+            for array in (b.parents, b.preimages):
+                assert array.dtype == np.intp and not array.flags.writeable
+            old = np.flatnonzero(b.parents >= 0)
+            assert old.size == (m_maps ** (n - 1) - 1 if n else 0)
+            if old.size:
+                assert np.array_equal(b.gap_los[old], prev.gap_los[b.parents[old]])
+                assert np.array_equal(b.gap_his[old], prev.gap_his[b.parents[old]])
             prev = b
 
 
@@ -164,13 +179,13 @@ def test_new_gaps_are_images_of_previous_new_gaps(ternary):
         prev = generate_bands(ternary, n - 1)
         b = generate_bands(ternary, n)
         prev_new = [(prev.gap_los[g], prev.gap_his[g])
-                    for g in range(prev.n_gaps) if prev.genealogy[g] is None] \
+                    for g in range(prev.n_gaps) if prev.parents[g] < 0] \
             if n > 2 else list(zip(prev.gap_los, prev.gap_his))
         expected = sorted(
             (m(lo), m(hi)) for m in ternary.maps for lo, hi in prev_new
         )
         got = sorted((b.gap_los[g], b.gap_his[g])
-                     for g in range(b.n_gaps) if b.genealogy[g] is None)
+                     for g in range(b.n_gaps) if b.parents[g] < 0)
         assert len(got) == len(expected)
         for (glo, ghi), (elo, ehi) in zip(got, expected):
             assert glo == pytest.approx(elo, abs=1e-14)

@@ -23,7 +23,6 @@ from equimeasure.kernel import (
     REFINE_SAFETY,
     refined_orders,
     refined_rules,
-    _near,
     _frame_points,
     _gauss_legendre,
     _paired_product,
@@ -82,8 +81,9 @@ class TestGapVariables:
 
     def test_bounds_enforced(self, ternary):
         b = generate_bands(ternary, 1)
-        with pytest.raises(ValueError):
-            GapVariables(b, np.array([1.0]))
+        for bad in (1.0, np.nan):
+            with pytest.raises(ValueError):
+                GapVariables(b, np.array([bad]))
         with pytest.raises(ValueError):
             GapVariables(b, np.array([0.1, 0.2]))
 
@@ -124,8 +124,16 @@ class TestLogMagnitude:
     def test_collision_detection(self, ternary):
         b = generate_bands(ternary, 1)
         gv = GapVariables(b, np.array([0.25]))
-        with pytest.raises(ExactNodeCollision):
-            kernel_log_magnitude(0.25, gv, ("gap", 0))
+        # the own root, a point within COLLISION_RTOL of it and, in a batch,
+        # a point within COLLISION_RTOL * 3 (not COLLISION_RTOL) of the outer
+        # endpoint near -3
+        end = _frame_points(gv, ("gap", 0))[1][0]
+        for x in (0.25, 0.25 + 0.5 * COLLISION_RTOL,
+                  np.array([0.0, end * (1.0 + 0.5 * COLLISION_RTOL)])):
+            with pytest.raises(ExactNodeCollision):
+                kernel_log_magnitude(x, gv, ("gap", 0))
+        sign, _ = kernel_log_magnitude(0.25 + 4.0 * COLLISION_RTOL, gv, ("gap", 0))
+        assert sign == 1.0
 
 
 class TestGroupedEvaluator:
@@ -230,38 +238,6 @@ def test_paired_product_chunks_are_exact(ternary, frame):
     for block in ([i], [i, 1, 200, 510, i]):
         got = _paired_product(x, kind, np.array(block), gv)
         assert np.array_equal(got[0], want) and np.array_equal(got[-1], want)
-
-
-def dense_collision(x, points):
-    """The all-pairs collision predicate the sort-based check must match."""
-    diff = np.abs(x[:, None] - points[None, :])
-    scale = np.maximum(1.0, np.maximum(np.abs(x)[:, None], np.abs(points)[None, :]))
-    return bool(np.any(diff < COLLISION_RTOL * scale))
-
-
-def sorted_collision(x, points):
-    return bool(_near(np.sort(x), points).any())
-
-
-class TestCollisionCheck:
-    def test_matches_dense_check(self):
-        rng = np.random.default_rng(11)
-        nodes = QuadratureRule.chebyshev(257).nodes
-        outcomes = set()
-        for trial in range(300):
-            x = nodes if trial % 2 else rng.uniform(-3.0, 3.0, 64)
-            # a single point: a gap's own root
-            points = rng.uniform(-3.0, 3.0, 12 if trial % 3 else 1)
-            kind = trial % 5
-            if kind:
-                j = rng.integers(x.size)
-                offset = (0.0, 0.5e-15, 2e-15, -0.5e-15)[kind - 1]
-                points[rng.integers(points.size)] = x[j] * (1.0 + offset) + (
-                    offset if abs(x[j]) < 1.0 else 0.0)
-            expected = dense_collision(x, points)
-            assert sorted_collision(x, points) == expected
-            outcomes.add(expected)
-        assert outcomes == {True, False}
 
 
 def adaptive_gap_oracle(i, bands, gv, tol=1e-13):

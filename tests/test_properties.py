@@ -48,6 +48,24 @@ def systems(draw):
     return validate(IfsSystem.from_pairs(pairs)), draw(st.integers(1, 4))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_genealogy_indexes_the_generation_before(case):
+    # every old gap has its parent's endpoints bitwise, and parents and
+    # preimages index the gaps one generation down
+    ifs, n_max = case
+    prev = generate_bands(ifs, 0)
+    for n in range(1, n_max + 2):
+        b = generate_bands(ifs, n)
+        old = b.parents >= 0
+        assert np.all(b.parents < prev.n_gaps) and np.all(b.preimages < prev.n_gaps)
+        assert np.count_nonzero(old) == prev.n_gaps
+        assert np.array_equal(b.gap_los[old], prev.gap_los[b.parents[old]])
+        assert np.array_equal(b.gap_his[old], prev.gap_his[b.parents[old]])
+        assert np.array_equal(np.unique(b.parents[old]), np.arange(prev.n_gaps))
+        prev = b
+
+
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(systems())
 def test_measure_roots_and_order_paths(case):
@@ -119,7 +137,7 @@ def test_self_similar_and_parent_only_starts_agree(case):
     sols = hierarchical_solve(ifs, n_max, TOL)
     for prev, s in zip(sols, sols[1:]):
         b = s.vars.bands
-        lam = np.array([0.0 if p is None else prev.lambdas[p] for p in b.genealogy])
+        lam = np.where(b.parents >= 0, prev.lambdas[b.parents], 0.0)
         parent_only = solve_generation(GapVariables(b, lam), TOL)
         assert s.iterations_used <= parent_only.iterations_used + 1, b.generation
         assert np.max(np.abs(s.lambdas - parent_only.lambdas)) <= 1e-9, b.generation

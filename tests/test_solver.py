@@ -84,22 +84,21 @@ def test_warm_start_mapping(asym_run):
     b5, s4, s3 = bands[4], sols[3], sols[2]
     init = warm_start(b5, s4, s3)
     moved = 0
-    for g, parent in enumerate(b5.genealogy):
-        pre = (g + 1) % s4.vars.bands.n_bands - 1
-        if parent is None:
+    for g, (parent, pre) in enumerate(zip(b5.parents.tolist(), b5.preimages.tolist())):
+        if parent < 0:
             assert init.lambdas[g] == s4.lambdas[pre]
         elif pre < 0:
             assert init.lambdas[g] == s4.lambdas[parent]
         else:
-            grand = s4.vars.bands.genealogy[pre]
+            grand = s4.vars.bands.parents[pre]
             assert init.lambdas[g] == s4.lambdas[parent] + (s4.lambdas[pre]
                                                             - s3.lambdas[grand])
             moved += 1
     assert moved == 2 + 4 + 8  # the old gaps born at generations 2 .. 4
     # with one solution old gaps keep their parent's root
     one = warm_start(b5, s4)
-    for g, parent in enumerate(b5.genealogy):
-        if parent is not None:
+    for g, parent in enumerate(b5.parents.tolist()):
+        if parent >= 0:
             assert one.lambdas[g] == s4.lambdas[parent]
     cold = warm_start(b5, None)
     assert np.all(cold.lambdas == 0.0)
@@ -109,13 +108,13 @@ def test_warm_start_mapping(asym_run):
                                    [[0.3, -1.0], [0.1, 0.0], [0.2, 1.0]]])
 def test_the_outermost_map_sends_the_preimage_onto_its_gap(pairs):
     # with N bands at generation n - 1, the map with index (g + 1) // N sends
-    # gap pre = (g + 1) % N - 1 of generation n - 1 onto gap g of generation
-    # n; only the M - 1 gaps of generation 1 have no preimage (pre = -1)
+    # gap b.preimages[g] of generation n - 1 onto gap g of generation n; only
+    # the M - 1 gaps of generation 1 have no preimage (-1)
     ifs = validate(IfsSystem.from_pairs(pairs))
     for n in range(2, 8):
         prev, b = generate_bands(ifs, n - 1), generate_bands(ifs, n)
         g = np.arange(b.n_gaps)
-        pre, d = (g + 1) % prev.n_bands - 1, (g + 1) // prev.n_bands
+        pre, d = b.preimages, (g + 1) // prev.n_bands
         assert np.count_nonzero(pre < 0) == ifs.n_maps - 1
         g, pre, d = g[pre >= 0], pre[pre >= 0], d[pre >= 0]
         delta, gamma = ifs.deltas[d], ifs.gammas[d]
@@ -147,12 +146,31 @@ def test_warm_start_rejects_other_generations(ternary, asym_run):
     with pytest.raises(ValueError, match="previous must be generation 4"):
         warm_start(bands[4], sols[2])
     with pytest.raises(ValueError, match="previous must be generation 1"):
-        warm_start(generate_bands(three, 2), sols[0])  # 2 bands do not divide 9
+        warm_start(generate_bands(three, 2), sols[0])  # parent 1 of a 1-gap system
     with pytest.raises(ValueError, match="before must be generation 3"):
         warm_start(bands[4], sols[3], sols[1])
     with pytest.raises(ValueError, match="before must be generation 1"):
         warm_start(generate_bands(three, 3), hierarchical_solve(three, 2)[-1],
-                   hierarchical_solve(ternary, 1)[-1])  # 2 bands do not divide 9
+                   hierarchical_solve(ternary, 1)[-1])
+
+
+def test_warm_start_rejects_another_system_of_a_dividing_band_count(ternary):
+    # a 4-map generation 1 has the 4 bands and 3 gaps of ternary generation 2,
+    # and its band count divides those of ternary generations 2 and 3; its
+    # gaps are not the ones ternary generation 2 continues
+    four = validate(IfsSystem.from_pairs(
+        [[0.1, -1.0], [0.1, -0.3], [0.1, 0.3], [0.1, 1.0]]))
+    other = hierarchical_solve(four, 1)[-1]
+    t1, t2 = hierarchical_solve(ternary, 2)
+    b2, b3 = t2.vars.bands, generate_bands(ternary, 3)
+    assert other.vars.bands.n_bands == b2.n_bands == 4
+    with pytest.raises(ValueError, match="previous must be generation 1"):
+        warm_start(b2, other)
+    with pytest.raises(ValueError, match="before must be generation 1"):
+        warm_start(b3, t2, other)
+    # the same calls with ternary solutions are accepted
+    assert warm_start(b2, t1).lambdas[1] == t1.lambdas[0]
+    assert warm_start(b3, t2, t1).lambdas[3] == t2.lambdas[1]
 
 
 def test_warm_start_never_slower_than_cold(ternary, ternary_run):
