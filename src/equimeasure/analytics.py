@@ -8,16 +8,13 @@ potential on the set, and the exponential extrapolation of capacities to
 the attractor.  A function that also takes ``bands`` raises ``ValueError``
 unless they have the endpoints of ``solution.vars.bands``.
 
-Every value here comes from one set of per-band Chebyshev coefficients,
-built once per solution and memoised on it, read-only (see
-:func:`_band_series`).  In band ``b``'s frame ``t = psi_b(s)`` the density
-is ``F(t) / (pi sqrt(1 - t**2))`` with ``F = |Z| / sqrt|Y~|``; ``F`` is
-sampled with :func:`~equimeasure.kernel.kernel_band` at the first-kind
-Chebyshev nodes of ``SERIES_OVERSAMPLING`` times the band's
-:func:`~equimeasure.kernel.refined_orders`, and a DCT-II (one numpy FFT per
-series length) gives ``F = sum_j c_j T_j``; ``c_0`` is the band measure.
-Nothing else in this module evaluates the kernel, and no log-space kernel
-is evaluated at all.  The module needs numpy alone.
+Every value here comes from one set of per-band Chebyshev coefficients
+``c_j`` of the density, ``solution.vars.band_series``, which the kernel
+builds once per set of roots (see :mod:`~equimeasure.kernel`): in band
+``b``'s frame ``t = psi_b(s)`` the density is ``F(t) / (pi sqrt(1 -
+t**2))`` with ``F = sum_j c_j T_j``, and ``c_0`` is the band measure.
+This module keeps no per-solution state and evaluates no kernel; it needs
+numpy alone.
 
 The log transform of each Chebyshev mode is closed-form (Mason &
 Handscomb, *Chebyshev Polynomials*, 2003): against the unit Chebyshev
@@ -47,10 +44,10 @@ points in one blockwise pass; a scalar is a one-point array and gives a
 The plain node sum remains available as ``method="nodes"``, the published
 point path: a uniform Gauss-Chebyshev table of ``rule.order`` nodes per
 band, with ``F`` at its nodes summed from the same series (see
-:func:`_values_at_nodes`); it takes Gauss-Chebyshev rules only.  Its
-error is the classical coarseness gauge, shrinking from ~2e-4 at
-generation 1 to ~3e-6 at generation 7 for the middle-third system at 2048
-nodes.
+:func:`_values_at_nodes`), built for the call that needs it; it takes
+Gauss-Chebyshev rules only.  Its error is the classical coarseness gauge,
+shrinking from ~2e-4 at generation 1 to ~3e-6 at generation 7 for the
+middle-third system at 2048 nodes.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import BandSystem
-from .kernel import QuadratureRule, _from_frame, kernel_band, refined_orders
+from .kernel import QuadratureRule, _from_frame
 # Imported so that ``analytics.kernel_log_magnitude`` stays a patch point:
 # the traced benchmark (bench/tracer.py) counts log-space calls made from
 # here, and that count is meant to read 0.
@@ -72,14 +69,6 @@ from .solver import EquilibriumSolution
 # Sample points closer to a quadrature node than this fraction of the band
 # width make the plain node sum meaningless; the rule order is bumped.
 NODE_COLLISION_RTOL = 1e-12
-
-# Each band's series interpolates F at the first-kind nodes of this many
-# times the band's refined order.  At the refined order itself the series
-# is truncated (an on-set spread of 2.3e-10 on the 4/5, 1/10 system at
-# n = 1, whose bands take the floor of 16 nodes or 26); at twice it the
-# spread is at roundoff (4.4e-16), and doubling again moves no mean
-# potential by more than 1.1e-16 (ternary n <= 7, 4/5, 1/10 n <= 9).
-SERIES_OVERSAMPLING = 2
 
 # Elements per (point, band) or (point, coefficient) temporary, however
 # many points a caller passes: the mean path (L = 4096, N = 128) runs within
@@ -128,44 +117,6 @@ def _own_bands(solution: EquilibriumSolution, bands: BandSystem) -> BandSystem:
 
 # ---------------------------------------------------------------------------
 # per-band Chebyshev series
-
-
-def _dct2(x: np.ndarray) -> np.ndarray:
-    """Unnormalised DCT-II along the last axis, ``2 sum_n x_n cos(pi k (2n + 1)
-    / (2M))``, by one FFT (Makhoul, IEEE Trans. ASSP 28, 1980)."""
-    m = x.shape[-1]
-    v = np.concatenate([x[..., ::2], x[..., 1::2][..., ::-1]], axis=-1)
-    return 2.0 * (np.fft.fft(v) * np.exp(-0.5j * np.pi / m * np.arange(m))).real
-
-
-def _chebyshev_series(vars) -> np.ndarray:
-    """Chebyshev coefficients of ``F = |Z| / sqrt|Y~|`` on each band of ``vars``.
-
-    Row ``b`` holds ``c_0 .. c_{M-1}`` for ``M = SERIES_OVERSAMPLING *
-    refined_orders(vars.bands, "band")[b]``, zero-padded to the longest row:
-    ``sum_j c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes
-    of order ``M`` in band ``b``'s frame, and ``c_0`` is the band measure
-    under that order's Gauss-Chebyshev rule; bands of one ``M`` share one
-    :func:`~equimeasure.kernel.kernel_band` call and one :func:`_dct2`.
-    """
-    orders = SERIES_OVERSAMPLING * refined_orders(vars.bands, "band")
-    coeffs = np.zeros((vars.bands.n_bands, orders.max()))
-    for m in set(orders.tolist()):
-        rows = np.flatnonzero(orders == m)
-        nodes = QuadratureRule.chebyshev(m).nodes
-        coeffs[rows, :m] = _dct2(kernel_band(nodes, rows, vars)) / m
-    coeffs[:, 0] *= 0.5
-    return coeffs
-
-
-def _band_series(solution: EquilibriumSolution) -> np.ndarray:
-    """The solution's per-band coefficients, built on first use and memoised."""
-    coeffs = solution._band_series
-    if coeffs is None:
-        coeffs = _chebyshev_series(solution.vars)
-        coeffs.flags.writeable = False
-        object.__setattr__(solution, "_band_series", coeffs)
-    return coeffs
 
 
 @lru_cache(maxsize=4)
@@ -276,23 +227,15 @@ def _series_potentials(zs, coeffs: np.ndarray, bands: BandSystem) -> np.ndarray:
 def _density_table(solution, rule):
     """Node positions and weighted densities of every band of the solution.
 
-    Returns ``(positions, weighted)`` with shape ``(n_bands, K)``; the
-    plain node sum at ``z`` is ``-sum weighted * log|z - positions|``.  The
-    densities come from the solution's per-band series.  The table is built
-    on the first call for a solution and ``rule.order`` (one order names
-    one Chebyshev rule) and memoised on the solution; the arrays are
-    read-only, since every later caller shares them.
+    Returns new arrays ``(positions, weighted)`` of shape ``(n_bands, K)``;
+    the plain node sum at ``z`` is ``-sum weighted * log|z - positions|``.
+    The densities come from the solution's per-band series.
     """
-    table = solution._density_tables.get(rule.order)
-    if table is None:
-        bands = solution.vars.bands
-        positions = _from_frame(rule.nodes, bands.alphas[:, None], bands.betas[:, None])
-        weighted = _values_at_nodes(_band_series(solution), rule.order)
-        weighted *= rule.weights
-        positions.flags.writeable = False
-        weighted.flags.writeable = False
-        table = solution._density_tables[rule.order] = (positions, weighted)
-    return table
+    bands = solution.vars.bands
+    positions = _from_frame(rule.nodes, bands.alphas[:, None], bands.betas[:, None])
+    weighted = _values_at_nodes(solution.vars.band_series, rule.order)
+    weighted *= rule.weights
+    return positions, weighted
 
 
 def _collides(x: float, positions, bands) -> bool:
@@ -307,18 +250,31 @@ def _collides(x: float, positions, bands) -> bool:
     return bool(np.any(np.abs(x - positions[near]).min(axis=1) < tol[near]))
 
 
-def _node_potential(z: complex, solution, rule) -> float:
-    """``-sum w * log|z - s|`` over the solution's node table at one point,
-    bumping the order past collisions."""
+def _node_potentials(zs, solution, rule) -> np.ndarray:
+    """``-sum w * log|z - s|`` over the solution's node table at each point
+    of the 1-D array ``zs``, bumping the order past collisions.
+
+    The table of ``rule.order`` serves every point; each bumped order's
+    table is built only if a point collides with the order before.
+    """
+    values, todo = np.empty(zs.size), list(range(zs.size))
     for bump in (0, 1, 3):
         attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
         positions, weighted = _density_table(solution, attempt)
-        if z.imag == 0.0 and _collides(z.real, positions, solution.vars.bands):
-            continue
-        dist_sq = (z.real - positions) ** 2 + z.imag * z.imag
-        return float(-0.5 * np.sum(weighted * np.log(dist_sq)))
-    raise PersistentCollision(f"point {z} collides with quadrature nodes at orders "
-                              f"{rule.order}, {rule.order + 1}, {rule.order + 3}")
+        collided = []
+        for k in todo:
+            z = complex(zs[k])
+            if z.imag == 0.0 and _collides(z.real, positions, solution.vars.bands):
+                collided.append(k)
+                continue
+            dist_sq = (z.real - positions) ** 2 + z.imag * z.imag
+            values[k] = -0.5 * np.sum(weighted * np.log(dist_sq))
+        todo = collided
+        if not todo:
+            return values
+    raise PersistentCollision(f"point {complex(zs[todo[0]])} collides with quadrature "
+                              f"nodes at orders {rule.order}, {rule.order + 1}, "
+                              f"{rule.order + 3}")
 
 
 def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
@@ -333,8 +289,9 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     by point; if a real point falls within ``1e-12`` of a node (relative to
     the band width) the order is bumped to ``K+1`` then ``K+3``, and
     :class:`PersistentCollision` is raised when all attempts collide.  The
-    coefficients and each order's table are built once per solution, on
-    its own bands (``solution.vars.bands``), whose endpoints ``bands`` must have.
+    coefficients are built once per set of roots, and each order's table
+    once per call, on the solution's own bands (``solution.vars.bands``),
+    whose endpoints ``bands`` must have.
     ``method="nodes"`` takes no graded rule: its densities sit at Chebyshev nodes.
     """
     if method not in ("auto", "nodes"):
@@ -344,9 +301,9 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     bands = _own_bands(solution, bands)
     zs = np.asarray(z).ravel()
     if method == "auto":
-        values = _series_potentials(zs, _band_series(solution), bands)
+        values = _series_potentials(zs, solution.vars.band_series, bands)
     else:
-        values = np.array([_node_potential(complex(p), solution, rule) for p in zs])
+        values = _node_potentials(zs, solution, rule)
     return float(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
 
 
@@ -387,7 +344,7 @@ def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: Ban
     pts = sample_points(sample_bands or bands, sample_count)
     if np.any(_hosts(bands, pts) < 0):
         raise OutOfHull("sample points must lie on the band system")
-    return float(np.mean(_series_potentials(pts, _band_series(solution), bands)))
+    return float(np.mean(_series_potentials(pts, solution.vars.band_series, bands)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +372,7 @@ def integrated_measure_at(x, solution: EquilibriumSolution, bands: BandSystem):
     on = np.flatnonzero(hosts >= 0)
     b = hosts[on]
     theta = _theta_of(xs[on], bands.alphas[b], bands.betas[b])
-    coeffs = _band_series(solution)
+    coeffs = solution.vars.band_series
     j = np.arange(1, coeffs.shape[1])
     d = coeffs[:, 1:] / j
     sines, step = np.empty(on.size), max(1, _BLOCK_ELEMS // coeffs.shape[1])

@@ -194,9 +194,11 @@ class RunConfig:
                 generate_bands(ifs, n_max)
             except GenerationTooLarge as exc:
                 problems.append(f"'n_max' {n_max} rejected: {exc}")
-        order = grab("quadrature_order", 2048, int, lambda v: v >= 1, "must be >= 1")
-        tol = grab("residual_tol", 1e-12, float, lambda v: v > 0, "must be positive")
-        samples = grab("sample_count", 4096, int, lambda v: v >= 1, "must be >= 1")
+        # an absent key takes its field's default, the class attribute
+        order = grab("quadrature_order", cls.quadrature_order, int, lambda v: v >= 1,
+                     "must be >= 1")
+        tol = grab("residual_tol", cls.residual_tol, float, lambda v: v > 0, "must be positive")
+        samples = grab("sample_count", cls.sample_count, int, lambda v: v >= 1, "must be >= 1")
         point_x = raw.get("point_x")
         if point_x is not None and not _is_json(point_x, float):
             problems.append(f"'point_x' must be a finite number or null, got {point_x!r}")
@@ -213,7 +215,7 @@ class RunConfig:
             else:
                 problems.append("'x_grid' must be {lo < hi numbers, integer count >= 2}")
 
-        outdir = os.environ.get(OUTDIR_ENV) or raw.get("output_dir", "out")
+        outdir = os.environ.get(OUTDIR_ENV) or raw.get("output_dir", str(cls.output_dir))
         if not isinstance(outdir, str):
             problems.append(f"'output_dir' must be a string, got {outdir!r}")
 
@@ -384,7 +386,6 @@ def _capacity_rows(cfg: RunConfig, solved):
 def write_figure(cfg: RunConfig, which: str, solved) -> Path:
     """Emit one figure's data file; returns the path written."""
     out = cfg.output_dir
-    rule = cfg.rule
     if which == "residuals_before_after":
         rows = [[sol.generation, g, sol.initial_residuals[g], sol.residuals[g]]
                 for bands, sol in solved for g in range(bands.n_gaps)]
@@ -407,13 +408,14 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
                 for g, line in enumerate(lines)]
         path = out / f"{which}.csv"
         _write_csv(path, ["generation", "gap_index", "line_id", column], rows)
-    elif which == "Omega_of_x":
+    elif which in ("Omega_of_x", "potential_profile"):
+        column, at = (("Omega", integrated_measure_at) if which == "Omega_of_x" else
+                      ("V", lambda x, sol, bands: potential_at(x, sol, bands, cfg.rule)))
         grid = _x_grid(cfg)
         rows = [[sol.generation, x, v] for bands, sol in solved
-                for x, v in zip(grid.tolist(),
-                                integrated_measure_at(grid, sol, bands).tolist())]
-        path = out / "Omega_of_x.csv"
-        _write_csv(path, ["generation", "x", "Omega"], rows)
+                for x, v in zip(grid.tolist(), at(grid, sol, bands).tolist())]
+        path = out / f"{which}.csv"
+        _write_csv(path, ["generation", "x", column], rows)
     elif which == "gapmeasure_fit":
         gaps = [lines.index("1:0") for lines in _line_ids(solved)]  # gap 0 of generation 1
         points = [(sol.generation, float(sol.Omegas[g])) for (_, sol), g in zip(solved, gaps)]
@@ -428,13 +430,6 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
         path = out / "gapmeasure_fit.csv"
         _write_csv(path, ["generation", "gap_index", "Omega", "fit_a", "fit_b",
                           "fit_c"], rows)
-    elif which == "potential_profile":
-        grid = _x_grid(cfg)
-        rows = [[sol.generation, x, v] for bands, sol in solved
-                for x, v in zip(grid.tolist(),
-                                potential_at(grid, sol, bands, rule).tolist())]
-        path = out / "potential_profile.csv"
-        _write_csv(path, ["generation", "x", "V"], rows)
     elif which == "capacity_table":
         header, rows, _, _ = _capacity_rows(cfg, solved)
         path = out / "capacity_table.csv"

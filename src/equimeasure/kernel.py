@@ -51,9 +51,16 @@ Every integral takes its rule for the Chebyshev weight as an argument.
 The solver sizes one rule per gap and per band from the geometry, all
 frames of a kind in one array pass (:func:`refined_rules`):
 Gauss-Chebyshev, a few dozen nodes for most intervals, or beside a thin
-band panels graded toward it.  The analytics size their per-band
-Chebyshev series from :func:`refined_orders`; ``quadrature_order`` sets
-only the node table of the point path.
+band panels graded toward it.
+
+The analytics evaluate everything from one set of per-band Chebyshev
+coefficients of the density, which depend on the roots alone and are
+memoised on them, read-only (``GapVariables.band_series``).  In band
+``b``'s frame the density is ``F(t) / (pi sqrt(1 - t**2))`` with ``F =
+|Z| / sqrt|Y~|``; :func:`kernel_band` samples ``F`` at the first-kind
+Chebyshev nodes of ``SERIES_OVERSAMPLING`` times the band's
+:func:`refined_orders`, and a DCT-II (one numpy FFT per series length)
+gives ``F = sum_j c_j T_j``; ``c_0`` is the band measure.
 
 All functions are pure; results depend only on the arguments, and node
 sums always run in the fixed node order, so values are reproducible.
@@ -84,6 +91,14 @@ MIN_ORDER = 16
 REFINE_SAFETY = 18.0
 PANEL_NODES = 16  # Gauss-Legendre nodes per panel of a graded gap rule
 ORDER_RULE = f"refined-or-graded/min{MIN_ORDER}/safety{REFINE_SAFETY:g}/panel{PANEL_NODES}"
+
+# Each band's series interpolates F at the first-kind nodes of this many
+# times the band's refined order.  At the refined order itself the series
+# is truncated (an on-set spread of 2.3e-10 on the 4/5, 1/10 system at
+# n = 1, whose bands take the floor of 16 nodes or 26); at twice it the
+# spread is at roundoff (4.4e-16), and doubling again moves no mean
+# potential by more than 1.1e-16 (ternary n <= 7, 4/5, 1/10 n <= 9).
+SERIES_OVERSAMPLING = 2
 
 _PROD_BLOCK = 256  # rows per block when accumulating long factor products
 _CHUNK_ELEMS = 1 << 14  # elements per temporary of a batched chunk
@@ -163,8 +178,10 @@ class GapVariables:
     """Normalized gap roots: one ``lambda`` in (-1, 1) per gap.
 
     ``zetas`` are the same roots in original coordinates, obtained by the
-    inverse of the per-gap rescaling and memoised, read-only, on first use;
-    ``lambda = 0`` puts the root at the gap midpoint.
+    inverse of the per-gap rescaling; ``lambda = 0`` puts the root at the
+    gap midpoint.  ``band_series`` holds the per-band Chebyshev
+    coefficients of the density (:func:`_chebyshev_series`).  Both depend
+    on the roots alone and are memoised, read-only, on first use.
     """
 
     bands: BandSystem
@@ -187,6 +204,12 @@ class GapVariables:
         zetas = 0.5 * (lo + hi) + 0.5 * (hi - lo) * self.lambdas
         zetas.flags.writeable = False
         return zetas
+
+    @cached_property
+    def band_series(self) -> np.ndarray:
+        coeffs = _chebyshev_series(self)
+        coeffs.flags.writeable = False
+        return coeffs
 
 
 def _to_frame(y, lo, hi):
@@ -464,6 +487,34 @@ def gap_jacobian_row(i, vars: GapVariables, rule: QuadratureRule,
     return rows[0] if scalar else rows
 
 
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Unnormalised DCT-II along the last axis, ``2 sum_n x_n cos(pi k (2n + 1)
+    / (2M))``, by one FFT (Makhoul, IEEE Trans. ASSP 28, 1980)."""
+    m = x.shape[-1]
+    v = np.concatenate([x[..., ::2], x[..., 1::2][..., ::-1]], axis=-1)
+    return 2.0 * (np.fft.fft(v) * np.exp(-0.5j * np.pi / m * np.arange(m))).real
+
+
+def _chebyshev_series(vars: GapVariables) -> np.ndarray:
+    """Chebyshev coefficients of ``F = |Z| / sqrt|Y~|`` on each band of ``vars``.
+
+    Row ``b`` holds ``c_0 .. c_{M-1}`` for ``M = SERIES_OVERSAMPLING *
+    refined_orders(vars.bands, "band")[b]``, zero-padded to the longest row:
+    ``sum_j c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes
+    of order ``M`` in band ``b``'s frame, and ``c_0`` is the band measure
+    under that order's Gauss-Chebyshev rule; bands of one ``M`` share one
+    :func:`kernel_band` call and one :func:`_dct2`.
+    """
+    orders = SERIES_OVERSAMPLING * refined_orders(vars.bands, "band")
+    coeffs = np.zeros((vars.bands.n_bands, orders.max()))
+    for m in set(orders.tolist()):
+        rows = np.flatnonzero(orders == m)
+        nodes = QuadratureRule.chebyshev(m).nodes
+        coeffs[rows, :m] = _dct2(kernel_band(nodes, rows, vars)) / m
+    coeffs[:, 0] *= 0.5
+    return coeffs
+
+
 def refined_orders(bands: BandSystem, kind: str) -> np.ndarray:
     """Even quadrature orders resolving every frame's endpoint boundary layers.
 
@@ -484,8 +535,8 @@ def refined_orders(bands: BandSystem, kind: str) -> np.ndarray:
     (3.2e-15 on the bands of the 0.3, 0.1, 0.2 three-map system).  It is
     rounded up to an even number, so that no node sits at the interval's
     midpoint, where symmetric systems put their roots.  The solver's rules
-    come from :func:`refined_rules`, and the analytics sample each band's
-    density at twice the band's order.
+    come from :func:`refined_rules`, and the band series sample each band's
+    density at ``SERIES_OVERSAMPLING`` times the band's order.
     """
     band_w, gap_w = bands.band_widths, bands.gap_widths
     if kind == "gap":

@@ -77,13 +77,8 @@ class EquilibriumSolution:
     """Converged roots and derived measure data for one generation.
 
     ``vars`` holds the roots and their band system, whose generation is
-    :attr:`generation`.  ``_band_series`` and ``_density_tables`` are memos
-    owned by :mod:`~equimeasure.analytics`, built on first use and read-only:
-    ``_band_series`` holds the per-band Chebyshev coefficients of the
-    density, from which every potential and integrated measure on this
-    solution is evaluated; ``_density_tables`` holds, per quadrature order,
-    the node positions and weighted densities of the plain node sum
-    (``method="nodes"``), filled from those coefficients.
+    :attr:`generation`; ``omegas`` are the band measures and ``Omegas``
+    their running sums.
     """
 
     vars: GapVariables
@@ -92,10 +87,6 @@ class EquilibriumSolution:
     omegas: np.ndarray
     Omegas: np.ndarray
     initial_residuals: np.ndarray = field(repr=False, default=None)
-    _density_tables: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
-    _band_series: np.ndarray = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     @property
     def generation(self) -> int:
@@ -202,8 +193,8 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
     steps are shortened first to keep every root ``STEP_CLAMP`` inside
     (-1, 1) and then halved until the residual norm decreases.  Raises
     :class:`NoConvergence` (with the best iterate attached) after
-    ``MAX_ITERATIONS`` iterations and :class:`SingularJacobian` when the
-    linear solve breaks down.
+    ``MAX_ITERATIONS`` iterations or at a residual norm that is not finite,
+    and :class:`SingularJacobian` when the linear solve breaks down.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive and finite")
@@ -220,8 +211,8 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
         return kind(message, lambdas=vars.lambdas, residuals=np.abs(r),
                     iterations=iterations, generation=bands.generation)
 
-    while norm > residual_tol:
-        if iterations >= MAX_ITERATIONS:
+    while not norm <= residual_tol:  # a NaN norm included
+        if iterations >= MAX_ITERATIONS or not math.isfinite(norm):
             raise failure(NoConvergence, f"no convergence after {iterations} "
                                          f"iterations (residual {norm:.3e})")
         jac = _jacobian(vars, kept)

@@ -37,6 +37,14 @@ def log_space_gap_integral(i, vars, rule, keep=None):
     return float(values[0]) if scalar else values
 
 
+def nan_in_gap_0(i, vars, rule, keep=None):
+    """:func:`~equimeasure.kernel.gap_integral` with gap 0's residual
+    replaced by NaN."""
+    values = kernel.gap_integral(i, vars, rule, keep)
+    values[np.asarray(i) == 0] = np.nan
+    return values
+
+
 @contextmanager
 def log_space_residuals():
     """Within the block the solver sums its gap residuals in log space, the

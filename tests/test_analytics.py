@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +9,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from equimeasure import analytics
+from equimeasure import kernel
 from equimeasure.analytics import (
-    SERIES_OVERSAMPLING,
     CapacityEstimate,
     NonMonotoneInput,
     OutOfHull,
-    _band_series,
-    _chebyshev_series,
     _density_table,
     _series_potentials,
     _theta_of,
@@ -25,7 +25,15 @@ from equimeasure.analytics import (
     sample_points,
 )
 from equimeasure.geometry import generate_bands
-from equimeasure.kernel import QuadratureRule, _from_frame, kernel_band, refined_orders
+from equimeasure.kernel import (
+    SERIES_OVERSAMPLING,
+    GapVariables,
+    QuadratureRule,
+    _chebyshev_series,
+    _from_frame,
+    kernel_band,
+    refined_orders,
+)
 from tests.conftest import X_STAR
 
 TWO_BAND_POTENTIAL = -math.log(math.sqrt(2.0) / 3.0)  # interior potential of
@@ -287,15 +295,15 @@ class TestSpectralSeries:
             pts = sample_points(bands[depth - 1], 1024)
             for b, s in zip(bands[:depth], sols[:depth]):
                 xs = np.concatenate([pts, b.alphas, b.betas])
-                v = _series_potentials(xs, _band_series(s), b)
+                v = _series_potentials(xs, s.vars.band_series, b)
                 assert v.max() - v.min() <= bound, (b.generation, v.max() - v.min())
 
     def test_doubling_the_order_moves_no_mean(self, asym_run, monkeypatch):
         bands, sols = asym_run
         pts = sample_points(bands[-1], 1024)
-        base = [np.mean(_series_potentials(pts, _band_series(s), b))
+        base = [np.mean(_series_potentials(pts, s.vars.band_series, b))
                 for b, s in zip(bands, sols)]
-        monkeypatch.setattr(analytics, "SERIES_OVERSAMPLING", 2 * analytics.SERIES_OVERSAMPLING)
+        monkeypatch.setattr(kernel, "SERIES_OVERSAMPLING", 2 * kernel.SERIES_OVERSAMPLING)
         for b, s, v in zip(bands, sols, base):
             finer = np.mean(_series_potentials(pts, _chebyshev_series(s.vars), b))
             assert abs(finer - v) <= 1e-14, (b.generation, finer - v)
@@ -303,7 +311,7 @@ class TestSpectralSeries:
     def test_leading_coefficient_is_the_band_measure(self, asym_run):
         bands, sols = asym_run
         for b, s in zip(bands[:6], sols[:6]):
-            assert np.max(np.abs(_band_series(s)[:, 0] - s.omegas)) <= 1e-15
+            assert np.max(np.abs(s.vars.band_series[:, 0] - s.omegas)) <= 1e-15
 
 
 class TestOwnBands:
@@ -337,20 +345,26 @@ class TestOwnBands:
             mean_potential_on_attractor_points(s, s.vars.bands, 64, rule2048))
 
 
+def _fresh(solution):
+    """The solution on new roots of the same values: no series built yet."""
+    return dataclasses.replace(solution, vars=GapVariables(solution.vars.bands,
+                                                           solution.lambdas))
+
+
 class TestDensityTableMemo:
     def test_second_call_builds_no_table(self, ternary_run, rule2048, monkeypatch):
         # the coefficients take one kernel call per series length, for all
         # bands of that length; after that no potential or integrated
         # measure evaluates the kernel again
         bands, sols = ternary_run
-        b, s = bands[2], dataclasses.replace(sols[2])  # same roots, empty memo
+        b, s = bands[2], _fresh(sols[2])
         calls = []
 
         def counting(*args):
             calls.append((len(args[0]), list(args[1])))
             return kernel_band(*args)
 
-        monkeypatch.setattr(analytics, "kernel_band", counting)
+        monkeypatch.setattr(kernel, "kernel_band", counting)
         first = potential_at(0.0, s, b, rule2048)
         lengths = SERIES_OVERSAMPLING * refined_orders(b, "band")
         assert sorted(m for m, _ in calls) == sorted(set(lengths.tolist()))
@@ -369,16 +383,12 @@ class TestDensityTableMemo:
 
     def test_read_only_and_one_entry_per_order(self, ternary_run, rule2048):
         bands, sols = ternary_run
-        b, s = bands[1], dataclasses.replace(sols[1])
-        positions, weighted = _density_table(s, rule2048)
-        for arr in (positions, weighted, _band_series(s)):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0.0
+        b, s = bands[1], _fresh(sols[1])
+        assert not s.vars.band_series.flags.writeable
+        with pytest.raises(ValueError):
+            s.vars.band_series[0, 0] = 0.0
         coarse = _density_table(s, QuadratureRule.chebyshev(64))
         assert coarse[0].shape == coarse[1].shape == (b.n_bands, 64)
-        assert _density_table(s, rule2048)[1] is weighted
-        assert sorted(s._density_tables) == [64, 2048]
 
     def test_table_sits_on_the_solutions_own_bands(self, ternary_run, asym_run):
         # a call passing another system's bands of the same count is refused
@@ -386,10 +396,10 @@ class TestDensityTableMemo:
         rule = QuadratureRule.chebyshev(64)
         s, other = ternary_run[1][2], asym_run[0][2]
         assert other.n_bands == s.vars.bands.n_bands
-        fresh = dataclasses.replace(s)
+        fresh = _fresh(s)
         want = potential_at(-0.999, fresh, s.vars.bands, rule, method="nodes")
         assert want == pytest.approx(0.79846, abs=1e-5)
-        s = dataclasses.replace(s)
+        s = _fresh(s)
         with pytest.raises(ValueError):
             potential_at(-0.999, s, other, rule, method="nodes")
         assert potential_at(-0.999, s, s.vars.bands, rule, method="nodes") == want
@@ -399,14 +409,13 @@ class TestDensityTableMemo:
         # positions and weights, ternary n = 3 at z = 0 gave 0.41539790,
         # where Chebyshev-64 and the series give 0.41539755
         bands, sols = ternary_run
-        b, s = bands[2], dataclasses.replace(sols[2])
+        b, s = bands[2], _fresh(sols[2])
         graded = QuadratureRule.graded((2, 2))
         assert graded.order == 64
         with pytest.raises(ValueError, match="Gauss-Chebyshev"):
             potential_at(0.0, s, b, graded, method="nodes")
         with pytest.raises(ValueError, match="Gauss-Chebyshev"):
             capacity_estimate([s, *sols[3:6]], graded, mode="point", point=0.0)
-        assert s._density_tables == {}
         cheb = potential_at(0.0, s, b, QuadratureRule.chebyshev(64), method="nodes")
         assert cheb == pytest.approx(0.41539755, abs=1e-8)
         assert potential_at(0.0, s, b, graded) == pytest.approx(cheb, abs=1e-8)
@@ -416,12 +425,63 @@ class TestDensityTableMemo:
         # orders below the series length take every m-th node of an odd
         # multiple m of the order
         bands, sols = asym_run
-        b, s = bands[3], dataclasses.replace(sols[3])
+        b, s = bands[3], _fresh(sols[3])
         rule = QuadratureRule.chebyshev(order)
         _, weighted = _density_table(s, rule)
         want = np.array([rule.weights * kernel_band(rule.nodes, i, s.vars)
                          for i in range(b.n_bands)])
         assert np.max(np.abs(weighted - want) / want) <= 1e-13
+
+    def test_series_is_memoised_on_the_roots(self, ternary_run, monkeypatch):
+        vars = ternary_run[1][2].vars
+        series = vars.band_series
+        assert vars.band_series is series
+        assert not series.flags.writeable
+        with pytest.raises(ValueError):
+            series[0, 0] = 0.0
+        assert np.array_equal(series, _chebyshev_series(vars))
+        built = []
+        monkeypatch.setattr(kernel, "_chebyshev_series",
+                            lambda v: built.append(v) or _chebyshev_series(v))
+        fresh = GapVariables(vars.bands, vars.lambdas)
+        assert fresh.band_series is not series
+        assert np.array_equal(fresh.band_series, series)
+        assert len(built) == 1 and built[0] is fresh
+
+    def test_point_path_retains_no_tables(self, ternary_run, rule2048):
+        # each generation's table holds 2**n x 2048 positions and weighted
+        # densities, 8.1 MB over n <= 7; none outlives its call
+        sols = [_fresh(s) for s in ternary_run[1]]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            est = capacity_estimate(sols, rule2048, mode="point", point=X_STAR)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert est.extrapolated_capacity == pytest.approx(0.44189238, abs=1e-5)
+        assert retained < 2 << 20, retained
+
+    def test_array_builds_each_bumped_table_once(self, ternary_run, monkeypatch):
+        # at order 2047 the first band's midpoint is a node of generation
+        # 5's table, so the order is bumped to 2048 for that point alone
+        bands, sols = ternary_run
+        b, s = bands[4], sols[4]
+        rule = QuadratureRule.chebyshev(2047)
+        mid = float(0.5 * (b.alphas[0] + b.betas[0]))
+        pts = np.array([X_STAR, mid, 0.0, mid, 1.5, float(b.betas[3])])
+        want = [potential_at(p, s, b, rule, method="nodes") for p in pts.tolist()]
+        built = []
+
+        def counting(solution, rule):
+            built.append(rule.order)
+            return _density_table(solution, rule)
+
+        monkeypatch.setattr(analytics, "_density_table", counting)
+        assert potential_at(pts, s, b, rule, method="nodes").tolist() == want
+        assert built == [2047, 2048]
 
 
 def _sample_points_per_band(bands, count):
@@ -444,7 +504,7 @@ def _integrated_measure_per_point(x, solution, bands):
         return float(solution.Omegas[g])
     below = float(solution.Omegas[i - 1]) if i > 0 else 0.0
     theta = float(_theta_of(x, bands.alphas[i], bands.betas[i]))
-    c = _band_series(solution)[i]
+    c = solution.vars.band_series[i]
     j = np.arange(1, c.size)
     return below + (c[0] * (math.pi - theta) - float((c[1:] / j) @ np.sin(j * theta))) / math.pi
 
@@ -590,7 +650,7 @@ class TestPanelOracle:
             lo, hi = b.alphas[[0, -1]], b.betas[[0, -1]]
             xs = np.concatenate([pts, lo, hi])
             want = _reference_potentials(xs, s, b, rule2048)
-            got = _series_potentials(xs, _band_series(s), b)
+            got = _series_potentials(xs, s.vars.band_series, b)
             assert np.max(np.abs(got - want)) <= 2e-9, (b.generation, got - want)
             mean = mean_potential_on_attractor_points(s, b, 250, rule2048,
                                                       sample_bands=bands[depth - 1])

@@ -22,6 +22,7 @@ from equimeasure.cli import (
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
 from equimeasure.kernel import gap_jacobian_row, refined_rules
+from tests.conftest import nan_in_gap_0
 
 BASE_CONFIG = {
     "ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
@@ -394,6 +395,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path)]) == 3
         assert "generation 2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "gen_2.json").exists()
+
+    def test_nan_residual_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "gap_integral", nan_in_gap_0)
+        path = write_config(tmp_path)
+        assert main(["solve", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "generation 1" in err and "residual nan" in err
+        assert not (tmp_path / "out" / "gen_1.json").exists()
 
 
 @pytest.fixture(scope="module")

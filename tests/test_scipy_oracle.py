@@ -19,15 +19,18 @@ from scipy.optimize import least_squares
 from equimeasure import analytics
 from equimeasure.analytics import (
     NonMonotoneInput,
-    SERIES_OVERSAMPLING,
-    _band_series,
-    _chebyshev_series,
-    _dct2,
     _node_cosines,
     _values_at_nodes,
     fit_exponential,
 )
-from equimeasure.kernel import QuadratureRule, kernel_band, refined_orders
+from equimeasure.kernel import (
+    SERIES_OVERSAMPLING,
+    QuadratureRule,
+    _chebyshev_series,
+    _dct2,
+    kernel_band,
+    refined_orders,
+)
 
 EPS = np.finfo(float).eps
 
@@ -84,7 +87,7 @@ class TestChebyshevTransforms:
         monkeypatch.setattr(analytics, "_PRODUCT_MACS", macs)
         for bands, sols in (ternary_run, asym_run):
             for b, s in zip(bands[::3], sols[::3]):
-                coeffs = _band_series(s)
+                coeffs = s.vars.band_series
                 for c in (coeffs, coeffs[:, :63]):
                     got = _values_at_nodes(c, order)
                     want = _scipy_values_at_nodes(c, order)

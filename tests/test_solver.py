@@ -17,7 +17,13 @@ from equimeasure.solver import (
     solve_generation,
     warm_start,
 )
-from tests.conftest import ASYM_PAIRS, TERNARY_PAIRS, log_space_residuals, uniform_rules
+from tests.conftest import (
+    ASYM_PAIRS,
+    TERNARY_PAIRS,
+    log_space_residuals,
+    nan_in_gap_0,
+    uniform_rules,
+)
 from tests.test_kernel import adaptive_gap_oracle
 
 
@@ -270,6 +276,17 @@ def test_no_convergence_carries_diagnostics(ternary, monkeypatch):
     assert err.value.lambdas.shape == (b.n_gaps,)
     assert err.value.residuals.shape == (b.n_gaps,)
     assert err.value.iterations == 1
+
+
+def test_a_nan_residual_is_no_convergence(ternary, monkeypatch):
+    # NaN exceeds no tolerance: the loop must not read it as converged
+    monkeypatch.setattr(solver, "gap_integral", nan_in_gap_0)
+    b = generate_bands(ternary, 3)
+    with pytest.raises(NoConvergence, match="residual nan") as err:
+        solve_generation(warm_start(b, None), 1e-13)
+    assert err.value.generation == 3 and err.value.iterations == 0
+    assert np.isnan(err.value.residuals[0])
+    assert np.array_equal(err.value.lambdas, np.zeros(b.n_gaps))
 
 
 def test_iterates_respect_clamp(ternary):
