@@ -42,12 +42,15 @@ points in one blockwise pass; a scalar is a one-point array and gives a
 ``float``.  Each value depends on its own point alone.
 
 The plain node sum remains available as ``method="nodes"``, the published
-point path: a uniform Gauss-Chebyshev table of ``rule.order`` nodes per
-band, with ``F`` at its nodes summed from the same series (see
-:func:`_values_at_nodes`), built for the call that needs it; it takes
-Gauss-Chebyshev rules only.  Its error is the classical coarseness gauge,
+point path, for Gauss-Chebyshev rules only: ``rule.order`` nodes per band,
+with ``F`` at its nodes summed from the same series (see
+:func:`_values_at_nodes`).  Its error is the classical coarseness gauge,
 shrinking from ~2e-4 at generation 1 to ~3e-6 at generation 7 for the
-middle-third system at 2048 nodes.
+middle-third system at 2048 nodes.  That error comes from the bands next
+to the point alone: on a band whose Bernstein ellipse reaches far enough
+the node sum equals the band's series share to roundoff, so the point
+path takes that share and builds nodes only for the other bands (see
+:func:`_node_potentials`), usually the point's own band alone.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import BandSystem
-from .kernel import QuadratureRule, _from_frame
+from .kernel import REFINE_SAFETY, QuadratureRule, _from_frame
 # Imported so that ``analytics.kernel_log_magnitude`` stays a patch point:
 # the traced benchmark (bench/tracer.py) counts log-space calls made from
 # here, and that count is meant to read 0.
@@ -187,90 +190,108 @@ def _theta_of(x, lo, hi):
 # potential
 
 
-def _series_potentials(zs, coeffs: np.ndarray, bands: BandSystem) -> np.ndarray:
-    """``V(z)`` at the points of the 1-D array ``zs`` from per-band series.
+def _band_shares(z: np.ndarray, coeffs: np.ndarray,
+                 bands: BandSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Each band's share of ``V`` at the points of the 1-D array ``z`` (one
+    row per point, one column per band), and ``log|s|`` of the same pairs.
 
-    Every (point, band) pair gets ``rho`` from the larger-modulus root of
-    the module docstring and its share by Horner's rule, except a real
-    point on a band: there ``|rho| = 1``, and its host band's share is
-    ``sum_j c_j cos(j theta) / j`` with ``theta`` from :func:`_theta_of`.
+    Every (point, band) pair gets ``rho`` from the larger-modulus root ``s``
+    of the module docstring and its share by Horner's rule, except a real
+    point on a band: there ``|s| = 1`` (taken as ``s = 1``), and its host
+    band's share is ``sum_j c_j cos(j theta) / j`` with ``theta`` from
+    :func:`_theta_of`.  A real array takes real arithmetic: off a band ``w -
+    1`` and ``w + 1`` share a sign, so ``s = w + sign(w) sqrt|w - 1| sqrt|w
+    + 1|`` is real, rounded as the complex branch rounds it.
     """
-    zs = np.asarray(zs)
     width = bands.band_widths
-    log_a = np.log(2.0 / width)
     j = np.arange(1, coeffs.shape[1])
     d = coeffs[:, 1:] / j
-    values = np.empty(zs.shape)
-    step = max(1, _BLOCK_ELEMS // max(d.shape))
-    for block in (slice(k, k + step) for k in range(0, zs.size, step)):
-        z = zs[block]
-        host = np.where(z.imag == 0.0, _hosts(bands, z.real), -1)
-        wm1 = 2.0 * (z[:, None] - bands.betas) / width  # w - 1 in every band's frame
-        wp1 = 2.0 * (z[:, None] - bands.alphas) / width  # w + 1
-        w = 0.5 * (wm1 + wp1)
+    host = np.where(z.imag == 0.0, _hosts(bands, z.real), -1)
+    on = np.flatnonzero(host >= 0)
+    b = host[on]
+    wm1 = 2.0 * (z[:, None] - bands.betas) / width  # w - 1 in every band's frame
+    wp1 = 2.0 * (z[:, None] - bands.alphas) / width  # w + 1
+    w = 0.5 * (wm1 + wp1)
+    if np.isrealobj(z):
+        s = w + np.copysign(np.sqrt(np.abs(wm1)) * np.sqrt(np.abs(wp1)), w)
+    else:
         r = np.sqrt(wm1 + 0j) * np.sqrt(wp1 + 0j)
         s = np.where(np.abs(w + r) >= np.abs(w - r), w + r, w - r)
-        log_2rho = math.log(2.0) - np.log(np.abs(s))
-        rho = (1.0 / s).real if np.isrealobj(zs) else 1.0 / s
-        on = np.flatnonzero(host >= 0)
-        b = host[on]
-        rho[on, b] = 0.0
-        log_2rho[on, b] = math.log(2.0)
-        v = (coeffs[:, 0] * (log_a + log_2rho)).sum(axis=1)
-        v += _horner(rho, d).real.sum(axis=1)
-        theta = _theta_of(z[on].real, bands.alphas[b], bands.betas[b])
-        v[on] += np.sum(np.cos(np.outer(theta, j)) * d[b], axis=1)
-        values[block] = v
+    s[on, b] = 1.0
+    log_s = np.log(np.abs(s))
+    rho = 1.0 / s
+    rho[on, b] = 0.0
+    shares = coeffs[:, 0] * (np.log(2.0 / width) + (math.log(2.0) - log_s))
+    shares += _horner(rho, d).real
+    theta = _theta_of(z[on].real, bands.alphas[b], bands.betas[b])
+    shares[on, b] += np.sum(np.cos(np.outer(theta, j)) * d[b], axis=1)
+    return shares, log_s
+
+
+def _series_potentials(zs, coeffs: np.ndarray, bands: BandSystem) -> np.ndarray:
+    """``V(z)`` at the points of the 1-D array ``zs``: the sum of every
+    band's :func:`_band_shares`, in blocks of ``_BLOCK_ELEMS``."""
+    zs = np.asarray(zs)
+    values = np.empty(zs.shape)
+    step = max(1, _BLOCK_ELEMS // max(coeffs.shape))
+    for k in range(0, zs.size, step):
+        values[k : k + step] = _band_shares(zs[k : k + step], coeffs, bands)[0].sum(axis=1)
     return values
 
 
-def _density_table(solution, rule):
-    """Node positions and weighted densities of every band of the solution.
+def _node_rows(solution, rule, rows: np.ndarray):
+    """Node positions and weighted densities of the solution's bands ``rows``.
 
-    Returns new arrays ``(positions, weighted)`` of shape ``(n_bands, K)``;
-    the plain node sum at ``z`` is ``-sum weighted * log|z - positions|``.
-    The densities come from the solution's per-band series.
+    Returns new arrays ``(positions, weighted)`` of shape ``(rows.size,
+    K)``; band ``b``'s plain node sum at ``z`` is ``-sum weighted *
+    log|z - positions|`` over its row.  Each row's densities are summed
+    from its own series alone, so they do not depend on the other rows.
     """
     bands = solution.vars.bands
-    positions = _from_frame(rule.nodes, bands.alphas[:, None], bands.betas[:, None])
-    weighted = _values_at_nodes(solution.vars.band_series, rule.order)
+    positions = _from_frame(rule.nodes, bands.alphas[rows, None], bands.betas[rows, None])
+    weighted = np.empty((rows.size, rule.order))
+    for i, r in enumerate(rows.tolist()):
+        weighted[i] = _values_at_nodes(solution.vars.band_series[r : r + 1], rule.order)[0]
     weighted *= rule.weights
     return positions, weighted
 
 
-def _collides(x: float, positions, bands) -> bool:
-    """Whether a node of the table lies within ``NODE_COLLISION_RTOL`` of its
-    band's width from ``x``.  The nodes of a band run monotonically from its
-    first to its last column, so only the bands whose node range comes that
-    close to ``x`` are scanned."""
-    tol = NODE_COLLISION_RTOL * bands.band_widths
-    first, last = positions[:, 0], positions[:, -1]
-    near = np.flatnonzero((np.minimum(first, last) - x < tol)
-                          & (x - np.maximum(first, last) < tol))
-    return bool(np.any(np.abs(x - positions[near]).min(axis=1) < tol[near]))
-
-
 def _node_potentials(zs, solution, rule) -> np.ndarray:
-    """``-sum w * log|z - s|`` over the solution's node table at each point
-    of the 1-D array ``zs``, bumping the order past collisions.
+    """The point path at each point of the 1-D array ``zs``: the plain node
+    sum over every band its rule cannot resolve, the series share of every
+    other band, bumping the order past collisions.
 
-    The table of ``rule.order`` serves every point; each bumped order's
-    table is built only if a point collides with the order before.
+    The ``K``-node rule integrates ``F(t) log|w - t|`` of a band with a
+    series of length ``M`` to within ``|s|**(M - 2K)`` (Trefethen, *ATAP*,
+    ch. 8), so band ``b`` is resolved, and takes its series share, when
+    ``(2K - M) log|s_b| >= 2 REFINE_SAFETY``: never a point's host band,
+    and no band at all when ``2K <= M``.  Each order's rows are built once,
+    for the bands some point still needs; a bumped order only if a real
+    point lies within ``NODE_COLLISION_RTOL`` of a band width from a node.
+    Only those rows are scanned: a resolved band's nearest node lies orders
+    of magnitude farther off.
     """
-    values, todo = np.empty(zs.size), list(range(zs.size))
+    coeffs, bands = solution.vars.band_series, solution.vars.bands
+    shares, log_s = _band_shares(zs, coeffs, bands)
+    tol = NODE_COLLISION_RTOL * bands.band_widths
+    values, todo = np.empty(zs.size), np.arange(zs.size)
     for bump in (0, 1, 3):
         attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
-        positions, weighted = _density_table(solution, attempt)
+        summed = (2 * attempt.order - coeffs.shape[1]) * log_s[todo] < 2.0 * REFINE_SAFETY
+        rows = np.flatnonzero(summed.any(axis=0))
+        positions, weighted = _node_rows(solution, attempt, rows)
         collided = []
-        for k in todo:
-            z = complex(zs[k])
-            if z.imag == 0.0 and _collides(z.real, positions, solution.vars.bands):
+        for k, mine in zip(todo.tolist(), summed):
+            z, near = complex(zs[k]), mine[rows]
+            if z.imag == 0.0 and np.any(np.abs(z.real - positions[near])
+                                        < tol[rows[near], None]):
                 collided.append(k)
                 continue
-            dist_sq = (z.real - positions) ** 2 + z.imag * z.imag
-            values[k] = -0.5 * np.sum(weighted * np.log(dist_sq))
-        todo = collided
-        if not todo:
+            dist_sq = (z.real - positions[near]) ** 2 + z.imag * z.imag
+            values[k] = (np.sum(shares[k, ~mine])
+                         - 0.5 * np.sum(weighted[near] * np.log(dist_sq)))
+        todo = np.array(collided, dtype=int)
+        if not todo.size:
             return values
     raise PersistentCollision(f"point {complex(zs[todo[0]])} collides with quadrature "
                               f"nodes at orders {rule.order}, {rule.order + 1}, "
@@ -285,13 +306,14 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     a ``float``.  With ``method="auto"`` all points take one blockwise pass
     of :func:`_series_potentials`, accurate to roundoff on, next to and away
     from the bands; ``rule`` is not used.  ``method="nodes"`` is the plain
-    node sum over a uniform table of ``rule.order`` nodes per band, point
-    by point; if a real point falls within ``1e-12`` of a node (relative to
-    the band width) the order is bumped to ``K+1`` then ``K+3``, and
-    :class:`PersistentCollision` is raised when all attempts collide.  The
-    coefficients are built once per set of roots, and each order's table
-    once per call, on the solution's own bands (``solution.vars.bands``),
-    whose endpoints ``bands`` must have.
+    node sum of ``rule.order`` Gauss-Chebyshev nodes per band, point by
+    point, with each band the rule resolves to roundoff taking its series
+    share instead (:func:`_node_potentials`); if a real point falls within
+    ``1e-12`` of a node (relative to the band width) the order is bumped to
+    ``K+1`` then ``K+3``, and :class:`PersistentCollision` is raised when
+    all attempts collide.  The coefficients are built once per set of
+    roots, and each order's nodes once per call, on the solution's own
+    bands (``solution.vars.bands``), whose endpoints ``bands`` must have.
     ``method="nodes"`` takes no graded rule: its densities sit at Chebyshev nodes.
     """
     if method not in ("auto", "nodes"):

@@ -21,8 +21,8 @@ The record's ``config`` field holds exactly these fingerprinted settings,
 so a reused record cannot disagree with the run that reads it.  The solver
 sizes its quadrature rules from the geometry, and the potentials,
 capacities and integrated measures come from per-band Chebyshev series
-sized the same way; ``quadrature_order`` sets only the node table of the
-point path (``method="nodes"``), so a run at another order reuses the
+sized the same way; ``quadrature_order`` sets only the nodes per band of
+the point path (``method="nodes"``), so a run at another order reuses the
 stored records.  The Jacobian figure is the solver's
 :func:`~equimeasure.solver.jacobian` at the deepest solution, built from
 one residual pass as in the Newton loop.  Line ids (``"<birth generation>:<gap>"``)
@@ -37,7 +37,8 @@ Exit codes, each failure with a one-line message on stderr:
 - 2 config error, including an unknown key (``max_iterations``,
   ``step_clamp``, ``fit_window`` and ``cache`` among them), a number beyond
   the float range (``NaN`` and ``Infinity`` included), a bad
-  ``--points`` spec, an ``x_grid`` off the hull for ``Omega_of_x``, an
+  ``--points`` spec (no points, a count below 1 or a non-finite point
+  included), an ``x_grid`` off the hull for ``Omega_of_x``, an
   ``n_max`` that ``generate_bands`` rejects and a capacity run with fewer
   ``sample_count`` points than bands (all checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
@@ -133,8 +134,9 @@ class RunConfig:
     ``output_dir`` are always reused when their fingerprint matches, and
     every capacity fit takes the last ``MIN_CAPACITY_GENERATIONS``
     generations.  ``quadrature_order`` is the order of :attr:`rule`, the
-    node table of the point path (``potential_at(..., method="nodes")``,
-    the ``V_point`` column of the capacity table).  Every other potential,
+    nodes per band of the point path (``potential_at(..., method="nodes")``,
+    the ``V_point`` column of the capacity table), which sums them only on
+    the bands that rule cannot resolve to roundoff.  Every other potential,
     capacity and integrated measure comes from per-band Chebyshev series
     sized by the geometry, as are the solver's rules.  Values are typed as
     in JSON: counts are integers, and no boolean is a number.
@@ -497,14 +499,26 @@ def cmd_capacity(cfg: RunConfig) -> int:
 
 
 def _parse_points(spec: str) -> np.ndarray:
+    """The points of ``--points``: a file of numbers or ``lo:hi:count``,
+    with at least one point and every one finite, else :class:`ConfigError`."""
     try:
         if os.path.exists(spec):
-            return np.array([float(v) for v in Path(spec).read_text().split()])
-        lo, hi, count = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+            pts = np.array([float(v) for v in Path(spec).read_text().split()])
+        else:
+            lo, hi, count = spec.split(":")
+            ends, count = np.array([float(lo), float(hi)]), int(count)
+            if count < 1:
+                raise ValueError(f"count {count} is below 1")
+            # a non-finite end is reported below, not spread over a grid
+            pts = np.linspace(*ends, count) if np.all(np.isfinite(ends)) else ends
+        if not pts.size:
+            raise ValueError("no points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"{pts[~np.isfinite(pts)][0]} is not finite")
     except ValueError as exc:
-        raise ConfigError([f"--points must be a file of numbers or lo:hi:count, "
+        raise ConfigError([f"--points must be a file of finite numbers or lo:hi:count, "
                            f"got {spec!r} ({exc})"]) from exc
+    return pts
 
 
 def cmd_potential(cfg: RunConfig, points_spec: str) -> int:

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from equimeasure import kernel, solver
+from equimeasure import analytics, kernel, solver
 from equimeasure import (
     GapVariables,
     IfsSystem,
@@ -18,6 +18,7 @@ from equimeasure import (
 
 TERNARY_PAIRS = [(1.0 / 3.0, -1.0), (1.0 / 3.0, 1.0)]
 ASYM_PAIRS = [(4.0 / 5.0, -1.0), (1.0 / 10.0, 1.0)]
+THREE_MAP_PAIRS = [(0.3, -1.0), (0.1, 0.0), (0.2, 1.0)]
 
 
 def log_space_gap_integral(i, vars, rule, keep=None):
@@ -43,6 +44,43 @@ def nan_in_gap_0(i, vars, rule, keep=None):
     values = kernel.gap_integral(i, vars, rule, keep)
     values[np.asarray(i) == 0] = np.nan
     return values
+
+
+def density_table(solution, rule):
+    """Node positions and weighted densities of every band of the solution,
+    arrays of shape ``(n_bands, rule.order)``: the whole-generation node
+    table of the plain node sum, with densities from the per-band series."""
+    bands = solution.vars.bands
+    positions = kernel._from_frame(rule.nodes, bands.alphas[:, None], bands.betas[:, None])
+    weighted = analytics._values_at_nodes(solution.vars.band_series, rule.order)
+    return positions, weighted * rule.weights
+
+
+def node_sum_potentials(zs, solution, rule):
+    """Oracle of the point path: ``-sum w * log|z - s|`` over the whole node
+    table of every band at each point of ``zs``, bumping the order to
+    ``K+1`` then ``K+3`` when a real point lies within
+    ``analytics.NODE_COLLISION_RTOL`` of a band width from any node, and
+    raising :class:`~equimeasure.analytics.PersistentCollision` when all
+    three collide."""
+    zs = np.asarray(zs).ravel()
+    tol = analytics.NODE_COLLISION_RTOL * solution.vars.bands.band_widths[:, None]
+    values, todo = np.empty(zs.size), list(range(zs.size))
+    for bump in (0, 1, 3):
+        positions, weighted = density_table(
+            solution, QuadratureRule.chebyshev(rule.order + bump))
+        collided = []
+        for k in todo:
+            z = complex(zs[k])
+            if z.imag == 0.0 and np.any(np.abs(z.real - positions) < tol):
+                collided.append(k)
+                continue
+            dist_sq = (z.real - positions) ** 2 + z.imag * z.imag
+            values[k] = -0.5 * np.sum(weighted * np.log(dist_sq))
+        todo = collided
+        if not todo:
+            return values
+    raise analytics.PersistentCollision(f"point {complex(zs[todo[0]])} collides")
 
 
 @contextmanager
@@ -97,6 +135,14 @@ def ternary_run(ternary):
 def asym_run(asym):
     """Bands and converged solutions for the 4/5, 1/10 system, n=1..9."""
     solutions = hierarchical_solve(asym, 9, 1e-12)
+    bands = [s.vars.bands for s in solutions]
+    return bands, solutions
+
+
+@pytest.fixture(scope="session")
+def three_map_run():
+    """Bands and converged solutions for the 0.3, 0.1, 0.2 system, n=1..4."""
+    solutions = hierarchical_solve(validate(IfsSystem.from_pairs(THREE_MAP_PAIRS)), 4, 1e-12)
     bands = [s.vars.bands for s in solutions]
     return bands, solutions
 

@@ -14,7 +14,8 @@ from equimeasure.analytics import (
     CapacityEstimate,
     NonMonotoneInput,
     OutOfHull,
-    _density_table,
+    PersistentCollision,
+    _node_rows,
     _series_potentials,
     _theta_of,
     capacity_estimate,
@@ -34,7 +35,7 @@ from equimeasure.kernel import (
     kernel_band,
     refined_orders,
 )
-from tests.conftest import X_STAR
+from tests.conftest import X_STAR, density_table, node_sum_potentials
 
 TWO_BAND_POTENTIAL = -math.log(math.sqrt(2.0) / 3.0)  # interior potential of
 # [-1,-1/3] u [1/3,1]: the capacity of symmetric two-interval sets
@@ -225,22 +226,31 @@ class TestPotential:
         assert v == pytest.approx(TWO_BAND_POTENTIAL, abs=5e-3)
 
     @pytest.mark.parametrize("order", [7, 64])
-    def test_collision_check_matches_the_full_scan(self, asym_run, order):
-        # only bands whose node range comes within the tolerance of x are
-        # scanned; the answer is the one of a scan over every node
+    def test_collision_check_matches_the_full_scan(self, asym_run, order, monkeypatch):
+        # only the bands the rule cannot resolve are scanned; a point's order
+        # is bumped exactly when a scan over every node finds a collision
         bands, sols = asym_run
         b, s = bands[3], sols[3]
-        positions, _ = _density_table(s, QuadratureRule.chebyshev(order))
+        rule = QuadratureRule.chebyshev(order)
+        positions, _ = density_table(s, rule)
         tol = analytics.NODE_COLLISION_RTOL * b.band_widths[:, None]
         points = [b.alphas, b.betas, 0.5 * (b.gap_los + b.gap_his), [-1.5, 1.5, -1e3]]
         for factor in (0.0, 0.5, 0.999, 1.001, 2.0):
             points += [(positions + factor * tol).ravel(), (positions - factor * tol).ravel()]
-        outcomes = set()
-        for x in np.concatenate(points).tolist():
-            full = bool(np.any(np.abs(x - positions).min(axis=1) < tol[:, 0]))
-            assert analytics._collides(x, positions, b) == full, x
-            outcomes.add(full)
-        assert outcomes == {True, False}
+
+        def marking(solution, attempt, rows):
+            # the nodes of a bumped order sit at NaN, so a bumped point reads NaN
+            positions, weighted = _node_rows(solution, attempt, rows)
+            if attempt.order != order:
+                positions[:] = np.nan
+            return positions, weighted
+
+        monkeypatch.setattr(analytics, "_node_rows", marking)
+        xs = np.concatenate(points)
+        bumped = np.isnan(potential_at(xs, s, b, rule, method="nodes"))
+        for x, got in zip(xs.tolist(), bumped.tolist()):
+            assert got == bool(np.any(np.abs(x - positions).min(axis=1) < tol[:, 0])), x
+        assert set(bumped.tolist()) == {True, False}
 
     def test_unknown_method(self, trivial_band, rule2048):
         b0, s0 = trivial_band
@@ -387,7 +397,7 @@ class TestDensityTableMemo:
         assert not s.vars.band_series.flags.writeable
         with pytest.raises(ValueError):
             s.vars.band_series[0, 0] = 0.0
-        coarse = _density_table(s, QuadratureRule.chebyshev(64))
+        coarse = _node_rows(s, QuadratureRule.chebyshev(64), np.arange(b.n_bands))
         assert coarse[0].shape == coarse[1].shape == (b.n_bands, 64)
 
     def test_table_sits_on_the_solutions_own_bands(self, ternary_run, asym_run):
@@ -427,7 +437,7 @@ class TestDensityTableMemo:
         bands, sols = asym_run
         b, s = bands[3], _fresh(sols[3])
         rule = QuadratureRule.chebyshev(order)
-        _, weighted = _density_table(s, rule)
+        _, weighted = _node_rows(s, rule, np.arange(b.n_bands))
         want = np.array([rule.weights * kernel_band(rule.nodes, i, s.vars)
                          for i in range(b.n_bands)])
         assert np.max(np.abs(weighted - want) / want) <= 1e-13
@@ -449,8 +459,8 @@ class TestDensityTableMemo:
         assert len(built) == 1 and built[0] is fresh
 
     def test_point_path_retains_no_tables(self, ternary_run, rule2048):
-        # each generation's table holds 2**n x 2048 positions and weighted
-        # densities, 8.1 MB over n <= 7; none outlives its call
+        # the point path's node rows, positions and weighted densities,
+        # live for one call
         sols = [_fresh(s) for s in ternary_run[1]]
         gc.collect()
         tracemalloc.start()
@@ -475,13 +485,79 @@ class TestDensityTableMemo:
         want = [potential_at(p, s, b, rule, method="nodes") for p in pts.tolist()]
         built = []
 
-        def counting(solution, rule):
+        def counting(solution, rule, rows):
             built.append(rule.order)
-            return _density_table(solution, rule)
+            return _node_rows(solution, rule, rows)
 
-        monkeypatch.setattr(analytics, "_density_table", counting)
+        monkeypatch.setattr(analytics, "_node_rows", counting)
         assert potential_at(pts, s, b, rule, method="nodes").tolist() == want
         assert built == [2047, 2048]
+
+
+def _point_path_probes(b):
+    """X_STAR, every band's midpoint, both ends of the first and last bands,
+    every gap's midpoint, a point 1e-9 outside the first band's right end
+    and the last band's left end, and -1.7 and 1.7."""
+    return np.concatenate([
+        [X_STAR], 0.5 * (b.alphas + b.betas), b.alphas[[0, -1]], b.betas[[0, -1]],
+        0.5 * (b.gap_los + b.gap_his), [b.betas[0] + 1e-9, b.alphas[-1] - 1e-9, -1.7, 1.7]])
+
+
+def _or_collision(f, *args):
+    """``f(*args)``, or ``None`` if it raises :class:`PersistentCollision`."""
+    try:
+        return f(*args)
+    except PersistentCollision:
+        return None
+
+
+class TestPointPath:
+    # the point path sums nodes only on the bands its rule cannot resolve;
+    # the whole-table node sum is its oracle.  The largest gap, 8.5e-13, is
+    # 1e-9 outside asym n = 7's last band (2e-7 wide), where the table's node
+    # positions, rounded next to 1, move its log; no input here collides at
+    # all three orders on either path
+    @pytest.mark.parametrize("order", [7, 64, 2047, 2048])
+    @pytest.mark.parametrize("run,depth", [("ternary_run", 7), ("asym_run", 7),
+                                           ("three_map_run", 4)])
+    def test_matches_the_whole_table(self, request, run, depth, order):
+        rule = QuadratureRule.chebyshev(order)
+        bands, sols = request.getfixturevalue(run)
+        for b, s in zip(bands[:depth], sols[:depth]):
+            for pts in (_point_path_probes(b), np.array([0.3 + 0.2j])):
+                want = _or_collision(node_sum_potentials, pts, s, rule)
+                got = _or_collision(potential_at, pts, s, b, rule, "nodes")
+                assert (got is None) == (want is None), (b.generation, pts)
+                if want is not None:
+                    assert np.max(np.abs(got - want)) <= 1e-12, (b.generation, got - want)
+
+    def test_peak_memory(self, ternary_run, rule2048):
+        # the whole-generation tables peaked at 8.0 MB over n <= 7; the
+        # first call builds the series and the shared node cosines
+        sols = ternary_run[1]
+        want = capacity_estimate(sols, rule2048, mode="point", point=X_STAR)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            est = capacity_estimate(sols, rule2048, mode="point", point=X_STAR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est == want
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("run", ["ternary_run", "asym_run"])
+    def test_real_points_take_the_complex_values(self, request, run):
+        bands, sols = request.getfixturevalue(run)
+        pts = sample_points(bands[6], 512)
+        for b, s in zip(bands[:7], sols[:7]):
+            ends = np.concatenate([b.alphas, b.betas])
+            xs = np.concatenate([pts, np.linspace(-1.2, 1.2, 301), ends,
+                                 np.nextafter(ends, -2.0), np.nextafter(ends, 2.0)])
+            assert np.isrealobj(xs)
+            real = _series_potentials(xs, s.vars.band_series, b)
+            complex_ = _series_potentials(xs + 0j, s.vars.band_series, b)
+            assert np.max(np.abs(real - complex_)) <= 1e-15, b.generation
 
 
 def _sample_points_per_band(bands, count):

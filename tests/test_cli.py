@@ -621,6 +621,22 @@ class TestPotentialCommand:
         assert main(["potential", "--config", str(path), "--points", str(pts)]) == 2
         assert "--points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["nan:1:3", "-1:inf:3", "-inf:1:2", "-1:1:0",
+                                      "file:1e400", "file:0.5 nan", "file:", "file:\n \n"])
+    def test_points_it_cannot_evaluate(self, tmp_path, capsys, monkeypatch, spec):
+        # a non-finite point, a count below 1 or no points at all: exit 2
+        # with one line on stderr, before any solve and with nothing written
+        if spec.startswith("file:"):
+            points = tmp_path / "points.txt"
+            points.write_text(spec[len("file:"):])
+            spec = str(points)
+        path = write_config(tmp_path, n_max=2)
+        monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
+        assert main(["potential", "--config", str(path), f"--points={spec}"]) == 2
+        err = capsys.readouterr().err
+        assert "--points" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestAnalyticsErrors:
     # analytics failures leave main with exit code 3 and one line on stderr
@@ -640,7 +656,8 @@ class TestAnalyticsErrors:
                                "successive differences change sign")
 
     def test_persistent_collision(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(analytics, "_collides", lambda *args: True)
+        # every node of the point's own band lies within one band width of it
+        monkeypatch.setattr(analytics, "NODE_COLLISION_RTOL", 1.0)
         code, err = self._capacity(tmp_path, capsys)
         assert code == 3
         assert err.startswith("analytics failed: PersistentCollision: ")
