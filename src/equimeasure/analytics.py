@@ -201,7 +201,11 @@ def _band_shares(z: np.ndarray, coeffs: np.ndarray,
     band's share is ``sum_j c_j cos(j theta) / j`` with ``theta`` from
     :func:`_theta_of`.  A real array takes real arithmetic: off a band ``w -
     1`` and ``w + 1`` share a sign, so ``s = w + sign(w) sqrt|w - 1| sqrt|w
-    + 1|`` is real, rounded as the complex branch rounds it.
+    + 1|`` is real, rounded as the complex branch rounds it.  Where ``s``
+    leaves the float range (``|z|`` near 1e307 and beyond), ``s = 2 w = 8 h
+    / width`` to the last bit, with ``h = (z - m) / 2`` and ``m`` the band's
+    midpoint, so ``log|s|`` and ``rho`` are formed from ``h``, whose modulus
+    stays finite, instead.
     """
     width = bands.band_widths
     j = np.arange(1, coeffs.shape[1])
@@ -209,18 +213,24 @@ def _band_shares(z: np.ndarray, coeffs: np.ndarray,
     host = np.where(z.imag == 0.0, _hosts(bands, z.real), -1)
     on = np.flatnonzero(host >= 0)
     b = host[on]
-    wm1 = 2.0 * (z[:, None] - bands.betas) / width  # w - 1 in every band's frame
-    wp1 = 2.0 * (z[:, None] - bands.alphas) / width  # w + 1
-    w = 0.5 * (wm1 + wp1)
-    if np.isrealobj(z):
-        s = w + np.copysign(np.sqrt(np.abs(wm1)) * np.sqrt(np.abs(wp1)), w)
-    else:
-        r = np.sqrt(wm1 + 0j) * np.sqrt(wp1 + 0j)
-        s = np.where(np.abs(w + r) >= np.abs(w - r), w + r, w - r)
-    s[on, b] = 1.0
-    log_s = np.log(np.abs(s))
-    rho = 1.0 / s
+    with np.errstate(over="ignore", invalid="ignore"):  # far pairs are redone below
+        wm1 = 2.0 * (z[:, None] - bands.betas) / width  # w - 1 in every band's frame
+        wp1 = 2.0 * (z[:, None] - bands.alphas) / width  # w + 1
+        w = 0.5 * (wm1 + wp1)
+        if np.isrealobj(z):
+            s = w + np.copysign(np.sqrt(np.abs(wm1)) * np.sqrt(np.abs(wp1)), w)
+        else:
+            r = np.sqrt(wm1 + 0j) * np.sqrt(wp1 + 0j)
+            s = np.where(np.abs(w + r) >= np.abs(w - r), w + r, w - r)
+        s[on, b] = 1.0
+        log_s = np.log(np.abs(s))
+        rho = 1.0 / s
     rho[on, b] = 0.0
+    if not np.isfinite(log_s.sum()):  # each log|s| lies in [0, 710] where finite
+        far = np.nonzero(~np.isfinite(log_s))
+        half = 0.5 * (z[far[0]] - 0.5 * (bands.alphas + bands.betas)[far[1]])
+        log_s[far] = np.log(np.abs(half)) + np.log(8.0 / width[far[1]])
+        rho[far] = 0.125 * width[far[1]] / half
     shares = coeffs[:, 0] * (np.log(2.0 / width) + (math.log(2.0) - log_s))
     shares += _horner(rho, d).real
     theta = _theta_of(z[on].real, bands.alphas[b], bands.betas[b])

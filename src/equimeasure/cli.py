@@ -11,14 +11,15 @@ The config is a single JSON document (see ``RunConfig``).
 :func:`~equimeasure.solver.hierarchical_solve` walks the generations, and
 :func:`solve_all` connects its load and store hooks to the record cache:
 one ``gen_<n>.json`` record per generation in the output directory.  A
-record is reused on rerun only when its fingerprint (hash of the map
-parameters, residual tolerance, ``solver.STEP_CLAMP``, the name of the
-solver's order rule, ``kernel.ORDER_RULE``, and the name of its start rule,
+record's ``config`` field holds every setting it depends on
+(:attr:`RunConfig.numerics`: the map parameters, residual tolerance,
+``solver.STEP_CLAMP``, the name of the solver's order rule,
+``kernel.ORDER_RULE``, and the name of its start rule,
 ``solver.START_RULE``: each new gap starts from its preimage one generation
-down, each old gap from its parent moved as that preimage last moved)
-matches the active config exactly.
-The record's ``config`` field holds exactly these fingerprinted settings,
-so a reused record cannot disagree with the run that reads it.  The solver
+down, each old gap from its parent moved as that preimage last moved), and
+a record is reused on rerun only when those stored settings equal the
+active config's, so a reused record cannot disagree with the run that
+reads it.  The solver
 sizes its quadrature rules from the geometry, and the potentials,
 capacities and integrated measures come from per-band Chebyshev series
 sized the same way; ``quadrature_order`` sets only the nodes per band of
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -131,7 +131,8 @@ class RunConfig:
     """One experiment: the system, depth, tolerance and output options.
 
     ``residual_tol`` is the solver's one setting.  Records in
-    ``output_dir`` are always reused when their fingerprint matches, and
+    ``output_dir`` are always reused when their stored settings equal
+    :attr:`numerics`, and
     every capacity fit takes the last ``MIN_CAPACITY_GENERATIONS``
     generations.  ``quadrature_order`` is the order of :attr:`rule`, the
     nodes per band of the point path (``potential_at(..., method="nodes")``,
@@ -229,7 +230,7 @@ class RunConfig:
 
     @property
     def numerics(self) -> dict:
-        """Every setting that a stored record depends on."""
+        """Every setting a stored record depends on: its ``config``, which must equal this."""
         return {
             "ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
             "residual_tol": self.residual_tol,
@@ -237,12 +238,6 @@ class RunConfig:
             "start_rule": solver.START_RULE,
             "numerics": ORDER_RULE,
         }
-
-    @property
-    def fingerprint(self) -> str:
-        """Hash of :attr:`numerics`; records are reused only when it matches."""
-        text = json.dumps(self.numerics, sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
 
     @property
     def rule(self) -> QuadratureRule:
@@ -256,7 +251,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 class SolutionCache:
-    """Per-generation JSON records keyed by the config fingerprint."""
+    """Per-generation JSON records, each storing the settings it was solved under."""
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
@@ -264,12 +259,12 @@ class SolutionCache:
     def path(self, n: int) -> Path:
         return self.directory / f"gen_{n}.json"
 
-    def load(self, n: int, fingerprint: str) -> dict | None:
+    def load(self, n: int, numerics: dict) -> dict | None:
         try:
             record = json.loads(self.path(n).read_text())
         except (OSError, json.JSONDecodeError):  # a missing file included
             return None
-        ok = isinstance(record, dict) and record.get("fingerprint") == fingerprint
+        ok = isinstance(record, dict) and record.get("config") == numerics
         return record if ok and record.get("generation") == n else None
 
     def store(self, record: dict) -> None:
@@ -282,7 +277,6 @@ def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
     bands = sol.vars.bands
     return {
         "generation": sol.generation,
-        "fingerprint": cfg.fingerprint,
         "config": cfg.numerics,
         "bands": [[a, b] for a, b in zip(bands.alphas, bands.betas)],
         "gaps": [[lo, hi] for lo, hi in zip(bands.gap_los, bands.gap_his)],
@@ -327,7 +321,7 @@ def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     cache = SolutionCache(cfg.output_dir)
 
     def load(bands):
-        record = cache.load(bands.generation, cfg.fingerprint)
+        record = cache.load(bands.generation, cfg.numerics)
         return None if record is None else _solution_from_record(bands, record)
 
     solutions = hierarchical_solve(

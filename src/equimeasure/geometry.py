@@ -23,8 +23,8 @@ import numpy as np
 # width: double precision cannot resolve the gap/band structure past it.
 WIDTH_FLOOR = 1e-13
 
-# Reject generations with more bands than this.  The solver's dense Jacobian
-# and its scaled copy take 2 * 8 * N**2 bytes, about 1 GB at this cap.
+# Reject generations with more bands than this.  The solver's one dense
+# Jacobian, scaled in place, takes 8 * N**2 bytes, about 0.5 GB at this cap.
 MAX_BANDS = 8192
 
 # Images of the hull must be separated by at least this fraction of the hull

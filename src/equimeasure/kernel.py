@@ -85,8 +85,8 @@ COLLISION_RTOL = 1e-15
 # ``MIN_ORDER`` nodes, and enough that exp(-2 * REFINE_SAFETY) ~ 2e-16 bounds
 # the quadrature error; that bound is optimistic beside wide neighbours, and a
 # floor of 16 keeps those frames at roundoff where 8 loses digits (see
-# ``refined_orders``).  ``ORDER_RULE`` names this rule in cache fingerprints;
-# change it whenever the rule changes.
+# ``refined_orders``).  ``ORDER_RULE`` names this rule in the settings each cache
+# record stores; change it whenever the rule changes.
 MIN_ORDER = 16
 REFINE_SAFETY = 18.0
 PANEL_NODES = 16  # Gauss-Legendre nodes per panel of a graded gap rule

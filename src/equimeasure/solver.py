@@ -42,12 +42,15 @@ from .kernel import (
 )
 
 _GMRES_RTOL = 1e-14  # relative residual of the Jacobi-scaled Newton system
+# Elements per block of Jacobian rows: the Newton step holds one N x N
+# array, and the temporaries that assemble it stay this small.
+_ROW_BLOCK_ELEMS = 1 << 14
 
 MAX_ITERATIONS = 200  # Newton iterations per generation before NoConvergence
 # Margin kept between any iterate and the ends of (-1, 1): a root reaching
 # its gap boundary would flip the sign of the density and void the equations.
-STEP_CLAMP = 1e-9  # hashed into cache fingerprints (cli.RunConfig.numerics)
-# The name of warm_start's rule, hashed into cache fingerprints as well: a
+STEP_CLAMP = 1e-9  # stored in each cache record's settings (cli.RunConfig.numerics)
+# The name of warm_start's rule, stored in the records' settings as well: a
 # record's initial residuals depend on the start.
 START_RULE = "self-similar"
 
@@ -128,10 +131,15 @@ def _residual_vector(vars: GapVariables, groups):
 
 def _jacobian(vars: GapVariables, kept) -> np.ndarray:
     """The Jacobian from the reduced kernels a residual pass at ``vars``
-    kept, one :func:`gap_jacobian_row` call per kept block."""
-    jac = np.empty((vars.bands.n_gaps, vars.bands.n_gaps))
+    kept, one :func:`gap_jacobian_row` call per block of at most
+    ``_ROW_BLOCK_ELEMS`` elements of a kept group's rows."""
+    n = vars.bands.n_gaps
+    jac = np.empty((n, n))
+    per = max(1, _ROW_BLOCK_ELEMS // max(n, 1))
     for idx, (rule, g) in kept.items():
-        jac[list(idx)] = gap_jacobian_row(idx, vars, rule, g)
+        for k in range(0, len(idx), per):
+            block = idx[k : k + per]
+            jac[list(block)] = gap_jacobian_row(block, vars, rule, g[k : k + per])
     return jac
 
 
@@ -147,18 +155,20 @@ def _gmres(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     (Saad & Schultz, 1986): classical Gram-Schmidt twice, Givens rotations on
     Python floats, every product an ``einsum``, so no BLAS call wakes
     OpenBLAS's threads.  The diagonal dominates, so a dozen steps suffice.
-    Raises ``LinAlgError`` for a non-finite Jacobian, a zero diagonal entry
-    or no convergence within ``N`` steps."""
-    n, diag = rhs.size, jac.diagonal()
-    if not (np.isfinite(jac).all() and diag.all()):
+    ``jac`` is scaled in place, so it holds the scaled matrix afterwards, and
+    the basis holds only the vectors built.  Raises ``LinAlgError`` for a
+    non-finite Jacobian, a zero diagonal entry or no convergence within
+    ``N`` steps; the first two leave ``jac`` as it was."""
+    n, diag = rhs.size, jac.diagonal().copy()  # a copy: jac is divided by it in place
+    # min and max propagate NaN: both are finite exactly when every entry is
+    if not (math.isfinite(jac.min()) and math.isfinite(jac.max()) and diag.all()):
         raise np.linalg.LinAlgError("the Jacobian is not finite or has a zero diagonal entry")
-    a, b = jac / diag[:, None], rhs / diag
+    a, b = np.divide(jac, diag[:, None], out=jac), rhs / diag
     beta = math.sqrt(np.einsum("i,i->", b, b))
-    basis = np.empty((n + 1, n))  # pages are touched only as rows are filled
-    basis[0] = b / beta
+    v = (b / beta)[None]  # the Krylov basis, one row per vector built
     g, rotations, cols = [beta], [], []
     for k in range(n):
-        w, v, col = np.einsum("ij,j->i", a, basis[k]), basis[: k + 1], 0.0
+        w, col = np.einsum("ij,j->i", a, v[k]), 0.0
         for _ in range(2):
             h = np.einsum("ij,j->i", v, w)
             w -= np.einsum("i,ij->j", h, v)
@@ -179,8 +189,8 @@ def _gmres(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             for j in reversed(range(k + 1)):
                 y[j] = (g[j] - sum(cols[m][j] * y[m] for m in range(j + 1, k + 1))
                         ) / cols[j][j]
-            return np.einsum("i,ij->j", np.array(y), basis[: k + 1])
-        basis[k + 1] = w / h_next
+            return np.einsum("i,ij->j", np.array(y), v)
+        v = np.vstack([v, w / h_next])
     raise np.linalg.LinAlgError(f"GMRES stopped at relative residual {abs(g[-1]) / beta:.1e}")
 
 
@@ -215,9 +225,8 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
         if iterations >= MAX_ITERATIONS or not math.isfinite(norm):
             raise failure(NoConvergence, f"no convergence after {iterations} "
                                          f"iterations (residual {norm:.3e})")
-        jac = _jacobian(vars, kept)
-        try:
-            step = _gmres(jac, -r)
+        try:  # the Jacobian lives for this step only: _gmres scales it in place
+            step = _gmres(_jacobian(vars, kept), -r)
         except np.linalg.LinAlgError as exc:
             raise failure(SingularJacobian,
                           f"singular Jacobian at iteration {iterations}: {exc}") from exc

@@ -185,6 +185,16 @@ class TestPotential:
                 assert potential_at(z, s, b, rule2048) == pytest.approx(
                     nodes, abs=1e-14), (b.generation, z)
 
+    @pytest.mark.parametrize("z", [1e307, 1e308, -1.7e308, 1e308j, 1.7e308 + 1.7e308j])
+    @pytest.mark.parametrize("method", ["auto", "nodes"])
+    def test_huge_points_give_minus_log_z(self, ternary_run, rule2048, z, method):
+        # every band's frame coordinate leaves the float range, where the
+        # unit measure's potential is -log|z| to roundoff (|z| itself may
+        # exceed the largest float)
+        bands, sols = ternary_run
+        v = potential_at(z, sols[-1], bands[-1], rule2048, method=method)
+        assert v == pytest.approx(-math.log(abs(z / 2)) - math.log(2.0), rel=1e-12)
+
     @pytest.mark.parametrize("d", [0.0, 1e-16, 1e-13, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
     def test_just_outside_a_band_matches_green_function(self, ternary_run, rule2048, d):
         # off the set V = V_c - g, with g the Green's function; g(x) is the

@@ -107,21 +107,22 @@ class TestRunConfig:
         assert cfg.output_dir == tmp_path / "elsewhere"
 
     def test_fingerprint_tracks_ifs_order_tol(self, tmp_path):
+        # the settings a record is reused under: its numerics
         base = RunConfig.from_file(write_config(tmp_path))
         same = RunConfig.from_file(write_config(tmp_path, n_max=5, sample_count=7))
-        assert base.fingerprint == same.fingerprint
+        assert base.numerics == same.numerics
         for change in ({"residual_tol": 1e-10}, {"ifs": [[1 / 3, -1.0], [0.3, 1.0]]}):
             other = RunConfig.from_file(write_config(tmp_path, **change))
-            assert other.fingerprint != base.fingerprint
+            assert other.numerics != base.numerics
         # the point-path order leaves the records untouched
         analytics_only = RunConfig.from_file(write_config(tmp_path, quadrature_order=512))
-        assert analytics_only.fingerprint == base.fingerprint
+        assert analytics_only.numerics == base.numerics
 
     def test_fingerprint_names_the_order_rule(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
-        base = RunConfig.from_file(path).fingerprint
+        base = RunConfig.from_file(path).numerics
         monkeypatch.setattr(cli, "ORDER_RULE", "uniform")
-        assert RunConfig.from_file(path).fingerprint != base
+        assert RunConfig.from_file(path).numerics != base
 
     def test_numerics_are_the_ifs_tolerances_and_order_rule(self, tmp_path):
         cfg = RunConfig.from_file(write_config(tmp_path, residual_tol=1e-13))
@@ -132,23 +133,22 @@ class TestRunConfig:
         assert cfg.residual_tol == 1e-13
 
     def test_fingerprint_keeps_the_stored_records_valid(self, tmp_path, monkeypatch):
-        # records hash exactly this numerics text, so they are reused as they
-        # are; records of midpoint starts, whose text named no start rule,
+        # records store exactly this config text, so they are reused as they
+        # are; records of midpoint starts, whose config named no start rule,
         # hold other initial residuals and are solved again once
         path = write_config(tmp_path)
         text = ('{"ifs": [[0.3333333333333333, -1.0], [0.3333333333333333, 1.0]], '
                 f'"numerics": "{cli.ORDER_RULE}", "residual_tol": 1e-12, '
                 f'"start_rule": "{solver.START_RULE}", "step_clamp": 1e-09}}')
-        stored = hashlib.sha256(text.encode()).hexdigest()
-        assert RunConfig.from_file(path).fingerprint == stored
+        stored = json.loads(text)
+        assert RunConfig.from_file(path).numerics == stored
         old = text.replace(f'"start_rule": "{solver.START_RULE}", ', "")
-        midpoint = hashlib.sha256(old.encode()).hexdigest()
-        assert RunConfig.from_file(path).fingerprint != midpoint
+        assert RunConfig.from_file(path).numerics != json.loads(old)
         monkeypatch.setattr(solver, "STEP_CLAMP", 1e-8)
-        assert RunConfig.from_file(path).fingerprint != stored
+        assert RunConfig.from_file(path).numerics != stored
         monkeypatch.setattr(solver, "STEP_CLAMP", 1e-9)
         monkeypatch.setattr(solver, "START_RULE", "midpoint")
-        assert RunConfig.from_file(path).fingerprint != stored
+        assert RunConfig.from_file(path).numerics != stored
 
     @pytest.mark.parametrize("key, value", [
         ("point_x", True), ("point_x", "0.5"),
@@ -621,6 +621,15 @@ class TestPotentialCommand:
         assert main(["potential", "--config", str(path), "--points", str(pts)]) == 2
         assert "--points" in capsys.readouterr().err
 
+    def test_huge_points(self, tmp_path, capsys):
+        # far beyond the hull V is -log|x|: no overflow to -inf, no warning
+        path = write_config(tmp_path, n_max=7, sample_count=128)
+        assert main(["potential", "--config", str(path), "--points", "1e308:1e308:1"]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "out" / "potential_points.csv")
+        assert [float(x) for x, _ in rows] == [1e308]
+        assert float(rows[0][1]) == pytest.approx(-math.log(1e308), rel=1e-12)
+
     @pytest.mark.parametrize("spec", ["nan:1:3", "-1:inf:3", "-inf:1:2", "-1:1:0",
                                       "file:1e400", "file:0.5 nan", "file:", "file:\n \n"])
     def test_points_it_cannot_evaluate(self, tmp_path, capsys, monkeypatch, spec):
@@ -673,6 +682,18 @@ class TestAnalyticsErrors:
         assert len(err.strip().splitlines()) == 1
 
 
+def _fresh_interpreter(script: str) -> str:
+    """The last line ``script`` prints in a new interpreter that imports the
+    package from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 class TestScipyFree:
     def test_commands_import_no_scipy(self, tmp_path):
         # the package runs on numpy alone; scipy stays a test oracle (numpy
@@ -686,13 +707,7 @@ class TestScipyFree:
             f"    assert cli.main([*argv, '--config', {str(path)!r}]) == 0, argv",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ])
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert _fresh_interpreter(script) == "[]"
         assert (tmp_path / "out" / "potential_points.csv").exists()
 
     def test_graded_rules_import_no_numpy_polynomial(self, tmp_path):
@@ -704,14 +719,21 @@ class TestScipyFree:
             f"assert cli.main(['solve', '--config', {str(path)!r}]) == 0",
             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))",
         ])
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert _fresh_interpreter(script) == "[]"
         assert len(list((tmp_path / "out").glob("gen_*.json"))) == 4
+
+    def test_solve_imports_no_hashlib(self, tmp_path):
+        # records are checked by their stored settings, not a digest, so no
+        # run maps OpenSSL's libcrypto
+        path = write_config(tmp_path)
+        script = "\n".join([
+            "import sys",
+            "import equimeasure.cli as cli",
+            f"assert cli.main(['solve', '--config', {str(path)!r}]) == 0",
+            "print(sorted(m for m in sys.modules if m in ('_hashlib', 'hashlib')))",
+        ])
+        assert _fresh_interpreter(script) == "[]"
+        assert len(list((tmp_path / "out").glob("gen_*.json"))) == 3
 
 
 class TestSolutionCache:
@@ -719,25 +741,27 @@ class TestSolutionCache:
         cache = SolutionCache(tmp_path)
         cache.directory.mkdir(exist_ok=True)
         (tmp_path / "gen_1.json").write_text("{ not json")
-        assert cache.load(1, "abc") is None
+        assert cache.load(1, {"a": 1}) is None
 
     def test_wrong_fingerprint_ignored(self, tmp_path):
+        # a record is served only under the settings it stores
         cache = SolutionCache(tmp_path)
-        cache.store({"generation": 1, "fingerprint": "aaa"})
-        assert cache.load(1, "bbb") is None
-        assert cache.load(1, "aaa") is not None
+        cache.store({"generation": 1, "config": {"a": 1}})
+        assert cache.load(1, {"a": 2}) is None
+        assert cache.load(1, {"a": 1, "b": 1}) is None
+        assert cache.load(1, {"a": 1}) is not None
 
     def test_records_of_another_generation_or_type_ignored(self, tmp_path):
         cache = SolutionCache(tmp_path)
-        cache.store({"generation": 1, "fingerprint": "aaa"})
+        cache.store({"generation": 1, "config": {"a": 1}})
         (tmp_path / "gen_2.json").write_text((tmp_path / "gen_1.json").read_text())
         (tmp_path / "gen_3.json").write_text("[1]")
-        assert cache.load(2, "aaa") is None and cache.load(3, "aaa") is None
+        assert cache.load(2, {"a": 1}) is None and cache.load(3, {"a": 1}) is None
 
 
 def _damage(out: Path, kind: str) -> str:
     """Damage one record of a solved ``out`` in a way that keeps it valid JSON
-    and, where a dict, its fingerprint; returns the damaged record's name."""
+    and, where a dict, its config; returns the damaged record's name."""
     if kind == "another generation":  # a copied record
         (out / "gen_3.json").write_text((out / "gen_2.json").read_text())
         return "gen_3.json"
@@ -770,6 +794,47 @@ def test_a_damaged_record_is_solved_again(tmp_path, capsys, monkeypatch, kind):
     assert main(["solve", "--config", path]) == 0
     assert capsys.readouterr() == (cold_out, "")
     assert calls == [int(name[4])]
+    assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == cold
+
+
+def test_records_of_the_hashed_format_are_reused_as_they_are(tmp_path, monkeypatch):
+    # records that also carry a "fingerprint", the SHA-256 of their config
+    # text, as the records of earlier versions do: same settings, so no
+    # solve and no rewrite
+    path = str(write_config(tmp_path))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path]) == 0
+    for name in out.glob("gen_*.json"):
+        record = json.loads(name.read_text())
+        text = json.dumps(record["config"], sort_keys=True)
+        name.write_text(json.dumps({"generation": record.pop("generation"),
+                                    "fingerprint": hashlib.sha256(text.encode()).hexdigest(),
+                                    **record}))
+    before = {p.name: p.read_bytes() for p in out.glob("gen_*.json")}
+    monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
+    assert main(["solve", "--config", path]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == before
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("start_rule", None, id="no-start_rule"),  # a record of midpoint starts
+    ("ifs", [[1 / 3, -1.0], [0.3, 1.0]]), ("residual_tol", 1e-13), ("step_clamp", 1e-8),
+    ("start_rule", "midpoint"), ("numerics", "uniform")])
+def test_a_record_under_other_settings_is_solved_again(tmp_path, monkeypatch, key, value):
+    path = str(write_config(tmp_path))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path]) == 0
+    cold = {p.name: p.read_bytes() for p in out.glob("gen_*.json")}
+    record = json.loads((out / "gen_2.json").read_text())
+    assert key in record["config"]
+    if value is None:
+        del record["config"][key]
+    else:
+        record["config"][key] = value
+    (out / "gen_2.json").write_text(json.dumps(record))
+    calls = _count_solves(monkeypatch)
+    assert main(["solve", "--config", path]) == 0
+    assert calls == [2]
     assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == cold
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -353,9 +355,9 @@ class TestNewtonStep:
         steps = []
 
         def recording(jac, rhs):
-            step = gmres(jac, rhs)
-            steps.append((np.linalg.solve(jac, rhs), step))
-            return step
+            lu = np.linalg.solve(jac, rhs)  # before _gmres scales jac in place
+            steps.append((lu, gmres(jac, rhs)))
+            return steps[-1][1]
 
         gmres = solver._gmres
         monkeypatch.setattr(solver, "_gmres", recording)
@@ -387,6 +389,29 @@ class TestNewtonStep:
         monkeypatch.setattr(np.linalg, "solve", refuse)
         sols = hierarchical_solve(asym, 6, 1e-12)
         assert max(s.max_residual for s in sols) <= 1e-12
+
+
+@pytest.mark.parametrize("system, tol", [("ternary", 1e-13), ("asym", 1e-12)])
+def test_a_newton_step_holds_one_matrix(system, tol, request):
+    # generation 9 (511 gaps, 2 Newton steps): above its start the solve
+    # allocates one N x N Jacobian at a time, which GMRES scales in place,
+    # and temporaries of bounded size; two matrices' worth at most
+    ifs = request.getfixturevalue(system)
+    sols = list(request.getfixturevalue(f"{system}_run")[1][:8])
+    while len(sols) < 8:
+        sols.append(solve_generation(
+            warm_start(generate_bands(ifs, len(sols) + 1), sols[-1], sols[-2]), tol))
+    start = warm_start(generate_bands(ifs, 9), sols[-1], sols[-2])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve_generation(start, tol)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n = sol.vars.bands.n_gaps
+    assert sol.iterations_used >= 1
+    assert peak <= 2 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_asym_generation_ten_converges(asym):
