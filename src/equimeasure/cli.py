@@ -292,10 +292,10 @@ def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
 
 def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolution | None:
     """The solution a record holds, or ``None`` if it lacks a key or an
-    array of it does not fit ``bands`` or holds a non-finite value."""
+    array of it does not fit ``bands`` or holds a non-finite value (its
+    ``"Omega"`` is not read: the solution sums its ``"omega"``)."""
     gaps, n_bands = bands.n_gaps, bands.n_bands
-    sizes = {"lambda": gaps, "residuals": gaps, "initial_residuals": gaps,
-             "omega": n_bands, "Omega": n_bands}
+    sizes = {"lambda": gaps, "residuals": gaps, "initial_residuals": gaps, "omega": n_bands}
     try:
         a = {key: np.array(record[key], dtype=float) for key in sizes}
         if any(a[key].shape != (size,) or not np.isfinite(a[key]).all()
@@ -304,7 +304,7 @@ def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolutio
         return EquilibriumSolution(
             vars=GapVariables(bands, a["lambda"]), residuals=a["residuals"],
             iterations_used=int(record["iterations_used"]), omegas=a["omega"],
-            Omegas=a["Omega"], initial_residuals=a["initial_residuals"])
+            initial_residuals=a["initial_residuals"])
     except (KeyError, TypeError, ValueError):  # a missing key or a non-number
         return None
 
@@ -380,38 +380,32 @@ def _capacity_rows(cfg: RunConfig, solved):
 
 
 def write_figure(cfg: RunConfig, which: str, solved) -> Path:
-    """Emit one figure's data file; returns the path written."""
-    out = cfg.output_dir
+    """Write one figure's data to ``<output_dir>/<which>.csv`` and return that
+    path; an unknown ``which`` raises ``ValueError`` before anything is written."""
     if which == "residuals_before_after":
+        header = ["generation", "gap_index", "residual_initial", "residual_final"]
         rows = [[sol.generation, g, sol.initial_residuals[g], sol.residuals[g]]
                 for bands, sol in solved for g in range(bands.n_gaps)]
-        path = out / "residuals_before_after.csv"
-        _write_csv(path, ["generation", "gap_index", "residual_initial",
-                          "residual_final"], rows)
     elif which == "jacobian_decay":
         bands, sol = solved[-1]
         jac = jacobian(sol.vars)
+        header = ["generation", "i", "m", "i_minus_m", "abs_dKi_dlambda_m"]
         rows = [[bands.generation, i, m, i - m, abs(jac[i, m])]
                 for i in range(bands.n_gaps) for m in range(bands.n_gaps)]
-        path = out / "jacobian_decay.csv"
-        _write_csv(path, ["generation", "i", "m", "i_minus_m", "abs_dKi_dlambda_m"],
-                   rows)
     elif which in ("lambda_vs_n", "Omega_vs_n"):  # per gap line: lambda, or Omega left of it
         column = which.removesuffix("_vs_n")
+        header = ["generation", "gap_index", "line_id", column]
         rows = [[sol.generation, g, line,
                  (sol.lambdas if column == "lambda" else sol.Omegas)[g]]
                 for (_, sol), lines in zip(solved, _line_ids(solved))
                 for g, line in enumerate(lines)]
-        path = out / f"{which}.csv"
-        _write_csv(path, ["generation", "gap_index", "line_id", column], rows)
     elif which in ("Omega_of_x", "potential_profile"):
         column, at = (("Omega", integrated_measure_at) if which == "Omega_of_x" else
                       ("V", lambda x, sol, bands: potential_at(x, sol, bands, cfg.rule)))
         grid = _x_grid(cfg)
+        header = ["generation", "x", column]
         rows = [[sol.generation, x, v] for bands, sol in solved
                 for x, v in zip(grid.tolist(), at(grid, sol, bands).tolist())]
-        path = out / f"{which}.csv"
-        _write_csv(path, ["generation", "x", column], rows)
     elif which == "gapmeasure_fit":
         gaps = [lines.index("1:0") for lines in _line_ids(solved)]  # gap 0 of generation 1
         points = [(sol.generation, float(sol.Omegas[g])) for (_, sol), g in zip(solved, gaps)]
@@ -422,17 +416,15 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
                 a = b = c = math.nan
         else:
             a = b = c = math.nan
+        header = ["generation", "gap_index", "Omega", "fit_a", "fit_b", "fit_c"]
         rows = [[n, g, v, a, b, c] for (n, v), g in zip(points, gaps)]
-        path = out / "gapmeasure_fit.csv"
-        _write_csv(path, ["generation", "gap_index", "Omega", "fit_a", "fit_b",
-                          "fit_c"], rows)
     elif which == "capacity_table":
         header, rows, _, _ = _capacity_rows(cfg, solved)
-        path = out / "capacity_table.csv"
-        _write_csv(path, header, rows)
     else:
         raise ValueError(f"unknown figure {which!r}; choose from "
                          f"{', '.join(FIGURE_NAMES)} or 'all'")
+    path = cfg.output_dir / f"{which}.csv"
+    _write_csv(path, header, rows)
     return path
 
 
@@ -448,7 +440,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def _require_capacity_depth(cfg: RunConfig, what: str) -> None:
     """Reject, before any solve, a capacity run that is too shallow or that
     has fewer sample points than the deepest generation has bands."""
-    problems, n_bands = [], cfg.ifs.n_maps ** cfg.n_max
+    problems, n_bands = [], generate_bands(cfg.ifs, cfg.n_max).n_bands
     if cfg.n_max < MIN_CAPACITY_GENERATIONS:
         problems.append(f"{what} needs n_max >= {MIN_CAPACITY_GENERATIONS}, "
                         f"got {cfg.n_max}")

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import BandSystem, IfsSystem, generate_bands, validate
+from .geometry import BandSystem, IfsSystem, generate_bands
 from .kernel import (
     GapVariables,
     band_integral,
@@ -81,15 +82,20 @@ class EquilibriumSolution:
 
     ``vars`` holds the roots and their band system, whose generation is
     :attr:`generation`; ``omegas`` are the band measures and ``Omegas``
-    their running sums.
+    their running sums, memoised read-only on first use.
     """
 
     vars: GapVariables
     residuals: np.ndarray
     iterations_used: int
     omegas: np.ndarray
-    Omegas: np.ndarray
-    initial_residuals: np.ndarray = field(repr=False, default=None)
+    initial_residuals: np.ndarray = field(repr=False)
+
+    @cached_property
+    def Omegas(self) -> np.ndarray:
+        Omegas = np.cumsum(self.omegas)
+        Omegas.flags.writeable = False
+        return Omegas
 
     @property
     def generation(self) -> int:
@@ -261,7 +267,6 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
         residuals=np.abs(r),
         iterations_used=iterations,
         omegas=omegas,
-        Omegas=np.cumsum(omegas),
         initial_residuals=initial_abs,
     )
 
@@ -329,7 +334,6 @@ def hierarchical_solve(ifs: IfsSystem, n_max: int, residual_tol: float = 1e-12,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    ifs = validate(ifs)
     solutions: list[EquilibriumSolution] = []
     for n in range(1, n_max + 1):
         bands = generate_bands(ifs, n)

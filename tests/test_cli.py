@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -19,6 +20,7 @@ from equimeasure.cli import (
     SolutionCache,
     main,
     solve_all,
+    write_figure,
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
 from equimeasure.kernel import gap_jacobian_row, refined_rules
@@ -537,6 +539,23 @@ class TestFiguresCommand:
         path = write_config(tmp_path)
         assert main(["figures", "--config", str(path), "--which", "fig42"]) == 2
 
+    def test_write_figure_writes_each_name_to_its_one_path(self, run_dir, tmp_path):
+        # the solutions of run_dir's records, written elsewhere: an unknown
+        # name raises before anything is written, each known one goes to
+        # output_dir / "<name>.csv" with the bytes the figures command wrote
+        cfg = RunConfig.from_file(run_dir.parent / "config.json")
+        solved = solve_all(cfg)
+        cfg = dataclasses.replace(cfg, output_dir=tmp_path / "figs")
+        with pytest.raises(ValueError, match="unknown figure 'fig42'"):
+            write_figure(cfg, "fig42", solved)
+        assert not cfg.output_dir.exists()
+        for name in FIGURE_NAMES:
+            path = write_figure(cfg, name, solved)
+            assert path == cfg.output_dir / f"{name}.csv"
+            assert path.read_bytes() == (run_dir / f"{name}.csv").read_bytes()
+        assert sorted(p.name for p in cfg.output_dir.iterdir()) == sorted(
+            f"{name}.csv" for name in FIGURE_NAMES)
+
     def test_17_digit_floats(self, run_dir):
         _, rows = read_csv(run_dir / "capacity_table.csv")
         reparsed = float(rows[0][2])
@@ -564,13 +583,18 @@ class TestCapacityCommand:
                                       ["figures", "--which", "capacity_table"]])
     def test_fewer_samples_than_bands_rejected_before_solving(self, tmp_path, capsys,
                                                               monkeypatch, argv):
-        # the mean path needs a point on every band of generation n_max = 4
+        # the mean path needs a point on every band of generation n_max = 4:
+        # 2**4 = 16 of them for two maps, 3**4 = 81 for three, where 64 points
+        # would pass a count written for two maps
         monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
-        path = write_config(tmp_path, n_max=4, sample_count=8)
-        assert main([*argv, "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "sample_count >= 16" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        for pairs, samples, n_bands in ((BASE_CONFIG["ifs"], 8, 16),
+                                        ([[0.3, -1.0], [0.1, 0.0], [0.2, 1.0]], 64, 81)):
+            path = write_config(tmp_path, ifs=pairs, n_max=4, sample_count=samples)
+            assert main([*argv, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"sample_count >= {n_bands}, " in err and f"got {samples}" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
 
 
 class TestPotentialCommand:
@@ -774,7 +798,7 @@ def _damage(out: Path, kind: str) -> str:
         record["residuals"][0] = None
     else:  # arrays of the wrong length
         record["residuals"] = record["residuals"][:-1]
-        record["Omega"] = record["Omega"] + [1.0]
+        record["omega"] = record["omega"] + [1.0]
     (out / "gen_2.json").write_text(json.dumps(record))
     return "gen_2.json"
 
@@ -795,6 +819,26 @@ def test_a_damaged_record_is_solved_again(tmp_path, capsys, monkeypatch, kind):
     assert capsys.readouterr() == (cold_out, "")
     assert calls == [int(name[4])]
     assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == cold
+
+
+def test_an_edited_Omega_in_a_record_changes_no_figure(tmp_path, capsys, monkeypatch):
+    # a solution sums its own omega: every record's stored "Omega" halved,
+    # same length and finite, is still reused, and the warm figures are the
+    # cold run's bytes
+    path = str(write_config(tmp_path, n_max=4, sample_count=32))
+    out = tmp_path / "out"
+    assert main(["figures", "--config", path, "--which", "all"]) == 0
+    cold = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert sorted(cold) == sorted(f"{name}.csv" for name in FIGURE_NAMES)
+    for name in out.glob("gen_*.json"):
+        record = json.loads(name.read_text())
+        record["Omega"] = [0.5 * v for v in record["Omega"]]
+        name.write_text(json.dumps(record))
+    edited = {p.name: p.read_bytes() for p in out.glob("gen_*.json")}
+    monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
+    assert main(["figures", "--config", path, "--which", "all"]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("*.csv")} == cold
+    assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == edited
 
 
 def test_records_of_the_hashed_format_are_reused_as_they_are(tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from equimeasure import kernel, solver
-from equimeasure.geometry import IfsSystem, generate_bands, validate
+from equimeasure.geometry import IfsSystem, OverlappingImages, generate_bands, validate
 from equimeasure.kernel import (
     MIN_ORDER,
     GapVariables,
@@ -13,6 +14,7 @@ from equimeasure.kernel import (
     refined_orders,
 )
 from equimeasure.solver import (
+    EquilibriumSolution,
     NoConvergence,
     SingularJacobian,
     hierarchical_solve,
@@ -64,6 +66,30 @@ def test_solution_invariants(ternary_run):
         assert np.all(np.diff(s.Omegas) >= 0.0)
         assert abs(s.Omegas[-1] - 1.0) < 1e-9
         assert np.max(np.abs(s.lambdas)) < 1.0
+
+
+def test_Omegas_are_derived_from_omegas(asym_run):
+    # the running sums are no field: a solution cannot hold an Omega that
+    # its omega contradicts, and every solution must name its initial residuals
+    fields = {f.name: f for f in dataclasses.fields(EquilibriumSolution)}
+    assert list(fields) == ["vars", "residuals", "iterations_used", "omegas",
+                            "initial_residuals"]
+    assert fields["initial_residuals"].default is dataclasses.MISSING
+    s = asym_run[1][4]
+    assert np.array_equal(s.Omegas, np.cumsum(s.omegas))
+    assert s.Omegas is s.Omegas and not s.Omegas.flags.writeable
+    halved = dataclasses.replace(s, omegas=0.5 * s.omegas)
+    assert np.array_equal(halved.Omegas, 0.5 * np.cumsum(s.omegas))
+
+
+def test_hierarchical_solve_leaves_validation_to_the_geometry(ternary):
+    # generate_bands validates (and sorts) every system it is given
+    reversed_pairs = [[1 / 3, 1.0], [1 / 3, -1.0]]
+    sols = hierarchical_solve(IfsSystem.from_pairs(reversed_pairs), 2, 1e-13)
+    for a, b in zip(sols, hierarchical_solve(ternary, 2, 1e-13)):
+        assert np.array_equal(a.lambdas, b.lambdas)
+    with pytest.raises(OverlappingImages):
+        hierarchical_solve(IfsSystem.from_pairs([[0.6, -1.0], [0.6, 1.0]]), 2)
 
 
 def test_central_gap_stays_symmetric(ternary_run):
