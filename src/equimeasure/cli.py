@@ -19,7 +19,18 @@ record's ``config`` field holds every setting it depends on
 down, each old gap from its parent moved as that preimage last moved), and
 a record is reused on rerun only when those stored settings equal the
 active config's, so a reused record cannot disagree with the run that
-reads it.  The solver
+reads it.  Records hold what the solver produced.  The band series
+(``GapVariables.band_series``) is derived from the roots, so ``capacity``,
+``figures`` and ``potential`` keep it beside the record in
+``series_<n>.bin``: one JSON line with the generation and
+:attr:`RunConfig.series_numerics` (the numerics plus
+``kernel.SERIES_RULE``), then the roots and the coefficients as
+little-endian float64 bytes.  Each of those commands seeds a solution's
+memo from its sidecar (:func:`~equimeasure.kernel.restore_band_series`)
+when the generation, the settings and the roots' bytes equal its own and
+the kernel accepts the coefficients, and writes the sidecar of every
+series it built.  ``solve`` writes none, nor does a library call to
+:func:`write_figure`; deleting a sidecar is always safe.  The solver
 sizes its quadrature rules from the geometry, and the potentials,
 capacities and integrated measures come from per-band Chebyshev series
 sized the same way; ``quadrature_order`` sets only the nodes per band of
@@ -53,6 +64,7 @@ Exit codes, each failure with a one-line message on stderr:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -64,7 +76,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solver
+from . import kernel, solver
 from .analytics import (
     MIN_CAPACITY_GENERATIONS,
     NonMonotoneInput,
@@ -132,7 +144,10 @@ class RunConfig:
 
     ``residual_tol`` is the solver's one setting.  Records in
     ``output_dir`` are always reused when their stored settings equal
-    :attr:`numerics`, and
+    :attr:`numerics`, and each band series sidecar ``series_<n>.bin``
+    (the per-band Chebyshev coefficients of a generation's density, which
+    ``solve`` never writes and which can always be deleted) when its
+    settings equal :attr:`series_numerics` and its roots the record's; and
     every capacity fit takes the last ``MIN_CAPACITY_GENERATIONS``
     generations.  ``quadrature_order`` is the order of :attr:`rule`, the
     nodes per band of the point path (``potential_at(..., method="nodes")``,
@@ -240,18 +255,25 @@ class RunConfig:
         }
 
     @property
+    def series_numerics(self) -> dict:
+        """Every setting a band series sidecar depends on: :attr:`numerics`
+        and the name of the series rule, ``kernel.SERIES_RULE``."""
+        return {**self.numerics, "series": kernel.SERIES_RULE}
+
+    @property
     def rule(self) -> QuadratureRule:
         return QuadratureRule.chebyshev(self.quadrature_order)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(text, newline="")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
 class SolutionCache:
-    """Per-generation JSON records, each storing the settings it was solved under."""
+    """Per-generation JSON records, each storing the settings it was solved
+    under, and beside each the band series sidecar analytics wrote for it."""
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
@@ -262,15 +284,45 @@ class SolutionCache:
     def load(self, n: int, numerics: dict) -> dict | None:
         try:
             record = json.loads(self.path(n).read_text())
-        except (OSError, json.JSONDecodeError):  # a missing file included
+        except (OSError, ValueError, RecursionError):  # a missing file, bad UTF-8 or JSON
             return None
         ok = isinstance(record, dict) and record.get("config") == numerics
-        return record if ok and record.get("generation") == n else None
+        return record if ok and _is_generation(record.get("generation"), n) else None
 
     def store(self, record: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(self.path(record["generation"]),
-                           json.dumps(record))
+        _atomic_write(self.path(record["generation"]), json.dumps(record).encode())
+
+    def series_path(self, n: int) -> Path:
+        return self.directory / f"series_{n}.bin"
+
+    def load_series(self, sol: EquilibriumSolution, settings: dict) -> bool:
+        """Seed ``sol``'s band series from its sidecar, if that was stored
+        under ``settings`` for this generation and exactly these roots and
+        holds coefficients the kernel accepts; returns whether it did."""
+        roots = sol.lambdas.astype("<f8", copy=False).tobytes()
+        try:
+            head, _, body = self.series_path(sol.generation).read_bytes().partition(b"\n")
+            side = json.loads(head)
+            coeffs = np.frombuffer(body, dtype="<f8", offset=len(roots))
+            coeffs = coeffs.reshape(sol.vars.bands.n_bands, -1)
+        except (OSError, ValueError, RecursionError):  # a missing file or bad bytes
+            return False
+        return (isinstance(side, dict) and side.get("config") == settings
+                and _is_generation(side.get("generation"), sol.generation)
+                and body[:len(roots)] == roots
+                and kernel.restore_band_series(sol.vars, coeffs))
+
+    def store_series(self, sol: EquilibriumSolution, settings: dict) -> None:
+        head = json.dumps({"generation": sol.generation, "config": settings})
+        _atomic_write(self.series_path(sol.generation), b"".join((
+            head.encode(), b"\n", sol.lambdas.astype("<f8", copy=False).tobytes(),
+            sol.vars.band_series.astype("<f8", copy=False).tobytes())))
+
+
+def _is_generation(value, n: int) -> bool:
+    """Whether a stored ``"generation"`` is the JSON integer ``n`` (not ``true``)."""
+    return _is_json(value, int) and value == n
 
 
 def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
@@ -291,19 +343,21 @@ def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
 
 
 def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolution | None:
-    """The solution a record holds, or ``None`` if it lacks a key or an
-    array of it does not fit ``bands`` or holds a non-finite value (its
-    ``"Omega"`` is not read: the solution sums its ``"omega"``)."""
+    """The solution a record holds, or ``None`` if it lacks a key, an
+    array of it does not fit ``bands`` or holds a non-finite value, or its
+    ``"iterations_used"`` is not a JSON integer (its ``"Omega"`` is not
+    read: the solution sums its ``"omega"``)."""
     gaps, n_bands = bands.n_gaps, bands.n_bands
     sizes = {"lambda": gaps, "residuals": gaps, "initial_residuals": gaps, "omega": n_bands}
     try:
         a = {key: np.array(record[key], dtype=float) for key in sizes}
-        if any(a[key].shape != (size,) or not np.isfinite(a[key]).all()
-               for key, size in sizes.items()):
+        if (any(a[key].shape != (size,) or not np.isfinite(a[key]).all()
+                for key, size in sizes.items())
+                or not _is_json(record["iterations_used"], int)):
             return None
         return EquilibriumSolution(
             vars=GapVariables(bands, a["lambda"]), residuals=a["residuals"],
-            iterations_used=int(record["iterations_used"]), omegas=a["omega"],
+            iterations_used=record["iterations_used"], omegas=a["omega"],
             initial_residuals=a["initial_residuals"])
     except (KeyError, TypeError, ValueError):  # a missing key or a non-number
         return None
@@ -330,6 +384,18 @@ def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     return [(sol.vars.bands, sol) for sol in solutions]
 
 
+@contextlib.contextmanager
+def _band_series_sidecars(cfg: RunConfig, solved):
+    """Seed the band series of ``solved`` from their sidecars where those
+    bind, run the block, then write the sidecar of each series it built."""
+    cache, settings = SolutionCache(cfg.output_dir), cfg.series_numerics
+    unrestored = [sol for _, sol in solved if not cache.load_series(sol, settings)]
+    yield
+    for sol in unrestored:
+        if "band_series" in sol.vars.__dict__:  # where cached_property keeps it
+            cache.store_series(sol, settings)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     text = io.StringIO()
@@ -337,7 +403,7 @@ def _write_csv(path: Path, header, rows) -> None:
     writer.writerow(header)
     writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
                      for row in rows)
-    _atomic_write_text(path, text.getvalue())
+    _atomic_write(path, text.getvalue().encode())
 
 
 def _line_ids(solved) -> list[list[str]]:
@@ -463,18 +529,20 @@ def cmd_figures(cfg: RunConfig, which: str) -> int:
     if "Omega_of_x" in names and grid and not h.lo <= grid[0] < grid[1] <= h.hi:
         raise ConfigError([f"Omega_of_x needs 'x_grid' inside the hull [{h.lo}, {h.hi}]"])
     solved = solve_all(cfg)
-    for name in names:
-        path = write_figure(cfg, name, solved)
-        print(f"wrote {path}")
+    with _band_series_sidecars(cfg, solved):
+        for name in names:
+            path = write_figure(cfg, name, solved)
+            print(f"wrote {path}")
     return 0
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
     _require_capacity_depth(cfg, "capacity")
     solved = solve_all(cfg)
-    header, rows, est_mean, est_point = _capacity_rows(cfg, solved)
-    path = cfg.output_dir / "capacity_table.csv"
-    _write_csv(path, header, rows)
+    with _band_series_sidecars(cfg, solved):
+        header, rows, est_mean, est_point = _capacity_rows(cfg, solved)
+        path = cfg.output_dir / "capacity_table.csv"
+        _write_csv(path, header, rows)
     print(f"wrote {path}")
     a, b, c = est_mean.fit
     print(f"fit over last {MIN_CAPACITY_GENERATIONS} generations (mean path): "
@@ -511,9 +579,10 @@ def cmd_potential(cfg: RunConfig, points_spec: str) -> int:
     pts = _parse_points(points_spec)
     solved = solve_all(cfg)
     bands, sol = solved[-1]
-    values = potential_at(pts, sol, bands, cfg.rule)
-    path = cfg.output_dir / "potential_points.csv"
-    _write_csv(path, ["x", "V"], zip(pts, values))
+    with _band_series_sidecars(cfg, solved):
+        values = potential_at(pts, sol, bands, cfg.rule)
+        path = cfg.output_dir / "potential_points.csv"
+        _write_csv(path, ["x", "V"], zip(pts, values))
     print(f"wrote {path}")
     return 0
 

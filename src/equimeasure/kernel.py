@@ -60,7 +60,10 @@ memoised on them, read-only (``GapVariables.band_series``).  In band
 |Z| / sqrt|Y~|``; :func:`kernel_band` samples ``F`` at the first-kind
 Chebyshev nodes of ``SERIES_OVERSAMPLING`` times the band's
 :func:`refined_orders`, and a DCT-II (one numpy FFT per series length)
-gives ``F = sum_j c_j T_j``; ``c_0`` is the band measure.
+gives ``F = sum_j c_j T_j``; ``c_0`` is the band measure.  A series
+stored earlier for the same roots can seed that memo instead
+(:func:`restore_band_series`), so a caller that keeps the coefficients
+evaluates no kernel and imports no ``numpy.fft``.
 
 All functions are pure; results depend only on the arguments, and node
 sums always run in the fixed node order, so values are reproducible.
@@ -98,7 +101,11 @@ ORDER_RULE = f"refined-or-graded/min{MIN_ORDER}/safety{REFINE_SAFETY:g}/panel{PA
 # n = 1, whose bands take the floor of 16 nodes or 26); at twice it the
 # spread is at roundoff (4.4e-16), and doubling again moves no mean
 # potential by more than 1.1e-16 (ternary n <= 7, 4/5, 1/10 n <= 9).
+# ``SERIES_RULE`` names how a series is built in the settings each stored
+# series carries; change it whenever ``kernel_band`` or ``_chebyshev_series``
+# changes what they compute.
 SERIES_OVERSAMPLING = 2
+SERIES_RULE = f"dct2/oversampling{SERIES_OVERSAMPLING}/v1"
 
 _PROD_BLOCK = 256  # rows per block when accumulating long factor products
 _CHUNK_ELEMS = 1 << 14  # elements per temporary of a batched chunk
@@ -210,6 +217,23 @@ class GapVariables:
         coeffs = _chebyshev_series(self)
         coeffs.flags.writeable = False
         return coeffs
+
+
+def restore_band_series(vars: GapVariables, coeffs: np.ndarray) -> bool:
+    """Seed ``vars.band_series`` with ``coeffs``, stored from an earlier
+    :func:`_chebyshev_series` of the same roots, if they fit: float64, one
+    row per band, as long as ``SERIES_OVERSAMPLING`` times the longest
+    :func:`refined_orders` of the bands, and every value finite.  Returns
+    whether the memo was seeded; the caller answers for the roots.
+    """
+    longest = SERIES_OVERSAMPLING * refined_orders(vars.bands, "band").max()
+    if (coeffs.dtype != np.float64 or coeffs.shape != (vars.bands.n_bands, longest)
+            or not np.isfinite(coeffs).all()):
+        return False
+    coeffs = coeffs.copy()
+    coeffs.flags.writeable = False
+    vars.__dict__["band_series"] = coeffs  # where cached_property keeps its value
+    return True
 
 
 def _to_frame(y, lo, hi):

@@ -34,6 +34,7 @@ from equimeasure.kernel import (
     _from_frame,
     kernel_band,
     refined_orders,
+    restore_band_series,
 )
 from tests.conftest import X_STAR, density_table, node_sum_potentials
 
@@ -365,6 +366,10 @@ class TestOwnBands:
             mean_potential_on_attractor_points(s, s.vars.bands, 64, rule2048))
 
 
+def _must_not_build(vars):
+    raise AssertionError("band series built")
+
+
 def _fresh(solution):
     """The solution on new roots of the same values: no series built yet."""
     return dataclasses.replace(solution, vars=GapVariables(solution.vars.bands,
@@ -467,6 +472,28 @@ class TestDensityTableMemo:
         assert fresh.band_series is not series
         assert np.array_equal(fresh.band_series, series)
         assert len(built) == 1 and built[0] is fresh
+
+    def test_a_restored_series_is_the_built_one(self, asym_run, monkeypatch):
+        # coefficients stored as float64 bytes seed the memo bit for bit,
+        # read-only, with no kernel evaluated; what does not fit is refused
+        vars = asym_run[1][3].vars
+        stored = np.frombuffer(vars.band_series.tobytes()).reshape(vars.band_series.shape)
+        monkeypatch.setattr(kernel, "_chebyshev_series", _must_not_build)
+        fresh = GapVariables(vars.bands, vars.lambdas)
+        assert restore_band_series(fresh, stored)
+        assert fresh.band_series.tobytes() == vars.band_series.tobytes()
+        assert not fresh.band_series.flags.writeable
+        nan = stored.copy()
+        nan[0, 1] = math.nan
+        for bad in (stored[:-1], stored[:, :-1], np.hstack([stored, stored[:, :1]]),
+                    stored.ravel(), nan, stored.astype(np.float32), stored.astype(complex)):
+            refused = GapVariables(vars.bands, vars.lambdas)
+            assert not restore_band_series(refused, bad)
+            with pytest.raises(AssertionError, match="built"):
+                refused.band_series
+        # the shape follows SERIES_OVERSAMPLING at each call
+        monkeypatch.setattr(kernel, "SERIES_OVERSAMPLING", 2 * kernel.SERIES_OVERSAMPLING)
+        assert not restore_band_series(GapVariables(vars.bands, vars.lambdas), stored)
 
     def test_point_path_retains_no_tables(self, ternary_run, rule2048):
         # the point path's node rows, positions and weighted densities,

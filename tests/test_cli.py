@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equimeasure import analytics, cli, solver
+from equimeasure import analytics, cli, kernel, solver
 from equimeasure.cli import (
     FIGURE_NAMES,
     ConfigError,
@@ -55,6 +55,22 @@ def _count_solves(monkeypatch) -> list:
         return original(initial, *args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_generation", counting)
+    return calls
+
+
+def _series_must_not_build(vars):
+    raise AssertionError("band series built on a warm cache")
+
+
+def _count_series(monkeypatch) -> list:
+    """The generations whose band series ``kernel._chebyshev_series`` builds."""
+    calls, original = [], kernel._chebyshev_series
+
+    def counting(vars):
+        calls.append(vars.bands.generation)
+        return original(vars)
+
+    monkeypatch.setattr(kernel, "_chebyshev_series", counting)
     return calls
 
 
@@ -760,6 +776,25 @@ class TestScipyFree:
         assert len(list((tmp_path / "out").glob("gen_*.json"))) == 3
 
 
+    def test_a_warm_capacity_imports_no_fft(self, tmp_path):
+        # sidecars replace every series build, the only numpy.fft user; the
+        # cold run imports it, so the warm check is not vacuous
+        path = write_config(tmp_path, n_max=4, sample_count=32)
+        script = "\n".join([
+            "import sys",
+            "import equimeasure.cli as cli",
+            "before = 'numpy.fft' in sys.modules",
+            f"assert cli.main(['capacity', '--config', {str(path)!r}]) == 0",
+            "print(before, 'numpy.fft' in sys.modules)",
+        ])
+        cold = _fresh_interpreter(script)
+        if cold.startswith("True"):
+            pytest.skip("this numpy imports numpy.fft with itself")
+        assert cold == "False True"
+        assert len(list((tmp_path / "out").glob("series_*.bin"))) == 4
+        assert _fresh_interpreter(script) == "False False"
+
+
 class TestSolutionCache:
     def test_corrupt_record_ignored(self, tmp_path):
         cache = SolutionCache(tmp_path)
@@ -784,11 +819,19 @@ class TestSolutionCache:
 
 
 def _damage(out: Path, kind: str) -> str:
-    """Damage one record of a solved ``out`` in a way that keeps it valid JSON
-    and, where a dict, its config; returns the damaged record's name."""
+    """Damage one record of a solved ``out``, where a dict keeping its
+    config; returns the damaged record's name."""
+    if kind in ("not UTF-8", "deeply nested JSON"):  # the reader raises, not JSON's decoder
+        (out / "gen_2.json").write_bytes(b"\xff" if kind == "not UTF-8" else b"[" * 100_000)
+        return "gen_2.json"
     if kind == "another generation":  # a copied record
         (out / "gen_3.json").write_text((out / "gen_2.json").read_text())
         return "gen_3.json"
+    if kind == "a boolean generation":  # true == 1 in Python, not in JSON
+        record = json.loads((out / "gen_1.json").read_text())
+        record["generation"] = True
+        (out / "gen_1.json").write_text(json.dumps(record))
+        return "gen_1.json"
     record = json.loads((out / "gen_2.json").read_text())
     if kind == "not an object":
         record = [1]
@@ -796,6 +839,8 @@ def _damage(out: Path, kind: str) -> str:
         del record["lambda"]
     elif kind == "a null in an array":  # json reads it, numpy makes it NaN
         record["residuals"][0] = None
+    elif kind == "a fractional iteration count":  # would print as 2 iterations
+        record["iterations_used"] = 2.75
     else:  # arrays of the wrong length
         record["residuals"] = record["residuals"][:-1]
         record["omega"] = record["omega"] + [1.0]
@@ -804,7 +849,9 @@ def _damage(out: Path, kind: str) -> str:
 
 
 @pytest.mark.parametrize("kind", ["another generation", "not an object", "a missing key",
-                                  "a null in an array", "arrays of the wrong length"])
+                                  "a null in an array", "arrays of the wrong length",
+                                  "a boolean generation", "a fractional iteration count",
+                                  "not UTF-8", "deeply nested JSON"])
 def test_a_damaged_record_is_solved_again(tmp_path, capsys, monkeypatch, kind):
     # a record that does not fit its generation is a cache miss: the run
     # exits 0, rewrites that record and prints what a cold run prints
@@ -880,6 +927,151 @@ def test_a_record_under_other_settings_is_solved_again(tmp_path, monkeypatch, ke
     assert main(["solve", "--config", path]) == 0
     assert calls == [2]
     assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == cold
+
+
+def _read_sidecar(path: Path) -> tuple[dict, np.ndarray]:
+    """A sidecar's JSON line and its float64 values (the roots, then the series)."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(head), np.frombuffer(body, dtype="<f8").copy()
+
+
+def _write_sidecar(path: Path, side: dict, values: np.ndarray, head: bytes | None = None):
+    head = json.dumps(side).encode() if head is None else head
+    path.write_bytes(head + b"\n" + values.astype("<f8").tobytes())
+
+
+def _files(out: Path, pattern: str) -> dict:
+    return {p.name: p.read_bytes() for p in out.glob(pattern)}
+
+
+def _stamps(out: Path, pattern: str) -> dict:
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.glob(pattern)}
+
+
+class TestSeriesSidecars:
+    # analytics write each band series they build to series_<n>.bin beside
+    # its record, and a warm run restores it instead of evaluating a kernel
+
+    def _config(self, tmp_path, **overrides) -> str:
+        return str(write_config(tmp_path, n_max=4, sample_count=32, **overrides))
+
+    @pytest.mark.parametrize("argv, deepest_only", [
+        (["capacity"], False), (["figures", "--which", "all"], False),
+        (["potential", "--points=-0.99:0.99:101"], True)])
+    def test_a_warm_run_from_sidecars_writes_the_cold_bytes(self, tmp_path, capsys,
+                                                            monkeypatch, argv, deepest_only):
+        path, out = self._config(tmp_path), tmp_path / "out"
+        assert main(["solve", "--config", path]) == 0
+        assert not _files(out, "series_*.bin")  # solve builds no series
+        records = _stamps(out, "gen_*.json")
+        capsys.readouterr()
+        assert main([*argv, "--config", path]) == 0
+        cold_out, cold = capsys.readouterr(), _files(out, "*.csv")
+        assert sorted(_files(out, "series_*.bin")) == [
+            f"series_{n}.bin" for n in ((4,) if deepest_only else (1, 2, 3, 4))]
+        sidecars = _stamps(out, "series_*.bin")
+        monkeypatch.setattr(kernel, "_chebyshev_series", _series_must_not_build)
+        monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
+        assert main([*argv, "--config", path]) == 0
+        assert capsys.readouterr() == cold_out
+        assert _files(out, "*.csv") == cold
+        assert _stamps(out, "series_*.bin") == sidecars  # nothing rewritten
+        assert _stamps(out, "gen_*.json") == records
+
+    def test_each_command_writes_the_series_it_built(self, tmp_path, capsys):
+        path, out = self._config(tmp_path), tmp_path / "out"
+        assert main(["solve", "--config", path]) == 0
+        assert main(["figures", "--config", path, "--which", "lambda_vs_n"]) == 0
+        assert not _files(out, "series_*.bin")
+        assert main(["potential", "--config", path, "--points=-0.9:0.9:5"]) == 0
+        assert sorted(_files(out, "series_*.bin")) == ["series_4.bin"]
+        deepest = _stamps(out, "series_4.bin")
+        assert main(["figures", "--config", path, "--which", "potential_profile"]) == 0
+        assert sorted(_files(out, "series_*.bin")) == [f"series_{n}.bin" for n in (1, 2, 3, 4)]
+        assert _stamps(out, "series_4.bin") == deepest
+        side, values = _read_sidecar(out / "series_2.bin")
+        record = json.loads((out / "gen_2.json").read_text())
+        cfg = RunConfig.from_file(path)
+        assert side == {"generation": 2,
+                        "config": {**cfg.numerics, "series": kernel.SERIES_RULE}}
+        sol = solve_all(cfg)[1][1]
+        gaps = len(record["lambda"])
+        assert values[:gaps].tobytes() == np.array(record["lambda"]).tobytes()
+        assert values[gaps:].tobytes() == sol.vars.band_series.tobytes()
+
+    @pytest.mark.parametrize("kind", [
+        "not UTF-8", "not JSON", "deeply nested JSON", "not an object", "other settings",
+        "another series rule", "other oversampling", "a float generation",
+        "a lambda one ulp off", "a wrong shape", "truncated", "a NaN coefficient"])
+    def test_a_stale_sidecar_is_rebuilt(self, tmp_path, capsys, monkeypatch, kind):
+        path, out = self._config(tmp_path), tmp_path / "out"
+        assert main(["capacity", "--config", path]) == 0
+        cold_out, cold = capsys.readouterr(), _files(out, "*.csv")
+        sidecars = _files(out, "series_*.bin")
+        stale = out / "series_2.bin"
+        side, values = _read_sidecar(stale)
+        gaps = len(json.loads((out / "gen_2.json").read_text())["lambda"])
+        head = tail = None
+        if kind == "not UTF-8":
+            head = b"\xff"
+        elif kind == "not JSON":
+            head = b"{ not json"
+        elif kind == "deeply nested JSON":
+            head = b"[" * 100_000
+        elif kind == "not an object":
+            head = json.dumps([side]).encode()
+        elif kind == "other settings":
+            side["config"]["residual_tol"] = 1e-13
+        elif kind in ("another series rule", "other oversampling"):
+            # written under another rule name, or another SERIES_OVERSAMPLING
+            # that the rule's name does not follow
+            attr, value = (("SERIES_RULE", "another") if kind == "another series rule"
+                           else ("SERIES_OVERSAMPLING", 2 * kernel.SERIES_OVERSAMPLING))
+            coefficients = len(values) - gaps
+            with monkeypatch.context() as m:
+                m.setattr(kernel, attr, value)
+                cfg = RunConfig.from_file(path)
+                SolutionCache(out).store_series(solve_all(cfg)[1][1], cfg.series_numerics)
+            side, values = _read_sidecar(stale)
+            factor = 2 if attr == "SERIES_OVERSAMPLING" else 1
+            assert len(values) == gaps + factor * coefficients
+        elif kind == "a float generation":  # 2.0 == 2 in Python, not in JSON
+            side["generation"] = 2.0
+        elif kind == "a lambda one ulp off":
+            values[0] = np.nextafter(values[0], 1.0)
+        elif kind == "a wrong shape":  # one coefficient short on every band
+            values = np.concatenate([values[:gaps], values[gaps:].reshape(4, -1)[:, :-1].ravel()])
+        elif kind == "truncated":
+            tail = 3
+        else:
+            values[gaps + 1] = math.nan
+        _write_sidecar(stale, side, values, head)
+        if tail:
+            stale.write_bytes(stale.read_bytes()[:-tail])
+        built = _count_series(monkeypatch)
+        assert main(["capacity", "--config", path]) == 0
+        assert capsys.readouterr() == cold_out
+        assert built == [2]
+        assert _files(out, "*.csv") == cold
+        assert _files(out, "series_*.bin") == sidecars
+
+    def test_a_record_solved_again_does_not_take_its_old_sidecar(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the records of a run at another tolerance are solved again, and so
+        # are their series: the output is that of a cold run at the new one
+        out = tmp_path / "out"
+        assert main(["capacity", "--config", self._config(tmp_path)]) == 0
+        old = _files(out, "series_*.bin")
+        assert len(old) == 4
+        assert main(["capacity", "--config", self._config(
+            tmp_path, residual_tol=1e-13, output_dir=str(tmp_path / "cold"))]) == 0
+        built = _count_series(monkeypatch)
+        assert main(["capacity", "--config", self._config(tmp_path, residual_tol=1e-13)]) == 0
+        assert built == [1, 2, 3, 4]
+        assert _files(out, "*.csv") == _files(tmp_path / "cold", "*.csv")
+        assert _files(out, "series_*.bin") == _files(tmp_path / "cold", "series_*.bin")
+        assert _files(out, "series_*.bin").keys() == old.keys()
+        assert all(_files(out, "series_*.bin")[name] != old[name] for name in old)
 
 
 def _bench_module(name):
