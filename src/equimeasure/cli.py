@@ -9,50 +9,42 @@ Subcommands::
 
 The config is a single JSON document (see ``RunConfig``).
 :func:`~equimeasure.solver.hierarchical_solve` walks the generations, and
-:func:`solve_all` connects its load and store hooks to the record cache:
-one ``gen_<n>.json`` record per generation in the output directory.  A
-record's ``config`` field holds every setting it depends on
-(:attr:`RunConfig.numerics`: the map parameters, residual tolerance,
+:func:`solve_all` connects its load and store hooks to the record cache,
+:class:`SolutionCache`: one ``gen_<n>.json`` record per generation in the
+output directory, holding only what the solver produced.  A record is
+reused on rerun only when the settings it stores equal
+:attr:`RunConfig.numerics` (the map parameters, residual tolerance,
 ``solver.STEP_CLAMP``, the name of the solver's order rule,
 ``kernel.ORDER_RULE``, and the name of its start rule,
 ``solver.START_RULE``: each new gap starts from its preimage one generation
-down, each old gap from its parent moved as that preimage last moved), and
-a record is reused on rerun only when those stored settings equal the
-active config's, so a reused record cannot disagree with the run that
-reads it.  Records hold what the solver produced.  The band series
-(``GapVariables.band_series``) is derived from the roots, so ``capacity``,
-``figures`` and ``potential`` keep it beside the record in
-``series_<n>.bin``: one JSON line with the generation and
-:attr:`RunConfig.series_numerics` (the numerics plus
-``kernel.SERIES_RULE``), then the roots and the coefficients as
-little-endian float64 bytes.  Each of those commands seeds a solution's
-memo from its sidecar (:func:`~equimeasure.kernel.restore_band_series`)
-when the generation, the settings and the roots' bytes equal its own and
-the kernel accepts the coefficients, and writes the sidecar of every
-series it built.  ``solve`` writes none, nor does a library call to
-:func:`write_figure`; deleting a sidecar is always safe.  The solver
-sizes its quadrature rules from the geometry, and the potentials,
-capacities and integrated measures come from per-band Chebyshev series
-sized the same way; ``quadrature_order`` sets only the nodes per band of
-the point path (``method="nodes"``), so a run at another order reuses the
-stored records.  The Jacobian figure is the solver's
-:func:`~equimeasure.solver.jacobian` at the deepest solution, built from
-one residual pass as in the Newton loop.  Line ids (``"<birth generation>:<gap>"``)
-follow the band systems' ``parents``.  Grids are evaluated in one call
-per generation.  All files are written atomically
-(temp file + rename).  Figure data files are plain CSV with a header row
-and 17-digit floats.
+down, each old gap from its parent moved as that preimage last moved), so
+a reused record cannot disagree with the run that reads it.  ``capacity``,
+``figures`` and ``potential`` seed each solution's band series from its
+sidecar ``series_<n>.bin`` where that binds, and write the sidecar of
+every series they built; ``solve`` writes none, nor does a library call to
+:func:`write_figure`.  The solver sizes its quadrature rules from the
+geometry, and the potentials, capacities and integrated measures come from
+per-band Chebyshev series sized the same way; ``quadrature_order`` sets
+only the nodes per band of the point path (``method="nodes"``), so a run
+at another order reuses the stored records.  The Jacobian figure is the
+solver's :func:`~equimeasure.solver.jacobian` at the deepest solution,
+built from one residual pass as in the Newton loop.  Line ids
+(``"<birth generation>:<gap>"``) follow the band systems' ``parents``.
+Grids are evaluated in one call per generation.  All files are written
+atomically (temp file + rename).  Figure data files are plain CSV with a
+header row and 17-digit floats.
 
 Exit codes, each failure with a one-line message on stderr:
 
 - 0 success;
 - 2 config error, including an unknown key (``max_iterations``,
   ``step_clamp``, ``fit_window`` and ``cache`` among them), a number beyond
-  the float range (``NaN`` and ``Infinity`` included), a bad
-  ``--points`` spec (no points, a count below 1 or a non-finite point
-  included), an ``x_grid`` off the hull for ``Omega_of_x``, an
-  ``n_max`` that ``generate_bands`` rejects and a capacity run with fewer
-  ``sample_count`` points than bands (all checked before any solve);
+  the float range (``NaN`` and ``Infinity`` included), a point count above
+  ``MAX_POINTS``, a bad ``--points`` spec (no points, too many or a
+  non-finite one included), an ``x_grid`` off the hull for ``Omega_of_x``,
+  an ``n_max`` that ``generate_bands`` rejects and a capacity run with fewer
+  ``sample_count`` points than bands or a ``point_x`` off the bands (all
+  checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
   (no convergence or a singular Jacobian), or a capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
@@ -125,6 +117,9 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {"ifs", "n_max", "quadrature_order", "residual_tol", "sample_count",
                "point_x", "x_grid", "output_dir"}
+# The most points a run can ask for, per band (``quadrature_order``) or in all
+# (``sample_count``, ``x_grid``, ``--points``): 512 times the paper's K = 2048.
+MAX_POINTS = 2**20
 _JSON_NAMES = {int: "integer", float: "finite number"}
 
 
@@ -142,20 +137,18 @@ def _is_json(value, kind) -> bool:
 class RunConfig:
     """One experiment: the system, depth, tolerance and output options.
 
-    ``residual_tol`` is the solver's one setting.  Records in
-    ``output_dir`` are always reused when their stored settings equal
-    :attr:`numerics`, and each band series sidecar ``series_<n>.bin``
-    (the per-band Chebyshev coefficients of a generation's density, which
-    ``solve`` never writes and which can always be deleted) when its
-    settings equal :attr:`series_numerics` and its roots the record's; and
-    every capacity fit takes the last ``MIN_CAPACITY_GENERATIONS``
-    generations.  ``quadrature_order`` is the order of :attr:`rule`, the
-    nodes per band of the point path (``potential_at(..., method="nodes")``,
-    the ``V_point`` column of the capacity table), which sums them only on
-    the bands that rule cannot resolve to roundoff.  Every other potential,
-    capacity and integrated measure comes from per-band Chebyshev series
-    sized by the geometry, as are the solver's rules.  Values are typed as
-    in JSON: counts are integers, and no boolean is a number.
+    ``residual_tol`` is the solver's one setting.  Records and band series
+    sidecars in ``output_dir`` (see :class:`SolutionCache`) are always
+    reused when their stored settings equal :attr:`numerics` and
+    :attr:`series_numerics`, and every capacity fit takes the last
+    ``MIN_CAPACITY_GENERATIONS`` generations.  ``quadrature_order`` is the
+    order of :attr:`rule`, the nodes per band of the point path
+    (``potential_at(..., method="nodes")``, the ``V_point`` column of the
+    capacity table), which sums them only on the bands that rule cannot
+    resolve to roundoff.  Every other potential, capacity and integrated
+    measure comes from per-band Chebyshev series sized by the geometry, as
+    are the solver's rules.  Values are typed as in JSON: counts are
+    integers, at most ``MAX_POINTS`` points, and no boolean is a number.
     """
 
     ifs: IfsSystem
@@ -213,10 +206,12 @@ class RunConfig:
             except GenerationTooLarge as exc:
                 problems.append(f"'n_max' {n_max} rejected: {exc}")
         # an absent key takes its field's default, the class attribute
-        order = grab("quadrature_order", cls.quadrature_order, int, lambda v: v >= 1,
-                     "must be >= 1")
+        in_range = f"must be in 1..{MAX_POINTS}"
+        order = grab("quadrature_order", cls.quadrature_order, int,
+                     lambda v: 1 <= v <= MAX_POINTS, in_range)
         tol = grab("residual_tol", cls.residual_tol, float, lambda v: v > 0, "must be positive")
-        samples = grab("sample_count", cls.sample_count, int, lambda v: v >= 1, "must be >= 1")
+        samples = grab("sample_count", cls.sample_count, int,
+                       lambda v: 1 <= v <= MAX_POINTS, in_range)
         point_x = raw.get("point_x")
         if point_x is not None and not _is_json(point_x, float):
             problems.append(f"'point_x' must be a finite number or null, got {point_x!r}")
@@ -228,10 +223,11 @@ class RunConfig:
             lo, hi, count = (g.get(k) if isinstance(g, dict) else None
                              for k in ("lo", "hi", "count"))
             if (_is_json(lo, float) and _is_json(hi, float) and _is_json(count, int)
-                    and lo < hi and count >= 2):
+                    and lo < hi and 2 <= count <= MAX_POINTS):
                 x_grid = (float(lo), float(hi), count)
             else:
-                problems.append("'x_grid' must be {lo < hi numbers, integer count >= 2}")
+                problems.append("'x_grid' must be {lo < hi numbers, integer count "
+                                f"in 2..{MAX_POINTS}}}")
 
         outdir = os.environ.get(OUTDIR_ENV) or raw.get("output_dir", str(cls.output_dir))
         if not isinstance(outdir, str):
@@ -272,8 +268,20 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 class SolutionCache:
-    """Per-generation JSON records, each storing the settings it was solved
-    under, and beside each the band series sidecar analytics wrote for it."""
+    """The per-generation records of one output directory, and beside each
+    the band series sidecar analytics wrote for it.
+
+    A record ``gen_<n>.json`` holds only what the solver produced: the
+    ``generation``, the settings it was solved under (``config``), the roots
+    (``lambda``), the final and initial ``residuals``, ``iterations_used``
+    and the band measures (``omega``); the bands follow from the IFS and Ω
+    is the running sum of ω.  A sidecar ``series_<n>.bin`` holds the band
+    series derived from the roots (``GapVariables.band_series``): one JSON
+    line with the ``generation`` and ``config``
+    (:attr:`RunConfig.series_numerics`), then the roots and the
+    coefficients as little-endian float64 bytes; deleting one is always
+    safe.  Both bind by one rule, :func:`_binds`.
+    """
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
@@ -281,13 +289,30 @@ class SolutionCache:
     def path(self, n: int) -> Path:
         return self.directory / f"gen_{n}.json"
 
-    def load(self, n: int, numerics: dict) -> dict | None:
+    def load(self, bands: BandSystem, numerics: dict) -> EquilibriumSolution | None:
+        """The solution stored for ``bands``, or ``None`` if its record is
+        unreadable, does not bind (:func:`_binds`), lacks a key or holds an
+        array that does not fit ``bands``, a non-finite value or a
+        non-integer ``iterations_used``.  Other keys, such as the band
+        endpoints and ``Omega`` of earlier records, are ignored."""
+        sizes = {"lambda": bands.n_gaps, "residuals": bands.n_gaps,
+                 "initial_residuals": bands.n_gaps, "omega": bands.n_bands}
         try:
-            record = json.loads(self.path(n).read_text())
-        except (OSError, ValueError, RecursionError):  # a missing file, bad UTF-8 or JSON
+            record = json.loads(self.path(bands.generation).read_text())
+            if not _binds(record, numerics, bands.generation):
+                return None
+            a = {key: np.array(record[key], dtype=float) for key in sizes}
+            if (any(a[key].shape != (size,) or not np.isfinite(a[key]).all()
+                    for key, size in sizes.items())
+                    or not _is_json(record["iterations_used"], int)):
+                return None
+            return EquilibriumSolution(
+                vars=GapVariables(bands, a["lambda"]), residuals=a["residuals"],
+                iterations_used=record["iterations_used"], omegas=a["omega"],
+                initial_residuals=a["initial_residuals"])
+        # a missing file or key, bad UTF-8 or JSON, or a non-number
+        except (OSError, KeyError, TypeError, ValueError, RecursionError):
             return None
-        ok = isinstance(record, dict) and record.get("config") == numerics
-        return record if ok and _is_generation(record.get("generation"), n) else None
 
     def store(self, record: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -297,9 +322,9 @@ class SolutionCache:
         return self.directory / f"series_{n}.bin"
 
     def load_series(self, sol: EquilibriumSolution, settings: dict) -> bool:
-        """Seed ``sol``'s band series from its sidecar, if that was stored
-        under ``settings`` for this generation and exactly these roots and
-        holds coefficients the kernel accepts; returns whether it did."""
+        """Seed ``sol``'s band series from its sidecar, if that binds
+        (:func:`_binds`), holds exactly these roots and holds coefficients
+        the kernel accepts; returns whether it did."""
         roots = sol.lambdas.astype("<f8", copy=False).tobytes()
         try:
             head, _, body = self.series_path(sol.generation).read_bytes().partition(b"\n")
@@ -308,9 +333,7 @@ class SolutionCache:
             coeffs = coeffs.reshape(sol.vars.bands.n_bands, -1)
         except (OSError, ValueError, RecursionError):  # a missing file or bad bytes
             return False
-        return (isinstance(side, dict) and side.get("config") == settings
-                and _is_generation(side.get("generation"), sol.generation)
-                and body[:len(roots)] == roots
+        return (_binds(side, settings, sol.generation) and body[:len(roots)] == roots
                 and kernel.restore_band_series(sol.vars, coeffs))
 
     def store_series(self, sol: EquilibriumSolution, settings: dict) -> None:
@@ -320,66 +343,38 @@ class SolutionCache:
             sol.vars.band_series.astype("<f8", copy=False).tobytes())))
 
 
-def _is_generation(value, n: int) -> bool:
-    """Whether a stored ``"generation"`` is the JSON integer ``n`` (not ``true``)."""
-    return _is_json(value, int) and value == n
+def _binds(header, settings: dict, n: int) -> bool:
+    """Whether a record or sidecar header was stored for generation ``n``
+    (that JSON integer, not ``true`` or ``2.0``) under exactly ``settings``."""
+    return (isinstance(header, dict) and header.get("config") == settings
+            and _is_json(header.get("generation"), int) and header["generation"] == n)
 
 
 def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
-    bands = sol.vars.bands
     return {
         "generation": sol.generation,
         "config": cfg.numerics,
-        "bands": [[a, b] for a, b in zip(bands.alphas, bands.betas)],
-        "gaps": [[lo, hi] for lo, hi in zip(bands.gap_los, bands.gap_his)],
-        "genealogy": [None if p < 0 else p for p in bands.parents.tolist()],
         "lambda": sol.lambdas.tolist(),
         "residuals": sol.residuals.tolist(),
         "initial_residuals": sol.initial_residuals.tolist(),
         "iterations_used": sol.iterations_used,
         "omega": sol.omegas.tolist(),
-        "Omega": sol.Omegas.tolist(),
     }
-
-
-def _solution_from_record(bands: BandSystem, record: dict) -> EquilibriumSolution | None:
-    """The solution a record holds, or ``None`` if it lacks a key, an
-    array of it does not fit ``bands`` or holds a non-finite value, or its
-    ``"iterations_used"`` is not a JSON integer (its ``"Omega"`` is not
-    read: the solution sums its ``"omega"``)."""
-    gaps, n_bands = bands.n_gaps, bands.n_bands
-    sizes = {"lambda": gaps, "residuals": gaps, "initial_residuals": gaps, "omega": n_bands}
-    try:
-        a = {key: np.array(record[key], dtype=float) for key in sizes}
-        if (any(a[key].shape != (size,) or not np.isfinite(a[key]).all()
-                for key, size in sizes.items())
-                or not _is_json(record["iterations_used"], int)):
-            return None
-        return EquilibriumSolution(
-            vars=GapVariables(bands, a["lambda"]), residuals=a["residuals"],
-            iterations_used=record["iterations_used"], omegas=a["omega"],
-            initial_residuals=a["initial_residuals"])
-    except (KeyError, TypeError, ValueError):  # a missing key or a non-number
-        return None
 
 
 def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     """Solve (or reload) generations ``1..n_max``, writing records as we go.
 
     :func:`~equimeasure.solver.hierarchical_solve` with the record cache as
-    its load and store hooks.  A record that does not fit its generation is
-    solved again and overwritten.  On solver failure the records of the
-    completed generations remain on disk and the error propagates with
+    its load and store hooks.  A record that does not load is solved again
+    and overwritten.  On solver failure the records of the completed
+    generations remain on disk and the error propagates with
     ``generation`` and ``solutions_so_far``.
     """
     cache = SolutionCache(cfg.output_dir)
-
-    def load(bands):
-        record = cache.load(bands.generation, cfg.numerics)
-        return None if record is None else _solution_from_record(bands, record)
-
     solutions = hierarchical_solve(
-        cfg.ifs, cfg.n_max, cfg.residual_tol, load,
+        cfg.ifs, cfg.n_max, cfg.residual_tol,
+        lambda bands: cache.load(bands, cfg.numerics),
         lambda sol: cache.store(_record_from_solution(cfg, sol)))
     return [(sol.vars.bands, sol) for sol in solutions]
 
@@ -504,15 +499,19 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _require_capacity_depth(cfg: RunConfig, what: str) -> None:
-    """Reject, before any solve, a capacity run that is too shallow or that
-    has fewer sample points than the deepest generation has bands."""
-    problems, n_bands = [], generate_bands(cfg.ifs, cfg.n_max).n_bands
+    """Reject, before any solve, a capacity run that is too shallow, that
+    has fewer sample points than the deepest generation has bands, or whose
+    ``point_x`` is off that generation's bands (and so off every one's)."""
+    problems, deepest, x = [], generate_bands(cfg.ifs, cfg.n_max), cfg.point_x
     if cfg.n_max < MIN_CAPACITY_GENERATIONS:
         problems.append(f"{what} needs n_max >= {MIN_CAPACITY_GENERATIONS}, "
                         f"got {cfg.n_max}")
-    if cfg.sample_count < n_bands:
-        problems.append(f"{what} needs sample_count >= {n_bands}, one point per band "
+    if cfg.sample_count < deepest.n_bands:
+        problems.append(f"{what} needs sample_count >= {deepest.n_bands}, one point per band "
                         f"of generation {cfg.n_max}, got {cfg.sample_count}")
+    if x is not None and not np.any((deepest.alphas <= x) & (x <= deepest.betas)):
+        problems.append(f"{what} needs 'point_x' on the bands of generation "
+                        f"{cfg.n_max}, got {x!r}")
     if problems:
         raise ConfigError(problems)
 
@@ -554,19 +553,19 @@ def cmd_capacity(cfg: RunConfig) -> int:
 
 def _parse_points(spec: str) -> np.ndarray:
     """The points of ``--points``: a file of numbers or ``lo:hi:count``,
-    with at least one point and every one finite, else :class:`ConfigError`."""
+    with 1 to ``MAX_POINTS`` points, every one finite, else :class:`ConfigError`."""
     try:
         if os.path.exists(spec):
             pts = np.array([float(v) for v in Path(spec).read_text().split()])
         else:
             lo, hi, count = spec.split(":")
             ends, count = np.array([float(lo), float(hi)]), int(count)
-            if count < 1:
-                raise ValueError(f"count {count} is below 1")
+            if not 1 <= count <= MAX_POINTS:
+                raise ValueError(f"count {count} is not in 1..{MAX_POINTS}")
             # a non-finite end is reported below, not spread over a grid
             pts = np.linspace(*ends, count) if np.all(np.isfinite(ends)) else ends
-        if not pts.size:
-            raise ValueError("no points")
+        if not 1 <= pts.size <= MAX_POINTS:
+            raise ValueError(f"{pts.size} points, not 1..{MAX_POINTS}")
         if not np.all(np.isfinite(pts)):
             raise ValueError(f"{pts[~np.isfinite(pts)][0]} is not finite")
     except ValueError as exc:

@@ -24,7 +24,10 @@ from equimeasure.cli import (
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
 from equimeasure.kernel import gap_jacobian_row, refined_rules
-from tests.conftest import nan_in_gap_0
+from tests.conftest import X_STAR, nan_in_gap_0
+
+RECORD_KEYS = ["generation", "config", "lambda", "residuals", "initial_residuals",
+               "iterations_used", "omega"]
 
 BASE_CONFIG = {
     "ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
@@ -193,6 +196,23 @@ class TestRunConfig:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["quadrature_order", "sample_count", "x_grid"])
+    def test_point_counts_are_capped(self, tmp_path, capsys, monkeypatch, key):
+        # a count above MAX_POINTS is rejected before any solve: 10**20 would
+        # solve every generation and then fail in numpy with a traceback
+        def config(count):
+            value = {"lo": -1.0, "hi": 1.0, "count": count} if key == "x_grid" else count
+            return write_config(tmp_path, n_max=4, **{"sample_count": 32, key: value})
+
+        assert RunConfig.from_file(config(cli.MAX_POINTS))  # the cap itself is taken
+        monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
+        for count in (cli.MAX_POINTS + 1, 10**20):
+            assert main(["capacity", "--config", str(config(count))]) == 2
+            err = capsys.readouterr().err
+            assert repr(key) in err and f"{cli.MAX_POINTS}" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("max_iterations", 200), ("step_clamp", 1e-9),
                                             ("fit_window", 4), ("cache", True)])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, monkeypatch, key,
@@ -276,11 +296,13 @@ class TestSolveCommand:
         out = tmp_path / "out"
         for n in (1, 2, 3):
             record = json.loads((out / f"gen_{n}.json").read_text())
+            # what the solver produced and nothing derived: no bands, gaps,
+            # genealogy or Omega
+            assert list(record) == RECORD_KEYS
             assert record["generation"] == n
-            assert len(record["bands"]) == 2**n
             assert len(record["lambda"]) == 2**n - 1
+            assert len(record["omega"]) == 2**n
             assert max(record["residuals"], default=0.0) < 1e-12
-            assert len(record["genealogy"]) == 2**n - 1
         assert not list(out.glob("*.tmp-*"))
 
     def test_cache_reuse_and_roundtrip(self, tmp_path, capsys, monkeypatch):
@@ -612,6 +634,32 @@ class TestCapacityCommand:
             assert err.count("\n") == 1 and "Traceback" not in err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [["capacity"], ["figures", "--which", "all"],
+                                      ["figures", "--which", "capacity_table"]])
+    @pytest.mark.parametrize("point_x", [0.0, 5.0])
+    def test_a_point_off_the_bands_rejected_before_solving(self, tmp_path, capsys,
+                                                           monkeypatch, argv, point_x):
+        # 0.0 is in the middle gap, 5.0 off the hull: the point path would
+        # print a capacity for one and fail the fit after every solve for the
+        # other
+        monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
+        path = write_config(tmp_path, n_max=4, sample_count=32, point_x=point_x)
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"'point_x' on the bands of generation 4, got {point_x}" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, point_x", [
+        (["capacity"], X_STAR), (["capacity"], None),
+        (["figures", "--which", "potential_profile"], 0.0)])
+    def test_a_point_on_the_bands_or_unused_runs(self, tmp_path, capsys, argv, point_x):
+        # X_STAR and the default point lie on the bands; potential_profile
+        # does not read point_x
+        path = write_config(tmp_path, n_max=4, sample_count=32, point_x=point_x)
+        assert main([*argv, "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestPotentialCommand:
     def test_grid_spec(self, tmp_path):
@@ -670,11 +718,14 @@ class TestPotentialCommand:
         assert [float(x) for x, _ in rows] == [1e308]
         assert float(rows[0][1]) == pytest.approx(-math.log(1e308), rel=1e-12)
 
-    @pytest.mark.parametrize("spec", ["nan:1:3", "-1:inf:3", "-inf:1:2", "-1:1:0",
-                                      "file:1e400", "file:0.5 nan", "file:", "file:\n \n"])
+    @pytest.mark.parametrize("spec", [
+        "nan:1:3", "-1:inf:3", "-inf:1:2", "-1:1:0", "file:1e400", "file:0.5 nan", "file:",
+        "file:\n \n", "0:1:1000000000000", f"0:1:{cli.MAX_POINTS + 1}",
+        pytest.param("file:" + "0.5 " * (cli.MAX_POINTS + 1), id="file:too-many")])
     def test_points_it_cannot_evaluate(self, tmp_path, capsys, monkeypatch, spec):
-        # a non-finite point, a count below 1 or no points at all: exit 2
-        # with one line on stderr, before any solve and with nothing written
+        # a non-finite point, a count below 1 or above MAX_POINTS, or no
+        # points at all: exit 2 with one line on stderr, before any solve
+        # and with nothing written
         if spec.startswith("file:"):
             points = tmp_path / "points.txt"
             points.write_text(spec[len("file:"):])
@@ -795,27 +846,9 @@ class TestScipyFree:
         assert _fresh_interpreter(script) == "False False"
 
 
-class TestSolutionCache:
-    def test_corrupt_record_ignored(self, tmp_path):
-        cache = SolutionCache(tmp_path)
-        cache.directory.mkdir(exist_ok=True)
-        (tmp_path / "gen_1.json").write_text("{ not json")
-        assert cache.load(1, {"a": 1}) is None
-
-    def test_wrong_fingerprint_ignored(self, tmp_path):
-        # a record is served only under the settings it stores
-        cache = SolutionCache(tmp_path)
-        cache.store({"generation": 1, "config": {"a": 1}})
-        assert cache.load(1, {"a": 2}) is None
-        assert cache.load(1, {"a": 1, "b": 1}) is None
-        assert cache.load(1, {"a": 1}) is not None
-
-    def test_records_of_another_generation_or_type_ignored(self, tmp_path):
-        cache = SolutionCache(tmp_path)
-        cache.store({"generation": 1, "config": {"a": 1}})
-        (tmp_path / "gen_2.json").write_text((tmp_path / "gen_1.json").read_text())
-        (tmp_path / "gen_3.json").write_text("[1]")
-        assert cache.load(2, {"a": 1}) is None and cache.load(3, {"a": 1}) is None
+DAMAGE_KINDS = ["another generation", "not an object", "a missing key", "a null in an array",
+                "arrays of the wrong length", "a boolean generation",
+                "a fractional iteration count", "not UTF-8", "deeply nested JSON"]
 
 
 def _damage(out: Path, kind: str) -> str:
@@ -848,10 +881,55 @@ def _damage(out: Path, kind: str) -> str:
     return "gen_2.json"
 
 
-@pytest.mark.parametrize("kind", ["another generation", "not an object", "a missing key",
-                                  "a null in an array", "arrays of the wrong length",
-                                  "a boolean generation", "a fractional iteration count",
-                                  "not UTF-8", "deeply nested JSON"])
+class TestSolutionCache:
+    # load(bands, numerics) returns the solution a record holds, or None
+
+    def _solved(self, tmp_path) -> tuple[SolutionCache, RunConfig]:
+        path = write_config(tmp_path)
+        assert main(["solve", "--config", str(path)]) == 0
+        cfg = RunConfig.from_file(path)
+        return SolutionCache(cfg.output_dir), cfg
+
+    def test_a_record_loads_into_the_solution_it_stores(self, tmp_path, capsys):
+        cache, cfg = self._solved(tmp_path)
+        for cold in solver.hierarchical_solve(cfg.ifs, cfg.n_max, cfg.residual_tol):
+            sol = cache.load(cold.vars.bands, cfg.numerics)
+            assert sol.vars.bands is cold.vars.bands
+            for name in ("lambdas", "residuals", "initial_residuals", "omegas", "Omegas"):
+                assert getattr(sol, name).tobytes() == getattr(cold, name).tobytes(), name
+            assert sol.iterations_used == cold.iterations_used
+
+    def test_corrupt_record_ignored(self, tmp_path):
+        cache = SolutionCache(tmp_path)
+        bands = generate_bands(IfsSystem.from_pairs(BASE_CONFIG["ifs"]), 1)
+        assert cache.load(bands, {"a": 1}) is None  # no record at all
+        (tmp_path / "gen_1.json").write_text("{ not json")
+        assert cache.load(bands, {"a": 1}) is None
+
+    def test_wrong_fingerprint_ignored(self, tmp_path, capsys):
+        # a record is served only under the settings it stores
+        cache, cfg = self._solved(tmp_path)
+        bands, numerics = generate_bands(cfg.ifs, 2), cfg.numerics
+        assert cache.load(bands, numerics) is not None
+        assert cache.load(bands, {**numerics, "residual_tol": 1e-13}) is None
+        assert cache.load(bands, {**numerics, "b": 1}) is None
+        assert cache.load(bands, {k: v for k, v in numerics.items()
+                                  if k != "start_rule"}) is None
+
+    def test_a_damaged_record_loads_as_none(self, tmp_path, capsys):
+        # each damaged record is a miss, and only that one
+        cache, cfg = self._solved(tmp_path)
+        cold = _files(cache.directory, "gen_*.json")
+        for kind in DAMAGE_KINDS:
+            for name, data in cold.items():
+                (cache.directory / name).write_bytes(data)
+            n = int(_damage(cache.directory, kind)[4])
+            loaded = [cache.load(generate_bands(cfg.ifs, m), cfg.numerics) is not None
+                      for m in (1, 2, 3)]
+            assert loaded == [m != n for m in (1, 2, 3)], kind
+
+
+@pytest.mark.parametrize("kind", DAMAGE_KINDS)
 def test_a_damaged_record_is_solved_again(tmp_path, capsys, monkeypatch, kind):
     # a record that does not fit its generation is a cache miss: the run
     # exits 0, rewrites that record and prints what a cold run prints
@@ -869,9 +947,9 @@ def test_a_damaged_record_is_solved_again(tmp_path, capsys, monkeypatch, kind):
 
 
 def test_an_edited_Omega_in_a_record_changes_no_figure(tmp_path, capsys, monkeypatch):
-    # a solution sums its own omega: every record's stored "Omega" halved,
-    # same length and finite, is still reused, and the warm figures are the
-    # cold run's bytes
+    # a solution sums its own omega: an "Omega" inserted into every record,
+    # half the running sum of its omega, is ignored, the record is still
+    # reused, and the warm figures are the cold run's bytes
     path = str(write_config(tmp_path, n_max=4, sample_count=32))
     out = tmp_path / "out"
     assert main(["figures", "--config", path, "--which", "all"]) == 0
@@ -879,7 +957,7 @@ def test_an_edited_Omega_in_a_record_changes_no_figure(tmp_path, capsys, monkeyp
     assert sorted(cold) == sorted(f"{name}.csv" for name in FIGURE_NAMES)
     for name in out.glob("gen_*.json"):
         record = json.loads(name.read_text())
-        record["Omega"] = [0.5 * v for v in record["Omega"]]
+        record["Omega"] = (0.5 * np.cumsum(record["omega"])).tolist()
         name.write_text(json.dumps(record))
     edited = {p.name: p.read_bytes() for p in out.glob("gen_*.json")}
     monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
@@ -905,6 +983,36 @@ def test_records_of_the_hashed_format_are_reused_as_they_are(tmp_path, monkeypat
     monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
     assert main(["solve", "--config", path]) == 0
     assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == before
+
+
+def test_records_of_the_former_layout_are_reused_as_they_are(tmp_path, capsys,
+                                                              monkeypatch):
+    # records that also carry the band endpoints ("bands", "gaps"), the
+    # "genealogy" and "Omega", as earlier versions wrote them: no solve, no
+    # rewrite, and the cold run's CSV bytes with every band series rebuilt
+    # from the records' roots
+    path = str(write_config(tmp_path, n_max=4, sample_count=32))
+    out = tmp_path / "out"
+    assert main(["figures", "--config", path, "--which", "all"]) == 0
+    cold = _files(out, "*.csv")
+    ifs = IfsSystem.from_pairs(BASE_CONFIG["ifs"])
+    for name in out.glob("gen_*.json"):
+        record = json.loads(name.read_text())
+        bands = generate_bands(ifs, record["generation"])
+        name.write_text(json.dumps({
+            "generation": record["generation"], "config": record["config"],
+            "bands": np.column_stack([bands.alphas, bands.betas]).tolist(),
+            "gaps": np.column_stack([bands.gap_los, bands.gap_his]).tolist(),
+            "genealogy": [None if p < 0 else p for p in bands.parents.tolist()],
+            **{key: record[key] for key in RECORD_KEYS[2:]},
+            "Omega": np.cumsum(record["omega"]).tolist()}))
+    for sidecar in out.glob("series_*.bin"):
+        sidecar.unlink()
+    records = _stamps(out, "gen_*.json")
+    monkeypatch.setattr(solver, "solve_generation", _solver_must_not_run)
+    assert main(["figures", "--config", path, "--which", "all"]) == 0
+    assert _files(out, "*.csv") == cold
+    assert _stamps(out, "gen_*.json") == records
 
 
 @pytest.mark.parametrize("key, value", [
