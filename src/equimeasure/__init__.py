@@ -16,11 +16,11 @@ Layout:
 ``solver``
     Damped Newton solution of the gap-root equations to one residual
     tolerance, from start roots that carry their band system;
-    ``hierarchical_solve`` walks the generations with warm starts and hooks.
+    ``hierarchical_solve`` walks the band systems it is given, with warm starts.
 ``analytics``
     Integrated measure, potential, capacity extrapolation.
 ``cli``
-    Command-line orchestration, the record cache behind those hooks, CSV export.
+    Command-line orchestration over generations 1..n_max, record cache, CSV export.
 """
 
 from .geometry import (

@@ -297,9 +297,8 @@ def _node_potentials(zs, solution, rule) -> np.ndarray:
                                         < tol[rows[near], None]):
                 collided.append(k)
                 continue
-            dist_sq = (z.real - positions[near]) ** 2 + z.imag * z.imag
-            values[k] = (np.sum(shares[k, ~mine])
-                         - 0.5 * np.sum(weighted[near] * np.log(dist_sq)))
+            dist = np.hypot(z.real - positions[near], z.imag)  # no square to overflow
+            values[k] = np.sum(shares[k, ~mine]) - np.sum(weighted[near] * np.log(dist))
         todo = np.array(collided, dtype=int)
         if not todo.size:
             return values

@@ -7,9 +7,9 @@ Subcommands::
     equimeasure capacity  --config cfg.json
     equimeasure potential --config cfg.json --points <file|lo:hi:count>
 
-The config is a single JSON document (see ``RunConfig``).
-:func:`~equimeasure.solver.hierarchical_solve` walks the generations, and
-:func:`solve_all` connects its load and store hooks to the record cache,
+The config is a single JSON document (see ``RunConfig``).  :func:`solve_all`
+passes generations ``1..n_max`` to :func:`~equimeasure.solver.hierarchical_solve`
+with load and store hooks on the record cache,
 :class:`SolutionCache`: one ``gen_<n>.json`` record per generation in the
 output directory, holding only what the solver produced.  A record is
 reused on rerun only when the settings it stores equal
@@ -365,15 +365,16 @@ def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
 def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     """Solve (or reload) generations ``1..n_max``, writing records as we go.
 
-    :func:`~equimeasure.solver.hierarchical_solve` with the record cache as
-    its load and store hooks.  A record that does not load is solved again
-    and overwritten.  On solver failure the records of the completed
+    The one place that counts a run's generations: their band systems, built
+    one at a time, go to :func:`~equimeasure.solver.hierarchical_solve` with
+    the record cache as its load and store hooks.  A record that does not
+    load is solved again and overwritten.  On solver failure the records of the completed
     generations remain on disk and the error propagates with
     ``generation`` and ``solutions_so_far``.
     """
     cache = SolutionCache(cfg.output_dir)
     solutions = hierarchical_solve(
-        cfg.ifs, cfg.n_max, cfg.residual_tol,
+        (generate_bands(cfg.ifs, n) for n in range(1, cfg.n_max + 1)), cfg.residual_tol,
         lambda bands: cache.load(bands, cfg.numerics),
         lambda sol: cache.store(_record_from_solution(cfg, sol)))
     return [(sol.vars.bands, sol) for sol in solutions]
@@ -578,7 +579,7 @@ def cmd_potential(cfg: RunConfig, points_spec: str) -> int:
     pts = _parse_points(points_spec)
     solved = solve_all(cfg)
     bands, sol = solved[-1]
-    with _band_series_sidecars(cfg, solved):
+    with _band_series_sidecars(cfg, solved[-1:]):
         values = potential_at(pts, sol, bands, cfg.rule)
         path = cfg.output_dir / "potential_points.csv"
         _write_csv(path, ["x", "V"], zip(pts, values))

@@ -15,12 +15,13 @@ systems can be shared across threads without synchronization.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # Reject generations whose narrowest band is below this fraction of the hull
-# width: double precision cannot resolve the gap/band structure past it.
+# width, or subnormal: double precision cannot resolve the bands past it.
 WIDTH_FLOOR = 1e-13
 
 # Reject generations with more bands than this.  The solver's one dense
@@ -50,7 +51,7 @@ class OverlappingImages(InvalidIfs):
 
 class GenerationTooLarge(ValueError):
     """The requested generation has more than ``MAX_BANDS`` bands, or bands
-    below the width floor."""
+    below the width floor or subnormal."""
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ class Interval:
 
 
 def validate(ifs: IfsSystem) -> IfsSystem:
-    """Check contractivity, finite fixed points and full disconnection; return
-    the sorted system.
+    """Check contractivity, finite fixed points, a hull of normal width and
+    full disconnection; return the sorted system.
 
     Maps are reordered by increasing fixed point.  The images of the hull
     under the sorted maps must be pairwise disjoint with open space between
@@ -133,6 +134,8 @@ def validate(ifs: IfsSystem) -> IfsSystem:
 
     g1, gm = gammas[0], gammas[-1]
     span = gm - g1
+    if span < sys.float_info.min:
+        raise InvalidIfs(f"the hull [{g1}, {gm}] is narrower than the smallest normal double")
     images = [(m(g1), m(gm)) for m in maps]
     for (lo_a, hi_a), (lo_b, hi_b) in zip(images, images[1:]):
         if lo_b - hi_a < SEPARATION_TOL * span:
@@ -215,7 +218,7 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
     Raises :class:`GenerationTooLarge` before building anything when the
     band count ``M**n`` exceeds ``MAX_BANDS`` or the nominal narrowest band,
     ``min(delta)**n`` of the hull, falls below ``WIDTH_FLOOR`` of the hull,
-    and otherwise at the first generation whose computed widths do.
+    and otherwise at the first generation whose computed widths do or are subnormal.
     """
     if n < 0:
         raise ValueError(f"generation must be non-negative, got {n}")
@@ -247,10 +250,10 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
         new_alphas = (alphas[:, None] * (1.0 - t_lo) + betas[:, None] * t_lo).ravel()
         new_betas = (alphas[:, None] * (1.0 - t_hi) + betas[:, None] * t_hi).ravel()
         alphas, betas = new_alphas, new_betas
-        if np.min(betas - alphas) < WIDTH_FLOOR * span:
+        if np.min(betas - alphas) < max(WIDTH_FLOOR * span, sys.float_info.min):
             raise GenerationTooLarge(
                 f"generation {k} is too deep: a band of it is below the width floor "
-                f"{WIDTH_FLOOR:g} of the hull")
+                f"{WIDTH_FLOOR:g} of the hull or the smallest normal double")
     if not (np.all(betas > alphas) and np.all(alphas[1:] > betas[:-1])):
         raise RuntimeError("generated bands are not sorted and disjoint")
 

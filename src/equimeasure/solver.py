@@ -1,4 +1,4 @@
-"""Newton solution of the gap-root equations, generation by generation.
+"""Newton solution of the gap-root equations, one band system at a time.
 
 At generation ``n`` the ``N - 1`` normalized gap roots solve the coupled
 system ``K_i(lambda_1, ..., lambda_{N-1}) = 0`` where ``K_i`` is the
@@ -17,12 +17,13 @@ from the reduced kernels the residual pass kept, and the band measures one
 calls and :func:`solve_generation` read the band system from the roots
 (``vars.bands``).
 
-Across generations the IFS addresses provide warm starts (Hutchinson,
-1981): every gap of generation ``n`` but those of generation 1 is the
-image, under its outermost map, of a gap of generation ``n - 1``, its
-preimage.  A new gap starts from its preimage's converged root, and an old
-gap from its parent's root moved as its preimage last moved
-(:func:`warm_start`); both come from ``BandSystem.parents`` and ``.preimages``.
+:func:`hierarchical_solve` walks the nested band systems it is given.  The
+IFS addresses provide warm starts (Hutchinson, 1981): every gap of
+generation ``n`` but those of generation 1 is the image, under its
+outermost map, of a gap of generation ``n - 1``, its preimage.  A new gap
+starts from its preimage's converged root, and an old gap from its
+parent's root moved as its preimage last moved (:func:`warm_start`); both
+come from ``BandSystem.parents`` and ``.preimages``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import BandSystem, IfsSystem, generate_bands
+from .geometry import BandSystem
 from .kernel import (
     GapVariables,
     band_integral,
@@ -320,28 +321,24 @@ def warm_start(bands: BandSystem, previous: EquilibriumSolution | None = None,
     return GapVariables(bands, np.clip(lam, -hi, hi))
 
 
-def hierarchical_solve(ifs: IfsSystem, n_max: int, residual_tol: float = 1e-12,
-                       load=None, store=None) -> list[EquilibriumSolution]:
-    """Solve generations ``1 .. n_max`` to ``residual_tol``, each started by
-    :func:`warm_start` from the two generations before it.
+def hierarchical_solve(band_systems, residual_tol: float = 1e-12, load=None, store=None
+                       ) -> list[EquilibriumSolution]:
+    """Solve the band systems of ``band_systems`` in order to ``residual_tol``,
+    each started by :func:`warm_start` from the two solved before it; each
+    must refine the one before (else ``ValueError``, loaded or not).
 
-    This is the one loop over generations.  ``load(bands)`` may return a
-    stored :class:`EquilibriumSolution` of ``bands``, which is used as is
-    and warm-starts the next two generations; ``store(solution)`` receives
-    each newly solved generation.  Solver failures carry the failing generation
-    (``generation``) and are re-raised with the solutions of all earlier
-    generations (``solutions_so_far``) recorded on the exception.
+    ``load(bands)`` may return a stored :class:`EquilibriumSolution` of
+    ``bands``, used as is; ``store(solution)`` receives each one solved.
+    Solver failures carry the failing generation (``generation``) and are
+    re-raised with the solutions before it (``solutions_so_far``) on them.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
     solutions: list[EquilibriumSolution] = []
-    for n in range(1, n_max + 1):
-        bands = generate_bands(ifs, n)
+    for bands in band_systems:
+        start = warm_start(bands, *reversed(solutions[-2:]))
         sol = load(bands) if load else None
         if sol is None:
             try:
-                sol = solve_generation(
-                    warm_start(bands, *reversed(solutions[-2:])), residual_tol)
+                sol = solve_generation(start, residual_tol)
             except SolverError as exc:
                 exc.solutions_so_far = solutions
                 raise

@@ -83,6 +83,13 @@ def node_sum_potentials(zs, solution, rule):
     raise analytics.PersistentCollision(f"point {complex(zs[todo[0]])} collides")
 
 
+def solve_generations(ifs, n_max, residual_tol=1e-12):
+    """:func:`~equimeasure.solver.hierarchical_solve` over generations
+    ``1..n_max`` of ``ifs``, built one at a time as the CLI builds them."""
+    return hierarchical_solve((generate_bands(ifs, n) for n in range(1, n_max + 1)),
+                              residual_tol)
+
+
 @contextmanager
 def log_space_residuals():
     """Within the block the solver sums its gap residuals in log space, the
@@ -126,7 +133,7 @@ def rule2048():
 @pytest.fixture(scope="session")
 def ternary_run(ternary):
     """Bands and converged solutions for the middle-third system, n=1..7."""
-    solutions = hierarchical_solve(ternary, 7, 1e-13)
+    solutions = solve_generations(ternary, 7, 1e-13)
     bands = [s.vars.bands for s in solutions]
     return bands, solutions
 
@@ -134,7 +141,7 @@ def ternary_run(ternary):
 @pytest.fixture(scope="session")
 def asym_run(asym):
     """Bands and converged solutions for the 4/5, 1/10 system, n=1..9."""
-    solutions = hierarchical_solve(asym, 9, 1e-12)
+    solutions = solve_generations(asym, 9, 1e-12)
     bands = [s.vars.bands for s in solutions]
     return bands, solutions
 
@@ -142,7 +149,7 @@ def asym_run(asym):
 @pytest.fixture(scope="session")
 def three_map_run():
     """Bands and converged solutions for the 0.3, 0.1, 0.2 system, n=1..4."""
-    solutions = hierarchical_solve(validate(IfsSystem.from_pairs(THREE_MAP_PAIRS)), 4, 1e-12)
+    solutions = solve_generations(validate(IfsSystem.from_pairs(THREE_MAP_PAIRS)), 4, 1e-12)
     bands = [s.vars.bands for s in solutions]
     return bands, solutions
 

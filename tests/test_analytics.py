@@ -25,7 +25,7 @@ from equimeasure.analytics import (
     potential_at,
     sample_points,
 )
-from equimeasure.geometry import generate_bands
+from equimeasure.geometry import IfsSystem, generate_bands, validate
 from equimeasure.kernel import (
     SERIES_OVERSAMPLING,
     GapVariables,
@@ -36,7 +36,8 @@ from equimeasure.kernel import (
     refined_orders,
     restore_band_series,
 )
-from tests.conftest import X_STAR, density_table, node_sum_potentials
+from tests.conftest import (TERNARY_PAIRS, X_STAR, density_table, node_sum_potentials,
+                            solve_generations)
 
 TWO_BAND_POTENTIAL = -math.log(math.sqrt(2.0) / 3.0)  # interior potential of
 # [-1,-1/3] u [1/3,1]: the capacity of symmetric two-interval sets
@@ -595,6 +596,26 @@ class TestPointPath:
             real = _series_potentials(xs, s.vars.band_series, b)
             complex_ = _series_potentials(xs + 0j, s.vars.band_series, b)
             assert np.max(np.abs(real - complex_)) <= 1e-15, b.generation
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_both_paths_are_scale_covariant(ternary_run, rule2048, scale):
+    # the system scaled by s carries the measure scaled by s, whose potential
+    # at s z is V(z) - log s; the point path takes no squared distance, which
+    # would leave the double range here (worst 3.7e-13, the mean at 1e300)
+    ternary = validate(IfsSystem.from_pairs([(d, g * scale) for d, g in TERNARY_PAIRS]))
+    scaled, unit = solve_generations(ternary, 4, 1e-13), ternary_run[1][:4]
+    pts, shift = np.array([X_STAR, 0.0, 0.5, 0.3 + 0.2j, -2.0, 1e3j]), math.log(scale)
+    for a, b in zip(unit, scaled):
+        for method in ("auto", "nodes"):
+            want = potential_at(pts, a, a.vars.bands, rule2048, method)
+            got = potential_at(pts * scale, b, b.vars.bands, rule2048, method) + shift
+            assert np.max(np.abs(got - want)) <= 1e-12, (a.generation, method)
+        want = mean_potential_on_attractor_points(a, a.vars.bands, 256, rule2048,
+                                                  unit[-1].vars.bands)
+        got = mean_potential_on_attractor_points(b, b.vars.bands, 256, rule2048,
+                                                 scaled[-1].vars.bands)
+        assert abs(got + shift - want) <= 1e-12, a.generation
 
 
 def _sample_points_per_band(bands, count):

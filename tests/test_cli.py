@@ -24,7 +24,7 @@ from equimeasure.cli import (
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
 from equimeasure.kernel import gap_jacobian_row, refined_rules
-from tests.conftest import X_STAR, nan_in_gap_0
+from tests.conftest import X_STAR, nan_in_gap_0, solve_generations
 
 RECORD_KEYS = ["generation", "config", "lambda", "residuals", "initial_residuals",
                "iterations_used", "omega"]
@@ -266,6 +266,18 @@ class TestRunConfig:
         assert "'n_max' 13" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pairs", [[[0.3, 0.0], [0.3, 5e-324]],
+                                       [[0.3, -1e-320], [0.3, 1e-320]]])
+    def test_subnormal_hulls_rejected_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                     pairs):
+        # the first used to end in a traceback (its bands were not disjoint),
+        # the second to solve on band ends quantised to multiples of 5e-324
+        monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
+        assert main(["solve", "--config", str(write_config(tmp_path, ifs=pairs))]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "smallest normal double" in err
+        assert not (tmp_path / "out").exists()
+
     def test_band_cap_rejects_without_building_the_generation(self, tmp_path):
         # ternary n = 20 has 2**20 bands, above MAX_BANDS: the count alone
         # rejects it, with no band array allocated (parent: 42 MB traced)
@@ -366,7 +378,7 @@ class TestSolveCommand:
         calls = _count_solves(monkeypatch)
         solved = solve_all(cfg)
         assert calls == [4, 5]
-        cold = solver.hierarchical_solve(cfg.ifs, 5, cfg.residual_tol)
+        cold = solve_generations(cfg.ifs, 5, cfg.residual_tol)
         assert [s.generation for _, s in solved] == [1, 2, 3, 4, 5]
         for (bands, a), b in zip(solved, cold):
             assert bands is a.vars.bands
@@ -892,7 +904,7 @@ class TestSolutionCache:
 
     def test_a_record_loads_into_the_solution_it_stores(self, tmp_path, capsys):
         cache, cfg = self._solved(tmp_path)
-        for cold in solver.hierarchical_solve(cfg.ifs, cfg.n_max, cfg.residual_tol):
+        for cold in solve_generations(cfg.ifs, cfg.n_max, cfg.residual_tol):
             sol = cache.load(cold.vars.bands, cfg.numerics)
             assert sol.vars.bands is cold.vars.bands
             for name in ("lambdas", "residuals", "initial_residuals", "omegas", "Omegas"):
@@ -1107,6 +1119,18 @@ class TestSeriesSidecars:
         assert values[:gaps].tobytes() == np.array(record["lambda"]).tobytes()
         assert values[gaps:].tobytes() == sol.vars.band_series.tobytes()
 
+    def test_potential_reads_only_the_deepest_sidecar(self, tmp_path, capsys, monkeypatch):
+        # it evaluates the deepest generation alone, so it reads no other sidecar
+        path, out = self._config(tmp_path), tmp_path / "out"
+        assert main(["figures", "--config", path, "--which", "potential_profile"]) == 0
+        assert sorted(_files(out, "series_*.bin")) == [f"series_{n}.bin" for n in (1, 2, 3, 4)]
+        read, load_series = [], SolutionCache.load_series
+        monkeypatch.setattr(SolutionCache, "load_series", lambda self, sol, settings: (
+            read.append(sol.generation) or load_series(self, sol, settings)))
+        monkeypatch.setattr(kernel, "_chebyshev_series", _series_must_not_build)
+        assert main(["potential", "--config", path, "--points=-0.9:0.9:5"]) == 0
+        assert read == [4]
+
     @pytest.mark.parametrize("kind", [
         "not UTF-8", "not JSON", "deeply nested JSON", "not an object", "other settings",
         "another series rule", "other oversampling", "a float generation",
@@ -1226,16 +1250,16 @@ class TestBenchPatchPoints:
         trace = tracer.Tracer()
         path = write_config(tmp_path, n_max=4, quadrature_order=64, sample_count=64)
         tracer.install(trace, cli, solver, analytics)
-        # The generation loop runs in ``solver``, so the benchmark's spans at
-        # ``cli.solve_generation`` and ``cli.generate_bands`` stay empty until
-        # it wraps them where ``solver`` looks them up; wrap them there too.
-        # ``solve_generation`` takes its band system from its start roots, so
-        # the generation is read from ``initial`` (the benchmark's
-        # ``_solve_counts`` still reads a ``bands`` argument).
+        # The generation loop runs in ``solver``, so the benchmark's span at
+        # ``cli.solve_generation`` stays empty until it wraps it where
+        # ``solver`` looks it up; wrap it there too.  ``solve_generation``
+        # takes its band system from its start roots, so the generation is
+        # read from ``initial`` (the benchmark's ``_solve_counts`` still reads
+        # a ``bands`` argument).  ``cli`` builds every band system itself, so
+        # the benchmark's own ``cli.generate_bands`` span sees each one.
         trace.patch(solver, "solve_generation", "solver.solve_generation",
                     lambda args, result: {"generation": args["initial"].bands.generation,
                                           "iterations": result.iterations_used})
-        trace.patch(solver, "generate_bands", "geometry.generate_bands")
         try:
             assert main(["capacity", "--config", str(path)]) == 0
         finally:
@@ -1244,6 +1268,8 @@ class TestBenchPatchPoints:
         assert set(self.COUNTED) <= names
         assert "kernel.kernel_log_magnitude" not in names
         assert "geometry.generate_bands" in names
+        # RunConfig.from_file, the depth check and generations 1..4 of the solve
+        assert [span.name for span in trace.spans].count("geometry.generate_bands") == 6
         for span in trace.spans:
             if span.name in self.COUNTED and span.error is None:
                 assert span.counts, span.name

@@ -204,6 +204,24 @@ def test_generation_width_floor():
         generate_bands(thin, 1)
 
 
+def test_subnormal_hulls_and_bands_rejected():
+    # below the smallest normal double a width keeps few significant bits:
+    # 5e-324 is one ulp (the width floor's product underflows to 0 there)
+    # and band ends at 1e-320 are quantised to multiples of 5e-324
+    for pairs in ([(0.3, 0.0), (0.3, 5e-324)], [(0.3, -1e-320), (0.3, 1e-320)]):
+        with pytest.raises(InvalidIfs, match="smallest normal double"):
+            validate(IfsSystem.from_pairs(pairs))
+    # a 2e-300 hull is normal, and so are ternary bands to the band cap
+    tiny = validate(IfsSystem.from_pairs([(1 / 3, -1e-300), (1 / 3, 1e-300)]))
+    assert generate_bands(tiny, 13).band_widths.min() > 1e-307
+    # asym bands of 2e-300 * 0.1**8 = 2e-308 lie above the relative width
+    # floor but below the smallest normal double
+    asym = validate(IfsSystem.from_pairs([(0.8, -1e-300), (0.1, 1e-300)]))
+    assert generate_bands(asym, 7).band_widths.min() > 1e-307
+    with pytest.raises(GenerationTooLarge, match="generation 8 .*smallest normal double"):
+        generate_bands(asym, 8)
+
+
 def test_band_cap(ternary):
     # ternary n = 13 has MAX_BANDS = 8192 bands; n = 14 is refused by its count
     assert generate_bands(ternary, 13).n_bands == MAX_BANDS == 2**13

@@ -27,7 +27,7 @@ from equimeasure.kernel import (
     _gauss_legendre,
     _paired_product,
 )
-from tests.conftest import log_space_gap_integral
+from tests.conftest import log_space_gap_integral, solve_generations
 
 
 def double_factorial_moment(p):
@@ -665,7 +665,7 @@ THREE_MAPS = [[0.3, -1.0], [0.1, 0.0], [0.2, 1.0]]
 
 @pytest.fixture(scope="module")
 def three_map_run():
-    return solver.hierarchical_solve(validate(IfsSystem.from_pairs(THREE_MAPS)), 6, 1e-12)
+    return solve_generations(validate(IfsSystem.from_pairs(THREE_MAPS)), 6, 1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -677,7 +677,7 @@ def converged_runs(ternary_run, asym_run, ternary, three_map_run):
     runs["ternary"].append(solver.solve_generation(
         solver.warm_start(b8, runs["ternary"][-1]), 1e-13))
     for pairs, n_max in BATCH_SYSTEMS[2:]:
-        runs[str(pairs)] = solver.hierarchical_solve(
+        runs[str(pairs)] = solve_generations(
             validate(IfsSystem.from_pairs(pairs)), n_max, 1e-12)
     return runs
 

@@ -9,7 +9,6 @@ from equimeasure import (
     IfsSystem,
     QuadratureRule,
     generate_bands,
-    hierarchical_solve,
     integrated_measure_at,
     potential_at,
     sample_points,
@@ -17,7 +16,7 @@ from equimeasure import (
     validate,
 )
 from equimeasure.kernel import gap_integral, gap_jacobian_row, kernel_grouped, refined_rules
-from tests.conftest import uniform_rules
+from tests.conftest import solve_generations, uniform_rules
 
 TOL = 1e-13
 # on-set spread of the potential (over 80 random examples the worst was
@@ -70,9 +69,9 @@ def test_genealogy_indexes_the_generation_before(case):
 @given(systems())
 def test_measure_roots_and_order_paths(case):
     ifs, n_max = case
-    refined = hierarchical_solve(ifs, n_max, TOL)
+    refined = solve_generations(ifs, n_max, TOL)
     with uniform_rules(2048):
-        uniform = hierarchical_solve(ifs, n_max, TOL)
+        uniform = solve_generations(ifs, n_max, TOL)
     for s, u in zip(refined, uniform):
         bands = s.vars.bands
         assert abs(float(np.sum(s.omegas)) - 1.0) <= 1e-12
@@ -86,7 +85,7 @@ def test_measure_roots_and_order_paths(case):
 def test_potential_constant_on_the_set_and_staircase_monotone(case):
     ifs, n_max = case
     rule = QuadratureRule.chebyshev(64)
-    for s in hierarchical_solve(ifs, n_max, TOL):
+    for s in solve_generations(ifs, n_max, TOL):
         bands = s.vars.bands
         xs = np.concatenate([sample_points(bands, 4 * bands.n_bands), bands.alphas,
                              bands.betas])
@@ -134,7 +133,7 @@ def test_self_similar_and_parent_only_starts_agree(case):
     # initial residuals half the parent-only ones.  The gain is at depth
     # (tests/test_solver.py)
     ifs, n_max = case
-    sols = hierarchical_solve(ifs, n_max, TOL)
+    sols = solve_generations(ifs, n_max, TOL)
     for prev, s in zip(sols, sols[1:]):
         b = s.vars.bands
         lam = np.where(b.parents >= 0, prev.lambdas[b.parents], 0.0)
@@ -162,6 +161,6 @@ def mirror_systems(draw):
 @given(mirror_systems())
 def test_mirror_symmetric_systems_give_antisymmetric_roots(case):
     ifs, n_max = case
-    for s in hierarchical_solve(ifs, n_max, TOL):
+    for s in solve_generations(ifs, n_max, TOL):
         # gap i mirrors gap N - 2 - i, so lambda_i = -lambda_{N-2-i}
         assert np.max(np.abs(s.lambdas + s.lambdas[::-1])) <= 1e-13, s.generation

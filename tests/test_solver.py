@@ -26,6 +26,7 @@ from tests.conftest import (
     TERNARY_PAIRS,
     log_space_residuals,
     nan_in_gap_0,
+    solve_generations,
     uniform_rules,
 )
 from tests.test_kernel import adaptive_gap_oracle
@@ -85,11 +86,11 @@ def test_Omegas_are_derived_from_omegas(asym_run):
 def test_hierarchical_solve_leaves_validation_to_the_geometry(ternary):
     # generate_bands validates (and sorts) every system it is given
     reversed_pairs = [[1 / 3, 1.0], [1 / 3, -1.0]]
-    sols = hierarchical_solve(IfsSystem.from_pairs(reversed_pairs), 2, 1e-13)
-    for a, b in zip(sols, hierarchical_solve(ternary, 2, 1e-13)):
+    sols = solve_generations(IfsSystem.from_pairs(reversed_pairs), 2, 1e-13)
+    for a, b in zip(sols, solve_generations(ternary, 2, 1e-13)):
         assert np.array_equal(a.lambdas, b.lambdas)
     with pytest.raises(OverlappingImages):
-        hierarchical_solve(IfsSystem.from_pairs([[0.6, -1.0], [0.6, 1.0]]), 2)
+        solve_generations(IfsSystem.from_pairs([[0.6, -1.0], [0.6, 1.0]]), 2)
 
 
 def test_central_gap_stays_symmetric(ternary_run):
@@ -160,7 +161,7 @@ def test_the_outermost_map_sends_the_preimage_onto_its_gap(pairs):
 def test_self_similar_starts_take_two_iterations_at_depth(ternary, asym_run):
     _, sols = asym_run
     assert [s.iterations_used for s in sols] == [1, 3, 3, 2, 2, 2, 2, 2, 2]
-    sols = hierarchical_solve(ternary, 9, 1e-13)
+    sols = solve_generations(ternary, 9, 1e-13)
     assert [s.iterations_used for s in sols] == [0, 3, 3, 3, 3, 2, 2, 2, 2]
 
 
@@ -184,8 +185,8 @@ def test_warm_start_rejects_other_generations(ternary, asym_run):
     with pytest.raises(ValueError, match="before must be generation 3"):
         warm_start(bands[4], sols[3], sols[1])
     with pytest.raises(ValueError, match="before must be generation 1"):
-        warm_start(generate_bands(three, 3), hierarchical_solve(three, 2)[-1],
-                   hierarchical_solve(ternary, 1)[-1])
+        warm_start(generate_bands(three, 3), solve_generations(three, 2)[-1],
+                   solve_generations(ternary, 1)[-1])
 
 
 def test_warm_start_rejects_another_system_of_a_dividing_band_count(ternary):
@@ -194,8 +195,8 @@ def test_warm_start_rejects_another_system_of_a_dividing_band_count(ternary):
     # gaps are not the ones ternary generation 2 continues
     four = validate(IfsSystem.from_pairs(
         [[0.1, -1.0], [0.1, -0.3], [0.1, 0.3], [0.1, 1.0]]))
-    other = hierarchical_solve(four, 1)[-1]
-    t1, t2 = hierarchical_solve(ternary, 2)
+    other = solve_generations(four, 1)[-1]
+    t1, t2 = solve_generations(ternary, 2)
     b2, b3 = t2.vars.bands, generate_bands(ternary, 3)
     assert other.vars.bands.n_bands == b2.n_bands == 4
     with pytest.raises(ValueError, match="previous must be generation 1"):
@@ -232,7 +233,7 @@ def test_roots_stable_under_quadrature_refinement(ternary, ternary_run):
 def test_accuracy_driven_orders_match_uniform_2048(run, system, n_max, tol, request):
     _, sols = request.getfixturevalue(run)
     with uniform_rules(2048):
-        uniform = hierarchical_solve(request.getfixturevalue(system), n_max, tol)
+        uniform = solve_generations(request.getfixturevalue(system), n_max, tol)
     for ref, s in zip(uniform, sols):
         assert np.max(np.abs(s.lambdas - ref.lambdas), initial=0.0) <= 1e-13
         assert np.max(np.abs(s.omegas - ref.omegas)) <= 1e-14
@@ -265,7 +266,7 @@ def test_solver_orders_are_even_and_at_least_minimum(asym, monkeypatch):
     for name, kind in (("gap_integral", "gap"), ("gap_jacobian_row", "gap"),
                        ("band_integral", "band")):
         monkeypatch.setattr(solver, name, recording(getattr(solver, name), kind))
-    hierarchical_solve(asym, 7, 1e-12)
+    solve_generations(asym, 7, 1e-12)
     band_orders = [rule.order for kind, _, _, rule in calls if kind == "band"]
     assert all(k % 2 == 0 and k >= MIN_ORDER for k in band_orders)
     assert min(band_orders) == MIN_ORDER
@@ -325,9 +326,35 @@ def test_iterates_respect_clamp(ternary):
     assert np.max(np.abs(sol.lambdas)) <= 1.0 - solver.STEP_CLAMP
 
 
-def test_hierarchical_requires_positive_depth(ternary):
-    with pytest.raises(ValueError):
-        hierarchical_solve(ternary, 0)
+def test_an_empty_sequence_solves_nothing():
+    assert hierarchical_solve([]) == []
+    assert hierarchical_solve(iter(())) == []
+
+
+def test_each_band_system_must_refine_the_one_before(ternary, asym, ternary_run):
+    # a skipped generation, or a generation of another system, does not
+    # continue the gaps of the band system before it: rejected before any
+    # solve, also where every band system loads
+    bands, sols = ternary_run
+    with pytest.raises(ValueError, match="previous must be generation 2"):
+        hierarchical_solve(generate_bands(ternary, n) for n in (1, 3))
+    with pytest.raises(ValueError, match="previous must be generation 1"):
+        hierarchical_solve([generate_bands(ternary, 1), generate_bands(asym, 2)])
+    with pytest.raises(ValueError, match="previous must be generation 3"):
+        hierarchical_solve([bands[0], bands[1], bands[3]], load=lambda b: sols[b.generation - 1])
+    with pytest.raises(ValueError, match="previous must be generation 1"):
+        hierarchical_solve([generate_bands(asym, 1), bands[1]], load=lambda b: sols[1])
+
+
+def test_a_sequence_may_start_at_generation_0(ternary, ternary_run):
+    # generation 0, the hull alone, has no gaps to start generation 1 from,
+    # so the solutions after it are those of a sequence from generation 1
+    sols = hierarchical_solve((generate_bands(ternary, n) for n in range(4)), 1e-13)
+    assert [s.generation for s in sols] == [0, 1, 2, 3]
+    assert sols[0].lambdas.size == 0 and sols[0].omegas.tolist() == [1.0]
+    for a, b in zip(sols[1:], ternary_run[1]):
+        assert a.lambdas.tobytes() == b.lambdas.tobytes()
+        assert a.iterations_used == b.iterations_used
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
@@ -340,7 +367,7 @@ def test_residual_tolerance_must_be_positive(ternary, tol):
 def test_hierarchical_error_annotation(ternary, monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
     with pytest.raises(NoConvergence) as err:
-        hierarchical_solve(ternary, 4, 1e-18)
+        solve_generations(ternary, 4, 1e-18)
     assert err.value.generation is not None
     assert hasattr(err.value, "solutions_so_far")
 
@@ -370,7 +397,7 @@ def test_thin_gaps_next_to_wide_bands_converge(pairs, n_max):
     # gaps 1e-6 or less of their coordinates: the own root enters its frame
     # as lambda itself, not via zeta, or the line search stalls on the steps
     # that round trip puts in the residual
-    sols = hierarchical_solve(validate(IfsSystem.from_pairs(pairs)), n_max)
+    sols = solve_generations(validate(IfsSystem.from_pairs(pairs)), n_max)
     assert [s.generation for s in sols] == list(range(1, n_max + 1))
     assert max(s.max_residual for s in sols) <= 1e-12
 
@@ -387,7 +414,7 @@ class TestNewtonStep:
 
         gmres = solver._gmres
         monkeypatch.setattr(solver, "_gmres", recording)
-        sols = hierarchical_solve(request.getfixturevalue(system), n_max, tol)
+        sols = solve_generations(request.getfixturevalue(system), n_max, tol)
         assert len(steps) == sum(s.iterations_used for s in sols)
         for lu, step in steps:
             assert np.max(np.abs(step - lu)) <= 1e-13 * np.max(np.abs(lu))
@@ -413,7 +440,7 @@ class TestNewtonStep:
             raise AssertionError("np.linalg.solve called")
 
         monkeypatch.setattr(np.linalg, "solve", refuse)
-        sols = hierarchical_solve(asym, 6, 1e-12)
+        sols = solve_generations(asym, 6, 1e-12)
         assert max(s.max_residual for s in sols) <= 1e-12
 
 
@@ -442,7 +469,7 @@ def test_a_newton_step_holds_one_matrix(system, tol, request):
 
 def test_asym_generation_ten_converges(asym):
     # 1023 gaps; about 4 s with graded gap rules, 18 s with Gauss-Chebyshev
-    sols = hierarchical_solve(asym, 10, 1e-12)
+    sols = solve_generations(asym, 10, 1e-12)
     assert [s.generation for s in sols] == list(range(1, 11))
     assert max(s.max_residual for s in sols) <= 1e-12
 
