@@ -39,7 +39,9 @@ integrated measure inside a band is closed-form too (see
 
 :func:`potential_at` and :func:`integrated_measure_at` evaluate an array of
 points in one blockwise pass; a scalar is a one-point array and gives a
-``float``.  Each value depends on its own point alone.
+``float``.  Each value depends on its own point alone.  Every temporary
+holds at most ``kernel.BLOCK_ELEMS`` elements, the package's one memory
+budget, so the cost grows linearly with the series length.
 
 The plain node sum remains available as ``method="nodes"``, the published
 point path, for Gauss-Chebyshev rules only: ``rule.order`` nodes per band,
@@ -61,6 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernel
 from .geometry import BandSystem
 from .kernel import REFINE_SAFETY, QuadratureRule, _from_frame
 # Imported so that ``analytics.kernel_log_magnitude`` stays a patch point:
@@ -72,15 +75,6 @@ from .solver import EquilibriumSolution
 # Sample points closer to a quadrature node than this fraction of the band
 # width make the plain node sum meaningless; the rule order is bumped.
 NODE_COLLISION_RTOL = 1e-12
-
-# Elements per (point, band) or (point, coefficient) temporary, however
-# many points a caller passes: the mean path (L = 4096, N = 128) runs within
-# 6% of its fastest, and 200 000 points at n = 7 peak 6% above 101 points.
-_BLOCK_ELEMS = 1 << 14
-
-# Multiply-adds per product of the node table, which OpenBLAS then keeps on
-# one thread (threaded, 128 x 2048 nodes took 8-16 ms on 2 cores, not 0.8 ms).
-_PRODUCT_MACS = 1 << 18
 
 # The capacity extrapolation fits three parameters and needs one more
 # generation than that to be a fit.
@@ -130,8 +124,9 @@ def _node_cosines(rows: int, order: int) -> np.ndarray:
     period = np.cos(np.pi / (2 * order) * np.arange(4 * order))
     odd = 2 * np.arange(order) + 1
     table = np.empty((rows, order))
-    for r in range(0, rows, 16):
-        table[r : r + 16] = period[np.outer(np.arange(r, min(r + 16, rows)), odd) % (4 * order)]
+    per = max(1, kernel.BLOCK_ELEMS // order)
+    for r in range(0, rows, per):
+        table[r : r + per] = period[np.outer(np.arange(r, min(r + per, rows)), odd) % (4 * order)]
     table.flags.writeable = False
     return table
 
@@ -140,9 +135,9 @@ def _values_at_nodes(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Every band's series at the first-kind Chebyshev nodes of ``order``.
 
     There ``T_{2 q order +- j} = (-1)**q T_j`` and ``T_order = 0``, so
-    coefficients ``j >= order`` fold onto ``j < order``; products with the
-    shared :func:`_node_cosines`, in column blocks of ``_PRODUCT_MACS``, sum
-    the terms after ``c_0``, and ``c_0`` is added last (within a few ulps).
+    coefficients ``j >= order`` fold onto ``j < order``; one product per
+    row with the shared :func:`_node_cosines` sums the terms after ``c_0``,
+    and ``c_0`` is added last (within a few ulps).
     """
     j = np.arange(coeffs.shape[1])
     r = j % (2 * order)
@@ -150,11 +145,7 @@ def _values_at_nodes(coeffs: np.ndarray, order: int) -> np.ndarray:
     np.add.at(folded.T, np.minimum(r, 2 * order - r) % order,
               ((-1.0) ** (j // (2 * order)) * np.sign(order - r) * coeffs).T)
     table = _node_cosines(folded.shape[1], order)[1:]
-    values = np.empty((folded.shape[0], order))
-    step = max(1, _PRODUCT_MACS // folded.size)
-    for k in range(0, order, step):
-        values[:, k : k + step] = folded[:, 1:] @ table[:, k : k + step] + folded[:, :1]
-    return values
+    return np.matmul(folded[:, None, 1:], table)[:, 0] + folded[:, :1]
 
 
 def _horner(rho: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -165,6 +156,21 @@ def _horner(rho: np.ndarray, d: np.ndarray) -> np.ndarray:
         acc += d[:, j]
         acc *= rho
     return acc
+
+
+def _trig_sums(trig, theta: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_{j >= 1} d[b_k, j - 1] * trig(j theta_k)`` for each angle
+    ``theta_k`` on band ``b_k``, blockwise; a row is split only when it alone
+    exceeds ``kernel.BLOCK_ELEMS``, so no sum depends on the other points."""
+    j = np.arange(1, d.shape[1] + 1)
+    cols = max(1, min(j.size, kernel.BLOCK_ELEMS))
+    rows = max(1, kernel.BLOCK_ELEMS // cols)
+    sums = np.zeros(theta.size)
+    for c in range(0, j.size, cols):
+        for k in range(0, theta.size, rows):
+            sums[k : k + rows] += np.sum(trig(np.outer(theta[k : k + rows], j[c : c + cols]))
+                                         * d[b[k : k + rows], c : c + cols], axis=1)
+    return sums
 
 
 def _hosts(bands: BandSystem, xs) -> np.ndarray:
@@ -208,8 +214,7 @@ def _band_shares(z: np.ndarray, coeffs: np.ndarray,
     stays finite, instead.
     """
     width = bands.band_widths
-    j = np.arange(1, coeffs.shape[1])
-    d = coeffs[:, 1:] / j
+    d = coeffs[:, 1:] / np.arange(1, coeffs.shape[1])
     host = np.where(z.imag == 0.0, _hosts(bands, z.real), -1)
     on = np.flatnonzero(host >= 0)
     b = host[on]
@@ -234,16 +239,16 @@ def _band_shares(z: np.ndarray, coeffs: np.ndarray,
     shares = coeffs[:, 0] * (np.log(2.0 / width) + (math.log(2.0) - log_s))
     shares += _horner(rho, d).real
     theta = _theta_of(z[on].real, bands.alphas[b], bands.betas[b])
-    shares[on, b] += np.sum(np.cos(np.outer(theta, j)) * d[b], axis=1)
+    shares[on, b] += _trig_sums(np.cos, theta, d, b)
     return shares, log_s
 
 
 def _series_potentials(zs, coeffs: np.ndarray, bands: BandSystem) -> np.ndarray:
     """``V(z)`` at the points of the 1-D array ``zs``: the sum of every
-    band's :func:`_band_shares`, in blocks of ``_BLOCK_ELEMS``."""
+    band's :func:`_band_shares`, in blocks of ``kernel.BLOCK_ELEMS`` pairs."""
     zs = np.asarray(zs)
     values = np.empty(zs.shape)
-    step = max(1, _BLOCK_ELEMS // max(coeffs.shape))
+    step = max(1, kernel.BLOCK_ELEMS // coeffs.shape[0])
     for k in range(0, zs.size, step):
         values[k : k + step] = _band_shares(zs[k : k + step], coeffs, bands)[0].sum(axis=1)
     return values
@@ -259,10 +264,7 @@ def _node_rows(solution, rule, rows: np.ndarray):
     """
     bands = solution.vars.bands
     positions = _from_frame(rule.nodes, bands.alphas[rows, None], bands.betas[rows, None])
-    weighted = np.empty((rows.size, rule.order))
-    for i, r in enumerate(rows.tolist()):
-        weighted[i] = _values_at_nodes(solution.vars.band_series[r : r + 1], rule.order)[0]
-    weighted *= rule.weights
+    weighted = _values_at_nodes(solution.vars.band_series[rows], rule.order) * rule.weights
     return positions, weighted
 
 
@@ -404,11 +406,7 @@ def integrated_measure_at(x, solution: EquilibriumSolution, bands: BandSystem):
     b = hosts[on]
     theta = _theta_of(xs[on], bands.alphas[b], bands.betas[b])
     coeffs = solution.vars.band_series
-    j = np.arange(1, coeffs.shape[1])
-    d = coeffs[:, 1:] / j
-    sines, step = np.empty(on.size), max(1, _BLOCK_ELEMS // coeffs.shape[1])
-    for block in (slice(k, k + step) for k in range(0, on.size, step)):
-        sines[block] = np.sum(np.sin(np.outer(theta[block], j)) * d[b[block]], axis=1)
+    sines = _trig_sums(np.sin, theta, coeffs[:, 1:] / np.arange(1, coeffs.shape[1]), b)
     below = np.where(b > 0, solution.Omegas[b - 1], 0.0)
     values[on] = np.clip(below + (coeffs[b, 0] * (math.pi - theta) - sines) / math.pi,
                          below, below + solution.omegas[b])

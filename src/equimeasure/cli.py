@@ -13,20 +13,14 @@ with load and store hooks on the record cache,
 :class:`SolutionCache`: one ``gen_<n>.json`` record per generation in the
 output directory, holding only what the solver produced.  A record is
 reused on rerun only when the settings it stores equal
-:attr:`RunConfig.numerics` (the map parameters, residual tolerance,
-``solver.STEP_CLAMP``, the name of the solver's order rule,
-``kernel.ORDER_RULE``, and the name of its start rule,
-``solver.START_RULE``: each new gap starts from its preimage one generation
-down, each old gap from its parent moved as that preimage last moved), so
-a reused record cannot disagree with the run that reads it.  ``capacity``,
+:attr:`RunConfig.numerics`, so a reused record cannot disagree with the
+run that reads it.  ``capacity``,
 ``figures`` and ``potential`` seed each solution's band series from its
 sidecar ``series_<n>.bin`` where that binds, and write the sidecar of
 every series they built; ``solve`` writes none, nor does a library call to
-:func:`write_figure`.  The solver sizes its quadrature rules from the
-geometry, and the potentials, capacities and integrated measures come from
-per-band Chebyshev series sized the same way; ``quadrature_order`` sets
-only the nodes per band of the point path (``method="nodes"``), so a run
-at another order reuses the stored records.  The Jacobian figure is the
+:func:`write_figure`.  ``quadrature_order`` sets only the nodes per band
+of the point path (see :class:`RunConfig`), so a run at another order
+reuses the stored records.  The Jacobian figure is the
 solver's :func:`~equimeasure.solver.jacobian` at the deepest solution,
 built from one residual pass as in the Newton loop.  Line ids
 (``"<birth generation>:<gap>"``) follow the band systems' ``parents``.
@@ -42,7 +36,8 @@ Exit codes, each failure with a one-line message on stderr:
   the float range (``NaN`` and ``Infinity`` included), a point count above
   ``MAX_POINTS``, a bad ``--points`` spec (no points, too many or a
   non-finite one included), an ``x_grid`` off the hull for ``Omega_of_x``,
-  an ``n_max`` that ``generate_bands`` rejects and a capacity run with fewer
+  an ``n_max`` that ``generate_bands`` rejects, band series above
+  ``MAX_POINTS`` coefficients for an analytics run and a capacity run with fewer
   ``sample_count`` points than bands or a ``point_x`` off the bands (all
   checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
@@ -119,6 +114,7 @@ _KNOWN_KEYS = {"ifs", "n_max", "quadrature_order", "residual_tol", "sample_count
                "point_x", "x_grid", "output_dir"}
 # The most points a run can ask for, per band (``quadrature_order``) or in all
 # (``sample_count``, ``x_grid``, ``--points``): 512 times the paper's K = 2048.
+# It also caps the coefficients of the band series at n_max (all bands).
 MAX_POINTS = 2**20
 _JSON_NAMES = {int: "integer", float: "finite number"}
 
@@ -471,12 +467,9 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
     elif which == "gapmeasure_fit":
         gaps = [lines.index("1:0") for lines in _line_ids(solved)]  # gap 0 of generation 1
         points = [(sol.generation, float(sol.Omegas[g])) for (_, sol), g in zip(solved, gaps)]
-        if len(points) >= 3:
-            try:
-                a, b, c = fit_exponential(points[-MIN_CAPACITY_GENERATIONS:])
-            except (NonMonotoneInput, ValueError):
-                a = b = c = math.nan
-        else:
+        try:
+            a, b, c = fit_exponential(points[-MIN_CAPACITY_GENERATIONS:])
+        except ValueError:  # under 3 points, or no decay (NonMonotoneInput)
             a = b = c = math.nan
         header = ["generation", "gap_index", "Omega", "fit_a", "fit_b", "fit_c"]
         rows = [[n, g, v, a, b, c] for (n, v), g in zip(points, gaps)]
@@ -499,18 +492,25 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_capacity_depth(cfg: RunConfig, what: str) -> None:
-    """Reject, before any solve, a capacity run that is too shallow, that
-    has fewer sample points than the deepest generation has bands, or whose
-    ``point_x`` is off that generation's bands (and so off every one's)."""
+def _require_analytics(cfg: RunConfig, what: str, capacity: bool) -> None:
+    """Reject, before any solve, a run of ``what`` whose band series at
+    generation ``n_max`` would hold more than ``MAX_POINTS`` coefficients in
+    all, and a ``capacity`` run that is too shallow, that has fewer sample
+    points than the deepest generation has bands, or whose ``point_x`` is
+    off that generation's bands (and so off every one's)."""
     problems, deepest, x = [], generate_bands(cfg.ifs, cfg.n_max), cfg.point_x
-    if cfg.n_max < MIN_CAPACITY_GENERATIONS:
+    longest = kernel.SERIES_OVERSAMPLING * kernel.refined_orders(deepest, "band").max()
+    size = deepest.n_bands * int(longest)
+    if size > MAX_POINTS:
+        problems.append(f"{what} needs at most {MAX_POINTS} band series coefficients "
+                        f"at generation {cfg.n_max}, got {size}")
+    if capacity and cfg.n_max < MIN_CAPACITY_GENERATIONS:
         problems.append(f"{what} needs n_max >= {MIN_CAPACITY_GENERATIONS}, "
                         f"got {cfg.n_max}")
-    if cfg.sample_count < deepest.n_bands:
+    if capacity and cfg.sample_count < deepest.n_bands:
         problems.append(f"{what} needs sample_count >= {deepest.n_bands}, one point per band "
                         f"of generation {cfg.n_max}, got {cfg.sample_count}")
-    if x is not None and not np.any((deepest.alphas <= x) & (x <= deepest.betas)):
+    if capacity and x is not None and not np.any((deepest.alphas <= x) & (x <= deepest.betas)):
         problems.append(f"{what} needs 'point_x' on the bands of generation "
                         f"{cfg.n_max}, got {x!r}")
     if problems:
@@ -519,12 +519,12 @@ def _require_capacity_depth(cfg: RunConfig, what: str) -> None:
 
 def cmd_figures(cfg: RunConfig, which: str) -> int:
     names = FIGURE_NAMES if which == "all" else (which,)
-    unknown = [n for n in names if n not in FIGURE_NAMES]
-    if unknown:
-        raise ConfigError([f"unknown figure {n!r}; choose from "
-                           f"{', '.join(FIGURE_NAMES)} or 'all'" for n in unknown])
-    if "capacity_table" in names:
-        _require_capacity_depth(cfg, "the capacity_table figure")
+    if which != "all" and which not in FIGURE_NAMES:
+        raise ConfigError([f"unknown figure {which!r}; choose from "
+                           f"{', '.join(FIGURE_NAMES)} or 'all'"])
+    series = [n for n in names if n in ("Omega_of_x", "potential_profile", "capacity_table")]
+    if series:
+        _require_analytics(cfg, f"the {series[-1]} figure", "capacity_table" in series)
     h, grid = hull(cfg.ifs), cfg.x_grid  # V is defined off the hull, Omega is not
     if "Omega_of_x" in names and grid and not h.lo <= grid[0] < grid[1] <= h.hi:
         raise ConfigError([f"Omega_of_x needs 'x_grid' inside the hull [{h.lo}, {h.hi}]"])
@@ -537,7 +537,7 @@ def cmd_figures(cfg: RunConfig, which: str) -> int:
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
-    _require_capacity_depth(cfg, "capacity")
+    _require_analytics(cfg, "capacity", capacity=True)
     solved = solve_all(cfg)
     with _band_series_sidecars(cfg, solved):
         header, rows, est_mean, est_point = _capacity_rows(cfg, solved)
@@ -577,6 +577,7 @@ def _parse_points(spec: str) -> np.ndarray:
 
 def cmd_potential(cfg: RunConfig, points_spec: str) -> int:
     pts = _parse_points(points_spec)
+    _require_analytics(cfg, "potential", capacity=False)
     solved = solve_all(cfg)
     bands, sol = solved[-1]
     with _band_series_sidecars(cfg, solved[-1:]):

@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernel
 from .geometry import BandSystem
 from .kernel import (
     GapVariables,
@@ -44,9 +45,6 @@ from .kernel import (
 )
 
 _GMRES_RTOL = 1e-14  # relative residual of the Jacobi-scaled Newton system
-# Elements per block of Jacobian rows: the Newton step holds one N x N
-# array, and the temporaries that assemble it stay this small.
-_ROW_BLOCK_ELEMS = 1 << 14
 
 MAX_ITERATIONS = 200  # Newton iterations per generation before NoConvergence
 # Margin kept between any iterate and the ends of (-1, 1): a root reaching
@@ -139,10 +137,11 @@ def _residual_vector(vars: GapVariables, groups):
 def _jacobian(vars: GapVariables, kept) -> np.ndarray:
     """The Jacobian from the reduced kernels a residual pass at ``vars``
     kept, one :func:`gap_jacobian_row` call per block of at most
-    ``_ROW_BLOCK_ELEMS`` elements of a kept group's rows."""
+    ``kernel.BLOCK_ELEMS`` elements of a kept group's rows, so no second
+    N x N array is formed."""
     n = vars.bands.n_gaps
     jac = np.empty((n, n))
-    per = max(1, _ROW_BLOCK_ELEMS // max(n, 1))
+    per = max(1, kernel.BLOCK_ELEMS // max(n, 1))
     for idx, (rule, g) in kept.items():
         for k in range(0, len(idx), per):
             block = idx[k : k + per]

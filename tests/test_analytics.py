@@ -446,6 +446,17 @@ class TestDensityTableMemo:
         assert cheb == pytest.approx(0.41539755, abs=1e-8)
         assert potential_at(0.0, s, b, graded) == pytest.approx(cheb, abs=1e-8)
 
+    def test_rows_do_not_depend_on_the_other_rows(self, ternary_run, rule2048):
+        # one stacked product over every row gives each row's own call bit for bit
+        bands, sols = ternary_run
+        b, s = bands[-1], sols[-1]
+        rows = np.arange(b.n_bands)
+        positions, weighted = _node_rows(s, rule2048, rows)
+        for r in rows.tolist():
+            own_positions, own_weighted = _node_rows(s, rule2048, rows[r : r + 1])
+            assert np.array_equal(own_positions[0], positions[r])
+            assert np.array_equal(own_weighted[0], weighted[r]), r
+
     @pytest.mark.parametrize("order", [1, 5, 8, 63, 64, 65, 67, 2048])
     def test_table_densities_match_the_kernel(self, asym_run, order):
         # orders below the series length take every m-th node of an odd
@@ -677,7 +688,7 @@ class TestWholeArrays:
         b, s = bands[depth - 1], sols[depth - 1]
         xs = _probe_points(b)
         whole = potential_at(xs, s, b, rule2048)
-        monkeypatch.setattr(analytics, "_BLOCK_ELEMS", 3 * b.n_bands)
+        monkeypatch.setattr(kernel, "BLOCK_ELEMS", 3 * b.n_bands)
         assert np.array_equal(potential_at(xs, s, b, rule2048), whole)
 
     def test_integrated_measure_matches_per_point_reference(self, request, run, depth):
@@ -703,6 +714,54 @@ class TestWholeArrays:
             assert type(integrated_measure_at(x, s, b)) is float
         with pytest.raises(OutOfHull):
             integrated_measure_at(np.array([0.0, 1.5]), s, b)
+
+
+class TestNearTouching:
+    # Gaps 4e-7 of the hull: at n = 1 the bands are [-1, -a] and [a, 1] with
+    # a = 2e-7, and each band series has M = 28 464 coefficients, more than
+    # kernel.BLOCK_ELEMS, so the on-band sums split their coefficients.  The
+    # bands are the preimage of [a**2, 1] under x**2, so the potential on them
+    # is -log(sqrt(1 - a**2) / 2).
+    @pytest.fixture(scope="class")
+    def near(self):
+        ifs = validate(IfsSystem.from_pairs([[0.4999999, -1.0], [0.4999999, 1.0]]))
+        (solution,) = solve_generations(ifs, 1)
+        assert solution.vars.band_series.shape[1] > kernel.BLOCK_ELEMS
+        return solution
+
+    def test_on_set_potential_is_the_closed_form(self, near, rule2048):
+        b = near.vars.bands
+        a = float(b.alphas[1])
+        want = -math.log(0.5 * math.sqrt(1.0 - a * a))
+        # measured: 5.6e-16 for the mean and 3.9e-15 at the inner band ends
+        mean = mean_potential_on_attractor_points(near, b, 256, rule2048)
+        assert abs(mean - want) <= 1e-15
+        grid = np.concatenate([np.linspace(-1.0, -a, 201), np.linspace(a, 1.0, 201)])
+        assert np.max(np.abs(potential_at(grid, near, b, rule2048) - want)) <= 5e-15
+
+    def test_mean_path_is_one_pass(self, near, rule2048, monkeypatch):
+        # point blocks are sized by the band count, not by the series length
+        calls, original = [], analytics._band_shares
+
+        def counting(z, coeffs, bands):
+            calls.append(z.size)
+            return original(z, coeffs, bands)
+
+        monkeypatch.setattr(analytics, "_band_shares", counting)
+        mean_potential_on_attractor_points(near, near.vars.bands, 256, rule2048)
+        assert calls == [256]
+
+    def test_array_calls_match_per_point_calls(self, near, rule2048):
+        b = near.vars.bands
+        xs = np.array([-1.0, -0.7, -0.3, 1e-7, float(b.betas[0]), 0.0,
+                       float(b.alphas[1]), 1e-6, 0.5, 0.999, 1.0])
+        for pts in (xs, np.concatenate([xs, [1.5, 0.3 + 1e-3j, -2j]])):
+            got = potential_at(pts, near, b, rule2048)
+            want = np.array([potential_at(p, near, b, rule2048) for p in pts.tolist()])
+            np.testing.assert_array_max_ulp(got, want, maxulp=1)
+        got = integrated_measure_at(xs, near, b)
+        want = np.array([integrated_measure_at(x, near, b) for x in xs.tolist()])
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
 
 @pytest.mark.parametrize("count", [129, 250, 256, 4096])

@@ -750,6 +750,46 @@ class TestPotentialCommand:
         assert not (tmp_path / "out").exists()
 
 
+SERIES_COMMANDS = [["capacity"], ["potential", "--points=-1:1:5"], ["figures", "--which", "all"],
+                   ["figures", "--which", "Omega_of_x"],
+                   ["figures", "--which", "potential_profile"],
+                   ["figures", "--which", "capacity_table"]]
+
+
+class TestSeriesGuard:
+    # gaps 4e-12 of the hull: each band series holds 9 000 100 coefficients
+    # (16 bands of 9 001 600 at n = 4), while the solve takes well under a second
+    NEAR = [[0.499999999999, -1.0], [0.499999999999, 1.0]]
+
+    @pytest.mark.parametrize("argv", SERIES_COMMANDS)
+    def test_a_series_table_above_max_points_rejected_before_solving(
+            self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
+        path = write_config(tmp_path, ifs=self.NEAR, n_max=4)
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert (f"needs at most {cli.MAX_POINTS} band series coefficients at generation 4, "
+                f"got {16 * 9_001_600}") in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["solve"], ["figures", "--which", "lambda_vs_n"]])
+    def test_commands_without_series_still_run(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, ifs=self.NEAR, n_max=2)
+        assert main([*argv, "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", SERIES_COMMANDS)
+    def test_the_cap_is_inclusive(self, tmp_path, capsys, monkeypatch, argv):
+        # ternary n = 4: 16 bands of 32 coefficients, 512 in all
+        path = write_config(tmp_path, n_max=4)
+        monkeypatch.setattr(cli, "MAX_POINTS", 512)
+        assert main([*argv, "--config", str(path)]) == 0
+        monkeypatch.setattr(cli, "MAX_POINTS", 511)
+        assert main([*argv, "--config", str(path)]) == 2
+        assert "band series coefficients at generation 4, got 512" in capsys.readouterr().err
+
+
 class TestAnalyticsErrors:
     # analytics failures leave main with exit code 3 and one line on stderr
     def _capacity(self, tmp_path, capsys):

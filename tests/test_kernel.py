@@ -607,17 +607,20 @@ def test_group_calls_of_the_log_evaluator(asym):
 
 @pytest.mark.parametrize("chunk", [1, 100, 5000])
 def test_chunk_size_moves_no_value(asym, monkeypatch, chunk):
-    # chunks of frames, factors and nodes only bound the temporaries
+    # chunks of frames, factors and nodes, and the solver's blocks of
+    # Jacobian rows, only bound the temporaries
     b = generate_bands(asym, 6)
     gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
     want = group_values(b, gv)
     series = kernel_band(QuadratureRule.chebyshev(64).nodes, np.arange(b.n_bands), gv)
-    monkeypatch.setattr(kernel_module, "_CHUNK_ELEMS", chunk)
+    jac = solver.jacobian(gv)
+    monkeypatch.setattr(kernel_module, "BLOCK_ELEMS", chunk)
     got = group_values(b, gv)
     for key in want:
         assert np.array_equal(got[key], want[key]), key
     assert np.array_equal(
         kernel_band(QuadratureRule.chebyshev(64).nodes, np.arange(b.n_bands), gv), series)
+    assert np.array_equal(solver.jacobian(gv), jac)
 
 
 def test_roots_on_nodes_of_a_shared_rule(ternary):

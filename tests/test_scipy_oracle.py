@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.fft import dct
 from scipy.optimize import least_squares
 
-from equimeasure import analytics
+from equimeasure import kernel
 from equimeasure.analytics import (
     NonMonotoneInput,
     _node_cosines,
@@ -79,12 +79,14 @@ class TestChebyshevTransforms:
     # M = 64 on every band here.  Orders 31, 33 and 48 fold M > order with
     # m = 3; the odd M = 63 takes the first 63 coefficients.  (At order 2049,
     # 3 x 683, scipy's own DCT-III is off by 1.5e-15 of the values, against
-    # 3e-16 for the folded table, so that order is left out.)
+    # 3e-16 for the folded table, so that order is left out.)  The node table
+    # is built anew in row blocks of one row, or of every row at once.
     @pytest.mark.parametrize("order", [2048, 2051, 65, 64, 48, 33, 31, 25])
-    @pytest.mark.parametrize("macs", [analytics._PRODUCT_MACS, 1])
-    def test_node_values_match_scipy(self, ternary_run, asym_run, order, macs,
+    @pytest.mark.parametrize("budget", [1 << 18, 1])
+    def test_node_values_match_scipy(self, ternary_run, asym_run, order, budget,
                                      monkeypatch):
-        monkeypatch.setattr(analytics, "_PRODUCT_MACS", macs)
+        monkeypatch.setattr(kernel, "BLOCK_ELEMS", budget)
+        _node_cosines.cache_clear()
         for bands, sols in (ternary_run, asym_run):
             for b, s in zip(bands[::3], sols[::3]):
                 coeffs = s.vars.band_series
