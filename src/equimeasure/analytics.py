@@ -39,9 +39,12 @@ integrated measure inside a band is closed-form too (see
 
 :func:`potential_at` and :func:`integrated_measure_at` evaluate an array of
 points in one blockwise pass; a scalar is a one-point array and gives a
-``float``.  Each value depends on its own point alone.  Every temporary
-holds at most ``kernel.BLOCK_ELEMS`` elements, the package's one memory
-budget, so the cost grows linearly with the series length.
+``float``.  Each value depends on its own point alone.  Both potential
+paths evaluate a stack of solutions, the bands of a run's generations side
+by side (:class:`_Stack`), so :func:`capacity_estimate` makes one pass per
+path; each value depends on its own generation's bands alone.  Every
+temporary holds at most ``kernel.BLOCK_ELEMS`` elements, the package's one
+memory budget, so the cost grows linearly with the series length.
 
 The plain node sum remains available as ``method="nodes"``, the published
 point path, for Gauss-Chebyshev rules only: ``rule.order`` nodes per band,
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -90,7 +92,12 @@ class PersistentCollision(RuntimeError):
 
 
 class NonMonotoneInput(ValueError):
-    """Successive differences change sign or vanish; no decaying exponential fits."""
+    """Successive differences change sign or vanish; no decaying exponential fits.
+
+    From :func:`capacity_estimate` it carries the potentials it could not
+    fit, as ``per_generation``."""
+
+    per_generation: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -116,44 +123,41 @@ def _own_bands(solution: EquilibriumSolution, bands: BandSystem) -> BandSystem:
 # per-band Chebyshev series
 
 
-@lru_cache(maxsize=4)
-def _node_cosines(rows: int, order: int) -> np.ndarray:
-    """Memoised, read-only ``cos(j theta_k)``, ``j < rows``, at the nodes
-    ``theta_k = (2k + 1) pi / (2 order)``: ``j (2k + 1)`` is reduced modulo
-    ``4 order`` in integers (in row blocks) and looked up in one period."""
-    period = np.cos(np.pi / (2 * order) * np.arange(4 * order))
-    odd = 2 * np.arange(order) + 1
-    table = np.empty((rows, order))
-    per = max(1, kernel.BLOCK_ELEMS // order)
-    for r in range(0, rows, per):
-        table[r : r + per] = period[np.outer(np.arange(r, min(r + per, rows)), odd) % (4 * order)]
-    table.flags.writeable = False
-    return table
-
-
 def _values_at_nodes(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Every band's series at the first-kind Chebyshev nodes of ``order``.
 
     There ``T_{2 q order +- j} = (-1)**q T_j`` and ``T_order = 0``, so
     coefficients ``j >= order`` fold onto ``j < order``; one product per
-    row with the shared :func:`_node_cosines` sums the terms after ``c_0``,
-    and ``c_0`` is added last (within a few ulps).
+    row with ``cos(j theta_k)`` sums the terms after ``c_0``, and ``c_0`` is
+    added last (within a few ulps).  The cosines at ``theta_k = (2k + 1) pi
+    / (2 order)`` are looked up in one period, ``j (2k + 1)`` reduced modulo
+    ``4 order`` in integers, a block of nodes at a time: a multiple of 4
+    nodes and at most ``kernel.BLOCK_ELEMS`` cosines (or 4 nodes), the last
+    block 4 nodes or more.  A single-threaded BLAS then sums each value as
+    the whole table's product would: it sums the last (width mod 4) nodes of
+    a call apart, and numpy takes one node alone as a dot product.
     """
     j = np.arange(coeffs.shape[1])
     r = j % (2 * order)
     folded = np.zeros((coeffs.shape[0], min(j.size, order)))
     np.add.at(folded.T, np.minimum(r, 2 * order - r) % order,
               ((-1.0) ** (j // (2 * order)) * np.sign(order - r) * coeffs).T)
-    table = _node_cosines(folded.shape[1], order)[1:]
-    return np.matmul(folded[:, None, 1:], table)[:, 0] + folded[:, :1]
+    period = np.cos(np.pi / (2 * order) * np.arange(4 * order))
+    odd, rows = 2 * np.arange(order) + 1, np.arange(1, folded.shape[1])
+    values = np.empty((coeffs.shape[0], order))
+    starts = list(range(0, order - 3, max(4, kernel.BLOCK_ELEMS // max(1, rows.size) // 4 * 4)))
+    for c, e in zip(starts or [0], starts[1:] + [order]):
+        table = period[np.outer(rows, odd[c:e]) % (4 * order)]
+        values[:, c:e] = np.matmul(folded[:, None, 1:], table)[:, 0]
+    return values + folded[:, :1]
 
 
 def _horner(rho: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``sum_{j >= 1} d[:, j - 1] * rho**j`` for every point (rows of ``rho``)
     and band (columns of ``rho``, rows of ``d``)."""
     acc = np.zeros_like(rho)
-    for j in range(d.shape[1] - 1, -1, -1):
-        acc += d[:, j]
+    for dj in np.ascontiguousarray(d.T[::-1]):  # one contiguous row per power
+        acc += dj
         acc *= rho
     return acc
 
@@ -196,10 +200,50 @@ def _theta_of(x, lo, hi):
 # potential
 
 
-def _band_shares(z: np.ndarray, coeffs: np.ndarray,
-                 bands: BandSystem) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class _Stack:
+    """The bands of some solutions side by side, one per column ``j``
+    (endpoints ``alphas[j]``, ``betas[j]``, series row ``coeffs[j]``);
+    solution ``g`` has columns ``bounds[g]:bounds[g + 1]``.  Its solutions'
+    series have one length, so no row is padded."""
+
+    systems: tuple
+    alphas: np.ndarray
+    betas: np.ndarray
+    coeffs: np.ndarray
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, solutions) -> "_Stack":
+        systems = tuple(sol.vars.bands for sol in solutions)
+        return cls(systems, np.concatenate([b.alphas for b in systems]),
+                   np.concatenate([b.betas for b in systems]),
+                   np.concatenate([sol.vars.band_series for sol in solutions]),
+                   np.cumsum([0] + [b.n_bands for b in systems]))
+
+    def hosts(self, z: np.ndarray) -> np.ndarray:
+        """The column of each point's host band in each system (one row per
+        point of the 1-D array ``z``, one column per system), else -1; a
+        non-real point has none."""
+        return np.column_stack([np.where((h >= 0) & (z.imag == 0.0), h + lo, -1) for h, lo
+                                in zip((_hosts(b, z.real) for b in self.systems), self.bounds)])
+
+
+def _stacks(solutions):
+    """``(positions, stack)`` for each width of the solutions' band series:
+    the positions in ``solutions`` of those of that width, and their
+    :class:`_Stack`."""
+    widths = [sol.vars.band_series.shape[1] for sol in solutions]
+    for width in dict.fromkeys(widths):
+        ks = [k for k, w in enumerate(widths) if w == width]
+        yield ks, _Stack.of([solutions[k] for k in ks])
+
+
+def _band_shares(z: np.ndarray, stack: _Stack,
+                 host: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each band's share of ``V`` at the points of the 1-D array ``z`` (one
-    row per point, one column per band), and ``log|s|`` of the same pairs.
+    row per point, one column per band of ``stack``), and ``log|s|`` of the
+    same pairs; ``host`` is ``stack.hosts(z)``.
 
     Every (point, band) pair gets ``rho`` from the larger-modulus root ``s``
     of the module docstring and its share by Horner's rule, except a real
@@ -211,16 +255,17 @@ def _band_shares(z: np.ndarray, coeffs: np.ndarray,
     leaves the float range (``|z|`` near 1e307 and beyond), ``s = 2 w = 8 h
     / width`` to the last bit, with ``h = (z - m) / 2`` and ``m`` the band's
     midpoint, so ``log|s|`` and ``rho`` are formed from ``h``, whose modulus
-    stays finite, instead.
+    stays finite, instead.  Each pair's share is formed from that pair
+    alone.
     """
-    width = bands.band_widths
+    alphas, betas, coeffs = stack.alphas, stack.betas, stack.coeffs
+    width = betas - alphas
     d = coeffs[:, 1:] / np.arange(1, coeffs.shape[1])
-    host = np.where(z.imag == 0.0, _hosts(bands, z.real), -1)
-    on = np.flatnonzero(host >= 0)
-    b = host[on]
+    on, g = np.nonzero(host >= 0)
+    b = host[on, g]
     with np.errstate(over="ignore", invalid="ignore"):  # far pairs are redone below
-        wm1 = 2.0 * (z[:, None] - bands.betas) / width  # w - 1 in every band's frame
-        wp1 = 2.0 * (z[:, None] - bands.alphas) / width  # w + 1
+        wm1 = 2.0 * (z[:, None] - betas) / width  # w - 1 in every band's frame
+        wp1 = 2.0 * (z[:, None] - alphas) / width  # w + 1
         w = 0.5 * (wm1 + wp1)
         if np.isrealobj(z):
             s = w + np.copysign(np.sqrt(np.abs(wm1)) * np.sqrt(np.abs(wp1)), w)
@@ -233,80 +278,95 @@ def _band_shares(z: np.ndarray, coeffs: np.ndarray,
     rho[on, b] = 0.0
     if not np.isfinite(log_s.sum()):  # each log|s| lies in [0, 710] where finite
         far = np.nonzero(~np.isfinite(log_s))
-        half = 0.5 * (z[far[0]] - 0.5 * (bands.alphas + bands.betas)[far[1]])
+        half = 0.5 * (z[far[0]] - 0.5 * (alphas + betas)[far[1]])
         log_s[far] = np.log(np.abs(half)) + np.log(8.0 / width[far[1]])
         rho[far] = 0.125 * width[far[1]] / half
     shares = coeffs[:, 0] * (np.log(2.0 / width) + (math.log(2.0) - log_s))
     shares += _horner(rho, d).real
-    theta = _theta_of(z[on].real, bands.alphas[b], bands.betas[b])
+    theta = _theta_of(z[on].real, alphas[b], betas[b])
     shares[on, b] += _trig_sums(np.cos, theta, d, b)
     return shares, log_s
 
 
-def _series_potentials(zs, coeffs: np.ndarray, bands: BandSystem) -> np.ndarray:
-    """``V(z)`` at the points of the 1-D array ``zs``: the sum of every
-    band's :func:`_band_shares`, in blocks of ``kernel.BLOCK_ELEMS`` pairs."""
+def _series_potentials(zs, solutions) -> np.ndarray:
+    """``V(z)`` of each solution (one row each) at the points of the 1-D
+    array ``zs``: the sum of its bands' :func:`_band_shares`, evaluated for
+    every solution of one series width together, in point blocks of
+    ``kernel.BLOCK_ELEMS // (bands in the stack)``."""
     zs = np.asarray(zs)
-    values = np.empty(zs.shape)
-    step = max(1, kernel.BLOCK_ELEMS // coeffs.shape[0])
-    for k in range(0, zs.size, step):
-        values[k : k + step] = _band_shares(zs[k : k + step], coeffs, bands)[0].sum(axis=1)
+    values = np.empty((len(solutions), zs.size))
+    for ks, stack in _stacks(solutions):
+        step, host = max(1, kernel.BLOCK_ELEMS // stack.coeffs.shape[0]), stack.hosts(zs)
+        for k in range(0, zs.size, step):
+            shares = _band_shares(zs[k : k + step], stack, host[k : k + step])[0]
+            for g, lo, hi in zip(ks, stack.bounds, stack.bounds[1:]):
+                values[g, k : k + step] = shares[:, lo:hi].sum(axis=1)
     return values
 
 
-def _node_rows(solution, rule, rows: np.ndarray):
-    """Node positions and weighted densities of the solution's bands ``rows``.
+def _node_rows(stack: _Stack, rule, rows: np.ndarray):
+    """Node positions and weighted densities of the bands ``rows`` of ``stack``.
 
     Returns new arrays ``(positions, weighted)`` of shape ``(rows.size,
     K)``; band ``b``'s plain node sum at ``z`` is ``-sum weighted *
     log|z - positions|`` over its row.  Each row's densities are summed
     from its own series alone, so they do not depend on the other rows.
     """
-    bands = solution.vars.bands
-    positions = _from_frame(rule.nodes, bands.alphas[rows, None], bands.betas[rows, None])
-    weighted = _values_at_nodes(solution.vars.band_series[rows], rule.order) * rule.weights
+    positions = _from_frame(rule.nodes, stack.alphas[rows, None], stack.betas[rows, None])
+    weighted = _values_at_nodes(stack.coeffs[rows], rule.order) * rule.weights
     return positions, weighted
 
 
-def _node_potentials(zs, solution, rule) -> np.ndarray:
-    """The point path at each point of the 1-D array ``zs``: the plain node
-    sum over every band its rule cannot resolve, the series share of every
-    other band, bumping the order past collisions.
+def _node_potentials(zs, solutions, rule) -> np.ndarray:
+    """The point path of each solution (one row each) at each point of the
+    1-D array ``zs``: the plain node sum over every band its rule cannot
+    resolve, the series share of every other band, bumping the order past
+    collisions.
 
     The ``K``-node rule integrates ``F(t) log|w - t|`` of a band with a
     series of length ``M`` to within ``|s|**(M - 2K)`` (Trefethen, *ATAP*,
     ch. 8), so band ``b`` is resolved, and takes its series share, when
     ``(2K - M) log|s_b| >= 2 REFINE_SAFETY``: never a point's host band,
-    and no band at all when ``2K <= M``.  Each order's rows are built once,
-    for the bands some point still needs; a bumped order only if a real
-    point lies within ``NODE_COLLISION_RTOL`` of a band width from a node.
-    Only those rows are scanned: a resolved band's nearest node lies orders
-    of magnitude farther off.
+    and no band at all when ``2K <= M``.  Each order's rows are built once
+    per stack, for the bands some (point, solution) pair still needs; a
+    pair takes a bumped order only if its point is real and lies within
+    ``NODE_COLLISION_RTOL`` of a band width from a node of its solution's
+    bands.  Only those rows are scanned: a resolved band's nearest node lies
+    orders of magnitude farther off.
     """
-    coeffs, bands = solution.vars.band_series, solution.vars.bands
-    shares, log_s = _band_shares(zs, coeffs, bands)
-    tol = NODE_COLLISION_RTOL * bands.band_widths
-    values, todo = np.empty(zs.size), np.arange(zs.size)
-    for bump in (0, 1, 3):
-        attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
-        summed = (2 * attempt.order - coeffs.shape[1]) * log_s[todo] < 2.0 * REFINE_SAFETY
-        rows = np.flatnonzero(summed.any(axis=0))
-        positions, weighted = _node_rows(solution, attempt, rows)
-        collided = []
-        for k, mine in zip(todo.tolist(), summed):
-            z, near = complex(zs[k]), mine[rows]
-            if z.imag == 0.0 and np.any(np.abs(z.real - positions[near])
-                                        < tol[rows[near], None]):
-                collided.append(k)
-                continue
-            dist = np.hypot(z.real - positions[near], z.imag)  # no square to overflow
-            values[k] = np.sum(shares[k, ~mine]) - np.sum(weighted[near] * np.log(dist))
-        todo = np.array(collided, dtype=int)
-        if not todo.size:
-            return values
-    raise PersistentCollision(f"point {complex(zs[todo[0]])} collides with quadrature "
-                              f"nodes at orders {rule.order}, {rule.order + 1}, "
-                              f"{rule.order + 3}")
+    if rule.panels:
+        raise ValueError(f"the point path takes Gauss-Chebyshev rules, not panels {rule.panels}")
+    values = np.empty((len(solutions), zs.size))
+    for ks, stack in _stacks(solutions):
+        shares, log_s = _band_shares(zs, stack, stack.hosts(zs))
+        tol = NODE_COLLISION_RTOL * (stack.betas - stack.alphas)
+        system = np.repeat(np.arange(len(ks)), np.diff(stack.bounds))
+        todo = np.array([(k, g) for g in range(len(ks)) for k in range(zs.size)], dtype=int)
+        for bump in (0, 1, 3):
+            attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
+            summed = ((2 * attempt.order - stack.coeffs.shape[1]) * log_s[todo[:, 0]]
+                      < 2.0 * REFINE_SAFETY) & (system == todo[:, 1:])
+            rows = np.flatnonzero(summed.any(axis=0))
+            positions, weighted = _node_rows(stack, attempt, rows)
+            collided = []
+            for (k, g), mine in zip(todo.tolist(), summed):
+                z, near = complex(zs[k]), mine[rows]
+                if z.imag == 0.0 and np.any(np.abs(z.real - positions[near])
+                                            < tol[rows[near], None]):
+                    collided.append((k, g))
+                    continue
+                dist = np.hypot(z.real - positions[near], z.imag)  # no square to overflow
+                lo, hi = stack.bounds[g : g + 2]
+                values[ks[g], k] = (np.sum(shares[k, lo:hi][~mine[lo:hi]])
+                                    - np.sum(weighted[near] * np.log(dist)))
+            todo = np.array(collided, dtype=int).reshape(-1, 2)
+            if not todo.size:
+                break
+        else:
+            raise PersistentCollision(f"point {complex(zs[todo[0, 0]])} collides with "
+                                      f"quadrature nodes at orders {rule.order}, "
+                                      f"{rule.order + 1}, {rule.order + 3}")
+    return values
 
 
 def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
@@ -329,14 +389,10 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     """
     if method not in ("auto", "nodes"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "nodes" and rule.panels:
-        raise ValueError(f"the point path takes Gauss-Chebyshev rules, not panels {rule.panels}")
-    bands = _own_bands(solution, bands)
+    _own_bands(solution, bands)
     zs = np.asarray(z).ravel()
-    if method == "auto":
-        values = _series_potentials(zs, solution.vars.band_series, bands)
-    else:
-        values = _node_potentials(zs, solution, rule)
+    values = (_series_potentials(zs, [solution]) if method == "auto"
+              else _node_potentials(zs, [solution], rule))[0]
     return float(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
 
 
@@ -374,10 +430,15 @@ def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: Ban
     not used; it stays in the signature for callers that name it.
     """
     bands = _own_bands(solution, bands)
-    pts = sample_points(sample_bands or bands, sample_count)
-    if np.any(_hosts(bands, pts) < 0):
+    return _mean_potentials([solution], sample_points(sample_bands or bands, sample_count))[0]
+
+
+def _mean_potentials(solutions, pts: np.ndarray) -> list[float]:
+    """The mean potential of each solution over the points ``pts``, which
+    must lie on every solution's bands (else :class:`OutOfHull`)."""
+    if any(np.any(_hosts(sol.vars.bands, pts) < 0) for sol in solutions):
         raise OutOfHull("sample points must lie on the band system")
-    return float(np.mean(_series_potentials(pts, solution.vars.band_series, bands)))
+    return [float(np.mean(row)) for row in _series_potentials(pts, solutions)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +544,13 @@ def capacity_estimate(solutions, rule: QuadratureRule,
     generation (``mode="mean"``) or as the plain node-sum potential of one
     fixed point (``mode="point"``, a Gauss-Chebyshev ``rule`` only,
     reproducing the coarser single-point gauge).  Each solution carries its
-    band system (``vars.bands``).  The last ``MIN_CAPACITY_GENERATIONS``
-    generations feed the exponential fit; the extrapolated capacity is
-    ``exp(-a)``.
+    band system (``vars.bands``).  All generations are evaluated in one
+    pass, one stack per width of their series tables, and each value depends
+    on its own generation's bands alone: it is that generation's own
+    :func:`mean_potential_on_attractor_points` or :func:`potential_at` to
+    the bit.  The last ``MIN_CAPACITY_GENERATIONS`` generations feed the
+    exponential fit; the extrapolated capacity is ``exp(-a)``.  A fit that
+    fails raises :class:`NonMonotoneInput` carrying the per-generation values.
     """
     if len(solutions) < MIN_CAPACITY_GENERATIONS:
         raise ValueError(f"need at least {MIN_CAPACITY_GENERATIONS} solved generations")
@@ -494,21 +559,22 @@ def capacity_estimate(solutions, rule: QuadratureRule,
     if mode == "point" and point is None:
         raise ValueError("mode='point' needs a point")
 
-    deepest = solutions[-1].vars.bands
-    per_gen = []
-    for sol in solutions:
-        if mode == "mean":
-            v = mean_potential_on_attractor_points(sol, sol.vars.bands, sample_count,
-                                                   rule, sample_bands=deepest)
-        else:
-            v = potential_at(point, sol, sol.vars.bands, rule, method="nodes")
-        per_gen.append((sol.generation, v))
+    if mode == "mean":
+        values = _mean_potentials(solutions, sample_points(solutions[-1].vars.bands,
+                                                           sample_count))
+    else:
+        values = _node_potentials(np.asarray(point).ravel(), solutions, rule)[:, 0].tolist()
+    per_gen = [(sol.generation, v) for sol, v in zip(solutions, values)]
 
     ys = np.array([v for _, v in per_gen])
     if np.all(np.abs(np.diff(ys)) < 1e-12):
         a, b, c = float(ys[-1]), 0.0, math.inf
     else:
-        a, b, c = fit_exponential(per_gen[-MIN_CAPACITY_GENERATIONS:])
+        try:
+            a, b, c = fit_exponential(per_gen[-MIN_CAPACITY_GENERATIONS:])
+        except NonMonotoneInput as exc:
+            exc.per_generation = tuple(per_gen)
+            raise
     return CapacityEstimate(
         per_generation=tuple(per_gen),
         fit=(a, b, c),

@@ -41,10 +41,12 @@ Exit codes, each failure with a one-line message on stderr:
   ``sample_count`` points than bands or a ``point_x`` off the bands (all
   checked before any solve);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
-  (no convergence or a singular Jacobian), or a capacity fit
+  (no convergence or a singular Jacobian), or a mean-path capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
   collision that survives every order bump (``PersistentCollision``) or a
-  point off the hull or the bands (``OutOfHull``);
+  point off the hull or the bands (``OutOfHull``); a point-path fit that
+  fails leaves its ``V_point`` column and writes ``nan`` for its fit and
+  capacity, as ``gapmeasure_fit`` does;
 - 4 I/O error.
 """
 
@@ -66,6 +68,7 @@ import numpy as np
 from . import kernel, solver
 from .analytics import (
     MIN_CAPACITY_GENERATIONS,
+    CapacityEstimate,
     NonMonotoneInput,
     OutOfHull,
     PersistentCollision,
@@ -424,7 +427,10 @@ def _capacity_rows(cfg: RunConfig, solved):
         deepest = sols[-1].vars.bands
         point = float(0.5 * (deepest.alphas[0] + deepest.betas[0]))
     est_mean = capacity_estimate(sols, cfg.rule, cfg.sample_count, mode="mean")
-    est_point = capacity_estimate(sols, cfg.rule, mode="point", point=point)
+    try:
+        est_point = capacity_estimate(sols, cfg.rule, mode="point", point=point)
+    except NonMonotoneInput as exc:  # the coarse gauge stands without its fit
+        est_point = CapacityEstimate(exc.per_generation, (math.nan,) * 3, math.nan)
     rows = []
     for (n, v_point), (_, v_mean) in zip(est_point.per_generation,
                                          est_mean.per_generation):

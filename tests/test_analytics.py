@@ -17,6 +17,7 @@ from equimeasure.analytics import (
     PersistentCollision,
     _node_rows,
     _series_potentials,
+    _Stack,
     _theta_of,
     capacity_estimate,
     fit_exponential,
@@ -36,8 +37,8 @@ from equimeasure.kernel import (
     refined_orders,
     restore_band_series,
 )
-from tests.conftest import (TERNARY_PAIRS, X_STAR, density_table, node_sum_potentials,
-                            solve_generations)
+from tests.conftest import (TERNARY_PAIRS, THREE_MAP_PAIRS, X_STAR, density_table,
+                            node_sum_potentials, solve_generations)
 
 TWO_BAND_POTENTIAL = -math.log(math.sqrt(2.0) / 3.0)  # interior potential of
 # [-1,-1/3] u [1/3,1]: the capacity of symmetric two-interval sets
@@ -250,9 +251,9 @@ class TestPotential:
         for factor in (0.0, 0.5, 0.999, 1.001, 2.0):
             points += [(positions + factor * tol).ravel(), (positions - factor * tol).ravel()]
 
-        def marking(solution, attempt, rows):
+        def marking(stack, attempt, rows):
             # the nodes of a bumped order sit at NaN, so a bumped point reads NaN
-            positions, weighted = _node_rows(solution, attempt, rows)
+            positions, weighted = _node_rows(stack, attempt, rows)
             if attempt.order != order:
                 positions[:] = np.nan
             return positions, weighted
@@ -317,17 +318,18 @@ class TestSpectralSeries:
             pts = sample_points(bands[depth - 1], 1024)
             for b, s in zip(bands[:depth], sols[:depth]):
                 xs = np.concatenate([pts, b.alphas, b.betas])
-                v = _series_potentials(xs, s.vars.band_series, b)
+                v = _series_potentials(xs, [s])[0]
                 assert v.max() - v.min() <= bound, (b.generation, v.max() - v.min())
 
     def test_doubling_the_order_moves_no_mean(self, asym_run, monkeypatch):
         bands, sols = asym_run
         pts = sample_points(bands[-1], 1024)
-        base = [np.mean(_series_potentials(pts, s.vars.band_series, b))
-                for b, s in zip(bands, sols)]
+        base = [np.mean(_series_potentials(pts, [s])[0]) for s in sols]
         monkeypatch.setattr(kernel, "SERIES_OVERSAMPLING", 2 * kernel.SERIES_OVERSAMPLING)
         for b, s, v in zip(bands, sols, base):
-            finer = np.mean(_series_potentials(pts, _chebyshev_series(s.vars), b))
+            fine = _fresh(s)
+            assert fine.vars.band_series.shape[1] == 2 * s.vars.band_series.shape[1]
+            finer = np.mean(_series_potentials(pts, [fine])[0])
             assert abs(finer - v) <= 1e-14, (b.generation, finer - v)
 
     def test_leading_coefficient_is_the_band_measure(self, asym_run):
@@ -413,7 +415,8 @@ class TestDensityTableMemo:
         assert not s.vars.band_series.flags.writeable
         with pytest.raises(ValueError):
             s.vars.band_series[0, 0] = 0.0
-        coarse = _node_rows(s, QuadratureRule.chebyshev(64), np.arange(b.n_bands))
+        coarse = _node_rows(_Stack.of([s]), QuadratureRule.chebyshev(64),
+                            np.arange(b.n_bands))
         assert coarse[0].shape == coarse[1].shape == (b.n_bands, 64)
 
     def test_table_sits_on_the_solutions_own_bands(self, ternary_run, asym_run):
@@ -451,9 +454,10 @@ class TestDensityTableMemo:
         bands, sols = ternary_run
         b, s = bands[-1], sols[-1]
         rows = np.arange(b.n_bands)
-        positions, weighted = _node_rows(s, rule2048, rows)
+        stack = _Stack.of([s])
+        positions, weighted = _node_rows(stack, rule2048, rows)
         for r in rows.tolist():
-            own_positions, own_weighted = _node_rows(s, rule2048, rows[r : r + 1])
+            own_positions, own_weighted = _node_rows(stack, rule2048, rows[r : r + 1])
             assert np.array_equal(own_positions[0], positions[r])
             assert np.array_equal(own_weighted[0], weighted[r]), r
 
@@ -464,7 +468,7 @@ class TestDensityTableMemo:
         bands, sols = asym_run
         b, s = bands[3], _fresh(sols[3])
         rule = QuadratureRule.chebyshev(order)
-        _, weighted = _node_rows(s, rule, np.arange(b.n_bands))
+        _, weighted = _node_rows(_Stack.of([s]), rule, np.arange(b.n_bands))
         want = np.array([rule.weights * kernel_band(rule.nodes, i, s.vars)
                          for i in range(b.n_bands)])
         assert np.max(np.abs(weighted - want) / want) <= 1e-13
@@ -534,9 +538,9 @@ class TestDensityTableMemo:
         want = [potential_at(p, s, b, rule, method="nodes") for p in pts.tolist()]
         built = []
 
-        def counting(solution, rule, rows):
+        def counting(stack, rule, rows):
             built.append(rule.order)
-            return _node_rows(solution, rule, rows)
+            return _node_rows(stack, rule, rows)
 
         monkeypatch.setattr(analytics, "_node_rows", counting)
         assert potential_at(pts, s, b, rule, method="nodes").tolist() == want
@@ -595,6 +599,22 @@ class TestPointPath:
         assert est == want
         assert peak < 1 << 20, peak
 
+    def test_peak_memory_at_a_large_order(self, ternary_run):
+        # the node cosines are built a block at a time and kept by no call:
+        # measured 4.8 MB, where a memoised table of 32 x 2**16 cosines alone
+        # held 16.8 MB and its first call peaked at 21 MB
+        s = ternary_run[1][3]
+        s.vars.band_series
+        gc.collect()
+        tracemalloc.start()
+        try:
+            potential_at(X_STAR, s, s.vars.bands, QuadratureRule.chebyshev(2**16),
+                         method="nodes")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20, peak
+
     @pytest.mark.parametrize("run", ["ternary_run", "asym_run"])
     def test_real_points_take_the_complex_values(self, request, run):
         bands, sols = request.getfixturevalue(run)
@@ -604,8 +624,8 @@ class TestPointPath:
             xs = np.concatenate([pts, np.linspace(-1.2, 1.2, 301), ends,
                                  np.nextafter(ends, -2.0), np.nextafter(ends, 2.0)])
             assert np.isrealobj(xs)
-            real = _series_potentials(xs, s.vars.band_series, b)
-            complex_ = _series_potentials(xs + 0j, s.vars.band_series, b)
+            real = _series_potentials(xs, [s])[0]
+            complex_ = _series_potentials(xs + 0j, [s])[0]
             assert np.max(np.abs(real - complex_)) <= 1e-15, b.generation
 
 
@@ -743,9 +763,9 @@ class TestNearTouching:
         # point blocks are sized by the band count, not by the series length
         calls, original = [], analytics._band_shares
 
-        def counting(z, coeffs, bands):
+        def counting(z, stack, host):
             calls.append(z.size)
-            return original(z, coeffs, bands)
+            return original(z, stack, host)
 
         monkeypatch.setattr(analytics, "_band_shares", counting)
         mean_potential_on_attractor_points(near, near.vars.bands, 256, rule2048)
@@ -843,7 +863,7 @@ class TestPanelOracle:
             lo, hi = b.alphas[[0, -1]], b.betas[[0, -1]]
             xs = np.concatenate([pts, lo, hi])
             want = _reference_potentials(xs, s, b, rule2048)
-            got = _series_potentials(xs, s.vars.band_series, b)
+            got = _series_potentials(xs, [s])[0]
             assert np.max(np.abs(got - want)) <= 2e-9, (b.generation, got - want)
             mean = mean_potential_on_attractor_points(s, b, 250, rule2048,
                                                       sample_bands=bands[depth - 1])
@@ -902,3 +922,90 @@ class TestCapacityEstimate:
         _, sols = ternary_run
         with pytest.raises(ValueError):
             capacity_estimate(sols[:4], rule2048, mode="point")
+
+
+def _per_generation(solutions, rule, **kwargs):
+    """``capacity_estimate(...).per_generation``, or the values a failed fit
+    carries."""
+    try:
+        return capacity_estimate(solutions, rule, **kwargs).per_generation
+    except NonMonotoneInput as exc:
+        return exc.per_generation
+
+
+class TestStackedGenerations:
+    # capacity_estimate evaluates every generation in one pass; each value is
+    # its own generation's call to the bit
+
+    @pytest.fixture(scope="class")
+    def runs(self, ternary_run, asym_run):
+        three = solve_generations(validate(IfsSystem.from_pairs(THREE_MAP_PAIRS)), 5, 1e-12)
+        near = solve_generations(
+            validate(IfsSystem.from_pairs([[0.4999999, -1.0], [0.4999999, 1.0]])), 4)
+        assert near[-1].vars.band_series.shape[1] > kernel.BLOCK_ELEMS
+        return {"ternary": ternary_run[1], "asym": asym_run[1][:8], "three": three,
+                "near": near}
+
+    @pytest.mark.parametrize("system", ["ternary", "asym", "three", "near"])
+    def test_capacity_matches_per_generation_calls(self, runs, rule2048, system):
+        sols = runs[system]
+        deepest = sols[-1].vars.bands
+        point = float(0.5 * (deepest.alphas[0] + deepest.betas[0]))
+        assert len({s.vars.band_series.shape[1] for s in sols}) == 1  # one stack
+        mean = _per_generation(sols, rule2048, sample_count=256, mode="mean")
+        assert mean == tuple(
+            (s.generation, mean_potential_on_attractor_points(
+                s, s.vars.bands, 256, rule2048, sample_bands=deepest)) for s in sols)
+        nodes = _per_generation(sols, rule2048, mode="point", point=point)
+        assert nodes == tuple(
+            (s.generation, potential_at(point, s, s.vars.bands, rule2048, method="nodes"))
+            for s in sols)
+
+    def test_bumps_the_same_generations_as_per_generation_calls(self, ternary_run,
+                                                                monkeypatch):
+        # the CI node config: at order 2047 the middle of generation 5's first
+        # band is a node of that generation's table, and of no other's
+        sols = ternary_run[1][:5]
+        rule = QuadratureRule.chebyshev(2047)
+        b = sols[-1].vars.bands
+        point = float(0.5 * (b.alphas[0] + b.betas[0]))
+        seen = []
+
+        def counting(stack, rule, rows):
+            gens = np.searchsorted(stack.bounds, rows, side="right") - 1
+            seen.extend((rule.order, stack.systems[g].generation) for g in gens.tolist())
+            return _node_rows(stack, rule, rows)
+
+        monkeypatch.setattr(analytics, "_node_rows", counting)
+        want = [potential_at(point, s, s.vars.bands, rule, method="nodes") for s in sols]
+        per_call = sorted(set(seen))
+        seen.clear()
+        got = capacity_estimate(sols, rule, mode="point", point=point).per_generation
+        assert sorted(set(seen)) == per_call
+        assert (2048, 5) in per_call and not any(g < 5 for o, g in per_call if o != 2047)
+        assert [v for _, v in got] == want
+
+    def test_mixed_widths_take_one_stack_each(self, ternary_run, asym_run, rule2048):
+        t, a = ternary_run[1][3], asym_run[1][3]
+        assert t.vars.band_series.shape[1] != a.vars.band_series.shape[1]
+        pts = np.concatenate([sample_points(t.vars.bands, 64), [X_STAR, 0.5, 1.5, 0.3 + 0.2j]])
+        for evaluate in (_series_potentials,
+                         lambda zs, sols: analytics._node_potentials(zs, sols, rule2048)):
+            both = evaluate(pts, [t, a, t])
+            for row, s in zip(both, (t, a, t)):
+                assert row.tobytes() == evaluate(pts, [s])[0].tobytes()
+
+    def test_capacity_run_passes(self, ternary_run, rule2048, monkeypatch):
+        # the ternary-capacity benchmark's config: one mean-path pass in 4
+        # point blocks over all 254 bands, one point-path pass and one node table
+        shares, tables = [], []
+        band_shares, values_at_nodes = analytics._band_shares, analytics._values_at_nodes
+        monkeypatch.setattr(analytics, "_band_shares",
+                            lambda z, *a: shares.append(z.size) or band_shares(z, *a))
+        monkeypatch.setattr(analytics, "_values_at_nodes",
+                            lambda c, order: tables.append(c.shape) or values_at_nodes(c, order))
+        sols = ternary_run[1]
+        capacity_estimate(sols, rule2048, 256, mode="mean")
+        capacity_estimate(sols, rule2048, mode="point", point=X_STAR)
+        assert shares == [64, 64, 64, 64, 1]
+        assert tables == [(7, 32)]  # the point's host band in each generation

@@ -23,7 +23,7 @@ from equimeasure.cli import (
     write_figure,
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
-from equimeasure.kernel import gap_jacobian_row, refined_rules
+from equimeasure.kernel import QuadratureRule, gap_jacobian_row, refined_rules
 from tests.conftest import X_STAR, nan_in_gap_0, solve_generations
 
 RECORD_KEYS = ["generation", "config", "lambda", "residuals", "initial_residuals",
@@ -807,6 +807,32 @@ class TestAnalyticsErrors:
         assert err.strip() == ("analytics failed: NonMonotoneInput: "
                                "successive differences change sign")
 
+    def test_point_fit_failure_leaves_the_mean_path(self, tmp_path, capsys, monkeypatch):
+        # the point path's fit alone fails: its capacity reads nan and the
+        # mean path's columns are those of a run where both fits succeed
+        path = write_config(tmp_path, n_max=4, sample_count=32)
+        assert main(["capacity", "--config", str(path)]) == 0
+        capsys.readouterr()
+        table = tmp_path / "out" / "capacity_table.csv"
+        normal = [line.split(",") for line in table.read_text().splitlines()]
+        v_point = [float(row[1]) for row in normal[1:]]
+        fit = analytics.fit_exponential
+
+        def point_fails(points):
+            if [v for _, v in points] == v_point:
+                raise analytics.NonMonotoneInput("successive differences change sign")
+            return fit(points)
+
+        monkeypatch.setattr(analytics, "fit_exponential", point_fails)
+        assert main(["capacity", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "extrapolated capacity (point path): nan" in out
+        failed = [line.split(",") for line in table.read_text().splitlines()]
+        assert failed[0] == normal[0]
+        for got, want in zip(failed[1:], normal[1:], strict=True):
+            assert got[:3] == want[:3] and got[7:] == want[7:]
+            assert got[3:7] == ["nan"] * 4
+
     def test_persistent_collision(self, tmp_path, capsys, monkeypatch):
         # every node of the point's own band lies within one band width of it
         monkeypatch.setattr(analytics, "NODE_COLLISION_RTOL", 1.0)
@@ -1282,8 +1308,7 @@ class TestBenchPatchPoints:
     # reads counts from their parameters by name; a renamed function or
     # parameter must fail here, not only in the benchmark's self-test
     COUNTED = ("kernel.gap_integral", "kernel.gap_jacobian_row", "kernel.band_integral",
-               "solver.solve_generation", "analytics.mean_potential_on_attractor_points",
-               "cli.SolutionCache.store", "cli.SolutionCache.load")
+               "solver.solve_generation", "cli.SolutionCache.store", "cli.SolutionCache.load")
 
     def test_capacity_run_counts_every_span(self, tmp_path, capsys):
         tracer = _bench_module("tracer")
@@ -1314,3 +1339,20 @@ class TestBenchPatchPoints:
             if span.name in self.COUNTED and span.error is None:
                 assert span.counts, span.name
         assert cli.solve_generation is solver.solve_generation
+        # the capacity run evaluates every generation in one pass, so the mean
+        # path's patch point is checked by a direct call
+        assert "analytics.mean_potential_on_attractor_points" not in names
+
+    def test_mean_path_patch_point_counts_its_terms(self, ternary_run):
+        tracer = _bench_module("tracer")
+        trace = tracer.Tracer()
+        sol, rule = ternary_run[1][2], QuadratureRule.chebyshev(64)
+        tracer.install(trace, cli, solver, analytics)
+        try:
+            analytics.mean_potential_on_attractor_points(sol, sol.vars.bands, 96, rule)
+        finally:
+            trace.restore()
+        (span,) = [span for span in trace.spans
+                   if span.name == "analytics.mean_potential_on_attractor_points"]
+        assert span.error is None
+        assert span.counts == {"log_terms": 96 * sol.vars.bands.n_bands * 64}

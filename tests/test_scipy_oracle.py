@@ -19,7 +19,6 @@ from scipy.optimize import least_squares
 from equimeasure import kernel
 from equimeasure.analytics import (
     NonMonotoneInput,
-    _node_cosines,
     _values_at_nodes,
     fit_exponential,
 )
@@ -79,14 +78,13 @@ class TestChebyshevTransforms:
     # M = 64 on every band here.  Orders 31, 33 and 48 fold M > order with
     # m = 3; the odd M = 63 takes the first 63 coefficients.  (At order 2049,
     # 3 x 683, scipy's own DCT-III is off by 1.5e-15 of the values, against
-    # 3e-16 for the folded table, so that order is left out.)  The node table
-    # is built anew in row blocks of one row, or of every row at once.
+    # 3e-16 for the folded table, so that order is left out.)  The cosines
+    # are built in blocks of every node at once, or of 4 to 7 nodes.
     @pytest.mark.parametrize("order", [2048, 2051, 65, 64, 48, 33, 31, 25])
     @pytest.mark.parametrize("budget", [1 << 18, 1])
     def test_node_values_match_scipy(self, ternary_run, asym_run, order, budget,
                                      monkeypatch):
         monkeypatch.setattr(kernel, "BLOCK_ELEMS", budget)
-        _node_cosines.cache_clear()
         for bands, sols in (ternary_run, asym_run):
             for b, s in zip(bands[::3], sols[::3]):
                 coeffs = s.vars.band_series
@@ -94,6 +92,21 @@ class TestChebyshevTransforms:
                     got = _values_at_nodes(c, order)
                     want = _scipy_values_at_nodes(c, order)
                     assert _relative_error(got, want) <= 1e-15, (b.generation, order)
+
+    @pytest.mark.parametrize("m", [32, 52])
+    def test_node_blocks_do_not_move_values(self, m, monkeypatch):
+        # each block of nodes is summed as the whole table sums it, to the bit,
+        # at the series lengths and orders of the ternary and 4/5, 1/10 runs,
+        # and at orders 3 x 528 + 1 and 6 x 320 + 1, whose last node would
+        # make a block of its own at M = 32 and 52.
+        # A threaded BLAS splits a long product its own way: with two threads,
+        # M = 2475 at order 2051 moved values, so longer series are not checked
+        c = np.exp(-0.01 * np.arange(m)) * np.random.default_rng(m).standard_normal((3, m))
+        for order in (256, 1585, 1921, 2047, 2048):
+            monkeypatch.setattr(kernel, "BLOCK_ELEMS", 1 << 40)
+            whole = _values_at_nodes(c, order)
+            monkeypatch.undo()
+            assert np.array_equal(_values_at_nodes(c, order), whole), (m, order)
 
     def test_longer_series_fold_like_scipy(self):
         # M = 128 and 191 over orders with m = 3 and m = 5
@@ -103,10 +116,10 @@ class TestChebyshevTransforms:
             got, want = _values_at_nodes(c, order), _scipy_values_at_nodes(c, order)
             assert _relative_error(got, want) <= 1e-15, (m, order)
 
-    def test_node_table_is_memoised_and_read_only(self):
-        table = _node_cosines(64, 2048)
-        assert _node_cosines(64, 2048) is table
-        assert table.shape == (64, 2048) and not table.flags.writeable
+    def test_node_values_of_unit_series_are_the_cosines(self):
+        # the series c_j = 1 at one j alone is T_j, cos(j theta_k) at the nodes
+        table = _values_at_nodes(np.eye(64), 2048)
+        assert table.shape == (64, 2048)
         # cos of the unreduced angles, up to 198 rad, is itself off by up to 3e-14
         theta = (2 * np.arange(2048) + 1) * np.pi / 4096
         assert np.max(np.abs(table - np.cos(np.outer(np.arange(64), theta)))) <= 1e-13
