@@ -39,12 +39,14 @@ integrated measure inside a band is closed-form too (see
 
 :func:`potential_at` and :func:`integrated_measure_at` evaluate an array of
 points in one blockwise pass; a scalar is a one-point array and gives a
-``float``.  Each value depends on its own point alone.  Both potential
-paths evaluate a stack of solutions, the bands of a run's generations side
-by side (:class:`_Stack`), so :func:`capacity_estimate` makes one pass per
-path; each value depends on its own generation's bands alone.  Every
-temporary holds at most ``kernel.BLOCK_ELEMS`` elements, the package's one
-memory budget, so the cost grows linearly with the series length.
+``float``.  Each value depends on its own point alone.  One evaluator,
+:func:`_potentials`, serves both potential paths: it stacks the bands of
+the solutions it is given side by side (:class:`_Stack`) and walks the
+points in blocks, so :func:`capacity_estimate` makes one pass per path over
+all its generations; each value depends on its own generation's bands
+alone.  Every temporary holds at most ``kernel.BLOCK_ELEMS`` elements, the
+package's one memory budget, so the cost grows linearly with the series
+length.
 
 The plain node sum remains available as ``method="nodes"``, the published
 point path, for Gauss-Chebyshev rules only: ``rule.order`` nodes per band,
@@ -55,7 +57,7 @@ middle-third system at 2048 nodes.  That error comes from the bands next
 to the point alone: on a band whose Bernstein ellipse reaches far enough
 the node sum equals the band's series share to roundoff, so the point
 path takes that share and builds nodes only for the other bands (see
-:func:`_node_potentials`), usually the point's own band alone.
+:func:`_potentials`), usually the point's own band alone.
 """
 
 from __future__ import annotations
@@ -203,23 +205,28 @@ def _theta_of(x, lo, hi):
 @dataclass(frozen=True)
 class _Stack:
     """The bands of some solutions side by side, one per column ``j``
-    (endpoints ``alphas[j]``, ``betas[j]``, series row ``coeffs[j]``);
-    solution ``g`` has columns ``bounds[g]:bounds[g + 1]``.  Its solutions'
-    series have one length, so no row is padded."""
+    (endpoints ``alphas[j]``, ``betas[j]``, series row ``coeffs[j]`` from a
+    table ``widths[j]`` wide, zero-padded to the widest; the generations of
+    an affine IFS share one width); solution ``g`` has columns
+    ``bounds[g]:bounds[g + 1]``."""
 
     systems: tuple
     alphas: np.ndarray
     betas: np.ndarray
     coeffs: np.ndarray
+    widths: np.ndarray
     bounds: np.ndarray
 
     @classmethod
     def of(cls, solutions) -> "_Stack":
         systems = tuple(sol.vars.bands for sol in solutions)
+        bounds = np.cumsum([0] + [b.n_bands for b in systems])
+        widths = np.repeat([sol.vars.band_series.shape[1] for sol in solutions], np.diff(bounds))
+        coeffs = np.zeros((bounds[-1], widths.max()))
+        for sol, lo, hi in zip(solutions, bounds, bounds[1:]):
+            coeffs[lo:hi, : widths[lo]] = sol.vars.band_series
         return cls(systems, np.concatenate([b.alphas for b in systems]),
-                   np.concatenate([b.betas for b in systems]),
-                   np.concatenate([sol.vars.band_series for sol in solutions]),
-                   np.cumsum([0] + [b.n_bands for b in systems]))
+                   np.concatenate([b.betas for b in systems]), coeffs, widths, bounds)
 
     def hosts(self, z: np.ndarray) -> np.ndarray:
         """The column of each point's host band in each system (one row per
@@ -227,16 +234,6 @@ class _Stack:
         non-real point has none."""
         return np.column_stack([np.where((h >= 0) & (z.imag == 0.0), h + lo, -1) for h, lo
                                 in zip((_hosts(b, z.real) for b in self.systems), self.bounds)])
-
-
-def _stacks(solutions):
-    """``(positions, stack)`` for each width of the solutions' band series:
-    the positions in ``solutions`` of those of that width, and their
-    :class:`_Stack`."""
-    widths = [sol.vars.band_series.shape[1] for sol in solutions]
-    for width in dict.fromkeys(widths):
-        ks = [k for k, w in enumerate(widths) if w == width]
-        yield ks, _Stack.of([solutions[k] for k in ks])
 
 
 def _band_shares(z: np.ndarray, stack: _Stack,
@@ -288,22 +285,6 @@ def _band_shares(z: np.ndarray, stack: _Stack,
     return shares, log_s
 
 
-def _series_potentials(zs, solutions) -> np.ndarray:
-    """``V(z)`` of each solution (one row each) at the points of the 1-D
-    array ``zs``: the sum of its bands' :func:`_band_shares`, evaluated for
-    every solution of one series width together, in point blocks of
-    ``kernel.BLOCK_ELEMS // (bands in the stack)``."""
-    zs = np.asarray(zs)
-    values = np.empty((len(solutions), zs.size))
-    for ks, stack in _stacks(solutions):
-        step, host = max(1, kernel.BLOCK_ELEMS // stack.coeffs.shape[0]), stack.hosts(zs)
-        for k in range(0, zs.size, step):
-            shares = _band_shares(zs[k : k + step], stack, host[k : k + step])[0]
-            for g, lo, hi in zip(ks, stack.bounds, stack.bounds[1:]):
-                values[g, k : k + step] = shares[:, lo:hi].sum(axis=1)
-    return values
-
-
 def _node_rows(stack: _Stack, rule, rows: np.ndarray):
     """Node positions and weighted densities of the bands ``rows`` of ``stack``.
 
@@ -317,53 +298,61 @@ def _node_rows(stack: _Stack, rule, rows: np.ndarray):
     return positions, weighted
 
 
-def _node_potentials(zs, solutions, rule) -> np.ndarray:
-    """The point path of each solution (one row each) at each point of the
-    1-D array ``zs``: the plain node sum over every band its rule cannot
-    resolve, the series share of every other band, bumping the order past
-    collisions.
+def _potentials(zs, solutions, rule: QuadratureRule | None = None) -> np.ndarray:
+    """``V(z)`` of each solution (one row each) at the points of the 1-D
+    array ``zs``, all solutions in one :class:`_Stack` and the points in
+    blocks of ``kernel.BLOCK_ELEMS // (stacked bands)``.
 
-    The ``K``-node rule integrates ``F(t) log|w - t|`` of a band with a
-    series of length ``M`` to within ``|s|**(M - 2K)`` (Trefethen, *ATAP*,
-    ch. 8), so band ``b`` is resolved, and takes its series share, when
-    ``(2K - M) log|s_b| >= 2 REFINE_SAFETY``: never a point's host band,
-    and no band at all when ``2K <= M``.  Each order's rows are built once
-    per stack, for the bands some (point, solution) pair still needs; a
-    pair takes a bumped order only if its point is real and lies within
-    ``NODE_COLLISION_RTOL`` of a band width from a node of its solution's
-    bands.  Only those rows are scanned: a resolved band's nearest node lies
-    orders of magnitude farther off.
+    Without a ``rule`` a value sums its solution's :func:`_band_shares`.
+    With a Gauss-Chebyshev ``rule`` it is the point path: the plain node sum
+    over every band the rule cannot resolve, the series share of every
+    other band.  The ``K``-node rule integrates ``F(t) log|w - t|`` of a
+    band with a series table ``M`` wide to within ``|s|**(M - 2K)``
+    (Trefethen, *ATAP*, ch. 8), so a band takes its series share when
+    ``(2K - M) log|s| >= 2 REFINE_SAFETY``: never a point's host band, and
+    none when ``2K <= M``.  Each order's node rows are built once per block, for
+    the bands some (point, solution) pair still needs; a pair is bumped to
+    the next order only if its point is real and within
+    ``NODE_COLLISION_RTOL`` of a band width from a node of those rows.
     """
-    if rule.panels:
+    if rule is not None and rule.panels:
         raise ValueError(f"the point path takes Gauss-Chebyshev rules, not panels {rule.panels}")
-    values = np.empty((len(solutions), zs.size))
-    for ks, stack in _stacks(solutions):
-        shares, log_s = _band_shares(zs, stack, stack.hosts(zs))
-        tol = NODE_COLLISION_RTOL * (stack.betas - stack.alphas)
-        system = np.repeat(np.arange(len(ks)), np.diff(stack.bounds))
-        todo = np.array([(k, g) for g in range(len(ks)) for k in range(zs.size)], dtype=int)
+    zs, stack = np.asarray(zs), _Stack.of(solutions)
+    values, host = np.empty((len(solutions), zs.size)), stack.hosts(zs)
+    tol = NODE_COLLISION_RTOL * (stack.betas - stack.alphas)
+    system = np.repeat(np.arange(len(solutions)), np.diff(stack.bounds))
+    step = max(1, kernel.BLOCK_ELEMS // stack.coeffs.shape[0])
+    for k in range(0, zs.size, step):
+        z = zs[k : k + step]
+        shares, log_s = _band_shares(z, stack, host[k : k + step])
+        if rule is None:
+            for g, (lo, hi) in enumerate(zip(stack.bounds, stack.bounds[1:])):
+                values[g, k : k + step] = shares[:, lo:hi].sum(axis=1)
+            continue
+        todo = [(p, g) for g in range(len(solutions)) for p in range(z.size)]
         for bump in (0, 1, 3):
             attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
-            summed = ((2 * attempt.order - stack.coeffs.shape[1]) * log_s[todo[:, 0]]
-                      < 2.0 * REFINE_SAFETY) & (system == todo[:, 1:])
+            pairs = np.array(todo)
+            summed = (((2 * attempt.order - stack.widths) * log_s[pairs[:, 0]]
+                       < 2.0 * REFINE_SAFETY) & (system == pairs[:, 1:]))
             rows = np.flatnonzero(summed.any(axis=0))
             positions, weighted = _node_rows(stack, attempt, rows)
             collided = []
-            for (k, g), mine in zip(todo.tolist(), summed):
-                z, near = complex(zs[k]), mine[rows]
-                if z.imag == 0.0 and np.any(np.abs(z.real - positions[near])
+            for (p, g), mine in zip(todo, summed):
+                x, near = complex(z[p]), mine[rows]
+                if x.imag == 0.0 and np.any(np.abs(x.real - positions[near])
                                             < tol[rows[near], None]):
-                    collided.append((k, g))
+                    collided.append((p, g))
                     continue
-                dist = np.hypot(z.real - positions[near], z.imag)  # no square to overflow
+                dist = np.hypot(x.real - positions[near], x.imag)  # no square to overflow
                 lo, hi = stack.bounds[g : g + 2]
-                values[ks[g], k] = (np.sum(shares[k, lo:hi][~mine[lo:hi]])
+                values[g, k + p] = (np.sum(shares[p, lo:hi][~mine[lo:hi]])
                                     - np.sum(weighted[near] * np.log(dist)))
-            todo = np.array(collided, dtype=int).reshape(-1, 2)
-            if not todo.size:
+            todo = collided
+            if not todo:
                 break
         else:
-            raise PersistentCollision(f"point {complex(zs[todo[0, 0]])} collides with "
+            raise PersistentCollision(f"point {complex(z[todo[0][0]])} collides with "
                                       f"quadrature nodes at orders {rule.order}, "
                                       f"{rule.order + 1}, {rule.order + 3}")
     return values
@@ -375,24 +364,23 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
 
     ``z`` is an array of real or complex points, or one point, which gives
     a ``float``.  With ``method="auto"`` all points take one blockwise pass
-    of :func:`_series_potentials`, accurate to roundoff on, next to and away
-    from the bands; ``rule`` is not used.  ``method="nodes"`` is the plain
-    node sum of ``rule.order`` Gauss-Chebyshev nodes per band, point by
-    point, with each band the rule resolves to roundoff taking its series
-    share instead (:func:`_node_potentials`); if a real point falls within
-    ``1e-12`` of a node (relative to the band width) the order is bumped to
-    ``K+1`` then ``K+3``, and :class:`PersistentCollision` is raised when
-    all attempts collide.  The coefficients are built once per set of
-    roots, and each order's nodes once per call, on the solution's own
-    bands (``solution.vars.bands``), whose endpoints ``bands`` must have.
-    ``method="nodes"`` takes no graded rule: its densities sit at Chebyshev nodes.
+    of :func:`_potentials`, accurate to roundoff on, next to and away from
+    the bands; ``rule`` is not used.  ``method="nodes"`` is the plain node
+    sum of ``rule.order`` Gauss-Chebyshev nodes per band, in the same point
+    blocks, with each band the rule resolves to roundoff taking its series
+    share instead (:func:`_potentials` given ``rule``); if a real point
+    falls within ``1e-12`` of a node (relative to the band width) the order
+    is bumped to ``K+1`` then ``K+3``, and :class:`PersistentCollision` is
+    raised when all attempts collide.  The coefficients are built once per
+    set of roots, and each order's nodes once per point block, on the
+    solution's own bands (``solution.vars.bands``), whose endpoints
+    ``bands`` must have.  ``method="nodes"`` takes no graded rule: its
+    densities sit at Chebyshev nodes.  An empty array gives an empty array.
     """
     if method not in ("auto", "nodes"):
         raise ValueError(f"unknown method {method!r}")
     _own_bands(solution, bands)
-    zs = np.asarray(z).ravel()
-    values = (_series_potentials(zs, [solution]) if method == "auto"
-              else _node_potentials(zs, [solution], rule))[0]
+    values = _potentials(np.asarray(z).ravel(), [solution], rule if method == "nodes" else None)[0]
     return float(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
 
 
@@ -438,7 +426,7 @@ def _mean_potentials(solutions, pts: np.ndarray) -> list[float]:
     must lie on every solution's bands (else :class:`OutOfHull`)."""
     if any(np.any(_hosts(sol.vars.bands, pts) < 0) for sol in solutions):
         raise OutOfHull("sample points must lie on the band system")
-    return [float(np.mean(row)) for row in _series_potentials(pts, solutions)]
+    return [float(np.mean(row)) for row in _potentials(pts, solutions)]
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +533,8 @@ def capacity_estimate(solutions, rule: QuadratureRule,
     fixed point (``mode="point"``, a Gauss-Chebyshev ``rule`` only,
     reproducing the coarser single-point gauge).  Each solution carries its
     band system (``vars.bands``).  All generations are evaluated in one
-    pass, one stack per width of their series tables, and each value depends
-    on its own generation's bands alone: it is that generation's own
+    pass over one stack of their bands (:func:`_potentials`), and each value
+    depends on its own generation's bands alone: it is that generation's own
     :func:`mean_potential_on_attractor_points` or :func:`potential_at` to
     the bit.  The last ``MIN_CAPACITY_GENERATIONS`` generations feed the
     exponential fit; the extrapolated capacity is ``exp(-a)``.  A fit that
@@ -563,7 +551,7 @@ def capacity_estimate(solutions, rule: QuadratureRule,
         values = _mean_potentials(solutions, sample_points(solutions[-1].vars.bands,
                                                            sample_count))
     else:
-        values = _node_potentials(np.asarray(point).ravel(), solutions, rule)[:, 0].tolist()
+        values = _potentials(np.asarray(point).ravel(), solutions, rule)[:, 0].tolist()
     per_gen = [(sol.generation, v) for sol, v in zip(solutions, values)]
 
     ys = np.array([v for _, v in per_gen])

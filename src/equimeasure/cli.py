@@ -387,7 +387,7 @@ def _band_series_sidecars(cfg: RunConfig, solved):
     unrestored = [sol for _, sol in solved if not cache.load_series(sol, settings)]
     yield
     for sol in unrestored:
-        if "band_series" in sol.vars.__dict__:  # where cached_property keeps it
+        if kernel.has_band_series(sol.vars):
             cache.store_series(sol, settings)
 
 
@@ -505,8 +505,7 @@ def _require_analytics(cfg: RunConfig, what: str, capacity: bool) -> None:
     points than the deepest generation has bands, or whose ``point_x`` is
     off that generation's bands (and so off every one's)."""
     problems, deepest, x = [], generate_bands(cfg.ifs, cfg.n_max), cfg.point_x
-    longest = kernel.SERIES_OVERSAMPLING * kernel.refined_orders(deepest, "band").max()
-    size = deepest.n_bands * int(longest)
+    size = deepest.n_bands * int(kernel.series_orders(deepest).max())
     if size > MAX_POINTS:
         problems.append(f"{what} needs at most {MAX_POINTS} band series coefficients "
                         f"at generation {cfg.n_max}, got {size}")

@@ -58,12 +58,12 @@ coefficients of the density, which depend on the roots alone and are
 memoised on them, read-only (``GapVariables.band_series``).  In band
 ``b``'s frame the density is ``F(t) / (pi sqrt(1 - t**2))`` with ``F =
 |Z| / sqrt|Y~|``; :func:`kernel_band` samples ``F`` at the first-kind
-Chebyshev nodes of ``SERIES_OVERSAMPLING`` times the band's
-:func:`refined_orders`, and a DCT-II (one numpy FFT per series length)
-gives ``F = sum_j c_j T_j``; ``c_0`` is the band measure.  A series
-stored earlier for the same roots can seed that memo instead
-(:func:`restore_band_series`), so a caller that keeps the coefficients
-evaluates no kernel and imports no ``numpy.fft``.
+Chebyshev nodes of the band's :func:`series_orders`, and a DCT-II (one
+numpy FFT per series length) gives ``F = sum_j c_j T_j``; ``c_0`` is the
+band measure.  A series stored earlier for the same roots can seed that
+memo instead (:func:`restore_band_series`), so a caller that keeps the
+coefficients evaluates no kernel and imports no ``numpy.fft``;
+:func:`has_band_series` tells whether the memo holds one.
 
 All functions are pure; results depend only on the arguments, and node
 sums always run in the fixed node order, so values are reproducible.
@@ -225,18 +225,23 @@ class GapVariables:
 def restore_band_series(vars: GapVariables, coeffs: np.ndarray) -> bool:
     """Seed ``vars.band_series`` with ``coeffs``, stored from an earlier
     :func:`_chebyshev_series` of the same roots, if they fit: float64, one
-    row per band, as long as ``SERIES_OVERSAMPLING`` times the longest
-    :func:`refined_orders` of the bands, and every value finite.  Returns
-    whether the memo was seeded; the caller answers for the roots.
+    row per band, as long as the longest of the bands' :func:`series_orders`,
+    and every value finite.  Returns whether the memo was seeded; the
+    caller answers for the roots.
     """
-    longest = SERIES_OVERSAMPLING * refined_orders(vars.bands, "band").max()
-    if (coeffs.dtype != np.float64 or coeffs.shape != (vars.bands.n_bands, longest)
+    if (coeffs.dtype != np.float64
+            or coeffs.shape != (vars.bands.n_bands, series_orders(vars.bands).max())
             or not np.isfinite(coeffs).all()):
         return False
     coeffs = coeffs.copy()
     coeffs.flags.writeable = False
     vars.__dict__["band_series"] = coeffs  # where cached_property keeps its value
     return True
+
+
+def has_band_series(vars: GapVariables) -> bool:
+    """Whether ``vars.band_series`` is built or restored yet."""
+    return "band_series" in vars.__dict__
 
 
 def _to_frame(y, lo, hi):
@@ -523,14 +528,14 @@ def _dct2(x: np.ndarray) -> np.ndarray:
 def _chebyshev_series(vars: GapVariables) -> np.ndarray:
     """Chebyshev coefficients of ``F = |Z| / sqrt|Y~|`` on each band of ``vars``.
 
-    Row ``b`` holds ``c_0 .. c_{M-1}`` for ``M = SERIES_OVERSAMPLING *
-    refined_orders(vars.bands, "band")[b]``, zero-padded to the longest row:
-    ``sum_j c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes
-    of order ``M`` in band ``b``'s frame, and ``c_0`` is the band measure
-    under that order's Gauss-Chebyshev rule; bands of one ``M`` share one
+    Row ``b`` holds ``c_0 .. c_{M-1}`` for ``M =
+    series_orders(vars.bands)[b]``, zero-padded to the longest row: ``sum_j
+    c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes of order
+    ``M`` in band ``b``'s frame, and ``c_0`` is the band measure under that
+    order's Gauss-Chebyshev rule; bands of one ``M`` share one
     :func:`kernel_band` call and one :func:`_dct2`.
     """
-    orders = SERIES_OVERSAMPLING * refined_orders(vars.bands, "band")
+    orders = series_orders(vars.bands)
     coeffs = np.zeros((vars.bands.n_bands, orders.max()))
     for m in set(orders.tolist()):
         rows = np.flatnonzero(orders == m)
@@ -538,6 +543,12 @@ def _chebyshev_series(vars: GapVariables) -> np.ndarray:
         coeffs[rows, :m] = _dct2(kernel_band(nodes, rows, vars)) / m
     coeffs[:, 0] *= 0.5
     return coeffs
+
+
+def series_orders(bands: BandSystem) -> np.ndarray:
+    """The length of each band's series: ``SERIES_OVERSAMPLING``, read at
+    each call, times the band's :func:`refined_orders`."""
+    return SERIES_OVERSAMPLING * refined_orders(bands, "band")
 
 
 def refined_orders(bands: BandSystem, kind: str) -> np.ndarray:

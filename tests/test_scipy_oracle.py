@@ -23,12 +23,11 @@ from equimeasure.analytics import (
     fit_exponential,
 )
 from equimeasure.kernel import (
-    SERIES_OVERSAMPLING,
     QuadratureRule,
     _chebyshev_series,
     _dct2,
     kernel_band,
-    refined_orders,
+    series_orders,
 )
 
 EPS = np.finfo(float).eps
@@ -36,7 +35,7 @@ EPS = np.finfo(float).eps
 
 def _scipy_series(bands, vars):
     """One scipy DCT-II per band, as the package computed its series before."""
-    orders = (SERIES_OVERSAMPLING * refined_orders(bands, "band")).tolist()
+    orders = series_orders(bands).tolist()
     coeffs = np.zeros((bands.n_bands, max(orders)))
     for b, m in enumerate(orders):
         samples = kernel_band(QuadratureRule.chebyshev(m).nodes, b, vars)
