@@ -44,9 +44,10 @@ points in one blockwise pass; a scalar is a one-point array and gives a
 the solutions it is given side by side (:class:`_Stack`) and walks the
 points in blocks, so :func:`capacity_estimate` makes one pass per path over
 all its generations; each value depends on its own generation's bands
-alone.  Every temporary holds at most ``kernel.BLOCK_ELEMS`` elements, the
-package's one memory budget, so the cost grows linearly with the series
-length.
+alone.  Both paths sum one term array per block, a term per (point,
+stacked band).  Every temporary holds at most ``kernel.BLOCK_ELEMS``
+elements, the package's one memory budget, so the cost grows linearly with
+the series length.
 
 The plain node sum remains available as ``method="nodes"``, the published
 point path, for Gauss-Chebyshev rules only: ``rule.order`` nodes per band,
@@ -56,8 +57,10 @@ shrinking from ~2e-4 at generation 1 to ~3e-6 at generation 7 for the
 middle-third system at 2048 nodes.  That error comes from the bands next
 to the point alone: on a band whose Bernstein ellipse reaches far enough
 the node sum equals the band's series share to roundoff, so the point
-path takes that share and builds nodes only for the other bands (see
-:func:`_potentials`), usually the point's own band alone.
+path keeps that share and overwrites only the other bands' terms with
+their node sums (see :func:`_potentials`), usually the point's own band
+alone.  Only a (point, solution) pair whose real point lies on one of those
+nodes is summed again at a higher order.
 """
 
 from __future__ import annotations
@@ -285,35 +288,26 @@ def _band_shares(z: np.ndarray, stack: _Stack,
     return shares, log_s
 
 
-def _node_rows(stack: _Stack, rule, rows: np.ndarray):
-    """Node positions and weighted densities of the bands ``rows`` of ``stack``.
-
-    Returns new arrays ``(positions, weighted)`` of shape ``(rows.size,
-    K)``; band ``b``'s plain node sum at ``z`` is ``-sum weighted *
-    log|z - positions|`` over its row.  Each row's densities are summed
-    from its own series alone, so they do not depend on the other rows.
-    """
-    positions = _from_frame(rule.nodes, stack.alphas[rows, None], stack.betas[rows, None])
-    weighted = _values_at_nodes(stack.coeffs[rows], rule.order) * rule.weights
-    return positions, weighted
-
-
 def _potentials(zs, solutions, rule: QuadratureRule | None = None) -> np.ndarray:
     """``V(z)`` of each solution (one row each) at the points of the 1-D
     array ``zs``, all solutions in one :class:`_Stack` and the points in
     blocks of ``kernel.BLOCK_ELEMS // (stacked bands)``.
 
-    Without a ``rule`` a value sums its solution's :func:`_band_shares`.
-    With a Gauss-Chebyshev ``rule`` it is the point path: the plain node sum
-    over every band the rule cannot resolve, the series share of every
-    other band.  The ``K``-node rule integrates ``F(t) log|w - t|`` of a
-    band with a series table ``M`` wide to within ``|s|**(M - 2K)``
-    (Trefethen, *ATAP*, ch. 8), so a band takes its series share when
-    ``(2K - M) log|s| >= 2 REFINE_SAFETY``: never a point's host band, and
-    none when ``2K <= M``.  Each order's node rows are built once per block, for
-    the bands some (point, solution) pair still needs; a pair is bumped to
-    the next order only if its point is real and within
-    ``NODE_COLLISION_RTOL`` of a band width from a node of those rows.
+    Each block holds one term array of (points x stacked bands), every
+    band's :func:`_band_shares` at first, and a value sums its solution's
+    terms.  With a Gauss-Chebyshev ``rule`` (the point path) the terms of
+    the bands the rule cannot resolve become their plain node sums.  The
+    ``K``-node rule integrates ``F(t) log|w - t|`` of a band with a series
+    table ``M`` wide to within ``|s|**(M - 2K)`` (Trefethen, *ATAP*, ch. 8),
+    so a term keeps its series share when ``(2K - M) log|s| >= 2
+    REFINE_SAFETY``: never a point's host band, and none when ``2K <=
+    M``.  Each order's node densities are built once per block, for the
+    bands some pending (point, solution) pair still needs, and their terms
+    are summed in chunks of ``kernel.BLOCK_ELEMS // K``, each from its own
+    band alone.  A pair collides if its point is real and within
+    ``NODE_COLLISION_RTOL`` of a band width from a node of those bands; its
+    terms stay series shares, and only colliding pairs are summed again at
+    the next order.
     """
     if rule is not None and rule.panels:
         raise ValueError(f"the point path takes Gauss-Chebyshev rules, not panels {rule.panels}")
@@ -324,37 +318,39 @@ def _potentials(zs, solutions, rule: QuadratureRule | None = None) -> np.ndarray
     step = max(1, kernel.BLOCK_ELEMS // stack.coeffs.shape[0])
     for k in range(0, zs.size, step):
         z = zs[k : k + step]
-        shares, log_s = _band_shares(z, stack, host[k : k + step])
-        if rule is None:
-            for g, (lo, hi) in enumerate(zip(stack.bounds, stack.bounds[1:])):
-                values[g, k : k + step] = shares[:, lo:hi].sum(axis=1)
-            continue
-        todo = [(p, g) for g in range(len(solutions)) for p in range(z.size)]
+        terms, log_s = _band_shares(z, stack, host[k : k + step])
+        pending = np.full((z.size, len(solutions)), rule is not None)
         for bump in (0, 1, 3):
-            attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
-            pairs = np.array(todo)
-            summed = (((2 * attempt.order - stack.widths) * log_s[pairs[:, 0]]
-                       < 2.0 * REFINE_SAFETY) & (system == pairs[:, 1:]))
-            rows = np.flatnonzero(summed.any(axis=0))
-            positions, weighted = _node_rows(stack, attempt, rows)
-            collided = []
-            for (p, g), mine in zip(todo, summed):
-                x, near = complex(z[p]), mine[rows]
-                if x.imag == 0.0 and np.any(np.abs(x.real - positions[near])
-                                            < tol[rows[near], None]):
-                    collided.append((p, g))
-                    continue
-                dist = np.hypot(x.real - positions[near], x.imag)  # no square to overflow
-                lo, hi = stack.bounds[g : g + 2]
-                values[g, k + p] = (np.sum(shares[p, lo:hi][~mine[lo:hi]])
-                                    - np.sum(weighted[near] * np.log(dist)))
-            todo = collided
-            if not todo:
+            if not pending.any():
                 break
-        else:
-            raise PersistentCollision(f"point {complex(z[todo[0][0]])} collides with "
-                                      f"quadrature nodes at orders {rule.order}, "
+            attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
+            summed = pending[:, system] & ((2 * attempt.order - stack.widths) * log_s
+                                           < 2.0 * REFINE_SAFETY)
+            rows = np.flatnonzero(summed.any(axis=0))
+            weighted = _values_at_nodes(stack.coeffs[rows], attempt.order) * attempt.weights
+            p, b = np.nonzero(summed)
+            r, sums, hit = np.searchsorted(rows, b), np.empty(p.size), np.empty(p.size, bool)
+            chunk = max(1, kernel.BLOCK_ELEMS // attempt.order)
+            for e in (slice(c, c + chunk) for c in range(0, p.size, chunk)):
+                x = z[p[e], None]
+                dist = _from_frame(attempt.nodes, stack.alphas[b[e], None], stack.betas[b[e], None])
+                np.hypot(np.subtract(dist, x.real, out=dist), x.imag, out=dist)  # no square
+                hit[e] = (x.imag == 0.0)[:, 0] & np.any(dist < tol[b[e], None], axis=1)
+                with np.errstate(divide="ignore", invalid="ignore"):  # a hit's sum is dropped
+                    np.log(dist, out=dist)
+                    dist *= weighted[r[e]]
+                sums[e] = -np.sum(dist, axis=1)
+            collided = np.zeros_like(pending)
+            collided[p[hit], system[b[hit]]] = True
+            done = ~collided[p, system[b]]
+            terms[p[done], b[done]] = sums[done]
+            pending = collided
+        if pending.any():
+            raise PersistentCollision(f"point {complex(z[np.nonzero(pending.T)[1][0]])} "
+                                      f"collides with quadrature nodes at orders {rule.order}, "
                                       f"{rule.order + 1}, {rule.order + 3}")
+        for g, (lo, hi) in enumerate(zip(stack.bounds, stack.bounds[1:])):
+            values[g, k : k + step] = terms[:, lo:hi].sum(axis=1)
     return values
 
 
@@ -372,13 +368,16 @@ def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
     falls within ``1e-12`` of a node (relative to the band width) the order
     is bumped to ``K+1`` then ``K+3``, and :class:`PersistentCollision` is
     raised when all attempts collide.  The coefficients are built once per
-    set of roots, and each order's nodes once per point block, on the
+    set of roots, and each order's densities once per point block, on the
     solution's own bands (``solution.vars.bands``), whose endpoints
-    ``bands`` must have.  ``method="nodes"`` takes no graded rule: its
-    densities sit at Chebyshev nodes.  An empty array gives an empty array.
+    ``bands`` must have.  ``method="nodes"`` needs a Gauss-Chebyshev rule,
+    not ``None`` or a graded one: its densities sit at Chebyshev nodes.  An
+    empty array gives an empty array.
     """
     if method not in ("auto", "nodes"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "nodes" and rule is None:
+        raise ValueError("method='nodes' needs a quadrature rule, got None")
     _own_bands(solution, bands)
     values = _potentials(np.asarray(z).ravel(), [solution], rule if method == "nodes" else None)[0]
     return float(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
@@ -544,8 +543,8 @@ def capacity_estimate(solutions, rule: QuadratureRule,
         raise ValueError(f"need at least {MIN_CAPACITY_GENERATIONS} solved generations")
     if mode not in ("mean", "point"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "point" and point is None:
-        raise ValueError("mode='point' needs a point")
+    if mode == "point" and (point is None or rule is None):
+        raise ValueError(f"mode='point' needs a {'point' if point is None else 'quadrature rule'}")
 
     if mode == "mean":
         values = _mean_potentials(solutions, sample_points(solutions[-1].vars.bands,

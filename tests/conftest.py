@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from equimeasure import analytics, kernel, solver
 from equimeasure import (
+    BandSystem,
     GapVariables,
     IfsSystem,
     QuadratureRule,
@@ -90,6 +92,44 @@ def solve_generations(ifs, n_max, residual_tol=1e-12):
                               residual_tol)
 
 
+def julia_beta(c):
+    """The fixed point ``beta > 0`` of ``p(x) = x**2 - c``: ``p(+-beta) = beta``."""
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * c))
+
+
+def inverse_images(c, ys):
+    """The sorted points ``x`` with ``p(x)`` in ``ys``, by the inverse branches
+    ``+-sqrt(c + y)`` of ``p(x) = x**2 - c``."""
+    r = np.sqrt(c + np.asarray(ys))
+    return np.sort(np.concatenate([-r, r]))
+
+
+def julia_bands(c, n_max):
+    """The band systems ``E_1 .. E_n_max`` of the real Julia set of ``p(x) =
+    x**2 - c``, ``c > 2``: ``E_n = p**-n([-beta, beta])``, ``2**n`` bands.
+
+    ``E_n`` keeps the endpoints of ``E_{n-1}`` bitwise and adds ``p**-n(-beta)``,
+    the ends of one new gap in each band, so the gaps nest as those of a
+    two-map IFS do.  ``p`` sends gap ``g`` onto its preimage: the right half's
+    gaps onto ``E_{n-1}``'s in order, the left half's in reverse, and the
+    central gap off ``E_0`` (-1).  The measure is the pull-back of the arcsine
+    measure of ``E_0``: every band has mass ``2**-n``, the roots are the
+    points where ``p**k = 0`` for some ``k < n`` and the potential on ``E_n``
+    is ``-2**-n log(beta / 2)`` (Brolin, Ark. Mat. 6, 1965).
+    """
+    beta = julia_beta(c)
+    ends, new = np.array([-beta, beta]), np.array([-beta])
+    for n in range(1, n_max + 1):
+        new = inverse_images(c, new)
+        ends = np.sort(np.concatenate([ends, new]))
+        half = 2 ** (n - 1)
+        step = np.arange(1, 2 * half, dtype=np.intp)  # g + 1 for every gap g
+        right = np.arange(half - 1, dtype=np.intp)
+        yield BandSystem(n, ends[0::2].copy(), ends[1::2].copy(),
+                         np.where(step % 2 == 0, step // 2 - 1, -1),
+                         np.concatenate([right[::-1], [-1], right]).astype(np.intp))
+
+
 @contextmanager
 def log_space_residuals():
     """Within the block the solver sums its gap residuals in log space, the
@@ -152,6 +192,12 @@ def three_map_run():
     solutions = solve_generations(validate(IfsSystem.from_pairs(THREE_MAP_PAIRS)), 4, 1e-12)
     bands = [s.vars.bands for s in solutions]
     return bands, solutions
+
+
+@pytest.fixture(scope="session")
+def julia_runs():
+    """Converged solutions of the Julia band systems for c = 3 and 2.2, n=1..8."""
+    return {c: hierarchical_solve(julia_bands(c, 8), 1e-12) for c in (3.0, 2.2)}
 
 
 @pytest.fixture(scope="session")

@@ -15,10 +15,10 @@ from equimeasure.analytics import (
     NonMonotoneInput,
     OutOfHull,
     PersistentCollision,
-    _node_rows,
     _potentials,
     _Stack,
     _theta_of,
+    _values_at_nodes,
     capacity_estimate,
     fit_exponential,
     integrated_measure_at,
@@ -250,14 +250,12 @@ class TestPotential:
         for factor in (0.0, 0.5, 0.999, 1.001, 2.0):
             points += [(positions + factor * tol).ravel(), (positions - factor * tol).ravel()]
 
-        def marking(stack, attempt, rows):
-            # the nodes of a bumped order sit at NaN, so a bumped point reads NaN
-            positions, weighted = _node_rows(stack, attempt, rows)
-            if attempt.order != order:
-                positions[:] = np.nan
-            return positions, weighted
+        def marking(coeffs, attempt_order):
+            # the densities of a bumped order are NaN, so a bumped point reads NaN
+            values = _values_at_nodes(coeffs, attempt_order)
+            return values if attempt_order == order else np.full_like(values, np.nan)
 
-        monkeypatch.setattr(analytics, "_node_rows", marking)
+        monkeypatch.setattr(analytics, "_values_at_nodes", marking)
         xs = np.concatenate(points)
         bumped = np.isnan(potential_at(xs, s, b, rule, method="nodes"))
         for x, got in zip(xs.tolist(), bumped.tolist()):
@@ -268,6 +266,17 @@ class TestPotential:
         b0, s0 = trivial_band
         with pytest.raises(ValueError):
             potential_at(0.0, s0, b0, rule2048, method="best")
+
+    def test_point_path_needs_a_rule(self, ternary_run, monkeypatch):
+        # without a rule both calls gave the series value: 0.80794 on ternary
+        # n = 4 at -0.99, where 64 nodes give 0.80682.  They evaluate nothing
+        sols = ternary_run[1][:4]
+        s = sols[-1]
+        monkeypatch.setattr(analytics, "_potentials", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="needs a quadrature rule"):
+            potential_at(-0.99, s, s.vars.bands, None, method="nodes")
+        with pytest.raises(ValueError, match="needs a quadrature rule"):
+            capacity_estimate(sols, None, mode="point", point=-0.99)
 
     @pytest.mark.parametrize("method", ["auto", "nodes"])
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
@@ -421,8 +430,7 @@ class TestDensityTableMemo:
         assert not s.vars.band_series.flags.writeable
         with pytest.raises(ValueError):
             s.vars.band_series[0, 0] = 0.0
-        coarse = _node_rows(_Stack.of([s]), QuadratureRule.chebyshev(64),
-                            np.arange(b.n_bands))
+        coarse = density_table(s, QuadratureRule.chebyshev(64))
         assert coarse[0].shape == coarse[1].shape == (b.n_bands, 64)
 
     def test_table_sits_on_the_solutions_own_bands(self, ternary_run, asym_run):
@@ -459,13 +467,11 @@ class TestDensityTableMemo:
         # one stacked product over every row gives each row's own call bit for bit
         bands, sols = ternary_run
         b, s = bands[-1], sols[-1]
-        rows = np.arange(b.n_bands)
-        stack = _Stack.of([s])
-        positions, weighted = _node_rows(stack, rule2048, rows)
-        for r in rows.tolist():
-            own_positions, own_weighted = _node_rows(stack, rule2048, rows[r : r + 1])
-            assert np.array_equal(own_positions[0], positions[r])
-            assert np.array_equal(own_weighted[0], weighted[r]), r
+        coeffs = _Stack.of([s]).coeffs
+        values = _values_at_nodes(coeffs, rule2048.order)
+        for r in range(b.n_bands):
+            own = _values_at_nodes(coeffs[r : r + 1], rule2048.order)
+            assert np.array_equal(own[0], values[r]), r
 
     @pytest.mark.parametrize("order", [1, 5, 8, 63, 64, 65, 67, 2048])
     def test_table_densities_match_the_kernel(self, asym_run, order):
@@ -474,7 +480,7 @@ class TestDensityTableMemo:
         bands, sols = asym_run
         b, s = bands[3], _fresh(sols[3])
         rule = QuadratureRule.chebyshev(order)
-        _, weighted = _node_rows(_Stack.of([s]), rule, np.arange(b.n_bands))
+        _, weighted = density_table(s, rule)
         want = np.array([rule.weights * kernel_band(rule.nodes, i, s.vars)
                          for i in range(b.n_bands)])
         assert np.max(np.abs(weighted - want) / want) <= 1e-13
@@ -544,11 +550,11 @@ class TestDensityTableMemo:
         want = [potential_at(p, s, b, rule, method="nodes") for p in pts.tolist()]
         built = []
 
-        def counting(stack, rule, rows):
-            built.append(rule.order)
-            return _node_rows(stack, rule, rows)
+        def counting(coeffs, order):
+            built.append(order)
+            return _values_at_nodes(coeffs, order)
 
-        monkeypatch.setattr(analytics, "_node_rows", counting)
+        monkeypatch.setattr(analytics, "_values_at_nodes", counting)
         assert potential_at(pts, s, b, rule, method="nodes").tolist() == want
         assert built == [2047, 2048]
 
@@ -993,12 +999,13 @@ class TestStackedGenerations:
         point = float(0.5 * (b.alphas[0] + b.betas[0]))
         seen = []
 
-        def counting(stack, rule, rows):
-            gens = np.searchsorted(stack.bounds, rows, side="right") - 1
-            seen.extend((rule.order, stack.systems[g].generation) for g in gens.tolist())
-            return _node_rows(stack, rule, rows)
+        def counting(coeffs, order):
+            # a row belongs to the generation whose series holds it
+            seen.extend((order, s.generation) for s in sols for row in coeffs
+                        if (s.vars.band_series == row).all(axis=1).any())
+            return _values_at_nodes(coeffs, order)
 
-        monkeypatch.setattr(analytics, "_node_rows", counting)
+        monkeypatch.setattr(analytics, "_values_at_nodes", counting)
         want = [potential_at(point, s, s.vars.bands, rule, method="nodes") for s in sols]
         per_call = sorted(set(seen))
         seen.clear()

@@ -1,6 +1,7 @@
 """Solver and analytics properties over random valid affine systems (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,16 @@ from equimeasure import (
     solve_generation,
     validate,
 )
-from equimeasure.kernel import gap_integral, gap_jacobian_row, kernel_grouped, refined_rules
-from tests.conftest import solve_generations, uniform_rules
+from equimeasure import analytics
+from equimeasure.analytics import _potentials
+from equimeasure.kernel import (
+    _from_frame,
+    gap_integral,
+    gap_jacobian_row,
+    kernel_grouped,
+    refined_rules,
+)
+from tests.conftest import density_table, solve_generations, uniform_rules
 
 TOL = 1e-13
 # on-set spread of the potential (over 80 random examples the worst was
@@ -140,6 +149,53 @@ def test_self_similar_and_parent_only_starts_agree(case):
         parent_only = solve_generation(GapVariables(b, lam), TOL)
         assert s.iterations_used <= parent_only.iterations_used + 1, b.generation
         assert np.max(np.abs(s.lambdas - parent_only.lambdas)) <= 1e-9, b.generation
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(systems(), st.data())
+def test_stacked_point_path_matches_lone_calls(case, data):
+    # every generation's point-path value is its own lone call's to the bit,
+    # on and off the bands, at complex points and at a point placed on a node
+    # of one generation's band; the order is bumped in exactly the generations
+    # where a real point lies on a node, and the others keep order K
+    ifs, n_max = case
+    sols = solve_generations(ifs, max(n_max, 2), TOL)
+    rule = QuadratureRule.chebyshev(data.draw(st.sampled_from([7, 16, 64])))
+    g = data.draw(st.integers(0, len(sols) - 1))
+    b = sols[g].vars.bands
+    band = data.draw(st.integers(0, b.n_bands - 1))
+    node = float(_from_frame(rule.nodes[data.draw(st.integers(0, rule.order - 1))],
+                             b.alphas[band], b.betas[band]))
+    deepest = sols[-1].vars.bands
+    xs = np.concatenate([[node, deepest.alphas[0], -1.5, 2.0],
+                         0.5 * (deepest.alphas + deepest.betas)[:3],
+                         0.5 * (deepest.gap_los + deepest.gap_his)[:3]])
+
+    def collides(s, pts):
+        # a real point within the collision tolerance of any node of the table
+        tol = analytics.NODE_COLLISION_RTOL * s.vars.bands.band_widths[:, None, None]
+        pts = pts[pts.imag == 0.0].real
+        return bool(np.any(np.abs(pts - density_table(s, rule)[0][:, :, None]) < tol))
+
+    assert collides(sols[g], np.array([node]))
+    built = []
+
+    def recording(nodes, alphas, betas):
+        # the generations whose node rows are built, with the order
+        built.extend((nodes.size, h) for h, s in enumerate(sols) if np.any(
+            (alphas[:, :1] == s.vars.bands.alphas) & (betas[:, :1] == s.vars.bands.betas)))
+        return _from_frame(nodes, alphas, betas)
+
+    for pts in (xs, np.concatenate([xs, [0.1 + 0.05j, node + 1e-9j]])):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analytics, "_from_frame", recording)
+            got = _potentials(pts, sols, rule)
+        assert {h for order, h in built if order > rule.order} == {
+            h for h, s in enumerate(sols) if collides(s, pts)}
+        built.clear()
+        for row, s in zip(got, sols):
+            want = [potential_at(p, s, s.vars.bands, rule, method="nodes") for p in pts.tolist()]
+            assert row.tolist() == want, s.generation
 
 
 @st.composite
