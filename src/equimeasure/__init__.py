@@ -29,6 +29,7 @@ from .geometry import (
     IfsSystem,
     Interval,
     generate_bands,
+    generations,
     hull,
     validate,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "gap_integral",
     "gap_jacobian_row",
     "generate_bands",
+    "generations",
     "hierarchical_solve",
     "hull",
     "integrated_measure_at",

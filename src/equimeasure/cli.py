@@ -1,11 +1,18 @@
 """Command-line surface: solve, cache, and export figure/table data as CSV.
 
-Subcommands::
+Usage::
 
-    equimeasure solve     --config cfg.json
-    equimeasure figures   --config cfg.json --which <name|all>
-    equimeasure capacity  --config cfg.json
-    equimeasure potential --config cfg.json --points <file|lo:hi:count>
+    equimeasure solve     --config FILE
+    equimeasure figures   --config FILE [--which NAME|all]
+    equimeasure capacity  --config FILE
+    equimeasure potential --config FILE --points FILE|LO:HI:COUNT
+    equimeasure -h | --help
+
+The command comes first, then its long options in any order, each as
+``--name value`` or ``--name=value``: no prefix abbreviations, a value may
+begin with ``-`` (``--points -1:1:5``) and the last of a repeated option
+counts.  ``-h`` or ``--help`` in place of the command or an option prints
+the usage above and exits 0.
 
 The config is a single JSON document (see ``RunConfig``).  :func:`solve_all`
 passes generations ``1..n_max`` to :func:`~equimeasure.solver.hierarchical_solve`
@@ -31,12 +38,16 @@ header row and 17-digit floats.
 Exit codes, each failure with a one-line message on stderr:
 
 - 0 success;
+- 2 usage error, ``equimeasure: error: ...``: no command or an unknown one,
+  an option the command does not take or a stray argument (``solve takes
+  --config, got '--conf'``), a missing option or value (``potential needs a
+  value for --points``);
 - 2 config error, including an unknown key (``max_iterations``,
   ``step_clamp``, ``fit_window`` and ``cache`` among them), a number beyond
   the float range (``NaN`` and ``Infinity`` included), a point count above
   ``MAX_POINTS``, a bad ``--points`` spec (no points, too many or a
   non-finite one included), an ``x_grid`` off the hull for ``Omega_of_x``,
-  an ``n_max`` that ``generate_bands`` rejects, band series above
+  an ``n_max`` that ``generations`` rejects, band series above
   ``MAX_POINTS`` coefficients for an analytics run and a capacity run with fewer
   ``sample_count`` points than bands or a ``point_x`` off the bands (all
   checked before any solve);
@@ -52,7 +63,6 @@ Exit codes, each failure with a one-line message on stderr:
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import io
@@ -61,6 +71,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +89,7 @@ from .analytics import (
     potential_at,
 )
 from .geometry import (BandSystem, GenerationTooLarge, IfsSystem, InvalidIfs,
-                       generate_bands, hull, validate)
+                       generations, hull, validate)
 from .kernel import ORDER_RULE, GapVariables, QuadratureRule
 from .solver import (
     EquilibriumSolution,
@@ -87,7 +98,9 @@ from .solver import (
     jacobian,
 )
 # Not called here: kept as the patch points bench/tracer.py looks up (their
-# spans read 0 since the generation loop and the Jacobian run in ``solver``).
+# spans read 0 since the generation loop and the Jacobian run in ``solver``,
+# and since a run's band systems come from one walk, ``generations``).
+from .geometry import generate_bands  # noqa: F401
 from .kernel import gap_jacobian_row  # noqa: F401
 from .solver import solve_generation  # noqa: F401
 
@@ -199,9 +212,10 @@ class RunConfig:
         else:
             problems.append("'n_max' is required")
             n_max = 1
+        walk = None
         if ifs is not None:
             try:
-                generate_bands(ifs, n_max)
+                walk = generations(ifs, n_max)[1:]
             except GenerationTooLarge as exc:
                 problems.append(f"'n_max' {n_max} rejected: {exc}")
         # an absent key takes its field's default, the class attribute
@@ -234,9 +248,17 @@ class RunConfig:
 
         if problems:
             raise ConfigError(problems)
-        return cls(ifs=ifs, n_max=n_max, residual_tol=tol, quadrature_order=order,
-                   sample_count=samples, point_x=point_x, x_grid=x_grid,
-                   output_dir=Path(outdir))
+        cfg = cls(ifs=ifs, n_max=n_max, residual_tol=tol, quadrature_order=order,
+                  sample_count=samples, point_x=point_x, x_grid=x_grid,
+                  output_dir=Path(outdir))
+        cfg.__dict__["band_systems"] = walk  # where cached_property keeps its value
+        return cfg
+
+    @cached_property
+    def band_systems(self) -> tuple[BandSystem, ...]:
+        """The band systems of generations ``1..n_max``, built in one walk
+        (by :meth:`from_file`'s depth check, for a config it reads)."""
+        return generations(self.ifs, self.n_max)[1:]
 
     @property
     def numerics(self) -> dict:
@@ -364,16 +386,16 @@ def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
 def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     """Solve (or reload) generations ``1..n_max``, writing records as we go.
 
-    The one place that counts a run's generations: their band systems, built
-    one at a time, go to :func:`~equimeasure.solver.hierarchical_solve` with
-    the record cache as its load and store hooks.  A record that does not
+    The run's band systems, :attr:`RunConfig.band_systems`, go to
+    :func:`~equimeasure.solver.hierarchical_solve` with the record cache as
+    its load and store hooks.  A record that does not
     load is solved again and overwritten.  On solver failure the records of the completed
     generations remain on disk and the error propagates with
     ``generation`` and ``solutions_so_far``.
     """
     cache = SolutionCache(cfg.output_dir)
     solutions = hierarchical_solve(
-        (generate_bands(cfg.ifs, n) for n in range(1, cfg.n_max + 1)), cfg.residual_tol,
+        cfg.band_systems, cfg.residual_tol,
         lambda bands: cache.load(bands, cfg.numerics),
         lambda sol: cache.store(_record_from_solution(cfg, sol)))
     return [(sol.vars.bands, sol) for sol in solutions]
@@ -504,7 +526,7 @@ def _require_analytics(cfg: RunConfig, what: str, capacity: bool) -> None:
     all, and a ``capacity`` run that is too shallow, that has fewer sample
     points than the deepest generation has bands, or whose ``point_x`` is
     off that generation's bands (and so off every one's)."""
-    problems, deepest, x = [], generate_bands(cfg.ifs, cfg.n_max), cfg.point_x
+    problems, deepest, x = [], cfg.band_systems[-1], cfg.point_x
     size = deepest.n_bands * int(kernel.series_orders(deepest).max())
     if size > MAX_POINTS:
         problems.append(f"{what} needs at most {MAX_POINTS} band series coefficients "
@@ -552,8 +574,8 @@ def cmd_capacity(cfg: RunConfig) -> int:
     a, b, c = est_mean.fit
     print(f"fit over last {MIN_CAPACITY_GENERATIONS} generations (mean path): "
           f"a={a:.9f} b={b:.7f} c={c:.8f}")
-    print(f"extrapolated capacity (mean path):  {est_mean.extrapolated_capacity:.9f}")
-    print(f"extrapolated capacity (point path): {est_point.extrapolated_capacity:.9f}")
+    print(f"extrapolated capacity (mean path):  {est_mean.extrapolated_capacity:#.9g}")
+    print(f"extrapolated capacity (point path): {est_point.extrapolated_capacity:#.9g}")
     return 0
 
 
@@ -593,36 +615,53 @@ def cmd_potential(cfg: RunConfig, points_spec: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="equimeasure",
-        description="Equilibrium measures of IFS band systems: solve, export, extrapolate.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "figures", "capacity", "potential"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to JSON config")
-        if name == "figures":
-            p.add_argument("--which", default="all",
-                           help=f"one of {', '.join(FIGURE_NAMES)}, or 'all'")
-        if name == "potential":
-            p.add_argument("--points", required=True,
-                           help="file of x values or grid spec lo:hi:count")
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--points" in argv[:-1]:  # else argparse takes a grid such as -1:1:5 for an option
-        k = argv.index("--points")
-        argv[k : k + 2] = [f"--points={argv[k + 1]}"]
-    args = parser.parse_args(argv)
+# Each command's options and their defaults; None marks a required one.
+COMMANDS = {"solve": {"--config": None}, "figures": {"--config": None, "--which": "all"},
+            "capacity": {"--config": None}, "potential": {"--config": None, "--points": None}}
 
+
+def _usage_error(message: str):
+    print(f"equimeasure: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_args(argv) -> tuple[str, dict[str, str]]:
+    """The command of ``argv`` and its options, defaults filled in, by the
+    grammar of the module docstring."""
+    command, options, args = None, {}, iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            # ``python -OO`` strips the docstring: then the block is empty
+            print("usage:\n" + (__doc__ or "").partition("Usage::\n\n")[2].partition("\n\n")[0])
+            raise SystemExit(0)
+        if command is None:
+            if arg not in COMMANDS:
+                _usage_error(f"unknown command {arg!r}; choose from {', '.join(COMMANDS)}")
+            command, options = arg, dict(COMMANDS[arg])
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            _usage_error(f"{command} takes {', '.join(options)}, got {arg!r}")
+        options[name] = value if eq else next(args, None)
+    if command is None:
+        _usage_error(f"no command; choose from {', '.join(COMMANDS)}")
+    missing = [name for name, value in options.items() if value is None]
+    if missing:
+        _usage_error(f"{command} needs a value for {' and '.join(missing)}")
+    return command, options
+
+
+def main(argv=None) -> int:
+    command, opts = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = RunConfig.from_file(args.config)
-        if args.command == "solve":
+        cfg = RunConfig.from_file(opts["--config"])
+        if command == "solve":
             return cmd_solve(cfg)
-        if args.command == "figures":
-            return cmd_figures(cfg, args.which)
-        if args.command == "capacity":
+        if command == "figures":
+            return cmd_figures(cfg, opts["--which"])
+        if command == "capacity":
             return cmd_capacity(cfg)
-        return cmd_potential(cfg, args.points)
+        return cmd_potential(cfg, opts["--points"])
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

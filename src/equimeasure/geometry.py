@@ -7,7 +7,9 @@ produces the generation-``n`` approximation: a union of ``M**n`` disjoint
 closed intervals ("bands") separated by open "gaps".  Gaps, once created,
 persist verbatim at every later generation.  A band system carries its
 genealogy (parents and preimages) as arrays; only this module knows their
-``M``-ary layout.
+``M``-ary layout.  :func:`generations` builds generations ``0..n`` in one
+walk, each subdividing the one before, and :func:`generate_bands` is that
+walk's last step, so a caller that needs every generation walks once.
 
 All constructors here produce immutable values (arrays are frozen), so band
 systems can be shared across threads without synchronization.
@@ -202,18 +204,19 @@ class BandSystem:
         return Interval(float(self.alphas[0]), float(self.betas[-1]))
 
 
-def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
-    """Bands and gaps of generation ``n`` for a validated system.
+def generations(ifs: IfsSystem, n: int) -> tuple[BandSystem, ...]:
+    """Bands and gaps of generations ``0..n`` of a validated system, built in
+    one walk: entry ``k`` is generation ``k``.
 
-    Bands are produced by repeatedly subdividing each band into its ``M``
+    Each generation subdivides each band of the one before into its ``M``
     children at the normalized positions of the hull images; this follows
     map compositions depth-first with the innermost index varying fastest,
     which keeps the list sorted for a fully disconnected system (sortedness
     is checked, not re-imposed, so violations surface as errors).  With
     this ordering the children of band ``q`` are bands ``q*M .. q*M+M-1``
-    of the next generation: gap ``g`` is old exactly when ``(g + 1) % M ==
-    0``, with parent gap ``(g + 1) // M - 1``, and its preimage is gap
-    ``(g + 1) % M**(n - 1) - 1``.
+    of the next generation: gap ``g`` of generation ``k`` is old exactly
+    when ``(g + 1) % M == 0``, with parent gap ``(g + 1) // M - 1``, and its
+    preimage is gap ``(g + 1) % M**(k - 1) - 1``.
 
     Raises :class:`GenerationTooLarge` before building anything when the
     band count ``M**n`` exceeds ``MAX_BANDS`` or the nominal narrowest band,
@@ -244,21 +247,29 @@ def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
     alphas = np.array([h.lo])
     betas = np.array([h.hi])
     m_maps = ifs.n_maps
-    for k in range(1, n + 1):
-        # Convex combinations keep the first child's lo and the last child's
-        # hi bitwise equal to the parent's, so old gaps persist exactly.
-        new_alphas = (alphas[:, None] * (1.0 - t_lo) + betas[:, None] * t_lo).ravel()
-        new_betas = (alphas[:, None] * (1.0 - t_hi) + betas[:, None] * t_hi).ravel()
-        alphas, betas = new_alphas, new_betas
-        if np.min(betas - alphas) < max(WIDTH_FLOOR * span, sys.float_info.min):
-            raise GenerationTooLarge(
-                f"generation {k} is too deep: a band of it is below the width floor "
-                f"{WIDTH_FLOOR:g} of the hull or the smallest normal double")
-    if not (np.all(betas > alphas) and np.all(alphas[1:] > betas[:-1])):
-        raise RuntimeError("generated bands are not sorted and disjoint")
+    walk = []
+    for k in range(n + 1):
+        if k:
+            # Convex combinations keep the first child's lo and the last child's
+            # hi bitwise equal to the parent's, so old gaps persist exactly.
+            new_alphas = (alphas[:, None] * (1.0 - t_lo) + betas[:, None] * t_lo).ravel()
+            new_betas = (alphas[:, None] * (1.0 - t_hi) + betas[:, None] * t_hi).ravel()
+            alphas, betas = new_alphas, new_betas
+            if np.min(betas - alphas) < max(WIDTH_FLOOR * span, sys.float_info.min):
+                raise GenerationTooLarge(
+                    f"generation {k} is too deep: a band of it is below the width floor "
+                    f"{WIDTH_FLOOR:g} of the hull or the smallest normal double")
+        if not (np.all(betas > alphas) and np.all(alphas[1:] > betas[:-1])):
+            raise RuntimeError("generated bands are not sorted and disjoint")
+        step = np.arange(1, alphas.size, dtype=np.intp)  # g + 1 for every gap g
+        walk.append(BandSystem(
+            generation=k, alphas=alphas, betas=betas,
+            parents=np.where(step % m_maps == 0, step // m_maps - 1, -1),
+            preimages=step % max(alphas.size // m_maps, 1) - 1))
+    return tuple(walk)
 
-    step = np.arange(1, alphas.size, dtype=np.intp)  # g + 1 for every gap g
-    parents = np.where(step % m_maps == 0, step // m_maps - 1, -1)
-    preimages = step % max(alphas.size // m_maps, 1) - 1
-    return BandSystem(generation=n, alphas=alphas, betas=betas, parents=parents,
-                      preimages=preimages)
+
+def generate_bands(ifs: IfsSystem, n: int) -> BandSystem:
+    """Bands and gaps of generation ``n`` for a validated system: the last
+    step of :func:`generations`, with its checks."""
+    return generations(ifs, n)[-1]

@@ -11,6 +11,7 @@ from equimeasure import (
     IfsSystem,
     QuadratureRule,
     generate_bands,
+    generations,
     hierarchical_solve,
     mean_potential_on_attractor_points,
     potential_at,
@@ -87,9 +88,8 @@ def node_sum_potentials(zs, solution, rule):
 
 def solve_generations(ifs, n_max, residual_tol=1e-12):
     """:func:`~equimeasure.solver.hierarchical_solve` over generations
-    ``1..n_max`` of ``ifs``, built one at a time as the CLI builds them."""
-    return hierarchical_solve((generate_bands(ifs, n) for n in range(1, n_max + 1)),
-                              residual_tol)
+    ``1..n_max`` of ``ifs``, built in one walk as the CLI builds them."""
+    return hierarchical_solve(generations(ifs, n_max)[1:], residual_tol)
 
 
 def julia_beta(c):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equimeasure import analytics, cli, kernel, solver
+from equimeasure import analytics, cli, geometry, kernel, solver
 from equimeasure.cli import (
     FIGURE_NAMES,
     ConfigError,
@@ -621,6 +621,25 @@ class TestCapacityCommand:
         assert "extrapolated capacity" in out
         assert (tmp_path / "out" / "capacity_table.csv").exists()
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_capacities_print_nine_significant_digits(self, tmp_path, capsys, scale):
+        # at scale 1e200 a fixed nine decimals printed a 200-digit integer
+        # part; a capacity in [0.1, 1) keeps its nine-decimal text
+        path = write_config(tmp_path, ifs=[[1 / 3, -scale], [1 / 3, scale]], n_max=5,
+                            sample_count=256)
+        assert main(["capacity", "--config", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("extrapolated capacity")]
+        _, rows = read_csv(tmp_path / "out" / "capacity_table.csv")
+        for line, csv_value in zip(lines, (rows[-1][10], rows[-1][6])):  # mean, point
+            text = line.split()[-1]
+            digits = text.partition("e")[0].replace(".", "").lstrip("0")
+            assert 1 <= len(digits) <= 9, line
+            assert float(text) == pytest.approx(float(csv_value), rel=1e-8)
+            if scale == 1.0:
+                assert 0.1 <= float(csv_value) < 1 and text == f"{float(csv_value):.9f}"
+        assert len(lines) == 2
+
     @pytest.mark.parametrize("argv", [["capacity"], ["figures", "--which", "all"],
                                       ["figures", "--which", "capacity_table"]])
     def test_too_few_generations_rejected_before_solving(self, tmp_path, capsys, argv):
@@ -748,6 +767,78 @@ class TestPotentialCommand:
         err = capsys.readouterr().err
         assert "--points" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+
+class TestArguments:
+    def test_an_option_with_a_space_or_an_equals_sign_gives_the_same_run(self, tmp_path,
+                                                                         capsys):
+        path = write_config(tmp_path, n_max=2)
+        out = tmp_path / "out" / "gapmeasure_fit.csv"
+        assert main(["figures", "--config", str(path), "--which", "gapmeasure_fit"]) == 0
+        spaced = (capsys.readouterr().out, out.read_text())
+        assert main(["figures", "--which=gapmeasure_fit", f"--config={path}"]) == 0
+        assert (capsys.readouterr().out, out.read_text()) == spaced
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["potential", "--help"],
+                                      ["solve", "--config", "none.json", "-h"]])
+    def test_help_lists_the_commands_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"equimeasure {name} " in out for name in cli.COMMANDS)
+        assert list(cli.COMMANDS) == ["solve", "figures", "capacity", "potential"]
+
+    def test_help_without_docstrings_exits_0(self, capsys, monkeypatch):
+        # python -OO strips the module docstring that holds the usage block
+        monkeypatch.setattr(cli, "__doc__", None)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "no command; choose from solve, figures, capacity, potential"),
+        (["plot", "--config", "{cfg}"], "unknown command 'plot'; choose from solve, "),
+        (["solve", "--config", "{cfg}", "--points", "0:1:2"],
+         "solve takes --config, got '--points'"),
+        (["solve", "--conf", "{cfg}"], "solve takes --config, got '--conf'"),
+        (["solve", "--config", "{cfg}", "extra"], "solve takes --config, got 'extra'"),
+        (["capacity"], "capacity needs a value for --config"),
+        (["figures", "--which", "all"], "figures needs a value for --config"),
+        (["potential", "--config", "{cfg}"], "potential needs a value for --points"),
+        (["potential", "--points", "0:1:2"], "potential needs a value for --config"),
+        (["potential"], "potential needs a value for --config and --points"),
+        (["potential", "--config", "{cfg}", "--points"], "potential needs a value for --points"),
+        (["solve", "--config"], "solve needs a value for --config")])
+    def test_usage_errors_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                               argv, message):
+        monkeypatch.setattr(cli, "solve_all", _solver_must_not_run)
+        path = write_config(tmp_path, n_max=2)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(cfg=path) for arg in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"equimeasure: error: {message}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_capacity_run_walks_the_band_systems_once(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # RunConfig.from_file's depth check walks generations 0..n_max once;
+        # the analytics check and the solve read that walk
+        walks, original = [], geometry.generations
+
+        def counting(ifs, n):
+            walks.append(n)
+            return original(ifs, n)
+
+        monkeypatch.setattr(geometry, "generations", counting)
+        monkeypatch.setattr(cli, "generations", counting)
+        path = write_config(tmp_path, n_max=7, sample_count=128)
+        assert main(["capacity", "--config", str(path)]) == 0
+        assert walks == [7]
+        assert len(list((tmp_path / "out").glob("gen_*.json"))) == 7
 
 
 SERIES_COMMANDS = [["capacity"], ["potential", "--points=-1:1:5"], ["figures", "--which", "all"],
@@ -903,6 +994,23 @@ class TestScipyFree:
         ])
         assert _fresh_interpreter(script) == "[]"
         assert len(list((tmp_path / "out").glob("gen_*.json"))) == 3
+
+    def test_commands_import_no_argument_parser(self, tmp_path):
+        # the CLI reads its own grammar: argparse imported gettext with it,
+        # and its set-up's message lookups imported locale, in every process
+        path = write_config(tmp_path, n_max=4, quadrature_order=64, sample_count=64)
+        script = "\n".join([
+            "import sys",
+            "before = set(sys.modules)",
+            "import equimeasure.cli as cli",
+            "for argv in (['solve'], ['figures', '--which', 'all'], ['capacity'],",
+            "             ['potential', '--points', '-0.9:0.9:5']):",
+            f"    assert cli.main([*argv, '--config', {str(path)!r}]) == 0, argv",
+            "print(sorted(m for m in set(sys.modules) - before",
+            "             if m in ('argparse', 'gettext', 'locale')))",
+        ])
+        assert _fresh_interpreter(script) == "[]"
+        assert (tmp_path / "out" / "potential_points.csv").exists()
 
 
     def test_a_warm_capacity_imports_no_fft(self, tmp_path):
@@ -1320,8 +1428,7 @@ class TestBenchPatchPoints:
         # ``solver`` looks it up; wrap it there too.  ``solve_generation``
         # takes its band system from its start roots, so the generation is
         # read from ``initial`` (the benchmark's ``_solve_counts`` still reads
-        # a ``bands`` argument).  ``cli`` builds every band system itself, so
-        # the benchmark's own ``cli.generate_bands`` span sees each one.
+        # a ``bands`` argument).
         trace.patch(solver, "solve_generation", "solver.solve_generation",
                     lambda args, result: {"generation": args["initial"].bands.generation,
                                           "iterations": result.iterations_used})
@@ -1332,9 +1439,9 @@ class TestBenchPatchPoints:
         names = {span.name for span in trace.spans}
         assert set(self.COUNTED) <= names
         assert "kernel.kernel_log_magnitude" not in names
-        assert "geometry.generate_bands" in names
-        # RunConfig.from_file, the depth check and generations 1..4 of the solve
-        assert [span.name for span in trace.spans].count("geometry.generate_bands") == 6
+        # the run's band systems come from the one walk of RunConfig.from_file,
+        # ``generations``, so the benchmark's ``cli.generate_bands`` span is empty
+        assert "geometry.generate_bands" not in names
         for span in trace.spans:
             if span.name in self.COUNTED and span.error is None:
                 assert span.counts, span.name

@@ -15,6 +15,7 @@ from equimeasure.geometry import (
     NotContractive,
     OverlappingImages,
     generate_bands,
+    generations,
     hull,
     validate,
 )
@@ -240,3 +241,32 @@ def test_band_system_immutable(ternary):
     b = generate_bands(ternary, 2)
     with pytest.raises(ValueError):
         b.alphas[0] = 0.0
+
+
+# each system with its deepest generation and the start of the message that
+# refuses the next: past MAX_BANDS, or a computed band below the width floor
+WALKS = [
+    ([(1 / 3, -1), (1 / 3, 1)], 13, "generation 14 is too deep: its 2**14 bands exceed"),
+    ([(4 / 5, -1), (1 / 10, 1)], 12, "generation 13 is too deep: a band of it is below"),
+    ([(0.3, -1), (0.1, 0), (0.2, 1)], 8, "generation 9 is too deep: its 3**9 bands exceed"),
+    ([(0.4999999, -1), (0.4999999, 1)], 13, "generation 14 is too deep: its 2**14 bands"),
+    ([(0.05, -1), (0.05, 1)], 9, "generation 10 is too deep: its narrowest band, "),
+]
+
+
+@pytest.mark.parametrize("pairs, depth, refusal", WALKS)
+def test_the_walk_builds_every_generation_as_generate_bands_does(pairs, depth, refusal):
+    ifs = validate(IfsSystem.from_pairs(pairs))
+    walk = generations(ifs, depth)
+    assert [bands.generation for bands in walk] == list(range(depth + 1))
+    for k, bands in enumerate(walk):
+        alone = generate_bands(ifs, k)
+        for name in ("alphas", "betas", "parents", "preimages"):
+            got, want = getattr(bands, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, name)
+    refused = []
+    for build in (generations, generate_bands):
+        with pytest.raises(GenerationTooLarge) as err:
+            build(ifs, depth + 1)
+        refused.append(str(err.value))
+    assert refused[0] == refused[1] and refused[0].startswith(refusal)

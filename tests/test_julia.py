@@ -5,9 +5,12 @@ closed-form equilibrium measures, solved here by the unchanged
 ``hierarchical_solve`` for c = 3 and 2.2 and n <= 8.  Each tolerance is a
 multiple of an ulp model, set from the worst case measured over both c and
 every n: ``EPS * max(1, |x|)`` in position, that over the band width for a
-band's relative mass, ``EPS`` for a potential summed from O(1) terms.
+band's relative mass, ``EPS`` for a potential summed from O(1) terms.  Off
+the set a potential also moves with the position of its point (by |V'|) and
+with the masses of the bands (by their model, summed).
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -26,6 +29,29 @@ MEAN_EPS = 4
 # the point path's coarseness at 2048 nodes halves with each generation:
 # measured 2.1e-4 at n = 1 to 1.7e-6 at n = 8, at most 4.4e-4 * 2**-n
 GAUGE = 1e-3
+# measured worst: 1.8 model units (c = 2.2, n = 5)
+OFF_SET_ULPS = 8
+
+
+def green_potential(c, n, z):
+    """The potential of the equilibrium measure of ``E_n`` of ``p(x) = x**2 - c``,
+    ``V(z) = -log C_n - 2**-n g_0(p**n(z))`` with ``C_n = (beta/2)**(2**-n)`` and
+    ``g_0(w) = log|w/beta + sqrt((w/beta)**2 - 1)|`` the Green function of
+    ``[-beta, beta]``, and ``|V'(z)|``.  Once ``|p**k(z)|``
+    passes 1e8, ``g_0(p**n(z))`` is ``log|2 p**n(z) / beta|`` to roundoff and
+    ``log|p**n(z)|`` doubles with each step, so ``p**n`` is never squared into
+    overflow."""
+    beta = julia_beta(c)
+    w, dw, k = complex(z), 1.0, 0  # p**k(z) and |(p**k)'(z)|
+    while k < n and abs(w) < 1e8:
+        w, dw, k = w * w - c, dw * 2.0 * abs(w), k + 1
+    if k < n:
+        g, slope = math.log(2.0 / beta) + 2.0 ** (n - k) * math.log(abs(w)), dw / abs(w) / 2.0**k
+    else:
+        u = w / beta
+        r = cmath.sqrt(u * u - 1.0)  # the root with |u + r| >= 1 takes no cancellation
+        g, slope = math.log(max(abs(u + r), abs(u - r))), dw / (beta * abs(r)) / 2.0**n
+    return -(2.0 ** -n) * (math.log(beta / 2.0) + g), slope
 
 
 @pytest.mark.parametrize("c", [3.0, 2.2])
@@ -60,3 +86,20 @@ class TestJuliaSets:
             gauge = np.abs(potential_at(pts, s, b, rule2048, method="nodes")
                            - potential_at(pts, s, b, rule2048))
             assert gauge.max() <= GAUGE * 2.0 ** -s.generation, s.generation
+
+    def test_potential_off_the_set_is_the_closed_form(self, julia_runs, c):
+        # real points in the gaps and beyond the hull, complex points near and
+        # far from the bands, and far enough out that p**8 would overflow
+        beta = julia_beta(c)
+        for s in julia_runs[c]:
+            b = s.vars.bands
+            mids = 0.5 * (b.alphas + b.betas)
+            pts = np.concatenate([0.5 * (b.gap_los + b.gap_his),
+                                  [-1e3, -beta - 1.0, beta + 0.5, 1e6], mids + 1e-3j,
+                                  mids[::3] + 1j, [1e3 + 1e3j, -5.0 + 0.1j, 1e-9j]])
+            want, slope = np.array([green_potential(c, s.generation, z) for z in pts]).T
+            ends = np.maximum(1.0, np.maximum(np.abs(b.alphas), np.abs(b.betas)))
+            masses = 2.0 ** -s.generation * np.sum(ends / b.band_widths)
+            tol = OFF_SET_ULPS * EPS * (np.maximum(1.0, np.abs(want))
+                                        + np.maximum(1.0, np.abs(pts)) * slope + masses)
+            assert np.all(np.abs(potential_at(pts, s, b, None) - want) <= tol), s.generation
