@@ -42,15 +42,14 @@ Exit codes, each failure with a one-line message on stderr:
   an option the command does not take or a stray argument (``solve takes
   --config, got '--conf'``), a missing option or value (``potential needs a
   value for --points``);
-- 2 config error, including an unknown key (``max_iterations``,
-  ``step_clamp``, ``fit_window`` and ``cache`` among them), a number beyond
-  the float range (``NaN`` and ``Infinity`` included), a point count above
-  ``MAX_POINTS``, a bad ``--points`` spec (no points, too many or a
-  non-finite one included), an ``x_grid`` off the hull for ``Omega_of_x``,
-  an ``n_max`` that ``generations`` rejects, band series above
-  ``MAX_POINTS`` coefficients for an analytics run and a capacity run with fewer
-  ``sample_count`` points than bands or a ``point_x`` off the bands (all
-  checked before any solve);
+- 2 config error, all checked before any solve: an unreadable or non-UTF-8
+  config, an unknown key (``max_iterations``, ``step_clamp``, ``fit_window``
+  and ``cache`` among them), a value that is not a JSON number in the float
+  range where one belongs (``NaN``, ``Infinity``, ``"1"`` and ``true``
+  included), a point count above ``MAX_POINTS``, a bad ``--points`` spec (no
+  points, too many or a non-finite one included), an ``n_max`` that
+  ``generations`` rejects, or a run that fails what its figures need
+  (``FIGURE_NEEDS``);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
   (no convergence or a singular Jacobian), or a mean-path capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
@@ -70,7 +69,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -89,7 +88,7 @@ from .analytics import (
     potential_at,
 )
 from .geometry import (BandSystem, GenerationTooLarge, IfsSystem, InvalidIfs,
-                       generations, hull, validate)
+                       generations, validate)
 from .kernel import ORDER_RULE, GapVariables, QuadratureRule
 from .solver import (
     EquilibriumSolution,
@@ -106,16 +105,18 @@ from .solver import solve_generation  # noqa: F401
 
 OUTDIR_ENV = "EQUIMEASURE_OUTDIR"
 
-FIGURE_NAMES = (
-    "residuals_before_after",
-    "jacobian_decay",
-    "lambda_vs_n",
-    "Omega_vs_n",
-    "Omega_of_x",
-    "gapmeasure_fit",
-    "potential_profile",
-    "capacity_table",
-)
+# What a run of each figure must pass before any solve, checked by ``_require``
+FIGURE_NEEDS = {
+    "residuals_before_after": (),
+    "jacobian_decay": (),
+    "lambda_vs_n": (),
+    "Omega_vs_n": (),
+    "Omega_of_x": ("series", "hull"),  # V is defined off the hull, Omega is not
+    "gapmeasure_fit": (),
+    "potential_profile": ("series",),
+    "capacity_table": ("series", "capacity"),
+}
+FIGURE_NAMES = tuple(FIGURE_NEEDS)
 
 
 class ConfigError(ValueError):
@@ -126,8 +127,6 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration: " + "; ".join(self.problems))
 
 
-_KNOWN_KEYS = {"ifs", "n_max", "quadrature_order", "residual_tol", "sample_count",
-               "point_x", "x_grid", "output_dir"}
 # The most points a run can ask for, per band (``quadrature_order``) or in all
 # (``sample_count``, ``x_grid``, ``--points``): 512 times the paper's K = 2048.
 # It also caps the coefficients of the band series at n_max (all bands).
@@ -176,23 +175,27 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         problems = []
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        # a missing file, bad UTF-8 or JSON, too deep a nesting or too long an integer
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
         if not isinstance(raw, dict):
             raise ConfigError(["config must be a JSON object"])
 
-        for key in sorted(set(raw) - _KNOWN_KEYS):
+        for key in sorted(set(raw) - {f.name for f in fields(cls)}):
             problems.append(f"unknown key {key!r}")
 
         ifs = None
         pairs = raw.get("ifs")
-        if not isinstance(pairs, list) or len(pairs) < 2:
-            problems.append("'ifs' must list at least two (delta, gamma) pairs")
+        if not (isinstance(pairs, list) and len(pairs) >= 2
+                and all(isinstance(p, list) and len(p) == 2
+                        and all(_is_json(v, float) for v in p) for p in pairs)):
+            problems.append("'ifs' must list at least two (delta, gamma) pairs "
+                            "of JSON finite numbers")
         else:
             try:
                 ifs = validate(IfsSystem.from_pairs(pairs))
-            except (InvalidIfs, TypeError, ValueError, OverflowError) as exc:
+            except InvalidIfs as exc:
                 problems.append(f"'ifs' rejected: {exc}")
 
         def grab(key, default, kind, check=None, desc=""):
@@ -225,10 +228,7 @@ class RunConfig:
         tol = grab("residual_tol", cls.residual_tol, float, lambda v: v > 0, "must be positive")
         samples = grab("sample_count", cls.sample_count, int,
                        lambda v: 1 <= v <= MAX_POINTS, in_range)
-        point_x = raw.get("point_x")
-        if point_x is not None and not _is_json(point_x, float):
-            problems.append(f"'point_x' must be a finite number or null, got {point_x!r}")
-            point_x = None
+        point_x = None if raw.get("point_x") is None else grab("point_x", None, float)
 
         x_grid = None
         g = raw.get("x_grid")
@@ -433,15 +433,6 @@ def _line_ids(solved) -> list[list[str]]:
     return ids
 
 
-def _x_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.x_grid is not None:
-        lo, hi, count = cfg.x_grid
-    else:
-        h = hull(cfg.ifs)
-        lo, hi, count = h.lo, h.hi, 401
-    return np.linspace(lo, hi, count)
-
-
 def _capacity_rows(cfg: RunConfig, solved):
     sols = [sol for _, sol in solved]
     point = cfg.point_x
@@ -462,7 +453,7 @@ def _capacity_rows(cfg: RunConfig, solved):
     header = ["n", "V_point", "V_mean",
               "fit_a_point", "fit_b_point", "fit_c_point", "capacity_point",
               "fit_a_mean", "fit_b_mean", "fit_c_mean", "capacity_mean"]
-    return header, rows, est_mean, est_point
+    return header, rows
 
 
 def write_figure(cfg: RunConfig, which: str, solved) -> Path:
@@ -488,7 +479,8 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
     elif which in ("Omega_of_x", "potential_profile"):
         column, at = (("Omega", integrated_measure_at) if which == "Omega_of_x" else
                       ("V", lambda x, sol, bands: potential_at(x, sol, bands, cfg.rule)))
-        grid = _x_grid(cfg)
+        h = cfg.band_systems[-1].hull
+        grid = np.linspace(*(cfg.x_grid or (h.lo, h.hi, 401)))
         header = ["generation", "x", column]
         rows = [[sol.generation, x, v] for bands, sol in solved
                 for x, v in zip(grid.tolist(), at(grid, sol, bands).tolist())]
@@ -502,10 +494,9 @@ def write_figure(cfg: RunConfig, which: str, solved) -> Path:
         header = ["generation", "gap_index", "Omega", "fit_a", "fit_b", "fit_c"]
         rows = [[n, g, v, a, b, c] for (n, v), g in zip(points, gaps)]
     elif which == "capacity_table":
-        header, rows, _, _ = _capacity_rows(cfg, solved)
+        header, rows = _capacity_rows(cfg, solved)
     else:
-        raise ValueError(f"unknown figure {which!r}; choose from "
-                         f"{', '.join(FIGURE_NAMES)} or 'all'")
+        raise _unknown_figure(which)
     path = cfg.output_dir / f"{which}.csv"
     _write_csv(path, header, rows)
     return path
@@ -520,43 +511,49 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_analytics(cfg: RunConfig, what: str, capacity: bool) -> None:
-    """Reject, before any solve, a run of ``what`` whose band series at
-    generation ``n_max`` would hold more than ``MAX_POINTS`` coefficients in
-    all, and a ``capacity`` run that is too shallow, that has fewer sample
-    points than the deepest generation has bands, or whose ``point_x`` is
-    off that generation's bands (and so off every one's)."""
-    problems, deepest, x = [], cfg.band_systems[-1], cfg.point_x
-    size = deepest.n_bands * int(kernel.series_orders(deepest).max())
-    if size > MAX_POINTS:
-        problems.append(f"{what} needs at most {MAX_POINTS} band series coefficients "
-                        f"at generation {cfg.n_max}, got {size}")
-    if capacity and cfg.n_max < MIN_CAPACITY_GENERATIONS:
+def _unknown_figure(which: str) -> ConfigError:
+    return ConfigError([f"unknown figure {which!r}; choose from "
+                        f"{', '.join(FIGURE_NAMES)} or 'all'"])
+
+
+def _require(cfg: RunConfig, needs: dict[str, str]) -> None:
+    """Reject, before any solve, a run that fails one of ``needs``, reported as
+    needed by the name it maps to.  ``"series"``: the band series at ``n_max``
+    hold at most ``MAX_POINTS`` coefficients in all; ``"capacity"``: the fit
+    has its generations, each band of the deepest a sample point and
+    ``point_x`` lies on its bands (so on every one's); ``"hull"``: ``x_grid``
+    lies inside the hull."""
+    problems, deepest, x, grid = [], cfg.band_systems[-1], cfg.point_x, cfg.x_grid
+    if "series" in needs:
+        size = deepest.n_bands * int(kernel.series_orders(deepest).max())
+        if size > MAX_POINTS:
+            problems.append(f"{needs['series']} needs at most {MAX_POINTS} band series "
+                            f"coefficients at generation {cfg.n_max}, got {size}")
+    what = needs.get("capacity")
+    if what and cfg.n_max < MIN_CAPACITY_GENERATIONS:
         problems.append(f"{what} needs n_max >= {MIN_CAPACITY_GENERATIONS}, "
                         f"got {cfg.n_max}")
-    if capacity and cfg.sample_count < deepest.n_bands:
+    if what and cfg.sample_count < deepest.n_bands:
         problems.append(f"{what} needs sample_count >= {deepest.n_bands}, one point per band "
                         f"of generation {cfg.n_max}, got {cfg.sample_count}")
-    if capacity and x is not None and not np.any((deepest.alphas <= x) & (x <= deepest.betas)):
+    if what and x is not None and not np.any((deepest.alphas <= x) & (x <= deepest.betas)):
         problems.append(f"{what} needs 'point_x' on the bands of generation "
                         f"{cfg.n_max}, got {x!r}")
+    h = deepest.hull
+    if "hull" in needs and grid and not h.lo <= grid[0] < grid[1] <= h.hi:
+        problems.append(f"{needs['hull']} needs 'x_grid' inside the hull [{h.lo}, {h.hi}]")
     if problems:
         raise ConfigError(problems)
 
 
 def cmd_figures(cfg: RunConfig, which: str) -> int:
+    if which != "all" and which not in FIGURE_NEEDS:
+        raise _unknown_figure(which)
     names = FIGURE_NAMES if which == "all" else (which,)
-    if which != "all" and which not in FIGURE_NAMES:
-        raise ConfigError([f"unknown figure {which!r}; choose from "
-                           f"{', '.join(FIGURE_NAMES)} or 'all'"])
-    series = [n for n in names if n in ("Omega_of_x", "potential_profile", "capacity_table")]
-    if series:
-        _require_analytics(cfg, f"the {series[-1]} figure", "capacity_table" in series)
-    h, grid = hull(cfg.ifs), cfg.x_grid  # V is defined off the hull, Omega is not
-    if "Omega_of_x" in names and grid and not h.lo <= grid[0] < grid[1] <= h.hi:
-        raise ConfigError([f"Omega_of_x needs 'x_grid' inside the hull [{h.lo}, {h.hi}]"])
+    needs = {need: f"the {name} figure" for name in names for need in FIGURE_NEEDS[name]}
+    _require(cfg, needs)
     solved = solve_all(cfg)
-    with _band_series_sidecars(cfg, solved):
+    with _band_series_sidecars(cfg, solved if "series" in needs else []):
         for name in names:
             path = write_figure(cfg, name, solved)
             print(f"wrote {path}")
@@ -564,18 +561,18 @@ def cmd_figures(cfg: RunConfig, which: str) -> int:
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
-    _require_analytics(cfg, "capacity", capacity=True)
+    _require(cfg, dict.fromkeys(FIGURE_NEEDS["capacity_table"], "capacity"))
     solved = solve_all(cfg)
     with _band_series_sidecars(cfg, solved):
-        header, rows, est_mean, est_point = _capacity_rows(cfg, solved)
+        header, rows = _capacity_rows(cfg, solved)
         path = cfg.output_dir / "capacity_table.csv"
         _write_csv(path, header, rows)
     print(f"wrote {path}")
-    a, b, c = est_mean.fit
+    *_, capacity_point, a, b, c, capacity_mean = rows[-1]
     print(f"fit over last {MIN_CAPACITY_GENERATIONS} generations (mean path): "
           f"a={a:.9f} b={b:.7f} c={c:.8f}")
-    print(f"extrapolated capacity (mean path):  {est_mean.extrapolated_capacity:#.9g}")
-    print(f"extrapolated capacity (point path): {est_point.extrapolated_capacity:#.9g}")
+    print(f"extrapolated capacity (mean path):  {capacity_mean:#.9g}")
+    print(f"extrapolated capacity (point path): {capacity_point:#.9g}")
     return 0
 
 
@@ -604,7 +601,7 @@ def _parse_points(spec: str) -> np.ndarray:
 
 def cmd_potential(cfg: RunConfig, points_spec: str) -> int:
     pts = _parse_points(points_spec)
-    _require_analytics(cfg, "potential", capacity=False)
+    _require(cfg, dict.fromkeys(FIGURE_NEEDS["potential_profile"], "potential"))
     solved = solve_all(cfg)
     bands, sol = solved[-1]
     with _band_series_sidecars(cfg, solved[-1:]):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -114,6 +115,35 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_file(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("data", [
+        pytest.param(b'\xff{"n_max": 2}', id="not-utf8"),
+        pytest.param(b"[" * 200_000, id="nested-too-deep"),
+        pytest.param(b'{"n_max": ' + b"9" * 5000 + b"}", id="integer-too-long")])
+    def test_unreadable_configs_exit_2_with_one_line(self, tmp_path, capsys, data):
+        # a byte that is not UTF-8, nesting past the recursion limit and an
+        # integer past the int-from-string digit limit: the decoder raises
+        # UnicodeDecodeError, RecursionError and ValueError
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            RunConfig.from_file(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read config" in err
+
+    def test_a_config_is_read_as_utf8_under_any_locale(self, tmp_path):
+        # under the C locale, without UTF-8 mode, text files default to ASCII
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps({**BASE_CONFIG, "output_dir": "\u00e4"},
+                                    ensure_ascii=False).encode())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = ("import sys; from equimeasure.cli import RunConfig; "
+                  "print(ascii(RunConfig.from_file(sys.argv[1]).output_dir.name))")
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script, str(path)],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "LC_ALL": "C", "PYTHONPATH": src})
+        assert proc.returncode == 0 and proc.stdout == "'\\xe4'\n", proc.stderr
+
     def test_problems_are_reported_on_one_line(self, tmp_path, capsys):
         assert str(ConfigError(["a", "b"])) == "invalid configuration: a; b"
         path = write_config(tmp_path, n_max=0, residual_tol=-1.0)
@@ -183,6 +213,8 @@ class TestRunConfig:
         pytest.param("ifs", [[1 / 3, math.nan], [1 / 3, 1.0]], id="ifs-nan"),
         pytest.param("ifs", [[1 / 3, -math.inf], [1 / 3, 1.0]], id="ifs-inf"),
         pytest.param("ifs", [[1 / 3, -(10**400)], [1 / 3, 1.0]], id="ifs-long"),
+        pytest.param("ifs", [["0.3333333333333333", "-1"], [1 / 3, 1.0]], id="ifs-string"),
+        pytest.param("ifs", [[1 / 3, -1.0], [1 / 3, True]], id="ifs-bool"),
         pytest.param("residual_tol", math.inf, id="residual_tol-inf"),
         pytest.param("residual_tol", 10**400, id="residual_tol-long"),
         pytest.param("point_x", math.nan, id="point_x-nan")])
@@ -605,6 +637,26 @@ class TestFiguresCommand:
             assert path.read_bytes() == (run_dir / f"{name}.csv").read_bytes()
         assert sorted(p.name for p in cfg.output_dir.iterdir()) == sorted(
             f"{name}.csv" for name in FIGURE_NAMES)
+
+    def test_a_figure_without_series_opens_no_sidecar(self, run_dir, tmp_path,
+                                                      monkeypatch):
+        # a copy of run_dir, warm with records and band series sidecars:
+        # lambda_vs_n reads no band series, so it opens none
+        warm = tmp_path / "warm"
+        shutil.copytree(run_dir, warm)
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(warm))
+        opened, load_series = [], SolutionCache.load_series
+
+        def spying(self, sol, settings):
+            opened.append(sol.generation)
+            return load_series(self, sol, settings)
+
+        monkeypatch.setattr(SolutionCache, "load_series", spying)
+        assert main(["figures", "--config", str(run_dir.parent / "config.json"),
+                     "--which", "lambda_vs_n"]) == 0
+        assert opened == []
+        for path in run_dir.iterdir():
+            assert (warm / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_17_digit_floats(self, run_dir):
         _, rows = read_csv(run_dir / "capacity_table.csv")
