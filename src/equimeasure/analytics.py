@@ -13,8 +13,8 @@ Every value here comes from one set of per-band Chebyshev coefficients
 builds once per set of roots (see :mod:`~equimeasure.kernel`): in band
 ``b``'s frame ``t = psi_b(s)`` the density is ``F(t) / (pi sqrt(1 -
 t**2))`` with ``F = sum_j c_j T_j``, and ``c_0`` is the band measure.
-This module keeps no per-solution state and evaluates no kernel; it needs
-numpy alone.
+This module keeps no per-solution state; it needs numpy alone, and runs the
+kernel only through ``band_series`` when no stored series seeded it.
 
 The log transform of each Chebyshev mode is closed-form (Mason &
 Handscomb, *Chebyshev Polynomials*, 2003): against the unit Chebyshev
@@ -208,28 +208,25 @@ def _theta_of(x, lo, hi):
 @dataclass(frozen=True)
 class _Stack:
     """The bands of some solutions side by side, one per column ``j``
-    (endpoints ``alphas[j]``, ``betas[j]``, series row ``coeffs[j]`` from a
-    table ``widths[j]`` wide, zero-padded to the widest; the generations of
-    an affine IFS share one width); solution ``g`` has columns
-    ``bounds[g]:bounds[g + 1]``."""
+    (endpoints ``alphas[j]``, ``betas[j]``, series row ``coeffs[j]``, every
+    table zero-padded to the widest; the generations of an affine IFS share
+    one width); solution ``g`` has columns ``bounds[g]:bounds[g + 1]``."""
 
     systems: tuple
     alphas: np.ndarray
     betas: np.ndarray
     coeffs: np.ndarray
-    widths: np.ndarray
     bounds: np.ndarray
 
     @classmethod
     def of(cls, solutions) -> "_Stack":
         systems = tuple(sol.vars.bands for sol in solutions)
         bounds = np.cumsum([0] + [b.n_bands for b in systems])
-        widths = np.repeat([sol.vars.band_series.shape[1] for sol in solutions], np.diff(bounds))
-        coeffs = np.zeros((bounds[-1], widths.max()))
+        coeffs = np.zeros((bounds[-1], max(s.vars.band_series.shape[1] for s in solutions)))
         for sol, lo, hi in zip(solutions, bounds, bounds[1:]):
-            coeffs[lo:hi, : widths[lo]] = sol.vars.band_series
+            coeffs[lo:hi, : sol.vars.band_series.shape[1]] = sol.vars.band_series
         return cls(systems, np.concatenate([b.alphas for b in systems]),
-                   np.concatenate([b.betas for b in systems]), coeffs, widths, bounds)
+                   np.concatenate([b.betas for b in systems]), coeffs, bounds)
 
     def hosts(self, z: np.ndarray) -> np.ndarray:
         """The column of each point's host band in each system (one row per
@@ -297,14 +294,14 @@ def _potentials(zs, solutions, rule: QuadratureRule | None = None) -> np.ndarray
     band's :func:`_band_shares` at first, and a value sums its solution's
     terms.  With a Gauss-Chebyshev ``rule`` (the point path) the terms of
     the bands the rule cannot resolve become their plain node sums.  The
-    ``K``-node rule integrates ``F(t) log|w - t|`` of a band with a series
-    table ``M`` wide to within ``|s|**(M - 2K)`` (Trefethen, *ATAP*, ch. 8),
-    so a term keeps its series share when ``(2K - M) log|s| >= 2
-    REFINE_SAFETY``: never a point's host band, and none when ``2K <=
-    M``.  Each order's node densities are built once per block, for the
-    bands some pending (point, solution) pair still needs, and their terms
-    are summed in chunks of ``kernel.BLOCK_ELEMS // K``, each from its own
-    band alone.  A pair collides if its point is real and within
+    ``K``-node rule integrates ``F(t) log|w - t|`` of a band whose series
+    fits the stack's table, ``M`` wide, to within ``|s|**(M - 2K)``
+    (Trefethen, *ATAP*, ch. 8), so a term keeps its series share when ``(2K
+    - M) log|s| >= 2 REFINE_SAFETY``: never a point's host band, and none
+    when ``2K <= M``.  Each order's node densities are built once per block,
+    for the bands some pending (point, solution) pair still needs, and their
+    terms are summed in chunks of ``kernel.BLOCK_ELEMS // K``, each from its
+    own band alone.  A pair collides if its point is real and within
     ``NODE_COLLISION_RTOL`` of a band width from a node of those bands; its
     terms stay series shares, and only colliding pairs are summed again at
     the next order.
@@ -324,7 +321,7 @@ def _potentials(zs, solutions, rule: QuadratureRule | None = None) -> np.ndarray
             if not pending.any():
                 break
             attempt = QuadratureRule.chebyshev(rule.order + bump) if bump else rule
-            summed = pending[:, system] & ((2 * attempt.order - stack.widths) * log_s
+            summed = pending[:, system] & ((2 * attempt.order - stack.coeffs.shape[1]) * log_s
                                            < 2.0 * REFINE_SAFETY)
             rows = np.flatnonzero(summed.any(axis=0))
             weighted = _values_at_nodes(stack.coeffs[rows], attempt.order) * attempt.weights

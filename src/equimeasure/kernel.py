@@ -65,8 +65,9 @@ memo instead (:func:`restore_band_series`), so a caller that keeps the
 coefficients evaluates no kernel and imports no ``numpy.fft``;
 :func:`has_band_series` tells whether the memo holds one.
 
-All functions are pure; results depend only on the arguments, and node
-sums always run in the fixed node order, so values are reproducible.
+Results depend only on the arguments, and node sums run in a fixed order,
+so values are reproducible; the only state is memos of rules and of the
+roots' ``zetas`` and ``band_series`` (:func:`restore_band_series` seeds one).
 """
 
 from __future__ import annotations
@@ -532,15 +533,14 @@ def _chebyshev_series(vars: GapVariables) -> np.ndarray:
     series_orders(vars.bands)[b]``, zero-padded to the longest row: ``sum_j
     c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes of order
     ``M`` in band ``b``'s frame, and ``c_0`` is the band measure under that
-    order's Gauss-Chebyshev rule; bands of one ``M`` share one
-    :func:`kernel_band` call and one :func:`_dct2`.
+    order's Gauss-Chebyshev rule; each of the bands' :func:`rule_groups` is
+    one :func:`kernel_band` call and one :func:`_dct2`.
     """
-    orders = series_orders(vars.bands)
-    coeffs = np.zeros((vars.bands.n_bands, orders.max()))
-    for m in set(orders.tolist()):
-        rows = np.flatnonzero(orders == m)
-        nodes = QuadratureRule.chebyshev(m).nodes
-        coeffs[rows, :m] = _dct2(kernel_band(nodes, rows, vars)) / m
+    groups = rule_groups(vars.bands, "band")
+    coeffs = np.zeros((vars.bands.n_bands, SERIES_OVERSAMPLING * max(r.order for r, _ in groups)))
+    for rule, rows in groups:
+        m = SERIES_OVERSAMPLING * rule.order
+        coeffs[rows, :m] = _dct2(kernel_band(QuadratureRule.chebyshev(m).nodes, rows, vars)) / m
     coeffs[:, 0] *= 0.5
     return coeffs
 
@@ -595,8 +595,8 @@ def refined_rules(bands: BandSystem, kind: str) -> list[QuadratureRule]:
     down to half that distance, where ``PANEL_NODES`` nodes are exact to
     roundoff (Trefethen, *ATAP*, ch. 8).  Only gaps whose order exceeds two
     panels can take them; their counts use ``math``, since numpy's ``log1p``
-    pages in a quarter megabyte of SIMD tables on first use.  Frames of one
-    rule share one object, so callers can group them by identity.
+    pages in a quarter megabyte of SIMD tables on first use.  Callers batch
+    frames by :func:`rule_groups`.
     """
     orders = refined_orders(bands, kind).tolist()
     rules = [QuadratureRule.chebyshev(k) for k in orders]
@@ -610,3 +610,15 @@ def refined_rules(bands: BandSystem, kind: str) -> list[QuadratureRule]:
         if PANEL_NODES * sum(panels) < orders[i]:
             rules[i] = QuadratureRule.graded(tuple(panels))
     return rules
+
+
+def rule_groups(bands: BandSystem, kind: str) -> list[tuple]:
+    """``(rule, indices)`` for each rule of :func:`refined_rules` over the
+    gaps (``kind="gap"``) or bands (``"band"``), in order of first use and
+    keyed by order and panels; ``indices`` is an ascending tuple of Python
+    ints, and every frame is in one group.  Every batched pass, solver and
+    band series alike, takes its batches from here."""
+    groups: dict = {}
+    for i, rule in enumerate(refined_rules(bands, kind)):
+        groups.setdefault((rule.order, rule.panels), (rule, []))[1].append(i)
+    return [(rule, tuple(idx)) for rule, idx in groups.values()]

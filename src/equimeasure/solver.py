@@ -9,10 +9,11 @@ analytic Jacobian and GMRES converges in a handful of steps.  Steps are
 scaled, never projected, so every iterate keeps each root inside its gap.
 
 Gaps (and bands) that share a quadrature rule form a rule group
-(:func:`_rules`), and each group is one batched kernel call: a residual
-pass makes one :func:`~equimeasure.kernel.gap_integral` call per group, the
-Jacobian one :func:`~equimeasure.kernel.gap_jacobian_row` call per group
-from the reduced kernels the residual pass kept, and the band measures one
+(:func:`~equimeasure.kernel.rule_groups`), and each group is one batched
+kernel call: a residual pass makes one
+:func:`~equimeasure.kernel.gap_integral` call per group, the Jacobian one
+:func:`~equimeasure.kernel.gap_jacobian_row` call per group from the
+reduced kernels the residual pass kept, and the band measures one
 :func:`~equimeasure.kernel.band_integral` call per band rule.  Kernel
 calls and :func:`solve_generation` read the band system from the roots
 (``vars.bands``).
@@ -41,7 +42,7 @@ from .kernel import (
     band_integral,
     gap_integral,
     gap_jacobian_row,
-    refined_rules,
+    rule_groups,
 )
 
 _GMRES_RTOL = 1e-14  # relative residual of the Jacobi-scaled Newton system
@@ -109,17 +110,6 @@ class EquilibriumSolution:
         return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
 
-def _rules(bands: BandSystem, kind: str) -> list[tuple]:
-    """Rule groups ``(rule, indices)`` over the gaps (``kind="gap"``) or the
-    bands (``kind="band"``): ``indices`` is an ascending tuple of Python
-    ints, every frame of the generation is in exactly one group, and the
-    frames of a group share one memoised rule."""
-    groups: dict = {}
-    for i, rule in enumerate(refined_rules(bands, kind)):
-        groups.setdefault(id(rule), (rule, []))[1].append(i)
-    return [(rule, tuple(idx)) for rule, idx in groups.values()]
-
-
 def _residual_vector(vars: GapVariables, groups):
     """Residuals at ``vars`` and the reduced kernels built on the way.
 
@@ -152,8 +142,8 @@ def _jacobian(vars: GapVariables, kept) -> np.ndarray:
 def jacobian(vars: GapVariables) -> np.ndarray:
     """The dense Jacobian ``d K_i / d lambda_m`` at ``vars``, as the Newton
     loop builds it: the rows from the reduced kernels of one residual pass
-    over the solver's rule groups."""
-    return _jacobian(vars, _residual_vector(vars, _rules(vars.bands, "gap"))[1])
+    over the gaps' :func:`rule_groups`."""
+    return _jacobian(vars, _residual_vector(vars, rule_groups(vars.bands, "gap"))[1])
 
 
 def _gmres(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -215,7 +205,7 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
     if not 0.0 < residual_tol < math.inf:
         raise ValueError("residual_tol must be positive and finite")
     vars, bands = initial, initial.bands
-    groups = _rules(bands, "gap")
+    groups = rule_groups(bands, "gap")
     hi_bound = 1.0 - STEP_CLAMP
 
     r, kept = _residual_vector(vars, groups)
@@ -260,7 +250,7 @@ def solve_generation(initial: GapVariables, residual_tol: float = 1e-12
         iterations += 1
 
     omegas = np.empty(bands.n_bands)
-    for rule, idx in _rules(bands, "band"):
+    for rule, idx in rule_groups(bands, "band"):
         omegas[list(idx)] = band_integral(idx, vars, rule)
     return EquilibriumSolution(
         vars=vars,

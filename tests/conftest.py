@@ -145,8 +145,8 @@ def uniform_rules(order):
     Gauss-Chebyshev rule of ``order`` nodes, the paper's uniform choice."""
     rule = QuadratureRule.chebyshev(order)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(solver, "refined_rules", lambda bands, kind: [rule] * (
-            bands.n_gaps if kind == "gap" else bands.n_bands))
+        m.setattr(solver, "rule_groups", lambda bands, kind: [(rule, tuple(range(
+            bands.n_gaps if kind == "gap" else bands.n_bands)))])
         yield
 
 
@@ -198,6 +198,13 @@ def three_map_run():
 def julia_runs():
     """Converged solutions of the Julia band systems for c = 3 and 2.2, n=1..8."""
     return {c: hierarchical_solve(julia_bands(c, 8), 1e-12) for c in (3.0, 2.2)}
+
+
+@pytest.fixture(scope="session")
+def julia_near_run():
+    """Converged solutions of the Julia band systems for c = 2 + 1e-6, n=1..8,
+    whose gaps close to 1.6e-7 of the hull at n = 8."""
+    return hierarchical_solve(julia_bands(2.0 + 1e-6, 8), 1e-12)
 
 
 @pytest.fixture(scope="session")

@@ -931,6 +931,9 @@ class TestFitExponential:
     def test_duplicate_n_rejected(self):
         with pytest.raises(ValueError):
             fit_exponential([(1, 1.0), (1, 0.9), (2, 0.5)])
+        # three distinct n, but the closed form needs them equally spaced
+        with pytest.raises(ValueError, match="equally spaced"):
+            fit_exponential([(1, 1.0), (2, 0.5), (4, 0.3)])
 
 
 class TestCapacityEstimate:
@@ -950,6 +953,8 @@ class TestCapacityEstimate:
         _, sols = ternary_run
         with pytest.raises(ValueError):
             capacity_estimate(sols[:4], rule2048, mode="point")
+        with pytest.raises(ValueError, match="unknown mode 'median'"):
+            capacity_estimate(sols[:4], rule2048, mode="median")
 
 
 def _per_generation(solutions, rule, **kwargs):

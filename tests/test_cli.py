@@ -131,6 +131,18 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "cannot read config" in err
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[1, 2]", "config must be a JSON object", id="json-array"),
+        pytest.param('{"ifs": [[0.3333333333333333, -1.0], [0.3333333333333333, 1.0]]}',
+                     "'n_max' is required", id="no-n_max")])
+    def test_configs_of_the_wrong_shape_exit_2_with_one_line(self, tmp_path, capsys, text,
+                                                             message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err and "Traceback" not in err
+
     def test_a_config_is_read_as_utf8_under_any_locale(self, tmp_path):
         # under the C locale, without UTF-8 mode, text files default to ASCII
         path = tmp_path / "config.json"
@@ -479,6 +491,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path)]) == 3
         assert "generation 2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "gen_2.json").exists()
+
+    def test_io_error_exit_code(self, tmp_path, capsys):
+        # an output directory below a regular file cannot be made
+        (tmp_path / "file").write_text("")
+        path = write_config(tmp_path, output_dir=str(tmp_path / "file" / "out"))
+        assert main(["solve", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("I/O error: ")
+        assert "Not a directory" in err and "Traceback" not in err
 
     def test_nan_residual_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(solver, "gap_integral", nan_in_gap_0)

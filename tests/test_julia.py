@@ -2,12 +2,13 @@
 
 The band systems of ``tests/conftest.py`` (:func:`julia_bands`) carry
 closed-form equilibrium measures, solved here by the unchanged
-``hierarchical_solve`` for c = 3 and 2.2 and n <= 8.  Each tolerance is a
-multiple of an ulp model, set from the worst case measured over both c and
-every n: ``EPS * max(1, |x|)`` in position, that over the band width for a
-band's relative mass, ``EPS`` for a potential summed from O(1) terms.  Off
-the set a potential also moves with the position of its point (by |V'|) and
-with the masses of the bands (by their model, summed).
+``hierarchical_solve`` for c = 3 and 2.2 and n <= 8, and for the near-touching
+c = 2 + 1e-6.  Each tolerance is a multiple of an ulp model, set from the
+worst case measured over every c and n: ``EPS * max(1, |x|)`` in position,
+that over the band width for a band's relative mass, ``EPS`` for a potential
+summed from O(1) terms.  A cylinder's mass takes its bands' model, summed.
+Off the set a potential also moves with the position of its point (by |V'|)
+and with the masses of the bands (by their model, summed).
 """
 
 import cmath
@@ -20,8 +21,10 @@ from equimeasure import mean_potential_on_attractor_points, potential_at, sample
 from tests.conftest import inverse_images, julia_beta
 
 EPS = np.finfo(float).eps
-# measured worst: 3.0 model units (c = 2.2, n = 6)
+# measured worst: 3.0 model units (c = 2.2, n = 6), for a band and a cylinder
 OMEGA_ULPS = 8
+# measured worst: 26.7 model units (c = 2 + 1e-6, n = 8), a relative 7.6e-12
+NEAR_OMEGA_ULPS = 64
 # measured worst: 34 ulp (c = 3, n = 7); the Newton stopping rule, not roundoff
 ROOT_ULPS = 100
 # measured worst: 0.77 EPS (c = 2.2, n = 5..8)
@@ -63,6 +66,22 @@ class TestJuliaSets:
             assert np.all(np.abs(s.omegas - w) <= w * OMEGA_ULPS * EPS * ends / b.band_widths), \
                 s.generation
 
+    def test_every_cylinder_has_mass_two_to_the_minus_k(self, julia_runs, c):
+        # the bands of E_n inside one band of E_k, found by the ends of E_k
+        runs, beta = julia_runs[c], julia_beta(c)
+        for s in runs:
+            b, n = s.vars.bands, s.generation
+            ends = np.maximum(1.0, np.maximum(np.abs(b.alphas), np.abs(b.betas)))
+            model = 2.0 ** -n * OMEGA_ULPS * EPS * ends / b.band_widths
+            levels = [([-beta], [beta])] + [(t.vars.bands.alphas, t.vars.bands.betas)
+                                            for t in runs[:n]]
+            for k, (alphas, betas) in enumerate(levels):
+                host = np.searchsorted(alphas, b.alphas, side="right") - 1
+                assert np.all(host >= 0) and np.all(b.betas <= np.asarray(betas)[host]), (n, k)
+                mass = np.bincount(host, weights=s.omegas, minlength=2**k)
+                tol = np.bincount(host, weights=model, minlength=2**k)
+                assert mass.size == 2**k and np.all(np.abs(mass - 2.0 ** -k) <= tol), (n, k)
+
     def test_roots_are_the_critical_points(self, julia_runs, c):
         # p**n' = 0 where p**k = 0 for some k < n: one point in each gap
         level, crit = np.array([0.0]), np.array([0.0])
@@ -103,3 +122,24 @@ class TestJuliaSets:
             tol = OFF_SET_ULPS * EPS * (np.maximum(1.0, np.abs(want))
                                         + np.maximum(1.0, np.abs(pts)) * slope + masses)
             assert np.all(np.abs(potential_at(pts, s, b, None) - want) <= tol), s.generation
+
+
+class TestNearTouchingJuliaSet:
+    C = 2.0 + 1e-6
+
+    def test_every_band_has_mass_two_to_the_minus_n(self, julia_near_run):
+        for s in julia_near_run:
+            b, w = s.vars.bands, 2.0 ** -s.generation
+            ends = np.maximum(1.0, np.maximum(np.abs(b.alphas), np.abs(b.betas)))
+            tol = w * NEAR_OMEGA_ULPS * EPS * ends / b.band_widths
+            assert np.all(np.abs(s.omegas - w) <= tol), s.generation
+
+    def test_roots_are_the_critical_points(self, julia_near_run):
+        # measured worst: 9.4 ulp (n = 8)
+        level, crit = np.array([0.0]), np.array([0.0])
+        for s in julia_near_run:
+            if s.generation > 1:
+                level = inverse_images(self.C, level)
+                crit = np.sort(np.concatenate([crit, level]))
+            err = np.abs(s.vars.zetas - crit)
+            assert np.all(err <= ROOT_ULPS * EPS * np.maximum(1.0, np.abs(crit))), s.generation

@@ -542,7 +542,7 @@ def test_jacobian_rows_reuse_the_residual_pass_bitwise(pairs, n):
     gv = GapVariables(b, 0.3 * np.cos(np.arange(b.n_gaps)))
     keep = {}
     calls = list(enumerate(refined_rules(b, "gap")))
-    calls += [(idx, rule) for rule, idx in solver._rules(b, "gap")]
+    calls += [(idx, rule) for rule, idx in kernel_module.rule_groups(b, "gap")]
     for i, rule in calls:
         gap_integral(i, gv, rule, keep=keep)
         kept_rule, reduced = keep[i]
@@ -558,10 +558,10 @@ def group_values(b, gv, residual=gap_integral):
     call per rule group."""
     out = {"residual": np.empty(b.n_gaps), "row": np.empty((b.n_gaps, b.n_gaps)),
            "omega": np.empty(b.n_bands)}
-    for rule, idx in solver._rules(b, "gap"):
+    for rule, idx in kernel_module.rule_groups(b, "gap"):
         out["residual"][list(idx)] = residual(idx, gv, rule)
         out["row"][list(idx)] = gap_jacobian_row(idx, gv, rule)
-    for rule, idx in solver._rules(b, "band"):
+    for rule, idx in kernel_module.rule_groups(b, "band"):
         out["omega"][list(idx)] = band_integral(idx, gv, rule)
     return out
 
@@ -589,7 +589,7 @@ def test_group_calls_equal_per_index_calls(pairs, n_max):
         assert np.all(np.abs(batched - per_band) <= 1e-15 * per_band), n
         # one group per rule, the rules those of every frame
         for kind, rules in (("gap", gap_rules), ("band", band_rules)):
-            groups = solver._rules(b, kind)
+            groups = kernel_module.rule_groups(b, kind)
             assert sorted(i for _, idx in groups for i in idx) == list(range(len(rules)))
             assert all(rules[i] is rule for rule, idx in groups for i in idx)
             assert len({id(rule) for rule, _ in groups}) == len(groups)

@@ -37,7 +37,7 @@ def test_jacobian_equals_the_newton_loops_bitwise(asym_run):
     # Jacobian equals the rows from the reduced kernels a residual pass keeps
     bands, sols = asym_run
     b, s = bands[4], sols[4]
-    groups = solver._rules(b, "gap")
+    groups = kernel.rule_groups(b, "gap")
     assert any(rule.panels for rule, _ in groups)
     _, kept = solver._residual_vector(s.vars, groups)
     assert kept
@@ -170,7 +170,7 @@ def test_one_more_newton_step_moves_no_root_by_1e_10(run, request):
     # what the absolute stopping rule leaves: at most 6.5e-11 (asym n = 9)
     _, sols = request.getfixturevalue(run)
     for s in sols[1:]:
-        r, kept = solver._residual_vector(s.vars, solver._rules(s.vars.bands, "gap"))
+        r, kept = solver._residual_vector(s.vars, kernel.rule_groups(s.vars.bands, "gap"))
         step = np.linalg.solve(solver._jacobian(s.vars, kept), -r)
         assert np.max(np.abs(step)) <= 1e-10, s.generation
 
@@ -478,7 +478,7 @@ def test_a_root_on_a_node_keeps_its_rule(ternary):
     # gap 3's root on a node of its rule: every gap keeps its group's rule,
     # in the residual and in the Jacobian built from what it kept
     b = generate_bands(ternary, 3)
-    groups = solver._rules(b, "gap")
+    groups = kernel.rule_groups(b, "gap")
     rule = next(rule for rule, idx in groups if 3 in idx)
     lam = 0.3 * np.cos(np.arange(b.n_gaps))
     lam[3] = rule.nodes[5]
