@@ -525,7 +525,7 @@ def _require(cfg: RunConfig, needs: dict[str, str]) -> None:
     lies inside the hull."""
     problems, deepest, x, grid = [], cfg.band_systems[-1], cfg.point_x, cfg.x_grid
     if "series" in needs:
-        size = deepest.n_bands * int(kernel.series_orders(deepest).max())
+        size = deepest.n_bands * kernel.series_width(deepest)
         if size > MAX_POINTS:
             problems.append(f"{needs['series']} needs at most {MAX_POINTS} band series "
                             f"coefficients at generation {cfg.n_max}, got {size}")

@@ -48,22 +48,23 @@ true value there, 0.  Only the log-space reference, where ``log 0`` is a
 real singularity, checks for collisions.
 
 Every integral takes its rule for the Chebyshev weight as an argument.
-The solver sizes one rule per gap and per band from the geometry, all
-frames of a kind in one array pass (:func:`refined_rules`):
-Gauss-Chebyshev, a few dozen nodes for most intervals, or beside a thin
-band panels graded toward it.
+The solver sizes one rule per gap and per band from the geometry and
+batches the frames that share one, all frames of a kind in one pass
+(:func:`rule_groups`): Gauss-Chebyshev, a few dozen nodes for most
+intervals, or beside a thin band panels graded toward it.
 
 The analytics evaluate everything from one set of per-band Chebyshev
 coefficients of the density, which depend on the roots alone and are
 memoised on them, read-only (``GapVariables.band_series``).  In band
 ``b``'s frame the density is ``F(t) / (pi sqrt(1 - t**2))`` with ``F =
 |Z| / sqrt|Y~|``; :func:`kernel_band` samples ``F`` at the first-kind
-Chebyshev nodes of the band's :func:`series_orders`, and a DCT-II (one
-numpy FFT per series length) gives ``F = sum_j c_j T_j``; ``c_0`` is the
-band measure.  A series stored earlier for the same roots can seed that
-memo instead (:func:`restore_band_series`), so a caller that keeps the
-coefficients evaluates no kernel and imports no ``numpy.fft``;
-:func:`has_band_series` tells whether the memo holds one.
+Chebyshev nodes of ``SERIES_OVERSAMPLING`` times the band's order, and a
+DCT-II (one numpy FFT per series length) gives ``F = sum_j c_j T_j``;
+``c_0`` is the band measure, and the table is :func:`series_width` wide.
+A series stored earlier for the same roots can seed that memo instead
+(:func:`restore_band_series`), so a caller that keeps the coefficients
+evaluates no kernel and imports no ``numpy.fft``; :func:`has_band_series`
+tells whether the memo holds one.
 
 Results depend only on the arguments, and node sums run in a fixed order,
 so values are reproducible; the only state is memos of rules and of the
@@ -226,12 +227,11 @@ class GapVariables:
 def restore_band_series(vars: GapVariables, coeffs: np.ndarray) -> bool:
     """Seed ``vars.band_series`` with ``coeffs``, stored from an earlier
     :func:`_chebyshev_series` of the same roots, if they fit: float64, one
-    row per band, as long as the longest of the bands' :func:`series_orders`,
-    and every value finite.  Returns whether the memo was seeded; the
-    caller answers for the roots.
+    row per band, :func:`series_width` long, and every value finite.
+    Returns whether the memo was seeded; the caller answers for the roots.
     """
     if (coeffs.dtype != np.float64
-            or coeffs.shape != (vars.bands.n_bands, series_orders(vars.bands).max())
+            or coeffs.shape != (vars.bands.n_bands, series_width(vars.bands))
             or not np.isfinite(coeffs).all()):
         return False
     coeffs = coeffs.copy()
@@ -529,26 +529,26 @@ def _dct2(x: np.ndarray) -> np.ndarray:
 def _chebyshev_series(vars: GapVariables) -> np.ndarray:
     """Chebyshev coefficients of ``F = |Z| / sqrt|Y~|`` on each band of ``vars``.
 
-    Row ``b`` holds ``c_0 .. c_{M-1}`` for ``M =
-    series_orders(vars.bands)[b]``, zero-padded to the longest row: ``sum_j
-    c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes of order
-    ``M`` in band ``b``'s frame, and ``c_0`` is the band measure under that
-    order's Gauss-Chebyshev rule; each of the bands' :func:`rule_groups` is
-    one :func:`kernel_band` call and one :func:`_dct2`.
+    Row ``b`` holds ``c_0 .. c_{M-1}``, ``M`` being ``SERIES_OVERSAMPLING``
+    times the order of band ``b``'s rule, zero-padded to :func:`series_width`:
+    ``sum_j c_j T_j`` interpolates ``F`` at the first-kind Chebyshev nodes of
+    order ``M`` in band ``b``'s frame, and ``c_0`` is the band measure under
+    that order's Gauss-Chebyshev rule; each of the bands' :func:`rule_groups`
+    is one :func:`kernel_band` call and one :func:`_dct2`.
     """
-    groups = rule_groups(vars.bands, "band")
-    coeffs = np.zeros((vars.bands.n_bands, SERIES_OVERSAMPLING * max(r.order for r, _ in groups)))
-    for rule, rows in groups:
+    coeffs = np.zeros((vars.bands.n_bands, series_width(vars.bands)))
+    for rule, rows in rule_groups(vars.bands, "band"):
         m = SERIES_OVERSAMPLING * rule.order
         coeffs[rows, :m] = _dct2(kernel_band(QuadratureRule.chebyshev(m).nodes, rows, vars)) / m
     coeffs[:, 0] *= 0.5
     return coeffs
 
 
-def series_orders(bands: BandSystem) -> np.ndarray:
-    """The length of each band's series: ``SERIES_OVERSAMPLING``, read at
-    each call, times the band's :func:`refined_orders`."""
-    return SERIES_OVERSAMPLING * refined_orders(bands, "band")
+def series_width(bands: BandSystem) -> int:
+    """The length of the longest band series, the width of the series table:
+    ``SERIES_OVERSAMPLING``, read at each call, times the largest of the
+    bands' :func:`refined_orders`."""
+    return SERIES_OVERSAMPLING * int(refined_orders(bands, "band").max())
 
 
 def refined_orders(bands: BandSystem, kind: str) -> np.ndarray:
@@ -571,7 +571,7 @@ def refined_orders(bands: BandSystem, kind: str) -> np.ndarray:
     (3.2e-15 on the bands of the 0.3, 0.1, 0.2 three-map system).  It is
     rounded up to an even number, so that no node sits at the interval's
     midpoint, where symmetric systems put their roots.  The solver's rules
-    come from :func:`refined_rules`, and the band series sample each band's
+    come from :func:`rule_groups`, and the band series sample each band's
     density at ``SERIES_OVERSAMPLING`` times the band's order.
     """
     band_w, gap_w = bands.band_widths, bands.gap_widths
@@ -587,38 +587,34 @@ def refined_orders(bands: BandSystem, kind: str) -> np.ndarray:
     return orders + orders % 2
 
 
-def refined_rules(bands: BandSystem, kind: str) -> list[QuadratureRule]:
-    """One memoised rule per gap or band: Gauss-Chebyshev of
-    :func:`refined_orders` nodes or, for a gap, graded panels when they need
-    fewer.  The band beside a gap end has its far end ``acosh(1 + 2 * band
-    width / gap width)`` from it in ``theta``; panels halve toward that end
-    down to half that distance, where ``PANEL_NODES`` nodes are exact to
-    roundoff (Trefethen, *ATAP*, ch. 8).  Only gaps whose order exceeds two
-    panels can take them; their counts use ``math``, since numpy's ``log1p``
-    pages in a quarter megabyte of SIMD tables on first use.  Callers batch
-    frames by :func:`rule_groups`.
-    """
-    orders = refined_orders(bands, kind).tolist()
-    rules = [QuadratureRule.chebyshev(k) for k in orders]
-    band_w, gap_w = bands.band_widths, bands.gap_widths
-    for i in np.flatnonzero(np.array(orders) > 2 * PANEL_NODES).tolist() if kind == "gap" else ():
-        panels = []
-        for b in (i + 1, i):  # toward theta = 0 the right band, toward pi the left
-            t = 2.0 * band_w[b] / gap_w[i]
-            distance = math.log1p(t + math.sqrt(t * (2.0 + t)))  # acosh(1 + t)
-            panels.append(max(1, math.ceil(math.log2(2.0 * math.pi / distance))))
-        if PANEL_NODES * sum(panels) < orders[i]:
-            rules[i] = QuadratureRule.graded(tuple(panels))
-    return rules
-
-
 def rule_groups(bands: BandSystem, kind: str) -> list[tuple]:
-    """``(rule, indices)`` for each rule of :func:`refined_rules` over the
-    gaps (``kind="gap"``) or bands (``"band"``), in order of first use and
-    keyed by order and panels; ``indices`` is an ascending tuple of Python
-    ints, and every frame is in one group.  Every batched pass, solver and
-    band series alike, takes its batches from here."""
-    groups: dict = {}
-    for i, rule in enumerate(refined_rules(bands, kind)):
-        groups.setdefault((rule.order, rule.panels), (rule, []))[1].append(i)
-    return [(rule, tuple(idx)) for rule, idx in groups.values()]
+    """``(rule, indices)`` for each memoised rule over the gaps
+    (``kind="gap"``) or bands (``"band"``), in order of first use;
+    ``indices`` is an ascending tuple of Python ints, and every frame is in
+    one group.  Every batched pass, solver and band series alike, takes its
+    batches from here.
+
+    A frame's rule is Gauss-Chebyshev of :func:`refined_orders` nodes or, for
+    a gap, graded panels when they need fewer.  The band beside a gap end has
+    its far end ``acosh(1 + 2 * band width / gap width)`` from it in
+    ``theta``; panels halve toward that end down to half that distance, where
+    ``PANEL_NODES`` nodes are exact to roundoff (Trefethen, *ATAP*, ch. 8).
+    Only gaps whose order exceeds two panels can take them; their counts use
+    ``math``, since numpy's ``log1p`` pages in a quarter megabyte of SIMD
+    tables on first use.
+    """
+    band_w, gap_w = bands.band_widths.tolist(), bands.gap_widths.tolist()
+    groups: dict = {}  # a Chebyshev order, or a graded rule's panel counts
+    for i, order in enumerate(refined_orders(bands, kind).tolist()):
+        key = order
+        if kind == "gap" and order > 2 * PANEL_NODES:
+            panels = []
+            for b in (i + 1, i):  # toward theta = 0 the right band, toward pi the left
+                t = 2.0 * band_w[b] / gap_w[i]
+                distance = math.log1p(t + math.sqrt(t * (2.0 + t)))  # acosh(1 + t)
+                panels.append(max(1, math.ceil(math.log2(2.0 * math.pi / distance))))
+            if PANEL_NODES * sum(panels) < order:
+                key = tuple(panels)
+        groups.setdefault(key, []).append(i)
+    return [(QuadratureRule.graded(key) if isinstance(key, tuple)
+             else QuadratureRule.chebyshev(key), tuple(idx)) for key, idx in groups.items()]

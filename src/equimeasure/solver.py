@@ -312,26 +312,28 @@ def warm_start(bands: BandSystem, previous: EquilibriumSolution | None = None,
 
 def hierarchical_solve(band_systems, residual_tol: float = 1e-12, load=None, store=None
                        ) -> list[EquilibriumSolution]:
-    """Solve the band systems of ``band_systems`` in order to ``residual_tol``,
-    each started by :func:`warm_start` from the two solved before it; each
-    must refine the one before (else ``ValueError``, loaded or not).
+    """Solve the band systems of ``band_systems`` in order to ``residual_tol``;
+    each must refine the one before (else ``ValueError``, loaded or not).
 
     ``load(bands)`` may return a stored :class:`EquilibriumSolution` of
-    ``bands``, used as is; ``store(solution)`` receives each one solved.
-    Solver failures carry the failing generation (``generation``) and are
-    re-raised with the solutions before it (``solutions_so_far``) on them.
+    ``bands``, used as is.  Only a band system that does not load is started,
+    by :func:`warm_start` from the two solutions before it, and solved;
+    ``store(solution)`` receives each one solved.  Solver failures carry the
+    failing generation (``generation``) and are re-raised with the solutions
+    before it (``solutions_so_far``) on them.
     """
     solutions: list[EquilibriumSolution] = []
     for bands in band_systems:
-        start = warm_start(bands, *reversed(solutions[-2:]))
         sol = load(bands) if load else None
         if sol is None:
             try:
-                sol = solve_generation(start, residual_tol)
+                sol = solve_generation(warm_start(bands, *reversed(solutions[-2:])), residual_tol)
             except SolverError as exc:
                 exc.solutions_so_far = solutions
                 raise
             if store:
                 store(sol)
+        elif solutions:
+            _check_start(bands, solutions[-1], "previous")
         solutions.append(sol)
     return solutions

@@ -49,6 +49,16 @@ def nan_in_gap_0(i, vars, rule, keep=None):
     return values
 
 
+def frame_rules(bands, kind):
+    """One rule per gap (``kind="gap"``) or band (``"band"``) of ``bands``,
+    in frame order, read from :func:`~equimeasure.kernel.rule_groups`."""
+    rules = [None] * (bands.n_gaps if kind == "gap" else bands.n_bands)
+    for rule, idx in kernel.rule_groups(bands, kind):
+        for i in idx:
+            rules[i] = rule
+    return rules
+
+
 def density_table(solution, rule):
     """Node positions and weighted densities of every band of the solution,
     arrays of shape ``(n_bands, rule.order)``: the whole-generation node
@@ -196,8 +206,8 @@ def three_map_run():
 
 @pytest.fixture(scope="session")
 def julia_runs():
-    """Converged solutions of the Julia band systems for c = 3 and 2.2, n=1..8."""
-    return {c: hierarchical_solve(julia_bands(c, 8), 1e-12) for c in (3.0, 2.2)}
+    """Converged solutions of the Julia band systems for c = 3 and 2.2, n=1..10."""
+    return {c: hierarchical_solve(julia_bands(c, 10), 1e-12) for c in (3.0, 2.2)}
 
 
 @pytest.fixture(scope="session")

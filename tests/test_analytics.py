@@ -29,15 +29,16 @@ from equimeasure.analytics import (
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
 from equimeasure.kernel import (
     GapVariables,
+    SERIES_OVERSAMPLING,
     QuadratureRule,
     _chebyshev_series,
     _from_frame,
     kernel_band,
     restore_band_series,
-    series_orders,
+    series_width,
 )
 from tests.conftest import (TERNARY_PAIRS, THREE_MAP_PAIRS, X_STAR, density_table,
-                            node_sum_potentials, solve_generations)
+                            frame_rules, node_sum_potentials, solve_generations)
 
 TWO_BAND_POTENTIAL = -math.log(math.sqrt(2.0) / 3.0)  # interior potential of
 # [-1,-1/3] u [1/3,1]: the capacity of symmetric two-interval sets
@@ -409,7 +410,7 @@ class TestDensityTableMemo:
 
         monkeypatch.setattr(kernel, "kernel_band", counting)
         first = potential_at(0.0, s, b, rule2048)
-        lengths = series_orders(b)
+        lengths = SERIES_OVERSAMPLING * np.array([rule.order for rule in frame_rules(b, "band")])
         assert sorted(m for m, _ in calls) == sorted(set(lengths.tolist()))
         assert sorted(i for _, rows in calls for i in rows) == list(range(b.n_bands))
         assert all((lengths[rows] == m).all() for m, rows in calls)
@@ -1029,7 +1030,7 @@ class TestStackedGenerations:
         ifs, widths = validate(IfsSystem.from_pairs(pairs)), set()
         for n in range(1, 9):
             try:
-                widths.add(int(series_orders(generate_bands(ifs, n)).max()))
+                widths.add(series_width(generate_bands(ifs, n)))
             except GenerationTooLarge:
                 assert n > 4
                 break

@@ -24,8 +24,8 @@ from equimeasure.cli import (
     write_figure,
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
-from equimeasure.kernel import QuadratureRule, gap_jacobian_row, refined_rules
-from tests.conftest import X_STAR, nan_in_gap_0, solve_generations
+from equimeasure.kernel import QuadratureRule, gap_jacobian_row
+from tests.conftest import X_STAR, frame_rules, nan_in_gap_0, solve_generations
 
 RECORD_KEYS = ["generation", "config", "lambda", "residuals", "initial_residuals",
                "iterations_used", "omega"]
@@ -596,7 +596,7 @@ class TestFiguresCommand:
         path = write_config(tmp_path, ifs=pairs, n_max=n_max)
         assert main(["figures", "--config", str(path), "--which", "jacobian_decay"]) == 0
         bands = generate_bands(validate(IfsSystem.from_pairs(pairs)), n_max)
-        want = [rule.order for rule in refined_rules(bands, "gap")]
+        want = [rule.order for rule in frame_rules(bands, "gap")]
         assert [rules[i].order for i in range(bands.n_gaps)] == want
         assert any(rule.panels for rule in rules.values()) == (n_max == 4)
 

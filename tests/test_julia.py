@@ -2,13 +2,15 @@
 
 The band systems of ``tests/conftest.py`` (:func:`julia_bands`) carry
 closed-form equilibrium measures, solved here by the unchanged
-``hierarchical_solve`` for c = 3 and 2.2 and n <= 8, and for the near-touching
-c = 2 + 1e-6.  Each tolerance is a multiple of an ulp model, set from the
-worst case measured over every c and n: ``EPS * max(1, |x|)`` in position,
+``hierarchical_solve`` for c = 3 and 2.2 and n <= 10, and for the near-touching
+c = 2 + 1e-6 and n <= 8.  Each tolerance is a multiple of an ulp model, set from
+the worst case measured over every c and n: ``EPS * max(1, |x|)`` in position,
 that over the band width for a band's relative mass, ``EPS`` for a potential
 summed from O(1) terms.  A cylinder's mass takes its bands' model, summed.
 Off the set a potential also moves with the position of its point (by |V'|)
-and with the masses of the bands (by their model, summed).
+and with the masses of the bands (by their model, summed).  A generation whose
+values lie beyond a model is an expected failure of that check, not a wider
+model (``BEYOND_MODEL``).
 """
 
 import cmath
@@ -22,18 +24,26 @@ from tests.conftest import inverse_images, julia_beta
 
 EPS = np.finfo(float).eps
 # measured worst: 3.0 model units (c = 2.2, n = 6), for a band and a cylinder
+# (c = 3 to n = 10: 1.75)
 OMEGA_ULPS = 8
 # measured worst: 26.7 model units (c = 2 + 1e-6, n = 8), a relative 7.6e-12
 NEAR_OMEGA_ULPS = 64
-# measured worst: 34 ulp (c = 3, n = 7); the Newton stopping rule, not roundoff
+# measured worst: 38 ulp (c = 3, n = 9); the Newton stopping rule, not roundoff
 ROOT_ULPS = 100
-# measured worst: 0.77 EPS (c = 2.2, n = 5..8)
+# measured worst: 0.90 EPS (c = 2.2, n = 10)
 MEAN_EPS = 4
 # the point path's coarseness at 2048 nodes halves with each generation:
-# measured 2.1e-4 at n = 1 to 1.7e-6 at n = 8, at most 4.4e-4 * 2**-n
+# measured 2.1e-4 at n = 1 to 4.3e-7 at n = 10, at most 4.4e-4 * 2**-n
 GAUGE = 1e-3
 # measured worst: 1.8 model units (c = 2.2, n = 5)
 OFF_SET_ULPS = 8
+# Generations whose values lie beyond a model, each an expected failure of
+# that check: at c = 2.2 the Newton stopping rule leaves residuals of 8.7e-13
+# (n = 9) and 4.3e-13 (n = 10), where max|2**n omega_b - 1| reads 4.7e-10,
+# 1099 and 494 model units, and roots lie 386 and 173 ulp off; at c = 3,
+# n = 10 a root lies 227 ulp off.  Tighter stopping is ROADMAP item 2.
+BEYOND_MODEL = {("band masses", 2.2): (9, 10), ("cylinder masses", 2.2): (9, 10),
+                ("roots", 3.0): (10,), ("roots", 2.2): (9, 10)}
 
 
 def green_potential(c, n, z):
@@ -57,40 +67,68 @@ def green_potential(c, n, z):
     return -(2.0 ** -n) * (math.log(beta / 2.0) + g), slope
 
 
+def band_masses(runs, c, n):
+    s = runs[n - 1]
+    b, w = s.vars.bands, 2.0 ** -n
+    ends = np.maximum(1.0, np.maximum(np.abs(b.alphas), np.abs(b.betas)))
+    assert np.all(np.abs(s.omegas - w) <= w * OMEGA_ULPS * EPS * ends / b.band_widths), n
+
+
+def cylinder_masses(runs, c, n):
+    # the bands of E_n inside one band of E_k, found by the ends of E_k
+    s, beta = runs[n - 1], julia_beta(c)
+    b = s.vars.bands
+    ends = np.maximum(1.0, np.maximum(np.abs(b.alphas), np.abs(b.betas)))
+    model = 2.0 ** -n * OMEGA_ULPS * EPS * ends / b.band_widths
+    levels = [([-beta], [beta])] + [(t.vars.bands.alphas, t.vars.bands.betas)
+                                    for t in runs[:n]]
+    for k, (alphas, betas) in enumerate(levels):
+        host = np.searchsorted(alphas, b.alphas, side="right") - 1
+        assert np.all(host >= 0) and np.all(b.betas <= np.asarray(betas)[host]), (n, k)
+        mass = np.bincount(host, weights=s.omegas, minlength=2**k)
+        tol = np.bincount(host, weights=model, minlength=2**k)
+        assert mass.size == 2**k and np.all(np.abs(mass - 2.0 ** -k) <= tol), (n, k)
+
+
+def roots(runs, c, n):
+    # p**n' = 0 where p**k = 0 for some k < n: one point in each gap
+    level, crit = np.array([0.0]), np.array([0.0])
+    for _ in range(n - 1):
+        level = inverse_images(c, level)
+        crit = np.sort(np.concatenate([crit, level]))
+    err = np.abs(runs[n - 1].vars.zetas - crit)
+    assert np.all(err <= ROOT_ULPS * EPS * np.maximum(1.0, np.abs(crit))), n
+
+
+CHECKS = {"band masses": band_masses, "cylinder masses": cylinder_masses, "roots": roots}
+
+
+def within_model(runs, c, check):
+    """The generations of ``runs`` whose values ``check``'s model covers."""
+    return [s.generation for s in runs if s.generation not in BEYOND_MODEL.get((check, c), ())]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the Newton stopping rule's slack (ROADMAP item 2)")
+@pytest.mark.parametrize("check, c, n", [(check, c, n) for (check, c), gens in BEYOND_MODEL.items()
+                                         for n in gens])
+def test_beyond_the_model(julia_runs, check, c, n):
+    CHECKS[check](julia_runs[c], c, n)
+
+
 @pytest.mark.parametrize("c", [3.0, 2.2])
 class TestJuliaSets:
     def test_every_band_has_mass_two_to_the_minus_n(self, julia_runs, c):
-        for s in julia_runs[c]:
-            b, w = s.vars.bands, 2.0 ** -s.generation
-            ends = np.maximum(1.0, np.maximum(np.abs(b.alphas), np.abs(b.betas)))
-            assert np.all(np.abs(s.omegas - w) <= w * OMEGA_ULPS * EPS * ends / b.band_widths), \
-                s.generation
+        for n in within_model(julia_runs[c], c, "band masses"):
+            band_masses(julia_runs[c], c, n)
 
     def test_every_cylinder_has_mass_two_to_the_minus_k(self, julia_runs, c):
-        # the bands of E_n inside one band of E_k, found by the ends of E_k
-        runs, beta = julia_runs[c], julia_beta(c)
-        for s in runs:
-            b, n = s.vars.bands, s.generation
-            ends = np.maximum(1.0, np.maximum(np.abs(b.alphas), np.abs(b.betas)))
-            model = 2.0 ** -n * OMEGA_ULPS * EPS * ends / b.band_widths
-            levels = [([-beta], [beta])] + [(t.vars.bands.alphas, t.vars.bands.betas)
-                                            for t in runs[:n]]
-            for k, (alphas, betas) in enumerate(levels):
-                host = np.searchsorted(alphas, b.alphas, side="right") - 1
-                assert np.all(host >= 0) and np.all(b.betas <= np.asarray(betas)[host]), (n, k)
-                mass = np.bincount(host, weights=s.omegas, minlength=2**k)
-                tol = np.bincount(host, weights=model, minlength=2**k)
-                assert mass.size == 2**k and np.all(np.abs(mass - 2.0 ** -k) <= tol), (n, k)
+        for n in within_model(julia_runs[c], c, "cylinder masses"):
+            cylinder_masses(julia_runs[c], c, n)
 
     def test_roots_are_the_critical_points(self, julia_runs, c):
-        # p**n' = 0 where p**k = 0 for some k < n: one point in each gap
-        level, crit = np.array([0.0]), np.array([0.0])
-        for s in julia_runs[c]:
-            if s.generation > 1:
-                level = inverse_images(c, level)
-                crit = np.sort(np.concatenate([crit, level]))
-            err = np.abs(s.vars.zetas - crit)
-            assert np.all(err <= ROOT_ULPS * EPS * np.maximum(1.0, np.abs(crit))), s.generation
+        for n in within_model(julia_runs[c], c, "roots"):
+            roots(julia_runs[c], c, n)
 
     def test_mean_potential_is_the_closed_form(self, julia_runs, rule2048, c):
         for s in julia_runs[c]:

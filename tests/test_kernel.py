@@ -22,12 +22,11 @@ from equimeasure.kernel import (
     PANEL_NODES,
     REFINE_SAFETY,
     refined_orders,
-    refined_rules,
     _frame_points,
     _gauss_legendre,
     _paired_product,
 )
-from tests.conftest import log_space_gap_integral, solve_generations
+from tests.conftest import frame_rules, log_space_gap_integral, solve_generations
 
 
 def double_factorial_moment(p):
@@ -423,7 +422,7 @@ def test_rules_of_all_frames_match_the_per_frame_loop(pairs, n_max):
         for kind, count in (("gap", b.n_gaps), ("band", b.n_bands)):
             assert refined_orders(b, kind).tolist() == [
                 per_frame_order(b, (kind, i)) for i in range(count)], (n, kind)
-            rules = refined_rules(b, kind)
+            rules = frame_rules(b, kind)
             assert len(rules) == count
             assert all(rule is per_frame_rule(b, (kind, i)) for i, rule in enumerate(rules))
 
@@ -452,7 +451,7 @@ def graded_gaps(system, n_max):
     """``(bands, i, rule)`` for every gap that takes a graded rule, n <= n_max."""
     for n in range(1, n_max + 1):
         b = generate_bands(system, n)
-        for i, rule in enumerate(refined_rules(b, "gap")):
+        for i, rule in enumerate(frame_rules(b, "gap")):
             if rule.panels:
                 yield b, i, rule
 
@@ -494,18 +493,18 @@ class TestGradedRule:
     def test_picks_the_smaller_rule(self, asym, ternary):
         for system, n in ((asym, 9), (ternary, 9)):
             b = generate_bands(system, n)
-            for rule, order in zip(refined_rules(b, "gap"), refined_orders(b, "gap")):
+            for rule, order in zip(frame_rules(b, "gap"), refined_orders(b, "gap")):
                 assert rule.order <= order
                 assert (rule.order == order) == (not rule.panels)
-            assert [rule.order for rule in refined_rules(b, "band")] == \
+            assert [rule.order for rule in frame_rules(b, "band")] == \
                 refined_orders(b, "band").tolist()
         # asym n=9: 89 316 Gauss-Chebyshev nodes on the gaps, 17 200 mixed
         b = generate_bands(asym, 9)
         assert refined_orders(b, "gap").sum() == 89316
-        assert sum(rule.order for rule in refined_rules(b, "gap")) == 17200
+        assert sum(rule.order for rule in frame_rules(b, "gap")) == 17200
         # the middle thirds keep Gauss-Chebyshev on every gap up to n = 6
         b = generate_bands(ternary, 6)
-        assert not any(rule.panels for rule in refined_rules(b, "gap"))
+        assert not any(rule.panels for rule in frame_rules(b, "gap"))
 
     @pytest.mark.parametrize("pairs, n_max, tol", [([[0.8, -1.0], [0.1, 1.0]], 7, 1e-15),
                                                    (THIN_PAIRS, 4, 1e-12)])
@@ -541,7 +540,7 @@ def test_jacobian_rows_reuse_the_residual_pass_bitwise(pairs, n):
     b = generate_bands(validate(IfsSystem.from_pairs(pairs)), n)
     gv = GapVariables(b, 0.3 * np.cos(np.arange(b.n_gaps)))
     keep = {}
-    calls = list(enumerate(refined_rules(b, "gap")))
+    calls = list(enumerate(frame_rules(b, "gap")))
     calls += [(idx, rule) for rule, idx in kernel_module.rule_groups(b, "gap")]
     for i, rule in calls:
         gap_integral(i, gv, rule, keep=keep)
@@ -573,7 +572,7 @@ def test_group_calls_equal_per_index_calls(pairs, n_max):
         b = generate_bands(system, n)
         gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
         got = group_values(b, gv)
-        gap_rules, band_rules = refined_rules(b, "gap"), refined_rules(b, "band")
+        gap_rules, band_rules = frame_rules(b, "gap"), frame_rules(b, "band")
         want = {
             "residual": [gap_integral(i, gv, r) for i, r in enumerate(gap_rules)],
             "row": [gap_jacobian_row(i, gv, r) for i, r in enumerate(gap_rules)],
@@ -600,7 +599,7 @@ def test_group_calls_of_the_log_evaluator(asym):
     gv = GapVariables(b, 0.4 * np.sin(np.arange(b.n_gaps) + 0.5))
     logged = group_values(b, gv, log_space_gap_integral)["residual"]
     want = [log_space_gap_integral(i, gv, rule)
-            for i, rule in enumerate(refined_rules(b, "gap"))]
+            for i, rule in enumerate(frame_rules(b, "gap"))]
     assert np.array_equal(logged, want)
     assert np.max(np.abs(logged - group_values(b, gv)["residual"])) <= 1e-13
 
@@ -650,7 +649,7 @@ def worst_rule_error(sol):
     worst = {}
     for kind, kernel in (("gap", kernel_grouped), ("band", kernel_band)):
         orders = refined_orders(b, kind)
-        plain = np.array([not rule.panels for rule in refined_rules(b, kind)], dtype=bool)
+        plain = np.array([not rule.panels for rule in frame_rules(b, kind)], dtype=bool)
         worst[kind] = 0.0
         for k in set(orders[plain].tolist()):
             idx = np.flatnonzero(plain & (orders == k))

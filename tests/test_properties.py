@@ -23,9 +23,8 @@ from equimeasure.kernel import (
     gap_integral,
     gap_jacobian_row,
     kernel_grouped,
-    refined_rules,
 )
-from tests.conftest import density_table, solve_generations, uniform_rules
+from tests.conftest import density_table, frame_rules, solve_generations, uniform_rules
 
 TOL = 1e-13
 # on-set spread of the potential (over 80 random examples the worst was
@@ -117,7 +116,7 @@ def test_a_root_on_a_node_gives_the_mean_of_its_neighbours(case, data):
     lam = np.array(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=b.n_gaps,
                                       max_size=b.n_gaps)))
     i = data.draw(st.integers(0, b.n_gaps - 1))
-    rule = refined_rules(b, "gap")[i]
+    rule = frame_rules(b, "gap")[i]
     node = rule.nodes[data.draw(st.integers(0, rule.order - 1))]
 
     def at(root):

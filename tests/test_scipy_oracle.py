@@ -23,19 +23,20 @@ from equimeasure.analytics import (
     fit_exponential,
 )
 from equimeasure.kernel import (
+    SERIES_OVERSAMPLING,
     QuadratureRule,
     _chebyshev_series,
     _dct2,
     kernel_band,
-    series_orders,
 )
+from tests.conftest import frame_rules
 
 EPS = np.finfo(float).eps
 
 
 def _scipy_series(bands, vars):
     """One scipy DCT-II per band, as the package computed its series before."""
-    orders = series_orders(bands).tolist()
+    orders = [SERIES_OVERSAMPLING * rule.order for rule in frame_rules(bands, "band")]
     coeffs = np.zeros((bands.n_bands, max(orders)))
     for b, m in enumerate(orders):
         samples = kernel_band(QuadratureRule.chebyshev(m).nodes, b, vars)

@@ -346,6 +346,26 @@ def test_each_band_system_must_refine_the_one_before(ternary, asym, ternary_run)
         hierarchical_solve([generate_bands(asym, 1), bands[1]], load=lambda b: sols[1])
 
 
+@pytest.mark.parametrize("loaded", [5, 3, 0])
+def test_only_generations_that_do_not_load_are_started(ternary_run, monkeypatch, loaded):
+    # records for generations 1..loaded: those are checked, never started, and
+    # the generations after them start and solve as in one cold run
+    bands, sols = ternary_run
+    started = []
+
+    def spy(b, *before):
+        started.append(b.generation)
+        return warm_start(b, *before)
+
+    monkeypatch.setattr(solver, "warm_start", spy)
+    got = hierarchical_solve(bands[:5], 1e-13, load=lambda b: (
+        sols[b.generation - 1] if b.generation <= loaded else None))
+    assert started == list(range(loaded + 1, 6))
+    assert all(a is b for a, b in zip(got, sols[:loaded]))
+    for a, b in zip(got[loaded:], sols[loaded:5]):
+        assert a.lambdas.tobytes() == b.lambdas.tobytes()
+
+
 def test_a_sequence_may_start_at_generation_0(ternary, ternary_run):
     # generation 0, the hull alone, has no gaps to start generation 1 from,
     # so the solutions after it are those of a sequence from generation 1
