@@ -89,7 +89,7 @@ from .analytics import (
 )
 from .geometry import (BandSystem, GenerationTooLarge, IfsSystem, InvalidIfs,
                        generations, validate)
-from .kernel import ORDER_RULE, GapVariables, QuadratureRule
+from .kernel import GapVariables, QuadratureRule
 from .solver import (
     EquilibriumSolution,
     SolverError,
@@ -150,8 +150,7 @@ class RunConfig:
 
     ``residual_tol`` is the solver's one setting.  Records and band series
     sidecars in ``output_dir`` (see :class:`SolutionCache`) are always
-    reused when their stored settings equal :attr:`numerics` and
-    :attr:`series_numerics`, and every capacity fit takes the last
+    reused when they bind :attr:`numerics`, and every capacity fit takes the last
     ``MIN_CAPACITY_GENERATIONS`` generations.  ``quadrature_order`` is the
     order of :attr:`rule`, the nodes per band of the point path
     (``potential_at(..., method="nodes")``, the ``V_point`` column of the
@@ -262,20 +261,10 @@ class RunConfig:
 
     @property
     def numerics(self) -> dict:
-        """Every setting a stored record depends on: its ``config``, which must equal this."""
-        return {
-            "ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
-            "residual_tol": self.residual_tol,
-            "step_clamp": solver.STEP_CLAMP,
-            "start_rule": solver.START_RULE,
-            "numerics": ORDER_RULE,
-        }
-
-    @property
-    def series_numerics(self) -> dict:
-        """Every setting a band series sidecar depends on: :attr:`numerics`
-        and the name of the series rule, ``kernel.SERIES_RULE``."""
-        return {**self.numerics, "series": kernel.SERIES_RULE}
+        """Every setting a stored record depends on: the IFS, ``residual_tol``
+        and :func:`~equimeasure.solver.settings`."""
+        return {"ifs": [[m.delta, m.gamma] for m in self.ifs.maps],
+                "residual_tol": self.residual_tol, **solver.settings()}
 
     @property
     def rule(self) -> QuadratureRule:
@@ -298,19 +287,28 @@ class SolutionCache:
     and the band measures (``omega``); the bands follow from the IFS and Ω
     is the running sum of ω.  A sidecar ``series_<n>.bin`` holds the band
     series derived from the roots (``GapVariables.band_series``): one JSON
-    line with the ``generation`` and ``config``
-    (:attr:`RunConfig.series_numerics`), then the roots and the
+    line with the ``generation`` and ``config`` (``numerics`` and
+    :func:`~equimeasure.kernel.series_settings`), then the roots and the
     coefficients as little-endian float64 bytes; deleting one is always
-    safe.  Both bind by one rule, :func:`_binds`.
+    safe.  The cache stamps both with their ``config`` and binds both by one
+    rule, :func:`_binds`.
     """
 
-    def __init__(self, directory: Path):
-        self.directory = Path(directory)
+    def __init__(self, directory: Path, numerics: dict):
+        self.directory, self.numerics = Path(directory), numerics
+        self._series_numerics = {**numerics, **kernel.series_settings()}
 
     def path(self, n: int) -> Path:
         return self.directory / f"gen_{n}.json"
 
-    def load(self, bands: BandSystem, numerics: dict) -> EquilibriumSolution | None:
+    def record(self, sol: EquilibriumSolution) -> dict:
+        """The record of ``sol``, stamped with ``numerics``."""
+        return {"generation": sol.generation, "config": self.numerics,
+                "lambda": sol.lambdas.tolist(), "residuals": sol.residuals.tolist(),
+                "initial_residuals": sol.initial_residuals.tolist(),
+                "iterations_used": sol.iterations_used, "omega": sol.omegas.tolist()}
+
+    def load(self, bands: BandSystem) -> EquilibriumSolution | None:
         """The solution stored for ``bands``, or ``None`` if its record is
         unreadable, does not bind (:func:`_binds`), lacks a key or holds an
         array that does not fit ``bands``, a non-finite value or a
@@ -320,7 +318,7 @@ class SolutionCache:
                  "initial_residuals": bands.n_gaps, "omega": bands.n_bands}
         try:
             record = json.loads(self.path(bands.generation).read_text())
-            if not _binds(record, numerics, bands.generation):
+            if not _binds(record, self.numerics, bands.generation):
                 return None
             a = {key: np.array(record[key], dtype=float) for key in sizes}
             if (any(a[key].shape != (size,) or not np.isfinite(a[key]).all()
@@ -342,7 +340,7 @@ class SolutionCache:
     def series_path(self, n: int) -> Path:
         return self.directory / f"series_{n}.bin"
 
-    def load_series(self, sol: EquilibriumSolution, settings: dict) -> bool:
+    def load_series(self, sol: EquilibriumSolution) -> bool:
         """Seed ``sol``'s band series from its sidecar, if that binds
         (:func:`_binds`), holds exactly these roots and holds coefficients
         the kernel accepts; returns whether it did."""
@@ -354,11 +352,11 @@ class SolutionCache:
             coeffs = coeffs.reshape(sol.vars.bands.n_bands, -1)
         except (OSError, ValueError, RecursionError):  # a missing file or bad bytes
             return False
-        return (_binds(side, settings, sol.generation) and body[:len(roots)] == roots
+        return (_binds(side, self._series_numerics, sol.generation) and body[:len(roots)] == roots
                 and kernel.restore_band_series(sol.vars, coeffs))
 
-    def store_series(self, sol: EquilibriumSolution, settings: dict) -> None:
-        head = json.dumps({"generation": sol.generation, "config": settings})
+    def store_series(self, sol: EquilibriumSolution) -> None:
+        head = json.dumps({"generation": sol.generation, "config": self._series_numerics})
         _atomic_write(self.series_path(sol.generation), b"".join((
             head.encode(), b"\n", sol.lambdas.astype("<f8", copy=False).tobytes(),
             sol.vars.band_series.astype("<f8", copy=False).tobytes())))
@@ -371,18 +369,6 @@ def _binds(header, settings: dict, n: int) -> bool:
             and _is_json(header.get("generation"), int) and header["generation"] == n)
 
 
-def _record_from_solution(cfg: RunConfig, sol: EquilibriumSolution) -> dict:
-    return {
-        "generation": sol.generation,
-        "config": cfg.numerics,
-        "lambda": sol.lambdas.tolist(),
-        "residuals": sol.residuals.tolist(),
-        "initial_residuals": sol.initial_residuals.tolist(),
-        "iterations_used": sol.iterations_used,
-        "omega": sol.omegas.tolist(),
-    }
-
-
 def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     """Solve (or reload) generations ``1..n_max``, writing records as we go.
 
@@ -393,11 +379,9 @@ def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     generations remain on disk and the error propagates with
     ``generation`` and ``solutions_so_far``.
     """
-    cache = SolutionCache(cfg.output_dir)
-    solutions = hierarchical_solve(
-        cfg.band_systems, cfg.residual_tol,
-        lambda bands: cache.load(bands, cfg.numerics),
-        lambda sol: cache.store(_record_from_solution(cfg, sol)))
+    cache = SolutionCache(cfg.output_dir, cfg.numerics)
+    solutions = hierarchical_solve(cfg.band_systems, cfg.residual_tol, cache.load,
+                                   lambda sol: cache.store(cache.record(sol)))
     return [(sol.vars.bands, sol) for sol in solutions]
 
 
@@ -405,12 +389,12 @@ def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
 def _band_series_sidecars(cfg: RunConfig, solved):
     """Seed the band series of ``solved`` from their sidecars where those
     bind, run the block, then write the sidecar of each series it built."""
-    cache, settings = SolutionCache(cfg.output_dir), cfg.series_numerics
-    unrestored = [sol for _, sol in solved if not cache.load_series(sol, settings)]
+    cache = SolutionCache(cfg.output_dir, cfg.numerics)
+    unrestored = [sol for _, sol in solved if not cache.load_series(sol)]
     yield
     for sol in unrestored:
         if kernel.has_band_series(sol.vars):
-            cache.store_series(sol, settings)
+            cache.store_series(sol)
 
 
 def _write_csv(path: Path, header, rows) -> None:

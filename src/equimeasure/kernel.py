@@ -90,8 +90,8 @@ COLLISION_RTOL = 1e-15
 # ``MIN_ORDER`` nodes, and enough that exp(-2 * REFINE_SAFETY) ~ 2e-16 bounds
 # the quadrature error; that bound is optimistic beside wide neighbours, and a
 # floor of 16 keeps those frames at roundoff where 8 loses digits (see
-# ``refined_orders``).  ``ORDER_RULE`` names this rule in the settings each cache
-# record stores; change it whenever the rule changes.
+# ``refined_orders``).  ``ORDER_RULE`` names this rule in :func:`settings`;
+# change it whenever the rule changes.
 MIN_ORDER = 16
 REFINE_SAFETY = 18.0
 PANEL_NODES = 16  # Gauss-Legendre nodes per panel of a graded gap rule
@@ -103,17 +103,30 @@ ORDER_RULE = f"refined-or-graded/min{MIN_ORDER}/safety{REFINE_SAFETY:g}/panel{PA
 # n = 1, whose bands take the floor of 16 nodes or 26); at twice it the
 # spread is at roundoff (4.4e-16), and doubling again moves no mean
 # potential by more than 1.1e-16 (ternary n <= 7, 4/5, 1/10 n <= 9).
-# ``SERIES_RULE`` names how a series is built in the settings each stored
-# series carries; change it whenever ``kernel_band`` or ``_chebyshev_series``
-# changes what they compute.
+# ``SERIES_RULE`` names how a series is built in :func:`series_settings`;
+# change it whenever ``kernel_band`` or ``_chebyshev_series`` changes what
+# they compute.
 SERIES_OVERSAMPLING = 2
 SERIES_RULE = f"dct2/oversampling{SERIES_OVERSAMPLING}/v1"
 
 _PROD_BLOCK = 256  # rows per block when accumulating long factor products
+# Nodes per piece of a row's dot in ``_weighted_sums``: OpenBLAS threads a dot
+# of over 10 000 elements, whose bits then follow the thread count.
+_DOT_PIECE = 8192
 # Elements per temporary of every blocked loop in kernel, solver and analytics,
 # read at each call: 2**15 raised the ternary-solve peak RSS by 0.4 MB, and the
 # mean path runs within 6% of its fastest at 2**14.
 BLOCK_ELEMS = 1 << 14
+
+
+def settings() -> dict:
+    """The kernel's settings that a stored solution binds, read at each call."""
+    return {"numerics": ORDER_RULE, "prod_block": _PROD_BLOCK, "dot_piece": _DOT_PIECE}
+
+
+def series_settings() -> dict:
+    """Those that a stored band series binds besides, read at each call."""
+    return {"series": SERIES_RULE}
 
 
 class ExactNodeCollision(ValueError):
@@ -398,9 +411,13 @@ def _grouped_reduced(x: np.ndarray, idx: np.ndarray, vars: GapVariables):
 
 def _weighted_sums(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``f[k] @ w`` for every row: one BLAS dot per row (``matmul`` of 1 x K by
-    K x 1 blocks), so each value is bitwise the one-row product.  OpenBLAS
-    runs a dot on one thread below 10 000 nodes."""
-    return np.matmul(f[:, None, :], w[:, None])[:, 0, 0]
+    K x 1 blocks), so each value is bitwise the one-row product.  A row of
+    over ``_DOT_PIECE`` nodes sums the dots of its pieces in order, so every
+    dot runs on one OpenBLAS thread whatever the thread count."""
+    sums = np.matmul(f[:, None, :_DOT_PIECE], w[:_DOT_PIECE, None])[:, 0, 0]
+    for s in range(_DOT_PIECE, w.size, _DOT_PIECE):
+        sums += np.matmul(f[:, None, s : s + _DOT_PIECE], w[s : s + _DOT_PIECE, None])[:, 0, 0]
+    return sums
 
 
 def _shaped(values: np.ndarray, x, scalar: bool):

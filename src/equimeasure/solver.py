@@ -45,15 +45,19 @@ from .kernel import (
     rule_groups,
 )
 
-_GMRES_RTOL = 1e-14  # relative residual of the Jacobi-scaled Newton system
-
 MAX_ITERATIONS = 200  # Newton iterations per generation before NoConvergence
 # Margin kept between any iterate and the ends of (-1, 1): a root reaching
 # its gap boundary would flip the sign of the density and void the equations.
-STEP_CLAMP = 1e-9  # stored in each cache record's settings (cli.RunConfig.numerics)
-# The name of warm_start's rule, stored in the records' settings as well: a
-# record's initial residuals depend on the start.
-START_RULE = "self-similar"
+STEP_CLAMP = 1e-9  # in settings(), as every constant here that moves a result
+START_RULE = "self-similar"  # warm_start's rule: initial residuals depend on it
+_GMRES_RTOL = 1e-14  # relative residual of the Jacobi-scaled Newton system
+
+
+def settings() -> dict:
+    """The settings that a stored solution binds, read at each call: the
+    solver's and the kernel's (:func:`~equimeasure.kernel.settings`)."""
+    return {"step_clamp": STEP_CLAMP, "start_rule": START_RULE,
+            "gmres_rtol": _GMRES_RTOL, **kernel.settings()}
 
 
 class SolverError(RuntimeError):

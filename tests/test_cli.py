@@ -184,7 +184,7 @@ class TestRunConfig:
     def test_fingerprint_names_the_order_rule(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
         base = RunConfig.from_file(path).numerics
-        monkeypatch.setattr(cli, "ORDER_RULE", "uniform")
+        monkeypatch.setattr(kernel, "ORDER_RULE", "uniform")
         assert RunConfig.from_file(path).numerics != base
 
     def test_numerics_are_the_ifs_tolerances_and_order_rule(self, tmp_path):
@@ -192,21 +192,40 @@ class TestRunConfig:
         assert cfg.numerics == {"ifs": [[1 / 3, -1.0], [1 / 3, 1.0]],
                                 "residual_tol": 1e-13, "step_clamp": solver.STEP_CLAMP,
                                 "start_rule": solver.START_RULE,
-                                "numerics": cli.ORDER_RULE}
+                                "gmres_rtol": solver._GMRES_RTOL,
+                                "numerics": kernel.ORDER_RULE,
+                                "prod_block": kernel._PROD_BLOCK,
+                                "dot_piece": kernel._DOT_PIECE}
         assert cfg.residual_tol == 1e-13
+
+    @pytest.mark.parametrize("module, name, value", [
+        (kernel, "_PROD_BLOCK", 128), (solver, "_GMRES_RTOL", 1e-12),
+        (kernel, "_DOT_PIECE", 4096)])
+    def test_numerics_name_each_constant_that_moves_a_result(self, tmp_path, monkeypatch,
+                                                             module, name, value):
+        path = write_config(tmp_path)
+        base = RunConfig.from_file(path).numerics
+        monkeypatch.setattr(module, name, value)
+        assert RunConfig.from_file(path).numerics != base
 
     def test_fingerprint_keeps_the_stored_records_valid(self, tmp_path, monkeypatch):
         # records store exactly this config text, so they are reused as they
         # are; records of midpoint starts, whose config named no start rule,
-        # hold other initial residuals and are solved again once
+        # hold other initial residuals and are solved again once, as are
+        # records whose config named no product block, GMRES tolerance or
+        # dot piece
         path = write_config(tmp_path)
-        text = ('{"ifs": [[0.3333333333333333, -1.0], [0.3333333333333333, 1.0]], '
-                f'"numerics": "{cli.ORDER_RULE}", "residual_tol": 1e-12, '
+        text = ('{"dot_piece": 8192, "gmres_rtol": 1e-14, '
+                '"ifs": [[0.3333333333333333, -1.0], [0.3333333333333333, 1.0]], '
+                f'"numerics": "{kernel.ORDER_RULE}", "prod_block": 256, "residual_tol": 1e-12, '
                 f'"start_rule": "{solver.START_RULE}", "step_clamp": 1e-09}}')
         stored = json.loads(text)
         assert RunConfig.from_file(path).numerics == stored
         old = text.replace(f'"start_rule": "{solver.START_RULE}", ', "")
         assert RunConfig.from_file(path).numerics != json.loads(old)
+        unnamed = {k: v for k, v in stored.items()
+                   if k not in ("dot_piece", "gmres_rtol", "prod_block")}
+        assert RunConfig.from_file(path).numerics != unnamed
         monkeypatch.setattr(solver, "STEP_CLAMP", 1e-8)
         assert RunConfig.from_file(path).numerics != stored
         monkeypatch.setattr(solver, "STEP_CLAMP", 1e-9)
@@ -478,7 +497,7 @@ class TestSolveCommand:
         # records written before gaps could take graded rules
         path = write_config(tmp_path)
         with monkeypatch.context() as m:
-            m.setattr(cli, "ORDER_RULE", "refined-even/min32/safety18")
+            m.setattr(kernel, "ORDER_RULE", "refined-even/min32/safety18")
             assert main(["solve", "--config", str(path)]) == 0
         calls = _count_solves(monkeypatch)
         solve_all(RunConfig.from_file(path))
@@ -668,9 +687,9 @@ class TestFiguresCommand:
         monkeypatch.setenv(cli.OUTDIR_ENV, str(warm))
         opened, load_series = [], SolutionCache.load_series
 
-        def spying(self, sol, settings):
+        def spying(self, sol):
             opened.append(sol.generation)
-            return load_series(self, sol, settings)
+            return load_series(self, sol)
 
         monkeypatch.setattr(SolutionCache, "load_series", spying)
         assert main(["figures", "--config", str(run_dir.parent / "config.json"),
@@ -1141,39 +1160,39 @@ def _damage(out: Path, kind: str) -> str:
 
 
 class TestSolutionCache:
-    # load(bands, numerics) returns the solution a record holds, or None
+    # load(bands) returns the solution a record holds under the cache's
+    # numerics, or None
 
     def _solved(self, tmp_path) -> tuple[SolutionCache, RunConfig]:
         path = write_config(tmp_path)
         assert main(["solve", "--config", str(path)]) == 0
         cfg = RunConfig.from_file(path)
-        return SolutionCache(cfg.output_dir), cfg
+        return SolutionCache(cfg.output_dir, cfg.numerics), cfg
 
     def test_a_record_loads_into_the_solution_it_stores(self, tmp_path, capsys):
         cache, cfg = self._solved(tmp_path)
         for cold in solve_generations(cfg.ifs, cfg.n_max, cfg.residual_tol):
-            sol = cache.load(cold.vars.bands, cfg.numerics)
+            sol = cache.load(cold.vars.bands)
             assert sol.vars.bands is cold.vars.bands
             for name in ("lambdas", "residuals", "initial_residuals", "omegas", "Omegas"):
                 assert getattr(sol, name).tobytes() == getattr(cold, name).tobytes(), name
             assert sol.iterations_used == cold.iterations_used
 
     def test_corrupt_record_ignored(self, tmp_path):
-        cache = SolutionCache(tmp_path)
+        cache = SolutionCache(tmp_path, {"a": 1})
         bands = generate_bands(IfsSystem.from_pairs(BASE_CONFIG["ifs"]), 1)
-        assert cache.load(bands, {"a": 1}) is None  # no record at all
+        assert cache.load(bands) is None  # no record at all
         (tmp_path / "gen_1.json").write_text("{ not json")
-        assert cache.load(bands, {"a": 1}) is None
+        assert cache.load(bands) is None
 
     def test_wrong_fingerprint_ignored(self, tmp_path, capsys):
         # a record is served only under the settings it stores
         cache, cfg = self._solved(tmp_path)
         bands, numerics = generate_bands(cfg.ifs, 2), cfg.numerics
-        assert cache.load(bands, numerics) is not None
-        assert cache.load(bands, {**numerics, "residual_tol": 1e-13}) is None
-        assert cache.load(bands, {**numerics, "b": 1}) is None
-        assert cache.load(bands, {k: v for k, v in numerics.items()
-                                  if k != "start_rule"}) is None
+        assert cache.load(bands) is not None
+        for other in ({**numerics, "residual_tol": 1e-13}, {**numerics, "b": 1},
+                      {k: v for k, v in numerics.items() if k != "start_rule"}):
+            assert SolutionCache(cache.directory, other).load(bands) is None
 
     def test_a_damaged_record_loads_as_none(self, tmp_path, capsys):
         # each damaged record is a miss, and only that one
@@ -1183,7 +1202,7 @@ class TestSolutionCache:
             for name, data in cold.items():
                 (cache.directory / name).write_bytes(data)
             n = int(_damage(cache.directory, kind)[4])
-            loaded = [cache.load(generate_bands(cfg.ifs, m), cfg.numerics) is not None
+            loaded = [cache.load(generate_bands(cfg.ifs, m)) is not None
                       for m in (1, 2, 3)]
             assert loaded == [m != n for m in (1, 2, 3)], kind
 
@@ -1277,7 +1296,8 @@ def test_records_of_the_former_layout_are_reused_as_they_are(tmp_path, capsys,
 @pytest.mark.parametrize("key, value", [
     pytest.param("start_rule", None, id="no-start_rule"),  # a record of midpoint starts
     ("ifs", [[1 / 3, -1.0], [0.3, 1.0]]), ("residual_tol", 1e-13), ("step_clamp", 1e-8),
-    ("start_rule", "midpoint"), ("numerics", "uniform")])
+    ("start_rule", "midpoint"), ("numerics", "uniform"), ("gmres_rtol", 1e-12),
+    ("prod_block", 128), ("dot_piece", 4096)])
 def test_a_record_under_other_settings_is_solved_again(tmp_path, monkeypatch, key, value):
     path = str(write_config(tmp_path))
     out = tmp_path / "out"
@@ -1294,6 +1314,25 @@ def test_a_record_under_other_settings_is_solved_again(tmp_path, monkeypatch, ke
     assert main(["solve", "--config", path]) == 0
     assert calls == [2]
     assert {p.name: p.read_bytes() for p in out.glob("gen_*.json")} == cold
+
+
+def test_records_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # gaps 4e-7 of the hull: every band rule has 14 232 nodes, over the
+    # length at which OpenBLAS threads a dot
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = "import sys; from equimeasure.cli import main; sys.exit(main(sys.argv[1:]))"
+    records = []
+    for threads in ("1", "2"):
+        path = write_config(tmp_path, ifs=[[0.4999999, -1.0], [0.4999999, 1.0]], n_max=2,
+                            output_dir=str(tmp_path / threads))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script, "solve", "--config", str(path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        records.append(_files(tmp_path / threads, "gen_*.json"))
+    assert sorted(records[0]) == ["gen_1.json", "gen_2.json"]
+    assert records[0] == records[1]
 
 
 def _read_sidecar(path: Path) -> tuple[dict, np.ndarray]:
@@ -1372,8 +1411,8 @@ class TestSeriesSidecars:
         assert main(["figures", "--config", path, "--which", "potential_profile"]) == 0
         assert sorted(_files(out, "series_*.bin")) == [f"series_{n}.bin" for n in (1, 2, 3, 4)]
         read, load_series = [], SolutionCache.load_series
-        monkeypatch.setattr(SolutionCache, "load_series", lambda self, sol, settings: (
-            read.append(sol.generation) or load_series(self, sol, settings)))
+        monkeypatch.setattr(SolutionCache, "load_series", lambda self, sol: (
+            read.append(sol.generation) or load_series(self, sol)))
         monkeypatch.setattr(kernel, "_chebyshev_series", _series_must_not_build)
         assert main(["potential", "--config", path, "--points=-0.9:0.9:5"]) == 0
         assert read == [4]
@@ -1410,7 +1449,7 @@ class TestSeriesSidecars:
             with monkeypatch.context() as m:
                 m.setattr(kernel, attr, value)
                 cfg = RunConfig.from_file(path)
-                SolutionCache(out).store_series(solve_all(cfg)[1][1], cfg.series_numerics)
+                SolutionCache(out, cfg.numerics).store_series(solve_all(cfg)[1][1])
             side, values = _read_sidecar(stale)
             factor = 2 if attr == "SERIES_OVERSAMPLING" else 1
             assert len(values) == gaps + factor * coefficients

@@ -622,6 +622,32 @@ def test_chunk_size_moves_no_value(asym, monkeypatch, chunk):
     assert np.array_equal(solver.jacobian(gv), jac)
 
 
+@pytest.mark.parametrize("nodes", [1, 8191, 8192])
+def test_a_row_within_one_piece_is_one_dot(nodes):
+    # such a row takes the one BLAS dot it always took
+    rng = np.random.default_rng(nodes)
+    f, w = rng.standard_normal((3, nodes)), rng.random(nodes)
+    assert kernel_module._DOT_PIECE == 8192
+    want = [np.matmul(row[None, :], w[:, None])[0, 0] for row in f]
+    assert kernel_module._weighted_sums(f, w).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("nodes", [8193, 14232, 3 * 8192 + 5])
+def test_a_longer_row_sums_its_pieces_in_order(nodes):
+    # each piece stays below OpenBLAS's threaded dot, so the sum does not
+    # depend on the BLAS thread count
+    rng = np.random.default_rng(nodes)
+    f, w = rng.standard_normal((3, nodes)), rng.random(nodes)
+    piece = kernel_module._DOT_PIECE
+    want = []
+    for row in f:
+        total = np.matmul(row[None, :piece], w[:piece, None])[0, 0]
+        for s in range(piece, nodes, piece):
+            total += np.matmul(row[None, s : s + piece], w[s : s + piece, None])[0, 0]
+        want.append(total)
+    assert kernel_module._weighted_sums(f, w).tobytes() == np.array(want).tobytes()
+
+
 def test_roots_on_nodes_of_a_shared_rule(ternary):
     # the roots of gaps 2 and 5 on nodes of the rule every gap shares: the
     # batched residuals and rows are finite, and the residuals keep their
