@@ -88,15 +88,19 @@ NODE_COLLISION_RTOL = 1e-12
 MIN_CAPACITY_GENERATIONS = 4
 
 
-class OutOfHull(ValueError):
+class AnalyticsError(Exception):
+    """Base class for the analytics failures the CLI reports as exit 3."""
+
+
+class OutOfHull(AnalyticsError, ValueError):
     """Point lies outside the convex hull of the band system."""
 
 
-class PersistentCollision(RuntimeError):
+class PersistentCollision(AnalyticsError, RuntimeError):
     """A point kept colliding with quadrature nodes after raising the order."""
 
 
-class NonMonotoneInput(ValueError):
+class NonMonotoneInput(AnalyticsError, ValueError):
     """Successive differences change sign or vanish; no decaying exponential fits.
 
     From :func:`capacity_estimate` it carries the potentials it could not

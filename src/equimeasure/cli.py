@@ -21,19 +21,19 @@ with load and store hooks on the record cache,
 output directory, holding only what the solver produced.  A record is
 reused on rerun only when the settings it stores equal
 :attr:`RunConfig.numerics`, so a reused record cannot disagree with the
-run that reads it.  ``capacity``,
-``figures`` and ``potential`` seed each solution's band series from its
-sidecar ``series_<n>.bin`` where that binds, and write the sidecar of
-every series they built; ``solve`` writes none, nor does a library call to
-:func:`write_figure`.  ``quadrature_order`` sets only the nodes per band
-of the point path (see :class:`RunConfig`), so a run at another order
-reuses the stored records.  The Jacobian figure is the
-solver's :func:`~equimeasure.solver.jacobian` at the deepest solution,
-built from one residual pass as in the Newton loop.  Line ids
-(``"<birth generation>:<gap>"``) follow the band systems' ``parents``.
-Grids are evaluated in one call per generation.  All files are written
-atomically (temp file + rename).  Figure data files are plain CSV with a
-header row and 17-digit floats.
+run that reads it.  Before it evaluates, ``capacity`` (every generation),
+``figures`` (every generation, when a figure needs the series) and
+``potential`` (the deepest) read each band series from its sidecar
+``series_<n>.bin`` where that binds, else build it and write its sidecar;
+``solve`` writes none, nor does a library call to :func:`write_figure`.
+``quadrature_order`` sets only the nodes per band of the point path (see
+:class:`RunConfig`), so a run at another order reuses the stored records.
+The Jacobian figure is the solver's :func:`~equimeasure.solver.jacobian`
+at the deepest solution, built from one residual pass as in the Newton
+loop.  Line ids (``"<birth generation>:<gap>"``) follow the band systems'
+``parents``.  Grids are evaluated in one call per generation.  All files
+are written atomically (temp file + rename).  Figure data files are plain
+CSV with a header row and 17-digit floats.
 
 Exit codes, each failure with a one-line message on stderr:
 
@@ -51,7 +51,8 @@ Exit codes, each failure with a one-line message on stderr:
   ``generations`` rejects, or a run that fails what its figures need
   (``FIGURE_NEEDS``);
 - 3 solver or analytics failure: a :class:`~equimeasure.solver.SolverError`
-  (no convergence or a singular Jacobian), or a mean-path capacity fit
+  (no convergence or a singular Jacobian), or an
+  :class:`~equimeasure.analytics.AnalyticsError`: a mean-path capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
   collision that survives every order bump (``PersistentCollision``) or a
   point off the hull or the bands (``OutOfHull``); a point-path fit that
@@ -62,7 +63,6 @@ Exit codes, each failure with a one-line message on stderr:
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -78,10 +78,9 @@ import numpy as np
 from . import kernel, solver
 from .analytics import (
     MIN_CAPACITY_GENERATIONS,
+    AnalyticsError,
     CapacityEstimate,
     NonMonotoneInput,
-    OutOfHull,
-    PersistentCollision,
     capacity_estimate,
     fit_exponential,
     integrated_measure_at,
@@ -279,7 +278,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 class SolutionCache:
     """The per-generation records of one output directory, and beside each
-    the band series sidecar analytics wrote for it.
+    the band series sidecar a command read or wrote before it evaluated.
 
     A record ``gen_<n>.json`` holds only what the solver produced: the
     ``generation``, the settings it was solved under (``config``), the roots
@@ -385,16 +384,14 @@ def solve_all(cfg: RunConfig) -> list[tuple[BandSystem, EquilibriumSolution]]:
     return [(sol.vars.bands, sol) for sol in solutions]
 
 
-@contextlib.contextmanager
-def _band_series_sidecars(cfg: RunConfig, solved):
-    """Seed the band series of ``solved`` from their sidecars where those
-    bind, run the block, then write the sidecar of each series it built."""
+def _read_or_build_series(cfg: RunConfig, solved) -> None:
+    """Give each solution of ``solved`` its band series before it is
+    evaluated: restored from its sidecar where that binds, else built and
+    its sidecar written at once."""
     cache = SolutionCache(cfg.output_dir, cfg.numerics)
-    unrestored = [sol for _, sol in solved if not cache.load_series(sol)]
-    yield
-    for sol in unrestored:
-        if kernel.has_band_series(sol.vars):
-            cache.store_series(sol)
+    for _, sol in solved:
+        if not cache.load_series(sol):
+            cache.store_series(sol)  # reading ``band_series`` builds it
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -537,20 +534,20 @@ def cmd_figures(cfg: RunConfig, which: str) -> int:
     needs = {need: f"the {name} figure" for name in names for need in FIGURE_NEEDS[name]}
     _require(cfg, needs)
     solved = solve_all(cfg)
-    with _band_series_sidecars(cfg, solved if "series" in needs else []):
-        for name in names:
-            path = write_figure(cfg, name, solved)
-            print(f"wrote {path}")
+    _read_or_build_series(cfg, solved if "series" in needs else [])
+    for name in names:
+        path = write_figure(cfg, name, solved)
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
     _require(cfg, dict.fromkeys(FIGURE_NEEDS["capacity_table"], "capacity"))
     solved = solve_all(cfg)
-    with _band_series_sidecars(cfg, solved):
-        header, rows = _capacity_rows(cfg, solved)
-        path = cfg.output_dir / "capacity_table.csv"
-        _write_csv(path, header, rows)
+    _read_or_build_series(cfg, solved)
+    header, rows = _capacity_rows(cfg, solved)
+    path = cfg.output_dir / "capacity_table.csv"
+    _write_csv(path, header, rows)
     print(f"wrote {path}")
     *_, capacity_point, a, b, c, capacity_mean = rows[-1]
     print(f"fit over last {MIN_CAPACITY_GENERATIONS} generations (mean path): "
@@ -587,11 +584,11 @@ def cmd_potential(cfg: RunConfig, points_spec: str) -> int:
     pts = _parse_points(points_spec)
     _require(cfg, dict.fromkeys(FIGURE_NEEDS["potential_profile"], "potential"))
     solved = solve_all(cfg)
+    _read_or_build_series(cfg, solved[-1:])
     bands, sol = solved[-1]
-    with _band_series_sidecars(cfg, solved[-1:]):
-        values = potential_at(pts, sol, bands, cfg.rule)
-        path = cfg.output_dir / "potential_points.csv"
-        _write_csv(path, ["x", "V"], zip(pts, values))
+    values = potential_at(pts, sol, bands, cfg.rule)
+    path = cfg.output_dir / "potential_points.csv"
+    _write_csv(path, ["x", "V"], zip(pts, values))
     print(f"wrote {path}")
     return 0
 
@@ -649,7 +646,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failed at generation {exc.generation}: {exc}", file=sys.stderr)
         return 3
-    except (NonMonotoneInput, PersistentCollision, OutOfHull) as exc:
+    except AnalyticsError as exc:
         print(f"analytics failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

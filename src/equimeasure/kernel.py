@@ -63,8 +63,8 @@ DCT-II (one numpy FFT per series length) gives ``F = sum_j c_j T_j``;
 ``c_0`` is the band measure, and the table is :func:`series_width` wide.
 A series stored earlier for the same roots can seed that memo instead
 (:func:`restore_band_series`), so a caller that keeps the coefficients
-evaluates no kernel and imports no ``numpy.fft``; :func:`has_band_series`
-tells whether the memo holds one.
+evaluates no kernel and imports no ``numpy.fft``; the CLI reads or builds
+the series of each solution a command evaluates before it evaluates any.
 
 Results depend only on the arguments, and node sums run in a fixed order,
 so values are reproducible; the only state is memos of rules and of the
@@ -251,11 +251,6 @@ def restore_band_series(vars: GapVariables, coeffs: np.ndarray) -> bool:
     coeffs.flags.writeable = False
     vars.__dict__["band_series"] = coeffs  # where cached_property keeps its value
     return True
-
-
-def has_band_series(vars: GapVariables) -> bool:
-    """Whether ``vars.band_series`` is built or restored yet."""
-    return "band_series" in vars.__dict__
 
 
 def _to_frame(y, lo, hi):

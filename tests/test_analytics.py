@@ -1,7 +1,11 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -935,6 +939,29 @@ class TestFitExponential:
         # three distinct n, but the closed form needs them equally spaced
         with pytest.raises(ValueError, match="equally spaced"):
             fit_exponential([(1, 1.0), (2, 0.5), (4, 0.3)])
+
+
+def test_node_values_and_fits_do_not_depend_on_the_blas_thread_count():
+    # one table of every cosine moved the values of a random 3 x 2475 series
+    # at order 2051 between one and two threads; tables of at most
+    # BLOCK_ELEMS cosines do not.  A 4-point fit takes lstsq at each step
+    src = str(Path(analytics.__file__).resolve().parents[1])
+    script = (
+        "import sys, numpy as np\n"
+        "from equimeasure.analytics import _values_at_nodes, fit_exponential\n"
+        "c = np.random.default_rng(0).standard_normal((3, 2475))\n"
+        "fit = fit_exponential([(4, 0.8077), (5, 0.81221), (6, 0.814392), (7, 0.815509)])\n"
+        "sys.stdout.buffer.write(_values_at_nodes(c, 2051).tobytes() + np.array(fit).tobytes())\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 8 * (3 * 2051 + 3)
+    assert outputs[0] == outputs[1]
 
 
 class TestCapacityEstimate:

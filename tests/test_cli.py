@@ -1033,6 +1033,26 @@ class TestAnalyticsErrors:
         assert err.startswith("analytics failed: OutOfHull: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_every_analytics_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # main maps the base class, so a failure it has never named exits 3 too;
+        # the band series were read or built before the command evaluated, so
+        # their sidecars stay
+        class Unforeseen(analytics.AnalyticsError):
+            pass
+
+        def fails(*args, **kwargs):
+            raise Unforeseen("no estimate")
+
+        monkeypatch.setattr(cli, "capacity_estimate", fails)
+        code, err = self._capacity(tmp_path, capsys)
+        assert code == 3
+        assert err == "analytics failed: Unforeseen: no estimate\n"
+        assert sorted(_files(tmp_path / "out", "series_*.bin")) == [
+            f"series_{n}.bin" for n in (1, 2, 3, 4)]
+        assert issubclass(analytics.OutOfHull, ValueError)
+        assert issubclass(analytics.PersistentCollision, RuntimeError)
+        assert issubclass(analytics.NonMonotoneInput, ValueError)
+
 
 def _fresh_interpreter(script: str) -> str:
     """The last line ``script`` prints in a new interpreter that imports the

@@ -99,8 +99,10 @@ class TestChebyshevTransforms:
         # at the series lengths and orders of the ternary and 4/5, 1/10 runs,
         # and at orders 3 x 528 + 1 and 6 x 320 + 1, whose last node would
         # make a block of its own at M = 32 and 52.
-        # A threaded BLAS splits a long product its own way: with two threads,
-        # M = 2475 at order 2051 moved values, so longer series are not checked
+        # A threaded BLAS splits a long product its own way, so a whole table
+        # is not the reference there: with two threads, one table of M = 2475
+        # at order 2051 moved values, and the blocks do not
+        # (test_node_values_and_fits_do_not_depend_on_the_blas_thread_count)
         c = np.exp(-0.01 * np.arange(m)) * np.random.default_rng(m).standard_normal((3, m))
         for order in (256, 1585, 1921, 2047, 2048):
             monkeypatch.setattr(kernel, "BLOCK_ELEMS", 1 << 40)
