@@ -101,12 +101,7 @@ class PersistentCollision(AnalyticsError, RuntimeError):
 
 
 class NonMonotoneInput(AnalyticsError, ValueError):
-    """Successive differences change sign or vanish; no decaying exponential fits.
-
-    From :func:`capacity_estimate` it carries the potentials it could not
-    fit, as ``per_generation``."""
-
-    per_generation: tuple = ()
+    """Successive differences change sign or vanish; no decaying exponential fits."""
 
 
 @dataclass(frozen=True)
@@ -522,49 +517,48 @@ def fit_exponential(points) -> tuple[float, float, float]:
     return float(p[0]), float(p[1]), float(p[2])
 
 
-def capacity_estimate(solutions, rule: QuadratureRule,
-                      sample_count: int = 4096, mode: str = "mean",
-                      point: float | None = None) -> CapacityEstimate:
-    """Capacities per generation and their extrapolation to the attractor.
+def _estimate(per_gen: tuple) -> CapacityEstimate:
+    """``per_gen``, ``(generation, -log C)`` pairs, with the exponential fit of
+    its last ``MIN_CAPACITY_GENERATIONS`` (values constant to 1e-12 are their
+    own limit) and the extrapolated capacity ``exp(-a)``."""
+    ys = np.array([v for _, v in per_gen])
+    fit = ((float(ys[-1]), 0.0, math.inf) if np.all(np.abs(np.diff(ys)) < 1e-12)
+           else fit_exponential(per_gen[-MIN_CAPACITY_GENERATIONS:]))
+    return CapacityEstimate(per_gen, fit, math.exp(-fit[0]))
 
-    ``-log C`` of each generation is the constant potential on its bands,
-    read either as the mean over deterministic sample points in the deepest
-    generation (``mode="mean"``) or as the plain node-sum potential of one
-    fixed point (``mode="point"``, a Gauss-Chebyshev ``rule`` only,
-    reproducing the coarser single-point gauge).  Each solution carries its
-    band system (``vars.bands``).  All generations are evaluated in one
-    pass over one stack of their bands (:func:`_potentials`), and each value
-    depends on its own generation's bands alone: it is that generation's own
+
+def capacity_estimate(solutions, rule: QuadratureRule, sample_count: int = 4096,
+                      point: float | None = None) -> tuple[CapacityEstimate, CapacityEstimate]:
+    """Both gauges of each generation's capacity and their extrapolation to
+    the attractor: ``(mean, point)``.
+
+    ``-log C`` is the constant potential on the bands, read as its mean over
+    ``sample_count`` sample points on the deepest generation's bands, and as
+    the node sum of ``rule`` (Gauss-Chebyshev) at ``point``, by default the
+    middle of the deepest generation's first band; a point off its bands
+    raises :class:`OutOfHull`.  Each gauge takes one :func:`_potentials`
+    pass over all generations, each value its generation's own
     :func:`mean_potential_on_attractor_points` or :func:`potential_at` to
-    the bit.  The last ``MIN_CAPACITY_GENERATIONS`` generations feed the
-    exponential fit; the extrapolated capacity is ``exp(-a)``.  A fit that
-    fails raises :class:`NonMonotoneInput` carrying the per-generation values.
+    the bit, and fits its last ``MIN_CAPACITY_GENERATIONS`` values; the
+    capacity is ``exp(-a)``.  A failed mean fit raises
+    :class:`NonMonotoneInput`; a failed point fit gives fit ``(nan, nan,
+    nan)`` and a nan capacity.
     """
     if len(solutions) < MIN_CAPACITY_GENERATIONS:
         raise ValueError(f"need at least {MIN_CAPACITY_GENERATIONS} solved generations")
-    if mode not in ("mean", "point"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "point" and (point is None or rule is None):
-        raise ValueError(f"mode='point' needs a {'point' if point is None else 'quadrature rule'}")
+    if rule is None or rule.panels:  # None would read the series, not the node sum
+        raise ValueError("the point gauge needs a quadrature rule of Gauss-Chebyshev nodes, "
+                         f"got {'None' if rule is None else f'panels {rule.panels}'}")
+    deepest, gens = solutions[-1].vars.bands, [sol.generation for sol in solutions]
+    if point is None:  # the middle of the deepest generation's first band
+        point = float(0.5 * (deepest.alphas[0] + deepest.betas[0]))
+    elif _hosts(deepest, [point])[0] < 0:
+        raise OutOfHull(f"point {point!r} lies on no band of generation {deepest.generation}")
 
-    if mode == "mean":
-        values = _mean_potentials(solutions, sample_points(solutions[-1].vars.bands,
-                                                           sample_count))
-    else:
-        values = _potentials(np.asarray(point).ravel(), solutions, rule)[:, 0].tolist()
-    per_gen = [(sol.generation, v) for sol, v in zip(solutions, values)]
-
-    ys = np.array([v for _, v in per_gen])
-    if np.all(np.abs(np.diff(ys)) < 1e-12):
-        a, b, c = float(ys[-1]), 0.0, math.inf
-    else:
-        try:
-            a, b, c = fit_exponential(per_gen[-MIN_CAPACITY_GENERATIONS:])
-        except NonMonotoneInput as exc:
-            exc.per_generation = tuple(per_gen)
-            raise
-    return CapacityEstimate(
-        per_generation=tuple(per_gen),
-        fit=(a, b, c),
-        extrapolated_capacity=math.exp(-a),
-    )
+    mean = _estimate(tuple(zip(gens, _mean_potentials(
+        solutions, sample_points(deepest, sample_count)))))
+    per_gen = tuple(zip(gens, _potentials(np.array([point]), solutions, rule)[:, 0].tolist()))
+    try:
+        return mean, _estimate(per_gen)
+    except NonMonotoneInput:  # the coarse gauge stands without its fit
+        return mean, CapacityEstimate(per_gen, (math.nan,) * 3, math.nan)

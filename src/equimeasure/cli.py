@@ -14,14 +14,15 @@ begin with ``-`` (``--points -1:1:5``) and the last of a repeated option
 counts.  ``-h`` or ``--help`` in place of the command or an option prints
 the usage above and exits 0.
 
-The config is a single JSON document (see ``RunConfig``).  :func:`solve_all`
-passes generations ``1..n_max`` to :func:`~equimeasure.solver.hierarchical_solve`
-with load and store hooks on the record cache,
-:class:`SolutionCache`: one ``gen_<n>.json`` record per generation in the
-output directory, holding only what the solver produced.  A record is
-reused on rerun only when the settings it stores equal
-:attr:`RunConfig.numerics`, so a reused record cannot disagree with the
-run that reads it.  Before it evaluates, ``capacity`` (every generation),
+The config is a single JSON document (see ``RunConfig``); a non-empty
+``EQUIMEASURE_OUTDIR`` in the environment overrides its ``output_dir``.
+:func:`solve_all` passes generations ``1..n_max`` to
+:func:`~equimeasure.solver.hierarchical_solve` with load and store hooks on
+the record cache, :class:`SolutionCache`: one ``gen_<n>.json`` record per
+generation in the output directory, holding only what the solver produced.
+A record is reused on rerun only when the settings it stores equal
+:attr:`RunConfig.numerics`, so a reused record cannot disagree with the run
+that reads it.  Before it evaluates, ``capacity`` (every generation),
 ``figures`` (every generation, when a figure needs the series) and
 ``potential`` (the deepest) read each band series from its sidecar
 ``series_<n>.bin`` where that binds, else build it and write its sidecar;
@@ -55,9 +56,10 @@ Exit codes, each failure with a one-line message on stderr:
   :class:`~equimeasure.analytics.AnalyticsError`: a mean-path capacity fit
   over non-monotone potentials (``NonMonotoneInput``), a point-path node
   collision that survives every order bump (``PersistentCollision``) or a
-  point off the hull or the bands (``OutOfHull``); a point-path fit that
-  fails leaves its ``V_point`` column and writes ``nan`` for its fit and
-  capacity, as ``gapmeasure_fit`` does;
+  point off the hull or the bands (``OutOfHull``).  A point-path fit that
+  fails is no error: :func:`~equimeasure.analytics.capacity_estimate` keeps
+  its ``V_point`` column and gives ``nan`` for its fit and capacity, as
+  ``gapmeasure_fit`` writes ``nan`` for a fit that fails;
 - 4 I/O error.
 """
 
@@ -79,8 +81,6 @@ from . import kernel, solver
 from .analytics import (
     MIN_CAPACITY_GENERATIONS,
     AnalyticsError,
-    CapacityEstimate,
-    NonMonotoneInput,
     capacity_estimate,
     fit_exponential,
     integrated_measure_at,
@@ -149,14 +149,17 @@ class RunConfig:
 
     ``residual_tol`` is the solver's one setting.  Records and band series
     sidecars in ``output_dir`` (see :class:`SolutionCache`) are always
-    reused when they bind :attr:`numerics`, and every capacity fit takes the last
-    ``MIN_CAPACITY_GENERATIONS`` generations.  ``quadrature_order`` is the
-    order of :attr:`rule`, the nodes per band of the point path
-    (``potential_at(..., method="nodes")``, the ``V_point`` column of the
-    capacity table), which sums them only on the bands that rule cannot
-    resolve to roundoff.  Every other potential, capacity and integrated
-    measure comes from per-band Chebyshev series sized by the geometry, as
-    are the solver's rules.  Values are typed as in JSON: counts are
+    reused when they bind :attr:`numerics`; :meth:`from_file` takes
+    ``output_dir`` from the environment variable ``EQUIMEASURE_OUTDIR``
+    (``OUTDIR_ENV``) when that is set and not empty, over the config's.
+    Every capacity fit takes the last ``MIN_CAPACITY_GENERATIONS``
+    generations.  ``quadrature_order`` is the order of :attr:`rule`, the
+    nodes per band of the point path (``potential_at(..., method="nodes")``,
+    the ``V_point`` column of the capacity table, at ``point_x`` or, if that
+    is ``None``, the middle of the deepest generation's first band), which
+    sums them only on the bands that rule cannot resolve to roundoff.  Every
+    other potential, capacity and integrated measure comes from per-band
+    Chebyshev series sized by the geometry, as are the solver's rules.  Values are typed as in JSON: counts are
     integers, at most ``MAX_POINTS`` points, and no boolean is a number.
     """
 
@@ -415,22 +418,12 @@ def _line_ids(solved) -> list[list[str]]:
 
 
 def _capacity_rows(cfg: RunConfig, solved):
-    sols = [sol for _, sol in solved]
-    point = cfg.point_x
-    if point is None:  # the middle of the deepest generation's first band
-        deepest = sols[-1].vars.bands
-        point = float(0.5 * (deepest.alphas[0] + deepest.betas[0]))
-    est_mean = capacity_estimate(sols, cfg.rule, cfg.sample_count, mode="mean")
-    try:
-        est_point = capacity_estimate(sols, cfg.rule, mode="point", point=point)
-    except NonMonotoneInput as exc:  # the coarse gauge stands without its fit
-        est_point = CapacityEstimate(exc.per_generation, (math.nan,) * 3, math.nan)
-    rows = []
-    for (n, v_point), (_, v_mean) in zip(est_point.per_generation,
-                                         est_mean.per_generation):
-        rows.append([n, v_point, v_mean,
-                     *est_point.fit, est_point.extrapolated_capacity,
-                     *est_mean.fit, est_mean.extrapolated_capacity])
+    est_mean, est_point = capacity_estimate([sol for _, sol in solved], cfg.rule,
+                                            cfg.sample_count, cfg.point_x)
+    rows = [[n, v_point, v_mean, *est_point.fit, est_point.extrapolated_capacity,
+             *est_mean.fit, est_mean.extrapolated_capacity]
+            for (n, v_point), (_, v_mean) in zip(est_point.per_generation,
+                                                 est_mean.per_generation)]
     header = ["n", "V_point", "V_mean",
               "fit_a_point", "fit_b_point", "fit_c_point", "capacity_point",
               "fit_a_mean", "fit_b_mean", "fit_c_mean", "capacity_mean"]

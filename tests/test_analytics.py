@@ -281,7 +281,7 @@ class TestPotential:
         with pytest.raises(ValueError, match="needs a quadrature rule"):
             potential_at(-0.99, s, s.vars.bands, None, method="nodes")
         with pytest.raises(ValueError, match="needs a quadrature rule"):
-            capacity_estimate(sols, None, mode="point", point=-0.99)
+            capacity_estimate(sols, None, point=-0.99)
 
     @pytest.mark.parametrize("method", ["auto", "nodes"])
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
@@ -452,18 +452,21 @@ class TestDensityTableMemo:
             potential_at(-0.999, s, other, rule, method="nodes")
         assert potential_at(-0.999, s, s.vars.bands, rule, method="nodes") == want
 
-    def test_point_path_refuses_graded_rules(self, ternary_run):
+    def test_point_path_refuses_graded_rules(self, ternary_run, monkeypatch):
         # the table holds densities at Chebyshev nodes: with a graded rule's
         # positions and weights, ternary n = 3 at z = 0 gave 0.41539790,
-        # where Chebyshev-64 and the series give 0.41539755
+        # where Chebyshev-64 and the series give 0.41539755.  The capacity
+        # estimate refuses one before it evaluates either gauge
         bands, sols = ternary_run
         b, s = bands[2], _fresh(sols[2])
         graded = QuadratureRule.graded((2, 2))
         assert graded.order == 64
         with pytest.raises(ValueError, match="Gauss-Chebyshev"):
             potential_at(0.0, s, b, graded, method="nodes")
-        with pytest.raises(ValueError, match="Gauss-Chebyshev"):
-            capacity_estimate([s, *sols[3:6]], graded, mode="point", point=0.0)
+        with monkeypatch.context() as m:
+            m.setattr(analytics, "_potentials", lambda *a: pytest.fail("evaluated"))
+            with pytest.raises(ValueError, match="Gauss-Chebyshev"):
+                capacity_estimate([s, *sols[3:6]], graded, point=0.0)
         cheb = potential_at(0.0, s, b, QuadratureRule.chebyshev(64), method="nodes")
         assert cheb == pytest.approx(0.41539755, abs=1e-8)
         assert potential_at(0.0, s, b, graded) == pytest.approx(cheb, abs=1e-8)
@@ -536,7 +539,7 @@ class TestDensityTableMemo:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            est = capacity_estimate(sols, rule2048, mode="point", point=X_STAR)
+            _, est = capacity_estimate(sols, rule2048, 256, X_STAR)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -601,15 +604,25 @@ class TestPointPath:
                 if want is not None:
                     assert np.max(np.abs(got - want)) <= 1e-12, (b.generation, got - want)
 
-    def test_peak_memory(self, ternary_run, rule2048):
+    def test_peak_memory(self, ternary_run, rule2048, monkeypatch):
         # the whole-generation tables peaked at 8.0 MB over n <= 7; the
-        # first call builds the series and the shared node cosines
+        # first call builds the series and the shared node cosines.  The
+        # peak is the point gauge's, from its pass on: the mean gauge's
+        # blocks of 64 points by 254 bands come before it
         sols = ternary_run[1]
-        want = capacity_estimate(sols, rule2048, mode="point", point=X_STAR)
+        want = capacity_estimate(sols, rule2048, 256, X_STAR)
+        potentials = analytics._potentials
+
+        def point_gauge_peak(zs, solutions, rule=None):
+            if rule is not None:
+                tracemalloc.reset_peak()
+            return potentials(zs, solutions, rule)
+
+        monkeypatch.setattr(analytics, "_potentials", point_gauge_peak)
         gc.collect()
         tracemalloc.start()
         try:
-            est = capacity_estimate(sols, rule2048, mode="point", point=X_STAR)
+            est = capacity_estimate(sols, rule2048, 256, X_STAR)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -967,31 +980,59 @@ def test_node_values_and_fits_do_not_depend_on_the_blas_thread_count():
 class TestCapacityEstimate:
     def test_trivial_constant_capacity_is_half(self, trivial_band, rule2048):
         _, s0 = trivial_band
-        est = capacity_estimate([s0] * 4, rule2048, sample_count=32)
-        assert est.extrapolated_capacity == pytest.approx(0.5, abs=1e-9)
-        assert est.fit[2] > 0
-        assert isinstance(est, CapacityEstimate)
+        mean, point = capacity_estimate([s0] * 4, rule2048, sample_count=32)
+        assert mean.extrapolated_capacity == pytest.approx(0.5, abs=1e-9)
+        # the K-node sum at 0 is ((K - 1) log 2 - log|T_K(0)|) / K, and |T_2048(0)| = 1
+        assert point.extrapolated_capacity == pytest.approx(0.5 * 2.0 ** (1 / 2048), abs=1e-12)
+        for est in (mean, point):
+            assert est.fit[2] > 0
+            assert isinstance(est, CapacityEstimate)
 
     def test_requires_four_generations(self, ternary_run, rule2048):
         _, sols = ternary_run
         with pytest.raises(ValueError):
             capacity_estimate(sols[:3], rule2048)
 
-    def test_point_mode_needs_point(self, ternary_run, rule2048):
-        _, sols = ternary_run
-        with pytest.raises(ValueError):
-            capacity_estimate(sols[:4], rule2048, mode="point")
-        with pytest.raises(ValueError, match="unknown mode 'median'"):
-            capacity_estimate(sols[:4], rule2048, mode="median")
+    def test_default_point_is_the_middle_of_the_deepest_first_band(self, ternary_run,
+                                                                     rule2048):
+        sols = ternary_run[1][:4]
+        b = sols[-1].vars.bands
+        mid = float(0.5 * (b.alphas[0] + b.betas[0]))
+        mean, point = capacity_estimate(sols, rule2048, 64)
+        assert (mean, point) == capacity_estimate(sols, rule2048, 64, mid)
+        assert point.per_generation == tuple(
+            (s.generation, potential_at(mid, s, s.vars.bands, rule2048, method="nodes"))
+            for s in sols)
 
+    @pytest.mark.parametrize("point", [0.0, 5.0])
+    def test_a_point_off_the_deepest_bands_is_refused(self, ternary_run, rule2048,
+                                                      monkeypatch, point):
+        # off the bands the potential is not the set's: its node sums in the
+        # middle gap give capacity 0.659 against 0.4419 on ternary n <= 4, and
+        # off the hull they do not decay.  Neither point is evaluated
+        sols = ternary_run[1][:4]
+        monkeypatch.setattr(analytics, "_potentials", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(OutOfHull, match="lies on no band of generation 4"):
+            capacity_estimate(sols, rule2048, 64, point)
 
-def _per_generation(solutions, rule, **kwargs):
-    """``capacity_estimate(...).per_generation``, or the values a failed fit
-    carries."""
-    try:
-        return capacity_estimate(solutions, rule, **kwargs).per_generation
-    except NonMonotoneInput as exc:
-        return exc.per_generation
+    def test_a_failed_mean_fit_raises_the_fits_error(self, ternary_run, rule2048,
+                                                     monkeypatch):
+        # the error the fit raised, message and all; the point gauge is not read
+        sols = ternary_run[1][:4]
+        error = NonMonotoneInput("difference ratio 1.5 is not a decay")
+        potentials, fits = analytics._potentials, []
+
+        def fails(points):
+            fits.append(points)
+            raise error
+
+        monkeypatch.setattr(analytics, "fit_exponential", fails)
+        monkeypatch.setattr(analytics, "_potentials", lambda zs, sols, rule=None: (
+            pytest.fail("point gauge evaluated") if rule is not None else potentials(zs, sols)))
+        with pytest.raises(NonMonotoneInput) as info:
+            capacity_estimate(sols, rule2048, 64)
+        assert info.value is error and len(fits) == 1
+        assert not hasattr(error, "per_generation")
 
 
 class TestStackedGenerations:
@@ -1013,14 +1054,31 @@ class TestStackedGenerations:
         deepest = sols[-1].vars.bands
         point = float(0.5 * (deepest.alphas[0] + deepest.betas[0]))
         assert len({s.vars.band_series.shape[1] for s in sols}) == 1  # one stack
-        mean = _per_generation(sols, rule2048, sample_count=256, mode="mean")
-        assert mean == tuple(
+        mean, nodes = capacity_estimate(sols, rule2048, 256, point)
+        assert mean.per_generation == tuple(
             (s.generation, mean_potential_on_attractor_points(
                 s, s.vars.bands, 256, rule2048, sample_bands=deepest)) for s in sols)
-        nodes = _per_generation(sols, rule2048, mode="point", point=point)
-        assert nodes == tuple(
+        assert nodes.per_generation == tuple(
             (s.generation, potential_at(point, s, s.vars.bands, rule2048, method="nodes"))
             for s in sols)
+
+    def test_a_failed_point_fit_leaves_its_values(self, runs, rule2048):
+        # the CI nearcap config: 2048 nodes per band cannot resolve gaps 4e-7
+        # of the hull, so the point gauge's potentials do not decay and its fit
+        # fails; its values stand, and the mean gauge finds the capacity 1/2
+        # of [-1, 1], which the attractor nearly fills
+        sols = runs["near"]
+        b = sols[-1].vars.bands
+        mid = float(0.5 * (b.alphas[0] + b.betas[0]))
+        with pytest.raises(NonMonotoneInput):
+            fit_exponential([(s.generation, potential_at(mid, s, s.vars.bands, rule2048,
+                                                         method="nodes")) for s in sols])
+        mean, point = capacity_estimate(sols, rule2048, 256)
+        assert point.per_generation == tuple(
+            (s.generation, potential_at(mid, s, s.vars.bands, rule2048, method="nodes"))
+            for s in sols)
+        assert all(math.isnan(v) for v in (*point.fit, point.extrapolated_capacity))
+        assert mean.extrapolated_capacity == pytest.approx(0.5, abs=1e-9)
 
     def test_bumps_the_same_generations_as_per_generation_calls(self, ternary_run,
                                                                 monkeypatch):
@@ -1042,7 +1100,7 @@ class TestStackedGenerations:
         want = [potential_at(point, s, s.vars.bands, rule, method="nodes") for s in sols]
         per_call = sorted(set(seen))
         seen.clear()
-        got = capacity_estimate(sols, rule, mode="point", point=point).per_generation
+        got = capacity_estimate(sols, rule, 256, point)[1].per_generation
         assert sorted(set(seen)) == per_call
         assert (2048, 5) in per_call and not any(g < 5 for o, g in per_call if o != 2047)
         assert [v for _, v in got] == want
@@ -1087,7 +1145,6 @@ class TestStackedGenerations:
         monkeypatch.setattr(analytics, "_values_at_nodes",
                             lambda c, order: tables.append(c.shape) or values_at_nodes(c, order))
         sols = ternary_run[1]
-        capacity_estimate(sols, rule2048, 256, mode="mean")
-        capacity_estimate(sols, rule2048, mode="point", point=X_STAR)
+        capacity_estimate(sols, rule2048, 256, X_STAR)
         assert shares == [64, 64, 64, 64, 1]
         assert tables == [(7, 32)]  # the point's host band in each generation
