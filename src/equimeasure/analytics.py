@@ -13,8 +13,9 @@ Every value here comes from one set of per-band Chebyshev coefficients
 builds once per set of roots (see :mod:`~equimeasure.kernel`): in band
 ``b``'s frame ``t = psi_b(s)`` the density is ``F(t) / (pi sqrt(1 -
 t**2))`` with ``F = sum_j c_j T_j``, and ``c_0`` is the band measure.
-This module keeps no per-solution state; it needs numpy alone, and runs the
-kernel only through ``band_series`` when no stored series seeded it.
+This module keeps no per-solution state; it needs numpy alone, calls no
+LAPACK routine, and runs the kernel only through ``band_series`` when no
+stored series seeded it.
 
 The log transform of each Chebyshev mode is closed-form (Mason &
 Handscomb, *Chebyshev Polynomials*, 2003): against the unit Chebyshev
@@ -38,29 +39,18 @@ integrated measure inside a band is closed-form too (see
 :func:`integrated_measure_at`).
 
 :func:`potential_at` and :func:`integrated_measure_at` evaluate an array of
-points in one blockwise pass; a scalar is a one-point array and gives a
-``float``.  Each value depends on its own point alone.  One evaluator,
-:func:`_potentials`, serves both potential paths: it stacks the bands of
-the solutions it is given side by side (:class:`_Stack`) and walks the
-points in blocks, so :func:`capacity_estimate` makes one pass per path over
-all its generations; each value depends on its own generation's bands
-alone.  Both paths sum one term array per block, a term per (point,
-stacked band).  Every temporary holds at most ``kernel.BLOCK_ELEMS``
-elements, the package's one memory budget, so the cost grows linearly with
-the series length.
+points (a scalar gives a ``float``) in blocks, each value from its own point
+alone.  One evaluator, :func:`_potentials`, serves both potential paths over
+the bands of several solutions side by side (:class:`_Stack`), so
+:func:`capacity_estimate` makes one pass per path over all its generations.
+Every temporary holds at most ``kernel.BLOCK_ELEMS`` elements, the
+package's one memory budget.
 
-The plain node sum remains available as ``method="nodes"``, the published
-point path, for Gauss-Chebyshev rules only: ``rule.order`` nodes per band,
-with ``F`` at its nodes summed from the same series (see
-:func:`_values_at_nodes`).  Its error is the classical coarseness gauge,
-shrinking from ~2e-4 at generation 1 to ~3e-6 at generation 7 for the
-middle-third system at 2048 nodes.  That error comes from the bands next
-to the point alone: on a band whose Bernstein ellipse reaches far enough
-the node sum equals the band's series share to roundoff, so the point
-path keeps that share and overwrites only the other bands' terms with
-their node sums (see :func:`_potentials`), usually the point's own band
-alone.  Only a (point, solution) pair whose real point lies on one of those
-nodes is summed again at a higher order.
+The plain node sum of ``rule.order`` Gauss-Chebyshev nodes per band stays
+available as ``method="nodes"``, the published point path.  Its error, the
+classical coarseness gauge (~2e-4 at generation 1 to ~3e-6 at generation 7
+for the middle-third system at 2048 nodes), comes from the bands next to
+the point alone, so only their terms are node sums (see :func:`_potentials`).
 """
 
 from __future__ import annotations
@@ -73,9 +63,7 @@ import numpy as np
 from . import kernel
 from .geometry import BandSystem
 from .kernel import REFINE_SAFETY, QuadratureRule, _from_frame
-# Imported so that ``analytics.kernel_log_magnitude`` stays a patch point:
-# the traced benchmark (bench/tracer.py) counts log-space calls made from
-# here, and that count is meant to read 0.
+# A patch point: the traced benchmark counts log-space calls from here (0).
 from .kernel import kernel_log_magnitude  # noqa: F401
 from .solver import EquilibriumSolution
 
@@ -176,8 +164,10 @@ def _trig_sums(trig, theta: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndar
     sums = np.zeros(theta.size)
     for c in range(0, j.size, cols):
         for k in range(0, theta.size, rows):
-            sums[k : k + rows] += np.sum(trig(np.outer(theta[k : k + rows], j[c : c + cols]))
-                                         * d[b[k : k + rows], c : c + cols], axis=1)
+            terms = np.outer(theta[k : k + rows], j[c : c + cols])
+            trig(terms, out=terms)
+            terms *= d[b[k : k + rows], c : c + cols]
+            sums[k : k + rows] += np.sum(terms, axis=1)
     return sums
 
 
@@ -194,8 +184,7 @@ def _theta_of(x, lo, hi):
 
     ``tan(theta/2) = sqrt((hi - x)/(x - lo))``, which is exact at the band
     endpoints, unlike ``arccos`` of the rounded frame coordinate (whose
-    sqrt(eps)-size angle error would leak into partial integrals).  Works
-    elementwise on arrays.
+    sqrt(eps)-size angle error would leak into partial integrals).
     """
     return 2.0 * np.arctan2(np.sqrt(np.maximum(hi - x, 0.0)), np.sqrt(np.maximum(x - lo, 0.0)))
 
@@ -260,24 +249,37 @@ def _band_shares(z: np.ndarray, stack: _Stack,
     on, g = np.nonzero(host >= 0)
     b = host[on, g]
     with np.errstate(over="ignore", invalid="ignore"):  # far pairs are redone below
-        wm1 = 2.0 * (z[:, None] - betas) / width  # w - 1 in every band's frame
-        wp1 = 2.0 * (z[:, None] - alphas) / width  # w + 1
-        w = 0.5 * (wm1 + wp1)
-        if np.isrealobj(z):
-            s = w + np.copysign(np.sqrt(np.abs(wm1)) * np.sqrt(np.abs(wp1)), w)
-        else:
-            r = np.sqrt(wm1 + 0j) * np.sqrt(wp1 + 0j)
-            s = np.where(np.abs(w + r) >= np.abs(w - r), w + r, w - r)
+        wm1, wp1 = z[:, None] - betas, z[:, None] - alphas
+        for v in (wm1, wp1):  # w - 1 and w + 1 in every band's frame
+            v *= 2.0
+            v /= width
+        w = wm1 + wp1
+        w *= 0.5
+        if np.isrealobj(z):  # s = w + copysign(sqrt|w - 1| sqrt|w + 1|, w)
+            s = np.sqrt(np.abs(wm1, out=wm1), out=wm1)
+            s *= np.sqrt(np.abs(wp1, out=wp1), out=wp1)
+            np.add(w, np.copysign(s, w, out=s), out=s)
+            log_s, shares = wp1, w
+        else:  # s = w +- sqrt(w - 1) sqrt(w + 1), the larger
+            wm1 += 0j
+            wp1 += 0j
+            r = np.sqrt(wm1, out=wm1)
+            r *= np.sqrt(wp1, out=wp1)
+            plus, s = np.add(w, r, out=wp1), np.subtract(w, r, out=r)
+            np.copyto(s, plus, where=np.abs(plus) >= np.abs(s))
+            log_s, shares = np.empty((2, *s.shape))
         s[on, b] = 1.0
-        log_s = np.log(np.abs(s))
-        rho = 1.0 / s
+        np.log(np.abs(s, out=log_s), out=log_s)
+        rho = np.divide(1.0, s, out=s)
     rho[on, b] = 0.0
     if not np.isfinite(log_s.sum()):  # each log|s| lies in [0, 710] where finite
         far = np.nonzero(~np.isfinite(log_s))
         half = 0.5 * (z[far[0]] - 0.5 * (alphas + betas)[far[1]])
         log_s[far] = np.log(np.abs(half)) + np.log(8.0 / width[far[1]])
         rho[far] = 0.125 * width[far[1]] / half
-    shares = coeffs[:, 0] * (np.log(2.0 / width) + (math.log(2.0) - log_s))
+    np.subtract(math.log(2.0), log_s, out=shares)
+    shares += np.log(2.0 / width)
+    shares *= coeffs[:, 0]
     shares += _horner(rho, d).real
     theta = _theta_of(z[on].real, alphas[b], betas[b])
     shares[on, b] += _trig_sums(np.cos, theta, d, b)
@@ -352,23 +354,17 @@ def _potentials(zs, solutions, rule: QuadratureRule | None = None) -> np.ndarray
 
 def potential_at(z, solution: EquilibriumSolution, bands: BandSystem,
                  rule: QuadratureRule, method: str = "auto"):
-    """Logarithmic potential of the generation's equilibrium measure at ``z``.
+    """Logarithmic potential of the generation's equilibrium measure at ``z``,
+    an array of real or complex points (an empty one gives an empty array),
+    or one point, which gives a ``float``.
 
-    ``z`` is an array of real or complex points, or one point, which gives
-    a ``float``.  With ``method="auto"`` all points take one blockwise pass
-    of :func:`_potentials`, accurate to roundoff on, next to and away from
-    the bands; ``rule`` is not used.  ``method="nodes"`` is the plain node
-    sum of ``rule.order`` Gauss-Chebyshev nodes per band, in the same point
-    blocks, with each band the rule resolves to roundoff taking its series
-    share instead (:func:`_potentials` given ``rule``); if a real point
-    falls within ``1e-12`` of a node (relative to the band width) the order
-    is bumped to ``K+1`` then ``K+3``, and :class:`PersistentCollision` is
-    raised when all attempts collide.  The coefficients are built once per
-    set of roots, and each order's densities once per point block, on the
-    solution's own bands (``solution.vars.bands``), whose endpoints
-    ``bands`` must have.  ``method="nodes"`` needs a Gauss-Chebyshev rule,
-    not ``None`` or a graded one: its densities sit at Chebyshev nodes.  An
-    empty array gives an empty array.
+    ``method="auto"`` is accurate to roundoff on, next to and away from the
+    bands; ``rule`` is not used.  ``method="nodes"`` is the plain node sum of
+    ``rule``, which must be Gauss-Chebyshev, on each band it cannot resolve
+    to roundoff (:func:`_potentials`): a real point within ``1e-12`` of a
+    band width from a node bumps the order to ``K+1`` then ``K+3``, and
+    :class:`PersistentCollision` is raised when all attempts collide.
+    ``bands`` must have the endpoints of ``solution.vars.bands``.
     """
     if method not in ("auto", "nodes"):
         raise ValueError(f"unknown method {method!r}")
@@ -386,7 +382,7 @@ def sample_points(bands: BandSystem, count: int) -> np.ndarray:
     first ``count % n_bands`` bands receive one extra) and placed at the
     images of Chebyshev nodes inside each band, so they avoid band edges
     and are reproducible.  Points chosen in a deep generation lie inside
-    every coarser generation's bands as well.  One array pass builds them.
+    every coarser generation's bands as well.
     """
     n = bands.n_bands
     if count < n:
@@ -408,9 +404,8 @@ def mean_potential_on_attractor_points(solution: EquilibriumSolution, bands: Ban
 
     ``sample_bands`` names the (usually deepest solved) generation whose
     bands carry the points; since generations are nested, the same points
-    serve every coarser generation.  The points are evaluated together from
-    the solution's per-band series, as ``potential_at`` does.  ``rule`` is
-    not used; it stays in the signature for callers that name it.
+    serve every coarser generation.  ``rule`` is not used; it stays in the
+    signature for callers that name it.
     """
     bands = _own_bands(solution, bands)
     return _mean_potentials([solution], sample_points(sample_bands or bands, sample_count))[0]
@@ -461,6 +456,25 @@ def integrated_measure_at(x, solution: EquilibriumSolution, bands: BandSystem):
 # capacity extrapolation
 
 
+def _least_squares(a: list) -> list[float]:
+    """``x`` minimising ``|A x - y|``, given the rows ``[A | y]`` (four floats
+    each), by Givens rotations on Python floats in place.  An unknown whose
+    pivot is at most ``len(a) * eps`` of the largest is 0 (least norm)."""
+    for k in range(3):
+        for i in range(k + 1, len(a)):
+            rho = math.hypot(a[k][k], a[i][k])
+            if rho != 0.0:
+                c, s = a[k][k] / rho, a[i][k] / rho
+                a[k], a[i] = ([c * u + s * v for u, v in zip(a[k], a[i])],
+                              [c * v - s * u for u, v in zip(a[k], a[i])])
+    tiny = len(a) * math.ulp(1.0) * max(abs(a[k][k]) for k in range(3))
+    x = [0.0] * 3
+    for k in reversed(range(3)):
+        if abs(a[k][k]) > tiny:
+            x[k] = (a[k][3] - sum(a[k][m] * x[m] for m in range(k + 1, 3))) / a[k][k]
+    return x
+
+
 def fit_exponential(points) -> tuple[float, float, float]:
     """Fit ``f(n) = a + b * exp(-c n)`` through decaying data.
 
@@ -468,9 +482,10 @@ def fit_exponential(points) -> tuple[float, float, float]:
     ``exp(-c dn) = (y3 - y2) / (y2 - y1)``; more points are fitted least
     squares by Gauss-Newton from the closed form on the last three, each
     step halved while it would raise the squared residual by over 1e-6 of
-    it, until the step stops shrinking at roundoff (at most 50 steps).
-    Differences must keep one sign and contract, otherwise
-    :class:`NonMonotoneInput` is raised.  Returns ``(a, b, c)`` with ``c > 0``.
+    it, until the step stops shrinking at roundoff (at most 50 steps); each
+    step is a QR solve, :func:`_least_squares`.  Differences must keep one
+    sign and contract, otherwise :class:`NonMonotoneInput` is raised.
+    Returns ``(a, b, c)`` with ``c > 0``.
     """
     pts = sorted((float(n), float(y)) for n, y in points)
     if len(pts) < 3:
@@ -504,8 +519,8 @@ def fit_exponential(points) -> tuple[float, float, float]:
     p, last = np.array(closed_form(ns[-3:], ys[-3:])), math.inf
     for _ in range(50):
         e = np.exp(-p[2] * ns)
-        jac = np.column_stack([np.ones_like(ns), e, -p[1] * ns * e])
-        step = np.linalg.lstsq(jac, ys - p[0] - p[1] * e, rcond=None)[0]
+        step = np.array(_least_squares(np.column_stack(
+            [np.ones_like(ns), e, -p[1] * ns * e, ys - p[0] - p[1] * e]).tolist()))
         size = np.linalg.norm(step) / np.linalg.norm(p)
         if last <= size < 1e-8:  # at roundoff
             break

@@ -96,6 +96,22 @@ def node_sum_potentials(zs, solution, rule):
     raise analytics.PersistentCollision(f"point {complex(zs[todo[0]])} collides")
 
 
+# The numpy.linalg routines that call LAPACK; the package calls none of them.
+LAPACK_ROUTINES = ("lstsq", "solve", "qr", "svd", "pinv", "inv", "eig")
+
+
+def forbid_lapack(monkeypatch):
+    """Make each of ``LAPACK_ROUTINES`` raise ``AssertionError`` for the rest
+    of the test."""
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    for name in LAPACK_ROUTINES:
+        monkeypatch.setattr(np.linalg, name, forbidden(name))
+
+
 def solve_generations(ifs, n_max, residual_tol=1e-12):
     """:func:`~equimeasure.solver.hierarchical_solve` over generations
     ``1..n_max`` of ``ifs``, built in one walk as the CLI builds them."""

@@ -25,7 +25,8 @@ from equimeasure.cli import (
 )
 from equimeasure.geometry import GenerationTooLarge, IfsSystem, generate_bands, validate
 from equimeasure.kernel import QuadratureRule, gap_jacobian_row
-from tests.conftest import X_STAR, frame_rules, nan_in_gap_0, solve_generations
+from tests.conftest import (X_STAR, forbid_lapack, frame_rules, nan_in_gap_0,
+                            solve_generations)
 
 RECORD_KEYS = ["generation", "config", "lambda", "residuals", "initial_residuals",
                "iterations_used", "omega"]
@@ -1142,6 +1143,19 @@ class TestScipyFree:
         assert cold == "False True"
         assert len(list((tmp_path / "out").glob("series_*.bin"))) == 4
         assert _fresh_interpreter(script) == "False False"
+
+
+class TestLapackFree:
+    # the capacity fit solves each Gauss-Newton step by Givens rotations; the
+    # first numpy.linalg.lstsq call of a run paged in 1.3 MB of LAPACK's
+    # least-squares driver
+    @pytest.mark.parametrize("argv", [["capacity"], ["figures", "--which", "all"]],
+                             ids=["capacity", "figures"])
+    def test_commands_call_no_lapack(self, tmp_path, monkeypatch, argv):
+        path = write_config(tmp_path, n_max=4, sample_count=256)
+        forbid_lapack(monkeypatch)
+        assert main([*argv, "--config", str(path)]) == 0
+        assert (tmp_path / "out" / "capacity_table.csv").exists()
 
 
 DAMAGE_KINDS = ["another generation", "not an object", "a missing key", "a null in an array",
